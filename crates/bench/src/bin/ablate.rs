@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices DESIGN.md calls out.
+//! Ablation benches for the design choices the module docs call out.
 //!
 //! * `ablate cluster` — hexagonal O(n) velocity binning (§3.3.2) vs the
 //!   naive O(n²) pairwise-threshold grouping it replaces: wall-clock

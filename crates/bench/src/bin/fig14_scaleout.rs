@@ -24,10 +24,10 @@
 //! timeline around each join — the dip-and-recovery curve — is saved to
 //! `bench_results/fig14_elastic.json`.
 
-use moist::bigtable::{Bigtable, Timestamp};
-use moist::core::{MoistCluster, MoistConfig, ObjectId, ServerStats, UpdateMessage};
-use moist::workload::{ClientPool, RoadMap, RoadMapConfig, RoadNetSim, SimConfig};
-use moist_bench::{smoke_mode, Figure, Series, STORE_WRITE_CAPACITY_OPS};
+use moist::bigtable::Bigtable;
+use moist::core::{MoistCluster, MoistConfig};
+use moist::workload::{RoadMap, RoadMapConfig, RoadNetSim, SimConfig};
+use moist_bench::{drive, smoke_mode, stats_delta, Figure, Series, STORE_WRITE_CAPACITY_OPS};
 use std::sync::Mutex;
 
 struct Scale {
@@ -60,57 +60,10 @@ impl Scale {
     }
 }
 
-/// Counter deltas between two aggregate snapshots.
-fn delta(after: &ServerStats, before: &ServerStats) -> ServerStats {
-    ServerStats {
-        updates: after.updates - before.updates,
-        shed: after.shed - before.shed,
-        leader_updates: after.leader_updates - before.leader_updates,
-        registered: after.registered - before.registered,
-        departures: after.departures - before.departures,
-        nn_queries: after.nn_queries - before.nn_queries,
-        cluster_runs: after.cluster_runs - before.cluster_runs,
-    }
-}
-
 struct Measured {
     store_qps: f64,
     client_qps: f64,
     shed: f64,
-}
-
-/// Drives every simulator from its current time to `until`, in `tick`-second
-/// steps, routing updates through the cluster; on each tick worker `i` also
-/// runs the lazy clustering pass for the shards congruent to `i` modulo the
-/// worker count, so every shard gets clustering ticks even when there are
-/// fewer client threads than shards.
-fn drive(cluster: &MoistCluster, sims: &[Mutex<RoadNetSim>], until: f64, tick: f64) {
-    let shards = cluster.num_shards();
-    ClientPool::run(sims.len(), |i| {
-        let mut sim = sims[i].lock().expect("sim lock");
-        let oid_base = i as u64 * 10_000_000;
-        let mut t = sim.now_secs();
-        while t < until {
-            t = (t + tick).min(until);
-            for u in sim.advance_until(t) {
-                cluster
-                    .update(&UpdateMessage {
-                        oid: ObjectId(oid_base + u.oid),
-                        loc: u.loc,
-                        vel: u.vel,
-                        ts: Timestamp::from_secs_f64(u.at_secs),
-                    })
-                    .expect("update");
-            }
-            let mut shard = i;
-            while shard < shards {
-                cluster
-                    .run_due_clustering_shard(shard, Timestamp::from_secs_f64(t))
-                    .expect("clustering");
-                shard += sims.len();
-            }
-        }
-    });
 }
 
 fn run_one(shards: usize, scale: &Scale) -> Measured {
@@ -140,11 +93,17 @@ fn run_one(shards: usize, scale: &Scale) -> Measured {
         .collect();
     // Warm-up: register everyone and let schools form, then measure from a
     // clean clock.
-    drive(&cluster, &sims, scale.warmup_secs, 5.0);
+    drive(&cluster, &sims, scale.warmup_secs, 5.0, false);
     cluster.reset_clocks();
     let before = cluster.stats();
-    drive(&cluster, &sims, scale.warmup_secs + scale.measure_secs, 5.0);
-    let d = delta(&cluster.stats(), &before);
+    drive(
+        &cluster,
+        &sims,
+        scale.warmup_secs + scale.measure_secs,
+        5.0,
+        false,
+    );
+    let d = stats_delta(&cluster.stats(), &before);
     assert!(d.balanced(), "outcome counters must sum: {d:?}");
 
     let busiest_secs = cluster.max_elapsed_us() / 1e6;
@@ -223,7 +182,7 @@ fn run_elastic(scale: &ElasticScale, id: &str) {
             ))
         })
         .collect();
-    drive(&cluster, &sims, scale.warmup_secs, 5.0);
+    drive(&cluster, &sims, scale.warmup_secs, 5.0, false);
     cluster.reset_clocks();
 
     let mut qps_series = Series::new("client-visible QPS");
@@ -254,8 +213,8 @@ fn run_elastic(scale: &ElasticScale, id: &str) {
         let window_end = (t + scale.window_secs).min(scale.end_secs);
         let before = cluster.stats();
         let elapsed_before = cluster.max_elapsed_us();
-        drive(&cluster, &sims, window_end, 5.0);
-        let d = delta(&cluster.stats(), &before);
+        drive(&cluster, &sims, window_end, 5.0, false);
+        let d = stats_delta(&cluster.stats(), &before);
         let window_secs = (cluster.max_elapsed_us() - elapsed_before) / 1e6;
         let non_shed = (d.updates - d.shed) as f64;
         let store_qps = (non_shed / window_secs.max(1e-9)).min(STORE_WRITE_CAPACITY_OPS);

@@ -8,7 +8,7 @@
 //! idled. This bin sweeps **region size × shard count** and compares, on
 //! identical stores:
 //!
-//! * **anchor** — the old routing ([`MoistCluster::region_anchor`]): one
+//! * **anchor** — the old routing ([`moist_bench::anchor_region`]): one
 //!   shard scans every planned range back to back;
 //! * **fanout** — scatter-gather ([`MoistCluster::region`]): the plan is
 //!   owner-sliced, each slice scans on a pooled worker against its shard,
@@ -24,7 +24,7 @@
 use moist::bigtable::{Bigtable, Timestamp};
 use moist::core::{MoistCluster, MoistConfig, ObjectId, UpdateMessage};
 use moist::spatial::{Point, Rect, Velocity};
-use moist_bench::{smoke_mode, Figure, Series};
+use moist_bench::{anchor_region, smoke_mode, Figure, Series};
 
 struct Scale {
     shard_counts: Vec<usize>,
@@ -119,9 +119,7 @@ fn run_one(shards: usize, side: f64, scale: &Scale) -> Measured {
     let mut fanout_us = 0.0;
     let mut scatter = 0usize;
     for rect in &rects {
-        let (a_hits, a_stats) = cluster
-            .region_anchor(rect, Timestamp::ZERO, 0.0)
-            .expect("anchor region");
+        let (a_hits, a_stats) = anchor_region(&cluster, rect, Timestamp::ZERO);
         let (f_hits, f_stats) = cluster
             .region(rect, Timestamp::ZERO, 0.0)
             .expect("fanout region");

@@ -35,7 +35,7 @@
 use moist::bigtable::{Bigtable, Timestamp};
 use moist::core::{MoistCluster, MoistConfig, ObjectId, UpdateMessage};
 use moist::spatial::{Point, Velocity};
-use moist_bench::{smoke_mode, Figure, Series, STORE_WRITE_CAPACITY_OPS};
+use moist_bench::{anchor_region, smoke_mode, Figure, Rng, Series, STORE_WRITE_CAPACITY_OPS};
 
 /// Virtual seconds between rebalance steps on the load-aware cluster.
 const REBALANCE_EVERY_SECS: u64 = 10;
@@ -85,17 +85,6 @@ fn config() -> MoistConfig {
         clustering_level: 3,
         cluster_interval_secs: 10.0,
         ..MoistConfig::default()
-    }
-}
-
-/// Deterministic xorshift stream.
-struct Rng(u64);
-impl Rng {
-    fn next(&mut self) -> f64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        (self.0 >> 11) as f64 / (1u64 << 53) as f64
     }
 }
 
@@ -200,7 +189,7 @@ fn run_one(shards: usize, scale: &Scale, rebalance: bool) -> Measured {
     // Whole-map scattered region vs anchor routing on this cluster: the
     // fan-out bar from fig15 must hold (and slice balancing should beat
     // it — the largest owner slice no longer caps the speedup).
-    let (anchor_hits, anchor_stats) = cluster.region_anchor(&cfg.space.world, end, 0.0).unwrap();
+    let (anchor_hits, anchor_stats) = anchor_region(&cluster, &cfg.space.world, end);
     let (fan_hits, fan_stats) = cluster.region(&cfg.space.world, end, 0.0).unwrap();
     let a: Vec<u64> = anchor_hits.iter().map(|n| n.oid.0).collect();
     let f: Vec<u64> = fan_hits.iter().map(|n| n.oid.0).collect();

@@ -32,12 +32,9 @@
 //! the client-visible rate.
 
 use moist::bigtable::{Bigtable, Timestamp};
-use moist::core::{
-    IngestConfig, IngestStats, MoistCluster, MoistConfig, MoistError, ObjectId, ServerStats,
-    UpdateMessage,
-};
-use moist::workload::{ClientPool, RoadMap, RoadMapConfig, RoadNetSim, SimConfig};
-use moist_bench::{smoke_mode, Figure, Series};
+use moist::core::{IngestConfig, IngestStats, MoistCluster, MoistConfig};
+use moist::workload::{RoadMap, RoadMapConfig, RoadNetSim, SimConfig};
+use moist_bench::{drive, smoke_mode, stats_delta, Figure, Series};
 use std::sync::Mutex;
 
 struct Scale {
@@ -80,19 +77,6 @@ impl Scale {
     }
 }
 
-/// Counter deltas between two aggregate snapshots.
-fn delta(after: &ServerStats, before: &ServerStats) -> ServerStats {
-    ServerStats {
-        updates: after.updates - before.updates,
-        shed: after.shed - before.shed,
-        leader_updates: after.leader_updates - before.leader_updates,
-        registered: after.registered - before.registered,
-        departures: after.departures - before.departures,
-        nn_queries: after.nn_queries - before.nn_queries,
-        cluster_runs: after.cluster_runs - before.cluster_runs,
-    }
-}
-
 /// Ingest counter deltas over the measurement window (`queued` is a live
 /// gauge, not a counter; both snapshots are taken after a drain so it is
 /// zero on each side).
@@ -125,69 +109,6 @@ struct Measured {
     avg_batch: f64,
     /// Typed-backpressure rejections the submitters retried through.
     backpressure: u64,
-}
-
-/// Drives every simulator to `until` in `tick`-second steps. `pipelined`
-/// selects the submission path: `false` routes through the synchronous
-/// [`MoistCluster::update`], `true` through [`MoistCluster::submit`] with
-/// a deadline-flush tick per worker. Backpressure (only reachable when a
-/// sweep point sets a tight in-flight limit) is handled the way a real
-/// client would: flush what is due and retry.
-fn drive(
-    cluster: &MoistCluster,
-    sims: &[Mutex<RoadNetSim>],
-    until: f64,
-    tick: f64,
-    pipelined: bool,
-) {
-    let shards = cluster.num_shards();
-    ClientPool::run(sims.len(), |i| {
-        let mut sim = sims[i].lock().expect("sim lock");
-        let oid_base = i as u64 * 10_000_000;
-        let mut t = sim.now_secs();
-        while t < until {
-            t = (t + tick).min(until);
-            for u in sim.advance_until(t) {
-                let msg = UpdateMessage {
-                    oid: ObjectId(oid_base + u.oid),
-                    loc: u.loc,
-                    vel: u.vel,
-                    ts: Timestamp::from_secs_f64(u.at_secs),
-                };
-                if pipelined {
-                    loop {
-                        match cluster.submit(&msg) {
-                            Ok(_) => break,
-                            Err(MoistError::Backpressure { .. }) => {
-                                cluster
-                                    .flush_due(Timestamp::from_secs_f64(t))
-                                    .expect("flush");
-                                std::thread::yield_now();
-                            }
-                            Err(e) => panic!("submit: {e}"),
-                        }
-                    }
-                } else {
-                    cluster.update(&msg).expect("update");
-                }
-            }
-            if pipelined {
-                cluster
-                    .flush_due(Timestamp::from_secs_f64(t))
-                    .expect("flush");
-            }
-            let mut shard = i;
-            while shard < shards {
-                cluster
-                    .run_due_clustering_shard(shard, Timestamp::from_secs_f64(t))
-                    .expect("clustering");
-                shard += sims.len();
-            }
-        }
-    });
-    if pipelined {
-        cluster.drain_ingest().expect("drain");
-    }
 }
 
 fn run_one(shards: usize, scale: &Scale, ingest: Option<IngestConfig>) -> Measured {
@@ -230,7 +151,7 @@ fn run_one(shards: usize, scale: &Scale, ingest: Option<IngestConfig>) -> Measur
         5.0,
         pipelined,
     );
-    let d = delta(&cluster.stats(), &before);
+    let d = stats_delta(&cluster.stats(), &before);
     assert!(d.balanced(), "outcome counters must sum: {d:?}");
     let di = ingest_delta(&cluster.ingest_stats(), &ingest_before);
     if pipelined {
@@ -241,15 +162,16 @@ fn run_one(shards: usize, scale: &Scale, ingest: Option<IngestConfig>) -> Measur
         );
         assert_eq!(di.overload_shed, 0, "Reject policy must never shed");
     }
-    // Cross-layer consistency: the tier's folded load-loss signal must
-    // equal the independently read school-shed + queue-loss counters, or
-    // a client-QPS derivation somewhere is lying about lost updates.
+    // Cross-layer consistency: the tier's rollup of load-loss signals
+    // (school sheds in `ops`, queue losses in `refused()`) must equal the
+    // independently read counters, or a client-QPS derivation somewhere
+    // is lying about lost updates.
     let cs = cluster.cluster_stats(Timestamp::from_secs_f64(
         scale.warmup_secs + scale.measure_secs,
     ));
     let ingest_all = cluster.ingest_stats();
     assert_eq!(
-        cs.shed_or_backpressure(),
+        cs.ops.shed + cs.refused(),
         cluster.stats().shed + ingest_all.backpressure + ingest_all.overload_shed,
         "ClusterStats must fold every load-loss signal"
     );

@@ -29,10 +29,10 @@
 //! both are lower-is-better, so an improvement would read as a >15%
 //! "drop" and fail the job.
 
-use moist::bigtable::{Bigtable, CostProfile, Durability, StoreConfig, Timestamp};
-use moist::core::{MoistCluster, MoistConfig, ObjectId, UpdateMessage};
-use moist::workload::{ClientPool, RoadMap, RoadMapConfig, RoadNetSim, SimConfig};
-use moist_bench::{smoke_mode, Figure, Series};
+use moist::bigtable::{Bigtable, CostProfile, Durability, StoreConfig};
+use moist::core::{MoistCluster, MoistConfig};
+use moist::workload::{RoadMap, RoadMapConfig, RoadNetSim, SimConfig};
+use moist_bench::{drive, smoke_mode, Figure, Series};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -128,37 +128,6 @@ fn store_config(setting: &Setting, dir: &std::path::Path) -> StoreConfig {
     }
 }
 
-/// Drives every simulator to `until` in 5-second steps through the
-/// synchronous update path, interleaving due clustering runs.
-fn drive(cluster: &MoistCluster, sims: &[Mutex<RoadNetSim>], until: f64) {
-    let shards = cluster.num_shards();
-    ClientPool::run(sims.len(), |i| {
-        let mut sim = sims[i].lock().expect("sim lock");
-        let oid_base = i as u64 * 10_000_000;
-        let mut t = sim.now_secs();
-        while t < until {
-            t = (t + 5.0).min(until);
-            for u in sim.advance_until(t) {
-                cluster
-                    .update(&UpdateMessage {
-                        oid: ObjectId(oid_base + u.oid),
-                        loc: u.loc,
-                        vel: u.vel,
-                        ts: Timestamp::from_secs_f64(u.at_secs),
-                    })
-                    .expect("update");
-            }
-            let mut shard = i;
-            while shard < shards {
-                cluster
-                    .run_due_clustering_shard(shard, Timestamp::from_secs_f64(t))
-                    .expect("clustering");
-                shard += sims.len();
-            }
-        }
-    });
-}
-
 struct Measured {
     store_qps: f64,
     /// WAL bytes per payload byte written (0 for `Durability::None`).
@@ -189,11 +158,17 @@ fn run_one(setting: &Setting, scale: &Scale) -> Measured {
             ))
         })
         .collect();
-    drive(&cluster, &sims, scale.warmup_secs);
+    drive(&cluster, &sims, scale.warmup_secs, 5.0, false);
     cluster.reset_clocks();
     let before = cluster.stats();
     let m_before = store.metrics_snapshot();
-    drive(&cluster, &sims, scale.warmup_secs + scale.measure_secs);
+    drive(
+        &cluster,
+        &sims,
+        scale.warmup_secs + scale.measure_secs,
+        5.0,
+        false,
+    );
     let updates = cluster.stats().updates - before.updates;
     let shed = cluster.stats().shed - before.shed;
     assert!(updates > 0, "workload produced no updates");

@@ -52,7 +52,7 @@ use moist::core::{
     ControllerAction, ControllerConfig, MoistCluster, MoistConfig, ObjectId, UpdateMessage,
 };
 use moist::spatial::{Point, Velocity};
-use moist_bench::{smoke_mode, Figure, Series, STORE_WRITE_CAPACITY_OPS};
+use moist_bench::{smoke_mode, Figure, Rng, Series, STORE_WRITE_CAPACITY_OPS};
 use std::collections::HashMap;
 
 struct Scale {
@@ -158,17 +158,6 @@ fn config() -> MoistConfig {
         clustering_level: 3,
         cluster_interval_secs: 10.0,
         ..MoistConfig::default()
-    }
-}
-
-/// Deterministic xorshift stream (same generator as fig16).
-struct Rng(u64);
-impl Rng {
-    fn next(&mut self) -> f64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        (self.0 >> 11) as f64 / (1u64 << 53) as f64
     }
 }
 

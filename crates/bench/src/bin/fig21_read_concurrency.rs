@@ -37,7 +37,7 @@
 use moist::bigtable::Timestamp;
 use moist::core::{MoistCluster, MoistConfig, ObjectId, UpdateMessage};
 use moist::spatial::{Point, Velocity};
-use moist_bench::{smoke_mode, Figure, Series};
+use moist_bench::{smoke_mode, Figure, Rng, Series};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -80,17 +80,6 @@ fn config() -> MoistConfig {
         clustering_level: 3,
         cluster_interval_secs: 10.0,
         ..MoistConfig::default()
-    }
-}
-
-/// Deterministic xorshift stream.
-struct Rng(u64);
-impl Rng {
-    fn next(&mut self) -> f64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        (self.0 >> 11) as f64 / (1u64 << 53) as f64
     }
 }
 

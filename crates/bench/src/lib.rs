@@ -1,16 +1,23 @@
 //! Shared harness for the figure-reproduction benchmarks.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the MOIST
-//! paper (see DESIGN.md's experiment index). This library provides the
-//! common pieces: result tables, JSON output, cost-profile presets for the
-//! comparators, and the multi-server capacity model.
+//! paper. This library provides the common pieces: result tables, JSON
+//! output, cost-profile presets for the comparators, the multi-server
+//! capacity model, and the drive/measure helpers the cluster-tier figures
+//! share.
 
 #![warn(missing_docs)]
 
-use moist::bigtable::CostProfile;
+use moist::bigtable::{CostProfile, Timestamp};
+use moist::core::{
+    MoistCluster, MoistError, Neighbor, ObjectId, RegionStats, ServerStats, UpdateMessage,
+};
+use moist::spatial::Rect;
+use moist::workload::{ClientPool, RoadNetSim};
 use serde::Serialize;
 use std::io::Write as _;
 use std::path::PathBuf;
+use std::sync::Mutex;
 
 /// One plotted series: label plus `(x, y)` points.
 #[derive(Debug, Clone, Serialize)]
@@ -100,7 +107,7 @@ impl Figure {
     }
 
     /// Writes the figure as JSON under `bench_results/<id>.json` (relative
-    /// to the workspace root) so EXPERIMENTS.md tables can be regenerated.
+    /// to the workspace root).
     pub fn save(&self) -> std::io::Result<PathBuf> {
         let dir = results_dir();
         std::fs::create_dir_all(&dir)?;
@@ -203,6 +210,119 @@ pub fn capacity_step(demand_ops: f64, second: u64, seed: u64) -> (f64, f64) {
     let wobble = 0.92 + 0.16 * unit; // [0.92, 1.08)
     let served = (STORE_WRITE_CAPACITY_OPS * wobble).min(demand_ops);
     (served, demand_ops - served)
+}
+
+/// Deterministic xorshift stream of uniform draws in `[0, 1)`.
+pub struct Rng(pub u64);
+
+impl Rng {
+    /// The next draw.
+    #[allow(clippy::should_implement_trait)]
+    pub fn next(&mut self) -> f64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        (self.0 >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+/// Counter deltas between two aggregate snapshots.
+pub fn stats_delta(after: &ServerStats, before: &ServerStats) -> ServerStats {
+    ServerStats {
+        updates: after.updates - before.updates,
+        shed: after.shed - before.shed,
+        leader_updates: after.leader_updates - before.leader_updates,
+        registered: after.registered - before.registered,
+        departures: after.departures - before.departures,
+        nn_queries: after.nn_queries - before.nn_queries,
+        cluster_runs: after.cluster_runs - before.cluster_runs,
+    }
+}
+
+/// Drives every simulator from its current time to `until`, in
+/// `tick`-second steps, routing updates through the cluster; on each tick
+/// worker `i` also runs the lazy clustering pass for the shards congruent
+/// to `i` modulo the worker count, so every shard gets clustering ticks
+/// even when there are fewer client threads than shards.
+///
+/// `pipelined` selects the submission path: `false` routes through the
+/// synchronous [`MoistCluster::update`], `true` through
+/// [`MoistCluster::submit`] with a deadline-flush tick per worker and a
+/// final drain. Backpressure (only reachable under a tight in-flight
+/// limit) is handled the way a real client would: flush what is due and
+/// retry.
+pub fn drive(
+    cluster: &MoistCluster,
+    sims: &[Mutex<RoadNetSim>],
+    until: f64,
+    tick: f64,
+    pipelined: bool,
+) {
+    let shards = cluster.num_shards();
+    ClientPool::run(sims.len(), |i| {
+        let mut sim = sims[i].lock().expect("sim lock");
+        let oid_base = i as u64 * 10_000_000;
+        let mut t = sim.now_secs();
+        while t < until {
+            t = (t + tick).min(until);
+            for u in sim.advance_until(t) {
+                let msg = UpdateMessage {
+                    oid: ObjectId(oid_base + u.oid),
+                    loc: u.loc,
+                    vel: u.vel,
+                    ts: Timestamp::from_secs_f64(u.at_secs),
+                };
+                if pipelined {
+                    loop {
+                        match cluster.submit(&msg) {
+                            Ok(_) => break,
+                            Err(MoistError::Backpressure { .. }) => {
+                                cluster
+                                    .flush_due(Timestamp::from_secs_f64(t))
+                                    .expect("flush");
+                                std::thread::yield_now();
+                            }
+                            Err(e) => panic!("submit: {e}"),
+                        }
+                    }
+                } else {
+                    cluster.update(&msg).expect("update");
+                }
+            }
+            if pipelined {
+                cluster
+                    .flush_due(Timestamp::from_secs_f64(t))
+                    .expect("flush");
+            }
+            let mut shard = i;
+            while shard < shards {
+                cluster
+                    .run_due_clustering_shard(shard, Timestamp::from_secs_f64(t))
+                    .expect("clustering");
+                shard += sims.len();
+            }
+        }
+    });
+    if pipelined {
+        cluster.drain_ingest().expect("drain");
+    }
+}
+
+/// The pre-fan-out region path, the baseline fig15/fig16 compare the
+/// scatter-gather [`MoistCluster::region`] against: the whole query runs
+/// on the single shard owning the rectangle's centre cell, scanning every
+/// planned range back to back.
+pub fn anchor_region(
+    cluster: &MoistCluster,
+    rect: &Rect,
+    at: Timestamp,
+) -> (Vec<Neighbor>, RegionStats) {
+    cluster
+        .with_shard_read(cluster.shard_for_point(&rect.center()), |s| {
+            s.region(rect, at, 0.0)
+        })
+        .expect("anchor shard is live")
+        .expect("anchor region")
 }
 
 #[cfg(test)]

@@ -25,6 +25,7 @@ use crate::config::MoistConfig;
 use crate::error::Result;
 use crate::hexgrid::{HexBin, HexGrid};
 use crate::ids::ObjectId;
+use crate::placement::{routing_key_cell, winner, ShardWeight, SplitTable, SPLIT_CHILD_TAG};
 use crate::tables::{MoistTables, SpatialEntry};
 use moist_bigtable::{RowMutation, Session, Timestamp};
 use moist_spatial::{cells_at_level, CellId};
@@ -297,479 +298,6 @@ pub fn cluster_sweep(
     Ok(total)
 }
 
-/// Rendezvous weight of `(key, member)`: a splitmix64-style finalizer over
-/// the pair, so each member's weight stream is decorrelated both across
-/// keys (curve-adjacent hot cells spread out) and across members.
-fn rendezvous_weight(key: u64, member: u64) -> u64 {
-    let mut z = key
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(member.wrapping_mul(0xD1B5_4A32_D192_ED03))
-        .wrapping_add(0x2545_F491_4F6C_DD1D);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Rendezvous (highest-random-weight) owner of `key` among `members`
-/// (stable shard ids): the member whose hashed weight for this key is
-/// largest wins, ties broken towards the smaller id.
-///
-/// Unlike a modular hash over the member *count*, membership changes
-/// remap the minimum: adding a member steals only the keys it now wins
-/// (~`1/(N+1)` of them) and removing a member reassigns only the keys it
-/// owned — every other key's winner is untouched, because the surviving
-/// members' weights do not change. The result is also independent of the
-/// order of `members`.
-///
-/// Panics if `members` is empty (an empty cluster owns nothing).
-pub fn rendezvous_owner(key: u64, members: &[u64]) -> u64 {
-    rendezvous_max(key, members.iter().copied(), |&m| m).expect("rendezvous over empty membership")
-}
-
-/// One member of a weighted membership: a stable shard id plus its
-/// placement weight (relative capacity — the load-signal layer derives it
-/// from measured utilization; see
-/// [`crate::cluster_tier::MoistCluster::rebalance`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShardWeight {
-    /// Stable shard id.
-    pub id: u64,
-    /// Relative capacity; non-finite or non-positive weights are clamped
-    /// to a small floor so a misconfigured shard still owns *something*
-    /// (total loss of ownership would orphan its in-flight state).
-    pub weight: f64,
-}
-
-impl ShardWeight {
-    /// A unit-weight member (the unweighted-rendezvous behaviour).
-    pub fn unit(id: u64) -> Self {
-        ShardWeight { id, weight: 1.0 }
-    }
-}
-
-/// Weighted rendezvous owner of `key`: log-weight (highest-random-weight
-/// with weights) selection, `score(m) = w_m / (−ln u_m)` where `u_m ∈
-/// (0,1)` is the member's hashed draw for this key. The member with the
-/// largest score wins.
-///
-/// Properties (property-tested in `moist-core/tests/rendezvous_props.rs`):
-///
-/// * **proportional share** — each member owns a fraction of the key
-///   space proportional to `w_m / Σw` (within hash noise);
-/// * **minimal remap under weight change** — raising one member's weight
-///   only moves keys *to* it, lowering it only moves keys *away* from it
-///   (the other members' scores are untouched);
-/// * **equal weights ⇒ plain rendezvous** — with all weights equal the
-///   winner is exactly [`rendezvous_owner`]'s (the score is monotone in
-///   the hashed draw, and ties fall back to the raw 64-bit weight), so
-///   the unweighted API is the `w ≡ 1` special case, not a second hash.
-///
-/// Panics if `members` is empty.
-pub fn weighted_rendezvous_owner(key: u64, members: &[ShardWeight]) -> u64 {
-    weighted_rendezvous_max(key, members.iter(), |m| m.id, |m| m.weight)
-        .map(|m| m.id)
-        .expect("rendezvous over empty membership")
-}
-
-/// The weight floor substituted for non-finite / non-positive weights.
-const MIN_SHARD_WEIGHT: f64 = 1e-6;
-
-/// The rendezvous winner of `key` among `members`, each identified by
-/// `id_of` and weighted by `weight_of`. The single definition of winner
-/// selection — [`rendezvous_owner`], [`weighted_rendezvous_owner`] and the
-/// cluster tier's entry-based hot routing path all go through it, so
-/// routing and scheduler ownership can never disagree on a tie-break or
-/// weight change.
-pub(crate) fn weighted_rendezvous_max<T>(
-    key: u64,
-    members: impl Iterator<Item = T>,
-    id_of: impl Fn(&T) -> u64,
-    weight_of: impl Fn(&T) -> f64,
-) -> Option<T> {
-    let mut best: Option<(f64, u64, u64, T)> = None;
-    for m in members {
-        let id = id_of(&m);
-        let h = rendezvous_weight(key, id);
-        // Map the top 53 bits into (0,1): never 0 or 1, so ln is finite.
-        let u = ((h >> 11) as f64 + 0.5) / (1u64 << 53) as f64;
-        let w = {
-            let w = weight_of(&m);
-            if w.is_finite() && w > 0.0 {
-                w.max(MIN_SHARD_WEIGHT)
-            } else {
-                MIN_SHARD_WEIGHT
-            }
-        };
-        let score = w / -u.ln();
-        let better = match &best {
-            None => true,
-            // Tie-break: raw 64-bit draw (restores the unweighted
-            // ordering when equal weights collapse scores), then the
-            // smaller id.
-            Some((bs, bh, bid, _)) => {
-                score > *bs || (score == *bs && (h > *bh || (h == *bh && id < *bid)))
-            }
-        };
-        if better {
-            best = Some((score, h, id, m));
-        }
-    }
-    best.map(|(_, _, _, m)| m)
-}
-
-/// The unweighted rendezvous winner — [`weighted_rendezvous_max`] with
-/// every weight 1 (bit-identical winners; see there).
-pub(crate) fn rendezvous_max<T>(
-    key: u64,
-    members: impl Iterator<Item = T>,
-    id_of: impl Fn(&T) -> u64,
-) -> Option<T> {
-    weighted_rendezvous_max(key, members, id_of, |_| 1.0)
-}
-
-/// The rendezvous top-`k` of `key` among `members`, best first, under
-/// exactly [`weighted_rendezvous_max`]'s ordering (score, then raw draw,
-/// then smaller id). Since member ids are distinct that ordering is a
-/// strict total order, so the ranked list is well-defined and its first
-/// element is bit-identical to the single winner — `k = 1` reproduces
-/// [`weighted_rendezvous_owner`] exactly.
-///
-/// Rank is what makes HRW replica sets cheap: a member's score for a key
-/// never depends on who else is in the membership, so a join inserts the
-/// joiner at its rank and shifts only lower ranks down (the top-`k` set
-/// loses at most its last element), and a leave erases one rank and
-/// promotes the next — the basis for instant follower promotion.
-pub(crate) fn weighted_rendezvous_ranked<T>(
-    key: u64,
-    members: impl Iterator<Item = T>,
-    id_of: impl Fn(&T) -> u64,
-    weight_of: impl Fn(&T) -> f64,
-    k: usize,
-) -> Vec<T> {
-    if k == 0 {
-        return Vec::new();
-    }
-    // Small insertion-sorted list (k is 2–3 in practice).
-    let mut ranked: Vec<(f64, u64, u64, T)> = Vec::with_capacity(k + 1);
-    for m in members {
-        let id = id_of(&m);
-        let h = rendezvous_weight(key, id);
-        let u = ((h >> 11) as f64 + 0.5) / (1u64 << 53) as f64;
-        let w = {
-            let w = weight_of(&m);
-            if w.is_finite() && w > 0.0 {
-                w.max(MIN_SHARD_WEIGHT)
-            } else {
-                MIN_SHARD_WEIGHT
-            }
-        };
-        let score = w / -u.ln();
-        let pos = ranked
-            .iter()
-            .position(|(bs, bh, bid, _)| {
-                score > *bs || (score == *bs && (h > *bh || (h == *bh && id < *bid)))
-            })
-            .unwrap_or(ranked.len());
-        if pos < k {
-            ranked.insert(pos, (score, h, id, m));
-            ranked.truncate(k);
-        }
-    }
-    ranked.into_iter().map(|(_, _, _, m)| m).collect()
-}
-
-/// The ranked rendezvous replica set of `key`: the top-`k` members by
-/// hashed weight, best first. `owners[0]` is the primary and equals
-/// [`rendezvous_owner`] bit-identically; `owners[1..]` are the followers
-/// in promotion order. `k` is clamped to the membership size.
-///
-/// Panics if `members` is empty.
-pub fn rendezvous_owners(key: u64, members: &[u64], k: usize) -> Vec<u64> {
-    assert!(!members.is_empty(), "rendezvous over empty membership");
-    weighted_rendezvous_ranked(key, members.iter().copied(), |&m| m, |_| 1.0, k)
-}
-
-/// The ranked *weighted* rendezvous replica set of `key`, best first
-/// under [`weighted_rendezvous_owner`]'s ordering: `owners[0]` equals the
-/// single weighted winner bit-identically, `owners[1..]` are the
-/// followers in promotion order. `k` is clamped to the membership size.
-///
-/// Panics if `members` is empty.
-pub fn weighted_rendezvous_owners(key: u64, members: &[ShardWeight], k: usize) -> Vec<u64> {
-    assert!(!members.is_empty(), "rendezvous over empty membership");
-    weighted_rendezvous_ranked(key, members.iter(), |m| m.id, |m| m.weight, k)
-        .into_iter()
-        .map(|m| m.id)
-        .collect()
-}
-
-/// Tag bit marking a routing key as a *child* cell one level finer than
-/// the clustering level (set by [`SplitTable::route_leaf`] for split
-/// cells). Cell indexes use at most `2·leaf_level ≤ 62` bits, so the top
-/// bit is free.
-pub const SPLIT_CHILD_TAG: u64 = 1 << 63;
-
-/// Decodes a routing key into the concrete cell it names: plain keys are
-/// cells at `clustering_level`, tagged keys ([`SPLIT_CHILD_TAG`]) are
-/// child cells one level finer.
-pub fn routing_key_cell(key: u64, clustering_level: u8) -> CellId {
-    if key & SPLIT_CHILD_TAG != 0 {
-        CellId {
-            level: clustering_level + 1,
-            index: key & !SPLIT_CHILD_TAG,
-        }
-    } else {
-        CellId {
-            level: clustering_level,
-            index: key,
-        }
-    }
-}
-
-/// The set of clustering cells whose ownership is split one level finer.
-///
-/// Placement normally hashes whole clustering cells to shards; a
-/// business-center cell hot enough to pin a shard on its own cannot be
-/// fixed by any whole-cell assignment. The split table is consulted
-/// *before* rendezvous: a split cell routes by its four child cells (one
-/// level finer), each hashed independently, so the hot cell's load spreads
-/// across up to four shards. Updates still serialize per routing key on
-/// one owner, and each child is lazily clustered by its owner as its own
-/// (smaller) cell — the clustering-vs-cross-cell-move races this could
-/// surface are the same class [`cluster_cell`]'s guarded commit already
-/// resolves for ordinary cell-boundary crossings (the merge aborts when
-/// the scanned spatial row changed under it).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SplitTable {
-    cells: std::collections::BTreeSet<u64>,
-}
-
-impl SplitTable {
-    /// An empty table (no cell split — the pre-load-aware behaviour).
-    pub fn new() -> Self {
-        SplitTable::default()
-    }
-
-    /// Whether clustering cell `cell` is split.
-    pub fn is_split(&self, cell: u64) -> bool {
-        self.cells.contains(&cell)
-    }
-
-    /// Marks `cell` as split. Returns `false` if it already was.
-    pub fn split(&mut self, cell: u64) -> bool {
-        self.cells.insert(cell)
-    }
-
-    /// Reunites a split `cell`: its four children stop routing
-    /// independently and the cell routes whole again. Returns `false` if
-    /// the cell was not split. The table is capped (the cluster tier
-    /// splits at most a handful of business-center cells), so un-splitting
-    /// demand-faded cells is what keeps the cap *re-usable* when the hot
-    /// spot moves — the ownership handover itself (children released, the
-    /// reunited cell adopted at the earliest child deadline) is the
-    /// migration path's `(split, unsplit)` transition.
-    pub fn unsplit(&mut self, cell: u64) -> bool {
-        self.cells.remove(&cell)
-    }
-
-    /// The split cells, ascending.
-    pub fn cells(&self) -> impl Iterator<Item = u64> + '_ {
-        self.cells.iter().copied()
-    }
-
-    /// Number of split cells.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Whether no cell is split.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// The four routing keys of a split cell's children.
-    pub fn child_keys(cell: u64) -> [u64; 4] {
-        [
-            SPLIT_CHILD_TAG | (cell << 2),
-            SPLIT_CHILD_TAG | ((cell << 2) + 1),
-            SPLIT_CHILD_TAG | ((cell << 2) + 2),
-            SPLIT_CHILD_TAG | ((cell << 2) + 3),
-        ]
-    }
-
-    /// The routing key of leaf index `leaf`: the containing clustering
-    /// cell, or — when that cell is split — the containing child cell
-    /// tagged with [`SPLIT_CHILD_TAG`]. Panics if `clustering_level >
-    /// leaf_level` (rejected by config validation) or a split cell has no
-    /// finer level to split into.
-    pub fn route_leaf(&self, leaf: u64, clustering_level: u8, leaf_level: u8) -> u64 {
-        let cell = leaf >> (2 * (leaf_level - clustering_level) as u64);
-        if self.is_split(cell) {
-            assert!(
-                clustering_level < leaf_level,
-                "cannot split below the leaf level"
-            );
-            SPLIT_CHILD_TAG | (leaf >> (2 * (leaf_level - clustering_level - 1) as u64))
-        } else {
-            cell
-        }
-    }
-
-    /// Every routing key of the clustering level under this table: each
-    /// unsplit cell once, each split cell as its four children. The keys
-    /// partition the level exactly (each leaf index maps to exactly one
-    /// key via [`route_leaf`]).
-    pub fn routing_keys(&self, clustering_level: u8) -> Vec<u64> {
-        let mut keys = Vec::new();
-        for cell in 0..cells_at_level(clustering_level) {
-            if self.is_split(cell) {
-                keys.extend(Self::child_keys(cell));
-            } else {
-                keys.push(cell);
-            }
-        }
-        keys
-    }
-}
-
-/// Slices a region query's merged leaf-index ranges by rendezvous owner:
-/// each range is split at clustering-cell boundaries (a clustering cell at
-/// `clustering_level` spans `4^(leaf_level − clustering_level)` contiguous
-/// leaf indexes) and every piece goes to the [`rendezvous_owner`] of its
-/// clustering cell, with adjacent same-owner pieces re-merged so each shard
-/// still scans maximal contiguous ranges.
-///
-/// The returned slices are an **exact partition** of the input: no leaf
-/// index is dropped, duplicated, or moved — the scatter-gather region path
-/// scans precisely the ranges the single-server plan would have
-/// (property-tested in `moist-core/tests/rendezvous_props.rs`).
-///
-/// Returns `(owner id, that owner's merged ranges)` pairs in ascending
-/// owner-id order. Panics if `members` is empty or `clustering_level >
-/// leaf_level` (both are rejected by [`MoistConfig::validate`]).
-pub fn slice_ranges_by_owner(
-    ranges: &[(u64, u64)],
-    clustering_level: u8,
-    leaf_level: u8,
-    members: &[u64],
-) -> Vec<(u64, Vec<(u64, u64)>)> {
-    let weighted: Vec<ShardWeight> = members.iter().map(|&id| ShardWeight::unit(id)).collect();
-    slice_ranges_by_placement(
-        ranges,
-        clustering_level,
-        leaf_level,
-        &weighted,
-        &SplitTable::default(),
-    )
-}
-
-/// [`slice_ranges_by_owner`] under the full placement model: owners are
-/// the **weighted** rendezvous winners ([`weighted_rendezvous_owner`]) and
-/// cells in `splits` are cut one level finer, each child routed
-/// independently — exactly the routing the cluster tier applies to
-/// updates, so a scattered query's slices land on the shards that own the
-/// matching write traffic. Still an exact partition of the input (the
-/// property test covers this variant too).
-pub fn slice_ranges_by_placement(
-    ranges: &[(u64, u64)],
-    clustering_level: u8,
-    leaf_level: u8,
-    members: &[ShardWeight],
-    splits: &SplitTable,
-) -> Vec<(u64, Vec<(u64, u64)>)> {
-    assert!(
-        clustering_level <= leaf_level,
-        "clustering level {clustering_level} finer than leaf level {leaf_level}"
-    );
-    let shift = 2 * (leaf_level - clustering_level) as u64;
-    let mut by_owner: std::collections::BTreeMap<u64, Vec<(u64, u64)>> =
-        std::collections::BTreeMap::new();
-    for &(start, end) in ranges {
-        let mut s = start;
-        while s < end {
-            let cell = s >> shift;
-            // Split cells cut at child boundaries so each child's piece
-            // can go to its own owner; unsplit cells cut as before.
-            let (key, e) = if shift >= 2 && splits.is_split(cell) {
-                let child_shift = shift - 2;
-                let child = s >> child_shift;
-                (SPLIT_CHILD_TAG | child, end.min((child + 1) << child_shift))
-            } else {
-                (cell, end.min((cell + 1) << shift))
-            };
-            let slots = by_owner
-                .entry(weighted_rendezvous_owner(key, members))
-                .or_default();
-            match slots.last_mut() {
-                Some((_, le)) if *le == s => *le = e,
-                _ => slots.push((s, e)),
-            }
-            s = e;
-        }
-    }
-    by_owner.into_iter().collect()
-}
-
-/// [`slice_ranges_by_placement`] under replicated ownership: each routing
-/// key's piece goes to the **least-loaded member of its top-`replicas`
-/// rendezvous set** ([`weighted_rendezvous_owners`]) as measured by
-/// `load_of` (ties towards the better rank, so a level fleet reads from
-/// primaries). Reads are correct on any shard — the store is shared — so
-/// spreading a key's read slices over its followers scales read
-/// throughput per cell without touching the write path, which still
-/// serializes on the primary alone.
-///
-/// Still an exact partition of the input, whatever `load_of` returns.
-/// With `replicas <= 1` every piece goes to its primary and the output is
-/// exactly [`slice_ranges_by_placement`]'s.
-pub fn slice_ranges_by_replicas(
-    ranges: &[(u64, u64)],
-    clustering_level: u8,
-    leaf_level: u8,
-    members: &[ShardWeight],
-    splits: &SplitTable,
-    replicas: usize,
-    load_of: impl Fn(u64) -> f64,
-) -> Vec<(u64, Vec<(u64, u64)>)> {
-    assert!(
-        clustering_level <= leaf_level,
-        "clustering level {clustering_level} finer than leaf level {leaf_level}"
-    );
-    let shift = 2 * (leaf_level - clustering_level) as u64;
-    let mut by_owner: std::collections::BTreeMap<u64, Vec<(u64, u64)>> =
-        std::collections::BTreeMap::new();
-    for &(start, end) in ranges {
-        let mut s = start;
-        while s < end {
-            let cell = s >> shift;
-            let (key, e) = if shift >= 2 && splits.is_split(cell) {
-                let child_shift = shift - 2;
-                let child = s >> child_shift;
-                (SPLIT_CHILD_TAG | child, end.min((child + 1) << child_shift))
-            } else {
-                (cell, end.min((cell + 1) << shift))
-            };
-            let set = weighted_rendezvous_owners(key, members, replicas.max(1));
-            let reader = set
-                .iter()
-                .copied()
-                .min_by(|&a, &b| {
-                    load_of(a)
-                        .partial_cmp(&load_of(b))
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .expect("replica set is non-empty");
-            let slots = by_owner.entry(reader).or_default();
-            match slots.last_mut() {
-                Some((_, le)) if *le == s => *le = e,
-                _ => slots.push((s, e)),
-            }
-            s = e;
-        }
-    }
-    by_owner.into_iter().collect()
-}
-
 /// Tracks per-cell clustering deadlines so servers can run lazy clustering
 /// on the configured interval `T_c`.
 ///
@@ -779,9 +307,10 @@ pub fn slice_ranges_by_replicas(
 /// `now`), so late callers do not drift the schedule's phase.
 ///
 /// In a [`crate::cluster_tier::MoistCluster`] each shard holds the
-/// scheduler for the cells it wins under [`rendezvous_owner`]; the shards'
-/// owned sets form an exact partition of the clustering level, so every
-/// cell is clustered by exactly one shard. On a membership change the tier
+/// scheduler for the routing keys it wins under [`crate::placement`]'s
+/// rendezvous; the shards' owned sets form an exact partition of the
+/// clustering level, so every cell is clustered by exactly one shard. On a
+/// membership change the tier
 /// moves only the cells whose rendezvous winner changed, handing each
 /// cell's pending deadline from [`release`] on the old owner to [`adopt`]
 /// on the new one — the schedule's phase survives the migration, so a
@@ -815,19 +344,10 @@ impl ClusterScheduler {
         Self::for_cells(cfg, std::iter::empty())
     }
 
-    /// Creates the scheduler for member `member` of the membership `ids`:
-    /// it owns the clustering cells whose [`rendezvous_owner`] over `ids`
-    /// is `member`.
-    pub fn for_member(cfg: &MoistConfig, member: u64, ids: &[u64]) -> Self {
-        let weighted: Vec<ShardWeight> = ids.iter().map(|&id| ShardWeight::unit(id)).collect();
-        Self::for_placement(cfg, member, &weighted, &SplitTable::default())
-    }
-
-    /// Creates the scheduler for member `member` under the full placement
-    /// model: it owns the routing keys (unsplit cells, plus children of
-    /// split cells) whose [`weighted_rendezvous_owner`] over `members` is
-    /// `member`. With unit weights and no splits this is exactly
-    /// [`for_member`](ClusterScheduler::for_member).
+    /// Creates the scheduler for member `member` of the placement
+    /// `members`: it owns the routing keys (unsplit cells, plus children
+    /// of split cells) whose rendezvous winner ([`crate::placement::owners`]
+    /// rank 0) is `member`.
     pub fn for_placement(
         cfg: &MoistConfig,
         member: u64,
@@ -839,7 +359,7 @@ impl ClusterScheduler {
             splits
                 .routing_keys(cfg.clustering_level)
                 .into_iter()
-                .filter(|&key| weighted_rendezvous_owner(key, members) == member),
+                .filter(|&key| members[winner(key, members)].id == member),
         )
     }
 
@@ -889,11 +409,6 @@ impl ClusterScheduler {
     /// Number of clustering cells this scheduler owns.
     pub fn owned_count(&self) -> usize {
         self.heap.len()
-    }
-
-    /// The owned cell indices, in no particular order.
-    pub fn owned_cells(&self) -> Vec<u64> {
-        self.owned.iter().copied().collect()
     }
 
     /// The pending deadline (virtual µs) of owned cell `index`, or `None`
@@ -1212,284 +727,6 @@ mod tests {
     }
 
     #[test]
-    fn rendezvous_owner_is_order_independent_and_total() {
-        let ids = [3u64, 11, 42, 7];
-        let mut reversed = ids;
-        reversed.reverse();
-        for key in 0..256u64 {
-            let owner = rendezvous_owner(key, &ids);
-            assert!(ids.contains(&owner));
-            assert_eq!(owner, rendezvous_owner(key, &reversed), "key {key}");
-        }
-        // Each member wins a non-trivial share (hash balance, not exact).
-        for &m in &ids {
-            let won = (0..256u64)
-                .filter(|&k| rendezvous_owner(k, &ids) == m)
-                .count();
-            assert!(won > 20, "member {m} won only {won}/256 cells");
-        }
-    }
-
-    #[test]
-    fn equal_weights_reproduce_the_unweighted_owner() {
-        let ids = [3u64, 11, 42, 7, 900_001];
-        let weighted: Vec<ShardWeight> = ids.iter().map(|&id| ShardWeight::unit(id)).collect();
-        for key in 0..4096u64 {
-            assert_eq!(
-                rendezvous_owner(key, &ids),
-                weighted_rendezvous_owner(key, &weighted),
-                "key {key}"
-            );
-        }
-    }
-
-    #[test]
-    fn heavier_members_win_proportionally_more_keys() {
-        let members = [
-            ShardWeight { id: 1, weight: 1.0 },
-            ShardWeight { id: 2, weight: 2.0 },
-            ShardWeight { id: 3, weight: 4.0 },
-        ];
-        let mut won = [0u64; 3];
-        let keys = 8192u64;
-        for key in 0..keys {
-            let owner = weighted_rendezvous_owner(key, &members);
-            won[members.iter().position(|m| m.id == owner).unwrap()] += 1;
-        }
-        // Expected shares 1/7, 2/7, 4/7 within generous hash noise.
-        for (i, m) in members.iter().enumerate() {
-            let expect = keys as f64 * m.weight / 7.0;
-            let got = won[i] as f64;
-            assert!(
-                (got - expect).abs() < expect * 0.25 + 32.0,
-                "member {} won {} keys, expected ≈{}",
-                m.id,
-                got,
-                expect
-            );
-        }
-    }
-
-    #[test]
-    fn ranked_owners_lead_with_the_single_winner() {
-        let ids = [3u64, 11, 42, 7, 900_001];
-        let weighted: Vec<ShardWeight> = ids
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| ShardWeight {
-                id,
-                weight: 0.5 + i as f64,
-            })
-            .collect();
-        for key in 0..4096u64 {
-            // k = 1 is the single winner, bit for bit, in both flavours.
-            assert_eq!(
-                rendezvous_owners(key, &ids, 1),
-                vec![rendezvous_owner(key, &ids)],
-                "key {key}"
-            );
-            assert_eq!(
-                weighted_rendezvous_owners(key, &weighted, 1),
-                vec![weighted_rendezvous_owner(key, &weighted)],
-                "key {key}"
-            );
-            // Larger k keeps rank 0 the winner and extends with distinct
-            // followers; k past the membership clamps.
-            let set = weighted_rendezvous_owners(key, &weighted, 3);
-            assert_eq!(set.len(), 3);
-            assert_eq!(set[0], weighted_rendezvous_owner(key, &weighted));
-            let mut uniq = set.clone();
-            uniq.sort_unstable();
-            uniq.dedup();
-            assert_eq!(uniq.len(), 3, "replica set has no duplicates");
-            let all = weighted_rendezvous_owners(key, &weighted, 99);
-            assert_eq!(all.len(), ids.len(), "k clamps to the membership");
-            assert_eq!(&all[..3], &set[..], "rank prefix is stable in k");
-        }
-    }
-
-    #[test]
-    fn ranked_owners_are_prefix_stable_under_leave() {
-        // Removing one member promotes the next rank for exactly the keys
-        // it appeared on — every other key's ranked prefix is untouched.
-        let ids = [3u64, 11, 42, 7, 900_001];
-        for key in 0..2048u64 {
-            let before = rendezvous_owners(key, &ids, 3);
-            let departed = before[0];
-            let survivors: Vec<u64> = ids.iter().copied().filter(|&m| m != departed).collect();
-            let after = rendezvous_owners(key, &survivors, 2);
-            assert_eq!(
-                after[..2],
-                before[1..3],
-                "key {key}: the old followers must step up in order"
-            );
-        }
-    }
-
-    #[test]
-    fn replica_slicing_partitions_and_degenerates_to_placement() {
-        let members: Vec<ShardWeight> = [1u64, 2, 5, 9]
-            .iter()
-            .map(|&id| ShardWeight::unit(id))
-            .collect();
-        let (cl, ll) = (2u8, 5u8);
-        let ranges = [(0u64, 700u64), (800, 1024)];
-        // replicas = 1 reproduces the placement slicing exactly.
-        let placement =
-            slice_ranges_by_placement(&ranges, cl, ll, &members, &SplitTable::default());
-        let by_primary =
-            slice_ranges_by_replicas(&ranges, cl, ll, &members, &SplitTable::default(), 1, |_| {
-                0.0
-            });
-        assert_eq!(placement, by_primary);
-        // replicas = 2 with a load signal still partitions the input.
-        let sliced =
-            slice_ranges_by_replicas(&ranges, cl, ll, &members, &SplitTable::default(), 2, |id| {
-                if id == 1 {
-                    100.0
-                } else {
-                    id as f64
-                }
-            });
-        let mut total = 0u64;
-        for (_, slices) in &sliced {
-            for &(s, e) in slices {
-                assert!(s < e);
-                total += e - s;
-            }
-        }
-        assert_eq!(total, 700 + 224, "no leaf dropped or duplicated");
-        // Shard 1 is the heaviest: it serves a key only when it is the
-        // sole replica-set member available, which never happens at k=2
-        // over 4 live shards — its read load shifts to its followers.
-        assert!(
-            sliced.iter().all(|&(id, _)| id != 1),
-            "overloaded shard must not serve replica reads: {sliced:?}"
-        );
-    }
-
-    #[test]
-    fn degenerate_weights_are_floored_not_fatal() {
-        let members = [
-            ShardWeight {
-                id: 1,
-                weight: f64::NAN,
-            },
-            ShardWeight {
-                id: 2,
-                weight: -3.0,
-            },
-            ShardWeight { id: 3, weight: 1.0 },
-        ];
-        // Every key has a winner; the healthy member dominates.
-        let mut healthy = 0;
-        for key in 0..512u64 {
-            if weighted_rendezvous_owner(key, &members) == 3 {
-                healthy += 1;
-            }
-        }
-        assert!(healthy > 450, "floored weights must not win: {healthy}/512");
-    }
-
-    #[test]
-    fn split_table_routes_leaves_through_children() {
-        let (cl, ll) = (2u8, 5u8);
-        let mut splits = SplitTable::new();
-        assert!(splits.split(6));
-        assert!(!splits.split(6), "double split is a no-op");
-        // A leaf in an unsplit cell routes to the cell itself.
-        let leaf_unsplit = 3 << (2 * (ll - cl));
-        assert_eq!(splits.route_leaf(leaf_unsplit, cl, ll), 3);
-        // A leaf in the split cell routes to its tagged child.
-        let leaf_split = (6 << (2 * (ll - cl))) + 17;
-        let key = splits.route_leaf(leaf_split, cl, ll);
-        assert_ne!(key & SPLIT_CHILD_TAG, 0);
-        let child = routing_key_cell(key, cl);
-        assert_eq!(child.level, cl + 1);
-        assert_eq!(child.index >> 2, 6, "child must descend from cell 6");
-        // The routing keys partition the level: 15 unsplit + 4 children.
-        let keys = splits.routing_keys(cl);
-        assert_eq!(keys.len(), 15 + 4);
-        let mut covered = std::collections::HashSet::new();
-        for key in keys {
-            let cell = routing_key_cell(key, cl);
-            let (s, e) = cell.descendant_range(ll).unwrap();
-            for leaf in s..e {
-                assert!(covered.insert(leaf), "leaf {leaf} covered twice");
-                assert_eq!(splits.route_leaf(leaf, cl, ll), key);
-            }
-        }
-        assert_eq!(covered.len() as u64, 1 << (2 * ll));
-    }
-
-    #[test]
-    fn split_table_cap_is_reusable_through_unsplit() {
-        // The cluster tier caps the table at 16 entries. Un-splitting
-        // must free capacity so a *moving* hot spot recycles the cap
-        // instead of permanently exhausting it.
-        const CAP: usize = 16;
-        let mut splits = SplitTable::new();
-        for cell in 0..CAP as u64 {
-            assert!(splits.split(cell));
-        }
-        assert_eq!(splits.len(), CAP, "table full");
-        // The hot spot fades in the first four cells and moves on.
-        for cell in 0..4u64 {
-            assert!(splits.unsplit(cell));
-            assert!(!splits.unsplit(cell), "double un-split is a no-op");
-            assert!(!splits.is_split(cell));
-        }
-        assert_eq!(splits.len(), CAP - 4, "capacity freed");
-        // The freed capacity takes new hot cells up to the cap again.
-        for cell in 100..104u64 {
-            assert!(splits.split(cell));
-        }
-        assert_eq!(splits.len(), CAP);
-        // An un-split cell routes whole again; a still-split one doesn't.
-        let (cl, ll) = (3u8, 5u8);
-        assert_eq!(splits.route_leaf(1 << (2 * (ll - cl)), cl, ll), 1);
-        assert_ne!(
-            splits.route_leaf(5 << (2 * (ll - cl)), cl, ll) & SPLIT_CHILD_TAG,
-            0
-        );
-    }
-
-    #[test]
-    fn placement_slicing_cuts_split_cells_at_child_boundaries() {
-        let (cl, ll) = (1u8, 4u8);
-        let members = [
-            ShardWeight::unit(10),
-            ShardWeight::unit(20),
-            ShardWeight::unit(30),
-        ];
-        let mut splits = SplitTable::new();
-        splits.split(2);
-        let span = 1u64 << (2 * ll);
-        let slices = slice_ranges_by_placement(&[(0, span)], cl, ll, &members, &splits);
-        // Exact partition, and every piece inside cell 2 belongs to the
-        // weighted owner of its child key.
-        let mut flat: Vec<(u64, u64)> = Vec::new();
-        let child_shift = 2 * (ll - cl - 1) as u64;
-        for (owner, ranges) in &slices {
-            for &(s, e) in ranges {
-                flat.push((s, e));
-                let cell = s >> (2 * (ll - cl) as u64);
-                if cell == 2 {
-                    for child in (s >> child_shift)..=((e - 1) >> child_shift) {
-                        assert_eq!(
-                            weighted_rendezvous_owner(SPLIT_CHILD_TAG | child, &members),
-                            *owner
-                        );
-                    }
-                }
-            }
-        }
-        flat.sort_unstable();
-        let total: u64 = flat.iter().map(|(s, e)| e - s).sum();
-        assert_eq!(total, span, "no leaf dropped or duplicated");
-    }
-
-    #[test]
     fn schedulers_decode_split_children_to_finer_cells() {
         let cfg = MoistConfig {
             clustering_level: 2, // 16 cells
@@ -1521,40 +758,39 @@ mod tests {
             ..MoistConfig::default()
         };
         for ids in [vec![0u64], vec![0, 1], vec![5, 9, 13], vec![2, 3, 5, 7, 11]] {
+            let members: Vec<ShardWeight> = ids.iter().map(|&id| ShardWeight::unit(id)).collect();
             let scheds: Vec<ClusterScheduler> = ids
                 .iter()
-                .map(|&m| ClusterScheduler::for_member(&cfg, m, &ids))
+                .map(|&m| ClusterScheduler::for_placement(&cfg, m, &members, &SplitTable::new()))
                 .collect();
             let total: usize = scheds.iter().map(|s| s.owned_count()).sum();
             assert_eq!(total, 256, "{ids:?} must partition the level");
             for index in 0..256u64 {
                 let owners = scheds.iter().filter(|s| s.owns(index)).count();
                 assert_eq!(owners, 1, "cell {index} with members {ids:?}");
-                let winner = rendezvous_owner(index, &ids);
-                let pos = ids.iter().position(|&m| m == winner).unwrap();
-                assert!(scheds[pos].owns(index));
+                assert!(scheds[winner(index, &members)].owns(index));
             }
         }
     }
 
     #[test]
-    fn rendezvous_schedulers_fire_owned_cells_only() {
+    fn rendezvous_schedulers_fire_only_the_cells_they_own() {
         let cfg = MoistConfig {
             clustering_level: 3, // 64 cells
             cluster_interval_secs: 10.0,
             ..MoistConfig::default()
         };
-        let ids = [0u64, 1, 2, 3];
-        let mut scheds: Vec<ClusterScheduler> = ids
+        let members = [0u64, 1, 2, 3].map(ShardWeight::unit);
+        let mut scheds: Vec<ClusterScheduler> = members
             .iter()
-            .map(|&m| ClusterScheduler::for_member(&cfg, m, &ids))
+            .map(|m| ClusterScheduler::for_placement(&cfg, m.id, &members, &SplitTable::new()))
             .collect();
         // Past every staggered first deadline (they all lie in [T, 2T)).
         let now = Timestamp::from_secs(25);
         let mut seen = std::collections::HashSet::new();
         for (pos, sched) in scheds.iter_mut().enumerate() {
             for cell in sched.due_cells(now) {
-                assert_eq!(rendezvous_owner(cell.index, &ids), ids[pos]);
+                assert_eq!(winner(cell.index, &members), pos);
                 assert!(seen.insert(cell.index), "cell {} fired twice", cell.index);
             }
         }

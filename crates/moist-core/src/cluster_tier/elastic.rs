@@ -1,0 +1,660 @@
+//! Elasticity: live shard join/leave, load-aware rebalancing, the
+//! controller tick that drives them, and the [`ClusterStats`] rollup they
+//! are steered by (lock-ordering rules: see the [module docs](super)).
+
+use super::membership::{Membership, ShardEntry};
+use super::MoistCluster;
+use crate::cluster::ClusterScheduler;
+use crate::controller::{ControllerAction, Plan};
+use crate::error::{MoistError, Result};
+use crate::ingest::IngestStats;
+use crate::placement::{ranked, ShardWeight, SplitTable};
+use crate::server::ServerStats;
+use moist_bigtable::Timestamp;
+use moist_spatial::cells_at_level;
+use std::collections::HashMap;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+/// A cell whose merged EWMA demand rate exceeds this multiple of the mean
+/// cell rate is hot enough to split one level finer.
+const HOT_SPLIT_FACTOR: f64 = 4.0;
+
+/// Upper bound on the split table: splitting is for the handful of
+/// business-center cells, not a second level of hashing. The cap stays
+/// *re-usable* because rebalance un-splits cells whose demand faded (see
+/// [`UNSPLIT_FACTOR`]) — a hot spot that moves across the map recycles
+/// table entries instead of exhausting them.
+const MAX_SPLIT_CELLS: usize = 16;
+
+/// A split cell whose merged demand rate falls below this multiple of
+/// the mean cell rate is reunited (its four children merge back into one
+/// routing key). Far below [`HOT_SPLIT_FACTOR`] on purpose: the wide gap
+/// is the hysteresis that keeps a cell wobbling around one threshold
+/// from splitting and un-splitting every rebalance.
+const UNSPLIT_FACTOR: f64 = 1.0;
+
+/// Largest per-rebalance multiplicative weight step (up or down): placement
+/// converges over a few rebalances instead of slamming cells around on one
+/// noisy measurement.
+const REBALANCE_MAX_STEP: f64 = 2.0;
+
+/// Placement-weight clamp: a shard never owns less than ~1/8 or more than
+/// ~8× its fair share, however skewed the measurements get.
+const MIN_PLACEMENT_WEIGHT: f64 = 0.125;
+
+/// See [`MIN_PLACEMENT_WEIGHT`].
+const MAX_PLACEMENT_WEIGHT: f64 = 8.0;
+
+/// What one [`MoistCluster::rebalance`] step changed.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RebalanceReport {
+    /// The membership epoch after the step (unchanged if nothing moved).
+    pub epoch: u64,
+    /// Shards whose placement weight was adjusted.
+    pub reweighted: usize,
+    /// Clustering cells newly split one level finer.
+    pub split_cells: Vec<u64>,
+    /// Previously-split cells reunited because their measured demand
+    /// faded (freeing split-table capacity for the next hot spot).
+    pub unsplit_cells: Vec<u64>,
+    /// Routing keys that changed owner (each handed over at its deadline
+    /// phase through the scheduler release/adopt path).
+    pub migrated_keys: u64,
+}
+
+/// One live shard's row in [`ClusterStats`]: the measured signals the
+/// load-aware placement runs on.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ShardLoadStats {
+    /// Stable shard id.
+    pub id: u64,
+    /// Current placement weight (relative capacity).
+    pub weight: f64,
+    /// Virtual µs of store time this shard has consumed.
+    pub elapsed_us: f64,
+    /// EWMA update arrivals per virtual second across the shard's cells.
+    pub update_rate: f64,
+    /// EWMA query arrivals per virtual second across the shard's cells.
+    pub query_rate: f64,
+    /// Routing keys (cells / split children) this shard is **primary**
+    /// for: its scheduler owns them, their updates serialize on it, and
+    /// it alone clusters them.
+    pub primary_keys: usize,
+    /// Routing keys this shard **follows** (it is in their replica set at
+    /// rank 1+): it mirrors their state through the shared store and
+    /// serves their reads when less loaded than the primary. Always 0 at
+    /// `replicas == 1`.
+    pub follower_keys: usize,
+    /// Reads this shard served as a follower.
+    pub replica_reads: u64,
+    /// Scattered partial scans (region + NN slices) this shard served.
+    pub scatter_slices: u64,
+    /// Virtual µs spent serving those scattered slices.
+    pub scatter_slice_us: f64,
+    /// Messages currently buffered in this shard's ingest queue.
+    pub queue_depth: usize,
+}
+
+/// The tier-level load/placement rollup returned by
+/// [`MoistCluster::cluster_stats`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct ClusterStats {
+    /// Current membership epoch.
+    pub epoch: u64,
+    /// Per-shard signals, in position order.
+    pub shards: Vec<ShardLoadStats>,
+    /// Clustering cells currently split one level finer.
+    pub split_cells: Vec<u64>,
+    /// Cells migrated by join/leave epoch bumps.
+    pub epoch_migrations: u64,
+    /// Keys migrated by rebalance steps (weight shifts + cell splits).
+    pub split_migrations: u64,
+    /// Configured replication factor (1 = unreplicated single-owner).
+    pub replicas: usize,
+    /// Routing keys whose follower stepped up to primary on a shard
+    /// leave (subset of `epoch_migrations`; 0 at `replicas == 1`).
+    pub promotions: u64,
+    /// Reads served by a follower instead of the primary, tier-wide.
+    pub replica_reads: u64,
+    /// Ingestion-pipeline counters: queue depths, flush sizes and
+    /// latencies, and the backpressure / overload-shed split.
+    pub ingest: IngestStats,
+    /// Aggregate operation counters (live + retired shards).
+    pub ops: ServerStats,
+}
+
+impl ClusterStats {
+    /// Max-over-mean shard utilization (virtual elapsed time): 1.0 is a
+    /// perfectly level fleet; the `fig16_skew` acceptance bar is about
+    /// cutting this.
+    pub fn utilization_skew(&self) -> f64 {
+        if self.shards.is_empty() {
+            return 1.0;
+        }
+        let max = self
+            .shards
+            .iter()
+            .map(|s| s.elapsed_us)
+            .fold(0.0f64, f64::max);
+        let mean = self.shards.iter().map(|s| s.elapsed_us).sum::<f64>() / self.shards.len() as f64;
+        if mean <= 0.0 {
+            1.0
+        } else {
+            max / mean
+        }
+    }
+
+    /// True refusals only: pipeline overload sheds plus backpressure
+    /// rejections. School sheds are *excluded* — a shed update was served
+    /// (absorbed by the school model, the client-visible QPS multiplier),
+    /// so it is workload behaving, not capacity failing. This is the
+    /// overload signal the [`AutoController`](crate::AutoController)
+    /// scales on; counting school sheds there would read MOIST's headline
+    /// feature as an emergency.
+    pub fn refused(&self) -> u64 {
+        self.ingest.overload_shed + self.ingest.backpressure
+    }
+}
+
+impl MoistCluster {
+    /// Adds a fresh shard to the tier and returns its stable id.
+    ///
+    /// The joiner starts with an empty schedule; only the clustering cells
+    /// whose rendezvous winner changed (≈ cells/(N+1) of them — exactly
+    /// the joiner's wins) migrate, each adopted at the deadline phase it
+    /// had on its old owner. In-flight operations keep routing against
+    /// the pre-join snapshot and land correctly in the shared store.
+    pub fn add_shard(&self) -> Result<u64> {
+        let guard = self.membership.write();
+        let id = self.next_shard_id.fetch_add(1, Ordering::Relaxed);
+        let joiner = ShardEntry::open(
+            id,
+            &self.store,
+            self.cfg,
+            ClusterScheduler::empty(&self.cfg),
+            &self.object_estimate,
+            self.archiver.as_ref(),
+        )?;
+        let mut shards = guard.shards.clone();
+        let mut placement = guard.placement.clone();
+        let pos = shards.partition_point(|e| e.id < id);
+        shards.insert(pos, joiner);
+        // A joiner starts at the fleet's mean weight: unproven capacity
+        // gets an average share, and the next rebalance corrects it from
+        // measurement.
+        let mean = placement.iter().map(|m| m.weight).sum::<f64>() / placement.len().max(1) as f64;
+        let weight = if mean.is_finite() && mean > 0.0 {
+            mean
+        } else {
+            1.0
+        };
+        placement.insert(pos, ShardWeight { id, weight });
+        let new = guard.next(shards, placement);
+        self.publish_epoch(guard, new, &[&self.epoch_migrations])?;
+        Ok(id)
+    }
+
+    /// Moves every routing key whose owner differs between `old` and
+    /// `new` from its old owner's scheduler to its new owner's,
+    /// preserving each key's deadline phase; cells split (or unsplit)
+    /// between the snapshots hand their phase down to (or up from) their
+    /// children. The single migration path shared by
+    /// [`add_shard`](MoistCluster::add_shard),
+    /// [`remove_shard`](MoistCluster::remove_shard) and
+    /// [`rebalance`](MoistCluster::rebalance) through
+    /// [`publish_epoch`](MoistCluster::publish_epoch), which holds the
+    /// membership write lock and the seqlock's odd phase around it.
+    /// Returns the number of keys that changed owner.
+    pub(super) fn migrate_ownership(&self, old: &Membership, new: &Membership) -> u64 {
+        // The handover pair: `release` takes `key`'s pending deadline off
+        // its `old` owner, `adopt` arms it on its `new` owner (and names
+        // that owner).
+        let release = |key: u64| {
+            old.owner_of(key)
+                .server
+                .write()
+                .scheduler_mut()
+                .release(key)
+        };
+        let adopt = |key: u64, due: u64| {
+            let owner = new.owner_of(key);
+            owner.server.write().scheduler_mut().adopt(key, due);
+            owner.id
+        };
+        // Moves one key if its owner changed; returns whether it did.
+        let move_key = |key: u64| -> bool {
+            let moves = old.owner_of(key).id != new.owner_of(key).id;
+            if moves {
+                adopt(key, release(key).expect("old owner held the migrating key"));
+            }
+            moves
+        };
+        let mut migrated = 0u64;
+        for cell in 0..cells_at_level(self.cfg.clustering_level) {
+            match (old.splits.is_split(cell), new.splits.is_split(cell)) {
+                (false, false) => migrated += u64::from(move_key(cell)),
+                (true, true) => {
+                    for child in SplitTable::child_keys(cell) {
+                        migrated += u64::from(move_key(child));
+                    }
+                }
+                (false, true) => {
+                    // A fresh split: the parent's pending deadline carries
+                    // over to every child, so none of the four re-clusters
+                    // early or skips a round.
+                    let due = release(cell).expect("old owner held the splitting cell");
+                    let old_id = old.owner_of(cell).id;
+                    for child in SplitTable::child_keys(cell) {
+                        migrated += u64::from(adopt(child, due) != old_id);
+                    }
+                }
+                (true, false) => {
+                    // Un-split: the earliest child deadline becomes the
+                    // reunited cell's phase.
+                    let due = SplitTable::child_keys(cell)
+                        .into_iter()
+                        .filter_map(release)
+                        .min()
+                        .unwrap_or((self.cfg.cluster_interval_secs * 1e6) as u64);
+                    adopt(cell, due);
+                    migrated += 1;
+                }
+            }
+        }
+        migrated
+    }
+
+    /// Removes the shard with stable id `id` from the tier.
+    ///
+    /// Only the departed shard's cells are reassigned — every other
+    /// cell's owner is untouched (the rendezvous property) — and each
+    /// reassigned cell is adopted by its new owner at its current deadline
+    /// phase. The removed shard's counters remain in [`stats`] so no
+    /// update it absorbed (live or in flight) goes unaccounted.
+    ///
+    /// Fails with [`MoistError::NoSuchShard`] if `id` is not a live shard
+    /// or it is the last one (an empty tier could serve nothing).
+    ///
+    /// [`stats`]: MoistCluster::stats
+    pub fn remove_shard(&self, id: u64) -> Result<()> {
+        let guard = self.membership.write();
+        let pos = guard.shards.iter().position(|e| e.id == id);
+        let pos = pos.ok_or_else(|| {
+            MoistError::NoSuchShard(format!(
+                "shard id {id} is not in the live membership {:?} (epoch {})",
+                guard.ids(),
+                guard.epoch
+            ))
+        })?;
+        if guard.shards.len() == 1 {
+            return Err(MoistError::NoSuchShard(format!(
+                "cannot remove shard id {id}: it is the last live shard"
+            )));
+        }
+        let mut shards = guard.shards.clone();
+        let mut placement = guard.placement.clone();
+        self.retired.lock().retire(shards.remove(pos));
+        placement.remove(pos);
+        let new = guard.next(shards, placement);
+        // The migration hands exactly the departed shard's keys (the only
+        // ones whose winner changes) to their new owners. Rendezvous ranks
+        // are prefix-stable under a leave: under replication every
+        // migrated key's new primary is exactly its old rank-1 follower,
+        // already warm on the key's reads — each handover is an instant
+        // follower promotion.
+        let mut counters = vec![&self.epoch_migrations];
+        if guard.replicas > 1 {
+            counters.push(&self.promotions);
+        }
+        self.publish_epoch(guard, new, &counters)?;
+        Ok(())
+    }
+
+    /// One load-aware placement step: derives per-shard weights from the
+    /// utilization measured since the previous rebalance and splits the
+    /// hottest clustering cells one level finer, then migrates exactly the
+    /// routing keys whose owner changed through the same epoch/handover
+    /// path joins and leaves use (deadline phases preserved, seqlock
+    /// protecting the update path).
+    ///
+    /// * **Weights** — a shard whose virtual elapsed time since the last
+    ///   rebalance sits above the fleet mean is over-utilized: its weight
+    ///   shrinks by the utilization ratio (per-step factor clamped, total
+    ///   weight clamped to `[1/8, 8]`, then normalized to mean 1), so the
+    ///   weighted rendezvous shifts whole cells away from it with minimal
+    ///   remap. Under-utilized shards symmetrically grow. A dead-band
+    ///   around the mean keeps a level fleet from oscillating.
+    /// * **Splits** — per-cell EWMA update rates (the load layer) merge
+    ///   across shards; cells whose rate exceeds [`HOT_SPLIT_FACTOR`]×
+    ///   the mean cell rate split one level finer (bounded by
+    ///   [`MAX_SPLIT_CELLS`]), so a single business-center cell stops
+    ///   pinning whichever shard owns it. Split cells whose demand later
+    ///   fades below [`UNSPLIT_FACTOR`]× the mean **un-split** — the four
+    ///   children reunite through the same handover path — so the split
+    ///   table's cap recycles as the hot spot moves.
+    /// * **Density & scan prices** — the merged per-cell rates refresh
+    ///   the relative density map the region fan-out uses to price its
+    ///   balancing pass, and the per-cell scan costs *measured* by past
+    ///   fan-out partials (see
+    ///   [`LoadTracker::note_cell_scan`](crate::load::LoadTracker::note_cell_scan))
+    ///   merge into a learned price map that replaces the density prior
+    ///   for every cell that has actually been scanned.
+    ///
+    /// Returns what changed; when nothing does (level fleet, no hot
+    /// cells) the membership — and its epoch — is left untouched. The
+    /// membership change itself cannot fail, but the post-publish ingest
+    /// drain applies buffered batches and any error it hits (a poisoned
+    /// update, a store failure) is propagated rather than swallowed —
+    /// the new epoch is already live at that point, so callers see the
+    /// placement applied *and* the drain failure.
+    pub fn rebalance(&self, now: Timestamp) -> Result<RebalanceReport> {
+        let guard = self.membership.write();
+        let old = Arc::clone(&guard);
+
+        // ---- measure: per-shard utilization + merged per-cell rates ----
+        let mut utils: Vec<f64> = Vec::with_capacity(old.shards.len());
+        let mut cell_rates: HashMap<u64, f64> = HashMap::new();
+        let mut scan_samples: HashMap<u64, (f64, u32)> = HashMap::new();
+        {
+            let mut baseline = self.rebalance_baseline.lock();
+            for entry in &old.shards {
+                let server = entry.server.read();
+                let elapsed = server.elapsed_us();
+                for (cell, rates) in server.load_rates(now) {
+                    *cell_rates.entry(cell).or_insert(0.0) += rates.total();
+                }
+                // Different shards may have scanned the same cell (the
+                // balancing pass moves slices around); their learned
+                // costs average.
+                for (cell, us) in server.cell_scan_costs() {
+                    let e = scan_samples.entry(cell).or_insert((0.0, 0));
+                    e.0 += us;
+                    e.1 += 1;
+                }
+                let prev = baseline.insert(entry.id, elapsed).unwrap_or(0.0);
+                utils.push((elapsed - prev).max(0.0));
+            }
+        }
+
+        // ---- weights from utilization ----
+        let n = old.shards.len();
+        let mean_util = utils.iter().sum::<f64>() / n.max(1) as f64;
+        let mut weights: Vec<f64> = old.placement.iter().map(|m| m.weight).collect();
+        let mut reweighted = 0usize;
+        if mean_util > 1.0 {
+            for (w, &util) in weights.iter_mut().zip(&utils) {
+                let ratio = util / mean_util;
+                // Dead-band: a ±20% wobble around the mean is noise.
+                let factor = if ratio > 1.2 {
+                    (1.0 / ratio).max(1.0 / REBALANCE_MAX_STEP)
+                } else if ratio < 0.8 {
+                    (1.0 / ratio.max(0.05)).min(REBALANCE_MAX_STEP)
+                } else {
+                    1.0
+                };
+                if factor != 1.0 {
+                    *w = (*w * factor).clamp(MIN_PLACEMENT_WEIGHT, MAX_PLACEMENT_WEIGHT);
+                    reweighted += 1;
+                }
+            }
+            // Normalize to mean 1 so weights stay comparable across
+            // epochs instead of drifting towards a clamp.
+            let sum: f64 = weights.iter().sum();
+            if sum > 0.0 {
+                let scale = n as f64 / sum;
+                for w in &mut weights {
+                    *w *= scale;
+                }
+            }
+        }
+
+        // ---- splits (and un-splits) from per-cell rates ----
+        let mut splits = (*old.splits).clone();
+        let mut split_now: Vec<u64> = Vec::new();
+        let mut unsplit_now: Vec<u64> = Vec::new();
+        if self.cfg.clustering_level < self.cfg.space.leaf_level {
+            let candidates: Vec<(u64, f64)> = cell_rates
+                .iter()
+                .filter(|(cell, &rate)| rate > 0.0 && !splits.is_split(**cell))
+                .map(|(&cell, &rate)| (cell, rate))
+                .collect();
+            // Mean over the whole level, not just the loaded cells: "hot"
+            // means hot relative to the map, and a map where one cell has
+            // all the traffic is the textbook split case.
+            let mean_rate = cell_rates.values().sum::<f64>()
+                / cells_at_level(self.cfg.clustering_level).max(1) as f64;
+            if mean_rate > 0.0 {
+                // Un-split first: demand observations key by the *parent*
+                // cell even while it is split, so a split cell's merged
+                // EWMA rate compares directly against the same mean the
+                // split threshold uses. A cell whose demand faded below
+                // [`UNSPLIT_FACTOR`]× the mean reunites, freeing
+                // split-table capacity for wherever the hot spot moved;
+                // the wide gap to [`HOT_SPLIT_FACTOR`] is the hysteresis.
+                // An idle map (`mean_rate == 0`) deliberately un-splits
+                // nothing: no evidence, no churn.
+                for cell in splits.cells().collect::<Vec<u64>>() {
+                    let rate = cell_rates.get(&cell).copied().unwrap_or(0.0);
+                    if rate < UNSPLIT_FACTOR * mean_rate {
+                        splits.unsplit(cell);
+                        unsplit_now.push(cell);
+                    }
+                }
+                let mut hot: Vec<(u64, f64)> = candidates
+                    .into_iter()
+                    .filter(|&(_, rate)| rate >= HOT_SPLIT_FACTOR * mean_rate)
+                    .collect();
+                hot.sort_by(|a, b| {
+                    b.1.partial_cmp(&a.1)
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then_with(|| a.0.cmp(&b.0))
+                });
+                for (cell, _) in hot {
+                    if splits.len() >= MAX_SPLIT_CELLS {
+                        break;
+                    }
+                    splits.split(cell);
+                    split_now.push(cell);
+                }
+            }
+        }
+
+        // ---- refresh the fan-out's density map ----
+        if !cell_rates.is_empty() {
+            let mean = cell_rates.values().sum::<f64>() / cell_rates.len() as f64;
+            if mean > 0.0 {
+                let density: HashMap<u64, f64> = cell_rates
+                    .iter()
+                    .map(|(&cell, &rate)| (cell, rate / mean))
+                    .collect();
+                *self.cell_density.write() = Arc::new(density);
+            }
+        }
+
+        // ---- refresh the fan-out's *measured* scan-price map ----
+        if !scan_samples.is_empty() {
+            let merged: Vec<(u64, f64)> = scan_samples
+                .iter()
+                .map(|(&cell, &(sum, n))| (cell, sum / n as f64))
+                .collect();
+            let mean = merged.iter().map(|&(_, us)| us).sum::<f64>() / merged.len() as f64;
+            if mean > 0.0 {
+                // Scaled so the average *measured* cell prices at 2.0 —
+                // the scale the density prior averages to (1 + mean
+                // relative density = 2) — so measured cells and
+                // prior-priced (never-scanned) cells mix consistently in
+                // one cost function.
+                let prices: HashMap<u64, f64> = merged
+                    .into_iter()
+                    .map(|(cell, us)| (cell, 2.0 * us / mean))
+                    .collect();
+                *self.cell_scan_cost.write() = Arc::new(prices);
+            }
+        }
+
+        let weights_changed = weights
+            .iter()
+            .zip(&old.placement)
+            .any(|(a, b)| (a - b.weight).abs() > 1e-9);
+        if !weights_changed && split_now.is_empty() && unsplit_now.is_empty() {
+            return Ok(RebalanceReport {
+                epoch: old.epoch,
+                ..RebalanceReport::default()
+            });
+        }
+
+        // ---- publish: one epoch bump through the shared handover path ----
+        let placement = old
+            .placement
+            .iter()
+            .zip(weights)
+            .map(|(m, weight)| ShardWeight { id: m.id, weight })
+            .collect();
+        let new = Membership {
+            splits: Arc::new(splits),
+            ..old.next(old.shards.clone(), placement)
+        };
+        let migrated_keys = self.publish_epoch(guard, new, &[&self.split_migrations])?;
+        Ok(RebalanceReport {
+            epoch: old.epoch + 1,
+            reweighted,
+            split_cells: split_now,
+            unsplit_cells: unsplit_now,
+            migrated_keys,
+        })
+    }
+
+    /// Drives the elasticity controller one tick of virtual time: a
+    /// no-op unless a controller was attached
+    /// ([`ClusterBuilder::controller`](super::ClusterBuilder::controller)) *and* an evaluation is due at
+    /// `now`. Call it from the client loop next to
+    /// [`run_due_clustering`](MoistCluster::run_due_clustering) — the
+    /// controller is deliberately thread-free and deterministic, exactly
+    /// like the load layer it reads.
+    ///
+    /// Each closed window yields at most one scaling action (plus
+    /// rebalances on their own cadence); the actions executed this tick
+    /// are returned and logged to
+    /// [`controller_events`](MoistCluster::controller_events).
+    /// Concurrent tickers don't serialize: whoever holds the controller
+    /// evaluates, everyone else returns immediately. A planned removal
+    /// that races an operator's own `remove_shard` (the victim is
+    /// already gone) is skipped, not an error; the min-fleet clamp is
+    /// re-checked against the live membership at execution time.
+    pub fn controller_tick(&self, now: Timestamp) -> Result<Vec<ControllerAction>> {
+        let Some(ctl) = &self.controller else {
+            return Ok(Vec::new());
+        };
+        let Some(mut guard) = ctl.try_lock() else {
+            return Ok(Vec::new());
+        };
+        if !guard.due(now) {
+            return Ok(Vec::new());
+        }
+        let stats = self.cluster_stats(now);
+        let split_table_full = stats.split_cells.len() >= MAX_SPLIT_CELLS;
+        let plans = guard.plan(now, &stats, self.ingest_cfg.queue_cap, split_table_full);
+        let mut actions = Vec::new();
+        for plan in plans {
+            match plan {
+                Plan::Rebalance => {
+                    let report = self.rebalance(now)?;
+                    let action = ControllerAction::Rebalance {
+                        epoch: report.epoch,
+                    };
+                    guard.note_action(now, action, self.num_shards(), "rebalance cadence");
+                    actions.push(action);
+                }
+                Plan::Add { count, reason } => {
+                    for _ in 0..count {
+                        if self.num_shards() >= guard.config().max_shards {
+                            break;
+                        }
+                        let id = self.add_shard()?;
+                        let action = ControllerAction::AddShard { id };
+                        guard.note_action(now, action, self.num_shards(), reason);
+                        actions.push(action);
+                    }
+                }
+                Plan::Remove { victim, reason } => {
+                    if self.num_shards() <= guard.config().min_shards {
+                        continue;
+                    }
+                    match self.remove_shard(victim) {
+                        Ok(()) => {
+                            let action = ControllerAction::RemoveShard { id: victim };
+                            guard.note_action(now, action, self.num_shards(), reason);
+                            actions.push(action);
+                        }
+                        // The victim raced away (operator kill, chaos):
+                        // the plan is stale, not wrong.
+                        Err(MoistError::NoSuchShard(_)) => {}
+                        Err(e) => return Err(e),
+                    }
+                }
+            }
+        }
+        Ok(actions)
+    }
+
+    /// The tier's load/placement observability rollup: per-shard
+    /// utilization and demand rates, placement weights, owned-key counts,
+    /// scatter-slice service timings, the split table, and the migration
+    /// counters — everything [`rebalance`](MoistCluster::rebalance)
+    /// consumes, exposed so operators (and the `fig16_skew` bench) can see
+    /// what placement sees. `now` folds the EWMA windows before reading.
+    pub fn cluster_stats(&self, now: Timestamp) -> ClusterStats {
+        let snap = self.snapshot();
+        // Follower-key counts by position: walk every routing key's
+        // replica set once and charge ranks 1+ (no set has a rank 1 at
+        // `replicas == 1`).
+        let mut follower_keys = vec![0usize; snap.shards.len()];
+        if snap.replicas > 1 {
+            for key in snap.splits.routing_keys(self.cfg.clustering_level) {
+                for pos in ranked(key, &snap.placement, snap.replicas)
+                    .into_iter()
+                    .skip(1)
+                {
+                    follower_keys[pos] += 1;
+                }
+            }
+        }
+        let shards = snap
+            .shards
+            .iter()
+            .zip(&snap.placement)
+            .zip(follower_keys)
+            .map(|((entry, m), follower_keys)| {
+                let server = entry.server.read();
+                let (update_rate, query_rate) = server.load_totals(now);
+                let (scatter_slices, scatter_slice_us) = server.scatter_slice_stats();
+                ShardLoadStats {
+                    id: entry.id,
+                    weight: m.weight,
+                    elapsed_us: server.elapsed_us(),
+                    update_rate,
+                    query_rate,
+                    primary_keys: server.scheduler().owned_count(),
+                    follower_keys,
+                    replica_reads: entry.replica_reads.load(Ordering::Relaxed),
+                    scatter_slices,
+                    scatter_slice_us,
+                    queue_depth: self.ingest.depth(entry.id),
+                }
+            })
+            .collect();
+        ClusterStats {
+            epoch: snap.epoch,
+            shards,
+            split_cells: snap.splits.cells().collect(),
+            epoch_migrations: self.epoch_migrations.load(Ordering::Relaxed),
+            split_migrations: self.split_migrations.load(Ordering::Relaxed),
+            replicas: snap.replicas,
+            promotions: self.promotions.load(Ordering::Relaxed),
+            replica_reads: self.replica_reads.load(Ordering::Relaxed),
+            ingest: self.ingest.stats(),
+            ops: self.stats(),
+        }
+    }
+}

@@ -1,0 +1,678 @@
+//! The sharded multi-server front-end tier (§4.3.3).
+//!
+//! The paper's headline numbers are *fleet* numbers: 5 and 10 front-end
+//! servers share one BigTable and split the update stream between them.
+//! [`MoistCluster`] is that deployment shape: it owns N [`MoistServer`]
+//! shards over one shared [`Bigtable`] and routes every operation to a
+//! shard by **rendezvous hash** ([`crate::placement`]) over the cell of
+//! the operation's location at the configured clustering level.
+//!
+//! Routing by clustering cell buys two invariants:
+//!
+//! * **Clustering exclusivity** — each shard's [`ClusterScheduler`] owns
+//!   exactly the cells it wins under the same hash, so every clustering
+//!   cell is lazily clustered by *exactly one* shard (naively running
+//!   `run_due_clustering` on N servers clusters the whole map N times
+//!   over).
+//! * **School-merge locality** — school merges only ever happen between
+//!   leaders of one clustering cell, and all updates for a cell serialize
+//!   through its owner shard, so a school is never torn by two shards
+//!   rewriting it concurrently.
+//!
+//! The tier reads in five files: this one ([`MoistCluster`], its
+//! [`ClusterBuilder`] and accessors), `membership` (shard entries, the
+//! routing snapshot, the epoch-publish sequence), `write` (update,
+//! batches, pipelined ingestion, checkpoint), `read` (NN, region, object
+//! lookups) and `elastic` (join, leave, rebalance, controller tick,
+//! [`ClusterStats`]).
+//!
+//! ## Locks, in order
+//!
+//! Every lock in the tier obeys these rules; the code below does not
+//! restate them.
+//!
+//! 1. **Membership write lock → shard locks.** Only an epoch bump
+//!    ([`add_shard`], [`remove_shard`], [`rebalance`]) holds the
+//!    membership write lock, and it takes shard locks under it for the
+//!    scheduler handover.
+//! 2. **The membership read guard is dropped before any shard lock is
+//!    taken.** Operations clone the `Arc` snapshot out of the lock
+//!    (`snapshot()`) and route against the clone — scatter workers
+//!    re-validating a slice included — so rule 1 can never deadlock
+//!    against them.
+//! 3. **Never two shard locks at once.** The handover releases a key on
+//!    its old owner *before* adopting it on the new one; replica
+//!    selection probes one replica's load at a time.
+//! 4. **Below a shard lock: WAL lock → tablet lock** (the store's own
+//!    order, see `moist_bigtable`).
+//! 5. **The seqlock is not a lock.** `version` is odd while an epoch bump
+//!    migrates ownership; writers (never readers) validate it *after*
+//!    taking the owner's shard lock and re-route if it moved.
+//!
+//! ## Elastic membership
+//!
+//! The fleet can grow and shrink live. Membership is an epoch-stamped,
+//! read-mostly snapshot: each operation grabs an `Arc` of the current
+//! membership (one brief read-lock), routes against it, and keeps the
+//! target shard alive through the `Arc` even if the membership changes
+//! mid-flight. [`add_shard`] and [`remove_shard`] bump the epoch and swap
+//! the snapshot. Updates additionally validate their routing against the
+//! membership seqlock after taking the owner's lock and re-route if an
+//! epoch bump raced them (see [`update`](MoistCluster::update)), so a
+//! write never lands on a migrated cell's old owner — no torn routing,
+//! no lost updates; read-only queries route on the snapshot alone.
+//!
+//! Because ownership is a **rendezvous** (highest-random-weight) hash over
+//! the stable shard *ids* — not a modular hash over the shard *count* —
+//! a membership change remaps the minimum: a join steals only the ~1/(N+1)
+//! of cells the newcomer now wins, a leave reassigns only the departed
+//! shard's cells, and every other cell's owner (and therefore its school
+//! state's home shard) is untouched. Each migrating cell's clustering
+//! deadline is handed over at its current phase
+//! ([`ClusterScheduler::release`] → [`ClusterScheduler::adopt`]), so a
+//! join causes neither a thundering re-cluster of the stolen cells nor a
+//! missed round.
+//!
+//! The shards share one cluster-wide object-count estimate (FLAG's `n`),
+//! seeded from the store, so a shard that joins an already-populated store
+//! guesses sensible NN levels from its first query.
+//!
+//! Shards are individually locked: concurrent clients contend per shard,
+//! not on the whole tier, and operations on different shards proceed in
+//! parallel on real OS threads (drive it with
+//! `moist_workload::ClientPool`).
+//!
+//! ## Query fan-out (scatter-gather)
+//!
+//! Updates route to one shard by design — a cell's writes must serialize
+//! on its owner. Queries have no such constraint: any shard reads a
+//! consistent view of the shared store. [`region`](MoistCluster::region)
+//! therefore plans its merged leaf ranges once, slices them by reader
+//! ([`crate::placement::slice_ranges`] — an exact partition of the plan),
+//! scans every slice on a pooled worker ([`crate::query_pool::QueryPool`])
+//! against its shard, and merges the partials: hits move (never clone)
+//! into one list and each object is deduplicated exactly once at the merge
+//! (partials scanned at different instants can double-sight a mover
+//! crossing a slice boundary). The client-visible cost is the *slowest*
+//! partial, not the sum, because the slices consume store time in
+//! parallel. [`nn`](MoistCluster::nn) scatters only when its candidate
+//! ring (query cell + edge neighbours at the FLAG level) crosses an
+//! ownership boundary, and the merge *replays* the single-shard frontier
+//! search over the scanned candidates
+//! ([`crate::nn::merge_ring_partials`]) — if the replayed frontier would
+//! escape the ring, the query falls back to the real single-shard search,
+//! so fan-out never trades exactness for speed. An epoch bump mid-scatter
+//! re-routes only the migrated slices: each worker re-validates its slice
+//! against the freshest membership snapshot and hands back the pieces
+//! whose cells moved, which the gather loop re-slices and re-dispatches.
+//!
+//! ## Load-aware placement
+//!
+//! Placement is not static: every shard tracks per-clustering-cell EWMA
+//! demand rates ([`crate::load::LoadTracker`], fed by the update/query
+//! timestamps, so the signal is deterministic in virtual time), and
+//! [`rebalance`] folds the measurements into the membership snapshot
+//! through the same epoch/handover machinery joins and leaves use:
+//!
+//! * **weighted rendezvous** — per-shard weights derived from measured
+//!   utilization; a weight change remaps only keys toward/away from the
+//!   re-weighted shard;
+//! * **hot-cell splitting** — cells hot enough to pin a shard on their
+//!   own split ownership one level finer
+//!   ([`crate::placement::SplitTable`], consulted before rendezvous), each
+//!   child routed, scheduled and clustered independently at its parent's
+//!   deadline phase;
+//! * **fan-out slice balancing** — scattered region plans subdivide
+//!   their costliest owner slices across idle shards
+//!   ([`crate::region::balance_slices`], priced by the measured per-cell
+//!   rates), so the client-visible latency tracks the mean slice, not
+//!   the largest ownership share.
+//!
+//! [`cluster_stats`](MoistCluster::cluster_stats) exposes the whole
+//! signal chain (per-shard utilization/rates/weights, primary/follower
+//! key counts, scatter-slice timings, split table, migration/promotion
+//! counters) for operators and benches.
+//!
+//! ## Replicated ownership
+//!
+//! With [`ClusterBuilder::replicas`]`(k)`, ownership of each routing key
+//! widens from the rendezvous *winner* to the rendezvous **top-k**
+//! ([`crate::placement::owners`]): rank 0 is the **primary** — the only
+//! shard that takes the key's updates and clusters it, so every
+//! exclusivity invariant above is unchanged — and ranks 1+ are
+//! **followers**. Followers hold no private state (the store is shared,
+//! so they mirror the key's schools and spatial rows for free); what they
+//! add is a wider *read* path: NN anchors, fixed-level NN and object
+//! lookups route to the least-loaded live replica of their key (by
+//! virtual elapsed store time, primary on ties), and scattered NN rings /
+//! region slices spread across follower sets the same way. Because a
+//! member's rendezvous score is independent of the other members, the
+//! top-k list is **prefix-stable**: when a primary leaves, each of its
+//! keys' rank-1 follower — already warm on that key's reads — is exactly
+//! the new winner, and adopts the key's clustering deadline through the
+//! ordinary ownership handover. Failover is therefore *promotion*, not
+//! recovery. `k = 1` (the default) is the single-owner tier.
+//!
+//! ## Pipelined ingestion
+//!
+//! [`update`](MoistCluster::update) is the synchronous baseline: one
+//! message, one owner lock, one store round-trip per write. The pipelined
+//! tier ([`crate::ingest`]) buffers submissions in a bounded queue per
+//! shard ([`submit`](MoistCluster::submit)), flushes each queue as one
+//! [`MoistServer::update_batch`] when it reaches the batch size or its
+//! oldest message ages past the flush deadline
+//! ([`flush_due`](MoistCluster::flush_due)), and surfaces a full queue as
+//! typed backpressure instead of queueing unboundedly. Batched flushes go
+//! through [`update_batch`](MoistCluster::update_batch), which re-routes
+//! every message under the same membership seqlock the synchronous path
+//! uses — grouped by the *current* owner, re-validated after each owner
+//! lock — and every epoch bump (join, leave, rebalance) drains the queues
+//! right after publishing its snapshot
+//! ([`drain_ingest`](MoistCluster::drain_ingest)), so in-flight batches
+//! re-route rather than land on a migrated cell's old owner and a killed
+//! shard's buffered messages are applied, not lost.
+//!
+//! [`add_shard`]: MoistCluster::add_shard
+//! [`remove_shard`]: MoistCluster::remove_shard
+//! [`rebalance`]: MoistCluster::rebalance
+//!
+//! ```
+//! use moist_bigtable::{Bigtable, Timestamp};
+//! use moist_core::{MoistCluster, MoistConfig, ObjectId, UpdateMessage};
+//! use moist_spatial::{Point, Velocity};
+//!
+//! let store = Bigtable::new();
+//! let cluster = MoistCluster::builder(&store, MoistConfig::default())
+//!     .shards(4)
+//!     .build()?;
+//! cluster.update(&UpdateMessage {
+//!     oid: ObjectId(1),
+//!     loc: Point::new(420.0, 500.0),
+//!     vel: Velocity::new(1.8, 0.0),
+//!     ts: Timestamp::from_secs(10),
+//! })?;
+//! // Grow the fleet live: only the joiner's rendezvous wins migrate.
+//! let id = cluster.add_shard()?;
+//! assert_eq!(cluster.num_shards(), 5);
+//! // Any front-end answers queries over the whole map.
+//! let (nn, _) = cluster.nn(Point::new(400.0, 500.0), 1, Timestamp::from_secs(11))?;
+//! assert_eq!(nn[0].oid, ObjectId(1));
+//! // And shrink again: the departed shard's cells are re-adopted.
+//! cluster.remove_shard(id)?;
+//! # Ok::<(), moist_core::MoistError>(())
+//! ```
+
+mod elastic;
+mod membership;
+mod read;
+mod write;
+
+pub use elastic::{ClusterStats, RebalanceReport, ShardLoadStats};
+
+use crate::cluster::{ClusterReport, ClusterScheduler};
+use crate::config::MoistConfig;
+use crate::controller::{AutoController, ControllerConfig, ControllerEvent};
+use crate::error::Result;
+use crate::ingest::{IngestConfig, IngestQueues, IngestStats};
+use crate::placement::{ShardWeight, SplitTable};
+use crate::query_pool::QueryPool;
+use crate::server::{MoistServer, ServerStats};
+use membership::{Membership, RetiredShards, ShardEntry};
+use moist_archive::PppArchiver;
+use moist_bigtable::{Bigtable, RecoveryReport, StoreConfig, Timestamp};
+use moist_spatial::{CellId, Point};
+use parking_lot::{Mutex, RwLock};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+/// A sharded tier of MOIST front-end servers over one shared store, with
+/// live shard join/leave (see the module docs for the membership design).
+pub struct MoistCluster {
+    cfg: MoistConfig,
+    store: Arc<Bigtable>,
+    /// Read-mostly membership snapshot; swapped whole on epoch bumps.
+    /// Behind an `Arc` so scatter workers on the [`QueryPool`] can
+    /// re-validate slice ownership against the freshest snapshot.
+    membership: Arc<RwLock<Arc<Membership>>>,
+    /// Shared worker pool running scattered query slices in parallel.
+    query_pool: QueryPool,
+    /// Counters of shards that left the tier (their updates — absorbed
+    /// while live or in flight — must stay in [`stats`]). A departed
+    /// shard's entry lingers only until its last in-flight `Arc` drops,
+    /// then folds into the aggregate, so churn does not accumulate dead
+    /// servers.
+    ///
+    /// [`stats`]: MoistCluster::stats
+    retired: Mutex<RetiredShards>,
+    /// Cluster-wide object-count estimate shared by every shard's FLAG.
+    object_estimate: Arc<AtomicU64>,
+    /// Archiver handed to every current and future shard.
+    archiver: Option<Arc<PppArchiver>>,
+    /// Next stable shard id to assign.
+    next_shard_id: AtomicU64,
+    /// Seqlock guarding the update path against stale routing: odd while
+    /// a membership change is migrating cells, bumped to even once the new
+    /// snapshot is published. [`update`](MoistCluster::update) re-reads it
+    /// after taking the shard lock and re-routes if it moved, so a write
+    /// never lands on a cell's *old* owner concurrently with the new
+    /// owner clustering that cell.
+    version: AtomicU64,
+    /// Cells migrated between shards by join/leave epoch bumps.
+    epoch_migrations: AtomicU64,
+    /// Routing keys whose next-ranked follower stepped up to primary on a
+    /// shard leave (replicated mode's instant promotions).
+    promotions: AtomicU64,
+    /// Reads served by a follower instead of the primary, tier-wide
+    /// (monotonic — includes reads served by shards that later retired).
+    replica_reads: AtomicU64,
+    /// Cell migrations caused by hot-cell splits (children adopted by a
+    /// shard other than the parent's old owner) and by rebalance weight
+    /// shifts.
+    split_migrations: AtomicU64,
+    /// Per-shard virtual elapsed µs at the last rebalance — the baseline
+    /// the next rebalance diffs against to get utilization *since*.
+    rebalance_baseline: Mutex<HashMap<u64, f64>>,
+    /// Read-mostly per-clustering-cell demand density (relative rate,
+    /// mean ≈ 1), refreshed by [`rebalance`](MoistCluster::rebalance) and
+    /// consumed by the region fan-out to price slices — empty until the
+    /// first rebalance (every cell then prices by its leaf span alone).
+    cell_density: RwLock<Arc<HashMap<u64, f64>>>,
+    /// Read-mostly per-clustering-cell *measured* scan price (relative,
+    /// average measured cell ≈ 2.0 to match the density prior's scale),
+    /// learned from the per-range costs the region fan-out pays and
+    /// merged across shards at [`rebalance`](MoistCluster::rebalance).
+    /// Cells never scanned are absent and keep pricing by the
+    /// span×density prior.
+    cell_scan_cost: RwLock<Arc<HashMap<u64, f64>>>,
+    /// Ingestion-pipeline knobs (batch size, queue cap, flush deadline,
+    /// backpressure policy), normalized; set via
+    /// [`ClusterBuilder::ingest`].
+    ingest_cfg: IngestConfig,
+    /// The per-shard bounded submission queues plus their counters.
+    ingest: IngestQueues,
+    /// The elasticity controller, when one was attached via
+    /// [`ClusterBuilder::controller`]. Mutexed because ticks arrive from
+    /// arbitrary client threads; `try_lock` keeps concurrent tickers
+    /// from serializing on it.
+    controller: Option<Mutex<AutoController>>,
+}
+
+/// The one construction path for [`MoistCluster`]: every knob — fleet
+/// size, replication factor, ingest pipeline, elasticity controller,
+/// archiver — is set on the builder, and both fresh construction
+/// ([`build`](ClusterBuilder::build)) and crash recovery
+/// ([`recover`](ClusterBuilder::recover)) honour all of them.
+///
+/// ```
+/// # use moist_core::{MoistCluster, MoistConfig, ControllerConfig, IngestConfig};
+/// # use moist_bigtable::Bigtable;
+/// # fn main() -> moist_core::Result<()> {
+/// let store = Bigtable::new();
+/// let cluster = MoistCluster::builder(&store, MoistConfig::default())
+///     .shards(10)
+///     .replicas(2)
+///     .ingest(IngestConfig::default())
+///     .controller(ControllerConfig::default())
+///     .build()?;
+/// assert_eq!(cluster.num_shards(), 10);
+/// assert_eq!(cluster.replicas(), 2);
+/// # Ok(())
+/// # }
+/// ```
+pub struct ClusterBuilder {
+    store: Arc<Bigtable>,
+    cfg: MoistConfig,
+    shards: usize,
+    replicas: usize,
+    ingest: IngestConfig,
+    controller: Option<ControllerConfig>,
+    archiver: Option<Arc<PppArchiver>>,
+}
+
+impl ClusterBuilder {
+    /// Fleet size to start with (default 1; clamped to at least 1).
+    pub fn shards(mut self, n: usize) -> Self {
+        self.shards = n;
+        self
+    }
+
+    /// Replication factor (default 1 = unreplicated single-owner): each
+    /// routing key is owned by its rendezvous top-`k` shards — the rank-0
+    /// **primary** (updates and clustering, exactly as in the unreplicated
+    /// tier) plus `k − 1` **followers** that mirror the key's state through
+    /// the shared store and serve its reads when they are less loaded than
+    /// the primary. `k` clamps to the live shard count.
+    ///
+    /// Replication here costs no extra storage or write amplification —
+    /// the store is shared, followers hold no private state — it widens
+    /// each key's *read* path and pre-arms a leave: when the primary
+    /// dies, the rank-1 follower is already serving the key's reads and
+    /// adopts its clustering deadlines through the normal migration path.
+    pub fn replicas(mut self, k: usize) -> Self {
+        self.replicas = k;
+        self
+    }
+
+    /// Ingestion-pipeline knobs for [`submit`](MoistCluster::submit) /
+    /// [`flush_due`](MoistCluster::flush_due) (default
+    /// [`IngestConfig::default`]): batch size, queue cap, flush deadline
+    /// and the full-queue policy. Degenerate sizes are clamped to workable
+    /// minima. The synchronous [`update`](MoistCluster::update) path is
+    /// unaffected.
+    pub fn ingest(mut self, cfg: IngestConfig) -> Self {
+        self.ingest = cfg;
+        self
+    }
+
+    /// Attaches a self-tuning elasticity controller (none by default):
+    /// the tier then grows/shrinks/rebalances itself on
+    /// [`controller_tick`](MoistCluster::controller_tick)s.
+    pub fn controller(mut self, cfg: ControllerConfig) -> Self {
+        self.controller = Some(cfg);
+        self
+    }
+
+    /// Attaches one shared PPP archiver to every shard (current and future
+    /// joiners): all non-shed location writes stream into the aged-data
+    /// pipeline.
+    pub fn archiver(mut self, archiver: Arc<PppArchiver>) -> Self {
+        self.archiver = Some(archiver);
+        self
+    }
+
+    /// Builds the tier over the store the builder was bound to, opening
+    /// (or on first use creating) the MOIST tables in it.
+    pub fn build(self) -> Result<MoistCluster> {
+        let store = Arc::clone(&self.store);
+        self.build_over(store)
+    }
+
+    /// Rebuilds the tier from a crashed durable store, carrying **every**
+    /// builder knob over to the recovered fleet. The store the builder was
+    /// bound to is ignored; the recovered store replaces it.
+    ///
+    /// [`Bigtable::recover`] replays every table's snapshot + WAL tail
+    /// to its last consistent cut, then the fleet is built over the
+    /// recovered store exactly as [`build`](ClusterBuilder::build) does
+    /// over a populated one: tables are opened (not recreated), each
+    /// shard's scheduler is re-seeded with its rendezvous slice, and the
+    /// shared object estimate restarts from the recovered affiliation
+    /// rows. Returns the recovered store (callers usually want sessions
+    /// on it), the tier, and the recovery report. `store_cfg.durability`
+    /// must be [`Durability::Wal`](moist_bigtable::Durability::Wal).
+    pub fn recover(
+        self,
+        store_cfg: StoreConfig,
+    ) -> Result<(Arc<Bigtable>, MoistCluster, RecoveryReport)> {
+        let (store, report) = Bigtable::recover(store_cfg)?;
+        let cluster = self.build_over(Arc::clone(&store))?;
+        Ok((store, cluster, report))
+    }
+
+    /// The construction body [`build`](ClusterBuilder::build) and
+    /// [`recover`](ClusterBuilder::recover) share: `shards` servers with
+    /// ids `0..shards` at unit weights, epoch 0, no splits, each holding
+    /// the slice of the clustering schedule it wins.
+    fn build_over(self, store: Arc<Bigtable>) -> Result<MoistCluster> {
+        let cfg = self.cfg;
+        let object_estimate = Arc::new(AtomicU64::new(0));
+        let placement: Vec<ShardWeight> = (0..self.shards.max(1) as u64)
+            .map(ShardWeight::unit)
+            .collect();
+        let splits = Arc::new(SplitTable::default());
+        let shards = placement
+            .iter()
+            .map(|m| {
+                let scheduler = ClusterScheduler::for_placement(&cfg, m.id, &placement, &splits);
+                let archiver = self.archiver.as_ref();
+                ShardEntry::open(m.id, &store, cfg, scheduler, &object_estimate, archiver)
+            })
+            .collect::<Result<Vec<_>>>()?;
+        Ok(MoistCluster {
+            cfg,
+            next_shard_id: AtomicU64::new(shards.len() as u64),
+            membership: Arc::new(RwLock::new(Arc::new(Membership {
+                epoch: 0,
+                shards,
+                placement,
+                splits,
+                replicas: self.replicas.max(1),
+            }))),
+            store,
+            query_pool: QueryPool::sized_for_host(),
+            retired: Mutex::new(RetiredShards::default()),
+            object_estimate,
+            archiver: self.archiver,
+            version: AtomicU64::new(0),
+            epoch_migrations: AtomicU64::new(0),
+            promotions: AtomicU64::new(0),
+            replica_reads: AtomicU64::new(0),
+            split_migrations: AtomicU64::new(0),
+            rebalance_baseline: Mutex::new(HashMap::new()),
+            cell_density: RwLock::new(Arc::new(HashMap::new())),
+            cell_scan_cost: RwLock::new(Arc::new(HashMap::new())),
+            ingest_cfg: self.ingest.normalized(),
+            ingest: IngestQueues::default(),
+            controller: self.controller.map(|c| Mutex::new(AutoController::new(c))),
+        })
+    }
+}
+
+impl MoistCluster {
+    /// Starts a [`ClusterBuilder`] over `store` — **the** construction
+    /// path for the tier.
+    pub fn builder(store: &Arc<Bigtable>, cfg: MoistConfig) -> ClusterBuilder {
+        ClusterBuilder {
+            store: Arc::clone(store),
+            cfg,
+            shards: 1,
+            replicas: 1,
+            ingest: IngestConfig::default(),
+            controller: None,
+            archiver: None,
+        }
+    }
+
+    /// The ingestion pipeline's current knobs.
+    pub fn ingest_config(&self) -> IngestConfig {
+        self.ingest_cfg
+    }
+
+    /// Point-in-time ingestion-pipeline counters (also embedded in
+    /// [`cluster_stats`](MoistCluster::cluster_stats)).
+    pub fn ingest_stats(&self) -> IngestStats {
+        self.ingest.stats()
+    }
+
+    /// The configured replication factor.
+    pub fn replicas(&self) -> usize {
+        self.snapshot().replicas
+    }
+
+    /// Number of live front-end shards.
+    pub fn num_shards(&self) -> usize {
+        self.snapshot().shards.len()
+    }
+
+    /// The live shards' stable ids, in position order.
+    pub fn shard_ids(&self) -> Vec<u64> {
+        self.snapshot().ids()
+    }
+
+    /// The current membership epoch (bumped by every join/leave).
+    pub fn epoch(&self) -> u64 {
+        self.snapshot().epoch
+    }
+
+    /// The tier's configuration.
+    pub fn config(&self) -> &MoistConfig {
+        &self.cfg
+    }
+
+    /// Cluster-wide object-count estimate (FLAG's `n`).
+    pub fn object_estimate(&self) -> u64 {
+        self.object_estimate.load(Ordering::Relaxed)
+    }
+
+    /// The controller's decision log so far (empty when no controller is
+    /// attached), oldest first — the observable trace the chaos tests
+    /// assert hysteresis on.
+    pub fn controller_events(&self) -> Vec<ControllerEvent> {
+        self.controller
+            .as_ref()
+            .map(|c| c.lock().events().to_vec())
+            .unwrap_or_default()
+    }
+
+    /// The attached controller's (normalized) configuration, if any.
+    pub fn controller_config(&self) -> Option<ControllerConfig> {
+        self.controller.as_ref().map(|c| c.lock().config())
+    }
+
+    /// The learned per-cell scan prices the region fan-out currently
+    /// uses (relative; average measured cell ≈ 2.0), refreshed by
+    /// [`rebalance`](MoistCluster::rebalance) from the per-range costs
+    /// past fan-outs measured. Empty until a fan-out has scanned and a
+    /// rebalance has folded — cells absent here price by the
+    /// span×density prior.
+    pub fn learned_scan_costs(&self) -> HashMap<u64, f64> {
+        self.cell_scan_cost.read().as_ref().clone()
+    }
+
+    /// The clustering cells currently split one level finer.
+    pub fn split_cells(&self) -> Vec<u64> {
+        self.snapshot().splits.cells().collect()
+    }
+
+    /// The live shards' placement weights, in position order.
+    pub fn shard_weights(&self) -> Vec<f64> {
+        let snap = self.snapshot();
+        snap.placement.iter().map(|m| m.weight).collect()
+    }
+
+    /// The position (in current membership order) of the shard owning the
+    /// clustering cell (or, for a split cell, the child cell) containing
+    /// `p`.
+    pub fn shard_for_point(&self, p: &Point) -> usize {
+        let snap = self.snapshot();
+        snap.owner_position(snap.route_point(p, &self.cfg))
+    }
+
+    /// The position of the shard owning clustering cell `cell` (coarser or
+    /// finer cells are mapped through a representative leaf, so split-cell
+    /// routing applies to them too).
+    pub fn shard_for_cell(&self, cell: CellId) -> usize {
+        let snap = self.snapshot();
+        snap.owner_position(snap.route_cell(cell, &self.cfg))
+    }
+
+    /// Runs `f` against one shard's server by position (stats inspection,
+    /// clock resets, direct table access in tests). Fails with
+    /// [`MoistError::NoSuchShard`](crate::MoistError::NoSuchShard) when `shard` is past the current
+    /// membership instead of panicking, so callers racing a shard removal
+    /// degrade gracefully.
+    pub fn with_shard<R>(&self, shard: usize, f: impl FnOnce(&mut MoistServer) -> R) -> Result<R> {
+        let entry = self.entry_at(shard)?;
+        let mut server = entry.server.write();
+        Ok(f(&mut server))
+    }
+
+    /// Shared-access variant of [`with_shard`](MoistCluster::with_shard):
+    /// runs `f` under the shard's *read* guard, so any number of callers
+    /// (and the tier's own query paths) can overlap on the same shard.
+    /// All of [`MoistServer`]'s query methods take `&self` and work here;
+    /// use `with_shard` when `f` needs the exclusive writer view.
+    pub fn with_shard_read<R>(&self, shard: usize, f: impl FnOnce(&MoistServer) -> R) -> Result<R> {
+        let entry = self.entry_at(shard)?;
+        let server = entry.server.read();
+        Ok(f(&server))
+    }
+
+    /// Runs lazy clustering on one shard by position: only the cells that
+    /// shard owns and that are due fire, so across shards each cell is
+    /// clustered by exactly one server. Workers call this for "their"
+    /// shard on a tick; a worker racing a shard removal gets
+    /// [`MoistError::NoSuchShard`](crate::MoistError::NoSuchShard), not a panic.
+    pub fn run_due_clustering_shard(&self, shard: usize, now: Timestamp) -> Result<ClusterReport> {
+        let entry = self.entry_at(shard)?;
+        let mut server = entry.server.write();
+        server.run_due_clustering(now)
+    }
+
+    /// Runs lazy clustering on every shard in turn (single-driver mode).
+    pub fn run_due_clustering(&self, now: Timestamp) -> Result<ClusterReport> {
+        let snap = self.snapshot();
+        let mut total = ClusterReport::default();
+        for entry in &snap.shards {
+            total.merge_from(&entry.server.write().run_due_clustering(now)?);
+        }
+        Ok(total)
+    }
+
+    /// Ages out cold records. The aging columns are table-global, so this
+    /// runs once (through the first live shard), not once per shard.
+    pub fn age_data(&self, now: Timestamp) -> Result<usize> {
+        let entry = self.entry_at(0)?;
+        let mut server = entry.server.write();
+        server.age_data(now)
+    }
+
+    /// Aggregate operation counters across all shards, including shards
+    /// that have since left the tier (so a failover never "loses" the
+    /// updates the departed shard absorbed).
+    pub fn stats(&self) -> ServerStats {
+        let snap = self.snapshot();
+        let mut total = self.retired.lock().stats();
+        for entry in &snap.shards {
+            total.merge_from(&entry.server.read().stats());
+        }
+        total
+    }
+
+    /// Per-shard operation counters for the live shards, in position
+    /// order.
+    pub fn shard_stats(&self) -> Vec<ServerStats> {
+        let snap = self.snapshot();
+        snap.shards
+            .iter()
+            .map(|e| e.server.read().stats())
+            .collect()
+    }
+
+    /// Per-shard virtual elapsed microseconds for the live shards, in
+    /// position order.
+    pub fn shard_elapsed_us(&self) -> Vec<f64> {
+        let snap = self.snapshot();
+        snap.shards
+            .iter()
+            .map(|e| e.server.read().elapsed_us())
+            .collect()
+    }
+
+    /// Virtual elapsed microseconds of the busiest live shard — the tier's
+    /// makespan, since shards consume store time in parallel.
+    pub fn max_elapsed_us(&self) -> f64 {
+        self.shard_elapsed_us().into_iter().fold(0.0, f64::max)
+    }
+
+    /// Sum of the live shards' virtual elapsed microseconds (total store
+    /// work).
+    pub fn total_elapsed_us(&self) -> f64 {
+        self.shard_elapsed_us().into_iter().sum()
+    }
+
+    /// Resets every live shard's session clock (benches do this after
+    /// warm-up) along with the rebalance utilization baseline, which is
+    /// measured against those clocks.
+    pub fn reset_clocks(&self) {
+        let snap = self.snapshot();
+        for entry in &snap.shards {
+            entry.server.write().session_mut().reset();
+        }
+        self.rebalance_baseline.lock().clear();
+    }
+}
+
+#[cfg(test)]
+mod tests;

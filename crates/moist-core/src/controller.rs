@@ -41,7 +41,7 @@
 //! * **ingest queue depth** — a queue holding more than
 //!   `queue_pressure` of its cap is a surge the flush path is losing;
 //! * **split-table pressure** — a full
-//!   [`SplitTable`](crate::cluster::SplitTable) while utilization is
+//!   [`SplitTable`](crate::placement::SplitTable) while utilization is
 //!   still skewed means finer ownership ran out of room and only more
 //!   capacity helps.
 //!

@@ -14,10 +14,15 @@
 //! * [`nn`] — Algorithm 2 nearest-neighbour search (§3.4.1);
 //! * [`flag`] — Algorithms 3–4, the Fast Level Adaptive Grid (§3.4.2);
 //! * [`server`] — a front-end server tying everything together (§4.3);
+//! * [`placement`] — who owns a routing key and who may read it:
+//!   weighted rendezvous hashing, ranked replica sets, the hot-cell split
+//!   table and the region fan-out's range slicer;
 //! * [`cluster_tier`] — the sharded multi-server tier: N servers over one
-//!   store, routing and clustering partitioned by rendezvous-hashed cell
-//!   ownership over an epoch-stamped membership, with live shard
-//!   join/leave (§4.3.3);
+//!   store, routing and clustering partitioned by [`placement`] over an
+//!   epoch-stamped membership (`membership`), a seqlock-validated write
+//!   path with pipelined ingestion (`write`), replica-anchored and
+//!   scatter-gathered reads (`read`), and live shard join/leave/rebalance
+//!   (`elastic`) (§4.3.3);
 //! * [`ingest`] — the batched, pipelined ingestion tier: bounded per-shard
 //!   submission queues with size/deadline flush and typed backpressure,
 //!   feeding the batched apply path (§4.1's batch-write discount);
@@ -58,6 +63,7 @@ pub mod ids;
 pub mod ingest;
 pub mod load;
 pub mod nn;
+pub mod placement;
 pub mod query_pool;
 pub mod region;
 pub mod school;
@@ -65,12 +71,7 @@ pub mod server;
 pub mod tables;
 pub mod update;
 
-pub use cluster::{
-    cluster_cell, cluster_sweep, rendezvous_owner, rendezvous_owners, routing_key_cell,
-    slice_ranges_by_owner, slice_ranges_by_placement, slice_ranges_by_replicas,
-    weighted_rendezvous_owner, weighted_rendezvous_owners, ClusterReport, ClusterScheduler,
-    ShardWeight, SplitTable, SPLIT_CHILD_TAG,
-};
+pub use cluster::{cluster_cell, cluster_sweep, ClusterReport, ClusterScheduler};
 pub use cluster_tier::{
     ClusterBuilder, ClusterStats, MoistCluster, RebalanceReport, ShardLoadStats,
 };
@@ -86,6 +87,9 @@ pub use load::{CellRates, LoadTracker};
 pub use nn::{
     merge_ring_partials, nn_candidate_ring, nn_partial_scan, nn_query, Neighbor, NnCandidate,
     NnOptions, NnPartial, NnStats,
+};
+pub use placement::{
+    owners, routing_key_cell, slice_ranges, ShardWeight, SplitTable, SPLIT_CHILD_TAG,
 };
 pub use query_pool::QueryPool;
 pub use region::{

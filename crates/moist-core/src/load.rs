@@ -7,10 +7,10 @@
 //! without a measured signal. This module is that signal, consumed at
 //! three layers:
 //!
-//! 1. **weighted rendezvous** ([`crate::cluster::weighted_rendezvous_owner`])
+//! 1. **weighted rendezvous** ([`crate::placement`])
 //!    — per-shard weights derived from measured utilization shift whole
 //!    cells between shards with minimal remap;
-//! 2. **hot-cell splitting** ([`crate::cluster::SplitTable`]) — the
+//! 2. **hot-cell splitting** ([`crate::placement::SplitTable`]) — the
 //!    hottest clustering cells split ownership one level finer, so a
 //!    single business-center cell stops pinning a shard;
 //! 3. **fan-out slice balancing** ([`crate::region::balance_slices`]) —

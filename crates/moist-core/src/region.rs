@@ -31,7 +31,7 @@ pub type LeafRange = (u64, u64);
 
 /// Owner-keyed slices of a scattered region plan: `(shard id, that
 /// shard's merged leaf ranges)` pairs, as produced by
-/// [`crate::cluster::slice_ranges_by_owner`] and rebalanced by
+/// [`crate::placement::slice_ranges`] and rebalanced by
 /// [`balance_slices`].
 pub type OwnerSlices = Vec<(u64, Vec<LeafRange>)>;
 

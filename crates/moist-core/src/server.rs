@@ -220,19 +220,12 @@ impl MoistServer {
     /// Attaches the PPP archiver: every non-shed location write is also
     /// streamed into the aged-data pipeline.
     pub fn with_archiver(mut self, archiver: Arc<PppArchiver>) -> Self {
-        self.set_archiver(archiver);
+        self.archiver = Some(archiver);
         self
     }
 
-    /// In-place variant of [`with_archiver`](MoistServer::with_archiver)
-    /// for servers already behind a lock (the cluster tier attaches the
-    /// shared archiver to every live shard this way).
-    pub fn set_archiver(&mut self, archiver: Arc<PppArchiver>) {
-        self.archiver = Some(archiver);
-    }
-
     /// Replaces the clustering scheduler (a cluster tier hands each shard
-    /// its [`ClusterScheduler::for_member`] rendezvous slice of the
+    /// its [`ClusterScheduler::for_placement`] rendezvous slice of the
     /// clustering level, or [`ClusterScheduler::empty`] for a joiner whose
     /// cells arrive by adoption).
     pub fn with_scheduler(mut self, scheduler: ClusterScheduler) -> Self {

@@ -25,8 +25,8 @@ use crate::config::{table_names, MoistConfig};
 use crate::error::{MoistError, Result};
 use crate::ids::ObjectId;
 use moist_bigtable::{
-    Bigtable, ColumnFamily, Mutation, ReadOptions, RowKey, RowMutation, ScanRange, Session, Table,
-    TableSchema, Timestamp,
+    Bigtable, ColumnFamily, Mutation, OwnedRow, ReadOptions, RowKey, RowMutation, ScanRange,
+    Session, Table, TableSchema, Timestamp,
 };
 use moist_spatial::{CellId, Displacement};
 use std::sync::Arc;
@@ -51,6 +51,44 @@ mod cols {
     pub const LF_Q: &str = "lf";
     /// Affiliation Table: Follower Info family.
     pub const FOLLOWERS: &str = "followers";
+}
+
+/// The Location Table cell write: one timestamped record.
+fn location_put(rec: &LocationRecord, ts: Timestamp) -> Mutation {
+    Mutation::put(cols::LOC_MEM, cols::LOC_Q, ts, rec.encode().to_vec())
+}
+
+/// The Spatial Index cell write: a leader's latest record.
+fn spatial_put(rec: &LocationRecord, ts: Timestamp) -> Mutation {
+    Mutation::put(cols::SPATIAL, cols::SPATIAL_Q, ts, rec.encode().to_vec())
+}
+
+/// The Affiliation Table cell write: an L/F record landing at exactly `ts`.
+fn lf_put(lf: &LfRecord, ts: Timestamp) -> Mutation {
+    Mutation::put(cols::LF_MEM, cols::LF_Q, ts, lf.encode())
+}
+
+/// The Follower Info cell write: `follower`'s displacement from its leader.
+fn follower_put(follower: ObjectId, disp: Displacement, ts: Timestamp) -> Mutation {
+    Mutation::put(
+        cols::FOLLOWERS,
+        follower_qualifier(follower),
+        ts,
+        encode_displacement(disp).to_vec(),
+    )
+}
+
+/// Decodes a leader row's Follower Info family.
+fn decode_followers(row: Option<OwnedRow>) -> Result<Vec<(ObjectId, Displacement)>> {
+    let mut out = Vec::new();
+    if let Some(row) = row {
+        for entry in row.family(cols::FOLLOWERS) {
+            let oid = parse_follower_qualifier(&entry.qualifier)?;
+            let disp = decode_displacement(&entry.cells[0].value)?;
+            out.push((oid, disp));
+        }
+    }
+    Ok(out)
 }
 
 /// Handles to the three tables.
@@ -116,12 +154,7 @@ impl MoistTables {
         s.mutate_row(
             &self.location,
             &RowKey::from_u64(oid.0),
-            &[Mutation::put(
-                cols::LOC_MEM,
-                cols::LOC_Q,
-                ts,
-                rec.encode().to_vec(),
-            )],
+            &[location_put(rec, ts)],
         )?;
         Ok(())
     }
@@ -218,12 +251,7 @@ impl MoistTables {
         s.mutate_row(
             &self.spatial,
             &Self::spatial_key(leaf_index, oid),
-            &[Mutation::put(
-                cols::SPATIAL,
-                cols::SPATIAL_Q,
-                ts,
-                rec.encode().to_vec(),
-            )],
+            &[spatial_put(rec, ts)],
         )?;
         Ok(())
     }
@@ -249,15 +277,7 @@ impl MoistTables {
         rec: &LocationRecord,
         ts: Timestamp,
     ) -> Result<()> {
-        let put = RowMutation::new(
-            Self::spatial_key(new_leaf, oid),
-            vec![Mutation::put(
-                cols::SPATIAL,
-                cols::SPATIAL_Q,
-                ts,
-                rec.encode().to_vec(),
-            )],
-        );
+        let put = RowMutation::new(Self::spatial_key(new_leaf, oid), vec![spatial_put(rec, ts)]);
         if old_leaf == new_leaf {
             s.mutate_rows(&self.spatial, &[put])?;
         } else {
@@ -326,22 +346,6 @@ impl MoistTables {
         Ok(self.spatial_scan_cell(s, cell, leaf_level, None)?.len())
     }
 
-    /// Applies a prepared batch of spatial mutations (clustering write phase).
-    pub fn spatial_batch(&self, s: &mut Session, batch: &[RowMutation]) -> Result<usize> {
-        if batch.is_empty() {
-            return Ok(0);
-        }
-        Ok(s.mutate_rows(&self.spatial, batch)?)
-    }
-
-    /// Builds (without applying) a delete mutation for a spatial entry.
-    pub fn spatial_delete_mutation(leaf_index: u64, oid: ObjectId) -> RowMutation {
-        RowMutation::new(
-            Self::spatial_key(leaf_index, oid),
-            vec![Mutation::DeleteRow],
-        )
-    }
-
     /// Atomically deletes a scanned leader's spatial row *only if* it
     /// still holds exactly the scanned record — the store's
     /// check-and-mutate under one tablet write lock. This is the commit
@@ -351,14 +355,7 @@ impl MoistTables {
     /// object's merge instead of demoting a live leader.
     pub fn spatial_check_and_delete(&self, s: &mut Session, entry: &SpatialEntry) -> Result<bool> {
         let expected = entry.record.encode();
-        Ok(s.check_and_mutate(
-            &self.spatial,
-            &Self::spatial_key(entry.leaf_index, entry.oid),
-            cols::SPATIAL,
-            cols::SPATIAL_Q,
-            Some(expected.as_ref()),
-            &[Mutation::DeleteRow],
-        )?)
+        self.spatial_check_and_delete_value(s, entry.leaf_index, entry.oid, expected.as_ref())
     }
 
     /// Moves a leader's entry between leaves **guarded**: the old row is
@@ -418,21 +415,8 @@ impl MoistTables {
 
     /// Batch-fetches L/F records (clustering's batch read).
     pub fn batch_lf(&self, s: &mut Session, oids: &[ObjectId]) -> Result<Vec<Option<LfRecord>>> {
-        let keys: Vec<RowKey> = oids.iter().map(|o| RowKey::from_u64(o.0)).collect();
-        let rows = s.batch_get(
-            &self.affiliation,
-            &keys,
-            &ReadOptions::latest_in(cols::LF_MEM),
-        )?;
-        rows.into_iter()
-            .map(|row| match row {
-                None => Ok(None),
-                Some(r) => match r.latest(cols::LF_MEM, cols::LF_Q) {
-                    None => Ok(None),
-                    Some(cell) => Ok(Some(LfRecord::decode(&cell.value)?)),
-                },
-            })
-            .collect()
+        let heads = self.batch_lf_versions(s, oids)?;
+        Ok(heads.into_iter().map(|h| h.map(|(_, lf)| lf)).collect())
     }
 
     /// Batch-fetches L/F records *with their head timestamps* — the
@@ -553,7 +537,7 @@ impl MoistTables {
         s.mutate_row(
             &self.affiliation,
             &RowKey::from_u64(oid.0),
-            &[Mutation::put(cols::LF_MEM, cols::LF_Q, ts, lf.encode())],
+            &[lf_put(lf, ts)],
         )?;
         Ok(())
     }
@@ -605,7 +589,7 @@ impl MoistTables {
             cols::LF_MEM,
             cols::LF_Q,
             Some(&expected.encode()),
-            &[Mutation::put(cols::LF_MEM, cols::LF_Q, ts, new.encode())],
+            &[lf_put(new, ts)],
         )?)
     }
 
@@ -615,20 +599,11 @@ impl MoistTables {
         s: &mut Session,
         leader: ObjectId,
     ) -> Result<Vec<(ObjectId, Displacement)>> {
-        let row = s.get_row(
+        decode_followers(s.get_row(
             &self.affiliation,
             &RowKey::from_u64(leader.0),
             &ReadOptions::latest_in(cols::FOLLOWERS),
-        )?;
-        let mut out = Vec::new();
-        if let Some(row) = row {
-            for entry in row.family(cols::FOLLOWERS) {
-                let oid = parse_follower_qualifier(&entry.qualifier)?;
-                let disp = decode_displacement(&entry.cells[0].value)?;
-                out.push((oid, disp));
-            }
-        }
-        Ok(out)
+        )?)
     }
 
     /// Batch-fetches the Follower Info of many leaders at once.
@@ -643,19 +618,7 @@ impl MoistTables {
             &keys,
             &ReadOptions::latest_in(cols::FOLLOWERS),
         )?;
-        rows.into_iter()
-            .map(|row| {
-                let mut out = Vec::new();
-                if let Some(row) = row {
-                    for entry in row.family(cols::FOLLOWERS) {
-                        let oid = parse_follower_qualifier(&entry.qualifier)?;
-                        let disp = decode_displacement(&entry.cells[0].value)?;
-                        out.push((oid, disp));
-                    }
-                }
-                Ok(out)
-            })
-            .collect()
+        rows.into_iter().map(decode_followers).collect()
     }
 
     /// Adds `follower` to `leader`'s Follower Info.
@@ -670,12 +633,7 @@ impl MoistTables {
         s.mutate_row(
             &self.affiliation,
             &RowKey::from_u64(leader.0),
-            &[Mutation::put(
-                cols::FOLLOWERS,
-                follower_qualifier(follower),
-                ts,
-                encode_displacement(disp).to_vec(),
-            )],
+            &[follower_put(follower, disp, ts)],
         )?;
         Ok(())
     }
@@ -689,12 +647,7 @@ impl MoistTables {
     ) -> RowMutation {
         RowMutation::new(
             RowKey::from_u64(leader.0),
-            vec![Mutation::put(
-                cols::FOLLOWERS,
-                follower_qualifier(follower),
-                ts,
-                encode_displacement(disp).to_vec(),
-            )],
+            vec![follower_put(follower, disp, ts)],
         )
     }
 
@@ -714,17 +667,6 @@ impl MoistTables {
             )],
         )?;
         Ok(())
-    }
-
-    /// Builds (without applying) the remove-follower mutation.
-    pub fn remove_follower_mutation(leader: ObjectId, follower: ObjectId) -> RowMutation {
-        RowMutation::new(
-            RowKey::from_u64(leader.0),
-            vec![Mutation::delete_column(
-                cols::FOLLOWERS,
-                follower_qualifier(follower),
-            )],
-        )
     }
 
     /// Builds a mutation clearing a leader's whole Follower Info (used when
@@ -793,12 +735,7 @@ impl WriteBatch {
     pub fn put_location(&mut self, oid: ObjectId, rec: &LocationRecord, ts: Timestamp) {
         self.location.push(RowMutation::new(
             RowKey::from_u64(oid.0),
-            vec![Mutation::put(
-                cols::LOC_MEM,
-                cols::LOC_Q,
-                ts,
-                rec.encode().to_vec(),
-            )],
+            vec![location_put(rec, ts)],
         ));
     }
 
@@ -813,13 +750,8 @@ impl WriteBatch {
         ts: Timestamp,
     ) {
         self.spatial.push(RowMutation::new(
-            RowKey::composite(leaf_index, oid.0),
-            vec![Mutation::put(
-                cols::SPATIAL,
-                cols::SPATIAL_Q,
-                ts,
-                rec.encode().to_vec(),
-            )],
+            MoistTables::spatial_key(leaf_index, oid),
+            vec![spatial_put(rec, ts)],
         ));
     }
 
@@ -831,7 +763,7 @@ impl WriteBatch {
     pub fn set_lf_at(&mut self, oid: ObjectId, lf: &LfRecord, ts: Timestamp) {
         self.affiliation.push(RowMutation::new(
             RowKey::from_u64(oid.0),
-            vec![Mutation::put(cols::LF_MEM, cols::LF_Q, ts, lf.encode())],
+            vec![lf_put(lf, ts)],
         ));
     }
 }

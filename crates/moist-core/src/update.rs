@@ -29,6 +29,23 @@ pub struct UpdateMessage {
     pub ts: Timestamp,
 }
 
+impl UpdateMessage {
+    /// Rejects a malformed (non-finite location or velocity) message.
+    /// Every entry point that accepts messages from outside — the two
+    /// apply paths and the cluster tier's `submit` — calls this before
+    /// touching the store or buffering anything.
+    pub fn validate(&self) -> Result<()> {
+        if self.loc.is_finite() && self.vel.is_finite() {
+            Ok(())
+        } else {
+            Err(MoistError::Inconsistent(format!(
+                "non-finite update for {}",
+                self.oid
+            )))
+        }
+    }
+}
+
 /// What the update procedure did with a message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UpdateOutcome {
@@ -55,12 +72,7 @@ pub fn apply_update(
     cfg: &MoistConfig,
     msg: &UpdateMessage,
 ) -> Result<UpdateOutcome> {
-    if !msg.loc.is_finite() || !msg.vel.is_finite() {
-        return Err(MoistError::Inconsistent(format!(
-            "non-finite update for {}",
-            msg.oid
-        )));
-    }
+    msg.validate()?;
     let new_leaf = cfg.space.leaf_cell(&msg.loc).index;
     let record = LocationRecord {
         loc: msg.loc,
@@ -208,12 +220,7 @@ pub fn apply_update_batch(
     msgs: &[UpdateMessage],
 ) -> Result<Vec<UpdateOutcome>> {
     for msg in msgs {
-        if !msg.loc.is_finite() || !msg.vel.is_finite() {
-            return Err(MoistError::Inconsistent(format!(
-                "non-finite update for {}",
-                msg.oid
-            )));
-        }
+        msg.validate()?;
     }
     if msgs.len() <= 1 {
         // Nothing to amortize: the prefetches would cost more than the

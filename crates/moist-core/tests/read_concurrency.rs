@@ -89,7 +89,12 @@ fn probe_points(cluster: &MoistCluster) -> Vec<Point> {
 #[test]
 fn read_guards_on_one_shard_overlap() {
     let store = Bigtable::new();
-    let cluster = Arc::new(MoistCluster::new(&store, tier_config(), SHARDS).unwrap());
+    let cluster = Arc::new(
+        MoistCluster::builder(&store, tier_config())
+            .shards(SHARDS)
+            .build()
+            .unwrap(),
+    );
     seed_objects(&cluster, 64);
 
     let (a_in_tx, a_in_rx) = mpsc::channel::<()>();
@@ -130,7 +135,12 @@ fn read_guards_on_one_shard_overlap() {
 #[test]
 fn readers_survive_a_pinned_write_guard() {
     let store = Bigtable::new();
-    let cluster = Arc::new(MoistCluster::new(&store, tier_config(), SHARDS).unwrap());
+    let cluster = Arc::new(
+        MoistCluster::builder(&store, tier_config())
+            .shards(SHARDS)
+            .build()
+            .unwrap(),
+    );
     seed_objects(&cluster, 256);
     let probes = probe_points(&cluster);
     let shard0_probe = probes[0];
@@ -230,7 +240,12 @@ fn racing_totals_equal_the_single_threaded_oracle() {
 
     let run = |concurrent: bool| -> (ServerStats, u64, f64) {
         let store = Bigtable::new();
-        let cluster = Arc::new(MoistCluster::new(&store, tier_config(), SHARDS).unwrap());
+        let cluster = Arc::new(
+            MoistCluster::builder(&store, tier_config())
+                .shards(SHARDS)
+                .build()
+                .unwrap(),
+        );
         let read = |c: &MoistCluster, x: f64, y: f64| {
             let shard = c.shard_for_point(&Point::new(x, y));
             // Fixed NN level: FLAG's cache races are exercised elsewhere;

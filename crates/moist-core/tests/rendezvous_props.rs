@@ -8,28 +8,28 @@
 //!    cells and nothing else;
 //! 3. **order independence** — ownership is a function of the membership
 //!    *set*, not the order the ids are listed in;
-//! 4. **agreement** — [`ClusterScheduler::for_member`] slices form an
-//!    exact partition that agrees with [`rendezvous_owner`], so routing
-//!    and clustering can never disagree about a cell's home shard.
+//! 4. **agreement** — [`ClusterScheduler::for_placement`] slices form an
+//!    exact partition that agrees with the rank-0 owner ([`owners`]), so
+//!    routing and clustering can never disagree about a cell's home shard.
 //!
 //! The load-aware placement layer extends the contract (same suite):
 //!
-//! 5. **proportional share** — under [`weighted_rendezvous_owner`] each
-//!    member owns a key share proportional to its weight, within
-//!    statistical slack;
+//! 5. **proportional share** — each member owns a key share proportional
+//!    to its weight, within statistical slack;
 //! 6. **weight-change minimality** — raising one member's weight only
 //!    moves keys *to* it, lowering it only moves keys *away* from it;
 //! 7. **split-table agreement** — with weights and hot-cell splits in
 //!    play, [`ClusterScheduler::for_placement`] slices still partition
 //!    the routing keys exactly and agree with the weighted owner of every
-//!    leaf's routing key, and [`slice_ranges_by_placement`] remains an
-//!    exact partition of any range set.
+//!    leaf's routing key, and [`slice_ranges`] with the primary as reader
+//!    is an exact partition of any range set whose pieces all sit on the
+//!    rank-0 owner of their routing key.
 //!
 //! The replicated-ownership layer extends it again (same suite):
 //!
-//! 8. **rank-0 pin** — `rendezvous_owners(key, m, 1)` is bit-identical to
-//!    the single `rendezvous_owner` (weighted variant included), so a
-//!    `replicas == 1` tier is exactly the pre-replica tier;
+//! 8. **rank-0 pin** — rank 0 of any replica set is the `k = 1` owner,
+//!    members are distinct and the set clamps to the membership, so
+//!    widening `replicas` never moves a key's primary;
 //! 9. **prefix stability** — a join or leave never reorders the surviving
 //!    members of a replica set: a leave promotes the next-ranked member in
 //!    place, a join can only insert the joiner (possibly displacing the
@@ -44,9 +44,8 @@
 
 use moist_bigtable::{Bigtable, Timestamp};
 use moist_core::{
-    rendezvous_owner, rendezvous_owners, slice_ranges_by_owner, slice_ranges_by_placement,
-    weighted_rendezvous_owner, weighted_rendezvous_owners, ClusterScheduler, IngestConfig,
-    MoistCluster, MoistConfig, ObjectId, ShardWeight, SplitTable, SubmitOutcome, UpdateMessage,
+    owners, slice_ranges, ClusterScheduler, IngestConfig, MoistCluster, MoistConfig, ObjectId,
+    ShardWeight, SplitTable, SubmitOutcome, UpdateMessage,
 };
 use moist_spatial::{Point, Velocity};
 use proptest::prelude::*;
@@ -64,6 +63,35 @@ fn membership(rng: &mut TestRng, max_len: usize) -> Vec<u64> {
         }
     }
     ids
+}
+
+/// Unit-weight members: the unweighted rendezvous.
+fn units(ids: &[u64]) -> Vec<ShardWeight> {
+    ids.iter().map(|&id| ShardWeight::unit(id)).collect()
+}
+
+/// The rank-0 owner (primary) of `key`.
+fn owner(key: u64, members: &[ShardWeight]) -> u64 {
+    owners(key, members, 1)[0]
+}
+
+/// Asserts `slices` is an exact partition of `ranges`: flattening every
+/// reader's slices and re-merging adjacency reproduces the input — no leaf
+/// index dropped, duplicated, or moved.
+fn assert_exact_partition(slices: &[(u64, Vec<(u64, u64)>)], ranges: &[(u64, u64)]) {
+    let mut flat: Vec<(u64, u64)> = slices.iter().flat_map(|(_, s)| s.iter().copied()).collect();
+    flat.sort_unstable();
+    for pair in flat.windows(2) {
+        assert!(pair[0].1 <= pair[1].0, "overlapping slices: {pair:?}");
+    }
+    let mut rebuilt: Vec<(u64, u64)> = Vec::new();
+    for (start, end) in flat {
+        match rebuilt.last_mut() {
+            Some((_, e)) if *e == start => *e = end,
+            _ => rebuilt.push((start, end)),
+        }
+    }
+    assert_eq!(rebuilt, ranges, "slices do not rebuild the input range set");
 }
 
 /// Fisher–Yates shuffle driven by the deterministic test RNG.
@@ -93,10 +121,11 @@ proptest! {
         let cells: u64 = 1024;
         let n1 = grown.len() as u64;
 
+        let (members, grown) = (units(&ids), units(&grown));
         let mut remapped = 0u64;
         for cell in 0..cells {
-            let before = rendezvous_owner(cell, &ids);
-            let after = rendezvous_owner(cell, &grown);
+            let before = owner(cell, &members);
+            let after = owner(cell, &grown);
             if before != after {
                 remapped += 1;
                 // Exact structural property: a cell only ever moves to the
@@ -126,9 +155,10 @@ proptest! {
         let departed = ids[rng.below(ids.len() as u64) as usize];
         let survivors: Vec<u64> = ids.iter().copied().filter(|&m| m != departed).collect();
 
+        let (members, remaining) = (units(&ids), units(&survivors));
         for cell in 0..1024u64 {
-            let before = rendezvous_owner(cell, &ids);
-            let after = rendezvous_owner(cell, &survivors);
+            let before = owner(cell, &members);
+            let after = owner(cell, &remaining);
             if before == departed {
                 // The departed shard's cells land on some survivor.
                 prop_assert!(survivors.contains(&after));
@@ -144,10 +174,11 @@ proptest! {
         let mut rng = TestRng::for_case("order_independence", seed);
         let ids = membership(&mut rng, 12);
         let reordered = shuffled(&mut rng, ids.clone());
+        let (members, reordered) = (units(&ids), units(&reordered));
         for cell in 0..512u64 {
             prop_assert_eq!(
-                rendezvous_owner(cell, &ids),
-                rendezvous_owner(cell, &reordered),
+                owner(cell, &members),
+                owner(cell, &reordered),
                 "cell {} owner depends on list order", cell
             );
         }
@@ -176,39 +207,44 @@ proptest! {
             ranges.push((0, leaf_span)); // tiny level: fall back to the full span
         }
 
-        let slices = slice_ranges_by_owner(&ranges, clustering_level, leaf_level, &ids);
+        // Random weights, a random split table (when there is a finer
+        // level to split into) and a random replication factor: the
+        // "primary" reader choice must ignore everything but rank 0.
+        let members: Vec<ShardWeight> = ids
+            .iter()
+            .map(|&id| ShardWeight { id, weight: 0.5 + rng.below(8) as f64 / 2.0 })
+            .collect();
+        let mut splits = SplitTable::new();
+        if shift >= 2 {
+            for _ in 0..rng.below(4) {
+                splits.split(rng.below(1 << (2 * clustering_level as u64)));
+            }
+        }
+        let k = 1 + rng.below(3) as usize;
+        let slices = slice_ranges(&ranges, clustering_level, leaf_level, &splits, |key| {
+            owners(key, &members, k)[0]
+        });
 
-        // Every slice belongs to the rendezvous owner of every clustering
-        // cell it spans.
-        for (owner, slice) in &slices {
-            prop_assert!(ids.contains(owner));
+        // Every piece sits on the rank-0 owner of the routing key of every
+        // leaf it spans (sampled once per child-cell span — the finest
+        // routing granularity).
+        let step = 1u64 << shift.saturating_sub(2);
+        for (reader, slice) in &slices {
+            prop_assert!(ids.contains(reader));
             for &(start, end) in slice {
                 prop_assert!(start < end, "empty slice range");
-                for cell in (start >> shift)..=((end - 1) >> shift) {
+                let mut leaf = start;
+                while leaf < end {
+                    let key = splits.route_leaf(leaf, clustering_level, leaf_level);
                     prop_assert_eq!(
-                        rendezvous_owner(cell, &ids), *owner,
-                        "slice [{}, {}) spans cell {} owned elsewhere", start, end, cell
+                        owners(key, &members, k)[0], *reader,
+                        "slice [{}, {}) holds leaf {} owned elsewhere", start, end, leaf
                     );
+                    leaf = (leaf / step + 1) * step;
                 }
             }
         }
-
-        // Exact partition: flattening every owner's slices and re-merging
-        // adjacency reproduces the input ranges — no leaf index dropped,
-        // duplicated, or moved.
-        let mut flat: Vec<(u64, u64)> = slices.iter().flat_map(|(_, s)| s.iter().copied()).collect();
-        flat.sort_unstable();
-        for pair in flat.windows(2) {
-            prop_assert!(pair[0].1 <= pair[1].0, "overlapping slices: {:?}", pair);
-        }
-        let mut rebuilt: Vec<(u64, u64)> = Vec::new();
-        for (start, end) in flat {
-            match rebuilt.last_mut() {
-                Some((_, e)) if *e == start => *e = end,
-                _ => rebuilt.push((start, end)),
-            }
-        }
-        prop_assert_eq!(rebuilt, ranges, "slices do not rebuild the input range set");
+        assert_exact_partition(&slices, &ranges);
     }
 
     #[test]
@@ -227,7 +263,7 @@ proptest! {
         let keys = 4096u64;
         let mut won = vec![0u64; members.len()];
         for key in 0..keys {
-            let owner = weighted_rendezvous_owner(key, &members);
+            let owner = owner(key, &members);
             let pos = members.iter().position(|m| m.id == owner).unwrap();
             won[pos] += 1;
         }
@@ -270,15 +306,15 @@ proptest! {
         let lowered = rescale(0.5);
         let mut toward = 0u64;
         for key in 0..1024u64 {
-            let before = weighted_rendezvous_owner(key, &members);
-            let up = weighted_rendezvous_owner(key, &raised);
+            let before = owner(key, &members);
+            let up = owner(key, &raised);
             if up != before {
                 // An exact structural property: only the raised member's
                 // score changed, so keys can only move *to* it.
                 prop_assert_eq!(up, target, "key {} moved between bystanders", key);
                 toward += 1;
             }
-            let down = weighted_rendezvous_owner(key, &lowered);
+            let down = owner(key, &lowered);
             if down != before {
                 prop_assert_eq!(before, target, "key {} left an un-reweighted shard", key);
                 prop_assert!(down != target);
@@ -287,7 +323,7 @@ proptest! {
         // Doubling a weight must actually attract keys (unless the member
         // already owned essentially everything).
         let owned_before = (0..1024u64)
-            .filter(|&k| weighted_rendezvous_owner(k, &members) == target)
+            .filter(|&k| owner(k, &members) == target)
             .count();
         prop_assert!(
             toward > 0 || owned_before > 900,
@@ -325,7 +361,7 @@ proptest! {
         let total: usize = scheds.iter().map(|s| s.owned_count()).sum();
         prop_assert_eq!(total, keys.len(), "schedulers must partition the routing keys");
         for &key in &keys {
-            let winner = weighted_rendezvous_owner(key, &members);
+            let winner = owner(key, &members);
             for (pos, sched) in scheds.iter().enumerate() {
                 prop_assert_eq!(
                     sched.owns(key),
@@ -344,13 +380,13 @@ proptest! {
             let leaf = rng.below(leaf_span);
             let key = splits.route_leaf(leaf, cfg.clustering_level, leaf_level);
             prop_assert!(keys.contains(&key));
-            let winner = weighted_rendezvous_owner(key, &members);
+            let winner = owner(key, &members);
             let pos = ids.iter().position(|&m| m == winner).unwrap();
             prop_assert!(scheds[pos].owns(key), "leaf {} schedules elsewhere", leaf);
         }
 
-        // slice_ranges_by_placement stays an exact partition with weights
-        // and splits in play.
+        // The slicer stays an exact partition with weights and splits in
+        // play.
         let mut ranges: Vec<(u64, u64)> = Vec::new();
         let mut cursor = rng.below(1 << 8);
         while cursor < leaf_span && ranges.len() < 16 {
@@ -362,32 +398,16 @@ proptest! {
         if ranges.is_empty() {
             ranges.push((0, leaf_span));
         }
-        let slices = slice_ranges_by_placement(
-            &ranges,
-            cfg.clustering_level,
-            leaf_level,
-            &members,
-            &splits,
-        );
-        let mut flat: Vec<(u64, u64)> = slices.iter().flat_map(|(_, s)| s.iter().copied()).collect();
-        flat.sort_unstable();
-        for pair in flat.windows(2) {
-            prop_assert!(pair[0].1 <= pair[1].0, "overlapping slices: {:?}", pair);
-        }
-        let mut rebuilt: Vec<(u64, u64)> = Vec::new();
-        for (start, end) in flat {
-            match rebuilt.last_mut() {
-                Some((_, e)) if *e == start => *e = end,
-                _ => rebuilt.push((start, end)),
-            }
-        }
-        prop_assert_eq!(rebuilt, ranges, "placement slices do not rebuild the input");
+        let slices = slice_ranges(&ranges, cfg.clustering_level, leaf_level, &splits, |key| {
+            owner(key, &members)
+        });
+        assert_exact_partition(&slices, &ranges);
         // And every slice's leaves route to its owner.
-        for (owner, slice) in &slices {
+        for (reader, slice) in &slices {
             for &(start, end) in slice {
                 for leaf in [start, end - 1] {
                     let key = splits.route_leaf(leaf, cfg.clustering_level, leaf_level);
-                    prop_assert_eq!(weighted_rendezvous_owner(key, &members), *owner);
+                    prop_assert_eq!(owner(key, &members), *reader);
                 }
             }
         }
@@ -401,14 +421,15 @@ proptest! {
             clustering_level: 4, // 256 cells
             ..MoistConfig::default()
         };
+        let members = units(&ids);
         let scheds: Vec<ClusterScheduler> = ids
             .iter()
-            .map(|&m| ClusterScheduler::for_member(&cfg, m, &ids))
+            .map(|&m| ClusterScheduler::for_placement(&cfg, m, &members, &SplitTable::new()))
             .collect();
         let total: usize = scheds.iter().map(|s| s.owned_count()).sum();
         prop_assert_eq!(total, 256, "members {:?} must partition the level", ids);
         for cell in 0..256u64 {
-            let winner = rendezvous_owner(cell, &ids);
+            let winner = owner(cell, &members);
             for (pos, sched) in scheds.iter().enumerate() {
                 prop_assert_eq!(
                     sched.owns(cell),
@@ -433,25 +454,16 @@ proptest! {
             })
             .collect();
         for key in 0..1024u64 {
-            // k = 1 is the pre-replica tier, bit for bit.
-            prop_assert_eq!(
-                rendezvous_owners(key, &ids, 1),
-                vec![rendezvous_owner(key, &ids)]
-            );
-            prop_assert_eq!(
-                weighted_rendezvous_owners(key, &members, 1),
-                vec![weighted_rendezvous_owner(key, &members)]
-            );
-            // And rank 0 of any larger set is still that winner, with all
+            // Rank 0 of any larger set is still the k = 1 winner, with all
             // members distinct and the set clamped to the membership.
             let k = 1 + (rng.below(4) as usize);
-            let owners = weighted_rendezvous_owners(key, &members, k);
-            prop_assert_eq!(owners.len(), k.min(members.len()));
-            prop_assert_eq!(owners[0], weighted_rendezvous_owner(key, &members));
-            let mut dedup = owners.clone();
+            let set = owners(key, &members, k);
+            prop_assert_eq!(set.len(), k.min(members.len()));
+            prop_assert_eq!(set[0], owner(key, &members));
+            let mut dedup = set.clone();
             dedup.sort_unstable();
             dedup.dedup();
-            prop_assert_eq!(dedup.len(), owners.len(), "replica set repeats a member");
+            prop_assert_eq!(dedup.len(), set.len(), "replica set repeats a member");
         }
     }
 
@@ -474,14 +486,15 @@ proptest! {
         let mut grown = ids.clone();
         grown.push(joiner);
 
+        let (members, remaining, grown) = (units(&ids), units(&survivors), units(&grown));
         for key in 0..1024u64 {
-            let before = rendezvous_owners(key, &ids, k);
+            let before = owners(key, &members, k);
 
             // Leave: the departed member drops out of every set it was in;
             // everyone else keeps their relative rank (a rank-0 departure
             // promotes the rank-1 follower in place — instant promotion),
             // and only the freed tail slot is refilled.
-            let after_leave = rendezvous_owners(key, &survivors, k);
+            let after_leave = owners(key, &remaining, k);
             let kept: Vec<u64> = before.iter().copied().filter(|&m| m != departed).collect();
             prop_assert!(
                 after_leave.starts_with(&kept),
@@ -490,7 +503,7 @@ proptest! {
 
             // Join: incumbents never reorder — stripping the joiner from
             // the new set leaves a prefix of the old one.
-            let after_join = rendezvous_owners(key, &grown, k);
+            let after_join = owners(key, &grown, k);
             let incumbents: Vec<u64> =
                 after_join.iter().copied().filter(|&m| m != joiner).collect();
             prop_assert!(

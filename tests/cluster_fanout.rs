@@ -14,8 +14,8 @@
 
 use moist::bigtable::{Bigtable, Timestamp};
 use moist::core::{
-    plan_region_ranges, slice_ranges_by_owner, MoistCluster, MoistConfig, MoistServer, ObjectId,
-    UpdateMessage,
+    owners, plan_region_ranges, slice_ranges, MoistCluster, MoistConfig, MoistServer, ObjectId,
+    ShardWeight, SplitTable, UpdateMessage,
 };
 use moist::spatial::{Point, Velocity};
 use moist::workload::ClientPool;
@@ -89,11 +89,17 @@ fn region_fanout_matches_the_oracle_while_shards_join_and_leave() {
     // below would not scatter at all.
     let world = cfg.space.world;
     let ranges = plan_region_ranges(&cfg, &world, MARGIN);
-    let slices = slice_ranges_by_owner(
+    let members: Vec<ShardWeight> = cluster
+        .shard_ids()
+        .into_iter()
+        .map(ShardWeight::unit)
+        .collect();
+    let slices = slice_ranges(
         &ranges,
         cfg.clustering_level,
         cfg.space.leaf_level,
-        &cluster.shard_ids(),
+        &SplitTable::new(),
+        |key| owners(key, &members, 1)[0],
     );
     assert!(
         slices.len() >= 3,

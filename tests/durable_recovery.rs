@@ -1,7 +1,7 @@
 //! Kill-style durability test for the cluster tier: 8 threads push
 //! acknowledged updates through a durable [`MoistCluster`], the whole
 //! tier (and its store) is dropped with no graceful shutdown, and
-//! [`MoistCluster::recover`] must rebuild a tier that still answers with
+//! [`ClusterBuilder::recover`](moist::core::ClusterBuilder::recover) must rebuild a tier that still answers with
 //! every acknowledged update — twice, because replay is idempotent.
 
 use moist::bigtable::{Bigtable, Durability, StoreConfig, Timestamp};
@@ -52,7 +52,10 @@ fn msg(oid: u64, x: f64, y: f64, secs: f64) -> UpdateMessage {
 fn acknowledged_cluster_updates_survive_a_crash() {
     let dir = test_dir("kill");
     let store = Bigtable::with_config(durable_config(&dir));
-    let cluster = MoistCluster::new(&store, tier_config(), SHARDS).unwrap();
+    let cluster = MoistCluster::builder(&store, tier_config())
+        .shards(SHARDS)
+        .build()
+        .unwrap();
 
     // 8 threads race synchronous updates; each records (oid, ts, loc)
     // only after `update` returned Ok — the durable acknowledgement.
@@ -98,8 +101,10 @@ fn acknowledged_cluster_updates_survive_a_crash() {
     drop(cluster);
     drop(store); // crash: no checkpoint, no drain, nothing graceful
 
-    let (_store, recovered, report) =
-        MoistCluster::recover(durable_config(&dir), tier_config(), SHARDS).unwrap();
+    let (_store, recovered, report) = MoistCluster::builder(&Bigtable::new(), tier_config())
+        .shards(SHARDS)
+        .recover(durable_config(&dir))
+        .unwrap();
     assert!(report.tables >= 3, "all MOIST tables recover: {report:?}");
     assert!(report.replayed_records > 0);
     // Every object's last acknowledged position is served back.
@@ -116,8 +121,10 @@ fn acknowledged_cluster_updates_survive_a_crash() {
 
     // Idempotent re-recovery: same files, same answers.
     drop(recovered);
-    let (_store2, again, report2) =
-        MoistCluster::recover(durable_config(&dir), tier_config(), SHARDS).unwrap();
+    let (_store2, again, report2) = MoistCluster::builder(&Bigtable::new(), tier_config())
+        .shards(SHARDS)
+        .recover(durable_config(&dir))
+        .unwrap();
     assert_eq!(report2.replayed_records, report.replayed_records);
     for (oid, (ts, loc)) in &latest {
         let got = again.position(ObjectId(*oid), *ts).unwrap().unwrap();
@@ -128,7 +135,9 @@ fn acknowledged_cluster_updates_survive_a_crash() {
 
 #[test]
 fn builder_recover_preserves_replica_ingest_and_controller_config() {
+    use moist::archive::{PppArchiver, PppConfig};
     use moist::core::{BackpressurePolicy, ControllerConfig, IngestConfig};
+    use std::sync::Arc;
 
     let dir = test_dir("knobs");
     let icfg = IngestConfig {
@@ -142,14 +151,36 @@ fn builder_recover_preserves_replica_ingest_and_controller_config() {
         max_shards: 6,
         ..ControllerConfig::default()
     };
+    let archiver = Arc::new(PppArchiver::new(tier_config().space, PppConfig::default()));
+    // One builder recipe for both construction paths: `build()` and
+    // `recover()` must carry every knob onto the fleet.
+    let builder = |store: &Arc<Bigtable>| {
+        MoistCluster::builder(store, tier_config())
+            .shards(SHARDS)
+            .replicas(2)
+            .ingest(icfg)
+            .controller(ccfg)
+            .archiver(Arc::clone(&archiver))
+    };
+    let assert_knobs = |cluster: &MoistCluster, path: &str| {
+        assert_eq!(cluster.num_shards(), SHARDS, "{path}");
+        assert_eq!(cluster.replicas(), 2, "{path}: replication factor");
+        assert_eq!(cluster.ingest_config().batch_size, 16, "{path}: ingest");
+        assert_eq!(
+            cluster.ingest_config().policy,
+            BackpressurePolicy::Shed,
+            "{path}: ingest"
+        );
+        assert_eq!(
+            cluster.controller_config(),
+            Some(ccfg.normalized()),
+            "{path}: controller must be armed"
+        );
+    };
+
     let store = Bigtable::with_config(durable_config(&dir));
-    let cluster = MoistCluster::builder(&store, tier_config())
-        .shards(SHARDS)
-        .replicas(2)
-        .ingest(icfg)
-        .controller(ccfg)
-        .build()
-        .unwrap();
+    let cluster = builder(&store).build().unwrap();
+    assert_knobs(&cluster, "build");
     for i in 0..40u64 {
         cluster
             .update(&msg(
@@ -160,33 +191,20 @@ fn builder_recover_preserves_replica_ingest_and_controller_config() {
             ))
             .unwrap();
     }
+    assert!(
+        !archiver.recent_records(0).is_empty(),
+        "build: writes must reach the archiver"
+    );
     let want_ingest = cluster.ingest_config();
     drop(cluster);
     drop(store); // crash
 
-    // The builder's recovery path carries every knob to the rebuilt
-    // fleet — this is the fix for the old `MoistCluster::recover`, which
-    // silently came back with default replica/ingest settings.
-    let (_store, recovered, report) = MoistCluster::builder(&Bigtable::new(), tier_config())
-        .shards(SHARDS)
-        .replicas(2)
-        .ingest(icfg)
-        .controller(ccfg)
+    let (_store, recovered, report) = builder(&Bigtable::new())
         .recover(durable_config(&dir))
         .unwrap();
     assert!(report.replayed_records > 0);
-    assert_eq!(recovered.num_shards(), SHARDS);
-    assert_eq!(recovered.replicas(), 2, "replication factor must survive");
-    assert_eq!(
-        recovered.ingest_config(),
-        want_ingest,
-        "ingest knobs must survive"
-    );
-    assert_eq!(
-        recovered.controller_config(),
-        Some(ccfg.normalized()),
-        "controller must come back armed"
-    );
+    assert_knobs(&recovered, "recover");
+    assert_eq!(recovered.ingest_config(), want_ingest);
     // And the data is still there, replica-routed.
     for i in 0..40u64 {
         assert!(recovered
@@ -194,6 +212,30 @@ fn builder_recover_preserves_replica_ingest_and_controller_config() {
             .unwrap()
             .is_some());
     }
+    // The archiver rode along too: a record written after recovery
+    // reaches it, and so does one written on a shard that joins later.
+    recovered.update(&msg(1_000, 500.0, 500.0, 3.0)).unwrap();
+    assert!(
+        !archiver.recent_records(1_000).is_empty(),
+        "recover: writes must reach the archiver"
+    );
+    let joiner = recovered.add_shard().unwrap();
+    let joiner_pos = recovered
+        .shard_ids()
+        .iter()
+        .position(|&id| id == joiner)
+        .unwrap();
+    let on_joiner = (0..1024u64)
+        .map(|i| Point::new(15.0 + 30.0 * (i % 32) as f64, 15.0 + 30.0 * (i / 32) as f64))
+        .find(|p| recovered.shard_for_point(p) == joiner_pos)
+        .expect("the joiner wins some cell");
+    recovered
+        .update(&msg(1_001, on_joiner.x, on_joiner.y, 3.0))
+        .unwrap();
+    assert!(
+        !archiver.recent_records(1_001).is_empty(),
+        "add_shard: the joiner must stream into the tier's archiver"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -201,7 +243,10 @@ fn builder_recover_preserves_replica_ingest_and_controller_config() {
 fn checkpoint_drains_ingest_before_snapshotting() {
     let dir = test_dir("ckpt");
     let store = Bigtable::with_config(durable_config(&dir));
-    let cluster = MoistCluster::new(&store, tier_config(), 2).unwrap();
+    let cluster = MoistCluster::builder(&store, tier_config())
+        .shards(2)
+        .build()
+        .unwrap();
     // Buffer updates through the async path; none are applied yet.
     for i in 0..10u64 {
         cluster
@@ -216,8 +261,10 @@ fn checkpoint_drains_ingest_before_snapshotting() {
     // logs were truncated by the checkpoint, so nothing replays).
     drop(cluster);
     drop(store);
-    let (_store, recovered, report) =
-        MoistCluster::recover(durable_config(&dir), tier_config(), 2).unwrap();
+    let (_store, recovered, report) = MoistCluster::builder(&Bigtable::new(), tier_config())
+        .shards(2)
+        .recover(durable_config(&dir))
+        .unwrap();
     assert_eq!(report.replayed_records, 0, "{report:?}");
     for i in 0..10u64 {
         let got = recovered
