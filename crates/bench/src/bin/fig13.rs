@@ -16,8 +16,9 @@
 //! the paper's workload is "a large number of queries of different types"
 //! (§4.1), so the headline fleet numbers include the fan-out paths, not
 //! just pure update pressure. The region/NN timeline is reported as its
-//! own `query QPS (noisy)` series — informational for the bench gate,
-//! because the query counts depend on wall-clock scheduling.
+//! own `query QPS (noisy)` series. All three timeline series are
+//! `(noisy)` — informational for the bench gate — because their
+//! per-second buckets depend on wall-clock scheduling.
 //!
 //! Per-shard throughput comes from real updates charged by the cost model;
 //! only the shared-capacity clip of the aggregate is modelled
@@ -210,13 +211,16 @@ fn multi(servers: usize, horizon_secs: u64, fig_id: &str, population: u64) {
         "second",
         "ops/s",
     );
-    let mut served_series = Series::new("served QPS");
-    let mut failed_series = Series::new("failed QPS (dashed)");
-    // "(noisy)" marks the series as informational for bench_trend: the
+    // "(noisy)" marks a series as informational for bench_trend. The
     // queriers issue whatever fits between the updaters' lock holds, so
-    // the per-second counts depend on wall-clock scheduling (±45%
-    // observed) — far too wobbly for a 15% gate, unlike the virtual-time
-    // update series.
+    // their per-second counts depend on wall-clock scheduling (±45%
+    // observed). The update series inherit it: their buckets are virtual
+    // seconds of the busiest shard, but which shard is busiest when is
+    // decided by threads racing in wall-clock, and the smoke run moves
+    // −20…−60% between two runs of one binary on a 2-core host — far too
+    // wobbly for a 15% gate.
+    let mut served_series = Series::new("served QPS (noisy)");
+    let mut failed_series = Series::new("failed QPS (dashed) (noisy)");
     let mut query_series = Series::new("query QPS (noisy)");
     let mut total_served = 0.0;
     let mut total_queries = 0.0;

@@ -20,8 +20,9 @@
 //!
 //! * **exclusive** — reads run under `with_shard` (the write guard),
 //!   reproducing the pre-split `Mutex<MoistServer>` serialization;
-//! * **lock-split** — reads run under `with_shard_read`, the shipped
-//!   query path.
+//! * **lock-split** — reads run under `with_shard_read` (the read
+//!   guard; the tier's own `nn`/`region` have since left the lock
+//!   altogether and run on the shard's reader).
 //!
 //! Reported per reader count: read QPS in both modes (wall clock ⇒
 //! `(noisy)`), the split/exclusive QPS ratio (self-normalizing — the
@@ -90,7 +91,7 @@ const HOT_SPOT: (f64, f64) = (187.5, 187.5);
 enum ReadGuard {
     /// Pre-split behaviour: queries take the shard's exclusive guard.
     Exclusive,
-    /// The shipped path: queries share the shard's read guard.
+    /// `with_shard_read`: queries share the shard's read guard.
     Split,
 }
 

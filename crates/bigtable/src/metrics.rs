@@ -94,15 +94,11 @@ impl Metrics {
         self.bytes_written.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_batch_write(&self, rows: u64, mutations: u64, bytes: u64) {
+    /// One multi-row write RPC: its rows count through `mutations`.
+    pub(crate) fn record_batch_write(&self, mutations: u64, bytes: u64) {
         self.batch_ops.fetch_add(1, Ordering::Relaxed);
         self.mutations.fetch_add(mutations, Ordering::Relaxed);
-        self.rows_read.fetch_add(0, Ordering::Relaxed);
         self.bytes_written.fetch_add(bytes, Ordering::Relaxed);
-        // Rows written through batches count as mutations already; track rows
-        // via the scan counter? No: keep a dedicated field semantics simple —
-        // batch row count folds into `mutations` and `batch_ops`.
-        let _ = rows;
     }
 
     pub(crate) fn record_wal_append(&self, bytes: u64, fsynced: bool) {

@@ -390,8 +390,7 @@ impl Table {
             wal::encode_rows(&rows)
         })?;
         let (total_muts, total_bytes) = self.apply_batch(batch);
-        self.metrics
-            .record_batch_write(batch.len() as u64, total_muts, total_bytes);
+        self.metrics.record_batch_write(total_muts, total_bytes);
         self.tablets.maybe_split();
         Ok(batch.len())
     }

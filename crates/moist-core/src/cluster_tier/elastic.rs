@@ -88,7 +88,7 @@ pub struct ShardLoadStats {
     pub follower_keys: usize,
     /// Reads this shard served as a follower.
     pub replica_reads: u64,
-    /// Scattered partial scans (region + NN slices) this shard served.
+    /// Scattered region slices this shard scanned.
     pub scatter_slices: u64,
     /// Virtual µs spent serving those scattered slices.
     pub scatter_slice_us: f64,

@@ -15,14 +15,18 @@ use parking_lot::{RwLock, RwLockWriteGuard};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// One live shard: its stable id plus the server behind a reader-writer
-/// lock — queries (`nn*`, `region*`, partials, `position`, stats) take
-/// the read guard and overlap freely on one shard; updates, clustering
-/// sweeps and scheduler handoff serialize on the write guard.
+/// One live shard: its stable id, the server behind a reader-writer lock
+/// — updates, clustering sweeps and scheduler handoff serialize on the
+/// write guard; counter and scheduler inspection takes the read guard —
+/// and the reader that answers the shard's queries beside that lock.
 pub(super) struct ShardEntry {
     /// Stable shard id — never reused, survives other shards' churn.
     pub(super) id: u64,
     pub(super) server: RwLock<MoistServer>,
+    /// `server`'s [`reader`](MoistServer::reader): `nn*`, `position` and
+    /// region slices run here, holding no shard lock (module docs, lock
+    /// rule 6).
+    pub(super) reader: MoistServer,
     /// Reads this shard served as a *follower* (it was in the routing
     /// key's replica set but not its primary).
     pub(super) replica_reads: AtomicU64,
@@ -49,6 +53,7 @@ impl ShardEntry {
         }
         Ok(Arc::new(ShardEntry {
             id,
+            reader: server.reader(),
             server: RwLock::new(server),
             replica_reads: AtomicU64::new(0),
         }))
@@ -126,8 +131,7 @@ impl Membership {
     /// time — the same deterministic signal
     /// [`rebalance`](MoistCluster::rebalance) weighs.
     pub(super) fn read_replica(&self, key: u64) -> (&Arc<ShardEntry>, bool) {
-        let (pos, follower) =
-            self.reader_of(key, |pos| self.shards[pos].server.read().elapsed_us());
+        let (pos, follower) = self.reader_of(key, |pos| self.shards[pos].reader.elapsed_us());
         (&self.shards[pos], follower)
     }
 

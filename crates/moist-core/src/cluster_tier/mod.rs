@@ -41,13 +41,22 @@
 //!    re-validating a slice included — so rule 1 can never deadlock
 //!    against them.
 //! 3. **Never two shard locks at once.** The handover releases a key on
-//!    its old owner *before* adopting it on the new one; replica
-//!    selection probes one replica's load at a time.
+//!    its old owner *before* adopting it on the new one.
 //! 4. **Below a shard lock: WAL lock → tablet lock** (the store's own
 //!    order, see `moist_bigtable`).
 //! 5. **The seqlock is not a lock.** `version` is odd while an epoch bump
 //!    migrates ownership; writers (never readers) validate it *after*
 //!    taking the owner's shard lock and re-route if it moved.
+//! 6. **Queries take no shard lock.** The shard lock serializes a shard's
+//!    *writers* (updates, clustering, handover) so that a cell's
+//!    read-modify-writes never interleave. A query only reads the shared
+//!    store, where the other shards' writers are at work on the cells it
+//!    scans whichever shard serves it, so it runs on the shard's `reader`
+//!    (`MoistServer::reader`, sharing the server's FLAG cache, meters
+//!    and counters) beside the lock. Under the lock, a ~2 ms NN scan
+//!    costs a paced writer that has fallen behind a whole scan at every
+//!    conflicting update, and it never catches up (`rush_hour`: two
+//!    thirds of the updates miss their deadline).
 //!
 //! ## Elastic membership
 //!
@@ -77,7 +86,7 @@
 //! seeded from the store, so a shard that joins an already-populated store
 //! guesses sensible NN levels from its first query.
 //!
-//! Shards are individually locked: concurrent clients contend per shard,
+//! Shards are individually locked: concurrent writers contend per shard,
 //! not on the whole tier, and operations on different shards proceed in
 //! parallel on real OS threads (drive it with
 //! `moist_workload::ClientPool`).
@@ -95,16 +104,21 @@
 //! (partials scanned at different instants can double-sight a mover
 //! crossing a slice boundary). The client-visible cost is the *slowest*
 //! partial, not the sum, because the slices consume store time in
-//! parallel. [`nn`](MoistCluster::nn) scatters only when its candidate
-//! ring (query cell + edge neighbours at the FLAG level) crosses an
-//! ownership boundary, and the merge *replays* the single-shard frontier
-//! search over the scanned candidates
-//! ([`crate::nn::merge_ring_partials`]) — if the replayed frontier would
-//! escape the ring, the query falls back to the real single-shard search,
-//! so fan-out never trades exactness for speed. An epoch bump mid-scatter
-//! re-routes only the migrated slices: each worker re-validates its slice
-//! against the freshest membership snapshot and hands back the pieces
-//! whose cells moved, which the gather loop re-slices and re-dispatches.
+//! parallel. An epoch bump mid-scatter re-routes only the migrated
+//! slices: each worker re-validates its slice against the freshest
+//! membership snapshot and hands back the pieces whose cells moved, which
+//! the gather loop re-slices and re-dispatches.
+//!
+//! [`nn`](MoistCluster::nn) does **not** scatter: the FLAG probe and
+//! Algorithm 2 run whole on the least-loaded replica of the query point's
+//! routing key, like [`nn_at_level`](MoistCluster::nn_at_level) and
+//! [`position`](MoistCluster::position). The search is a bounded frontier
+//! walk that stops when the k-th distance closes, and one FLAG-sized cell
+//! holds ~σ = 32 objects, so a slice is too small to be worth a dispatch
+//! and a scatter cannot apply the `Q_obj` bound across slices. A ring
+//! scatter with a replayed merge was measured at 0.44–0.57× the one-shard
+//! NN rate on the wall clock (`lookup` NN p50 3.9 ms against 1.6 ms
+//! anchored) and lost in virtual time as well, so it was deleted.
 //!
 //! ## Load-aware placement
 //!
@@ -142,10 +156,10 @@
 //! exclusivity invariant above is unchanged — and ranks 1+ are
 //! **followers**. Followers hold no private state (the store is shared,
 //! so they mirror the key's schools and spatial rows for free); what they
-//! add is a wider *read* path: NN anchors, fixed-level NN and object
-//! lookups route to the least-loaded live replica of their key (by
-//! virtual elapsed store time, primary on ties), and scattered NN rings /
-//! region slices spread across follower sets the same way. Because a
+//! add is a wider *read* path: NN queries and object lookups route to
+//! the least-loaded live replica of their key (by virtual elapsed store
+//! time, primary on ties), and scattered region slices spread across
+//! follower sets the same way. Because a
 //! member's rendezvous score is independent of the other members, the
 //! top-k list is **prefix-stable**: when a primary leaves, each of its
 //! keys' rank-1 follower — already warm on that key's reads — is exactly
@@ -580,9 +594,11 @@ impl MoistCluster {
 
     /// Shared-access variant of [`with_shard`](MoistCluster::with_shard):
     /// runs `f` under the shard's *read* guard, so any number of callers
-    /// (and the tier's own query paths) can overlap on the same shard.
-    /// All of [`MoistServer`]'s query methods take `&self` and work here;
-    /// use `with_shard` when `f` needs the exclusive writer view.
+    /// can overlap on the same shard. All of [`MoistServer`]'s query
+    /// methods take `&self` and work here, but `f` keeps the shard's
+    /// writers out for as long as it runs (the tier's own queries do
+    /// not — lock rule 6); use `with_shard` when `f` needs the exclusive
+    /// writer view.
     pub fn with_shard_read<R>(&self, shard: usize, f: impl FnOnce(&MoistServer) -> R) -> Result<R> {
         let entry = self.entry_at(shard)?;
         let server = entry.server.read();

@@ -1,19 +1,19 @@
-//! The read path: replica-anchored point reads and the scatter-gather
-//! NN / region fan-out (lock-ordering rules: see the [module docs](super)).
+//! The read path: replica-anchored point reads (`nn`, `position`) and the
+//! scatter-gather region fan-out. Every query here runs on its shard's
+//! `reader`, beside the shard lock (see the [module docs](super)).
 
 use super::membership::{Membership, ShardEntry};
 use super::MoistCluster;
 use crate::error::Result;
 use crate::ids::ObjectId;
-use crate::nn::{merge_ring_partials, nn_candidate_ring};
-use crate::nn::{Neighbor, NnOptions, NnPartial, NnStats};
+use crate::nn::{Neighbor, NnStats};
 use crate::placement::slice_ranges;
 use crate::region::{balance_slices, merge_region_partials, plan_region_ranges};
 use crate::region::{RegionPartial, RegionStats};
 use moist_bigtable::Timestamp;
-use moist_spatial::{CellId, Point, Rect};
+use moist_spatial::{Point, Rect};
 use std::cell::OnceCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -32,101 +32,28 @@ const MAX_SCAN_DENSITY: f64 = 3.0;
 type RangeSet = Vec<(u64, u64)>;
 
 impl MoistCluster {
-    /// Records one follower-served read on `entry` and tier-wide.
-    fn note_replica_read(&self, entry: &ShardEntry) {
-        entry.replica_reads.fetch_add(1, Ordering::Relaxed);
-        self.replica_reads.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// The shard that serves a point read of the routing key `key_of`
     /// picks from the current snapshot: the key's least-loaded live
     /// replica ([`Membership::read_replica`]), with a follower serve
-    /// counted.
+    /// counted once, on the shard and tier-wide.
     fn read_anchor(&self, key_of: impl FnOnce(&Membership) -> u64) -> Arc<ShardEntry> {
         let snap = self.snapshot();
         let (entry, follower) = snap.read_replica(key_of(&snap));
         if follower {
-            self.note_replica_read(entry);
+            entry.replica_reads.fetch_add(1, Ordering::Relaxed);
+            self.replica_reads.fetch_add(1, Ordering::Relaxed);
         }
         Arc::clone(entry)
     }
 
-    /// FLAG-tuned k-nearest-neighbour query.
-    ///
-    /// When the candidate ring (query cell + edge neighbours at the FLAG
-    /// level) crosses a shard-ownership boundary, the ring's scans scatter
-    /// across the owning shards in parallel and the partials merge; when
-    /// the merged ring cannot *prove* the k-th neighbour (its distance
-    /// exceeds the ring's covered radius) the query falls back to the
-    /// exact single-shard frontier search, so the answer is always the
-    /// plain Algorithm 2 answer. Rings on one shard skip the scatter
-    /// entirely.
+    /// FLAG-tuned k-nearest-neighbour query: the FLAG probe and
+    /// Algorithm 2 run whole, on one session, on the least-loaded replica
+    /// of the query point's routing key. Any shard answers exactly from
+    /// the shared store, and the search is a bounded frontier walk that
+    /// stops when the k-th distance closes — there is nothing to scatter.
     pub fn nn(&self, center: Point, k: usize, at: Timestamp) -> Result<(Vec<Neighbor>, NnStats)> {
-        let anchor = self.read_anchor(|snap| snap.route_point(&center, &self.cfg));
-        let nn_level = { anchor.server.read().flag_level(&center, at)? };
-        let ring = nn_candidate_ring(&self.cfg, &center, nn_level);
-        let snap = self.snapshot();
-        // Group the ring's cells by the replica that should *read* them
-        // (at `replicas == 1`, the owner): a hot cell's reads spread over
-        // its followers, and cells whose replica sets overlap can collapse
-        // onto one shard (fewer partials, same exact merge). The slot map
-        // keeps the grouping O(ring) while `by_reader` keeps first-seen
-        // order, which the scatter and merge below rely on.
-        let mut by_reader: Vec<(Arc<ShardEntry>, Vec<CellId>, u64)> = Vec::new();
-        let mut slot_of: HashMap<u64, usize> = HashMap::new();
-        for &cell in &ring {
-            let (reader, follower) = snap.read_replica(snap.route_cell(cell, &self.cfg));
-            let slot = *slot_of.entry(reader.id).or_insert_with(|| {
-                by_reader.push((Arc::clone(reader), Vec::new(), 0));
-                by_reader.len() - 1
-            });
-            by_reader[slot].1.push(cell);
-            by_reader[slot].2 += u64::from(follower);
-        }
-        if k == 0 || by_reader.len() <= 1 {
-            // The whole ring reads on one shard: plain Algorithm 2 there.
-            let server = anchor.server.read();
-            return server.nn_at_level(center, k, at, nn_level);
-        }
-
-        let opts = NnOptions::new(k, nn_level);
-        let tasks: Vec<_> = by_reader
-            .into_iter()
-            .map(|(entry, cells, followed)| {
-                // The partial genuinely runs now: charge the
-                // follower-routed cells to their serving shard.
-                for _ in 0..followed {
-                    self.note_replica_read(&entry);
-                }
-                move || -> Result<NnPartial> {
-                    let server = entry.server.read();
-                    server.nn_partial(&cells, center, at, &opts)
-                }
-            })
-            .collect();
-        let mut parts = Vec::new();
-        for outcome in self.query_pool.scatter(tasks) {
-            parts.push(outcome?);
-        }
-        let (merged, mut stats) = merge_ring_partials(&self.cfg, &center, &ring, parts, &opts);
-        if let Some(nn) = merged {
-            // One client query: the scattered partials are not counted
-            // individually, so credit the anchor shard with the query.
-            anchor.server.read().note_query_served();
-            return Ok((nn, stats));
-        }
-        // The replayed frontier escaped the ring (sparse cells, or a
-        // school/velocity bound the ring cannot prove): run the exact
-        // frontier search on the anchor. The scattered scan stays on the
-        // bill — the client saw both phases.
-        let (nn, fallback) = {
-            let server = anchor.server.read();
-            server.nn_at_level(center, k, at, nn_level)?
-        };
-        stats.cells_scanned += fallback.cells_scanned;
-        stats.leaders_fetched += fallback.leaders_fetched;
-        stats.cost_us += fallback.cost_us;
-        Ok((nn, stats))
+        let entry = self.read_anchor(|snap| snap.route_point(&center, &self.cfg));
+        entry.reader.nn(center, k, at)
     }
 
     /// k-NN at a fixed search level, routed like [`MoistCluster::nn`].
@@ -138,16 +65,13 @@ impl MoistCluster {
         nn_level: u8,
     ) -> Result<(Vec<Neighbor>, NnStats)> {
         let entry = self.read_anchor(|snap| snap.route_point(&center, &self.cfg));
-        let server = entry.server.read();
-        server.nn_at_level(center, k, at, nn_level)
+        entry.reader.nn_at_level(center, k, at, nn_level)
     }
 
     /// Current position of one object, routed by object id (any replica
     /// of the id's routing key serves it from the shared store).
     pub fn position(&self, oid: ObjectId, at: Timestamp) -> Result<Option<Point>> {
-        let entry = self.read_anchor(|_| oid.0);
-        let server = entry.server.read();
-        server.position(oid, at)
+        self.read_anchor(|_| oid.0).reader.position(oid, at)
     }
 
     /// Region query, scatter-gathered across the owning shards.
@@ -156,7 +80,7 @@ impl MoistCluster {
     /// partition — see [`slice_ranges`]; each routing key's piece goes to
     /// its least-loaded replica, i.e. its owner at `replicas == 1`),
     /// scanned in parallel on the [`QueryPool`](crate::QueryPool) (one
-    /// slice per shard, each under its own shard lock), and merged: hits
+    /// slice per shard), and merged: hits
     /// move into one list and each object dedups exactly once at the
     /// merge. `cost_us` in the returned stats is the client-visible latency
     /// of the fan-out: within a scatter round the slices overlap, so the
@@ -195,7 +119,7 @@ impl MoistCluster {
             let loads: OnceCell<Vec<f64>> = OnceCell::new();
             let load_of = |pos: usize| {
                 loads.get_or_init(|| {
-                    let elapsed = |e: &Arc<ShardEntry>| e.server.read().elapsed_us();
+                    let elapsed = |e: &Arc<ShardEntry>| e.reader.elapsed_us();
                     snap.shards.iter().map(elapsed).collect()
                 })[pos]
             };
@@ -309,8 +233,7 @@ impl MoistCluster {
                         if mine.is_empty() {
                             return Ok((entry.id, RegionPartial::default(), migrated));
                         }
-                        let server = entry.server.read();
-                        let part = server.region_partial(&mine, &rect, at)?;
+                        let part = entry.reader.region_partial(&mine, &rect, at)?;
                         Ok((entry.id, part, migrated))
                     }
                 })

@@ -333,30 +333,18 @@ fn scattered_region_matches_anchor_routing_and_fans_out() {
     );
 }
 
+/// Every tier NN is the plain Algorithm 2 answer, run whole on one
+/// shard — the key's reader — and accounted exactly once, at one replica
+/// and at two.
 #[test]
-fn scattered_nn_agrees_with_the_single_shard_frontier_search() {
-    let store = Bigtable::new();
+fn tier_nn_agrees_with_the_single_shard_frontier_search() {
     let cfg = MoistConfig {
         epsilon: 50.0,
         clustering_level: 3,
         ..MoistConfig::default()
     };
-    let cluster = tier(&store, cfg, 5);
-    for &(i, x, y) in &scattered(300) {
-        cluster.update(&msg(i, x, y, 0.0, 0.0)).unwrap();
-    }
-    // Form schools: zero-velocity co-located leaders merge, so many
-    // probes now return followers displaced up to a clustering-cell
-    // diagonal from their leader's spatial entry — exactly the shape
-    // that would diverge if the merge trusted cell distances instead
-    // of replaying the frontier.
-    cluster
-        .run_due_clustering(Timestamp::from_secs(25))
-        .unwrap();
-    let queries_before = cluster.stats().nn_queries;
-    let oracle = MoistServer::new(&store, cfg).unwrap();
-    // Probe points include cell-boundary huggers (the scatter case)
-    // and interior points (the single-shard case).
+    // Probe points include cell-boundary huggers (candidate rings that
+    // span several owners) and interior points.
     let probes = [
         Point::new(500.0, 500.0),
         Point::new(499.9, 250.1),
@@ -364,21 +352,51 @@ fn scattered_nn_agrees_with_the_single_shard_frontier_search() {
         Point::new(3.0, 3.0),
         Point::new(750.1, 749.9),
     ];
-    let mut total = 0u64;
-    for p in &probes {
-        for k in [1usize, 5, 20] {
-            let (got, _) = cluster.nn(*p, k, Timestamp::ZERO).unwrap();
-            let level = oracle.flag_level(p, Timestamp::ZERO).unwrap();
-            let (want, _) = oracle.nn_at_level(*p, k, Timestamp::ZERO, level).unwrap();
-            let got_ids: Vec<u64> = got.iter().map(|n| n.oid.0).collect();
-            let want_ids: Vec<u64> = want.iter().map(|n| n.oid.0).collect();
-            assert_eq!(got_ids, want_ids, "probe {p:?} k={k}");
-            total += 1;
+    for replicas in [1usize, 2] {
+        let store = Bigtable::new();
+        let cluster = MoistCluster::builder(&store, cfg)
+            .shards(5)
+            .replicas(replicas)
+            .build()
+            .unwrap();
+        for &(i, x, y) in &scattered(300) {
+            cluster.update(&msg(i, x, y, 0.0, 0.0)).unwrap();
         }
+        // Form schools: zero-velocity co-located leaders merge, so many
+        // probes now return followers displaced up to a clustering-cell
+        // diagonal from their leader's spatial entry.
+        cluster
+            .run_due_clustering(Timestamp::from_secs(25))
+            .unwrap();
+        let owners: std::collections::HashSet<usize> =
+            probes.iter().map(|p| cluster.shard_for_point(p)).collect();
+        assert!(owners.len() >= 3, "probes must span owners: {owners:?}");
+        let oracle = MoistServer::new(&store, cfg).unwrap();
+        let replica_reads = || cluster.replica_reads.load(Ordering::Relaxed);
+        let mut follower_serves = 0u64;
+        for p in &probes {
+            for k in [1usize, 5, 20] {
+                let queries_before = cluster.stats().nn_queries;
+                let reads_before = replica_reads();
+                // The same deterministic choice `nn` is about to make.
+                let snap = cluster.snapshot();
+                let (_, follower) = snap.read_replica(snap.route_point(p, &cfg));
+                let (got, stats) = cluster.nn(*p, k, Timestamp::ZERO).unwrap();
+                let level = oracle.flag_level(p, Timestamp::ZERO).unwrap();
+                let (want, _) = oracle.nn_at_level(*p, k, Timestamp::ZERO, level).unwrap();
+                let got_ids: Vec<u64> = got.iter().map(|n| n.oid.0).collect();
+                let want_ids: Vec<u64> = want.iter().map(|n| n.oid.0).collect();
+                assert_eq!(got_ids, want_ids, "probe {p:?} k={k} replicas={replicas}");
+                assert_eq!(stats.shards_scattered, 1);
+                assert_eq!(cluster.stats().nn_queries - queries_before, 1);
+                assert_eq!(replica_reads() - reads_before, u64::from(follower));
+                follower_serves += u64::from(follower);
+            }
+        }
+        // The primaries carry the update load, so at two replicas some
+        // probes read on the less-loaded follower; at one, none can.
+        assert_eq!(follower_serves > 0, replicas == 2);
     }
-    // Every client query counts exactly once, whichever path (pure
-    // scatter, scatter + fallback, or single-shard) served it.
-    assert_eq!(cluster.stats().nn_queries - queries_before, total);
 }
 
 /// Asserts the live shards' schedulers own every routing key (unsplit

@@ -84,10 +84,7 @@ pub use hexgrid::{HexBin, HexGrid};
 pub use ids::ObjectId;
 pub use ingest::{BackpressurePolicy, IngestConfig, IngestStats, SubmitOutcome};
 pub use load::{CellRates, LoadTracker};
-pub use nn::{
-    merge_ring_partials, nn_candidate_ring, nn_partial_scan, nn_query, Neighbor, NnCandidate,
-    NnOptions, NnPartial, NnStats,
-};
+pub use nn::{nn_query, Neighbor, NnOptions, NnStats};
 pub use placement::{
     owners, routing_key_cell, slice_ranges, ShardWeight, SplitTable, SPLIT_CHILD_TAG,
 };

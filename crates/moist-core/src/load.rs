@@ -87,7 +87,7 @@ struct CellWindow {
 pub struct LoadTracker {
     window_us: u64,
     cells: HashMap<u64, CellWindow>,
-    /// Scattered partial scans served by this shard (region + NN slices).
+    /// Scattered region slices scanned by this shard.
     scatter_slices: u64,
     /// Total virtual µs spent serving scattered partial scans.
     scatter_us: f64,
@@ -143,8 +143,8 @@ impl LoadTracker {
         }
     }
 
-    /// Records one scattered partial scan (a region or NN slice) this
-    /// shard served, costing `cost_us` virtual µs.
+    /// Records one scattered region slice this shard scanned, costing
+    /// `cost_us` virtual µs.
     pub fn note_scatter_slice(&mut self, cost_us: f64) {
         self.scatter_slices += 1;
         self.scatter_us += cost_us.max(0.0);

@@ -81,35 +81,11 @@ pub struct NnStats {
     pub cells_scanned: usize,
     /// Leader rows retrieved from the Spatial Index Table.
     pub leaders_fetched: usize,
-    /// Shards that contributed partial scans (1 for single-server runs).
+    /// Shards that scanned for this query: always 1 — Algorithm 2 runs
+    /// whole on one server (on the tier, the key's reader).
     pub shards_scattered: usize,
-    /// Client-visible virtual µs. Scattered partials overlap, so a merged
-    /// query reports the slowest partial, not the sum.
+    /// Client-visible virtual µs.
     pub cost_us: f64,
-}
-
-/// One scattered candidate: the neighbour plus the ring cell whose scan
-/// surfaced it (for a school expansion, its *leader's* cell). The merge
-/// needs the source cell to replay Algorithm 2's frontier cutoff exactly
-/// — see [`merge_ring_partials`].
-#[derive(Debug, Clone, Copy)]
-pub struct NnCandidate {
-    /// The candidate itself.
-    pub neighbor: Neighbor,
-    /// The scanned cell that produced it.
-    pub cell: CellId,
-}
-
-/// One shard's share of a scattered NN query: every candidate its ring
-/// cells produced (no local dedup, no truncation — the merge replays the
-/// single-shard search over the union, so partials must not pre-filter)
-/// plus that scan's counters.
-#[derive(Debug, Default)]
-pub struct NnPartial {
-    /// Raw candidates from this shard's ring cells.
-    pub candidates: Vec<NnCandidate>,
-    /// This partial's own scan counters and virtual cost.
-    pub stats: NnStats,
 }
 
 /// Total-ordered f64 for heap keys (NaN-free by construction).
@@ -176,7 +152,7 @@ pub fn nn_query(
 
     // Q_obj: max-heap of the best k leader candidates (furthest on top).
     let mut q_obj: BinaryHeap<(Dist, u64)> = BinaryHeap::new();
-    let mut found: Vec<(SpatialEntry, Point, f64, CellId)> = Vec::new();
+    let mut found: Vec<(SpatialEntry, Point, f64)> = Vec::new();
     let mut dist_max = f64::INFINITY;
 
     while let Some(std::cmp::Reverse((Dist(cell_dist), cell))) = q_cell.pop() {
@@ -194,7 +170,7 @@ pub fn nn_query(
                 continue;
             }
             q_obj.push((Dist(d), entry.oid.0));
-            found.push((entry, pos, d, cell));
+            found.push((entry, pos, d));
             if q_obj.len() > opts.k {
                 q_obj.pop();
             }
@@ -211,107 +187,37 @@ pub fn nn_query(
         }
     }
 
-    let mut candidates: Vec<Neighbor> = expand_school_candidates(s, tables, &center, &found, opts)?
-        .into_iter()
-        .map(|c| c.neighbor)
-        .collect();
-    // Ties break by object id, so the ranking is a property of the data —
-    // not of scan order — and a scattered merge reproduces it exactly.
-    // Each object appears once: a leader is exactly one spatial entry, a
-    // follower lives in exactly one school, and the clustering merge's
-    // guarded commit keeps those disjoint even under racing cross-cell
-    // moves (a merge whose scanned row changed aborts).
+    let mut candidates = expand_school_candidates(s, tables, &center, &found, opts)?;
+    // Ties break by object id, so the ranking is a property of the data,
+    // not of scan order. Each object appears once: a leader is exactly
+    // one spatial entry, a follower lives in exactly one school, and the
+    // clustering merge's guarded commit keeps those disjoint even under
+    // racing cross-cell moves (a merge whose scanned row changed aborts).
     candidates.sort_by(|a, b| a.distance.total_cmp(&b.distance).then(a.oid.cmp(&b.oid)));
     candidates.truncate(opts.k);
     stats.cost_us = s.elapsed_us() - cost0;
     Ok((candidates, stats))
 }
 
-/// The candidate ring of an NN query: the cell containing `center` at
-/// `nn_level` plus its edge neighbours — exactly the cells Algorithm 2
-/// visits first. A cluster tier scatters the ring's scans across the
-/// shards owning its cells when the ring crosses an ownership boundary.
-pub fn nn_candidate_ring(cfg: &MoistConfig, center: &Point, nn_level: u8) -> Vec<CellId> {
-    let level = nn_level.min(cfg.space.leaf_level);
-    let start = cfg.space.cell_at(level, center);
-    let mut ring = vec![start];
-    ring.extend(start.edge_neighbors(cfg.space.curve));
-    ring
-}
-
-/// Scans an explicit set of NN cells — one shard's slice of a scattered
-/// candidate ring — and returns every candidate they produce, with
-/// schools expanded and each candidate stamped with its source cell. No
-/// frontier search, no dedup, no truncation: the caller's
-/// [`merge_ring_partials`] replays Algorithm 2 over the union, so a
-/// partial must hand over exactly what a single-shard scan of these cells
-/// would have seen.
-pub fn nn_partial_scan(
-    s: &mut Session,
-    tables: &MoistTables,
-    cfg: &MoistConfig,
-    cells: &[CellId],
-    center: Point,
-    at: Timestamp,
-    opts: &NnOptions,
-) -> Result<NnPartial> {
-    let mut stats = NnStats {
-        shards_scattered: 1,
-        ..NnStats::default()
-    };
-    if opts.k == 0 {
-        return Ok(NnPartial {
-            candidates: Vec::new(),
-            stats,
-        });
-    }
-    let cost0 = s.elapsed_us();
-    let eval_at = at.plus_secs(opts.predict_secs.max(0.0));
-    let mut found: Vec<(SpatialEntry, Point, f64, CellId)> = Vec::new();
-    for &cell in cells {
-        let entries = tables.spatial_scan_cell(s, cell, cfg.space.leaf_level, None)?;
-        stats.cells_scanned += 1;
-        stats.leaders_fetched += entries.len();
-        for entry in entries {
-            let pos = eval_position(&entry, eval_at);
-            let d = center.distance(&pos);
-            if d <= opts.max_distance {
-                found.push((entry, pos, d, cell));
-            }
-        }
-    }
-    let candidates = expand_school_candidates(s, tables, &center, &found, opts)?;
-    stats.cost_us = s.elapsed_us() - cost0;
-    Ok(NnPartial { candidates, stats })
-}
-
-/// §3.4 steps (iii)–(iv) applied to a set of scanned leader entries:
-/// builds each leader's candidate and batch-expands its school (one RPC),
-/// stamping every candidate with its leader's source cell and filtering
-/// by the search-range limit. Shared by [`nn_query`] and
-/// [`nn_partial_scan`], so the frontier search and the scattered replay
-/// can never drift apart in how they evaluate candidates.
+/// §3.4 steps (iii)–(iv) applied to the scanned leader entries: builds
+/// each leader's candidate and batch-expands its school (one RPC),
+/// filtering followers by the search-range limit.
 fn expand_school_candidates(
     s: &mut Session,
     tables: &MoistTables,
     center: &Point,
-    found: &[(SpatialEntry, Point, f64, CellId)],
+    found: &[(SpatialEntry, Point, f64)],
     opts: &NnOptions,
-) -> Result<Vec<NnCandidate>> {
-    let mut candidates: Vec<NnCandidate> = Vec::with_capacity(found.len());
-    for (entry, pos, d, cell) in found {
-        candidates.push(NnCandidate {
-            neighbor: Neighbor {
-                oid: entry.oid,
-                loc: *pos,
-                distance: *d,
-                leader: entry.oid,
-            },
-            cell: *cell,
-        });
-    }
+) -> Result<Vec<Neighbor>> {
+    let leader = |(entry, pos, d): &(SpatialEntry, Point, f64)| Neighbor {
+        oid: entry.oid,
+        loc: *pos,
+        distance: *d,
+        leader: entry.oid,
+    };
+    let mut candidates: Vec<Neighbor> = found.iter().map(leader).collect();
     if opts.include_followers && !found.is_empty() {
-        let leader_ids: Vec<ObjectId> = found.iter().map(|(e, _, _, _)| e.oid).collect();
+        let leader_ids: Vec<ObjectId> = found.iter().map(|(e, _, _)| e.oid).collect();
         let infos = tables.batch_followers(s, &leader_ids)?;
         for (i, followers) in infos.into_iter().enumerate() {
             let leader_pos = found[i].1;
@@ -319,134 +225,17 @@ fn expand_school_candidates(
                 let pos = leader_pos.translate(disp);
                 let d = center.distance(&pos);
                 if d <= opts.max_distance {
-                    candidates.push(NnCandidate {
-                        neighbor: Neighbor {
-                            oid: foid,
-                            loc: pos,
-                            distance: d,
-                            leader: leader_ids[i],
-                        },
-                        cell: found[i].3,
+                    candidates.push(Neighbor {
+                        oid: foid,
+                        loc: pos,
+                        distance: d,
+                        leader: leader_ids[i],
                     });
                 }
             }
         }
     }
     Ok(candidates)
-}
-
-/// Merges scattered ring partials by **replaying** [`nn_query`]'s
-/// frontier over the scanned candidates, so a successful merge returns
-/// exactly the single-shard Algorithm 2 answer — not merely a plausible
-/// one.
-///
-/// The replay runs the same loop the real search runs — pop the nearest
-/// frontier cell (ties towards the smaller index), stop when it cannot
-/// improve `Q_obj`, push its edge neighbours — with one difference: a
-/// cell's leaders come from the already-scanned partials instead of the
-/// store. Two outcomes:
-///
-/// * the replayed frontier terminates having popped **ring cells only**
-///   → the real search would have scanned exactly those cells, so the
-///   answer is assembled from their candidates alone. Extra ring cells
-///   the real search would not have popped are discarded, school
-///   expansions and all — follower displacement and velocity
-///   extrapolation can neither smuggle in nor hide a candidate the
-///   single-shard path would (not) have seen;
-/// * the replay reaches a cell **outside the ring** while it could still
-///   improve `Q_obj` → `(None, stats)`: the caller must fall back to the
-///   real single-shard search, which is exact by construction.
-///
-/// `ring[0]` must be the search's start cell (as
-/// [`nn_candidate_ring`] returns it). Candidates move (no clones);
-/// cross-shard duplicates — an object sighted by two partials scanned at
-/// different instants — keep their nearest sighting. Counters add;
-/// `cost_us` is the slowest partial (scattered scans overlap in
-/// parallel).
-pub fn merge_ring_partials(
-    cfg: &MoistConfig,
-    center: &Point,
-    ring: &[CellId],
-    parts: Vec<NnPartial>,
-    opts: &NnOptions,
-) -> (Option<Vec<Neighbor>>, NnStats) {
-    let mut stats = NnStats::default();
-    let total: usize = parts.iter().map(|p| p.candidates.len()).sum();
-    let mut candidates: Vec<NnCandidate> = Vec::with_capacity(total);
-    for part in parts {
-        stats.cells_scanned += part.stats.cells_scanned;
-        stats.leaders_fetched += part.stats.leaders_fetched;
-        stats.shards_scattered += part.stats.shards_scattered;
-        stats.cost_us = stats.cost_us.max(part.stats.cost_us);
-        candidates.extend(part.candidates);
-    }
-    let in_ring: HashSet<CellId> = ring.iter().copied().collect();
-
-    // Per-cell leader distances drive the replayed Q_obj bound, exactly
-    // like the entries pushed while the real search scans that cell.
-    let mut leaders_by_cell: std::collections::HashMap<CellId, Vec<f64>> =
-        std::collections::HashMap::new();
-    for c in &candidates {
-        if c.neighbor.oid == c.neighbor.leader {
-            leaders_by_cell
-                .entry(c.cell)
-                .or_default()
-                .push(c.neighbor.distance);
-        }
-    }
-
-    let mut q_cell: BinaryHeap<std::cmp::Reverse<(Dist, CellId)>> = BinaryHeap::new();
-    let mut seen: HashSet<CellId> = HashSet::new();
-    let start = ring[0];
-    q_cell.push(std::cmp::Reverse((Dist(0.0), start)));
-    seen.insert(start);
-    let mut q_obj: BinaryHeap<Dist> = BinaryHeap::new();
-    let mut dist_max = f64::INFINITY;
-    let mut included: HashSet<CellId> = HashSet::new();
-    while let Some(std::cmp::Reverse((Dist(cell_dist), cell))) = q_cell.pop() {
-        if cell_dist > dist_max.min(opts.max_distance) {
-            break; // the real search terminates here too
-        }
-        if !in_ring.contains(&cell) {
-            // The real search would scan beyond what was scattered.
-            return (None, stats);
-        }
-        included.insert(cell);
-        for &d in leaders_by_cell.get(&cell).map_or(&[][..], |v| v) {
-            if d > opts.max_distance {
-                continue;
-            }
-            q_obj.push(Dist(d));
-            if q_obj.len() > opts.k {
-                q_obj.pop();
-            }
-            if q_obj.len() == opts.k {
-                dist_max = q_obj.peek().map(|Dist(d)| *d).unwrap_or(f64::INFINITY);
-            }
-        }
-        for n in cell.edge_neighbors(cfg.space.curve) {
-            if seen.insert(n) {
-                let d = cell_world_rect(cfg, n).distance_to_point(center);
-                q_cell.push(std::cmp::Reverse((Dist(d), n)));
-            }
-        }
-    }
-
-    // Assemble the answer from the replay-scanned cells only: the same
-    // candidate set, ranking and truncation as the real search.
-    candidates.retain(|c| included.contains(&c.cell));
-    let mut merged: Vec<Neighbor> = candidates.into_iter().map(|c| c.neighbor).collect();
-    // The same (distance, oid) order nn_query uses: concatenation order of
-    // the partials must not leak into tie-breaking.
-    merged.sort_by(|a, b| a.distance.total_cmp(&b.distance).then(a.oid.cmp(&b.oid)));
-    // Partials are scanned by different shards at different instants, so
-    // an object moving between ring cells mid-scatter can be sighted by
-    // two partials; keep its nearest sighting (a single-shard scan is one
-    // instant and cannot double-sight).
-    let mut reported: HashSet<ObjectId> = HashSet::new();
-    merged.retain(|n| reported.insert(n.oid));
-    merged.truncate(opts.k);
-    (Some(merged), stats)
 }
 
 #[cfg(test)]

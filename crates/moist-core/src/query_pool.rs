@@ -5,13 +5,13 @@
 //! [`QueryPool`] keeps a fixed set of workers alive for the lifetime of a
 //! [`crate::cluster_tier::MoistCluster`] and lets any caller [`scatter`] a
 //! batch of closures across them: each shard's slice of a scattered
-//! region/NN query runs on a pooled worker, so the per-shard store scans
+//! region query runs on a pooled worker, so the per-shard store scans
 //! overlap on real OS threads exactly like the paper's parallel BigTable
 //! range reads (§3.2.1).
 //!
 //! Multiple queries may scatter concurrently; their tasks interleave over
-//! the same workers and each task only ever takes one shard lock, so the
-//! pool introduces no lock-ordering cycles. A panicking task is caught on
+//! the same workers and a region slice takes no shard lock, so the pool
+//! introduces no lock-ordering cycles. A panicking task is caught on
 //! the worker (keeping the pool alive) and re-raised on the caller.
 //!
 //! [`scatter`]: QueryPool::scatter

@@ -17,8 +17,10 @@
 //! `RwLock<FlagTuner>` whose write guard is taken only when a query
 //! actually re-tunes the level). Write paths (`update`, `update_batch`,
 //! `run_due_clustering`, scheduler handoff) keep `&mut self`. A cluster
-//! tier can therefore put each shard behind an `RwLock` and serve many
-//! concurrent readers per shard while writers stay exclusive.
+//! tier puts each shard behind a lock that serializes those writers and
+//! serves the shard's queries from a reader (`MoistServer::reader`)
+//! beside the lock: a scan of the shared store never makes the shard's
+//! writer wait.
 //!
 //! Ephemeral sessions are *seeded* from the hub's running totals, so on a
 //! single thread every charge lands in the same order and at the same
@@ -139,10 +141,10 @@ pub struct MoistServer {
     session: Session,
     /// FLAG tuner: read guard for cache hits and Algorithm 3 probes,
     /// write guard only to install a re-tuned level.
-    flag: RwLock<FlagTuner>,
+    flag: Arc<RwLock<FlagTuner>>,
     scheduler: ClusterScheduler,
     archiver: Option<Arc<PppArchiver>>,
-    stats: StatsCells,
+    stats: Arc<StatsCells>,
     /// Object-count estimate for FLAG's initial guess. Seeded from the
     /// store on construction (a server joining an already-populated store
     /// must not feed FLAG `n = 1`), bumped on local registrations, and
@@ -159,7 +161,7 @@ pub struct MoistServer {
     /// *demand*. Behind a small internal lock (EWMA folds need `&mut`)
     /// so scatter slices of concurrent queries can record cost from
     /// `&self`.
-    load: Mutex<LoadTracker>,
+    load: Arc<Mutex<LoadTracker>>,
 }
 
 /// Opens the MOIST tables, creating them only when genuinely missing.
@@ -193,18 +195,41 @@ impl MoistServer {
         let hub = Arc::new(MeterHub::new());
         let session = store.session_with_hub(store.config().cost_profile, Arc::clone(&hub));
         Ok(MoistServer {
-            flag: RwLock::new(FlagTuner::new(&cfg)),
+            flag: Arc::new(RwLock::new(FlagTuner::new(&cfg))),
             scheduler: ClusterScheduler::new(&cfg),
             hub,
             session,
             archiver: None,
-            stats: StatsCells::default(),
+            stats: Arc::default(),
             object_estimate: Arc::new(AtomicU64::new(seed)),
             estimate_staleness: AtomicU64::new(0),
-            load: Mutex::new(LoadTracker::default()),
+            load: Arc::default(),
             tables,
             cfg,
         })
+    }
+
+    /// A second front-end over the same tables that *is* this server to
+    /// every query: it shares the meter hub, FLAG cache, counters, load
+    /// signal and object estimate, so a query it answers is answered,
+    /// charged and counted exactly as if `self` had run it — without
+    /// needing access to `self`. It owns no clustering cells and feeds no
+    /// archiver; the cluster tier keeps it beside the shard's lock and
+    /// never routes a write to it.
+    pub(crate) fn reader(&self) -> MoistServer {
+        MoistServer {
+            cfg: self.cfg,
+            tables: self.tables.clone(),
+            hub: Arc::clone(&self.hub),
+            session: self.charged_session(),
+            flag: Arc::clone(&self.flag),
+            scheduler: ClusterScheduler::empty(&self.cfg),
+            archiver: None,
+            stats: Arc::clone(&self.stats),
+            object_estimate: Arc::clone(&self.object_estimate),
+            estimate_staleness: AtomicU64::new(0),
+            load: Arc::clone(&self.load),
+        }
     }
 
     /// Opens an ephemeral cost session for one call: charges mirror into
@@ -310,8 +335,8 @@ impl MoistServer {
         self.load.lock().totals(now)
     }
 
-    /// `(count, virtual µs)` of scattered partial scans (region + NN
-    /// slices) this server has executed for the cluster tier's fan-out.
+    /// `(count, virtual µs)` of scattered region slices this server has
+    /// scanned for the cluster tier's fan-out.
     pub fn scatter_slice_stats(&self) -> (u64, f64) {
         self.load.lock().scatter_slice_stats()
     }
@@ -556,35 +581,6 @@ impl MoistServer {
                 lo = hi;
             }
         }
-        Ok(part)
-    }
-
-    /// Counts one served NN query without running one — the cluster tier
-    /// calls this on the anchor shard when a *scattered* query completes
-    /// from partials alone, so [`ServerStats::nn_queries`] reflects every
-    /// client query exactly once regardless of which path served it.
-    pub fn note_query_served(&self) {
-        self.stats.nn_queries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Shard-local slice of a scattered NN query: scans exactly the given
-    /// candidate-ring `cells` (no frontier search — the cluster tier chose
-    /// them) and returns every candidate they produce. Not counted in
-    /// [`ServerStats::nn_queries`]: a scattered query is one client query,
-    /// not one per shard — the tier credits it via
-    /// [`note_query_served`](MoistServer::note_query_served).
-    pub fn nn_partial(
-        &self,
-        cells: &[moist_spatial::CellId],
-        center: Point,
-        at: Timestamp,
-        opts: &NnOptions,
-    ) -> Result<crate::nn::NnPartial> {
-        let mut s = self.charged_session();
-        let cost0 = s.elapsed_us();
-        let part =
-            crate::nn::nn_partial_scan(&mut s, &self.tables, &self.cfg, cells, center, at, opts)?;
-        self.load.lock().note_scatter_slice(s.elapsed_us() - cost0);
         Ok(part)
     }
 

@@ -256,16 +256,6 @@ impl MoistTables {
         Ok(())
     }
 
-    /// Removes a leader's entry from `leaf_index`.
-    pub fn spatial_remove(&self, s: &mut Session, leaf_index: u64, oid: ObjectId) -> Result<()> {
-        s.mutate_row(
-            &self.spatial,
-            &Self::spatial_key(leaf_index, oid),
-            &[Mutation::DeleteRow],
-        )?;
-        Ok(())
-    }
-
     /// Moves a leader's entry between cells in one batch RPC (delete old row
     /// + put new row — Algorithm 1, line 3).
     pub fn spatial_move(
@@ -413,16 +403,9 @@ impl MoistTables {
         }
     }
 
-    /// Batch-fetches L/F records (clustering's batch read).
-    pub fn batch_lf(&self, s: &mut Session, oids: &[ObjectId]) -> Result<Vec<Option<LfRecord>>> {
-        let heads = self.batch_lf_versions(s, oids)?;
-        Ok(heads.into_iter().map(|h| h.map(|(_, lf)| lf)).collect())
-    }
-
-    /// Batch-fetches L/F records *with their head timestamps* — the
-    /// batched apply path's variant of [`batch_lf`](Self::batch_lf). The
-    /// head timestamp lets the batch clamp a deferred superseding L/F
-    /// write locally (the same rule as
+    /// Batch-fetches L/F records *with their head timestamps* for the
+    /// batched apply path. The head timestamp lets the batch clamp a
+    /// deferred superseding L/F write locally (the same rule as
     /// [`lf_supersede_ts`](Self::lf_supersede_ts)) without a per-row
     /// re-read, valid because the batch holds the routing key's shard
     /// lock and the cross-shard writers that could move the head are
@@ -726,11 +709,6 @@ impl WriteBatch {
         self.location.is_empty() && self.spatial.is_empty() && self.affiliation.is_empty()
     }
 
-    /// Number of row mutations currently buffered across all tables.
-    pub fn rows(&self) -> usize {
-        self.location.len() + self.spatial.len() + self.affiliation.len()
-    }
-
     /// Defers [`MoistTables::put_location`].
     pub fn put_location(&mut self, oid: ObjectId, rec: &LocationRecord, ts: Timestamp) {
         self.location.push(RowMutation::new(
@@ -880,7 +858,8 @@ mod tests {
             .is_empty());
         let cc2 = cfg.space.cell_at(cfg.clustering_level, &p2);
         assert_eq!(t.spatial_count_cell(&mut s, cc2, leaf_level).unwrap(), 1);
-        t.spatial_remove(&mut s, leaf2, ObjectId(7)).unwrap();
+        let moved = t.spatial_scan_cell(&mut s, cc2, leaf_level, None).unwrap();
+        assert!(t.spatial_check_and_delete(&mut s, &moved[0]).unwrap());
         assert_eq!(t.spatial_count_cell(&mut s, cc2, leaf_level).unwrap(), 0);
     }
 
@@ -954,7 +933,9 @@ mod tests {
             Timestamp(0),
         )
         .unwrap();
-        let lfs = t.batch_lf(&mut s, &[ObjectId(1), ObjectId(2)]).unwrap();
+        let lfs = t
+            .batch_lf_versions(&mut s, &[ObjectId(1), ObjectId(2)])
+            .unwrap();
         assert!(lfs[0].is_some() && lfs[1].is_none());
         let fols = t
             .batch_followers(&mut s, &[ObjectId(1), ObjectId(2)])
@@ -979,7 +960,7 @@ mod tests {
             },
             Timestamp(5),
         );
-        assert_eq!(wb.rows(), 3);
+        assert!(!wb.is_empty());
         let written = t.flush_write_batch(&mut s, &mut wb).unwrap();
         assert_eq!(written, 3);
         assert!(wb.is_empty(), "flush must leave the batch reusable");

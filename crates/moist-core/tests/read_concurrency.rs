@@ -1,14 +1,15 @@
-//! The intra-shard lock split, under fire.
+//! Shard concurrency, under fire.
 //!
-//! Shards sit behind `RwLock<MoistServer>`: query paths take `&self`
-//! under the read guard, writes take the write guard. These tests pin
-//! the contracts that refactor made:
+//! Shards sit behind `RwLock<MoistServer>`: writes take the write guard,
+//! `with_shard_read` the read guard, and the tier's own queries run on
+//! the shard's reader beside the lock. These tests pin the contracts:
 //!
-//! * read guards on one shard genuinely overlap (the old exclusive lock
-//!   would deadlock the handshake);
-//! * pinning a shard's write guard mid-`update_batch` delays that
-//!   shard's readers but never wedges them, and other shards' readers
-//!   keep flowing meanwhile;
+//! * read guards on one shard genuinely overlap (an exclusive lock would
+//!   deadlock the handshake);
+//! * pinning a shard's write guard mid-`update_batch` delays neither the
+//!   tier's queries on that shard nor other shards' readers;
+//! * a writer with a backlog drains it beside a closed-loop NN reader on
+//!   its hot shard without waiting out the reader's scans;
 //! * racing readers and writers account exactly: final `ServerStats`
 //!   counters and hub op counts equal the single-threaded oracle, and
 //!   virtual elapsed time matches up to interleaving noise;
@@ -23,9 +24,9 @@ use moist_core::{
     NnOptions, ObjectId, ServerStats, UpdateMessage, UpdateOutcome,
 };
 use moist_spatial::{Point, Rect, Velocity};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const SHARDS: usize = 4;
 
@@ -128,12 +129,14 @@ fn read_guards_on_one_shard_overlap() {
     assert_eq!(s1, s2, "overlapping readers saw one consistent shard");
 }
 
-/// A writer pins shard 0's write guard mid-`update_batch` (the batch
-/// apply plus a deliberate 150 ms hold, all inside `with_shard`). Eight
-/// readers aimed at that shard all still complete, and while the guard
-/// is held, a read on another shard finishes immediately.
+/// A writer pins shard 0's write guard mid-`update_batch` (inside
+/// `with_shard`) until every reader below has answered: a read of
+/// another shard under its read guard, and eight tier queries aimed at
+/// the pinned shard, which take no shard lock. Anything that waited for
+/// the pinned guard would leave the writer waiting for its release
+/// signal until the 5 s timeout fails the test.
 #[test]
-fn readers_survive_a_pinned_write_guard() {
+fn tier_queries_do_not_wait_for_a_pinned_write_guard() {
     let store = Bigtable::new();
     let cluster = Arc::new(
         MoistCluster::builder(&store, tier_config())
@@ -145,46 +148,36 @@ fn readers_survive_a_pinned_write_guard() {
     let probes = probe_points(&cluster);
     let shard0_probe = probes[0];
 
-    let writer_holds = Arc::new(AtomicBool::new(true));
     let (held_tx, held_rx) = mpsc::channel::<()>();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
 
     let c_writer = Arc::clone(&cluster);
-    let holds = Arc::clone(&writer_holds);
     let writer = std::thread::spawn(move || {
         let batch: Vec<UpdateMessage> = (1000..1064)
             .map(|oid| msg(oid, 10.0 + (oid - 1000) as f64 * 2.0, 10.0, 2.0))
             .collect();
         c_writer
             .with_shard(0, |server| {
-                let out = server.update_batch(&batch).unwrap();
+                server.update_batch(&batch).unwrap();
                 held_tx.send(()).unwrap();
-                // Pin the write guard well past the batch apply.
-                std::thread::sleep(Duration::from_millis(150));
-                out.len()
+                release_rx
+                    .recv_timeout(Duration::from_secs(5))
+                    .expect("readers must answer while shard 0's write guard is pinned");
             })
             .unwrap();
-        holds.store(false, Ordering::SeqCst);
     });
 
     held_rx.recv_timeout(Duration::from_secs(5)).unwrap();
 
-    // While the guard is held: another shard's read guard is free. Query
-    // that shard directly (a cluster-level query could scatter into
-    // shard 0 and legitimately wait).
+    // Another shard's read guard is free.
     let (nn_other, _) = cluster
         .with_shard_read(1, |s| {
             s.nn_at_level(probes[1], 3, Timestamp::from_secs(3), 5)
                 .unwrap()
         })
         .unwrap();
-    assert!(
-        writer_holds.load(Ordering::SeqCst),
-        "cross-shard read must finish while shard 0's write guard is still pinned \
-         (150 ms hold outlived — lock split broken or machine pathologically slow)"
-    );
     assert!(!nn_other.is_empty());
 
-    // Readers aimed at the pinned shard: delayed, never wedged.
     let readers: Vec<_> = (0..8)
         .map(|i| {
             let c = Arc::clone(&cluster);
@@ -206,9 +199,77 @@ fn readers_survive_a_pinned_write_guard() {
         })
         .collect();
     for r in readers {
-        r.join().expect("reader wedged behind the write guard");
+        r.join().unwrap();
     }
-    writer.join().unwrap();
+    release_tx.send(()).unwrap();
+    writer.join().expect("a reader waited for the write guard");
+}
+
+/// A writer with a backlog — the state of a paced writer that has
+/// fallen behind its schedule — drains it beside a closed-loop
+/// `cluster.nn` reader on one hot cell without waiting out the reader's
+/// scans. The backlog goes round the four shards, so between two updates
+/// of the hot shard the reader has time to start its next scan: were
+/// that scan to hold the shard's lock, every fourth update would wait a
+/// whole scan (~UPDATES / 4 scans in all), which is how `rush_hour`'s
+/// writer, once behind, stayed behind (measured with the lock held:
+/// 200–440 scans; beside it: ~20). Counted in scans, not seconds, so a
+/// loaded host moves both sides of the comparison alike; the wall-clock
+/// bound is only a backstop.
+#[test]
+fn a_writer_with_a_backlog_drains_it_beside_a_closed_loop_nn_reader() {
+    const UPDATES: u64 = 2_000;
+    let store = Bigtable::new();
+    let cluster = MoistCluster::builder(&store, tier_config())
+        .shards(SHARDS)
+        .build()
+        .unwrap();
+    seed_objects(&cluster, 4_000);
+    let probes = probe_points(&cluster);
+    let hot = probes[0];
+    let before = cluster.stats();
+
+    let done = AtomicBool::new(false);
+    let scans = AtomicU64::new(0);
+    let (scans_waited, took) = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            // The deadline ends the scope if the writer panics.
+            let deadline = Instant::now() + Duration::from_secs(60);
+            while !done.load(Ordering::SeqCst) && Instant::now() < deadline {
+                let (nn, _) = cluster.nn(hot, 500, Timestamp::from_secs(2)).unwrap();
+                assert_eq!(nn.len(), 500);
+                scans.fetch_add(1, Ordering::SeqCst);
+            }
+        });
+        // Start once the reader is scanning.
+        while scans.load(Ordering::SeqCst) < 3 {
+            std::hint::spin_loop();
+        }
+        let first = scans.load(Ordering::SeqCst);
+        let t0 = Instant::now();
+        for i in 0..UPDATES {
+            // 200 objects, 50 per shard (200 is a multiple of SHARDS).
+            let p = probes[i as usize % SHARDS];
+            let secs = 3.0 + i as f64 * 1e-3;
+            let m = msg(100_000 + i % 200, p.x + (i % 7) as f64 - 3.0, p.y, secs);
+            cluster.update(&m).unwrap();
+        }
+        let waited = scans.load(Ordering::SeqCst) - first;
+        done.store(true, Ordering::SeqCst);
+        (waited, t0.elapsed())
+    });
+
+    let stats = cluster.stats();
+    assert_eq!(
+        stats.updates - before.updates,
+        UPDATES,
+        "every update applied"
+    );
+    assert!(stats.balanced(), "{stats:?}");
+    assert!(
+        scans_waited < UPDATES / 16 && took < Duration::from_secs(10),
+        "{UPDATES} updates took {took:?}, as long as {scans_waited} scans of their hot shard"
+    );
 }
 
 /// 4 racing writer threads (disjoint bands of the map, so update

@@ -9,8 +9,9 @@
 //! * **no duplicated objects** — the merge dedups per object across the
 //!   shards' partials, even when a school expansion and a spatial entry
 //!   surface the same object from two slices;
-//! * **scattered NN stays exact** — boundary-hugging NN probes agree with
-//!   the single-server frontier search through the churn.
+//! * **NN stays exact** — boundary-hugging NN probes (run whole on
+//!   whichever shard reads their key at that epoch) agree with the
+//!   single-server frontier search through the churn.
 
 use moist::bigtable::{Bigtable, Timestamp};
 use moist::core::{
