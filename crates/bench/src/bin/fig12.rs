@@ -43,7 +43,7 @@ fn load(n: usize) -> MoistServer {
             })
             .expect("update");
     }
-    server.session_mut().reset();
+    server.reset_clock();
     server
 }
 

@@ -80,7 +80,7 @@ fn single_qps(n: u64, measured_updates: usize) -> f64 {
     let world = Rect::new(0.0, 0.0, 1000.0, 1000.0);
     let mut sim = UniformSim::new(world, n, 2.0, 5.0, 7).with_velocity_walk(0.5);
     let updates = sim.next_updates(measured_updates);
-    server.session_mut().reset();
+    server.reset_clock();
     for u in &updates {
         server
             .update(&UpdateMessage {

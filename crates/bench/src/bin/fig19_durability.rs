@@ -266,7 +266,9 @@ fn main() {
 
     // The tax is real but bounded: per-write fsync costs the most, group
     // commit at 64 recovers most of it, and even fsync=1 keeps more than
-    // a third of the in-memory throughput under the default profile.
+    // a third of the in-memory throughput under the default profile
+    // (~45% at full scale). The smoke population's ratio sits *at* a
+    // third (0.33–0.35 run to run), so it gets a quarter as its bar.
     let none = measured[0].store_qps;
     let fsync1 = measured[1].store_qps;
     let fsync64 = measured[3].store_qps;
@@ -278,8 +280,9 @@ fn main() {
         fsync64 > fsync1,
         "group commit must beat per-write fsync: {fsync64:.0} vs {fsync1:.0}"
     );
+    let floor = if smoke { none / 4.0 } else { none / 3.0 };
     assert!(
-        fsync1 > none / 3.0,
+        fsync1 > floor,
         "fsync=1 tax implausibly large: {fsync1:.0} vs none {none:.0}"
     );
     for m in &measured[1..] {

@@ -37,7 +37,7 @@ fn moist_update_qps(n: u64, measured_updates: usize) -> f64 {
             })
             .expect("register");
     }
-    server.session_mut().reset();
+    server.reset_clock();
     let updates = sim.next_updates(measured_updates);
     for u in &updates {
         server

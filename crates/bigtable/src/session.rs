@@ -69,11 +69,6 @@ impl Session {
         self.meter.elapsed_us()
     }
 
-    /// Virtual seconds consumed so far.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.meter.elapsed_us() / 1e6
-    }
-
     /// Operations issued so far.
     pub fn op_count(&self) -> u64 {
         self.meter.op_count()

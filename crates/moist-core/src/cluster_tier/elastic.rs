@@ -210,16 +210,10 @@ impl MoistCluster {
         // The handover pair: `release` takes `key`'s pending deadline off
         // its `old` owner, `adopt` arms it on its `new` owner (and names
         // that owner).
-        let release = |key: u64| {
-            old.owner_of(key)
-                .server
-                .write()
-                .scheduler_mut()
-                .release(key)
-        };
+        let release = |key: u64| old.owner_of(key).server.lock().scheduler_mut().release(key);
         let adopt = |key: u64, due: u64| {
             let owner = new.owner_of(key);
-            owner.server.write().scheduler_mut().adopt(key, due);
+            owner.server.lock().scheduler_mut().adopt(key, due);
             owner.id
         };
         // Moves one key if its owner changed; returns whether it did.
@@ -359,15 +353,14 @@ impl MoistCluster {
         {
             let mut baseline = self.rebalance_baseline.lock();
             for entry in &old.shards {
-                let server = entry.server.read();
-                let elapsed = server.elapsed_us();
-                for (cell, rates) in server.load_rates(now) {
+                let elapsed = entry.front.elapsed_us();
+                for (cell, rates) in entry.front.load_rates(now) {
                     *cell_rates.entry(cell).or_insert(0.0) += rates.total();
                 }
                 // Different shards may have scanned the same cell (the
                 // balancing pass moves slices around); their learned
                 // costs average.
-                for (cell, us) in server.cell_scan_costs() {
+                for (cell, us) in entry.front.cell_scan_costs() {
                     let e = scan_samples.entry(cell).or_insert((0.0, 0));
                     e.0 += us;
                     e.1 += 1;
@@ -606,36 +599,33 @@ impl MoistCluster {
     /// what placement sees. `now` folds the EWMA windows before reading.
     pub fn cluster_stats(&self, now: Timestamp) -> ClusterStats {
         let snap = self.snapshot();
-        // Follower-key counts by position: walk every routing key's
-        // replica set once and charge ranks 1+ (no set has a rank 1 at
-        // `replicas == 1`).
+        // Key counts by position: walk every routing key's replica set
+        // once, charging rank 0 (the owner — exactly the key set its
+        // scheduler holds at rest) as primary and ranks 1+ as follower.
+        let mut primary_keys = vec![0usize; snap.shards.len()];
         let mut follower_keys = vec![0usize; snap.shards.len()];
-        if snap.replicas > 1 {
-            for key in snap.splits.routing_keys(self.cfg.clustering_level) {
-                for pos in ranked(key, &snap.placement, snap.replicas)
-                    .into_iter()
-                    .skip(1)
-                {
-                    follower_keys[pos] += 1;
-                }
+        for key in snap.splits.routing_keys(self.cfg.clustering_level) {
+            let ranks = ranked(key, &snap.placement, snap.replicas);
+            primary_keys[ranks[0]] += 1;
+            for &pos in &ranks[1..] {
+                follower_keys[pos] += 1;
             }
         }
         let shards = snap
             .shards
             .iter()
             .zip(&snap.placement)
-            .zip(follower_keys)
-            .map(|((entry, m), follower_keys)| {
-                let server = entry.server.read();
-                let (update_rate, query_rate) = server.load_totals(now);
-                let (scatter_slices, scatter_slice_us) = server.scatter_slice_stats();
+            .zip(primary_keys.into_iter().zip(follower_keys))
+            .map(|((entry, m), (primary_keys, follower_keys))| {
+                let (update_rate, query_rate) = entry.front.load_totals(now);
+                let (scatter_slices, scatter_slice_us) = entry.front.scatter_slice_stats();
                 ShardLoadStats {
                     id: entry.id,
                     weight: m.weight,
-                    elapsed_us: server.elapsed_us(),
+                    elapsed_us: entry.front.elapsed_us(),
                     update_rate,
                     query_rate,
-                    primary_keys: server.scheduler().owned_count(),
+                    primary_keys,
                     follower_keys,
                     replica_reads: entry.replica_reads.load(Ordering::Relaxed),
                     scatter_slices,

@@ -7,26 +7,24 @@ use crate::cluster::ClusterScheduler;
 use crate::config::MoistConfig;
 use crate::error::{MoistError, Result};
 use crate::placement::{self, ShardWeight, SplitTable};
-use crate::server::{MoistServer, ServerStats};
+use crate::server::{FrontEnd, MoistServer, ServerStats};
 use moist_archive::PppArchiver;
 use moist_bigtable::Bigtable;
 use moist_spatial::{CellId, Point};
-use parking_lot::{RwLock, RwLockWriteGuard};
+use parking_lot::{Mutex, RwLockWriteGuard};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// One live shard: its stable id, the server behind a reader-writer lock
-/// — updates, clustering sweeps and scheduler handoff serialize on the
-/// write guard; counter and scheduler inspection takes the read guard —
-/// and the reader that answers the shard's queries beside that lock.
+/// One live shard: its stable id, the server behind the writer mutex —
+/// updates, clustering sweeps and scheduler handoff serialize on it — and
+/// the server's shared half beside it, where everything else runs.
 pub(super) struct ShardEntry {
     /// Stable shard id — never reused, survives other shards' churn.
     pub(super) id: u64,
-    pub(super) server: RwLock<MoistServer>,
-    /// `server`'s [`reader`](MoistServer::reader): `nn*`, `position` and
-    /// region slices run here, holding no shard lock (module docs, lock
-    /// rule 6).
-    pub(super) reader: MoistServer,
+    pub(super) server: Mutex<MoistServer>,
+    /// `server`'s [`FrontEnd`]: queries, counters, load and clock reads
+    /// run here, holding no shard lock (module docs, lock rule 6).
+    pub(super) front: Arc<FrontEnd>,
     /// Reads this shard served as a *follower* (it was in the routing
     /// key's replica set but not its primary).
     pub(super) replica_reads: AtomicU64,
@@ -45,16 +43,15 @@ impl ShardEntry {
         estimate: &Arc<AtomicU64>,
         archiver: Option<&Arc<PppArchiver>>,
     ) -> Result<Arc<Self>> {
-        let mut server = MoistServer::new(store, cfg)?
-            .with_scheduler(scheduler)
-            .with_shared_estimate(Arc::clone(estimate));
+        let mut server =
+            MoistServer::with_estimate(store, cfg, Arc::clone(estimate))?.with_scheduler(scheduler);
         if let Some(archiver) = archiver {
             server = server.with_archiver(Arc::clone(archiver));
         }
         Ok(Arc::new(ShardEntry {
             id,
-            reader: server.reader(),
-            server: RwLock::new(server),
+            front: Arc::clone(server.front()),
+            server: Mutex::new(server),
             replica_reads: AtomicU64::new(0),
         }))
     }
@@ -131,7 +128,7 @@ impl Membership {
     /// time — the same deterministic signal
     /// [`rebalance`](MoistCluster::rebalance) weighs.
     pub(super) fn read_replica(&self, key: u64) -> (&Arc<ShardEntry>, bool) {
-        let (pos, follower) = self.reader_of(key, |pos| self.shards[pos].reader.elapsed_us());
+        let (pos, follower) = self.reader_of(key, |pos| self.shards[pos].front.elapsed_us());
         (&self.shards[pos], follower)
     }
 
@@ -194,7 +191,7 @@ impl RetiredShards {
     fn compact(&mut self) {
         self.entries.retain(|entry| {
             if Arc::strong_count(entry) == 1 {
-                self.folded.merge_from(&entry.server.read().stats());
+                self.folded.merge_from(&entry.front.stats());
                 false
             } else {
                 true
@@ -207,7 +204,7 @@ impl RetiredShards {
         self.compact();
         let mut total = self.folded;
         for entry in &self.entries {
-            total.merge_from(&entry.server.read().stats());
+            total.merge_from(&entry.front.stats());
         }
         total
     }

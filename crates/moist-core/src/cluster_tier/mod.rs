@@ -37,9 +37,8 @@
 //!    scheduler handover.
 //! 2. **The membership read guard is dropped before any shard lock is
 //!    taken.** Operations clone the `Arc` snapshot out of the lock
-//!    (`snapshot()`) and route against the clone — scatter workers
-//!    re-validating a slice included — so rule 1 can never deadlock
-//!    against them.
+//!    (`snapshot()`) and route against the clone, so rule 1 can never
+//!    deadlock against them.
 //! 3. **Never two shard locks at once.** The handover releases a key on
 //!    its old owner *before* adopting it on the new one.
 //! 4. **Below a shard lock: WAL lock → tablet lock** (the store's own
@@ -47,13 +46,15 @@
 //! 5. **The seqlock is not a lock.** `version` is odd while an epoch bump
 //!    migrates ownership; writers (never readers) validate it *after*
 //!    taking the owner's shard lock and re-route if it moved.
-//! 6. **Queries take no shard lock.** The shard lock serializes a shard's
-//!    *writers* (updates, clustering, handover) so that a cell's
-//!    read-modify-writes never interleave. A query only reads the shared
+//! 6. **There is no read guard.** The shard lock is a writer mutex: it
+//!    serializes a shard's *writers* (updates, clustering, handover) so
+//!    that a cell's read-modify-writes never interleave. The shared half
+//!    of the server ([`FrontEnd`]: queries, counters, load signal, clock,
+//!    aging) lives outside it by type — the entry holds the same
+//!    `Arc<FrontEnd>` the locked [`MoistServer`] derefs to — so nothing
+//!    but a writer can wait for a writer. A query only reads the shared
 //!    store, where the other shards' writers are at work on the cells it
-//!    scans whichever shard serves it, so it runs on the shard's `reader`
-//!    (`MoistServer::reader`, sharing the server's FLAG cache, meters
-//!    and counters) beside the lock. Under the lock, a ~2 ms NN scan
+//!    scans whichever shard serves it. Under the lock, a ~2 ms NN scan
 //!    costs a paced writer that has fallen behind a whole scan at every
 //!    conflicting update, and it never catches up (`rush_hour`: two
 //!    thirds of the updates miss their deadline).
@@ -104,10 +105,7 @@
 //! (partials scanned at different instants can double-sight a mover
 //! crossing a slice boundary). The client-visible cost is the *slowest*
 //! partial, not the sum, because the slices consume store time in
-//! parallel. An epoch bump mid-scatter re-routes only the migrated
-//! slices: each worker re-validates its slice against the freshest
-//! membership snapshot and hands back the pieces whose cells moved, which
-//! the gather loop re-slices and re-dispatches.
+//! parallel.
 //!
 //! [`nn`](MoistCluster::nn) does **not** scatter: the FLAG probe and
 //! Algorithm 2 run whole on the least-loaded replica of the query point's
@@ -230,7 +228,7 @@ use crate::error::Result;
 use crate::ingest::{IngestConfig, IngestQueues, IngestStats};
 use crate::placement::{ShardWeight, SplitTable};
 use crate::query_pool::QueryPool;
-use crate::server::{MoistServer, ServerStats};
+use crate::server::{FrontEnd, MoistServer, ServerStats};
 use membership::{Membership, RetiredShards, ShardEntry};
 use moist_archive::PppArchiver;
 use moist_bigtable::{Bigtable, RecoveryReport, StoreConfig, Timestamp};
@@ -246,9 +244,7 @@ pub struct MoistCluster {
     cfg: MoistConfig,
     store: Arc<Bigtable>,
     /// Read-mostly membership snapshot; swapped whole on epoch bumps.
-    /// Behind an `Arc` so scatter workers on the [`QueryPool`] can
-    /// re-validate slice ownership against the freshest snapshot.
-    membership: Arc<RwLock<Arc<Membership>>>,
+    membership: RwLock<Arc<Membership>>,
     /// Shared worker pool running scattered query slices in parallel.
     query_pool: QueryPool,
     /// Counters of shards that left the tier (their updates — absorbed
@@ -446,13 +442,13 @@ impl ClusterBuilder {
         Ok(MoistCluster {
             cfg,
             next_shard_id: AtomicU64::new(shards.len() as u64),
-            membership: Arc::new(RwLock::new(Arc::new(Membership {
+            membership: RwLock::new(Arc::new(Membership {
                 epoch: 0,
                 shards,
                 placement,
                 splits,
                 replicas: self.replicas.max(1),
-            }))),
+            })),
             store,
             query_pool: QueryPool::sized_for_host(),
             retired: Mutex::new(RetiredShards::default()),
@@ -581,28 +577,24 @@ impl MoistCluster {
         snap.owner_position(snap.route_cell(cell, &self.cfg))
     }
 
-    /// Runs `f` against one shard's server by position (stats inspection,
-    /// clock resets, direct table access in tests). Fails with
-    /// [`MoistError::NoSuchShard`](crate::MoistError::NoSuchShard) when `shard` is past the current
+    /// Runs `f` against one shard's server by position, under the shard's
+    /// writer mutex (scheduler inspection, direct writes in tests). Fails
+    /// with [`MoistError::NoSuchShard`](crate::MoistError::NoSuchShard) when `shard` is past the current
     /// membership instead of panicking, so callers racing a shard removal
     /// degrade gracefully.
     pub fn with_shard<R>(&self, shard: usize, f: impl FnOnce(&mut MoistServer) -> R) -> Result<R> {
         let entry = self.entry_at(shard)?;
-        let mut server = entry.server.write();
+        let mut server = entry.server.lock();
         Ok(f(&mut server))
     }
 
-    /// Shared-access variant of [`with_shard`](MoistCluster::with_shard):
-    /// runs `f` under the shard's *read* guard, so any number of callers
-    /// can overlap on the same shard. All of [`MoistServer`]'s query
-    /// methods take `&self` and work here, but `f` keeps the shard's
-    /// writers out for as long as it runs (the tier's own queries do
-    /// not — lock rule 6); use `with_shard` when `f` needs the exclusive
-    /// writer view.
-    pub fn with_shard_read<R>(&self, shard: usize, f: impl FnOnce(&MoistServer) -> R) -> Result<R> {
-        let entry = self.entry_at(shard)?;
-        let server = entry.server.read();
-        Ok(f(&server))
+    /// Runs `f` against the shared half of one shard's server by position:
+    /// every query, counter and load accessor, holding no lock — any number
+    /// of callers overlap on the same shard, beside its writers. Use
+    /// [`with_shard`](MoistCluster::with_shard) when `f` needs the
+    /// exclusive writer view.
+    pub fn with_shard_read<R>(&self, shard: usize, f: impl FnOnce(&FrontEnd) -> R) -> Result<R> {
+        Ok(f(&self.entry_at(shard)?.front))
     }
 
     /// Runs lazy clustering on one shard by position: only the cells that
@@ -612,7 +604,7 @@ impl MoistCluster {
     /// [`MoistError::NoSuchShard`](crate::MoistError::NoSuchShard), not a panic.
     pub fn run_due_clustering_shard(&self, shard: usize, now: Timestamp) -> Result<ClusterReport> {
         let entry = self.entry_at(shard)?;
-        let mut server = entry.server.write();
+        let mut server = entry.server.lock();
         server.run_due_clustering(now)
     }
 
@@ -621,7 +613,7 @@ impl MoistCluster {
         let snap = self.snapshot();
         let mut total = ClusterReport::default();
         for entry in &snap.shards {
-            total.merge_from(&entry.server.write().run_due_clustering(now)?);
+            total.merge_from(&entry.server.lock().run_due_clustering(now)?);
         }
         Ok(total)
     }
@@ -629,9 +621,7 @@ impl MoistCluster {
     /// Ages out cold records. The aging columns are table-global, so this
     /// runs once (through the first live shard), not once per shard.
     pub fn age_data(&self, now: Timestamp) -> Result<usize> {
-        let entry = self.entry_at(0)?;
-        let mut server = entry.server.write();
-        server.age_data(now)
+        self.entry_at(0)?.front.age_data(now)
     }
 
     /// Aggregate operation counters across all shards, including shards
@@ -641,7 +631,7 @@ impl MoistCluster {
         let snap = self.snapshot();
         let mut total = self.retired.lock().stats();
         for entry in &snap.shards {
-            total.merge_from(&entry.server.read().stats());
+            total.merge_from(&entry.front.stats());
         }
         total
     }
@@ -650,20 +640,14 @@ impl MoistCluster {
     /// order.
     pub fn shard_stats(&self) -> Vec<ServerStats> {
         let snap = self.snapshot();
-        snap.shards
-            .iter()
-            .map(|e| e.server.read().stats())
-            .collect()
+        snap.shards.iter().map(|e| e.front.stats()).collect()
     }
 
     /// Per-shard virtual elapsed microseconds for the live shards, in
     /// position order.
     pub fn shard_elapsed_us(&self) -> Vec<f64> {
         let snap = self.snapshot();
-        snap.shards
-            .iter()
-            .map(|e| e.server.read().elapsed_us())
-            .collect()
+        snap.shards.iter().map(|e| e.front.elapsed_us()).collect()
     }
 
     /// Virtual elapsed microseconds of the busiest live shard — the tier's
@@ -684,7 +668,7 @@ impl MoistCluster {
     pub fn reset_clocks(&self) {
         let snap = self.snapshot();
         for entry in &snap.shards {
-            entry.server.write().session_mut().reset();
+            entry.front.reset_clock();
         }
         self.rebalance_baseline.lock().clear();
     }

@@ -400,8 +400,9 @@ fn tier_nn_agrees_with_the_single_shard_frontier_search() {
 }
 
 /// Asserts the live shards' schedulers own every routing key (unsplit
-/// cells + children of split cells) exactly once, and that each key's
-/// owner agrees with the tier's routing.
+/// cells + children of split cells) exactly once, that each key's owner
+/// agrees with the tier's routing, and that the stats rollup reports the
+/// same per-shard key counts.
 fn assert_routing_partition(cluster: &MoistCluster) {
     let cfg = *cluster.config();
     let split: std::collections::HashSet<u64> = cluster.split_cells().into_iter().collect();
@@ -424,6 +425,17 @@ fn assert_routing_partition(cluster: &MoistCluster) {
             owners[0],
             "routing and scheduling disagree on key {key:#x}"
         );
+    }
+    // The stats rollup counts primaries from placement, not from the
+    // schedulers: at rest the two agree shard by shard.
+    for (i, shard) in cluster
+        .cluster_stats(Timestamp::ZERO)
+        .shards
+        .iter()
+        .enumerate()
+    {
+        let owned = cluster.with_shard(i, |s| s.scheduler().owned_count());
+        assert_eq!(shard.primary_keys, owned.unwrap(), "shard {i}");
     }
 }
 
@@ -668,6 +680,25 @@ fn shard_errors_are_typed_not_panics() {
     let err = cluster.remove_shard(ids[1]).unwrap_err();
     assert!(matches!(err, MoistError::NoSuchShard(_)), "got {err:?}");
     assert_eq!(cluster.num_shards(), 1);
+    // Non-finite query input: rejected like a non-finite update, before
+    // planning or routing reads anything.
+    let at = Timestamp::ZERO;
+    let err = cluster.nn(Point::new(f64::NAN, 500.0), 3, at).unwrap_err();
+    assert!(matches!(err, MoistError::Inconsistent(_)), "got {err:?}");
+    let err = cluster
+        .nn_at_level(Point::new(f64::INFINITY, 500.0), 3, at, 4)
+        .unwrap_err();
+    assert!(matches!(err, MoistError::Inconsistent(_)), "got {err:?}");
+    let nan_corner = Rect {
+        max_y: f64::NAN,
+        ..cluster.config().space.world
+    };
+    let err = cluster.region(&nan_corner, at, 0.0).unwrap_err();
+    assert!(matches!(err, MoistError::Inconsistent(_)), "got {err:?}");
+    let world = cluster.config().space.world;
+    let err = cluster.region(&world, at, f64::INFINITY).unwrap_err();
+    assert!(matches!(err, MoistError::Inconsistent(_)), "got {err:?}");
+    assert_eq!(cluster.total_elapsed_us(), 0.0, "nothing was read");
 }
 
 #[test]

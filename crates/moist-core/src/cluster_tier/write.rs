@@ -9,7 +9,7 @@ use crate::ingest::{BackpressurePolicy, EnqueueResult, FlushKind, SubmitOutcome}
 use crate::server::MoistServer;
 use crate::update::{UpdateMessage, UpdateOutcome};
 use moist_bigtable::Timestamp;
-use parking_lot::RwLockWriteGuard;
+use parking_lot::MutexGuard;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -28,7 +28,7 @@ impl MoistCluster {
         }
     }
 
-    /// Write-locks `entry` — routed as an owner under seqlock `version`
+    /// Locks `entry` — routed as an owner under seqlock `version`
     /// — and validates the routing: `None` when a membership change ran
     /// (or is running) since, so the entry may no longer own the key and
     /// the caller must re-route on a fresh snapshot. This keeps the
@@ -41,8 +41,8 @@ impl MoistCluster {
         &self,
         entry: &'a ShardEntry,
         version: u64,
-    ) -> Option<RwLockWriteGuard<'a, MoistServer>> {
-        let server = entry.server.write();
+    ) -> Option<MutexGuard<'a, MoistServer>> {
+        let server = entry.server.lock();
         (self.version.load(Ordering::Acquire) == version).then_some(server)
     }
 

@@ -94,6 +94,6 @@ pub use region::{
     RegionPartial, RegionStats,
 };
 pub use school::{estimated_location, within_school};
-pub use server::{MoistServer, ServerStats};
+pub use server::{FrontEnd, MoistServer, ServerStats};
 pub use tables::{MoistTables, SpatialEntry, WriteBatch};
 pub use update::{apply_update, apply_update_batch, UpdateMessage, UpdateOutcome};

@@ -9,18 +9,21 @@
 //!
 //! ## Intra-shard concurrency
 //!
-//! Query paths (`nn*`, `region*`, `*_partial`, `position`, `flag_level`)
-//! take `&self`: each call opens an ephemeral [`Session`] attached to the
-//! server's shared [`MeterHub`], so cost accounting needs no `&mut`
-//! clock, and all query-side bookkeeping lives behind shared-friendly
-//! state (atomic [`ServerStats`] counters, a `Mutex<LoadTracker>`, an
+//! A server is cut in two by type. [`FrontEnd`] is the shared half:
+//! every query path (`nn*`, `region*`, `*_partial`, `position`,
+//! `flag_level`), counter and load accessor, and `age_data`, all through
+//! `&self` — each call opens an ephemeral [`Session`] attached to the
+//! shared [`MeterHub`], so cost accounting needs no `&mut` clock, and the
+//! query-side bookkeeping lives behind shared-friendly state (atomic
+//! [`ServerStats`] counters, a `Mutex<LoadTracker>`, an
 //! `RwLock<FlagTuner>` whose write guard is taken only when a query
-//! actually re-tunes the level). Write paths (`update`, `update_batch`,
-//! `run_due_clustering`, scheduler handoff) keep `&mut self`. A cluster
-//! tier puts each shard behind a lock that serializes those writers and
-//! serves the shard's queries from a reader (`MoistServer::reader`)
-//! beside the lock: a scan of the shared store never makes the shard's
-//! writer wait.
+//! actually re-tunes the level). [`MoistServer`] holds an
+//! `Arc<FrontEnd>`, derefs to it, and adds the writer's half — the
+//! clustering schedule and the archiver feed behind `&mut self` (`update`,
+//! `update_batch`, `run_due_clustering`, scheduler handoff). A cluster
+//! tier puts the `MoistServer` behind a mutex that serializes those
+//! writers and keeps the same `Arc<FrontEnd>` beside it: a scan of the
+//! shared store never makes the shard's writer wait.
 //!
 //! Ephemeral sessions are *seeded* from the hub's running totals, so on a
 //! single thread every charge lands in the same order and at the same
@@ -39,7 +42,7 @@ use crate::tables::MoistTables;
 use crate::update::{apply_update, apply_update_batch, UpdateMessage, UpdateOutcome};
 use moist_archive::{HistoryRecord, PppArchiver, QueryCost};
 use moist_bigtable::{Bigtable, BigtableError, MeterHub, Session, Timestamp};
-use moist_spatial::Point;
+use moist_spatial::{Point, Rect};
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -124,27 +127,23 @@ impl StatsCells {
     }
 }
 
-/// One MOIST front-end server.
-pub struct MoistServer {
+/// The shared half of a front-end: everything reachable through `&self`
+/// — configuration, tables, meters, FLAG cache, counters and the load
+/// signal — so every query, counter and load accessor runs on it without
+/// the writer's lock. A [`MoistServer`] derefs to its `FrontEnd`; the
+/// cluster tier keeps the same `Arc<FrontEnd>` beside the shard's writer
+/// mutex.
+pub struct FrontEnd {
     cfg: MoistConfig,
     tables: MoistTables,
-    /// Shared accumulator of virtual time and op counts; every session
-    /// this server opens (ephemeral per-call or the persistent one
-    /// below) mirrors its charges here.
+    store: Arc<Bigtable>,
+    /// Shared accumulator of virtual time and op counts; every per-call
+    /// session this front-end opens mirrors its charges here.
     hub: Arc<MeterHub>,
-    /// Persistent hub-attached session, kept for [`session_mut`]
-    /// (benches reset the clock through it; tests thread it into table
-    /// helpers). Query/update paths use ephemeral hubbed sessions
-    /// instead so they never need `&mut` access to this field.
-    ///
-    /// [`session_mut`]: MoistServer::session_mut
-    session: Session,
     /// FLAG tuner: read guard for cache hits and Algorithm 3 probes,
     /// write guard only to install a re-tuned level.
-    flag: Arc<RwLock<FlagTuner>>,
-    scheduler: ClusterScheduler,
-    archiver: Option<Arc<PppArchiver>>,
-    stats: Arc<StatsCells>,
+    flag: RwLock<FlagTuner>,
+    stats: StatsCells,
     /// Object-count estimate for FLAG's initial guess. Seeded from the
     /// store on construction (a server joining an already-populated store
     /// must not feed FLAG `n = 1`), bumped on local registrations, and
@@ -161,7 +160,23 @@ pub struct MoistServer {
     /// *demand*. Behind a small internal lock (EWMA folds need `&mut`)
     /// so scatter slices of concurrent queries can record cost from
     /// `&self`.
-    load: Arc<Mutex<LoadTracker>>,
+    load: Mutex<LoadTracker>,
+}
+
+/// One MOIST front-end server: the shared [`FrontEnd`] plus the writer's
+/// own state (the clustering schedule and the archiver feed).
+pub struct MoistServer {
+    front: Arc<FrontEnd>,
+    scheduler: ClusterScheduler,
+    archiver: Option<Arc<PppArchiver>>,
+}
+
+impl std::ops::Deref for MoistServer {
+    type Target = FrontEnd;
+
+    fn deref(&self) -> &FrontEnd {
+        &self.front
+    }
 }
 
 /// Opens the MOIST tables, creating them only when genuinely missing.
@@ -183,63 +198,59 @@ fn open_or_create_tables(store: &Arc<Bigtable>, cfg: &MoistConfig) -> Result<Moi
     }
 }
 
+/// Rejects non-finite query input — a centre, or a window's corners and
+/// margin — with the typed error updates get ([`UpdateMessage::validate`]):
+/// a NaN centre ranks every leader at distance NaN, an infinite one never
+/// closes the search frontier, and a NaN corner plans an empty scan.
+pub(crate) fn check_finite(coords: &[f64]) -> Result<()> {
+    if coords.iter().all(|v| v.is_finite()) {
+        Ok(())
+    } else {
+        Err(MoistError::Inconsistent("non-finite query input".into()))
+    }
+}
+
 impl MoistServer {
     /// Opens (or on first use creates) the MOIST tables in `store` and
     /// builds a server around them.
     pub fn new(store: &Arc<Bigtable>, cfg: MoistConfig) -> Result<Self> {
+        Self::with_estimate(store, cfg, Arc::default())
+    }
+
+    /// [`new`](MoistServer::new) sharing a tier-wide object-count
+    /// estimate: the handed-in counter absorbs the store's current row
+    /// count, so all shards feed FLAG the same `n`.
+    pub fn with_estimate(
+        store: &Arc<Bigtable>,
+        cfg: MoistConfig,
+        estimate: Arc<AtomicU64>,
+    ) -> Result<Self> {
         cfg.validate()?;
         let tables = open_or_create_tables(store, &cfg)?;
         // One affiliation row per object ever seen: the store's estimate is
         // the right FLAG seed even when this server joins late.
-        let seed = tables.affiliation.approx_row_count();
-        let hub = Arc::new(MeterHub::new());
-        let session = store.session_with_hub(store.config().cost_profile, Arc::clone(&hub));
+        estimate.fetch_max(tables.affiliation.approx_row_count(), Ordering::Relaxed);
         Ok(MoistServer {
-            flag: Arc::new(RwLock::new(FlagTuner::new(&cfg))),
             scheduler: ClusterScheduler::new(&cfg),
-            hub,
-            session,
             archiver: None,
-            stats: Arc::default(),
-            object_estimate: Arc::new(AtomicU64::new(seed)),
-            estimate_staleness: AtomicU64::new(0),
-            load: Arc::default(),
-            tables,
-            cfg,
+            front: Arc::new(FrontEnd {
+                flag: RwLock::new(FlagTuner::new(&cfg)),
+                store: Arc::clone(store),
+                hub: Arc::new(MeterHub::new()),
+                stats: StatsCells::default(),
+                object_estimate: estimate,
+                estimate_staleness: AtomicU64::new(0),
+                load: Mutex::default(),
+                tables,
+                cfg,
+            }),
         })
     }
 
-    /// A second front-end over the same tables that *is* this server to
-    /// every query: it shares the meter hub, FLAG cache, counters, load
-    /// signal and object estimate, so a query it answers is answered,
-    /// charged and counted exactly as if `self` had run it — without
-    /// needing access to `self`. It owns no clustering cells and feeds no
-    /// archiver; the cluster tier keeps it beside the shard's lock and
-    /// never routes a write to it.
-    pub(crate) fn reader(&self) -> MoistServer {
-        MoistServer {
-            cfg: self.cfg,
-            tables: self.tables.clone(),
-            hub: Arc::clone(&self.hub),
-            session: self.charged_session(),
-            flag: Arc::clone(&self.flag),
-            scheduler: ClusterScheduler::empty(&self.cfg),
-            archiver: None,
-            stats: Arc::clone(&self.stats),
-            object_estimate: Arc::clone(&self.object_estimate),
-            estimate_staleness: AtomicU64::new(0),
-            load: Arc::clone(&self.load),
-        }
-    }
-
-    /// Opens an ephemeral cost session for one call: charges mirror into
-    /// the shared hub and the session's meter is seeded from the hub's
-    /// running totals, so single-threaded charge sequences (and every
-    /// mid-call `elapsed_us` diff) are bit-identical to one shared clock.
-    fn charged_session(&self) -> Session {
-        self.session
-            .store()
-            .session_with_hub(*self.session.profile(), Arc::clone(&self.hub))
+    /// The shared half, for a holder that serves this server's queries
+    /// beside its writer lock.
+    pub(crate) fn front(&self) -> &Arc<FrontEnd> {
+        &self.front
     }
 
     /// Attaches the PPP archiver: every non-shed location write is also
@@ -258,57 +269,6 @@ impl MoistServer {
         self
     }
 
-    /// Shares a cluster-wide object-count estimate: the handed-in counter
-    /// absorbs this server's current estimate and replaces it, so all
-    /// shards feed FLAG the same `n`.
-    pub fn with_shared_estimate(mut self, estimate: Arc<AtomicU64>) -> Self {
-        estimate.fetch_max(
-            self.object_estimate.load(Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-        self.object_estimate = estimate;
-        self
-    }
-
-    /// The server's configuration.
-    pub fn config(&self) -> &MoistConfig {
-        &self.cfg
-    }
-
-    /// The shared tables (e.g. for direct inspection in tests).
-    pub fn tables(&self) -> &MoistTables {
-        &self.tables
-    }
-
-    /// Mutable access to the persistent session (benches reset its clock
-    /// through here; resetting a hub-attached session resets the shared
-    /// hub too, so the server-wide totals really zero).
-    pub fn session_mut(&mut self) -> &mut Session {
-        &mut self.session
-    }
-
-    /// Virtual microseconds this server has consumed across all its
-    /// sessions (the shared hub total).
-    pub fn elapsed_us(&self) -> f64 {
-        self.hub.elapsed_us()
-    }
-
-    /// The shared meter hub (cost accounting for every session this
-    /// server opens).
-    pub fn meter_hub(&self) -> &Arc<MeterHub> {
-        &self.hub
-    }
-
-    /// Operation counters.
-    pub fn stats(&self) -> ServerStats {
-        self.stats.snapshot()
-    }
-
-    /// FLAG tuner counters.
-    pub fn flag_stats(&self) -> FlagStats {
-        self.flag.read().stats()
-    }
-
     /// The clustering scheduler (ownership inspection for cluster tiers).
     pub fn scheduler(&self) -> &ClusterScheduler {
         &self.scheduler
@@ -321,49 +281,6 @@ impl MoistServer {
     /// one, preserving each cell's deadline phase.
     pub fn scheduler_mut(&mut self) -> &mut ClusterScheduler {
         &mut self.scheduler
-    }
-
-    /// The per-clustering-cell EWMA demand rates as of `now` (ascending
-    /// cell order) — this server's slice of the load-signal layer.
-    pub fn load_rates(&self, now: Timestamp) -> Vec<(u64, CellRates)> {
-        self.load.lock().rates(now)
-    }
-
-    /// Total `(update rate, query rate)` across this server's tracked
-    /// cells at `now`.
-    pub fn load_totals(&self, now: Timestamp) -> (f64, f64) {
-        self.load.lock().totals(now)
-    }
-
-    /// `(count, virtual µs)` of scattered region slices this server has
-    /// scanned for the cluster tier's fan-out.
-    pub fn scatter_slice_stats(&self) -> (u64, f64) {
-        self.load.lock().scatter_slice_stats()
-    }
-
-    /// Learned per-clustering-cell scan costs (virtual µs per full-cell
-    /// scan, ascending cell order), measured from the partial scans this
-    /// server executed. The cluster tier merges these across shards at
-    /// rebalance to price fan-out slices.
-    pub fn cell_scan_costs(&self) -> Vec<(u64, f64)> {
-        self.load.lock().cell_scan_costs()
-    }
-
-    /// Current object-count estimate feeding FLAG's initial level guess.
-    pub fn object_estimate(&self) -> u64 {
-        self.object_estimate.load(Ordering::Relaxed)
-    }
-
-    /// Re-seeds the object estimate from the store's row count immediately
-    /// (also runs lazily every [`ESTIMATE_REFRESH_OPS`] updates).
-    ///
-    /// `fetch_max`, not `store`: a plain store would erase a registration
-    /// another shard counted between our row-count read and the write.
-    /// Objects are never deleted, so the estimate only ever needs raising.
-    pub fn refresh_object_estimate(&self) -> u64 {
-        let n = self.tables.affiliation.approx_row_count();
-        self.estimate_staleness.store(0, Ordering::Relaxed);
-        self.object_estimate.fetch_max(n, Ordering::Relaxed).max(n)
     }
 
     /// Applies one update (Algorithm 1), maintaining counters and feeding
@@ -433,6 +350,122 @@ impl MoistServer {
         }
     }
 
+    /// Runs clustering for every cell due at `now` (lazy clustering).
+    pub fn run_due_clustering(&mut self, now: Timestamp) -> Result<ClusterReport> {
+        let mut s = self.charged_session();
+        let mut total = ClusterReport::default();
+        for cell in self.scheduler.due_cells(now) {
+            let r = cluster_cell(&mut s, &self.tables, &self.cfg, cell, now)?;
+            total.merge_from(&r);
+            self.stats.cluster_runs.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(total)
+    }
+
+    /// Object history from the archiver (in-memory window + disks).
+    pub fn history(
+        &self,
+        oid: ObjectId,
+        from: Timestamp,
+        to: Timestamp,
+    ) -> Option<(Vec<HistoryRecord>, QueryCost)> {
+        self.archiver
+            .as_ref()
+            .map(|a| a.query_object(oid.0, from.0, to.0))
+    }
+}
+
+impl FrontEnd {
+    /// Opens an ephemeral cost session for one call: charges mirror into
+    /// the shared hub and the session's meter is seeded from the hub's
+    /// running totals, so single-threaded charge sequences (and every
+    /// mid-call `elapsed_us` diff) are bit-identical to one shared clock.
+    fn charged_session(&self) -> Session {
+        let profile = self.store.config().cost_profile;
+        self.store.session_with_hub(profile, Arc::clone(&self.hub))
+    }
+
+    /// The server's configuration.
+    pub fn config(&self) -> &MoistConfig {
+        &self.cfg
+    }
+
+    /// The shared tables (e.g. for direct inspection in tests).
+    pub fn tables(&self) -> &MoistTables {
+        &self.tables
+    }
+
+    /// Zeroes the virtual clock and op counter (benches do this after
+    /// warm-up).
+    pub fn reset_clock(&self) {
+        self.hub.reset();
+    }
+
+    /// Virtual microseconds this server has consumed across all its
+    /// sessions (the shared hub total).
+    pub fn elapsed_us(&self) -> f64 {
+        self.hub.elapsed_us()
+    }
+
+    /// The shared meter hub (cost accounting for every session this
+    /// server opens).
+    pub fn meter_hub(&self) -> &Arc<MeterHub> {
+        &self.hub
+    }
+
+    /// Operation counters.
+    pub fn stats(&self) -> ServerStats {
+        self.stats.snapshot()
+    }
+
+    /// FLAG tuner counters.
+    pub fn flag_stats(&self) -> FlagStats {
+        self.flag.read().stats()
+    }
+
+    /// The per-clustering-cell EWMA demand rates as of `now` (ascending
+    /// cell order) — this server's slice of the load-signal layer.
+    pub fn load_rates(&self, now: Timestamp) -> Vec<(u64, CellRates)> {
+        self.load.lock().rates(now)
+    }
+
+    /// Total `(update rate, query rate)` across this server's tracked
+    /// cells at `now`.
+    pub fn load_totals(&self, now: Timestamp) -> (f64, f64) {
+        self.load.lock().totals(now)
+    }
+
+    /// `(count, virtual µs)` of scattered region slices this server has
+    /// scanned for the cluster tier's fan-out.
+    pub fn scatter_slice_stats(&self) -> (u64, f64) {
+        self.load.lock().scatter_slice_stats()
+    }
+
+    /// Learned per-clustering-cell scan costs (virtual µs per full-cell
+    /// scan, ascending cell order), measured from the partial scans this
+    /// server executed. The cluster tier merges these across shards at
+    /// rebalance to price fan-out slices.
+    pub fn cell_scan_costs(&self) -> Vec<(u64, f64)> {
+        self.load.lock().cell_scan_costs()
+    }
+
+    /// Current object-count estimate feeding FLAG's initial level guess.
+    pub fn object_estimate(&self) -> u64 {
+        self.object_estimate.load(Ordering::Relaxed)
+    }
+
+    /// Re-seeds the object estimate from the store's row count immediately
+    /// (also runs lazily every [`ESTIMATE_REFRESH_OPS`] updates).
+    ///
+    /// `fetch_max`, not `store`: a plain store would erase a registration
+    /// another shard counted between our row-count read and the write.
+    /// Objects are never deleted, so the estimate only ever needs raising.
+    pub fn refresh_object_estimate(&self) -> u64 {
+        let n = self.tables.affiliation.approx_row_count();
+        self.estimate_staleness.store(0, Ordering::Relaxed);
+        self.object_estimate.fetch_max(n, Ordering::Relaxed).max(n)
+    }
+
     /// k-nearest-neighbour query with FLAG-tuned level.
     pub fn nn(&self, center: Point, k: usize, at: Timestamp) -> Result<(Vec<Neighbor>, NnStats)> {
         // One session threads FLAG's probes and the NN scan, so the
@@ -473,6 +506,7 @@ impl MoistServer {
         at: Timestamp,
         opts: &NnOptions,
     ) -> Result<(Vec<Neighbor>, NnStats)> {
+        check_finite(&[center.x, center.y])?;
         let out = nn_query(s, &self.tables, &self.cfg, center, at, opts)?;
         self.stats.nn_queries.fetch_add(1, Ordering::Relaxed);
         let cell = self.cfg.space.cell_at(self.cfg.clustering_level, &center);
@@ -494,6 +528,7 @@ impl MoistServer {
     /// racing misses may both recompute — both arrive at the same
     /// answer, and the cache insert is idempotent.
     fn flag_level_in(&self, s: &mut Session, loc: &Point, n: u64, at: Timestamp) -> Result<u8> {
+        check_finite(&[loc.x, loc.y])?;
         let index = self.cfg.space.leaf_cell(loc).index;
         let stale_key = match self.flag.read().lookup(index, at) {
             FlagLookup::Hit(level) => return Ok(level),
@@ -531,10 +566,11 @@ impl MoistServer {
     /// running buses near a location", §5).
     pub fn region(
         &self,
-        rect: &moist_spatial::Rect,
+        rect: &Rect,
         at: Timestamp,
         margin: f64,
     ) -> Result<(Vec<Neighbor>, crate::region::RegionStats)> {
+        check_finite(&[rect.min_x, rect.min_y, rect.max_x, rect.max_y, margin])?;
         let cell = self
             .cfg
             .space
@@ -552,9 +588,10 @@ impl MoistServer {
     pub fn region_partial(
         &self,
         ranges: &[(u64, u64)],
-        rect: &moist_spatial::Rect,
+        rect: &Rect,
         at: Timestamp,
     ) -> Result<crate::region::RegionPartial> {
+        check_finite(&[rect.min_x, rect.min_y, rect.max_x, rect.max_y])?;
         let mut s = self.charged_session();
         let part =
             crate::region::region_partial_scan(&mut s, &self.tables, ranges, rect, at, true)?;
@@ -606,32 +643,8 @@ impl MoistServer {
         }
     }
 
-    /// Runs clustering for every cell due at `now` (lazy clustering).
-    pub fn run_due_clustering(&mut self, now: Timestamp) -> Result<ClusterReport> {
-        let mut s = self.charged_session();
-        let mut total = ClusterReport::default();
-        for cell in self.scheduler.due_cells(now) {
-            let r = cluster_cell(&mut s, &self.tables, &self.cfg, cell, now)?;
-            total.merge_from(&r);
-            self.stats.cluster_runs.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(total)
-    }
-
-    /// Object history from the archiver (in-memory window + disks).
-    pub fn history(
-        &self,
-        oid: ObjectId,
-        from: Timestamp,
-        to: Timestamp,
-    ) -> Option<(Vec<HistoryRecord>, QueryCost)> {
-        self.archiver
-            .as_ref()
-            .map(|a| a.query_object(oid.0, from.0, to.0))
-    }
-
     /// Ages out old location and affiliation records to disk columns.
-    pub fn age_data(&mut self, now: Timestamp) -> Result<usize> {
+    pub fn age_data(&self, now: Timestamp) -> Result<usize> {
         let cutoff = Timestamp(
             now.0
                 .saturating_sub((self.cfg.aging_secs.max(0.0) * 1e6) as u64),
@@ -709,12 +722,8 @@ mod tests {
         assert_eq!(b.refresh_object_estimate(), 51);
         // A shared counter keeps shards in sync without refreshes.
         let shared = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let mut c = MoistServer::new(&store, cfg)
-            .unwrap()
-            .with_shared_estimate(Arc::clone(&shared));
-        let d = MoistServer::new(&store, cfg)
-            .unwrap()
-            .with_shared_estimate(Arc::clone(&shared));
+        let mut c = MoistServer::with_estimate(&store, cfg, Arc::clone(&shared)).unwrap();
+        let d = MoistServer::with_estimate(&store, cfg, Arc::clone(&shared)).unwrap();
         c.update(&msg(100, 50.0, 50.0, 1.0, 0.0)).unwrap();
         assert_eq!(d.object_estimate(), 52);
     }
@@ -767,7 +776,7 @@ mod tests {
         let t = server.tables().clone();
         let d = Displacement::new(0.0, 7.0);
         t.set_lf(
-            server.session_mut(),
+            &mut store.session(),
             ObjectId(2),
             &LfRecord::Follower {
                 leader: ObjectId(1),

@@ -776,7 +776,7 @@ mod tests {
 
     #[test]
     fn non_finite_updates_are_rejected() {
-        let (_st, t, mut s, cfg) = setup(5.0);
+        let (st, t, mut s, cfg) = setup(5.0);
         let bad = UpdateMessage {
             oid: ObjectId(1),
             loc: Point::new(f64::NAN, 0.0),
@@ -784,5 +784,31 @@ mod tests {
             ts: Timestamp::ZERO,
         };
         assert!(apply_update(&mut s, &t, &cfg, &bad).is_err());
+        // Queries reject what updates reject, with the same typed error,
+        // before touching the store.
+        let server = crate::server::MoistServer::new(&st, cfg).unwrap();
+        let rejected = |r: Result<()>| matches!(r, Err(MoistError::Inconsistent(_)));
+        let at = Timestamp::ZERO;
+        for c in [
+            Point::new(f64::NAN, 500.0),
+            Point::new(500.0, f64::INFINITY),
+        ] {
+            assert!(rejected(server.nn(c, 3, at).map(drop)));
+            assert!(rejected(server.nn_at_level(c, 3, at, 4).map(drop)));
+            assert!(rejected(server.flag_level(&c, at).map(drop)));
+        }
+        let world = cfg.space.world;
+        let nan_corner = moist_spatial::Rect {
+            min_x: f64::NAN,
+            ..world
+        };
+        let unbounded = moist_spatial::Rect::new(0.0, 0.0, f64::INFINITY, 10.0);
+        assert!(rejected(server.region(&nan_corner, at, 0.0).map(drop)));
+        assert!(rejected(server.region(&unbounded, at, 0.0).map(drop)));
+        assert!(rejected(server.region(&world, at, f64::NAN).map(drop)));
+        let partial = server.region_partial(&[(0, 4)], &nan_corner, at);
+        assert!(rejected(partial.map(drop)));
+        assert_eq!(server.meter_hub().op_count(), 0, "rejected before any read");
+        assert!(server.region(&world, at, 0.0).is_ok());
     }
 }

@@ -1,13 +1,16 @@
 //! Shard concurrency, under fire.
 //!
-//! Shards sit behind `RwLock<MoistServer>`: writes take the write guard,
-//! `with_shard_read` the read guard, and the tier's own queries run on
-//! the shard's reader beside the lock. These tests pin the contracts:
+//! Shards sit behind `Mutex<MoistServer>`, taken by writers only; the
+//! server's shared half (`FrontEnd`: queries, counters, load, clock,
+//! aging) sits beside the mutex, so `with_shard_read`, the tier's own
+//! queries and its stats rollups take no shard lock. These tests pin the
+//! contracts:
 //!
-//! * read guards on one shard genuinely overlap (an exclusive lock would
-//!   deadlock the handshake);
-//! * pinning a shard's write guard mid-`update_batch` delays neither the
-//!   tier's queries on that shard nor other shards' readers;
+//! * `with_shard_read` calls on one shard genuinely overlap (an exclusive
+//!   lock would deadlock the handshake);
+//! * pinning a shard's writer lock mid-`update_batch` delays neither the
+//!   tier's queries on that shard, nor `with_shard_read` on it, nor the
+//!   stats rollups and `age_data`, nor other shards' readers;
 //! * a writer with a backlog drains it beside a closed-loop NN reader on
 //!   its hot shard without waiting out the reader's scans;
 //! * racing readers and writers account exactly: final `ServerStats`
@@ -83,10 +86,10 @@ fn probe_points(cluster: &MoistCluster) -> Vec<Point> {
         .collect()
 }
 
-/// Two threads hold the *same shard's* read guard at the same time. The
-/// handshake (each side waits for the other while still inside its
-/// guard) deadlocks under an exclusive lock, so the 5 s timeout doubles
-/// as the regression signal.
+/// Two threads sit inside `with_shard_read` on the *same shard* at the
+/// same time. The handshake (each side waits for the other while still
+/// inside its closure) deadlocks under an exclusive lock, so the 5 s
+/// timeout doubles as the regression signal.
 #[test]
 fn read_guards_on_one_shard_overlap() {
     let store = Bigtable::new();
@@ -105,10 +108,10 @@ fn read_guards_on_one_shard_overlap() {
     let t1 = std::thread::spawn(move || {
         c1.with_shard_read(0, |server| {
             a_in_tx.send(()).unwrap();
-            // Stay inside the read guard until the second reader is in too.
+            // Stay inside the closure until the second reader is in too.
             b_in_rx
                 .recv_timeout(Duration::from_secs(5))
-                .expect("second reader must enter the shard while we hold the read guard");
+                .expect("second reader must enter the shard while we are still inside");
             server.stats()
         })
         .unwrap()
@@ -129,12 +132,13 @@ fn read_guards_on_one_shard_overlap() {
     assert_eq!(s1, s2, "overlapping readers saw one consistent shard");
 }
 
-/// A writer pins shard 0's write guard mid-`update_batch` (inside
-/// `with_shard`) until every reader below has answered: a read of
-/// another shard under its read guard, and eight tier queries aimed at
-/// the pinned shard, which take no shard lock. Anything that waited for
-/// the pinned guard would leave the writer waiting for its release
-/// signal until the 5 s timeout fails the test.
+/// A writer pins shard 0's lock mid-`update_batch` (inside `with_shard`)
+/// until every reader below has answered: a read of another shard, eight
+/// tier queries aimed at the pinned shard, and — on the pinned shard
+/// itself — `with_shard_read`, the tier's stats rollups and `age_data`.
+/// None of them takes a shard lock; anything that waited for the pinned
+/// one would leave the writer waiting for its release signal until the
+/// 5 s timeout fails the test.
 #[test]
 fn tier_queries_do_not_wait_for_a_pinned_write_guard() {
     let store = Bigtable::new();
@@ -169,7 +173,7 @@ fn tier_queries_do_not_wait_for_a_pinned_write_guard() {
 
     held_rx.recv_timeout(Duration::from_secs(5)).unwrap();
 
-    // Another shard's read guard is free.
+    // Another shard is free.
     let (nn_other, _) = cluster
         .with_shard_read(1, |s| {
             s.nn_at_level(probes[1], 3, Timestamp::from_secs(3), 5)
@@ -201,8 +205,22 @@ fn tier_queries_do_not_wait_for_a_pinned_write_guard() {
     for r in readers {
         r.join().unwrap();
     }
+
+    // The pinned shard's own counters, the rollups over every shard and
+    // the table-wide aging sweep answer too.
+    let now = Timestamp::from_secs(3);
+    let pinned = cluster.with_shard_read(0, |s| s.stats()).unwrap();
+    assert!(pinned.updates >= 64, "the pinned batch is counted");
+    assert_eq!(cluster.stats().updates, 256 + 64);
+    assert_eq!(cluster.shard_stats()[0], pinned);
+    assert_eq!(cluster.shard_elapsed_us().len(), SHARDS);
+    assert_eq!(cluster.cluster_stats(now).shards.len(), SHARDS);
+    cluster.age_data(now).unwrap();
+
     release_tx.send(()).unwrap();
-    writer.join().expect("a reader waited for the write guard");
+    writer
+        .join()
+        .expect("a reader waited for the writer's lock");
 }
 
 /// A writer with a backlog — the state of a paced writer that has

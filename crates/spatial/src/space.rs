@@ -105,13 +105,6 @@ impl Space {
         }
         level
     }
-
-    /// Distance in world units between two world points (Euclidean; world
-    /// units are metres in the 1 km² experiments).
-    #[inline]
-    pub fn world_distance(&self, a: &Point, b: &Point) -> f64 {
-        a.distance(b)
-    }
 }
 
 #[cfg(test)]
