@@ -237,7 +237,8 @@ impl BxTree {
                     let pos = loc.advance(vel, now - cell.ts.as_secs_f64());
                     let _ = label;
                     if rect.contains(&pos) {
-                        let oid = u64::from_be_bytes(row.key.0[16..24].try_into().unwrap());
+                        let oid =
+                            u64::from_be_bytes(row.key.as_slice()[16..24].try_into().unwrap());
                         out.push(BxEntry { oid, loc: pos, vel });
                     }
                 }

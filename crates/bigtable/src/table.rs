@@ -1,14 +1,23 @@
 //! Table API: reads, atomic row mutations, batch mutations and range scans.
+//!
+//! A write runs in a fixed order: **resolve** every mutation's family name
+//! against the schema (an unknown family is a typed error raised here,
+//! before anything is logged or touched, and what comes out — `RowOp`s
+//! carrying family indices — cannot fail to apply); **append** the record
+//! to the WAL on a durable table, keeping the WAL lock to the end of the
+//! call; **apply** under the tablet's write lock with one descent of its
+//! tree per row. Lock order: WAL, then the tablet list, then one tablet's
+//! rows — `tablet.rs` has the row layout and the tablet side of it.
 
 use crate::error::{BigtableError, Result};
 use crate::metrics::Metrics;
 use crate::schema::TableSchema;
-use crate::tablet::{RowStorage, TabletSet};
+use crate::tablet::{apply_to_row, RowOp, RowStorage, TabletSet};
 use crate::types::{Cell, Locality, RowKey, Timestamp};
 use crate::wal::{self, WalRecord, WalWriter};
 use bytes::Bytes;
 use parking_lot::{Mutex, MutexGuard};
-use std::collections::HashMap;
+use std::collections::btree_map::Entry;
 use std::sync::Arc;
 
 /// A single change to one row. Mutations within a [`RowMutation`] apply
@@ -82,6 +91,22 @@ impl RowMutation {
         RowMutation {
             key: key.into(),
             mutations,
+        }
+    }
+}
+
+/// One row's mutations, resolved. The store's hot writes carry a single
+/// mutation, which needs no allocation to hold.
+enum RowOps<'a> {
+    One(RowOp<'a>),
+    Many(Vec<RowOp<'a>>),
+}
+
+impl<'a> RowOps<'a> {
+    fn as_slice(&self) -> &[RowOp<'a>] {
+        match self {
+            RowOps::One(op) => std::slice::from_ref(op),
+            RowOps::Many(ops) => ops,
         }
     }
 }
@@ -280,10 +305,10 @@ impl Table {
     /// capacity statistics, not hot paths).
     pub fn cell_count(&self) -> usize {
         let mut total = 0;
-        for tablet in self.tablets.route_range(&RowKey::MIN, None) {
-            let rows = tablet.rows.read();
-            total += rows.values().map(|r| r.cell_count()).sum::<usize>();
-        }
+        self.tablets.scan(&RowKey::MIN, None, |_, row| {
+            total += row.cell_count();
+            true
+        });
         total
     }
 
@@ -321,16 +346,13 @@ impl Table {
     /// nothing in the requested families.
     pub fn get_row(&self, key: &RowKey, opts: &ReadOptions) -> Result<Option<OwnedRow>> {
         let family_filter = self.resolve_family_filter(opts)?;
-        let tablet = self.tablets.route(key);
-        let rows = tablet.rows.read();
-        let row = match rows.get(key) {
-            Some(r) => r,
-            None => {
-                self.metrics.record_read(1, 0, 0);
-                return Ok(None);
-            }
+        let found = self.tablets.read(key, |row| {
+            row.map(|row| self.materialize(key, row, &family_filter, opts.latest_only))
+        });
+        let Some(owned) = found else {
+            self.metrics.record_read(1, 0, 0);
+            return Ok(None);
         };
-        let owned = self.materialize(key, row, &family_filter, opts.latest_only);
         self.metrics
             .record_read(1, 1, owned.as_ref().map_or(0, |r| r.payload_bytes() as u64));
         Ok(owned)
@@ -339,13 +361,9 @@ impl Table {
     /// Latest cell of `family:qualifier` in `key`'s row.
     pub fn get_latest(&self, key: &RowKey, family: &str, qualifier: &str) -> Result<Option<Cell>> {
         let fidx = self.family_checked(family)?;
-        let tablet = self.tablets.route(key);
-        let rows = tablet.rows.read();
-        let cell = rows
-            .get(key)
-            .and_then(|r| r.families[fidx].get(qualifier))
-            .and_then(|versions| versions.first())
-            .cloned();
+        let cell = self.tablets.read(key, |row| {
+            row.and_then(|row| row.latest(fidx, qualifier)).cloned()
+        });
         self.metrics.record_read(
             1,
             u64::from(cell.is_some()),
@@ -356,19 +374,14 @@ impl Table {
 
     /// Applies mutations to one row atomically.
     pub fn mutate_row(&self, key: &RowKey, mutations: &[Mutation]) -> Result<()> {
-        // Validate families before taking the lock so errors are side-effect
-        // free.
-        self.validate_mutations(mutations)?;
+        let ops = self.resolve(mutations)?;
         let _wal = self.wal_append_with(|| wal::encode_rows(&[(key, mutations)]))?;
-        let tablet = self.tablets.route(key);
-        let delta = {
-            let mut rows = tablet.rows.write();
-            self.apply_to_row(&mut rows, key, mutations)
-        };
+        let delta = self.tablets.write(key, |rows| {
+            apply_to_row(rows.entry(key.clone()), ops.as_slice())
+        });
         self.note_row_delta(delta);
         self.metrics
             .record_write(1, mutations.len() as u64, Self::mutation_bytes(mutations));
-        self.tablets.maybe_split();
         Ok(())
     }
 
@@ -379,9 +392,7 @@ impl Table {
     /// lock once — this is the "batch reading/writing" advantage §3.3.2's
     /// clustering leans on.
     pub fn mutate_rows(&self, batch: &[RowMutation]) -> Result<usize> {
-        for rm in batch {
-            self.validate_mutations(&rm.mutations)?;
-        }
+        let resolved = self.resolve_batch(batch)?;
         let _wal = self.wal_append_with(|| {
             let rows: Vec<(&RowKey, &[Mutation])> = batch
                 .iter()
@@ -389,38 +400,39 @@ impl Table {
                 .collect();
             wal::encode_rows(&rows)
         })?;
-        let (total_muts, total_bytes) = self.apply_batch(batch);
+        let (total_muts, total_bytes) = self.apply_batch(&resolved);
         self.metrics.record_batch_write(total_muts, total_bytes);
-        self.tablets.maybe_split();
         Ok(batch.len())
     }
 
-    /// Groups a validated batch by tablet, applies it (one write lock per
-    /// tablet group), and returns `(mutations, payload bytes)`. Shared by
-    /// the live path and WAL replay.
-    fn apply_batch(&self, batch: &[RowMutation]) -> (u64, u64) {
-        let mut groups: HashMap<usize, (Arc<crate::tablet::Tablet>, Vec<&RowMutation>)> =
-            HashMap::new();
-        for rm in batch {
-            let tablet = self.tablets.route(&rm.key);
-            let id = Arc::as_ptr(&tablet) as usize;
-            groups
-                .entry(id)
-                .or_insert_with(|| (tablet, Vec::new()))
-                .1
-                .push(rm);
-        }
+    /// Resolves every row of a batch, or fails — before anything is logged
+    /// or applied — on the first family the schema lacks.
+    fn resolve_batch<'a>(
+        &self,
+        batch: &'a [RowMutation],
+    ) -> Result<Vec<(&'a RowMutation, RowOps<'a>)>> {
+        batch
+            .iter()
+            .map(|rm| Ok((rm, self.resolve(&rm.mutations)?)))
+            .collect()
+    }
+
+    /// Applies a resolved batch (one write lock per tablet touched) and
+    /// returns `(mutations, payload bytes)`. Shared by the live path and
+    /// WAL replay.
+    fn apply_batch(&self, batch: &[(&RowMutation, RowOps<'_>)]) -> (u64, u64) {
         let mut total_muts = 0u64;
         let mut total_bytes = 0u64;
         let mut total_delta = 0i64;
-        for (_, (tablet, rms)) in groups {
-            let mut rows = tablet.rows.write();
-            for rm in rms {
-                total_delta += self.apply_to_row(&mut rows, &rm.key, &rm.mutations);
+        self.tablets.write_batch(
+            batch,
+            |(rm, _)| &rm.key,
+            |rows, (rm, ops)| {
+                total_delta += apply_to_row(rows.entry(rm.key.clone()), ops.as_slice());
                 total_muts += rm.mutations.len() as u64;
                 total_bytes += Self::mutation_bytes(&rm.mutations);
-            }
-        }
+            },
+        );
         self.note_row_delta(total_delta);
         (total_muts, total_bytes)
     }
@@ -443,41 +455,32 @@ impl Table {
         mutations: &[Mutation],
     ) -> Result<bool> {
         let fidx = self.family_checked(family)?;
-        self.validate_mutations(mutations)?;
+        let ops = self.resolve(mutations)?;
         // WAL lock before tablet lock (the store-wide ordering): whether to
         // log is only known once the guard is evaluated under the row lock,
         // so the record is appended there — still before the apply.
         let mut wal_guard = self.wal.as_ref().map(|m| m.lock());
-        let tablet = self.tablets.route(key);
-        let (applied, delta) = {
-            let mut rows = tablet.rows.write();
-            let current: Option<Bytes> = rows
-                .get(key)
-                .and_then(|r| r.families[fidx].get(qualifier))
-                .and_then(|versions| versions.first())
-                .map(|c| c.value.clone());
-            let matches = match (expected, &current) {
-                (None, None) => true,
-                (Some(e), Some(c)) => e == c.as_ref(),
-                _ => false,
+        let delta = self.tablets.write(key, |rows| -> Result<Option<i64>> {
+            let entry = rows.entry(key.clone());
+            let current = match &entry {
+                Entry::Occupied(row) => row.get().latest(fidx, qualifier),
+                Entry::Vacant(_) => None,
             };
-            if matches {
-                if let Some(w) = wal_guard.as_deref_mut() {
-                    let info = w.append(&wal::encode_rows(&[(key, mutations)]))?;
-                    self.metrics.record_wal_append(info.bytes, info.fsynced);
-                }
-                let delta = self.apply_to_row(&mut rows, key, mutations);
-                (true, delta)
-            } else {
-                (false, 0)
+            if expected != current.map(|c| &c.value[..]) {
+                return Ok(None);
             }
-        };
-        self.note_row_delta(delta);
+            if let Some(w) = wal_guard.as_deref_mut() {
+                let info = w.append(&wal::encode_rows(&[(key, mutations)]))?;
+                self.metrics.record_wal_append(info.bytes, info.fsynced);
+            }
+            Ok(Some(apply_to_row(entry, ops.as_slice())))
+        })?;
+        let applied = delta.is_some();
+        self.note_row_delta(delta.unwrap_or(0));
         self.metrics.record_read(1, u64::from(applied), 0);
         if applied {
             self.metrics
                 .record_write(1, mutations.len() as u64, Self::mutation_bytes(mutations));
-            self.tablets.maybe_split();
         }
         Ok(applied)
     }
@@ -489,18 +492,15 @@ impl Table {
         let mut out = Vec::with_capacity(keys.len());
         let mut rows_found = 0u64;
         let mut bytes = 0u64;
-        for key in keys {
-            let tablet = self.tablets.route(key);
-            let rows = tablet.rows.read();
-            let owned = rows
-                .get(key)
-                .and_then(|r| self.materialize(key, r, &family_filter, opts.latest_only));
+        self.tablets.read_many(keys, |key, row| {
+            let owned =
+                row.and_then(|r| self.materialize(key, r, &family_filter, opts.latest_only));
             if let Some(r) = &owned {
                 rows_found += 1;
                 bytes += r.payload_bytes() as u64;
             }
             out.push(owned);
-        }
+        });
         self.metrics.record_read(1, rows_found, bytes);
         Ok(out)
     }
@@ -520,24 +520,15 @@ impl Table {
         let family_filter = self.resolve_family_filter(opts)?;
         let limit = limit.unwrap_or(usize::MAX);
         let mut out = Vec::new();
-        let tablets = self.tablets.route_range(&range.start, range.end.as_ref());
         let mut bytes = 0u64;
-        'outer: for tablet in tablets {
-            let rows = tablet.rows.read();
-            let iter: Box<dyn Iterator<Item = (&RowKey, &RowStorage)>> = match &range.end {
-                Some(end) => Box::new(rows.range(range.start.clone()..end.clone())),
-                None => Box::new(rows.range(range.start.clone()..)),
-            };
-            for (key, row) in iter {
+        self.tablets
+            .scan(&range.start, range.end.as_ref(), |key, row| {
                 if let Some(owned) = self.materialize(key, row, &family_filter, opts.latest_only) {
                     bytes += owned.payload_bytes() as u64;
                     out.push(owned);
-                    if out.len() >= limit {
-                        break 'outer;
-                    }
                 }
-            }
-        }
+                out.len() < limit
+            });
         self.metrics.record_scan(1, out.len() as u64, bytes);
         Ok(out)
     }
@@ -579,24 +570,8 @@ impl Table {
         cutoff: Timestamp,
     ) -> usize {
         let mut moved = 0usize;
-        for tablet in self.tablets.route_range(&RowKey::MIN, None) {
-            let mut rows = tablet.rows.write();
-            for row in rows.values_mut() {
-                // Collect first to avoid borrowing families twice.
-                let mut staged: Vec<(String, Cell)> = Vec::new();
-                for (qual, versions) in row.families[mem_idx].iter_mut() {
-                    let split = versions.partition_point(|c| c.ts > cutoff);
-                    for cell in versions.drain(split..) {
-                        staged.push((qual.clone(), cell));
-                    }
-                }
-                row.families[mem_idx].retain(|_, v| !v.is_empty());
-                moved += staged.len();
-                for (qual, cell) in staged {
-                    row.put(disk_idx, &qual, cell.ts, cell.value, disk_max);
-                }
-            }
-        }
+        self.tablets
+            .for_each_row_mut(|row| moved += row.age(mem_idx, disk_idx, disk_max, cutoff));
         moved
     }
 
@@ -625,24 +600,23 @@ impl Table {
         let count_pos = buf.len();
         wal::put_u64(&mut buf, 0); // patched below
         let mut n = 0u64;
-        for tablet in self.tablets.route_range(&RowKey::MIN, None) {
-            let rows = tablet.rows.read();
-            for (key, row) in rows.iter() {
-                n += 1;
-                wal::put_bytes(&mut buf, &key.0);
-                for fam in &row.families {
-                    wal::put_u32(&mut buf, fam.len() as u32);
-                    for (qual, versions) in fam {
-                        wal::put_str(&mut buf, qual);
-                        wal::put_u32(&mut buf, versions.len() as u32);
-                        for c in versions {
-                            wal::put_u64(&mut buf, c.ts.0);
-                            wal::put_bytes(&mut buf, &c.value);
-                        }
+        self.tablets.scan(&RowKey::MIN, None, |key, row| {
+            n += 1;
+            wal::put_bytes(&mut buf, key.as_slice());
+            for fidx in 0..self.schema.families.len() {
+                let columns = row.family(fidx);
+                wal::put_u32(&mut buf, columns.len() as u32);
+                for col in columns {
+                    wal::put_bytes(&mut buf, col.qualifier.as_slice());
+                    wal::put_u32(&mut buf, col.versions.len() as u32);
+                    for c in &col.versions {
+                        wal::put_u64(&mut buf, c.ts.0);
+                        wal::put_bytes(&mut buf, &c.value);
                     }
                 }
             }
-        }
+            true
+        });
         buf[count_pos..count_pos + 8].copy_from_slice(&n.to_le_bytes());
         buf
     }
@@ -652,10 +626,9 @@ impl Table {
     /// yet shared, so direct tablet inserts are safe.
     pub(crate) fn load_snapshot_rows(&self, r: &mut wal::Reader<'_>) -> Result<u64> {
         let nrows = r.u64()?;
-        let nfam = self.schema.families.len();
-        for i in 0..nrows {
-            let key = RowKey(r.bytes()?.to_vec());
-            let mut row = RowStorage::with_families(nfam);
+        for _ in 0..nrows {
+            let key = RowKey::from_bytes(r.bytes()?);
+            let mut row = RowStorage::default();
             for (fidx, fam) in self.schema.families.iter().enumerate() {
                 let ncols = r.u32()?;
                 for _ in 0..ncols {
@@ -668,14 +641,16 @@ impl Table {
                     }
                 }
             }
-            let tablet = self.tablets.route(&key);
-            tablet.rows.write().insert(key, row);
-            self.note_row_delta(1);
-            if i % 1024 == 1023 {
-                self.tablets.maybe_split();
+            if row.is_empty() {
+                continue; // a live table never holds one; keep it so
+            }
+            let replaced = self
+                .tablets
+                .write(&key, |rows| rows.insert(key.clone(), row));
+            if replaced.is_none() {
+                self.note_row_delta(1);
             }
         }
-        self.tablets.maybe_split();
         Ok(nrows)
     }
 
@@ -695,11 +670,7 @@ impl Table {
                 }
             }
             WalRecord::Rows(batch) => {
-                for rm in &batch {
-                    self.validate_mutations(&rm.mutations)?;
-                }
-                self.apply_batch(&batch);
-                self.tablets.maybe_split();
+                self.apply_batch(&self.resolve_batch(&batch)?);
             }
             WalRecord::AgeTransfer {
                 mem_family,
@@ -728,68 +699,45 @@ impl Table {
         }
     }
 
-    fn validate_mutations(&self, mutations: &[Mutation]) -> Result<()> {
-        for m in mutations {
-            match m {
-                Mutation::Put { family, .. }
-                | Mutation::DeleteColumn { family, .. }
-                | Mutation::DeleteFamily { family } => {
-                    self.family_checked(family)?;
+    /// Resolves one mutation's family name; the only place a write can
+    /// meet a family the schema lacks.
+    fn resolve_one<'a>(&self, m: &'a Mutation) -> Result<RowOp<'a>> {
+        Ok(match m {
+            Mutation::Put {
+                family,
+                qualifier,
+                ts,
+                value,
+            } => {
+                let (family, decl) = self.schema.family(family)?;
+                RowOp::Put {
+                    family,
+                    max_versions: decl.max_versions,
+                    qualifier,
+                    ts: *ts,
+                    value,
                 }
-                Mutation::DeleteRow => {}
             }
-        }
-        Ok(())
+            Mutation::DeleteColumn { family, qualifier } => RowOp::DeleteColumn {
+                family: self.family_checked(family)?,
+                qualifier,
+            },
+            Mutation::DeleteFamily { family } => RowOp::DeleteFamily {
+                family: self.family_checked(family)?,
+            },
+            Mutation::DeleteRow => RowOp::DeleteRow,
+        })
     }
 
-    /// Applies mutations under the tablet lock; returns the net change in
-    /// row count (+1 created, −1 removed, 0 otherwise).
-    fn apply_to_row(
-        &self,
-        rows: &mut std::collections::BTreeMap<RowKey, RowStorage>,
-        key: &RowKey,
-        mutations: &[Mutation],
-    ) -> i64 {
-        let nfam = self.schema.families.len();
-        let existed = rows.contains_key(key);
-        let row = rows
-            .entry(key.clone())
-            .or_insert_with(|| RowStorage::with_families(nfam));
-        for m in mutations {
-            match m {
-                Mutation::Put {
-                    family,
-                    qualifier,
-                    ts,
-                    value,
-                } => {
-                    // Families were validated; index lookup cannot fail.
-                    let (fidx, fam) = self.schema.family(family).expect("validated family");
-                    row.put(fidx, qualifier, *ts, value.clone(), fam.max_versions);
-                }
-                Mutation::DeleteColumn { family, qualifier } => {
-                    let (fidx, _) = self.schema.family(family).expect("validated family");
-                    row.delete_column(fidx, qualifier);
-                }
-                Mutation::DeleteFamily { family } => {
-                    let (fidx, _) = self.schema.family(family).expect("validated family");
-                    row.delete_family(fidx);
-                }
-                Mutation::DeleteRow => {
-                    for f in &mut row.families {
-                        f.clear();
-                    }
-                }
-            }
-        }
-        let empty_now = row.is_empty();
-        if empty_now {
-            rows.remove(key);
-        }
-        match (existed, empty_now) {
-            (false, false) => 1,
-            (true, true) => -1,
-            _ => 0,
+    /// Resolves a row's mutations (all of them, or an error and nothing).
+    fn resolve<'a>(&self, mutations: &'a [Mutation]) -> Result<RowOps<'a>> {
+        match mutations {
+            [m] => self.resolve_one(m).map(RowOps::One),
+            _ => mutations
+                .iter()
+                .map(|m| self.resolve_one(m))
+                .collect::<Result<_>>()
+                .map(RowOps::Many),
         }
     }
 
@@ -801,27 +749,21 @@ impl Table {
         latest_only: bool,
     ) -> Option<OwnedRow> {
         let mut entries = Vec::new();
-        for (fidx, fam) in self.schema.families.iter().enumerate() {
-            if let Some(filter) = family_filter {
-                if !filter.contains(&fidx) {
-                    continue;
-                }
+        for col in row.columns() {
+            if family_filter
+                .as_ref()
+                .is_some_and(|filter| !filter.contains(&col.family))
+            {
+                continue;
             }
-            for (qual, versions) in &row.families[fidx] {
-                if versions.is_empty() {
-                    continue;
-                }
-                let cells = if latest_only {
-                    vec![versions[0].clone()]
-                } else {
-                    versions.clone()
-                };
-                entries.push(RowEntry {
-                    family: fam.name.clone(),
-                    qualifier: qual.clone(),
-                    cells,
-                });
-            }
+            let wanted = if latest_only { 1 } else { usize::MAX };
+            let cells = col.versions.iter().take(wanted).cloned().collect();
+            entries.push(RowEntry {
+                family: self.schema.families[col.family].name.clone(),
+                // Lossless: the bytes are those of the `&str` it was put as.
+                qualifier: String::from_utf8_lossy(col.qualifier.as_slice()).into_owned(),
+                cells,
+            });
         }
         if entries.is_empty() {
             None
@@ -891,6 +833,104 @@ mod tests {
         assert!(t.get_latest(&key, "nope", "q").is_err());
         // Nothing was written.
         assert!(t.get_row(&key, &ReadOptions::latest()).unwrap().is_none());
+    }
+
+    #[test]
+    fn unknown_family_rejects_the_whole_batch_before_the_log() {
+        let dir = std::env::temp_dir().join(format!("moist_table_batch_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let schema = table().schema().clone();
+        let log = WalWriter::create(wal::wal_path(&dir, "t"), 0, 1).unwrap();
+        let t = Table::new(schema, 64, Some(log));
+        let put = |family: &str| vec![Mutation::put(family, "q", Timestamp(1), &b"v"[..])];
+        let batch = [
+            RowMutation::new(RowKey::from_u64(1), put("mem")),
+            RowMutation::new(
+                RowKey::from_u64(2),
+                vec![
+                    Mutation::delete_column("disk", "q"),
+                    Mutation::DeleteFamily {
+                        family: "nope".into(),
+                    },
+                ],
+            ),
+            RowMutation::new(RowKey::from_u64(3), put("disk")),
+        ];
+        let err = t.mutate_rows(&batch).unwrap_err();
+        assert!(matches!(err, BigtableError::UnknownFamily { .. }));
+        let guarded = t.check_and_mutate(&RowKey::from_u64(1), "mem", "q", None, &put("nope"));
+        assert!(matches!(guarded, Err(BigtableError::UnknownFamily { .. })));
+        // Not the valid rows before the bad one either, and no log record.
+        assert_eq!((t.row_count(), t.approx_row_count()), (0, 0));
+        let snap = t.metrics().snapshot();
+        assert_eq!(
+            (snap.wal_appends, snap.batch_ops, snap.write_ops),
+            (0, 0, 0)
+        );
+        // The same batch without the bad family lands whole, as one record.
+        assert_eq!(t.mutate_rows(&[batch[0].clone(), batch[2].clone()]), Ok(2));
+        assert_eq!(t.metrics().snapshot().wal_appends, 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn replayed_record_naming_an_unknown_family_is_a_typed_error() {
+        let t = table();
+        let rows = |family: &str| {
+            WalRecord::Rows(vec![
+                RowMutation::new(
+                    RowKey::from_u64(1),
+                    vec![Mutation::put("mem", "q", Timestamp(1), &b"v"[..])],
+                ),
+                RowMutation::new(
+                    RowKey::from_u64(2),
+                    vec![Mutation::put(family, "q", Timestamp(1), &b"v"[..])],
+                ),
+            ])
+        };
+        let err = t.apply_replayed(rows("gone")).unwrap_err();
+        assert!(matches!(err, BigtableError::UnknownFamily { .. }));
+        assert_eq!(t.row_count(), 0, "a rejected record applies no row");
+        t.apply_replayed(rows("disk")).unwrap();
+        assert_eq!(t.row_count(), 2);
+    }
+
+    /// A write takes the tablet list's lock (shared) and its own tablet's,
+    /// nothing else: it completes while another tablet's rows are
+    /// write-locked. (The per-write sweep over every tablet's lock that
+    /// used to decide splits blocked here.)
+    #[test]
+    fn a_write_does_not_wait_for_another_tablets_lock() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let t = table(); // 64 rows per tablet
+        let put = [Mutation::put("mem", "q", Timestamp(0), &b"v"[..])];
+        for i in 0..500u64 {
+            t.mutate_row(&RowKey::from_u64(i), &put).unwrap();
+        }
+        let tablets = t.tablet_count();
+        assert!(tablets > 4, "expected splits, got {tablets} tablets");
+        assert_eq!(t.row_count() as u64, t.approx_row_count());
+
+        let (first, last) = (RowKey::from_u64(0), RowKey::from_u64(499));
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            // Hold the last tablet's rows until the other thread's writes
+            // and reads of the first tablet are through.
+            t.tablets.write(&last, |_rows| {
+                scope.spawn(|| {
+                    t.mutate_row(&first, &put).unwrap();
+                    t.check_and_mutate(&first, "mem", "q", Some(b"v"), &put)
+                        .unwrap();
+                    t.get_latest(&first, "mem", "q").unwrap();
+                    done_tx.send(()).unwrap();
+                });
+                done_rx
+                    .recv_timeout(Duration::from_secs(10))
+                    .expect("a write to tablet A waited for tablet B's lock");
+            });
+        });
     }
 
     #[test]

@@ -284,7 +284,7 @@ pub(crate) fn encode_rows(rows: &[(&RowKey, &[Mutation])]) -> Vec<u8> {
     buf.push(TAG_ROWS);
     put_u32(&mut buf, rows.len() as u32);
     for (key, muts) in rows {
-        put_bytes(&mut buf, &key.0);
+        put_bytes(&mut buf, key.as_slice());
         put_u32(&mut buf, muts.len() as u32);
         for m in *muts {
             put_mutation(&mut buf, m);
@@ -360,7 +360,7 @@ pub(crate) fn decode_record(payload: &[u8]) -> Result<WalRecord> {
             let nrows = r.u32()? as usize;
             let mut rows = Vec::with_capacity(nrows.min(4096));
             for _ in 0..nrows {
-                let key = RowKey(r.bytes()?.to_vec());
+                let key = RowKey::from_bytes(r.bytes()?);
                 let nmut = r.u32()? as usize;
                 let mut mutations = Vec::with_capacity(nmut.min(4096));
                 for _ in 0..nmut {
