@@ -14,7 +14,7 @@ use crate::record::{HistoryRecord, RECORD_BYTES};
 
 /// Outcome of appending a column to the active buffer.
 #[derive(Debug)]
-pub enum AppendOutcome {
+pub(crate) enum AppendOutcome {
     /// The column fit; nothing to flush.
     Buffered,
     /// The active buffer filled up and roles were swapped: the returned
@@ -23,15 +23,12 @@ pub enum AppendOutcome {
     SwapAndFlush {
         /// Contents of the buffer that just went out of service.
         records: Vec<HistoryRecord>,
-        /// Fill duration `T_m` of that buffer in seconds (virtual time from
-        /// first append to the swap), when timestamps were provided.
-        fill_secs: Option<f64>,
     },
 }
 
 /// A double buffer of fixed byte capacity.
 #[derive(Debug)]
-pub struct PingPongBuffer {
+pub(crate) struct PingPongBuffer {
     capacity_records: usize,
     active: Vec<HistoryRecord>,
     /// Virtual time the active buffer received its first record.
@@ -42,7 +39,7 @@ pub struct PingPongBuffer {
 
 impl PingPongBuffer {
     /// Creates a buffer holding `capacity_bytes` per side.
-    pub fn new(capacity_bytes: usize) -> Self {
+    pub(crate) fn new(capacity_bytes: usize) -> Self {
         PingPongBuffer {
             capacity_records: (capacity_bytes / RECORD_BYTES).max(1),
             active: Vec::new(),
@@ -51,31 +48,11 @@ impl PingPongBuffer {
         }
     }
 
-    /// Per-side capacity in records.
-    pub fn capacity_records(&self) -> usize {
-        self.capacity_records
-    }
-
-    /// Per-side capacity in bytes.
-    pub fn capacity_bytes(&self) -> usize {
-        self.capacity_records * RECORD_BYTES
-    }
-
-    /// Records currently in the active buffer.
-    pub fn len(&self) -> usize {
-        self.active.len()
-    }
-
-    /// Whether the active buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.active.is_empty()
-    }
-
     /// Appends one object's aged column at virtual time `now_us`.
     ///
     /// When the active side reaches capacity the sides swap and the full
     /// side's contents are handed back for flushing.
-    pub fn append_column(
+    pub(crate) fn append_column(
         &mut self,
         column: impl IntoIterator<Item = HistoryRecord>,
         now_us: u64,
@@ -86,27 +63,25 @@ impl PingPongBuffer {
         self.active.extend(column);
         if self.active.len() >= self.capacity_records {
             let records = std::mem::take(&mut self.active);
-            let fill_secs = self
-                .fill_start_us
-                .take()
-                .map(|start| (now_us.saturating_sub(start)) as f64 / 1e6);
-            if let Some(t) = fill_secs {
-                self.fill_history_secs.push(t);
+            // Fill duration `T_m`: virtual time from first append to the swap.
+            if let Some(start) = self.fill_start_us.take() {
+                self.fill_history_secs
+                    .push(now_us.saturating_sub(start) as f64 / 1e6);
             }
-            AppendOutcome::SwapAndFlush { records, fill_secs }
+            AppendOutcome::SwapAndFlush { records }
         } else {
             AppendOutcome::Buffered
         }
     }
 
     /// Drains whatever is buffered (end-of-run flush), regardless of fill.
-    pub fn drain(&mut self) -> Vec<HistoryRecord> {
+    pub(crate) fn drain(&mut self) -> Vec<HistoryRecord> {
         self.fill_start_us = None;
         std::mem::take(&mut self.active)
     }
 
     /// Smallest observed fill time `min T_m`, if any buffer completed.
-    pub fn min_fill_secs(&self) -> Option<f64> {
+    pub(crate) fn min_fill_secs(&self) -> Option<f64> {
         self.fill_history_secs
             .iter()
             .copied()
@@ -127,20 +102,17 @@ mod tests {
     fn fills_then_swaps() {
         // Capacity: 4 records.
         let mut b = PingPongBuffer::new(4 * RECORD_BYTES);
-        assert_eq!(b.capacity_records(), 4);
+        assert_eq!(b.capacity_records, 4);
         assert!(matches!(
             b.append_column(vec![rec(1, 0), rec(1, 1)], 1_000_000),
             AppendOutcome::Buffered
         ));
         match b.append_column(vec![rec(2, 0), rec(2, 1)], 3_000_000) {
-            AppendOutcome::SwapAndFlush { records, fill_secs } => {
-                assert_eq!(records.len(), 4);
-                assert_eq!(fill_secs, Some(2.0));
-            }
+            AppendOutcome::SwapAndFlush { records } => assert_eq!(records.len(), 4),
             AppendOutcome::Buffered => panic!("expected swap"),
         }
         // The new active side is empty and keeps absorbing.
-        assert!(b.is_empty());
+        assert!(b.active.is_empty());
         assert!(matches!(
             b.append_column(vec![rec(3, 0)], 4_000_000),
             AppendOutcome::Buffered
@@ -163,7 +135,7 @@ mod tests {
         b.append_column(vec![rec(1, 0)], 0);
         let drained = b.drain();
         assert_eq!(drained.len(), 1);
-        assert!(b.is_empty());
+        assert!(b.active.is_empty());
         assert!(b.min_fill_secs().is_none());
     }
 

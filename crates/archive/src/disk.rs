@@ -1,17 +1,17 @@
 //! Simulated disks with the paper's latency model.
 //!
 //! §3.6.2, Eq. 1: flushing a buffer of `s_B/n_d` bytes onto one disk costs
-//! `T_d = T_rot + T_seek + s_B / (n_d · R_disk)`. Each [`SimDisk`] charges
+//! `T_d = T_rot + T_seek + s_B / (n_d · R_disk)`. Each `SimDisk` charges
 //! exactly that per page write, records the pages it stores, and tracks
 //! cumulative busy time so write-side utilisation `U_d` can be measured as
 //! well as computed analytically.
 
 use crate::record::{HistoryRecord, RECORD_BYTES};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Mechanical parameters of one disk.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct DiskProfile {
     /// Rotational delay per access, seconds.
     pub t_rot: f64,
@@ -35,7 +35,7 @@ impl Default for DiskProfile {
 impl DiskProfile {
     /// Access time for one contiguous transfer of `bytes` (Eq. 1 with the
     /// per-disk share substituted by the caller).
-    pub fn access_time(&self, bytes: u64) -> f64 {
+    fn access_time(&self, bytes: u64) -> f64 {
         self.t_rot + self.t_seek + bytes as f64 / self.rate
     }
 }
@@ -43,9 +43,7 @@ impl DiskProfile {
 /// One flushed buffer page as stored on disk, with the metadata history
 /// queries use to skip irrelevant pages.
 #[derive(Debug, Clone)]
-pub struct DiskPage {
-    /// Sequence number on its disk (monotonic flush order).
-    pub seq: u64,
+pub(crate) struct DiskPage {
     /// Smallest record timestamp in the page.
     pub min_ts_us: u64,
     /// Largest record timestamp in the page.
@@ -58,18 +56,18 @@ pub struct DiskPage {
 
 impl DiskPage {
     /// Page payload size in bytes.
-    pub fn bytes(&self) -> u64 {
+    pub(crate) fn bytes(&self) -> u64 {
         (self.records.len() * RECORD_BYTES) as u64
     }
 
     /// Whether the page holds any record of `oid`.
-    pub fn contains_object(&self, oid: u64) -> bool {
+    pub(crate) fn contains_object(&self, oid: u64) -> bool {
         self.objects.binary_search(&oid).is_ok()
     }
 }
 
 /// Counters of one disk's simulated activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct DiskStats {
     /// Pages written.
     pub pages_written: u64,
@@ -87,7 +85,7 @@ pub struct DiskStats {
 
 /// A simulated disk storing flushed pages.
 #[derive(Debug)]
-pub struct SimDisk {
+pub(crate) struct SimDisk {
     profile: DiskProfile,
     inner: Mutex<DiskInner>,
 }
@@ -96,25 +94,19 @@ pub struct SimDisk {
 struct DiskInner {
     pages: Vec<DiskPage>,
     stats: DiskStats,
-    next_seq: u64,
 }
 
 impl SimDisk {
     /// Creates an empty disk.
-    pub fn new(profile: DiskProfile) -> Self {
+    pub(crate) fn new(profile: DiskProfile) -> Self {
         SimDisk {
             profile,
             inner: Mutex::new(DiskInner::default()),
         }
     }
 
-    /// The disk's mechanical profile.
-    pub fn profile(&self) -> DiskProfile {
-        self.profile
-    }
-
     /// Writes one page; returns the simulated write time `T_d` in seconds.
-    pub fn write_page(&self, mut records: Vec<HistoryRecord>) -> f64 {
+    pub(crate) fn write_page(&self, mut records: Vec<HistoryRecord>) -> f64 {
         if records.is_empty() {
             return 0.0;
         }
@@ -126,13 +118,11 @@ impl SimDisk {
         objects.dedup();
         records.sort_by_key(|r| (r.oid, r.ts_us));
         let page = DiskPage {
-            seq: inner.next_seq,
             min_ts_us: records.iter().map(|r| r.ts_us).min().unwrap_or(0),
             max_ts_us: records.iter().map(|r| r.ts_us).max().unwrap_or(0),
             objects,
             records,
         };
-        inner.next_seq += 1;
         inner.stats.pages_written += 1;
         inner.stats.bytes_written += bytes;
         inner.stats.write_busy_secs += t;
@@ -144,7 +134,7 @@ impl SimDisk {
     /// records (post-filtered by `record_filter`) and the simulated read
     /// time in seconds. Pages that fail the filter cost nothing — that is
     /// precisely the "IO resolution" R_d the placement scheme buys.
-    pub fn read_matching(
+    pub(crate) fn read_matching(
         &self,
         page_filter: impl Fn(&DiskPage) -> bool,
         record_filter: impl Fn(&HistoryRecord) -> bool,
@@ -169,13 +159,8 @@ impl SimDisk {
         (out, time)
     }
 
-    /// Number of stored pages.
-    pub fn page_count(&self) -> usize {
-        self.inner.lock().pages.len()
-    }
-
     /// Copy of the activity counters.
-    pub fn stats(&self) -> DiskStats {
+    pub(crate) fn stats(&self) -> DiskStats {
         self.inner.lock().stats
     }
 }
@@ -200,7 +185,7 @@ mod tests {
         let t = disk.write_page((0..100).map(|i| rec(i, i)).collect());
         // 100 * 48 = 4800 bytes / 48000 B/s = 0.1 s transfer + 0.012 access.
         assert!((t - 0.112).abs() < 1e-9, "t = {t}");
-        assert_eq!(disk.page_count(), 1);
+        assert_eq!(disk.inner.lock().pages.len(), 1);
         let s = disk.stats();
         assert_eq!(s.pages_written, 1);
         assert_eq!(s.bytes_written, 4800);
@@ -210,7 +195,7 @@ mod tests {
     fn empty_page_writes_are_free() {
         let disk = SimDisk::new(DiskProfile::default());
         assert_eq!(disk.write_page(vec![]), 0.0);
-        assert_eq!(disk.page_count(), 0);
+        assert!(disk.inner.lock().pages.is_empty());
     }
 
     #[test]
@@ -236,7 +221,7 @@ mod tests {
             |r| (100..=250).contains(&r.ts_us),
         );
         assert_eq!(records.len(), 2);
-        let one_page_time = disk.profile().access_time(2 * RECORD_BYTES as u64);
+        let one_page_time = disk.profile.access_time(2 * RECORD_BYTES as u64);
         assert!((t - one_page_time).abs() < 1e-12);
     }
 }

@@ -6,7 +6,7 @@
 //! * [`record`] — fixed-width archived location records;
 //! * [`disk`] — simulated disks charging the paper's Eq. 1 access time
 //!   (`T_rot + T_seek + bytes / R_disk`) and tracking utilisation;
-//! * [`buffer`] — ping-pong double buffers with `min T_m ≥ max T_d`
+//! * `buffer` — ping-pong double buffers with `min T_m ≥ max T_d`
 //!   monitoring;
 //! * [`ppp`] — the archiver: per-disk buffers, the locality-preserving
 //!   placement hash `hash_d(i, loc_{i,0})`, object-based and location-based
@@ -32,14 +32,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod buffer;
+mod buffer;
 pub mod disk;
 pub mod planner;
 pub mod ppp;
 pub mod record;
 
-pub use buffer::{AppendOutcome, PingPongBuffer};
-pub use disk::{DiskPage, DiskProfile, DiskStats, SimDisk};
+pub use disk::{DiskProfile, DiskStats};
 pub use planner::{Plan, PlanPoint, PlannerInput};
 pub use ppp::{PppArchiver, PppConfig, PppStats, QueryCost};
 pub use record::{HistoryRecord, RECORD_BYTES};

@@ -13,10 +13,10 @@
 //! `T_m = s_B / fill-rate`.
 
 use crate::disk::DiskProfile;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Inputs to the planner.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct PlannerInput {
     /// Total double-buffer size `s_B` in bytes (`s_rec × n_o`, §3.6.2).
     pub buffer_bytes: f64,
@@ -34,7 +34,7 @@ pub struct PlannerInput {
 }
 
 /// Evaluation of one candidate `n_d`.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct PlanPoint {
     /// Candidate number of disks.
     pub nd: u32,
@@ -51,7 +51,7 @@ pub struct PlanPoint {
 }
 
 /// The chosen configuration plus the full sweep for plotting.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Plan {
     /// The selected point (best feasible `min(U_d, R_d)`).
     pub best: PlanPoint,
@@ -61,7 +61,7 @@ pub struct Plan {
 
 impl PlannerInput {
     /// Evaluates one candidate disk count.
-    pub fn evaluate(&self, nd: u32) -> PlanPoint {
+    fn evaluate(&self, nd: u32) -> PlanPoint {
         let nd_f = f64::from(nd.max(1));
         let t0 = self.disk.t_rot + self.disk.t_seek;
         let ud = self.buffer_bytes / (nd_f * self.disk.rate * t0);

@@ -22,11 +22,11 @@ use crate::disk::{DiskProfile, DiskStats, SimDisk};
 use crate::record::HistoryRecord;
 use moist_spatial::{cells_at_level, cover_rect, Point, Rect, Space};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
 
 /// Configuration of the archiver.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct PppConfig {
     /// Number of parallel disks `n_d`.
     pub num_disks: u32,
@@ -54,7 +54,7 @@ impl Default for PppConfig {
 }
 
 /// Cost summary of one history query.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct QueryCost {
     /// Disks that had to be touched.
     pub disks_touched: u32,
@@ -67,7 +67,7 @@ pub struct QueryCost {
 }
 
 /// Snapshot of archiver-level counters.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, Serialize)]
 pub struct PppStats {
     /// Records accepted so far.
     pub records_ingested: u64,
@@ -112,11 +112,6 @@ impl PppArchiver {
             objects: Mutex::new(HashMap::new()),
             stats: Mutex::new(PppStats::default()),
         }
-    }
-
-    /// The archiver's configuration.
-    pub fn config(&self) -> &PppConfig {
-        &self.config
     }
 
     /// The locality-preserving placement hash `hash_d(i, loc_{i,0})`:

@@ -1,10 +1,10 @@
 //! History records: the archived unit of MOIST's aged-data pipeline.
 
 use moist_spatial::{Point, Velocity};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One archived location fix of one object.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct HistoryRecord {
     /// Object id.
     pub oid: u64,
@@ -28,53 +28,5 @@ impl HistoryRecord {
             loc,
             vel,
         }
-    }
-
-    /// Fixed-width binary encoding (48 bytes: oid, ts, x, y, vx, vy).
-    pub fn encode(&self) -> [u8; RECORD_BYTES] {
-        let mut buf = [0u8; RECORD_BYTES];
-        buf[0..8].copy_from_slice(&self.oid.to_le_bytes());
-        buf[8..16].copy_from_slice(&self.ts_us.to_le_bytes());
-        buf[16..24].copy_from_slice(&self.loc.x.to_le_bytes());
-        buf[24..32].copy_from_slice(&self.loc.y.to_le_bytes());
-        buf[32..40].copy_from_slice(&self.vel.vx.to_le_bytes());
-        buf[40..48].copy_from_slice(&self.vel.vy.to_le_bytes());
-        buf
-    }
-
-    /// Decodes a record written by [`HistoryRecord::encode`].
-    pub fn decode(buf: &[u8]) -> Option<HistoryRecord> {
-        if buf.len() < RECORD_BYTES {
-            return None;
-        }
-        let f = |r: std::ops::Range<usize>| f64::from_le_bytes(buf[r].try_into().unwrap());
-        Some(HistoryRecord {
-            oid: u64::from_le_bytes(buf[0..8].try_into().unwrap()),
-            ts_us: u64::from_le_bytes(buf[8..16].try_into().unwrap()),
-            loc: Point::new(f(16..24), f(24..32)),
-            vel: Velocity::new(f(32..40), f(40..48)),
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn encode_decode_roundtrip() {
-        let r = HistoryRecord::new(
-            0xDEAD_BEEF,
-            1_234_567,
-            Point::new(-3.25, 999.75),
-            Velocity::new(0.5, -1.5),
-        );
-        let back = HistoryRecord::decode(&r.encode()).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn decode_rejects_short_buffers() {
-        assert!(HistoryRecord::decode(&[0u8; RECORD_BYTES - 1]).is_none());
     }
 }

@@ -173,17 +173,6 @@ impl BxTree {
         Ok(())
     }
 
-    /// Removes one object.
-    pub fn remove(&mut self, s: &mut Session, oid: u64) -> Result<bool> {
-        match self.current.remove(&oid) {
-            None => Ok(false),
-            Some(key) => {
-                s.mutate_row(&self.table, &key, &[Mutation::DeleteRow])?;
-                Ok(true)
-            }
-        }
-    }
-
     /// Range query: all objects inside `rect` at time `t`.
     ///
     /// Per partition, the window is enlarged by `v_max · |t − label|` and
@@ -286,16 +275,6 @@ impl BxTree {
             }
             r *= 2.0;
         }
-    }
-
-    /// Number of live objects.
-    pub fn len(&self) -> usize {
-        self.current.len()
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.current.is_empty()
     }
 }
 
@@ -452,9 +431,6 @@ mod tests {
             .unwrap();
         assert_eq!(everywhere.len(), 1);
         assert_eq!(everywhere[0].loc, Point::new(900.0, 900.0));
-        assert!(tree.remove(&mut s, 1).unwrap());
-        assert!(!tree.remove(&mut s, 1).unwrap());
-        assert!(tree.is_empty());
     }
 
     #[test]

@@ -1,37 +1,18 @@
 //! # moist-baselines
 //!
-//! Comparator systems the MOIST paper evaluates against or contrasts with:
+//! The comparator system the MOIST paper evaluates against:
 //!
 //! * [`bxtree`] — the Bx-tree of Jensen et al. \[15\]: B+-tree over
 //!   `time-partition ∥ space-filling-curve` keys, update = delete+insert,
 //!   kNN by iterative window enlargement. The paper's headline "2×/80×"
 //!   update-QPS comparisons are against this index.
-//! * [`static_cluster`] — prototype-based static clustering (\[12\], \[9\]):
-//!   sheds updates while a fixed motion prototype holds, rewrites on every
-//!   pattern change (Figure 1a).
-//! * [`dynamic_cluster`] — virtual-centre dynamic clustering (\[16\], \[18\]):
-//!   every member update adjusts the cluster centre, re-clustering is an
-//!   `O(n log n)` sweep over all clusters (Figure 1b).
-//! * [`kalman`] — Kalman-filter update shedding (\[14\]): the single-user
-//!   shedding alternative §2.2 mentions, contrasting with schools' use of
-//!   inter-user relationships.
-//! * [`grid`] — a bare cell-grid indexer with no clustering at all: the
-//!   "no school" lower bound.
 //!
-//! All comparators run over the same `moist-bigtable` store and cost model
-//! as MOIST, so benchmark gaps reflect algorithmic differences.
+//! It runs over the same `moist-bigtable` store and cost model as MOIST, so
+//! benchmark gaps reflect algorithmic differences.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bxtree;
-pub mod dynamic_cluster;
-pub mod grid;
-pub mod kalman;
-pub mod static_cluster;
 
 pub use bxtree::{BxConfig, BxEntry, BxTree};
-pub use dynamic_cluster::{DynamicClusterIndex, DynamicClusterStats};
-pub use grid::GridIndex;
-pub use kalman::{KalmanIndex, KalmanStats};
-pub use static_cluster::{StaticClusterIndex, StaticClusterStats};

@@ -1,7 +1,7 @@
-//! Property-based tests for the comparator indexes: Bx-tree queries against
-//! a brute-force oracle, and shedding-baseline accounting invariants.
+//! Property-based tests for the Bx-tree comparator: range and kNN queries
+//! against a brute-force oracle.
 
-use moist_baselines::{BxConfig, BxTree, DynamicClusterIndex, KalmanIndex, StaticClusterIndex};
+use moist_baselines::{BxConfig, BxTree};
 use moist_bigtable::{Bigtable, CostProfile, Timestamp};
 use moist_spatial::{Point, Rect, Space, Velocity};
 use proptest::prelude::*;
@@ -127,75 +127,5 @@ proptest! {
                 w.0
             );
         }
-    }
-
-    /// Shedding baselines never lose accounting: updates = shed +
-    /// transmitted/reclassified, and their served positions respect ε on
-    /// shed stretches of exactly linear motion.
-    #[test]
-    fn shedding_baselines_account_consistently(
-        v in 0.2f64..2.0,
-        steps in 2u64..20,
-        epsilon in 1.0f64..20.0,
-    ) {
-        let store = Bigtable::new();
-        let mut kalman = KalmanIndex::new(&store, epsilon, 0.1, 0.5, "kf").unwrap();
-        let protos = StaticClusterIndex::prototype_set(8, &[0.5, 1.0, 1.5, 2.0]);
-        let mut stat = StaticClusterIndex::new(&store, protos, epsilon, "st").unwrap();
-        let mut s = store.session_with(CostProfile::free());
-        let vel = Velocity::new(v, 0.0);
-        for t in 0..steps {
-            let p = Point::new(v * t as f64, 100.0);
-            let ts = Timestamp::from_secs(t);
-            let shed_k = kalman.update(&mut s, 1, &p, &vel, ts).unwrap();
-            if shed_k {
-                let est = kalman.position(1, ts).unwrap();
-                prop_assert!(est.distance(&p) <= epsilon + 1e-9);
-            }
-            let shed_s = stat.update(&mut s, 1, &p, &vel, ts).unwrap();
-            if shed_s {
-                let est = stat.position(&mut s, 1, ts).unwrap().unwrap();
-                prop_assert!(est.distance(&p) <= epsilon + 1e-9);
-            }
-        }
-        let ks = kalman.stats();
-        prop_assert_eq!(ks.updates, ks.shed + ks.transmitted);
-        let ss = stat.stats();
-        prop_assert_eq!(ss.updates, ss.shed + ss.reclassified);
-    }
-
-    /// Dynamic clustering conserves membership: every object maps to a live
-    /// cluster and member counts stay positive.
-    #[test]
-    fn dynamic_clustering_membership_is_consistent(
-        objs in objects(30),
-        radius in 10.0f64..200.0,
-    ) {
-        let store = Bigtable::new();
-        let mut idx = DynamicClusterIndex::new(&store, radius, "dy").unwrap();
-        let mut s = store.session_with(CostProfile::free());
-        for o in &objs {
-            idx.update(&mut s, o.oid, &Point::new(o.x, o.y), &Velocity::new(o.vx, o.vy), Timestamp::from_secs(0))
-                .unwrap();
-        }
-        let merged = idx.recluster(&mut s, Timestamp::from_secs(0), 1.0).unwrap();
-        let clusters_after_merge = idx.cluster_count();
-        prop_assert!(clusters_after_merge + merged <= objs.len());
-        // Post-recluster updates may legitimately depart (a merge shifts the
-        // weighted centre), but they must never resurrect dead cluster rows:
-        // the live-cluster count only changes by the departures that create
-        // fresh singleton clusters.
-        let departures_before = idx.stats().departures;
-        for o in &objs {
-            idx.update(&mut s, o.oid, &Point::new(o.x, o.y), &Velocity::new(o.vx, o.vy), Timestamp::from_secs(0))
-                .unwrap();
-        }
-        let new_departures = (idx.stats().departures - departures_before) as usize;
-        prop_assert_eq!(
-            idx.cluster_count(),
-            clusters_after_merge + new_departures,
-            "cluster rows out of sync with membership"
-        );
-        prop_assert!(idx.cluster_count() >= 1);
     }
 }

@@ -7,7 +7,7 @@
 //! MOIST achieves update QPS of 60k, a nearly 80x speedup over Bx-tree".
 //!
 //! This bin drives a [`MoistCluster`] of 1/2/4/5/10 shards with a
-//! [`ClientPool`] of OS threads (real lock contention on the shared
+//! `ClientPool` of OS threads (real lock contention on the shared
 //! store) over the §4.1 road-network workload. Updates route to shards by
 //! clustering-cell hash; each shard lazily clusters only the cells it
 //! owns. Reported per shard count:

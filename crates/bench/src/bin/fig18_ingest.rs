@@ -21,7 +21,7 @@
 //!   but strand updates in the buffer longer.
 //!
 //! Unlike fig14, **store QPS here is deliberately uncapped** (no
-//! [`STORE_WRITE_CAPACITY_OPS`] clip, which models a per-op write
+//! `STORE_WRITE_CAPACITY_OPS` clip, which models a per-op write
 //! ceiling): the batch discount's whole point is that one MutateRows RPC
 //! carries many updates past a per-op ceiling, so clipping both tiers at
 //! the per-op cap would erase exactly the effect under measurement. The

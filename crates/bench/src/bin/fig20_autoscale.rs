@@ -4,7 +4,7 @@
 //! The paper's scale-out experiments (§4.3.3) size the fleet by hand;
 //! `fig14_scaleout --elastic` already measures the *mechanism* (live
 //! joins) but still drives it from a hard-coded schedule. This bin closes
-//! the loop the [`AutoController`] was built for: a surge workload hits a
+//! the loop the `AutoController` was built for: a surge workload hits a
 //! small fleet, and the controller — fed only by the tier's own measured
 //! signals through client-driven [`controller_tick`]s — must grow the
 //! fleet, recover client-visible QPS, and then *shrink back* once the
@@ -43,7 +43,6 @@
 //! * the decision log shows real adds *and* removes, and scaling
 //!   decisions from different windows respect the cool-down.
 //!
-//! [`AutoController`]: moist::core::AutoController
 //! [`controller_tick`]: moist::core::MoistCluster::controller_tick
 //! [`ClusterStats::refused`]: moist::core::ClusterStats::refused
 
@@ -93,9 +92,7 @@ impl Scale {
                 max_shards: 10,
                 window_secs: 5.0,
                 cooldown_secs: 15.0,
-                rebalance_every_secs: 10.0,
                 target_shard_busy_us: 55_000.0,
-                ..ControllerConfig::default()
             },
         }
     }
@@ -117,9 +114,7 @@ impl Scale {
                 max_shards: 8,
                 window_secs: 5.0,
                 cooldown_secs: 15.0,
-                rebalance_every_secs: 10.0,
                 target_shard_busy_us: 28_000.0,
-                ..ControllerConfig::default()
             },
         }
     }

@@ -19,11 +19,11 @@
 //! server, §4.3.2). Everything else — shedding gains, clustering latencies,
 //! NN QPS — *emerges* from op counts, not from further tuning.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Virtual-microsecond costs of store operations.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct CostProfile {
     /// Fixed per-RPC overhead (network RTT + server dispatch), µs.
     pub rpc_base_us: f64,
@@ -92,7 +92,7 @@ impl CostProfile {
 
     /// Cost of navigating the row index of a table with `rows` rows.
     #[inline]
-    pub fn index_nav_us(&self, rows: u64) -> f64 {
+    fn index_nav_us(&self, rows: u64) -> f64 {
         self.index_level_us * (rows.max(2) as f64).log2()
     }
 
@@ -130,7 +130,7 @@ impl CostProfile {
     /// bytes under an `fsync_every` cadence. The fsync is charged
     /// amortised (group commit), keeping virtual time deterministic;
     /// `fsync_every == 0` means "no explicit fsync" and charges none.
-    pub fn wal_write_us(&self, bytes: u64, fsync_every: u64) -> f64 {
+    pub(crate) fn wal_write_us(&self, bytes: u64, fsync_every: u64) -> f64 {
         let fsync = if fsync_every == 0 {
             0.0
         } else {
@@ -146,7 +146,13 @@ impl CostProfile {
     }
 
     /// Cost of one range scan returning `rows` rows / `bytes` bytes.
-    pub fn scan_us(&self, rows_in_table: u64, rows: u64, bytes: u64, touches_disk: bool) -> f64 {
+    pub(crate) fn scan_us(
+        &self,
+        rows_in_table: u64,
+        rows: u64,
+        bytes: u64,
+        touches_disk: bool,
+    ) -> f64 {
         self.rpc_base_us
             + self.index_nav_us(rows_in_table)
             + rows as f64 * self.scan_row_us
@@ -173,7 +179,7 @@ impl SimClock {
     /// A clock pre-advanced to `us` — used to seed a per-call meter from
     /// a [`MeterHub`] snapshot so absolute mid-call reads reproduce the
     /// single-shared-clock timeline bit-for-bit.
-    pub fn starting_at(us: f64) -> Self {
+    pub(crate) fn starting_at(us: f64) -> Self {
         SimClock { us }
     }
 
@@ -181,12 +187,6 @@ impl SimClock {
     #[inline]
     pub fn now_us(&self) -> f64 {
         self.us
-    }
-
-    /// Current virtual time in seconds.
-    #[inline]
-    pub fn now_secs(&self) -> f64 {
-        self.us / 1e6
     }
 
     /// Advances by `us` microseconds (negative charges are ignored).
@@ -198,7 +198,7 @@ impl SimClock {
     }
 
     /// Resets to zero and returns the elapsed microseconds.
-    pub fn reset(&mut self) -> f64 {
+    pub(crate) fn reset(&mut self) -> f64 {
         std::mem::take(&mut self.us)
     }
 }
@@ -227,7 +227,7 @@ impl CostMeter {
     /// A meter seeded at `us` microseconds / `ops` operations — the
     /// hub's totals at call start — so absolute reads mid-call match the
     /// old single-clock values exactly.
-    pub fn starting_at(us: f64, ops: u64) -> Self {
+    pub(crate) fn starting_at(us: f64, ops: u64) -> Self {
         CostMeter {
             clock: SimClock::starting_at(us),
             ops,
@@ -255,12 +255,12 @@ impl CostMeter {
 
     /// Operations counted (including any seed).
     #[inline]
-    pub fn op_count(&self) -> u64 {
+    pub(crate) fn op_count(&self) -> u64 {
         self.ops
     }
 
     /// Resets to zero, returning elapsed microseconds.
-    pub fn reset(&mut self) -> f64 {
+    pub(crate) fn reset(&mut self) -> f64 {
         self.ops = 0;
         self.clock.reset()
     }
@@ -476,7 +476,6 @@ mod tests {
         c.charge_us(-5.0); // ignored
         c.charge_us(2.5);
         assert!((c.now_us() - 12.5).abs() < 1e-12);
-        assert!((c.now_secs() - 12.5e-6).abs() < 1e-15);
         assert!((c.reset() - 12.5).abs() < 1e-12);
         assert_eq!(c.now_us(), 0.0);
     }

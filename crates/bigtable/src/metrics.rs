@@ -74,11 +74,6 @@ impl MetricsSnapshot {
             wal_replayed: self.wal_replayed.saturating_sub(earlier.wal_replayed),
         }
     }
-
-    /// All RPCs regardless of kind.
-    pub fn total_rpcs(&self) -> u64 {
-        self.read_ops + self.write_ops + self.scan_ops + self.batch_ops
-    }
 }
 
 impl Metrics {
@@ -119,7 +114,7 @@ impl Metrics {
     }
 
     /// Copies the counters.
-    pub fn snapshot(&self) -> MetricsSnapshot {
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             read_ops: self.read_ops.load(Ordering::Relaxed),
             rows_read: self.rows_read.load(Ordering::Relaxed),
@@ -156,7 +151,5 @@ mod tests {
         assert_eq!(d.mutations, 5);
         assert_eq!(d.scan_ops, 1);
         assert_eq!(d.rows_scanned, 10);
-        assert_eq!(d.total_rpcs(), 4);
-        assert_eq!(b.total_rpcs(), 6);
     }
 }

@@ -2,10 +2,10 @@
 
 use crate::error::{BigtableError, Result};
 use crate::types::Locality;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Declaration of one column family.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ColumnFamily {
     /// Family name, unique within the table.
     pub name: String,
@@ -38,7 +38,7 @@ impl ColumnFamily {
 }
 
 /// Schema of a table: its name plus its column families.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct TableSchema {
     /// Table name, unique within the store.
     pub name: String,
@@ -72,12 +72,12 @@ impl TableSchema {
     }
 
     /// Index of a family by name.
-    pub fn family_index(&self, family: &str) -> Option<usize> {
+    fn family_index(&self, family: &str) -> Option<usize> {
         self.families.iter().position(|f| f.name == family)
     }
 
     /// Family declaration by name, as an error-carrying lookup.
-    pub fn family(&self, family: &str) -> Result<(usize, &ColumnFamily)> {
+    pub(crate) fn family(&self, family: &str) -> Result<(usize, &ColumnFamily)> {
         self.family_index(family)
             .map(|i| (i, &self.families[i]))
             .ok_or_else(|| BigtableError::UnknownFamily {

@@ -1,13 +1,12 @@
 //! Cost-charged sessions.
 //!
 //! A [`Session`] wraps store operations and charges their modelled cost to a
-//! private [`SimClock`]. Each simulated front-end server or client owns one
+//! private `SimClock`. Each simulated front-end server or client owns one
 //! session; virtual elapsed time divided into operation counts yields the
 //! modelled QPS the benchmarks report.
 
 use crate::cost::{CostMeter, CostProfile, MeterHub};
 use crate::error::Result;
-use crate::store::Bigtable;
 use crate::table::{Mutation, OwnedRow, ReadOptions, RowMutation, ScanRange, Table};
 use crate::types::{Cell, Locality, RowKey};
 use std::sync::Arc;
@@ -15,7 +14,7 @@ use std::sync::Arc;
 /// A cost-charged view of a store.
 ///
 /// A plain session charges a private [`CostMeter`]. A hub-attached
-/// session (see [`Bigtable::session_with_hub`]) additionally mirrors
+/// session (see [`Bigtable::session_with_hub`](crate::Bigtable::session_with_hub)) additionally mirrors
 /// every charge into a shared [`MeterHub`] *and* seeds its private meter
 /// from the hub's current totals, so:
 ///
@@ -24,44 +23,26 @@ use std::sync::Arc;
 /// * concurrent calls each own a meter — no `&mut` clock contention —
 ///   while the hub accumulates the server-wide totals.
 pub struct Session {
-    store: Arc<Bigtable>,
     profile: CostProfile,
     meter: CostMeter,
     hub: Option<Arc<MeterHub>>,
 }
 
 impl Session {
-    pub(crate) fn new(store: Arc<Bigtable>, profile: CostProfile) -> Self {
+    pub(crate) fn new(profile: CostProfile) -> Self {
         Session {
-            store,
             profile,
             meter: CostMeter::new(),
             hub: None,
         }
     }
 
-    pub(crate) fn with_hub(store: Arc<Bigtable>, profile: CostProfile, hub: Arc<MeterHub>) -> Self {
+    pub(crate) fn with_hub(profile: CostProfile, hub: Arc<MeterHub>) -> Self {
         Session {
-            store,
             profile,
             meter: CostMeter::starting_at(hub.elapsed_us(), hub.op_count()),
             hub: Some(hub),
         }
-    }
-
-    /// The underlying store.
-    pub fn store(&self) -> &Arc<Bigtable> {
-        &self.store
-    }
-
-    /// The session's cost profile.
-    pub fn profile(&self) -> &CostProfile {
-        &self.profile
-    }
-
-    /// The shared hub this session mirrors charges into, if any.
-    pub fn hub(&self) -> Option<&Arc<MeterHub>> {
-        self.hub.as_ref()
     }
 
     /// Virtual microseconds consumed so far (per-call meter view).
@@ -301,6 +282,7 @@ impl Session {
 mod tests {
     use super::*;
     use crate::schema::{ColumnFamily, TableSchema};
+    use crate::store::Bigtable;
     use crate::types::Timestamp;
 
     fn setup() -> (Arc<Bigtable>, Arc<Table>) {

@@ -289,16 +289,16 @@ impl Bigtable {
 
     /// Opens a cost-charged session using the store's default profile.
     pub fn session(self: &Arc<Self>) -> Session {
-        Session::new(Arc::clone(self), self.config.cost_profile)
+        Session::new(self.config.cost_profile)
     }
 
     /// Opens a session with an explicit profile (e.g. [`CostProfile::free`]
     /// in tests).
     pub fn session_with(self: &Arc<Self>, profile: CostProfile) -> Session {
-        Session::new(Arc::clone(self), profile)
+        Session::new(profile)
     }
 
-    /// Opens a session attached to a shared [`MeterHub`]: every charge
+    /// Opens a session attached to a shared `MeterHub`: every charge
     /// is mirrored into the hub, and the session's private meter starts
     /// at the hub's current totals so absolute mid-call reads replay the
     /// single-shared-clock timeline exactly. This is what lets a server
@@ -309,7 +309,7 @@ impl Bigtable {
         profile: CostProfile,
         hub: Arc<crate::cost::MeterHub>,
     ) -> Session {
-        Session::with_hub(Arc::clone(self), profile, hub)
+        Session::with_hub(profile, hub)
     }
 }
 

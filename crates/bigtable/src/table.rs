@@ -146,7 +146,7 @@ impl OwnedRow {
     }
 
     /// Total byte size of returned cell payloads (for cost accounting).
-    pub fn payload_bytes(&self) -> usize {
+    pub(crate) fn payload_bytes(&self) -> usize {
         self.entries
             .iter()
             .map(|e| e.cells.iter().map(|c| c.value.len()).sum::<usize>())
@@ -206,12 +206,6 @@ impl ScanRange {
             end: Some(end.into()),
         }
     }
-
-    /// All keys starting with `prefix`.
-    pub fn prefix(prefix: RowKey) -> Self {
-        let end = prefix.prefix_successor();
-        ScanRange { start: prefix, end }
-    }
 }
 
 /// A table: schema + tablets + metrics.
@@ -260,7 +254,7 @@ impl Table {
     /// `Some(fsync_every)` when this table writes a WAL, `None` when the
     /// store is purely in-memory. Sessions use this to charge the
     /// durability surcharge.
-    pub fn wal_fsync_every(&self) -> Option<u64> {
+    pub(crate) fn wal_fsync_every(&self) -> Option<u64> {
         self.wal_fsync_every
     }
 
@@ -282,12 +276,12 @@ impl Table {
     }
 
     /// The table's schema.
-    pub fn schema(&self) -> &TableSchema {
+    pub(crate) fn schema(&self) -> &TableSchema {
         &self.schema
     }
 
     /// The table's metrics counters.
-    pub fn metrics(&self) -> &Arc<Metrics> {
+    pub(crate) fn metrics(&self) -> &Arc<Metrics> {
         &self.metrics
     }
 
@@ -1036,13 +1030,12 @@ mod tests {
                 .unwrap();
             }
         }
-        let rows = t
-            .scan(
-                &ScanRange::prefix(RowKey::from_u64(6)),
-                &ReadOptions::latest(),
-                None,
-            )
-            .unwrap();
+        let prefix = RowKey::from_u64(6);
+        let range = ScanRange {
+            end: prefix.prefix_successor(),
+            start: prefix,
+        };
+        let rows = t.scan(&range, &ReadOptions::latest(), None).unwrap();
         assert_eq!(rows.len(), 4);
         for r in rows {
             assert_eq!(r.key.split_composite().unwrap().0, 6);

@@ -1,7 +1,7 @@
 //! Fundamental value types: row keys, timestamps, cells.
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Longest string an [`InlineBytes`] holds in place. 22 is what fits
@@ -182,12 +182,6 @@ impl Serialize for RowKey {
     }
 }
 
-impl<'de> Deserialize<'de> for RowKey {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        Vec::<u8>::deserialize(d).map(RowKey::from_bytes)
-    }
-}
-
 impl fmt::Debug for RowKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if let Some(v) = self.as_u64() {
@@ -214,9 +208,7 @@ impl From<&str> for RowKey {
 
 /// Microseconds since the start of the simulation. Every stored cell is
 /// timestamped (§3.1.2: "Each location record is timestamped").
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct Timestamp(pub u64);
 
 impl Timestamp {
@@ -250,7 +242,7 @@ impl Timestamp {
 }
 
 /// One timestamped value of a column.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Cell {
     /// When the value was written.
     pub ts: Timestamp,
@@ -259,20 +251,10 @@ pub struct Cell {
     pub value: Bytes,
 }
 
-impl Cell {
-    /// Creates a cell.
-    pub fn new(ts: Timestamp, value: impl Into<Bytes>) -> Self {
-        Cell {
-            ts,
-            value: value.into(),
-        }
-    }
-}
-
 /// Where a column family's data lives — the paper's "in-memory column" vs
 /// "disk column" distinction (§3.1, Figure 2/3). Reads from `Disk` families
 /// are charged a much larger cost by the cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Locality {
     /// Served from the tablet server's memory.
     InMemory,
@@ -284,15 +266,10 @@ mod serde_bytes_compat {
     //! `Bytes` does not implement serde by default without a feature; route
     //! through `Vec<u8>` which is fine at config/record-dump volumes.
     use bytes::Bytes;
-    use serde::{Deserialize, Deserializer, Serializer};
+    use serde::Serializer;
 
     pub fn serialize<S: Serializer>(b: &Bytes, s: S) -> Result<S::Ok, S::Error> {
         s.serialize_bytes(b)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Bytes, D::Error> {
-        let v = Vec::<u8>::deserialize(d)?;
-        Ok(Bytes::from(v))
     }
 }
 

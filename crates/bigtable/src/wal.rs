@@ -125,7 +125,7 @@ const fn crc32_table() -> [u32; 256] {
 static CRC_TABLE: [u32; 256] = crc32_table();
 
 /// CRC32 (IEEE 802.3) of `data`.
-pub fn crc32(data: &[u8]) -> u32 {
+fn crc32(data: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for &b in data {
         c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);

@@ -29,12 +29,12 @@ use crate::placement::{routing_key_cell, winner, ShardWeight, SplitTable, SPLIT_
 use crate::tables::{MoistTables, SpatialEntry};
 use moist_bigtable::{RowMutation, Session, Timestamp};
 use moist_spatial::{cells_at_level, CellId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 
 /// Outcome and phase timing of clustering one cell.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, Serialize)]
 pub struct ClusterReport {
     /// Leaders present before clustering.
     pub pre_leaders: usize,
@@ -62,7 +62,7 @@ impl ClusterReport {
     }
 
     /// Accumulates another report (for whole-map sweeps).
-    pub fn merge_from(&mut self, other: &ClusterReport) {
+    pub(crate) fn merge_from(&mut self, other: &ClusterReport) {
         self.pre_leaders += other.pre_leaders;
         self.post_leaders += other.post_leaders;
         self.merged += other.merged;
@@ -301,7 +301,7 @@ pub fn cluster_sweep(
 /// Tracks per-cell clustering deadlines so servers can run lazy clustering
 /// on the configured interval `T_c`.
 ///
-/// Deadlines live in a min-heap keyed by due time, so [`due_cells`] is
+/// Deadlines live in a min-heap keyed by due time, so `due_cells` is
 /// `O(due · log owned)` rather than a full sweep of every cell, and a cell
 /// re-arms from its *missed deadline* (advanced by whole intervals past
 /// `now`), so late callers do not drift the schedule's phase.
@@ -312,13 +312,10 @@ pub fn cluster_sweep(
 /// clustering level, so every cell is clustered by exactly one shard. On a
 /// membership change the tier
 /// moves only the cells whose rendezvous winner changed, handing each
-/// cell's pending deadline from [`release`] on the old owner to [`adopt`]
+/// cell's pending deadline from `release` on the old owner to `adopt`
 /// on the new one — the schedule's phase survives the migration, so a
 /// joining shard neither re-clusters everything at once nor skips a round.
 ///
-/// [`due_cells`]: ClusterScheduler::due_cells
-/// [`release`]: ClusterScheduler::release
-/// [`adopt`]: ClusterScheduler::adopt
 #[derive(Debug)]
 pub struct ClusterScheduler {
     interval_us: u64,
@@ -331,7 +328,7 @@ pub struct ClusterScheduler {
 
 impl ClusterScheduler {
     /// Creates a scheduler owning every cell of `cfg`'s clustering level.
-    pub fn new(cfg: &MoistConfig) -> Self {
+    pub(crate) fn new(cfg: &MoistConfig) -> Self {
         let n = cells_at_level(cfg.clustering_level);
         Self::for_cells(cfg, 0..n)
     }
@@ -340,7 +337,7 @@ impl ClusterScheduler {
     /// the tier migrates its rendezvous wins over via [`adopt`]).
     ///
     /// [`adopt`]: ClusterScheduler::adopt
-    pub fn empty(cfg: &MoistConfig) -> Self {
+    pub(crate) fn empty(cfg: &MoistConfig) -> Self {
         Self::for_cells(cfg, std::iter::empty())
     }
 
@@ -373,7 +370,7 @@ impl ClusterScheduler {
     /// split across shards, so handing a cell between owners never shifts
     /// its phase. A split cell's children share their parent's stagger
     /// slot (they inherit its deadline phase on a live split too).
-    pub fn for_cells(cfg: &MoistConfig, cells: impl IntoIterator<Item = u64>) -> Self {
+    fn for_cells(cfg: &MoistConfig, cells: impl IntoIterator<Item = u64>) -> Self {
         let n = cells_at_level(cfg.clustering_level);
         let interval_us = (cfg.cluster_interval_secs * 1e6) as u64;
         // 128-bit multiply before the divide: at fine levels `n` exceeds
@@ -424,7 +421,7 @@ impl ClusterScheduler {
     /// new owner can [`adopt`](ClusterScheduler::adopt) the cell at the
     /// same phase. Returns `None` (and changes nothing) if the cell was
     /// not owned. `O(owned)` — membership changes are rare.
-    pub fn release(&mut self, index: u64) -> Option<u64> {
+    pub(crate) fn release(&mut self, index: u64) -> Option<u64> {
         if !self.owned.remove(&index) {
             return None;
         }
@@ -444,17 +441,6 @@ impl ClusterScheduler {
         released
     }
 
-    /// Releases every owned cell, returning `(index, pending deadline)`
-    /// pairs — the handoff bundle of a shard leaving the tier.
-    pub fn drain(&mut self) -> Vec<(u64, u64)> {
-        self.owned.clear();
-        std::mem::take(&mut self.heap)
-            .into_vec()
-            .into_iter()
-            .map(|Reverse((due, i))| (i, due))
-            .collect()
-    }
-
     /// Starts owning cell `index` with the pending deadline `due_us`
     /// (virtual µs) — the counterpart of [`release`] on the cell's new
     /// owner. Adopting preserves the cell's phase: its next clustering
@@ -463,7 +449,7 @@ impl ClusterScheduler {
     /// round). A no-op if the cell is already owned.
     ///
     /// [`release`]: ClusterScheduler::release
-    pub fn adopt(&mut self, index: u64, due_us: u64) {
+    pub(crate) fn adopt(&mut self, index: u64, due_us: u64) {
         if self.owned.insert(index) {
             self.heap.push(Reverse((due_us, index)));
         }
@@ -477,7 +463,7 @@ impl ClusterScheduler {
     /// cell fires at most once per call. Routing keys decode to concrete
     /// cells here ([`routing_key_cell`]): a split cell's children come back
     /// as cells one level finer, each clustered as its own smaller cell.
-    pub fn due_cells(&mut self, now: Timestamp) -> Vec<CellId> {
+    pub(crate) fn due_cells(&mut self, now: Timestamp) -> Vec<CellId> {
         let now_us = now.0;
         let mut due = Vec::new();
         while let Some(&Reverse((due_us, index))) = self.heap.peek() {
@@ -828,23 +814,5 @@ mod tests {
         // …but fires on the joiner, at the handed-over deadline.
         assert!(joiner.due_cells(Timestamp(due - 1)).is_empty());
         assert_eq!(joiner.due_cells(Timestamp(due)).len(), 1);
-    }
-
-    #[test]
-    fn drain_returns_every_owned_cell_with_its_deadline() {
-        let cfg = MoistConfig {
-            clustering_level: 2, // 16 cells
-            cluster_interval_secs: 10.0,
-            ..MoistConfig::default()
-        };
-        let mut sched = ClusterScheduler::new(&cfg);
-        let expected: Vec<(u64, u64)> = (0..16u64)
-            .map(|i| (i, sched.deadline_of(i).unwrap()))
-            .collect();
-        let mut drained = sched.drain();
-        drained.sort_unstable();
-        assert_eq!(drained, expected);
-        assert_eq!(sched.owned_count(), 0);
-        assert!(sched.due_cells(Timestamp::from_secs(1_000)).is_empty());
     }
 }

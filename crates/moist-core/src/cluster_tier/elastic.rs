@@ -149,7 +149,7 @@ impl ClusterStats {
     /// rejections. School sheds are *excluded* — a shed update was served
     /// (absorbed by the school model, the client-visible QPS multiplier),
     /// so it is workload behaving, not capacity failing. This is the
-    /// overload signal the [`AutoController`](crate::AutoController)
+    /// overload signal the `AutoController`
     /// scales on; counting school sheds there would read MOIST's headline
     /// feature as an emergency.
     pub fn refused(&self) -> u64 {
@@ -320,18 +320,18 @@ impl MoistCluster {
     ///   remap. Under-utilized shards symmetrically grow. A dead-band
     ///   around the mean keeps a level fleet from oscillating.
     /// * **Splits** — per-cell EWMA update rates (the load layer) merge
-    ///   across shards; cells whose rate exceeds [`HOT_SPLIT_FACTOR`]×
+    ///   across shards; cells whose rate exceeds `HOT_SPLIT_FACTOR`×
     ///   the mean cell rate split one level finer (bounded by
-    ///   [`MAX_SPLIT_CELLS`]), so a single business-center cell stops
+    ///   `MAX_SPLIT_CELLS`), so a single business-center cell stops
     ///   pinning whichever shard owns it. Split cells whose demand later
-    ///   fades below [`UNSPLIT_FACTOR`]× the mean **un-split** — the four
+    ///   fades below `UNSPLIT_FACTOR`× the mean **un-split** — the four
     ///   children reunite through the same handover path — so the split
     ///   table's cap recycles as the hot spot moves.
     /// * **Density & scan prices** — the merged per-cell rates refresh
     ///   the relative density map the region fan-out uses to price its
     ///   balancing pass, and the per-cell scan costs *measured* by past
     ///   fan-out partials (see
-    ///   [`LoadTracker::note_cell_scan`](crate::load::LoadTracker::note_cell_scan))
+    ///   `LoadTracker::note_cell_scan`)
     ///   merge into a learned price map that replaces the density prior
     ///   for every cell that has actually been scanned.
     ///

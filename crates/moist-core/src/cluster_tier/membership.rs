@@ -10,7 +10,7 @@ use crate::placement::{self, ShardWeight, SplitTable};
 use crate::server::{FrontEnd, MoistServer, ServerStats};
 use moist_archive::PppArchiver;
 use moist_bigtable::Bigtable;
-use moist_spatial::{CellId, Point};
+use moist_spatial::Point;
 use parking_lot::{Mutex, RwLockWriteGuard};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -143,19 +143,6 @@ impl Membership {
     /// The routing key of the point `p`.
     pub(super) fn route_point(&self, p: &Point, cfg: &MoistConfig) -> u64 {
         self.route_leaf(cfg.space.leaf_cell(p).index, cfg)
-    }
-
-    /// The routing key of `cell` at any level: coarser or finer cells map
-    /// through a representative leaf (their first leaf descendant, or
-    /// their leaf ancestor), so split-cell routing applies to them too.
-    pub(super) fn route_cell(&self, cell: CellId, cfg: &MoistConfig) -> u64 {
-        let leaf_level = cfg.space.leaf_level;
-        let leaf = if cell.level <= leaf_level {
-            cell.index << (2 * (leaf_level - cell.level) as u64)
-        } else {
-            cell.index >> (2 * (cell.level - leaf_level) as u64)
-        };
-        self.route_leaf(leaf, cfg)
     }
 
     pub(super) fn entry(&self, shard: usize) -> Result<&Arc<ShardEntry>> {

@@ -79,7 +79,7 @@
 //! shard's cells, and every other cell's owner (and therefore its school
 //! state's home shard) is untouched. Each migrating cell's clustering
 //! deadline is handed over at its current phase
-//! ([`ClusterScheduler::release`] → [`ClusterScheduler::adopt`]), so a
+//! (`ClusterScheduler::release` → `ClusterScheduler::adopt`), so a
 //! join causes neither a thundering re-cluster of the stolen cells nor a
 //! missed round.
 //!
@@ -109,8 +109,7 @@
 //!
 //! [`nn`](MoistCluster::nn) does **not** scatter: the FLAG probe and
 //! Algorithm 2 run whole on the least-loaded replica of the query point's
-//! routing key, like [`nn_at_level`](MoistCluster::nn_at_level) and
-//! [`position`](MoistCluster::position). The search is a bounded frontier
+//! routing key, like [`position`](MoistCluster::position). The search is a bounded frontier
 //! walk that stops when the k-th distance closes, and one FLAG-sized cell
 //! holds ~σ = 32 objects, so a slice is too small to be worth a dispatch
 //! and a scatter cannot apply the `Q_obj` bound across slices. A ring
@@ -121,7 +120,7 @@
 //! ## Load-aware placement
 //!
 //! Placement is not static: every shard tracks per-clustering-cell EWMA
-//! demand rates ([`crate::load::LoadTracker`], fed by the update/query
+//! demand rates (`load::LoadTracker`, fed by the update/query
 //! timestamps, so the signal is deterministic in virtual time), and
 //! [`rebalance`] folds the measurements into the membership snapshot
 //! through the same epoch/handover machinery joins and leaves use:
@@ -136,7 +135,7 @@
 //!   deadline phase;
 //! * **fan-out slice balancing** — scattered region plans subdivide
 //!   their costliest owner slices across idle shards
-//!   ([`crate::region::balance_slices`], priced by the measured per-cell
+//!   (`region::balance_slices`, priced by the measured per-cell
 //!   rates), so the client-visible latency tracks the mean slice, not
 //!   the largest ownership share.
 //!
@@ -175,7 +174,7 @@
 //! oldest message ages past the flush deadline
 //! ([`flush_due`](MoistCluster::flush_due)), and surfaces a full queue as
 //! typed backpressure instead of queueing unboundedly. Batched flushes go
-//! through [`update_batch`](MoistCluster::update_batch), which re-routes
+//! through `update_batch`, which re-routes
 //! every message under the same membership seqlock the synchronous path
 //! uses — grouped by the *current* owner, re-validated after each owner
 //! lock — and every epoch bump (join, leave, rebalance) drains the queues
@@ -232,7 +231,7 @@ use crate::server::{FrontEnd, MoistServer, ServerStats};
 use membership::{Membership, RetiredShards, ShardEntry};
 use moist_archive::PppArchiver;
 use moist_bigtable::{Bigtable, RecoveryReport, StoreConfig, Timestamp};
-use moist_spatial::{CellId, Point};
+use moist_spatial::Point;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -540,16 +539,6 @@ impl MoistCluster {
         self.controller.as_ref().map(|c| c.lock().config())
     }
 
-    /// The learned per-cell scan prices the region fan-out currently
-    /// uses (relative; average measured cell ≈ 2.0), refreshed by
-    /// [`rebalance`](MoistCluster::rebalance) from the per-range costs
-    /// past fan-outs measured. Empty until a fan-out has scanned and a
-    /// rebalance has folded — cells absent here price by the
-    /// span×density prior.
-    pub fn learned_scan_costs(&self) -> HashMap<u64, f64> {
-        self.cell_scan_cost.read().as_ref().clone()
-    }
-
     /// The clustering cells currently split one level finer.
     pub fn split_cells(&self) -> Vec<u64> {
         self.snapshot().splits.cells().collect()
@@ -567,14 +556,6 @@ impl MoistCluster {
     pub fn shard_for_point(&self, p: &Point) -> usize {
         let snap = self.snapshot();
         snap.owner_position(snap.route_point(p, &self.cfg))
-    }
-
-    /// The position of the shard owning clustering cell `cell` (coarser or
-    /// finer cells are mapped through a representative leaf, so split-cell
-    /// routing applies to them too).
-    pub fn shard_for_cell(&self, cell: CellId) -> usize {
-        let snap = self.snapshot();
-        snap.owner_position(snap.route_cell(cell, &self.cfg))
     }
 
     /// Runs `f` against one shard's server by position, under the shard's

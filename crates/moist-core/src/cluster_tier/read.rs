@@ -46,18 +46,6 @@ impl MoistCluster {
         entry.front.nn(center, k, at)
     }
 
-    /// k-NN at a fixed search level, routed like [`MoistCluster::nn`].
-    pub fn nn_at_level(
-        &self,
-        center: Point,
-        k: usize,
-        at: Timestamp,
-        nn_level: u8,
-    ) -> Result<(Vec<Neighbor>, NnStats)> {
-        let entry = self.read_anchor(|snap| snap.route_point(&center, &self.cfg));
-        entry.front.nn_at_level(center, k, at, nn_level)
-    }
-
     /// Current position of one object, routed by object id (any replica
     /// of the id's routing key serves it from the shared store).
     pub fn position(&self, oid: ObjectId, at: Timestamp) -> Result<Option<Point>> {

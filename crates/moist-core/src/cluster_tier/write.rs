@@ -80,7 +80,7 @@ impl MoistCluster {
     /// cell's old owner. Outcomes come back in message order. On a store
     /// error the already-applied groups stay applied (store errors are
     /// fatal in this tier, never transient).
-    pub fn update_batch(&self, msgs: &[UpdateMessage]) -> Result<Vec<UpdateOutcome>> {
+    pub(crate) fn update_batch(&self, msgs: &[UpdateMessage]) -> Result<Vec<UpdateOutcome>> {
         let mut out: Vec<Option<UpdateOutcome>> = vec![None; msgs.len()];
         let mut pending: Vec<usize> = (0..msgs.len()).collect();
         while !pending.is_empty() {
@@ -125,7 +125,7 @@ impl MoistCluster {
     /// The message is routed by the current membership snapshot to its
     /// owner shard's bounded queue. An enqueue that fills the batch
     /// flushes it inline through
-    /// [`update_batch`](MoistCluster::update_batch) (which re-routes
+    /// `update_batch` (which re-routes
     /// under the seqlock, so queue-key staleness is harmless). A full
     /// queue surfaces per the configured [`BackpressurePolicy`]: a typed
     /// [`MoistError::Backpressure`] (nothing accepted — the client owns

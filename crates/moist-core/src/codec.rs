@@ -23,7 +23,7 @@ pub struct LocationRecord {
 }
 
 /// Encoded size of a [`LocationRecord`].
-pub const LOCATION_RECORD_BYTES: usize = 40;
+const LOCATION_RECORD_BYTES: usize = 40;
 
 impl LocationRecord {
     /// Encodes to fixed-width bytes.
@@ -77,7 +77,7 @@ pub enum LfRecord {
 }
 
 /// Maximum encoded size of an [`LfRecord`].
-pub const LF_RECORD_BYTES: usize = 33;
+const LF_RECORD_BYTES: usize = 33;
 
 impl LfRecord {
     /// Whether this is a leader record.
@@ -144,7 +144,7 @@ pub fn encode_displacement(d: Displacement) -> [u8; 16] {
 }
 
 /// Decodes a displacement value.
-pub fn decode_displacement(buf: &[u8]) -> Result<Displacement> {
+pub(crate) fn decode_displacement(buf: &[u8]) -> Result<Displacement> {
     if buf.len() < 16 {
         return Err(MoistError::Codec("displacement too short"));
     }
@@ -156,12 +156,12 @@ pub fn decode_displacement(buf: &[u8]) -> Result<Displacement> {
 
 /// Qualifier string for a follower column (`fixed-width hex` so columns sort
 /// by id).
-pub fn follower_qualifier(oid: ObjectId) -> String {
+pub(crate) fn follower_qualifier(oid: ObjectId) -> String {
     format!("{:016x}", oid.0)
 }
 
 /// Parses a qualifier written by [`follower_qualifier`].
-pub fn parse_follower_qualifier(q: &str) -> Result<ObjectId> {
+pub(crate) fn parse_follower_qualifier(q: &str) -> Result<ObjectId> {
     u64::from_str_radix(q, 16)
         .map(ObjectId)
         .map_err(|_| MoistError::Codec("bad follower qualifier"))

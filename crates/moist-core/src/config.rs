@@ -2,10 +2,10 @@
 
 use crate::error::{MoistError, Result};
 use moist_spatial::Space;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// All tunables of the indexer, with the paper's defaults.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct MoistConfig {
     /// The indexed space (world bounds, curve, leaf level `l_s`).
     pub space: Space,
@@ -52,7 +52,7 @@ impl Default for MoistConfig {
 
 impl MoistConfig {
     /// Validates the configuration.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.epsilon < 0.0 || !self.epsilon.is_finite() {
             return Err(MoistError::Config(format!(
                 "epsilon must be finite and >= 0, got {}",
@@ -74,10 +74,23 @@ impl MoistConfig {
         if self.sigma == 0 {
             return Err(MoistError::Config("sigma must be positive".into()));
         }
-        if self.cluster_interval_secs <= 0.0 {
-            return Err(MoistError::Config(
-                "cluster interval must be positive".into(),
-            ));
+        // The scheduler adds the interval (in µs) to `u64` deadlines, so it
+        // must also stay far inside that range.
+        let interval = self.cluster_interval_secs;
+        if !interval.is_finite() || interval <= 0.0 || interval * 1e6 > (u64::MAX / 4) as f64 {
+            return Err(MoistError::Config(format!(
+                "cluster interval must be finite, > 0 and below 2^62 µs, got {interval} s"
+            )));
+        }
+        for (name, secs) in [
+            ("FLAG cache TTL", self.flag_cache_ttl_secs),
+            ("aging horizon", self.aging_secs),
+        ] {
+            if !secs.is_finite() || secs < 0.0 {
+                return Err(MoistError::Config(format!(
+                    "{name} must be finite and >= 0, got {secs} s"
+                )));
+            }
         }
         Ok(())
     }
@@ -98,9 +111,9 @@ pub mod table_names {
     /// The Location Table (§3.1.2).
     pub const LOCATION: &str = "moist_location";
     /// The Spatial Index Table (§3.2).
-    pub const SPATIAL_INDEX: &str = "moist_spatial_index";
+    pub(crate) const SPATIAL_INDEX: &str = "moist_spatial_index";
     /// The Affiliation Table (§3.1.1).
-    pub const AFFILIATION: &str = "moist_affiliation";
+    pub(crate) const AFFILIATION: &str = "moist_affiliation";
 }
 
 #[cfg(test)]
@@ -132,6 +145,35 @@ mod tests {
             MoistConfig { sigma: 0, ..base },
             MoistConfig {
                 cluster_interval_secs: 0.0,
+                ..base
+            },
+            MoistConfig {
+                cluster_interval_secs: f64::NAN,
+                ..base
+            },
+            MoistConfig {
+                cluster_interval_secs: f64::INFINITY,
+                ..base
+            },
+            // Finite, but `interval + stagger` would overflow the µs deadline.
+            MoistConfig {
+                cluster_interval_secs: 1e15,
+                ..base
+            },
+            MoistConfig {
+                flag_cache_ttl_secs: f64::NAN,
+                ..base
+            },
+            MoistConfig {
+                flag_cache_ttl_secs: -1.0,
+                ..base
+            },
+            MoistConfig {
+                aging_secs: f64::NAN,
+                ..base
+            },
+            MoistConfig {
+                aging_secs: f64::INFINITY,
                 ..base
             },
         ];

@@ -7,7 +7,7 @@
 //! weights, hot-cell splits and fan-out slice prices all derive from the
 //! load layer — but *fleet size* was still a driver schedule
 //! (`fig14_scaleout --elastic` joins shards at hard-coded instants).
-//! [`AutoController`] closes that last loop: it windows the tier's own
+//! `AutoController` closes that last loop: it windows the tier's own
 //! [`ClusterStats`] signals and decides
 //! [`add_shard`](crate::MoistCluster::add_shard) /
 //! [`remove_shard`](crate::MoistCluster::remove_shard) /
@@ -15,7 +15,7 @@
 //!
 //! # Discipline: virtual time, client ticks
 //!
-//! Like [`LoadTracker`](crate::load::LoadTracker), the controller runs
+//! Like `LoadTracker`, the controller runs
 //! on **virtual time** — the timestamps the workload carries — and is
 //! driven by client calls to
 //! [`controller_tick`](crate::MoistCluster::controller_tick), not by a
@@ -39,7 +39,7 @@
 //!   was served (absorbed by the school model), so steady shedding is
 //!   MOIST working, not the fleet drowning;
 //! * **ingest queue depth** — a queue holding more than
-//!   `queue_pressure` of its cap is a surge the flush path is losing;
+//!   `QUEUE_PRESSURE` of its cap is a surge the flush path is losing;
 //! * **split-table pressure** — a full
 //!   [`SplitTable`](crate::placement::SplitTable) while utilization is
 //!   still skewed means finer ownership ran out of room and only more
@@ -49,8 +49,8 @@
 //!
 //! Three mechanisms keep the controller from oscillating:
 //!
-//! * a **dead-band** between `scale_up_utilization` and
-//!   `scale_down_utilization` (scale-down projects the load onto `n − 1`
+//! * a **dead-band** between `SCALE_UP_UTILIZATION` and
+//!   `SCALE_DOWN_UTILIZATION` (scale-down projects the load onto `n − 1`
 //!   shards and requires it to stay *well below* where scale-up would
 //!   trigger);
 //! * a **cool-down** of `cooldown_secs` between scaling actions, in
@@ -59,7 +59,7 @@
 //!   considered;
 //! * **min/max fleet clamps** (`min_shards`/`max_shards`).
 //!
-//! Rebalance runs on its own cadence (`rebalance_every_secs`) outside
+//! Rebalance runs on its own cadence (`REBALANCE_EVERY_SECS`) outside
 //! the cool-down: re-placing load inside the current fleet is cheap and
 //! self-limiting (it has its own dead-bands), so it never waits on
 //! scaling hysteresis.
@@ -68,7 +68,27 @@ use crate::cluster_tier::ClusterStats;
 use moist_bigtable::Timestamp;
 use std::collections::HashMap;
 
-/// Knobs for [`AutoController`]. Construct with struct-update syntax
+/// Cadence of controller-driven [`rebalance`] calls, in virtual seconds.
+/// Not subject to the scaling cool-down.
+///
+/// [`rebalance`]: crate::MoistCluster::rebalance
+const REBALANCE_EVERY_SECS: f64 = 10.0;
+/// Scale up when the busiest shard's busy time exceeds this fraction of
+/// `target_shard_busy_us`.
+const SCALE_UP_UTILIZATION: f64 = 0.9;
+/// Scale down only when the fleet's total busy time, projected onto
+/// `n − 1` shards, stays below this fraction of `target_shard_busy_us`.
+/// Sits below [`SCALE_UP_UTILIZATION`] — the gap is the dead-band.
+const SCALE_DOWN_UTILIZATION: f64 = 0.5;
+const _: () = assert!(SCALE_DOWN_UTILIZATION < SCALE_UP_UTILIZATION);
+/// Scale up when any shard's ingest queue holds more than this fraction
+/// of its cap.
+const QUEUE_PRESSURE: f64 = 0.5;
+/// Most shards added by a single scaling decision (removal is always one
+/// at a time — it migrates cells).
+const MAX_STEP_SHARDS: usize = 2;
+
+/// Knobs for `AutoController`. Construct with struct-update syntax
 /// over [`Default::default`], then hand to
 /// [`ClusterBuilder::controller`](crate::ClusterBuilder::controller).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -84,29 +104,10 @@ pub struct ControllerConfig {
     /// Quiet period in virtual seconds after any add/remove before the
     /// next scaling action (either direction) is considered.
     pub cooldown_secs: f64,
-    /// Cadence of controller-driven [`rebalance`] calls, in virtual
-    /// seconds. Not subject to the scaling cool-down.
-    ///
-    /// [`rebalance`]: crate::MoistCluster::rebalance
-    pub rebalance_every_secs: f64,
     /// The knee of one shard's capacity: virtual µs of store time a
     /// shard can comfortably consume per virtual second. Utilization
     /// thresholds are fractions of this.
     pub target_shard_busy_us: f64,
-    /// Scale up when the busiest shard's busy time exceeds this fraction
-    /// of `target_shard_busy_us`.
-    pub scale_up_utilization: f64,
-    /// Scale down only when the fleet's total busy time, projected onto
-    /// `n − 1` shards, stays below this fraction of
-    /// `target_shard_busy_us`. Must sit below `scale_up_utilization` —
-    /// the gap is the dead-band.
-    pub scale_down_utilization: f64,
-    /// Scale up when any shard's ingest queue holds more than this
-    /// fraction of its cap.
-    pub queue_pressure: f64,
-    /// Most shards added by a single scaling decision (removal is always
-    /// one at a time — it migrates cells).
-    pub max_step_shards: usize,
 }
 
 impl Default for ControllerConfig {
@@ -116,35 +117,22 @@ impl Default for ControllerConfig {
             max_shards: 16,
             window_secs: 10.0,
             cooldown_secs: 30.0,
-            rebalance_every_secs: 10.0,
             // Half a virtual second of store time per virtual second:
             // 50% headroom before the shard's mutex becomes the limit.
             target_shard_busy_us: 500_000.0,
-            scale_up_utilization: 0.9,
-            scale_down_utilization: 0.5,
-            queue_pressure: 0.5,
-            max_step_shards: 2,
         }
     }
 }
 
 impl ControllerConfig {
     /// Clamps degenerate values into a workable configuration:
-    /// `1 ≤ min ≤ max`, positive window/target, and a real dead-band
-    /// (`scale_down < scale_up`).
+    /// `1 ≤ min ≤ max` and a positive window/target.
     pub fn normalized(mut self) -> Self {
         self.min_shards = self.min_shards.max(1);
         self.max_shards = self.max_shards.max(self.min_shards);
         self.window_secs = self.window_secs.max(1e-3);
         self.cooldown_secs = self.cooldown_secs.max(0.0);
-        self.rebalance_every_secs = self.rebalance_every_secs.max(1e-3);
         self.target_shard_busy_us = self.target_shard_busy_us.max(1.0);
-        self.scale_up_utilization = self.scale_up_utilization.max(1e-6);
-        self.scale_down_utilization = self
-            .scale_down_utilization
-            .clamp(0.0, self.scale_up_utilization * 0.9);
-        self.queue_pressure = self.queue_pressure.clamp(1e-6, 1.0);
-        self.max_step_shards = self.max_step_shards.max(1);
         self
     }
 }
@@ -210,7 +198,7 @@ pub(crate) enum Plan {
 /// and driven through
 /// [`controller_tick`](crate::MoistCluster::controller_tick).
 #[derive(Debug)]
-pub struct AutoController {
+pub(crate) struct AutoController {
     cfg: ControllerConfig,
     /// Start of the currently-open measurement window (virtual secs);
     /// `None` until the first tick seeds the baselines.
@@ -229,7 +217,7 @@ pub struct AutoController {
 
 impl AutoController {
     /// Builds a controller from (normalized) `cfg`.
-    pub fn new(cfg: ControllerConfig) -> Self {
+    pub(crate) fn new(cfg: ControllerConfig) -> Self {
         AutoController {
             cfg: cfg.normalized(),
             window_start_secs: None,
@@ -242,12 +230,12 @@ impl AutoController {
     }
 
     /// The (normalized) configuration this controller runs under.
-    pub fn config(&self) -> ControllerConfig {
+    pub(crate) fn config(&self) -> ControllerConfig {
         self.cfg
     }
 
     /// The decision log so far, oldest first.
-    pub fn events(&self) -> &[ControllerEvent] {
+    pub(crate) fn events(&self) -> &[ControllerEvent] {
         &self.events
     }
 
@@ -262,7 +250,7 @@ impl AutoController {
         };
         let rebalance_due = match self.last_rebalance_secs {
             None => true,
-            Some(last) => now_secs - last >= self.cfg.rebalance_every_secs,
+            Some(last) => now_secs - last >= REBALANCE_EVERY_SECS,
         };
         window_due || rebalance_due
     }
@@ -290,7 +278,7 @@ impl AutoController {
         // fleet with no measurements yet is a no-op anyway.
         match self.last_rebalance_secs {
             None => self.last_rebalance_secs = Some(now_secs),
-            Some(last) if now_secs - last >= self.cfg.rebalance_every_secs => {
+            Some(last) if now_secs - last >= REBALANCE_EVERY_SECS => {
                 self.last_rebalance_secs = Some(now_secs);
                 plans.push(Plan::Rebalance);
             }
@@ -340,9 +328,8 @@ impl AutoController {
         }
 
         let target = self.cfg.target_shard_busy_us;
-        let queue_hot =
-            queue_cap > 0 && max_queue as f64 >= self.cfg.queue_pressure * queue_cap as f64;
-        let up_reason = if busiest > self.cfg.scale_up_utilization * target {
+        let queue_hot = queue_cap > 0 && max_queue as f64 >= QUEUE_PRESSURE * queue_cap as f64;
+        let up_reason = if busiest > SCALE_UP_UTILIZATION * target {
             Some("busiest shard over utilization target")
         } else if refused_delta > 0 {
             Some("overload refusals observed")
@@ -360,13 +347,13 @@ impl AutoController {
                 // a bounded step at a time.
                 let desired =
                     ((total_busy / target).ceil() as usize).clamp(n + 1, self.cfg.max_shards);
-                let count = (desired - n).min(self.cfg.max_step_shards);
+                let count = (desired - n).min(MAX_STEP_SHARDS);
                 plans.push(Plan::Add { count, reason });
             }
         } else if n > self.cfg.min_shards
             && refused_delta == 0
             && max_queue == 0
-            && total_busy / (n as f64 - 1.0) < self.cfg.scale_down_utilization * target
+            && total_busy / (n as f64 - 1.0) < SCALE_DOWN_UTILIZATION * target
         {
             // The least-busy shard of the window is the cheapest to
             // drain (ties break toward the highest id — retire the
@@ -431,9 +418,7 @@ mod tests {
             max_shards: 8,
             window_secs: 5.0,
             cooldown_secs: 20.0,
-            rebalance_every_secs: 10.0,
             target_shard_busy_us: 10_000.0,
-            ..ControllerConfig::default()
         }
     }
 
@@ -473,22 +458,17 @@ mod tests {
     }
 
     #[test]
-    fn normalization_enforces_a_dead_band_and_sane_clamps() {
+    fn normalization_enforces_sane_clamps() {
         let c = ControllerConfig {
             min_shards: 0,
             max_shards: 0,
             window_secs: -1.0,
-            scale_up_utilization: 0.5,
-            scale_down_utilization: 0.9,
-            max_step_shards: 0,
             ..ControllerConfig::default()
         }
         .normalized();
         assert_eq!(c.min_shards, 1);
         assert!(c.max_shards >= c.min_shards);
         assert!(c.window_secs > 0.0);
-        assert!(c.scale_down_utilization < c.scale_up_utilization);
-        assert_eq!(c.max_step_shards, 1);
     }
 
     #[test]

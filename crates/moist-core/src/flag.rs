@@ -42,7 +42,7 @@ struct CacheEntry {
 /// guard on the tuner for cache hits — the common case — and upgrade to
 /// the write guard only when a query actually re-tunes the level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlagLookup {
+pub(crate) enum FlagLookup {
     /// Fresh cached level; `cache_hits` has been counted.
     Hit(u8),
     /// A covering entry exists but has expired — pass its key to
@@ -55,7 +55,7 @@ pub enum FlagLookup {
 /// The FLAG tuner with its location-sensitive level cache.
 ///
 /// Statistics counters are atomics so the hit path and Algorithm 3's
-/// probe loop work through `&self`; only [`FlagTuner::complete_miss`]
+/// probe loop work through `&self`; only `FlagTuner::complete_miss`
 /// (cache mutation) needs `&mut`.
 #[derive(Debug)]
 pub struct FlagTuner {
@@ -84,7 +84,7 @@ impl FlagTuner {
     }
 
     /// Tuner statistics.
-    pub fn stats(&self) -> FlagStats {
+    pub(crate) fn stats(&self) -> FlagStats {
         FlagStats {
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
@@ -92,20 +92,10 @@ impl FlagTuner {
         }
     }
 
-    /// Cached entries currently held.
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Drops every cached level (e.g. after bulk loads).
-    pub fn invalidate(&mut self) {
-        self.cache.clear();
-    }
-
     /// Algorithm 4 fast path: probes the cache for a level covering leaf
     /// `index`, counting a hit when the entry is fresh. Shared access
     /// only — safe under a read guard.
-    pub fn lookup(&self, index: u64, now: Timestamp) -> FlagLookup {
+    pub(crate) fn lookup(&self, index: u64, now: Timestamp) -> FlagLookup {
         // Look back through a few candidate ranges (entries are keyed by
         // range start; nested/overlapping ranges from earlier epochs may
         // shadow each other — missing just costs a recompute).
@@ -125,7 +115,7 @@ impl FlagTuner {
     /// from [`FlagTuner::lookup`] (if any), and caches `level` for the
     /// whole cell at that level containing `loc`. The only method that
     /// mutates the cache — callers take the write guard just for this.
-    pub fn complete_miss(
+    pub(crate) fn complete_miss(
         &mut self,
         stale_key: Option<u64>,
         cfg: &MoistConfig,
@@ -181,7 +171,7 @@ impl FlagTuner {
 
     /// Algorithm 3: bisection on the level so the cell containing `loc`
     /// holds about σ objects.
-    pub fn calculate_best_level(
+    pub(crate) fn calculate_best_level(
         &self,
         s: &mut Session,
         tables: &MoistTables,
@@ -355,25 +345,5 @@ mod tests {
             .calculate_best_level(&mut s, &t, &cfg, &Point::new(500.0, 500.0), 0)
             .unwrap();
         assert!(level <= 2, "empty space should coarsen, got {level}");
-    }
-
-    #[test]
-    fn invalidate_clears_cache() {
-        let (_st, t, mut s, cfg) = setup(32);
-        scatter(&mut s, &t, &cfg, 100, 0.0, 0.0, 1000.0, 1000.0);
-        let mut tuner = FlagTuner::new(&cfg);
-        tuner
-            .best_level(
-                &mut s,
-                &t,
-                &cfg,
-                &Point::new(1.0, 1.0),
-                100,
-                Timestamp::ZERO,
-            )
-            .unwrap();
-        assert_eq!(tuner.cache_len(), 1);
-        tuner.invalidate();
-        assert_eq!(tuner.cache_len(), 0);
     }
 }

@@ -11,10 +11,10 @@
 //! is twice its circumradius, so we use circumradius `R = Δm / 2`.
 
 use moist_spatial::Velocity;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Axial coordinates of one hexagonal bin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct HexBin {
     /// Axial `q` coordinate.
     pub q: i64,
@@ -23,7 +23,7 @@ pub struct HexBin {
 }
 
 /// A hexagonal grid over velocity space with bin diameter `delta_m`.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct HexGrid {
     /// Hexagon circumradius (`Δm / 2`).
     radius: f64,
@@ -46,11 +46,6 @@ impl HexGrid {
         }
     }
 
-    /// The configured circumradius.
-    pub fn radius(&self) -> f64 {
-        self.radius
-    }
-
     /// Maps a velocity to its bin in `O(1)` (pointy-top axial coordinates
     /// with cube rounding).
     pub fn bin(&self, v: &Velocity) -> HexBin {
@@ -60,16 +55,6 @@ impl HexGrid {
         let qf = (3f64.sqrt() / 3.0) * x - (1.0 / 3.0) * y;
         let rf = (2.0 / 3.0) * y;
         Self::cube_round(qf, rf)
-    }
-
-    /// Centre velocity of a bin (the prototype velocity of a merged school).
-    pub fn center(&self, bin: HexBin) -> Velocity {
-        let q = bin.q as f64;
-        let r = bin.r as f64;
-        Velocity::new(
-            self.radius * 3f64.sqrt() * (q + r / 2.0),
-            self.radius * 1.5 * r,
-        )
     }
 
     /// Standard cube rounding: rounds fractional axial coordinates to the
@@ -130,13 +115,23 @@ mod tests {
         }
     }
 
+    /// Centre velocity of a bin (the prototype velocity of a merged school).
+    fn center(grid: &HexGrid, bin: HexBin) -> Velocity {
+        let q = bin.q as f64;
+        let r = bin.r as f64;
+        Velocity::new(
+            grid.radius * 3f64.sqrt() * (q + r / 2.0),
+            grid.radius * 1.5 * r,
+        )
+    }
+
     #[test]
     fn bin_center_roundtrips() {
         let grid = HexGrid::new(1.0);
         for q in -5..=5i64 {
             for r in -5..=5i64 {
                 let bin = HexBin { q, r };
-                assert_eq!(grid.bin(&grid.center(bin)), bin);
+                assert_eq!(grid.bin(&center(&grid, bin)), bin);
             }
         }
     }

@@ -1,19 +1,11 @@
 //! Object identifiers.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A moving object's identifier (the paper's OID).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct ObjectId(pub u64);
-
-impl ObjectId {
-    /// The raw id value.
-    #[inline]
-    pub fn raw(&self) -> u64 {
-        self.0
-    }
-}
 
 impl fmt::Debug for ObjectId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

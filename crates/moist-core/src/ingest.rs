@@ -1,6 +1,6 @@
 //! Per-shard bounded ingestion queues: the buffering half of the
 //! pipelined update path (the batched apply half lives in
-//! [`crate::update::apply_update_batch`]).
+//! `update::apply_update_batch`).
 //!
 //! The shape follows the log-shipper sink architecture: clients
 //! [`submit`] instead of calling the tier synchronously, submissions

@@ -61,7 +61,7 @@ pub mod flag;
 pub mod hexgrid;
 pub mod ids;
 pub mod ingest;
-pub mod load;
+mod load;
 pub mod nn;
 pub mod placement;
 pub mod query_pool;
@@ -77,23 +77,17 @@ pub use cluster_tier::{
 };
 pub use codec::{LfRecord, LocationRecord};
 pub use config::{table_names, MoistConfig};
-pub use controller::{AutoController, ControllerAction, ControllerConfig, ControllerEvent};
+pub use controller::{ControllerAction, ControllerConfig, ControllerEvent};
 pub use error::{MoistError, Result};
-pub use flag::{FlagLookup, FlagStats, FlagTuner};
+pub use flag::{FlagStats, FlagTuner};
 pub use hexgrid::{HexBin, HexGrid};
 pub use ids::ObjectId;
 pub use ingest::{BackpressurePolicy, IngestConfig, IngestStats, SubmitOutcome};
-pub use load::{CellRates, LoadTracker};
 pub use nn::{nn_query, Neighbor, NnOptions, NnStats};
-pub use placement::{
-    owners, routing_key_cell, slice_ranges, ShardWeight, SplitTable, SPLIT_CHILD_TAG,
-};
+pub use placement::{owners, slice_ranges, ShardWeight, SplitTable};
 pub use query_pool::QueryPool;
-pub use region::{
-    balance_slices, merge_region_partials, plan_region_ranges, region_partial_scan, region_query,
-    RegionPartial, RegionStats,
-};
-pub use school::{estimated_location, within_school};
+pub use region::{plan_region_ranges, RegionStats};
+pub use school::estimated_location;
 pub use server::{FrontEnd, MoistServer, ServerStats};
-pub use tables::{MoistTables, SpatialEntry, WriteBatch};
-pub use update::{apply_update, apply_update_batch, UpdateMessage, UpdateOutcome};
+pub use tables::{MoistTables, SpatialEntry};
+pub use update::{apply_update, UpdateMessage, UpdateOutcome};

@@ -48,7 +48,7 @@ const SCAN_COST_ALPHA: f64 = 0.3;
 
 /// One cell's smoothed demand, in events per virtual second.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct CellRates {
+pub(crate) struct CellRates {
     /// EWMA update arrivals per virtual second.
     pub update_rate: f64,
     /// EWMA query arrivals per virtual second (queries anchored in the
@@ -60,7 +60,7 @@ pub struct CellRates {
 impl CellRates {
     /// Combined demand rate (updates dominate store cost; queries count
     /// the same here — callers wanting a different mix read the fields).
-    pub fn total(&self) -> f64 {
+    pub(crate) fn total(&self) -> f64 {
         self.update_rate + self.query_rate
     }
 }
@@ -84,7 +84,7 @@ struct CellWindow {
 /// driven by the timestamps the workload carries, so a given update/query
 /// stream produces the same rates regardless of thread interleaving.
 #[derive(Debug)]
-pub struct LoadTracker {
+pub(crate) struct LoadTracker {
     window_us: u64,
     cells: HashMap<u64, CellWindow>,
     /// Scattered region slices scanned by this shard.
@@ -107,7 +107,7 @@ impl Default for LoadTracker {
 impl LoadTracker {
     /// Creates a tracker folding its EWMA every `window_secs` of virtual
     /// time.
-    pub fn new(window_secs: f64) -> Self {
+    pub(crate) fn new(window_secs: f64) -> Self {
         LoadTracker {
             window_us: ((window_secs.max(1e-3)) * 1e6) as u64,
             cells: HashMap::new(),
@@ -118,12 +118,12 @@ impl LoadTracker {
     }
 
     /// Records one update landing in clustering cell `cell` at `now`.
-    pub fn observe_update(&mut self, cell: u64, now: Timestamp) {
+    pub(crate) fn observe_update(&mut self, cell: u64, now: Timestamp) {
         self.observe(cell, now, true);
     }
 
     /// Records one query anchored in clustering cell `cell` at `now`.
-    pub fn observe_query(&mut self, cell: u64, now: Timestamp) {
+    pub(crate) fn observe_query(&mut self, cell: u64, now: Timestamp) {
         self.observe(cell, now, false);
     }
 
@@ -145,13 +145,13 @@ impl LoadTracker {
 
     /// Records one scattered region slice this shard scanned, costing
     /// `cost_us` virtual µs.
-    pub fn note_scatter_slice(&mut self, cost_us: f64) {
+    pub(crate) fn note_scatter_slice(&mut self, cost_us: f64) {
         self.scatter_slices += 1;
         self.scatter_us += cost_us.max(0.0);
     }
 
     /// `(slices served, total virtual µs)` of scattered partial scans.
-    pub fn scatter_slice_stats(&self) -> (u64, f64) {
+    pub(crate) fn scatter_slice_stats(&self) -> (u64, f64) {
         (self.scatter_slices, self.scatter_us)
     }
 
@@ -161,7 +161,7 @@ impl LoadTracker {
     /// cost and folded into a per-cell EWMA, replacing the span×density
     /// *prior* with a *measured* price the next time the fan-out planner
     /// slices a scattered query.
-    pub fn note_cell_scan(&mut self, cell: u64, frac: f64, cost_us: f64) {
+    pub(crate) fn note_cell_scan(&mut self, cell: u64, frac: f64, cost_us: f64) {
         // NaN fracs/costs are rejected along with non-positive ones.
         if frac.is_nan() || frac <= 0.0 || cost_us.is_nan() || cost_us < 0.0 {
             return;
@@ -176,7 +176,7 @@ impl LoadTracker {
     /// The learned per-cell scan costs (virtual µs per full-cell scan),
     /// in ascending cell order. Cells never scanned are absent — callers
     /// fall back to their prior for those.
-    pub fn cell_scan_costs(&self) -> Vec<(u64, f64)> {
+    pub(crate) fn cell_scan_costs(&self) -> Vec<(u64, f64)> {
         let mut out: Vec<(u64, f64)> = self.scan_costs.iter().map(|(&c, &v)| (c, v)).collect();
         out.sort_unstable_by_key(|&(c, _)| c);
         out
@@ -186,7 +186,7 @@ impl LoadTracker {
     /// first, so a cell that went quiet decays even though no event
     /// touched it. Cells whose rate decayed to ~0 are pruned. Returned in
     /// ascending cell order (deterministic for tests and rebalance).
-    pub fn rates(&mut self, now: Timestamp) -> Vec<(u64, CellRates)> {
+    pub(crate) fn rates(&mut self, now: Timestamp) -> Vec<(u64, CellRates)> {
         let window_us = self.window_us;
         self.cells.retain(|_, w| {
             fold(w, now.0, window_us);
@@ -200,15 +200,10 @@ impl LoadTracker {
 
     /// Total `(update rate, query rate)` across all tracked cells at
     /// `now` — this shard's demand rollup.
-    pub fn totals(&mut self, now: Timestamp) -> (f64, f64) {
+    pub(crate) fn totals(&mut self, now: Timestamp) -> (f64, f64) {
         self.rates(now).iter().fold((0.0, 0.0), |(u, q), (_, r)| {
             (u + r.update_rate, q + r.query_rate)
         })
-    }
-
-    /// Number of cells currently tracked.
-    pub fn tracked_cells(&self) -> usize {
-        self.cells.len()
     }
 }
 
@@ -274,7 +269,7 @@ mod tests {
         assert!(later < hot / 4.0, "{later} vs {hot}");
         // Long silence prunes the cell entirely.
         assert!(t.rates(at(500.0)).is_empty());
-        assert_eq!(t.tracked_cells(), 0);
+        assert!(t.cells.is_empty());
     }
 
     #[test]

@@ -164,12 +164,12 @@ pub(crate) fn reader(
 /// the clustering level (set by [`SplitTable::route_leaf`] for split
 /// cells). Cell indexes use at most `2·leaf_level ≤ 62` bits, so the top
 /// bit is free.
-pub const SPLIT_CHILD_TAG: u64 = 1 << 63;
+pub(crate) const SPLIT_CHILD_TAG: u64 = 1 << 63;
 
 /// Decodes a routing key into the concrete cell it names: plain keys are
 /// cells at `clustering_level`, tagged keys ([`SPLIT_CHILD_TAG`]) are
 /// child cells one level finer.
-pub fn routing_key_cell(key: u64, clustering_level: u8) -> CellId {
+pub(crate) fn routing_key_cell(key: u64, clustering_level: u8) -> CellId {
     if key & SPLIT_CHILD_TAG != 0 {
         CellId {
             level: clustering_level + 1,
@@ -208,7 +208,7 @@ impl SplitTable {
     }
 
     /// Whether clustering cell `cell` is split.
-    pub fn is_split(&self, cell: u64) -> bool {
+    pub(crate) fn is_split(&self, cell: u64) -> bool {
         self.cells.contains(&cell)
     }
 
@@ -225,23 +225,18 @@ impl SplitTable {
     /// spot moves — the ownership handover itself (children released, the
     /// reunited cell adopted at the earliest child deadline) is the
     /// migration path's `(split, unsplit)` transition.
-    pub fn unsplit(&mut self, cell: u64) -> bool {
+    pub(crate) fn unsplit(&mut self, cell: u64) -> bool {
         self.cells.remove(&cell)
     }
 
     /// The split cells, ascending.
-    pub fn cells(&self) -> impl Iterator<Item = u64> + '_ {
+    pub(crate) fn cells(&self) -> impl Iterator<Item = u64> + '_ {
         self.cells.iter().copied()
     }
 
     /// Number of split cells.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.cells.len()
-    }
-
-    /// Whether no cell is split.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
     }
 
     /// The four routing keys of a split cell's children.
@@ -256,7 +251,7 @@ impl SplitTable {
 
     /// The routing key of leaf index `leaf`: the containing clustering
     /// cell, or — when that cell is split — the containing child cell
-    /// tagged with [`SPLIT_CHILD_TAG`]. Panics if `clustering_level >
+    /// tagged with `SPLIT_CHILD_TAG`. Panics if `clustering_level >
     /// leaf_level` (rejected by config validation) or a split cell has no
     /// finer level to split into.
     pub fn route_leaf(&self, leaf: u64, clustering_level: u8, leaf_level: u8) -> u64 {
@@ -309,7 +304,7 @@ impl SplitTable {
 ///
 /// Returns `(reader id, that reader's merged ranges)` pairs in ascending
 /// id order. Panics if `clustering_level > leaf_level` (rejected by
-/// [`MoistConfig::validate`](crate::MoistConfig::validate)).
+/// `MoistConfig::validate`).
 pub fn slice_ranges(
     ranges: &[(u64, u64)],
     clustering_level: u8,

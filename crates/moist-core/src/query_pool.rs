@@ -33,7 +33,7 @@ pub struct QueryPool {
 
 impl QueryPool {
     /// Spawns a pool of `threads` workers (at least one).
-    pub fn new(threads: usize) -> Self {
+    pub(crate) fn new(threads: usize) -> Self {
         let threads = threads.max(1);
         let (tx, rx) = channel::<Job>();
         let rx = Arc::new(Mutex::new(rx));
@@ -59,11 +59,6 @@ impl QueryPool {
             .map(|n| n.get())
             .unwrap_or(4);
         QueryPool::new(cores.clamp(2, 16))
-    }
-
-    /// Number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.workers.len()
     }
 
     /// Runs every task on the pool and returns their results in task
@@ -138,7 +133,7 @@ mod tests {
     #[test]
     fn scatter_returns_results_in_task_order() {
         let pool = QueryPool::new(4);
-        assert_eq!(pool.threads(), 4);
+        assert_eq!(pool.workers.len(), 4);
         let tasks: Vec<_> = (0..32).map(|i| move || i * 10).collect();
         assert_eq!(
             pool.scatter(tasks),

@@ -12,12 +12,12 @@
 //!
 //! 1. [`plan_region_ranges`] — pure planning: the merged contiguous
 //!    leaf-index ranges covering the margin-enlarged window;
-//! 2. [`region_partial_scan`] — scan any subset of those ranges and expand
-//!    schools, returning a mergeable [`RegionPartial`] (no sort, no dedup);
-//! 3. [`merge_region_partials`] — fold partials *by move* into the final
+//! 2. `region_partial_scan` — scan any subset of those ranges and expand
+//!    schools, returning a mergeable `RegionPartial` (no sort, no dedup);
+//! 3. `merge_region_partials` — fold partials *by move* into the final
 //!    answer, deduplicating each object exactly once at the merge.
 //!
-//! [`region_query`] runs all three on one session — the single-server path.
+//! `region_query` runs all three on one session — the single-server path.
 
 use crate::config::MoistConfig;
 use crate::error::Result;
@@ -27,13 +27,13 @@ use moist_bigtable::{Session, Timestamp};
 use moist_spatial::{cover_rect, Rect};
 
 /// One `[start, end)` leaf-index range.
-pub type LeafRange = (u64, u64);
+type LeafRange = (u64, u64);
 
 /// Owner-keyed slices of a scattered region plan: `(shard id, that
 /// shard's merged leaf ranges)` pairs, as produced by
 /// [`crate::placement::slice_ranges`] and rebalanced by
 /// [`balance_slices`].
-pub type OwnerSlices = Vec<(u64, Vec<LeafRange>)>;
+type OwnerSlices = Vec<(u64, Vec<LeafRange>)>;
 
 /// Statistics of one region query.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -45,7 +45,7 @@ pub struct RegionStats {
     /// Shards that contributed partial scans (1 for single-server runs).
     pub shards_scattered: usize,
     /// Range pieces the balancing pass moved off their owner shard onto an
-    /// idler one ([`balance_slices`]; 0 for single-server and unbalanced
+    /// idler one (`balance_slices`; 0 for single-server and unbalanced
     /// runs).
     pub slices_rebalanced: usize,
     /// Client-visible virtual µs. Partials scanned in parallel overlap, so
@@ -60,7 +60,7 @@ pub struct RegionStats {
 /// be sighted by two of them. Deduplication happens exactly once, in
 /// [`merge_region_partials`].
 #[derive(Debug, Default)]
-pub struct RegionPartial {
+pub(crate) struct RegionPartial {
     /// Raw hits (objects inside the query rectangle), unsorted, undeduped.
     pub hits: Vec<Neighbor>,
     /// This partial's own scan counters and virtual cost.
@@ -148,7 +148,7 @@ const MIN_ENGAGE_COST: f64 = 2.0;
 /// Returns the balanced `(shard id, ranges)` slices (ascending id, exact
 /// same leaf-index partition as the input) plus the number of pieces
 /// moved off their owner.
-pub fn balance_slices(
+pub(crate) fn balance_slices(
     slices: OwnerSlices,
     shares: &[(u64, f64)],
     cost_of: impl Fn(u64, u64) -> f64,
@@ -308,7 +308,7 @@ fn split_range_at_cost(
 /// leaders in `ranges`, filters by the true `rect`, and (optionally)
 /// expands their schools. Returns the raw partial — no sort, no dedup;
 /// those happen once, in [`merge_region_partials`].
-pub fn region_partial_scan(
+pub(crate) fn region_partial_scan(
     s: &mut Session,
     tables: &MoistTables,
     ranges: &[(u64, u64)],
@@ -385,7 +385,7 @@ pub fn region_partial_scan(
 /// once. Scan counters add up; `cost_us` is the *maximum* partial cost,
 /// because scattered partials consume store time in parallel — that max is
 /// the client-visible latency of the fan-out.
-pub fn merge_region_partials(parts: Vec<RegionPartial>) -> (Vec<Neighbor>, RegionStats) {
+pub(crate) fn merge_region_partials(parts: Vec<RegionPartial>) -> (Vec<Neighbor>, RegionStats) {
     let mut stats = RegionStats::default();
     let total: usize = parts.iter().map(|p| p.hits.len()).sum();
     let mut out: Vec<Neighbor> = Vec::with_capacity(total);
@@ -411,7 +411,7 @@ pub fn merge_region_partials(parts: Vec<RegionPartial>) -> (Vec<Neighbor>, Regio
 /// outside may carry followers displaced inside. Choose
 /// `margin ≥ v_max · max-staleness + school radius` for exact results —
 /// the same enlargement rule the Bx-tree applies to its windows.
-pub fn region_query(
+pub(crate) fn region_query(
     s: &mut Session,
     tables: &MoistTables,
     cfg: &MoistConfig,

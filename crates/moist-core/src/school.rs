@@ -36,7 +36,7 @@ pub fn estimated_location(
 ///   "if a follower is near the leader, it is still within the OS even if it
 ///   changes the moving pattern radically (e.g. most passengers just leaving
 ///   a metro will still be in geographical proximity for a while)".
-pub fn within_school(
+pub(crate) fn within_school(
     leader_record: &LocationRecord,
     leader_ts: Timestamp,
     displacement: Displacement,

@@ -44,7 +44,7 @@ use moist_archive::{HistoryRecord, PppArchiver, QueryCost};
 use moist_bigtable::{Bigtable, BigtableError, MeterHub, Session, Timestamp};
 use moist_spatial::{Point, Rect};
 use parking_lot::{Mutex, RwLock};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -53,7 +53,7 @@ use std::sync::Arc;
 const ESTIMATE_REFRESH_OPS: u64 = 1024;
 
 /// Per-server operation counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct ServerStats {
     /// Updates received.
     pub updates: u64,
@@ -89,7 +89,7 @@ impl ServerStats {
     }
 
     /// Accumulates another server's counters (cluster-tier aggregation).
-    pub fn merge_from(&mut self, other: &ServerStats) {
+    pub(crate) fn merge_from(&mut self, other: &ServerStats) {
         self.updates += other.updates;
         self.shed += other.shed;
         self.leader_updates += other.leader_updates;
@@ -220,7 +220,7 @@ impl MoistServer {
     /// [`new`](MoistServer::new) sharing a tier-wide object-count
     /// estimate: the handed-in counter absorbs the store's current row
     /// count, so all shards feed FLAG the same `n`.
-    pub fn with_estimate(
+    pub(crate) fn with_estimate(
         store: &Arc<Bigtable>,
         cfg: MoistConfig,
         estimate: Arc<AtomicU64>,
@@ -264,7 +264,7 @@ impl MoistServer {
     /// its [`ClusterScheduler::for_placement`] rendezvous slice of the
     /// clustering level, or [`ClusterScheduler::empty`] for a joiner whose
     /// cells arrive by adoption).
-    pub fn with_scheduler(mut self, scheduler: ClusterScheduler) -> Self {
+    pub(crate) fn with_scheduler(mut self, scheduler: ClusterScheduler) -> Self {
         self.scheduler = scheduler;
         self
     }
@@ -279,7 +279,7 @@ impl MoistServer {
     /// [`release`](ClusterScheduler::release)s migrating cells here on the
     /// old owner and [`adopt`](ClusterScheduler::adopt)s them on the new
     /// one, preserving each cell's deadline phase.
-    pub fn scheduler_mut(&mut self) -> &mut ClusterScheduler {
+    pub(crate) fn scheduler_mut(&mut self) -> &mut ClusterScheduler {
         &mut self.scheduler
     }
 
@@ -293,7 +293,7 @@ impl MoistServer {
     }
 
     /// Applies a whole batch of updates through the amortized path
-    /// ([`apply_update_batch`]): one lock acquisition, batched prefetch
+    /// (`apply_update_batch`): one lock acquisition, batched prefetch
     /// reads, and multi-row deferred writes instead of per-message store
     /// round-trips. Per-message accounting (stats, load signal, archiver,
     /// object estimate) is identical to calling
@@ -425,19 +425,19 @@ impl FrontEnd {
 
     /// The per-clustering-cell EWMA demand rates as of `now` (ascending
     /// cell order) — this server's slice of the load-signal layer.
-    pub fn load_rates(&self, now: Timestamp) -> Vec<(u64, CellRates)> {
+    pub(crate) fn load_rates(&self, now: Timestamp) -> Vec<(u64, CellRates)> {
         self.load.lock().rates(now)
     }
 
     /// Total `(update rate, query rate)` across this server's tracked
     /// cells at `now`.
-    pub fn load_totals(&self, now: Timestamp) -> (f64, f64) {
+    pub(crate) fn load_totals(&self, now: Timestamp) -> (f64, f64) {
         self.load.lock().totals(now)
     }
 
     /// `(count, virtual µs)` of scattered region slices this server has
     /// scanned for the cluster tier's fan-out.
-    pub fn scatter_slice_stats(&self) -> (u64, f64) {
+    pub(crate) fn scatter_slice_stats(&self) -> (u64, f64) {
         self.load.lock().scatter_slice_stats()
     }
 
@@ -445,12 +445,12 @@ impl FrontEnd {
     /// scan, ascending cell order), measured from the partial scans this
     /// server executed. The cluster tier merges these across shards at
     /// rebalance to price fan-out slices.
-    pub fn cell_scan_costs(&self) -> Vec<(u64, f64)> {
+    pub(crate) fn cell_scan_costs(&self) -> Vec<(u64, f64)> {
         self.load.lock().cell_scan_costs()
     }
 
     /// Current object-count estimate feeding FLAG's initial level guess.
-    pub fn object_estimate(&self) -> u64 {
+    pub(crate) fn object_estimate(&self) -> u64 {
         self.object_estimate.load(Ordering::Relaxed)
     }
 
@@ -460,7 +460,7 @@ impl FrontEnd {
     /// `fetch_max`, not `store`: a plain store would erase a registration
     /// another shard counted between our row-count read and the write.
     /// Objects are never deleted, so the estimate only ever needs raising.
-    pub fn refresh_object_estimate(&self) -> u64 {
+    fn refresh_object_estimate(&self) -> u64 {
         let n = self.tables.affiliation.approx_row_count();
         self.estimate_staleness.store(0, Ordering::Relaxed);
         self.object_estimate.fetch_max(n, Ordering::Relaxed).max(n)
@@ -585,7 +585,7 @@ impl FrontEnd {
     /// once and owner-sliced the ranges) and returns the raw mergeable
     /// partial. Counted as neither a query nor deduped here; the tier's
     /// merge does that exactly once.
-    pub fn region_partial(
+    pub(crate) fn region_partial(
         &self,
         ranges: &[(u64, u64)],
         rect: &Rect,

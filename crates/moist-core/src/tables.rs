@@ -176,34 +176,8 @@ impl MoistTables {
         }
     }
 
-    /// All in-memory location records of `oid`, newest first.
-    pub fn location_history(
-        &self,
-        s: &mut Session,
-        oid: ObjectId,
-    ) -> Result<Vec<(Timestamp, LocationRecord)>> {
-        let row = s.get_row(
-            &self.location,
-            &RowKey::from_u64(oid.0),
-            &ReadOptions {
-                families: Some(vec![cols::LOC_MEM.into()]),
-                latest_only: false,
-            },
-        )?;
-        let mut out = Vec::new();
-        if let Some(row) = row {
-            for entry in row.family(cols::LOC_MEM) {
-                for cell in &entry.cells {
-                    out.push((cell.ts, LocationRecord::decode(&cell.value)?));
-                }
-            }
-        }
-        out.sort_by_key(|&(ts, _)| std::cmp::Reverse(ts));
-        Ok(out)
-    }
-
     /// Batch-fetches the latest location records of many objects.
-    pub fn batch_latest_locations(
+    pub(crate) fn batch_latest_locations(
         &self,
         s: &mut Session,
         oids: &[ObjectId],
@@ -227,7 +201,7 @@ impl MoistTables {
 
     /// Moves location records older than `cutoff` to the disk column
     /// (aged-data treatment, §3.1.2).
-    pub fn age_locations(&self, cutoff: Timestamp) -> Result<usize> {
+    pub(crate) fn age_locations(&self, cutoff: Timestamp) -> Result<usize> {
         Ok(self
             .location
             .age_transfer(cols::LOC_MEM, cols::LOC_DISK, cutoff)?)
@@ -258,7 +232,7 @@ impl MoistTables {
 
     /// Moves a leader's entry between cells in one batch RPC (delete old row
     /// + put new row — Algorithm 1, line 3).
-    pub fn spatial_move(
+    pub(crate) fn spatial_move(
         &self,
         s: &mut Session,
         old_leaf: u64,
@@ -294,7 +268,7 @@ impl MoistTables {
 
     /// All leaders in the contiguous leaf-index range `[start, end)` —
     /// one scan RPC (region queries scan merged ranges directly).
-    pub fn spatial_scan_range(
+    pub(crate) fn spatial_scan_range(
         &self,
         s: &mut Session,
         start: u64,
@@ -327,7 +301,7 @@ impl MoistTables {
     }
 
     /// Number of leaders inside `cell` (a charged scan; FLAG's `m`).
-    pub fn spatial_count_cell(
+    pub(crate) fn spatial_count_cell(
         &self,
         s: &mut Session,
         cell: CellId,
@@ -343,7 +317,11 @@ impl MoistTables {
     /// the clustering scan and the commit, the row's value changed (or
     /// the row is gone), the guard fails, and the caller aborts that
     /// object's merge instead of demoting a live leader.
-    pub fn spatial_check_and_delete(&self, s: &mut Session, entry: &SpatialEntry) -> Result<bool> {
+    pub(crate) fn spatial_check_and_delete(
+        &self,
+        s: &mut Session,
+        entry: &SpatialEntry,
+    ) -> Result<bool> {
         let expected = entry.record.encode();
         self.spatial_check_and_delete_value(s, entry.leaf_index, entry.oid, expected.as_ref())
     }
@@ -360,7 +338,7 @@ impl MoistTables {
     /// old spatial row is thus the *mutual-exclusion point* between a
     /// cross-cell move and the old cell's merge: exactly one of the two
     /// deletes it, and the loser backs off.
-    pub fn spatial_move_guarded(
+    pub(crate) fn spatial_move_guarded(
         &self,
         s: &mut Session,
         old_leaf: u64,
@@ -410,7 +388,7 @@ impl MoistTables {
     /// re-read, valid because the batch holds the routing key's shard
     /// lock and the cross-shard writers that could move the head are
     /// excluded by the spatial-row guard it wins first.
-    pub fn batch_lf_versions(
+    pub(crate) fn batch_lf_versions(
         &self,
         s: &mut Session,
         oids: &[ObjectId],
@@ -436,7 +414,7 @@ impl MoistTables {
     /// entries at once — the batched apply path's prefetch for guarded
     /// cross-cell moves. The returned bytes are exactly what a subsequent
     /// `check_and_mutate` must present as its expected value.
-    pub fn batch_spatial_values(
+    pub(crate) fn batch_spatial_values(
         &self,
         s: &mut Session,
         entries: &[(u64, ObjectId)],
@@ -465,7 +443,7 @@ impl MoistTables {
     /// Returns `false` when the row is gone or changed (a clustering
     /// merge won the race); the caller must then skip the superseded
     /// spatial rewrite.
-    pub fn spatial_check_and_delete_value(
+    pub(crate) fn spatial_check_and_delete_value(
         &self,
         s: &mut Session,
         leaf_index: u64,
@@ -487,7 +465,7 @@ impl MoistTables {
     /// once per table, per-row cost at batch rates) is actually
     /// exercised. Returns the number of rows written and leaves the
     /// batch empty.
-    pub fn flush_write_batch(&self, s: &mut Session, wb: &mut WriteBatch) -> Result<usize> {
+    pub(crate) fn flush_write_batch(&self, s: &mut Session, wb: &mut WriteBatch) -> Result<usize> {
         let mut rows = 0;
         if !wb.location.is_empty() {
             rows += s.mutate_rows(&self.location, &wb.location)?;
@@ -505,7 +483,7 @@ impl MoistTables {
     }
 
     /// Writes the L/F record of `oid`. The write lands at a clamped
-    /// timestamp ([`lf_supersede_ts`](Self::lf_supersede_ts)): an L/F
+    /// timestamp (`lf_supersede_ts`): an L/F
     /// write always supersedes the current record, even when the writer's
     /// virtual clock trails a clustering tick that stamped the head far
     /// ahead of it.
@@ -557,7 +535,7 @@ impl MoistTables {
     /// affiliation. The replacement lands at a clamped timestamp
     /// ([`lf_supersede_ts`](Self::lf_supersede_ts)) so a writer with a
     /// lagging clock still supersedes the record it matched.
-    pub fn lf_check_and_set(
+    pub(crate) fn lf_check_and_set(
         &self,
         s: &mut Session,
         oid: ObjectId,
@@ -590,7 +568,7 @@ impl MoistTables {
     }
 
     /// Batch-fetches the Follower Info of many leaders at once.
-    pub fn batch_followers(
+    pub(crate) fn batch_followers(
         &self,
         s: &mut Session,
         leaders: &[ObjectId],
@@ -605,7 +583,7 @@ impl MoistTables {
     }
 
     /// Adds `follower` to `leader`'s Follower Info.
-    pub fn add_follower(
+    pub(crate) fn add_follower(
         &self,
         s: &mut Session,
         leader: ObjectId,
@@ -622,7 +600,7 @@ impl MoistTables {
     }
 
     /// Builds (without applying) the add-follower mutation.
-    pub fn add_follower_mutation(
+    pub(crate) fn add_follower_mutation(
         leader: ObjectId,
         follower: ObjectId,
         disp: Displacement,
@@ -635,7 +613,7 @@ impl MoistTables {
     }
 
     /// Removes `follower` from `leader`'s Follower Info.
-    pub fn remove_follower(
+    pub(crate) fn remove_follower(
         &self,
         s: &mut Session,
         leader: ObjectId,
@@ -654,7 +632,7 @@ impl MoistTables {
 
     /// Builds a mutation clearing a leader's whole Follower Info (used when
     /// the leader is merged into another school).
-    pub fn clear_followers_mutation(leader: ObjectId) -> RowMutation {
+    pub(crate) fn clear_followers_mutation(leader: ObjectId) -> RowMutation {
         RowMutation::new(
             RowKey::from_u64(leader.0),
             vec![Mutation::DeleteFamily {
@@ -664,7 +642,11 @@ impl MoistTables {
     }
 
     /// Applies a prepared affiliation batch (clustering write phase).
-    pub fn affiliation_batch(&self, s: &mut Session, batch: &[RowMutation]) -> Result<usize> {
+    pub(crate) fn affiliation_batch(
+        &self,
+        s: &mut Session,
+        batch: &[RowMutation],
+    ) -> Result<usize> {
         if batch.is_empty() {
             return Ok(0);
         }
@@ -672,7 +654,7 @@ impl MoistTables {
     }
 
     /// Moves aged L/F records to the disk family (§3.1.1).
-    pub fn age_affiliations(&self, cutoff: Timestamp) -> Result<usize> {
+    pub(crate) fn age_affiliations(&self, cutoff: Timestamp) -> Result<usize> {
         Ok(self
             .affiliation
             .age_transfer(cols::LF_MEM, cols::LF_DISK, cutoff)?)
@@ -692,7 +674,7 @@ impl MoistTables {
 /// own explicit timestamp, so the final store state is identical to the
 /// synchronous path's.
 #[derive(Debug, Default)]
-pub struct WriteBatch {
+pub(crate) struct WriteBatch {
     location: Vec<RowMutation>,
     spatial: Vec<RowMutation>,
     affiliation: Vec<RowMutation>,
@@ -700,17 +682,17 @@ pub struct WriteBatch {
 
 impl WriteBatch {
     /// An empty batch.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// True when nothing is buffered.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.location.is_empty() && self.spatial.is_empty() && self.affiliation.is_empty()
     }
 
     /// Defers [`MoistTables::put_location`].
-    pub fn put_location(&mut self, oid: ObjectId, rec: &LocationRecord, ts: Timestamp) {
+    pub(crate) fn put_location(&mut self, oid: ObjectId, rec: &LocationRecord, ts: Timestamp) {
         self.location.push(RowMutation::new(
             RowKey::from_u64(oid.0),
             vec![location_put(rec, ts)],
@@ -720,7 +702,7 @@ impl WriteBatch {
     /// Defers [`MoistTables::spatial_insert`] (also the same-leaf refresh
     /// half of `spatial_move` — a plain overwrite of the row this batch's
     /// shard lock already serializes against the cell's clustering).
-    pub fn spatial_insert(
+    pub(crate) fn spatial_insert(
         &mut self,
         leaf_index: u64,
         oid: ObjectId,
@@ -738,7 +720,7 @@ impl WriteBatch {
     /// first-sight registration (no head version exists) or a timestamp
     /// already clamped past the prefetched head (see
     /// [`MoistTables::batch_lf_versions`]).
-    pub fn set_lf_at(&mut self, oid: ObjectId, lf: &LfRecord, ts: Timestamp) {
+    pub(crate) fn set_lf_at(&mut self, oid: ObjectId, lf: &LfRecord, ts: Timestamp) {
         self.affiliation.push(RowMutation::new(
             RowKey::from_u64(oid.0),
             vec![lf_put(lf, ts)],
@@ -789,7 +771,7 @@ mod tests {
     }
 
     #[test]
-    fn location_roundtrip_and_history_order() {
+    fn latest_location_is_the_newest_of_out_of_order_writes() {
         let (_store, t, mut s) = setup();
         let oid = ObjectId(5);
         for ts in [1u64, 3, 2] {
@@ -799,9 +781,6 @@ mod tests {
         let (ts, latest) = t.latest_location(&mut s, oid).unwrap().unwrap();
         assert_eq!(ts, Timestamp(3));
         assert_eq!(latest.loc.x, 3.0);
-        let hist = t.location_history(&mut s, oid).unwrap();
-        assert_eq!(hist.len(), 3);
-        assert!(hist.windows(2).all(|w| w[0].0 > w[1].0), "newest first");
         assert!(t.latest_location(&mut s, ObjectId(99)).unwrap().is_none());
     }
 

@@ -34,7 +34,7 @@ impl UpdateMessage {
     /// Every entry point that accepts messages from outside — the two
     /// apply paths and the cluster tier's `submit` — calls this before
     /// touching the store or buffering anything.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.loc.is_finite() && self.vel.is_finite() {
             Ok(())
         } else {
@@ -213,7 +213,7 @@ pub fn apply_update(
 /// Every message is validated up front, so a malformed message fails
 /// the whole batch *before* any store write — callers can reject the
 /// batch without partial application.
-pub fn apply_update_batch(
+pub(crate) fn apply_update_batch(
     s: &mut Session,
     tables: &MoistTables,
     cfg: &MoistConfig,

@@ -9,11 +9,11 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`spatial`] | `moist-spatial` | Hilbert/Z curves, hierarchical cells, the six-face sphere mapping (§3.2) |
+//! | [`spatial`] | `moist-spatial` | Hilbert/Z curves, hierarchical cells, world ↔ unit-square mapping (§3.2) |
 //! | [`bigtable`] | `moist-bigtable` | BigTable-semantics store + calibrated cost model (§3.1) |
 //! | [`core`] | `moist-core` | object schools, Algorithm 1 updates, clustering, NN search, FLAG, the sharded `MoistCluster` front-end tier with rendezvous-hashed cell ownership and live shard join/leave (§3.3–3.4, §4.3.3) |
 //! | [`archive`] | `moist-archive` | PPP parallel ping-pong aged-data archiving (§3.5–3.6) |
-//! | [`baselines`] | `moist-baselines` | Bx-tree, static & dynamic clustering comparators (§2) |
+//! | [`baselines`] | `moist-baselines` | the Bx-tree comparator (§2) |
 //! | [`workload`] | `moist-workload` | the §4.1 road-network and uniform workloads, client drivers |
 //!
 //! ## Quickstart

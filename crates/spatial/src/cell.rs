@@ -8,7 +8,7 @@
 
 use crate::curve::{CurveKind, MAX_LEVEL};
 use crate::point::{Point, Rect};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Identifier of one cell of the recursive decomposition.
 ///
@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// the cell along the space-filling curve at that level. Ordering is by
 /// `(level, index)`; within one level this is exactly curve order, which is
 /// key order in the Spatial Index Table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct CellId {
     /// Refinement depth; 0 is the whole space.
     pub level: u8,
@@ -30,7 +30,7 @@ impl CellId {
 
     /// Creates a cell id, checking that `index` is on the level's curve.
     ///
-    /// Returns `None` when `level > MAX_LEVEL` or the index is out of range.
+    /// Returns `None` when `level > 30` or the index is out of range.
     pub fn new(level: u8, index: u64) -> Option<CellId> {
         if level > MAX_LEVEL || index >= cells_at_level(level) {
             return None;
@@ -57,7 +57,7 @@ impl CellId {
 
     /// Grid coordinates of this cell on the `2^level` grid.
     #[inline]
-    pub fn coords(&self, curve: CurveKind) -> (u32, u32) {
+    fn coords(&self, curve: CurveKind) -> (u32, u32) {
         curve.coords(self.level, self.index)
     }
 
@@ -103,33 +103,6 @@ impl CellId {
             level,
             index: self.index >> shift,
         })
-    }
-
-    /// The four children one level down; `None` at [`MAX_LEVEL`].
-    pub fn children(&self) -> Option<[CellId; 4]> {
-        if self.level >= MAX_LEVEL {
-            return None;
-        }
-        let base = self.index << 2;
-        let l = self.level + 1;
-        Some([
-            CellId {
-                level: l,
-                index: base,
-            },
-            CellId {
-                level: l,
-                index: base + 1,
-            },
-            CellId {
-                level: l,
-                index: base + 2,
-            },
-            CellId {
-                level: l,
-                index: base + 3,
-            },
-        ])
     }
 
     /// Whether `other` lies inside this cell (possibly at a finer level).
@@ -179,12 +152,6 @@ impl CellId {
     #[inline]
     pub fn distance_to_point(&self, curve: CurveKind, p: &Point) -> f64 {
         self.bounds(curve).distance_to_point(p)
-    }
-
-    /// Side length of a cell at this level, in unit-square units.
-    #[inline]
-    pub fn side_length(&self) -> f64 {
-        1.0 / (1u64 << self.level) as f64
     }
 }
 
@@ -249,7 +216,10 @@ mod tests {
     #[test]
     fn parent_child_roundtrip() {
         let c = CellId::from_point(H, 12, &Point::new(0.4, 0.9));
-        let kids = c.children().unwrap();
+        let kids = (0..4).map(|i| CellId {
+            level: c.level + 1,
+            index: (c.index << 2) + i,
+        });
         for k in kids {
             assert_eq!(k.parent(), Some(c));
             assert!(c.contains_cell(&k));
@@ -344,12 +314,5 @@ mod tests {
         let c = CellId::from_point(H, 4, &Point::new(7.0, -3.0));
         let b = c.bounds(H);
         assert!(b.max_x >= 1.0 - 1e-9 && b.min_y <= 1e-9);
-    }
-
-    #[test]
-    fn side_length_halves_per_level() {
-        let a = CellId::new(3, 0).unwrap().side_length();
-        let b = CellId::new(4, 0).unwrap().side_length();
-        assert!((a / b - 2.0).abs() < 1e-12);
     }
 }

@@ -13,16 +13,15 @@
 //! deeper level `L`. That is what makes a coarse cell a *contiguous row range*
 //! in the Spatial Index Table (§3.4.1, "NN cell").
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Maximum curve level (refinement depth).
 ///
-/// At level 30 an index occupies 60 bits, leaving headroom in a `u64` for
-/// face bits when the spherical mapping of [`crate::face`] is in use.
-pub const MAX_LEVEL: u8 = 30;
+/// At level 30 an index occupies 60 bits of a `u64`.
+pub(crate) const MAX_LEVEL: u8 = 30;
 
 /// Which space-filling curve orders the cells.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize)]
 pub enum CurveKind {
     /// Hilbert curve: best locality, the paper's choice.
     #[default]
@@ -36,7 +35,7 @@ impl CurveKind {
     /// `[0, 4^level)`.
     ///
     /// # Panics
-    /// Debug-asserts that `level ≤ MAX_LEVEL` and the coordinates fit the
+    /// Debug-asserts that `level ≤ 30` and the coordinates fit the
     /// `2^level × 2^level` grid; release builds wrap coordinates into range.
     #[inline]
     pub fn index(self, level: u8, x: u32, y: u32) -> u64 {

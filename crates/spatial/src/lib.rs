@@ -10,9 +10,7 @@
 //! * [`cell`] — hierarchical [`cell::CellId`]s: parent/children, edge
 //!   neighbours, bounds, contiguous descendant key ranges, rect covering;
 //! * [`point`] — points, velocities, displacements and rectangles;
-//! * [`space`] — world ↔ unit-square mapping plus level/size conversions;
-//! * [`face`] — the six-cube-face spherical projection of §3.2.1 for
-//!   indexing real geographic coordinates.
+//! * [`space`] — world ↔ unit-square mapping plus level/size conversions.
 //!
 //! ```
 //! use moist_spatial::{CellId, CurveKind, Point, Space};
@@ -30,12 +28,10 @@
 
 pub mod cell;
 pub mod curve;
-pub mod face;
 pub mod point;
 pub mod space;
 
 pub use cell::{cells_at_level, cover_rect, CellId};
-pub use curve::{CurveKind, MAX_LEVEL};
-pub use face::{Face, FaceCellId, FacePoint, LatLng};
+pub use curve::CurveKind;
 pub use point::{Displacement, Point, Rect, Velocity};
 pub use space::Space;

@@ -5,13 +5,13 @@
 //! (e.g. the paper's 1,000×1,000-unit map, §4.1) are mapped to the unit square
 //! by [`crate::space::Space`].
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A point in the plane.
 ///
 /// Coordinates are interpreted either as world units or normalised unit-square
 /// coordinates depending on context; the type itself is unit-agnostic.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct Point {
     /// Horizontal coordinate.
     pub x: f64,
@@ -35,7 +35,7 @@ impl Point {
     /// Squared Euclidean distance to `other` (avoids the `sqrt` when only
     /// comparisons are needed, e.g. in the NN priority queues of §3.4).
     #[inline]
-    pub fn distance_squared(&self, other: &Point) -> f64 {
+    fn distance_squared(&self, other: &Point) -> f64 {
         let dx = self.x - other.x;
         let dy = self.y - other.y;
         dx * dx + dy * dy
@@ -72,7 +72,7 @@ impl Point {
 }
 
 /// A 2-D velocity vector in units per second.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct Velocity {
     /// Horizontal speed component.
     pub vx: f64,
@@ -88,12 +88,6 @@ impl Velocity {
     #[inline]
     pub const fn new(vx: f64, vy: f64) -> Self {
         Velocity { vx, vy }
-    }
-
-    /// Scalar speed (magnitude of the vector).
-    #[inline]
-    pub fn speed(&self) -> f64 {
-        (self.vx * self.vx + self.vy * self.vy).sqrt()
     }
 
     /// Magnitude of the vector difference to `other`.
@@ -115,7 +109,7 @@ impl Velocity {
 }
 
 /// Displacement vector between two points (`i → j` in the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct Displacement {
     /// Horizontal offset.
     pub dx: f64,
@@ -132,16 +126,10 @@ impl Displacement {
     pub const fn new(dx: f64, dy: f64) -> Self {
         Displacement { dx, dy }
     }
-
-    /// Magnitude of the displacement.
-    #[inline]
-    pub fn norm(&self) -> f64 {
-        (self.dx * self.dx + self.dy * self.dy).sqrt()
-    }
 }
 
 /// A closed axis-aligned rectangle `[min_x, max_x] × [min_y, max_y]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Rect {
     /// Smallest x coordinate.
     pub min_x: f64,
@@ -166,14 +154,6 @@ impl Rect {
             max_y: min_y.max(max_y),
         }
     }
-
-    /// The unit square `[0,1]²`.
-    pub const UNIT: Rect = Rect {
-        min_x: 0.0,
-        min_y: 0.0,
-        max_x: 1.0,
-        max_y: 1.0,
-    };
 
     /// Rectangle width.
     #[inline]

@@ -8,10 +8,10 @@
 use crate::cell::CellId;
 use crate::curve::{CurveKind, MAX_LEVEL};
 use crate::point::{Point, Rect};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A configured 2-D space: world bounds, curve kind and leaf level.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct Space {
     /// World-coordinate bounds mapped onto the unit square.
     pub world: Rect,
@@ -22,8 +22,8 @@ pub struct Space {
 }
 
 impl Space {
-    /// Creates a space; `leaf_level` is clamped to [`MAX_LEVEL`].
-    pub fn new(world: Rect, curve: CurveKind, leaf_level: u8) -> Self {
+    /// Creates a space; `leaf_level` is clamped to 30, the deepest level.
+    fn new(world: Rect, curve: CurveKind, leaf_level: u8) -> Self {
         Space {
             world,
             curve,
@@ -35,14 +35,6 @@ impl Space {
     /// leaf level 20 (≈1-unit cells on a 1,000-unit map would be level 10;
     /// level 20 gives ~1 mm resolution, comfortably finer than GPS noise).
     pub fn paper_map() -> Self {
-        Space::new(Rect::new(0.0, 0.0, 1000.0, 1000.0), CurveKind::Hilbert, 20)
-    }
-
-    /// A 1 km² space where one world unit is one metre (the §4.3 setting,
-    /// where "Search Level 19" cells are 8 m and level 20 cells are 4 m on
-    /// Earth; on a 1 km map those sizes correspond to levels 7 and 8 — we
-    /// keep the paper's *metre* semantics by exposing helpers below).
-    pub fn one_km() -> Self {
         Space::new(Rect::new(0.0, 0.0, 1000.0, 1000.0), CurveKind::Hilbert, 20)
     }
 
@@ -90,21 +82,6 @@ impl Space {
     pub fn cell_side_world(&self, level: u8) -> f64 {
         self.world.width() / (1u64 << level) as f64
     }
-
-    /// The finest level whose cells are at least `side` world units wide.
-    ///
-    /// Used to translate the paper's "8 m-long square" style settings into
-    /// levels for this space.
-    pub fn level_for_cell_side(&self, side: f64) -> u8 {
-        if side <= 0.0 {
-            return self.leaf_level;
-        }
-        let mut level = 0u8;
-        while level < self.leaf_level && self.cell_side_world(level + 1) >= side {
-            level += 1;
-        }
-        level
-    }
 }
 
 #[cfg(test)]
@@ -137,22 +114,11 @@ mod tests {
 
     #[test]
     fn cell_side_world_shrinks_with_level() {
-        let s = Space::one_km();
+        let s = Space::paper_map();
         assert_eq!(s.cell_side_world(0), 1000.0);
         assert_eq!(s.cell_side_world(1), 500.0);
         // Level 7 on a 1 km map ≈ 7.8 m — the paper's "level 19 (8 m)" analogue.
         assert!((s.cell_side_world(7) - 7.8125).abs() < 1e-9);
-    }
-
-    #[test]
-    fn level_for_cell_side_matches_paper_settings() {
-        let s = Space::one_km();
-        // Want cells of at least 8 m: level 6 gives 15.6 m, level 7 gives 7.8 m.
-        // The finest level with side >= 8 is 6.
-        assert_eq!(s.level_for_cell_side(8.0), 6);
-        assert_eq!(s.level_for_cell_side(7.8), 7);
-        assert_eq!(s.level_for_cell_side(0.0), s.leaf_level);
-        assert_eq!(s.level_for_cell_side(1e9), 0);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! contention on the shared store), and [`QpsTimeline`] aggregates
 //! virtual-time throughput into the per-second series Figure 13(b,c) plots.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Runs one worker closure per thread and collects their outputs.
 ///
@@ -37,7 +37,7 @@ impl ClientPool {
 }
 
 /// One measured point of a throughput timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct QpsSample {
     /// Second index on the timeline.
     pub second: u64,
@@ -48,7 +48,7 @@ pub struct QpsSample {
 }
 
 /// A per-second throughput series with the paper's summary statistics.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct QpsTimeline {
     /// Samples in time order.
     pub samples: Vec<QpsSample>,

@@ -21,7 +21,5 @@ pub mod roadnet;
 pub mod uniform;
 
 pub use driver::{ClientPool, QpsSample, QpsTimeline};
-pub use roadnet::{
-    Agent, AgentKind, Building, RoadMap, RoadMapConfig, RoadNetSim, SimConfig, SimUpdate,
-};
+pub use roadnet::{Agent, AgentKind, RoadMap, RoadMapConfig, RoadNetSim, SimConfig, SimUpdate};
 pub use uniform::UniformSim;

@@ -17,10 +17,10 @@
 use moist_spatial::{Point, Rect, Velocity};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Map geometry: a `blocks × blocks` grid of buildings with roads between.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct RoadMapConfig {
     /// Side length of the (square) map in world units.
     pub map_size: f64,
@@ -41,8 +41,8 @@ impl Default for RoadMapConfig {
 }
 
 /// A building: its footprint plus the entrance on its south wall.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct Building {
+#[derive(Debug, Clone, Copy)]
+struct Building {
     /// Footprint rectangle.
     pub rect: Rect,
     /// Entrance point (on the road grid, at the wall).
@@ -76,22 +76,22 @@ impl RoadMap {
     }
 
     /// Road spacing (distance between parallel road centrelines).
-    pub fn spacing(&self) -> f64 {
+    fn spacing(&self) -> f64 {
         self.cfg.map_size / self.cfg.blocks.max(1) as f64
     }
 
     /// Map side length.
-    pub fn size(&self) -> f64 {
+    fn size(&self) -> f64 {
         self.cfg.map_size
     }
 
     /// All buildings.
-    pub fn buildings(&self) -> &[Building] {
+    fn buildings(&self) -> &[Building] {
         &self.buildings
     }
 
     /// The building whose entrance is nearest to `p`, with the distance.
-    pub fn nearest_entrance(&self, p: &Point) -> Option<(usize, f64)> {
+    fn nearest_entrance(&self, p: &Point) -> Option<(usize, f64)> {
         self.buildings
             .iter()
             .enumerate()
@@ -101,7 +101,7 @@ impl RoadMap {
 }
 
 /// Agent kind with the paper's speed ranges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum AgentKind {
     /// 0–1 units/s; may enter buildings.
     Pedestrian,
@@ -158,7 +158,7 @@ pub struct Agent {
 
 impl Agent {
     /// True (noise-free) velocity vector.
-    pub fn velocity(&self) -> Velocity {
+    fn velocity(&self) -> Velocity {
         match self.state {
             AgentState::OnRoad { heading } => {
                 let (dx, dy) = heading.unit();
@@ -167,15 +167,10 @@ impl Agent {
             AgentState::InBuilding { .. } => Velocity::ZERO,
         }
     }
-
-    /// Whether the agent is inside a building.
-    pub fn indoors(&self) -> bool {
-        matches!(self.state, AgentState::InBuilding { .. })
-    }
 }
 
 /// Simulation parameters beyond map geometry.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct SimConfig {
     /// Number of agents.
     pub agents: u64,
@@ -340,11 +335,6 @@ impl RoadNetSim {
         &self.agents
     }
 
-    /// The map.
-    pub fn map(&self) -> &RoadMap {
-        &self.map
-    }
-
     fn gaussian(rng: &mut StdRng, sigma: f64) -> f64 {
         // Box–Muller; two uniforms per draw keeps it simple.
         let u1: f64 = rng.gen::<f64>().max(1e-12);
@@ -496,6 +486,10 @@ impl RoadNetSim {
 mod tests {
     use super::*;
 
+    fn indoors(a: &Agent) -> bool {
+        matches!(a.state, AgentState::InBuilding { .. })
+    }
+
     fn sim(agents: u64, seed: u64) -> RoadNetSim {
         RoadNetSim::new(
             RoadMap::new(RoadMapConfig::default()),
@@ -570,9 +564,9 @@ mod tests {
         let mut s = sim(60, 13);
         s.advance_until(45.0);
         s.sync_all();
-        let spacing = s.map().spacing();
+        let spacing = s.map.spacing();
         for a in s.agents() {
-            if !a.indoors() {
+            if !indoors(a) {
                 let on_v = (a.loc.x / spacing).fract().abs() < 1e-6
                     || ((a.loc.x / spacing).fract() - 1.0).abs() < 1e-6;
                 let on_h = (a.loc.y / spacing).fract().abs() < 1e-6
@@ -597,11 +591,11 @@ mod tests {
         );
         s.advance_until(200.0);
         s.sync_all();
-        let indoor = s.agents().iter().filter(|a| a.indoors()).count();
+        let indoor = s.agents().iter().filter(|a| indoors(a)).count();
         assert!(indoor > 0, "no pedestrian ever entered a building");
         // Cars never go indoors (none exist here; assert kind logic holds).
         for a in s.agents() {
-            if a.indoors() {
+            if indoors(a) {
                 assert_eq!(a.kind, AgentKind::Pedestrian);
             }
         }

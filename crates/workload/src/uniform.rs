@@ -104,16 +104,6 @@ impl UniformSim {
         self
     }
 
-    /// Number of objects.
-    pub fn len(&self) -> usize {
-        self.objects.len()
-    }
-
-    /// Whether the generator is empty.
-    pub fn is_empty(&self) -> bool {
-        self.objects.is_empty()
-    }
-
     /// Current simulation time in seconds.
     pub fn now_secs(&self) -> f64 {
         self.now_secs
@@ -192,11 +182,6 @@ impl UniformSim {
             self.world.min_y + self.rng.gen::<f64>() * self.world.height(),
         )
     }
-
-    /// Maximum per-axis speed (for Bx-tree `v_max` configuration).
-    pub fn max_speed(&self) -> f64 {
-        self.max_speed
-    }
 }
 
 #[cfg(test)]
@@ -260,7 +245,7 @@ mod tests {
     fn empty_generator_yields_nothing() {
         let world = Rect::new(0.0, 0.0, 1.0, 1.0);
         let mut sim = UniformSim::new(world, 0, 1.0, 5.0, 3);
-        assert!(sim.is_empty());
+        assert!(sim.objects.is_empty());
         assert!(sim.next_updates(5).is_empty());
     }
 }

@@ -339,11 +339,9 @@ fn controller_managed_fleet_absorbs_a_mid_rebalance_kill_without_flapping() {
         max_shards: 8,
         window_secs: 5.0,
         cooldown_secs: 20.0,
-        rebalance_every_secs: 10.0,
         // Virtual busy-µs per virtual second: far below what the skewed
         // stream generates, so the controller provably wants capacity.
         target_shard_busy_us: 50.0,
-        ..ControllerConfig::default()
     };
     let cluster = MoistCluster::builder(&store, cfg)
         .shards(SHARDS)
