@@ -192,13 +192,7 @@ impl Session {
         mutations: &[Mutation],
     ) -> Result<()> {
         table.mutate_row(key, mutations)?;
-        let bytes: u64 = mutations
-            .iter()
-            .map(|m| match m {
-                Mutation::Put { value, .. } => value.len() as u64 + 16,
-                _ => 16,
-            })
-            .sum();
+        let bytes = Table::mutation_bytes(mutations);
         let us = self
             .profile
             .write_us(table.approx_row_count(), mutations.len() as u64, bytes);
@@ -214,11 +208,7 @@ impl Session {
         let muts: u64 = batch.iter().map(|rm| rm.mutations.len() as u64).sum();
         let bytes: u64 = batch
             .iter()
-            .flat_map(|rm| rm.mutations.iter())
-            .map(|m| match m {
-                Mutation::Put { value, .. } => value.len() as u64 + 16,
-                _ => 16,
-            })
+            .map(|rm| Table::mutation_bytes(&rm.mutations))
             .sum();
         let us = self.profile.batch_write_us(batch.len() as u64, muts, bytes);
         self.charge(us);
@@ -243,13 +233,7 @@ impl Session {
         let rows = table.approx_row_count();
         let mut us = self.profile.point_read_us(rows, 0, false);
         if applied {
-            let bytes: u64 = mutations
-                .iter()
-                .map(|m| match m {
-                    Mutation::Put { value, .. } => value.len() as u64 + 16,
-                    _ => 16,
-                })
-                .sum();
+            let bytes = Table::mutation_bytes(mutations);
             us += self.profile.write_us(rows, mutations.len() as u64, bytes);
             self.charge_wal(table, bytes);
         }

@@ -769,7 +769,9 @@ impl Table {
         }
     }
 
-    fn mutation_bytes(mutations: &[Mutation]) -> u64 {
+    /// What a row's mutations weigh in the cost model and the write
+    /// metrics: a put its value plus 16 bytes, anything else 16.
+    pub(crate) fn mutation_bytes(mutations: &[Mutation]) -> u64 {
         mutations
             .iter()
             .map(|m| match m {

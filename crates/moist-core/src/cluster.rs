@@ -141,7 +141,7 @@ pub fn cluster_cell(
     // * the **commit point** is a check-and-mutate delete of j's spatial
     //   row (fails ⇒ j moved since the scan ⇒ j's merge aborts whole);
     //   the update path's cross-cell move deletes through the same guard
-    //   ([`MoistTables::spatial_move_guarded`]), so exactly one side wins
+    //   (`update.rs`, the leader branch), so exactly one side wins
     //   and an absorbed leader can never be resurrected;
     // * each **follower re-affiliation** is a check-and-mutate on the
     //   follower's L/F record (fails ⇒ the follower promoted since the

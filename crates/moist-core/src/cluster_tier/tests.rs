@@ -701,6 +701,24 @@ fn shard_errors_are_typed_not_panics() {
     let world = cluster.config().space.world;
     let err = cluster.region(&world, at, f64::INFINITY).unwrap_err();
     assert!(matches!(err, MoistError::Inconsistent(_)), "got {err:?}");
+    // `submit` validates before it buffers: a non-finite or far-future
+    // report is refused with the same typed error and never reaches a
+    // queue, where it would fail the flush of its acknowledged neighbours.
+    let far_future = UpdateMessage {
+        ts: Timestamp(u64::MAX),
+        ..msg(7, 500.0, 500.0, 0.0, 0.0)
+    };
+    let nan = UpdateMessage {
+        loc: Point::new(f64::NAN, 1.0),
+        ..far_future
+    };
+    for bad in [far_future, nan] {
+        let err = cluster.submit(&bad).unwrap_err();
+        assert!(matches!(err, MoistError::Inconsistent(_)), "got {err:?}");
+        let err = cluster.update(&bad).unwrap_err();
+        assert!(matches!(err, MoistError::Inconsistent(_)), "got {err:?}");
+    }
+    assert_eq!(cluster.ingest_stats().queued, 0, "nothing was buffered");
     assert_eq!(cluster.total_elapsed_us(), 0.0, "nothing was read");
 }
 

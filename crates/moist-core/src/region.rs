@@ -305,8 +305,8 @@ fn split_range_at_cost(
 }
 
 /// Scans a pre-planned slice of a region query's leaf ranges: retrieves the
-/// leaders in `ranges`, filters by the true `rect`, and (optionally)
-/// expands their schools. Returns the raw partial — no sort, no dedup;
+/// leaders in `ranges`, filters by the true `rect`, and expands their
+/// schools. Returns the raw partial — no sort, no dedup;
 /// those happen once, in [`merge_region_partials`].
 pub(crate) fn region_partial_scan(
     s: &mut Session,
@@ -314,7 +314,6 @@ pub(crate) fn region_partial_scan(
     ranges: &[(u64, u64)],
     rect: &Rect,
     at: Timestamp,
-    include_followers: bool,
 ) -> Result<RegionPartial> {
     let mut stats = RegionStats {
         shards_scattered: 1,
@@ -349,13 +348,11 @@ pub(crate) fn region_partial_scan(
                 distance: 0.0,
                 leader: entry.oid,
             });
-            kept.push((entry, pos));
-        } else if include_followers {
-            // A leader just outside may still have followers inside.
-            kept.push((entry, pos));
         }
+        // A leader just outside may still have followers inside.
+        kept.push((entry, pos));
     }
-    if include_followers && !kept.is_empty() {
+    if !kept.is_empty() {
         let ids: Vec<_> = kept.iter().map(|(e, _)| e.oid).collect();
         let infos = tables.batch_followers(s, &ids)?;
         for ((entry, leader_pos), followers) in kept.iter().zip(infos) {
@@ -402,8 +399,7 @@ pub(crate) fn merge_region_partials(parts: Vec<RegionPartial>) -> (Vec<Neighbor>
 }
 
 /// Returns every object inside the world-coordinate `rect` at time `at`
-/// (leaders extrapolated linearly; followers at leader + displacement when
-/// `include_followers`).
+/// (leaders extrapolated linearly; followers at leader + displacement).
 ///
 /// `margin` enlarges the *scanned* window (not the returned filter): the
 /// Spatial Index Table stores last-reported positions, so an object indexed
@@ -417,11 +413,10 @@ pub(crate) fn region_query(
     cfg: &MoistConfig,
     rect: &Rect,
     at: Timestamp,
-    include_followers: bool,
     margin: f64,
 ) -> Result<(Vec<Neighbor>, RegionStats)> {
     let ranges = plan_region_ranges(cfg, rect, margin);
-    let part = region_partial_scan(s, tables, &ranges, rect, at, include_followers)?;
+    let part = region_partial_scan(s, tables, &ranges, rect, at)?;
     Ok(merge_region_partials(vec![part]))
 }
 
@@ -473,7 +468,7 @@ mod tests {
         }
         let rect = Rect::new(150.0, 150.0, 450.0, 350.0);
         let (hits, stats) =
-            region_query(&mut s, &t, &cfg, &rect, Timestamp::from_secs(1), true, 0.0).unwrap();
+            region_query(&mut s, &t, &cfg, &rect, Timestamp::from_secs(1), 0.0).unwrap();
         // Brute force: x ∈ {205, 305, 405}, y ∈ {205, 305}: 6 objects.
         assert_eq!(hits.len(), 6);
         for h in &hits {
@@ -501,29 +496,13 @@ mod tests {
         // At t=20 the object should be around x=300.
         let rect = Rect::new(290.0, 490.0, 310.0, 510.0);
         // Margin must cover v·staleness = 10 u/s × 20 s = 200 units.
-        let (hits, _) = region_query(
-            &mut s,
-            &t,
-            &cfg,
-            &rect,
-            Timestamp::from_secs(20),
-            true,
-            200.0,
-        )
-        .unwrap();
+        let (hits, _) =
+            region_query(&mut s, &t, &cfg, &rect, Timestamp::from_secs(20), 200.0).unwrap();
         assert_eq!(hits.len(), 1);
         // And not at its stale location (even with the generous margin).
         let stale = Rect::new(90.0, 490.0, 110.0, 510.0);
-        let (hits, _) = region_query(
-            &mut s,
-            &t,
-            &cfg,
-            &stale,
-            Timestamp::from_secs(20),
-            true,
-            200.0,
-        )
-        .unwrap();
+        let (hits, _) =
+            region_query(&mut s, &t, &cfg, &stale, Timestamp::from_secs(20), 200.0).unwrap();
         assert!(hits.is_empty());
     }
 
@@ -548,31 +527,11 @@ mod tests {
             .unwrap();
         let rect = Rect::new(250.0, 50.0, 350.0, 150.0);
         // Margin must cover the school's displacement span (200 units).
-        let (hits, _) = region_query(
-            &mut s,
-            &t,
-            &cfg,
-            &rect,
-            Timestamp::from_secs(1),
-            true,
-            200.0,
-        )
-        .unwrap();
+        let (hits, _) =
+            region_query(&mut s, &t, &cfg, &rect, Timestamp::from_secs(1), 200.0).unwrap();
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].oid, ObjectId(2));
         assert_eq!(hits[0].leader, ObjectId(1));
-        // Leaders-only mode misses it.
-        let (hits, _) = region_query(
-            &mut s,
-            &t,
-            &cfg,
-            &rect,
-            Timestamp::from_secs(1),
-            false,
-            200.0,
-        )
-        .unwrap();
-        assert!(hits.is_empty());
     }
 
     #[test]
@@ -581,7 +540,7 @@ mod tests {
         put(&mut s, &t, &cfg, 1, 900.0, 900.0);
         let rect = Rect::new(0.0, 0.0, 50.0, 50.0);
         let (hits, stats) =
-            region_query(&mut s, &t, &cfg, &rect, Timestamp::from_secs(1), true, 0.0).unwrap();
+            region_query(&mut s, &t, &cfg, &rect, Timestamp::from_secs(1), 0.0).unwrap();
         assert!(hits.is_empty());
         assert_eq!(stats.leaders_fetched, 0);
     }
@@ -757,7 +716,6 @@ mod tests {
             &cfg,
             &cfg.space.world,
             Timestamp::from_secs(1),
-            true,
             0.0,
         )
         .unwrap();

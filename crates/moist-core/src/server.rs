@@ -577,7 +577,7 @@ impl FrontEnd {
             .cell_at(self.cfg.clustering_level, &rect.center());
         self.load.lock().observe_query(cell.index, at);
         let mut s = self.charged_session();
-        crate::region::region_query(&mut s, &self.tables, &self.cfg, rect, at, true, margin)
+        crate::region::region_query(&mut s, &self.tables, &self.cfg, rect, at, margin)
     }
 
     /// Shard-local slice of a scattered region query: scans exactly the
@@ -593,8 +593,7 @@ impl FrontEnd {
     ) -> Result<crate::region::RegionPartial> {
         check_finite(&[rect.min_x, rect.min_y, rect.max_x, rect.max_y])?;
         let mut s = self.charged_session();
-        let part =
-            crate::region::region_partial_scan(&mut s, &self.tables, ranges, rect, at, true)?;
+        let part = crate::region::region_partial_scan(&mut s, &self.tables, ranges, rect, at)?;
         let mut load = self.load.lock();
         load.note_scatter_slice(part.stats.cost_us);
         // Scan-cost learning: apportion each range's measured cost onto

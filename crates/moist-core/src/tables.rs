@@ -25,7 +25,7 @@ use crate::config::{table_names, MoistConfig};
 use crate::error::{MoistError, Result};
 use crate::ids::ObjectId;
 use moist_bigtable::{
-    Bigtable, ColumnFamily, Mutation, OwnedRow, ReadOptions, RowKey, RowMutation, ScanRange,
+    Bigtable, Cell, ColumnFamily, Mutation, OwnedRow, ReadOptions, RowKey, RowMutation, ScanRange,
     Session, Table, TableSchema, Timestamp,
 };
 use moist_spatial::{CellId, Displacement};
@@ -53,19 +53,59 @@ mod cols {
     pub const FOLLOWERS: &str = "followers";
 }
 
-/// The Location Table cell write: one timestamped record.
-fn location_put(rec: &LocationRecord, ts: Timestamp) -> Mutation {
-    Mutation::put(cols::LOC_MEM, cols::LOC_Q, ts, rec.encode().to_vec())
+/// The one column of each table that holds a row's current record: the
+/// cells Algorithm 1 reads and rewrites, so also the cells a batch fetches
+/// ahead and writes behind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RecordColumn {
+    /// Location Table: an object's timestamped location records.
+    Location,
+    /// Spatial Index Table: a leader's latest location record.
+    Spatial,
+    /// Affiliation Table: an object's L/F record.
+    Lf,
 }
 
-/// The Spatial Index cell write: a leader's latest record.
-fn spatial_put(rec: &LocationRecord, ts: Timestamp) -> Mutation {
-    Mutation::put(cols::SPATIAL, cols::SPATIAL_Q, ts, rec.encode().to_vec())
+impl RecordColumn {
+    fn names(self) -> (&'static str, &'static str) {
+        match self {
+            RecordColumn::Location => (cols::LOC_MEM, cols::LOC_Q),
+            RecordColumn::Spatial => (cols::SPATIAL, cols::SPATIAL_Q),
+            RecordColumn::Lf => (cols::LF_MEM, cols::LF_Q),
+        }
+    }
+
+    /// The cell write: `value` as this column's version at exactly `ts`.
+    fn put(self, ts: Timestamp, value: Vec<u8>) -> Mutation {
+        let (family, qualifier) = self.names();
+        Mutation::put(family, qualifier, ts, value)
+    }
 }
 
-/// The Affiliation Table cell write: an L/F record landing at exactly `ts`.
-fn lf_put(lf: &LfRecord, ts: Timestamp) -> Mutation {
-    Mutation::put(cols::LF_MEM, cols::LF_Q, ts, lf.encode())
+/// Decodes a record cell, keeping the timestamp it was written at.
+pub(crate) fn decode_cell<T>(
+    cell: Option<&Cell>,
+    decode: impl FnOnce(&[u8]) -> Result<T>,
+) -> Result<Option<(Timestamp, T)>> {
+    cell.map(|c| Ok((c.ts, decode(&c.value)?))).transpose()
+}
+
+/// Timestamp at which a *superseding* L/F write must land to become the
+/// row's newest version, given the row's current `head`.
+///
+/// L/F records are a state machine — only the latest matters — but the
+/// store orders cell versions by timestamp, and the tier's actors run
+/// on skewed virtual clocks: a clustering tick can stamp a record far
+/// ahead of the object's own report clock. A transition written at the
+/// object's (older) clock would land *behind* the head version — or be
+/// truncated away outright — and every read would keep resurrecting
+/// the superseded affiliation. Clamping to just past the head keeps
+/// the version order equal to the commit order.
+pub(crate) fn supersede_ts(head: Option<&Cell>, ts: Timestamp) -> Timestamp {
+    match head {
+        Some(cell) if cell.ts >= ts => Timestamp(cell.ts.0 + 1),
+        _ => ts,
+    }
 }
 
 /// The Follower Info cell write: `follower`'s displacement from its leader.
@@ -141,6 +181,73 @@ impl MoistTables {
         })
     }
 
+    // ---------- Record columns ----------
+
+    fn table(&self, col: RecordColumn) -> &Table {
+        match col {
+            RecordColumn::Location => &self.location,
+            RecordColumn::Spatial => &self.spatial,
+            RecordColumn::Lf => &self.affiliation,
+        }
+    }
+
+    /// Latest cell of `key`'s record column: one point read.
+    pub(crate) fn latest_cell(
+        &self,
+        s: &mut Session,
+        col: RecordColumn,
+        key: &RowKey,
+    ) -> Result<Option<Cell>> {
+        let (family, qualifier) = col.names();
+        Ok(s.get_latest(self.table(col), key, family, qualifier)?)
+    }
+
+    /// Latest record cells of many rows, aligned with `keys`: one
+    /// multi-get, its rows charged at scan rates.
+    pub(crate) fn latest_cells(
+        &self,
+        s: &mut Session,
+        col: RecordColumn,
+        keys: &[RowKey],
+    ) -> Result<Vec<Option<Cell>>> {
+        let (family, qualifier) = col.names();
+        let rows = s.batch_get(self.table(col), keys, &ReadOptions::latest_in(family))?;
+        Ok(rows
+            .into_iter()
+            .map(|row| row.and_then(|r| r.latest(family, qualifier).cloned()))
+            .collect())
+    }
+
+    /// Writes one record cell at exactly `ts`: one single-row write.
+    pub(crate) fn put_cell(
+        &self,
+        s: &mut Session,
+        col: RecordColumn,
+        key: &RowKey,
+        ts: Timestamp,
+        value: Vec<u8>,
+    ) -> Result<()> {
+        Ok(s.mutate_row(self.table(col), key, &[col.put(ts, value)])?)
+    }
+
+    /// Applies a [`WriteBatch`] — at most one multi-row RPC per table, so
+    /// the rpc base is charged once per table and the rows at batch rates
+    /// — and leaves it empty.
+    pub(crate) fn flush_write_batch(&self, s: &mut Session, wb: &mut WriteBatch) -> Result<()> {
+        for col in [
+            RecordColumn::Location,
+            RecordColumn::Spatial,
+            RecordColumn::Lf,
+        ] {
+            let rows = &mut wb.rows[col as usize];
+            if !rows.is_empty() {
+                s.mutate_rows(self.table(col), rows)?;
+                rows.clear();
+            }
+        }
+        Ok(())
+    }
+
     // ---------- Location Table ----------
 
     /// Appends a timestamped location record for `oid`.
@@ -151,12 +258,8 @@ impl MoistTables {
         rec: &LocationRecord,
         ts: Timestamp,
     ) -> Result<()> {
-        s.mutate_row(
-            &self.location,
-            &RowKey::from_u64(oid.0),
-            &[location_put(rec, ts)],
-        )?;
-        Ok(())
+        let key = RowKey::from_u64(oid.0);
+        self.put_cell(s, RecordColumn::Location, &key, ts, rec.encode().to_vec())
     }
 
     /// Latest location record of `oid` with its timestamp.
@@ -165,38 +268,8 @@ impl MoistTables {
         s: &mut Session,
         oid: ObjectId,
     ) -> Result<Option<(Timestamp, LocationRecord)>> {
-        match s.get_latest(
-            &self.location,
-            &RowKey::from_u64(oid.0),
-            cols::LOC_MEM,
-            cols::LOC_Q,
-        )? {
-            None => Ok(None),
-            Some(cell) => Ok(Some((cell.ts, LocationRecord::decode(&cell.value)?))),
-        }
-    }
-
-    /// Batch-fetches the latest location records of many objects.
-    pub(crate) fn batch_latest_locations(
-        &self,
-        s: &mut Session,
-        oids: &[ObjectId],
-    ) -> Result<Vec<Option<(Timestamp, LocationRecord)>>> {
-        let keys: Vec<RowKey> = oids.iter().map(|o| RowKey::from_u64(o.0)).collect();
-        let rows = s.batch_get(
-            &self.location,
-            &keys,
-            &ReadOptions::latest_in(cols::LOC_MEM),
-        )?;
-        rows.into_iter()
-            .map(|row| match row {
-                None => Ok(None),
-                Some(r) => match r.latest(cols::LOC_MEM, cols::LOC_Q) {
-                    None => Ok(None),
-                    Some(cell) => Ok(Some((cell.ts, LocationRecord::decode(&cell.value)?))),
-                },
-            })
-            .collect()
+        let cell = self.latest_cell(s, RecordColumn::Location, &RowKey::from_u64(oid.0))?;
+        decode_cell(cell.as_ref(), LocationRecord::decode)
     }
 
     /// Moves location records older than `cutoff` to the disk column
@@ -209,7 +282,8 @@ impl MoistTables {
 
     // ---------- Spatial Index Table ----------
 
-    fn spatial_key(leaf_index: u64, oid: ObjectId) -> RowKey {
+    /// The Spatial Index row of `oid` filed under `leaf_index`.
+    pub(crate) fn spatial_key(leaf_index: u64, oid: ObjectId) -> RowKey {
         RowKey::composite(leaf_index, oid.0)
     }
 
@@ -222,33 +296,8 @@ impl MoistTables {
         rec: &LocationRecord,
         ts: Timestamp,
     ) -> Result<()> {
-        s.mutate_row(
-            &self.spatial,
-            &Self::spatial_key(leaf_index, oid),
-            &[spatial_put(rec, ts)],
-        )?;
-        Ok(())
-    }
-
-    /// Moves a leader's entry between cells in one batch RPC (delete old row
-    /// + put new row — Algorithm 1, line 3).
-    pub(crate) fn spatial_move(
-        &self,
-        s: &mut Session,
-        old_leaf: u64,
-        new_leaf: u64,
-        oid: ObjectId,
-        rec: &LocationRecord,
-        ts: Timestamp,
-    ) -> Result<()> {
-        let put = RowMutation::new(Self::spatial_key(new_leaf, oid), vec![spatial_put(rec, ts)]);
-        if old_leaf == new_leaf {
-            s.mutate_rows(&self.spatial, &[put])?;
-        } else {
-            let del = RowMutation::new(Self::spatial_key(old_leaf, oid), vec![Mutation::DeleteRow]);
-            s.mutate_rows(&self.spatial, &[del, put])?;
-        }
-        Ok(())
+        let key = Self::spatial_key(leaf_index, oid);
+        self.put_cell(s, RecordColumn::Spatial, &key, ts, rec.encode().to_vec())
     }
 
     /// All leaders inside `cell` (any level): one contiguous range scan over
@@ -322,137 +371,22 @@ impl MoistTables {
         s: &mut Session,
         entry: &SpatialEntry,
     ) -> Result<bool> {
-        let expected = entry.record.encode();
-        self.spatial_check_and_delete_value(s, entry.leaf_index, entry.oid, expected.as_ref())
+        let key = Self::spatial_key(entry.leaf_index, entry.oid);
+        self.spatial_delete_if(s, &key, &entry.record.encode())
     }
 
-    /// Moves a leader's entry between leaves **guarded**: the old row is
-    /// deleted only if it is still present with its current value (one
-    /// check-and-mutate under the tablet lock), and the new row is
-    /// written only after winning that delete. Returns `false` — nothing
-    /// written — when the old row is gone or changed: a clustering merge
-    /// absorbed the object concurrently (its commit deletes the row
-    /// through the same guard, see
-    /// [`spatial_check_and_delete`](MoistTables::spatial_check_and_delete)),
-    /// and rewriting the entry would resurrect an absorbed leader. The
-    /// old spatial row is thus the *mutual-exclusion point* between a
-    /// cross-cell move and the old cell's merge: exactly one of the two
-    /// deletes it, and the loser backs off.
-    pub(crate) fn spatial_move_guarded(
+    /// Deletes the spatial row `key` *only if* its record still holds
+    /// exactly `expected` (one check-and-mutate). Returns `false`, nothing
+    /// deleted, when the row is gone or changed.
+    pub(crate) fn spatial_delete_if(
         &self,
         s: &mut Session,
-        old_leaf: u64,
-        new_leaf: u64,
-        oid: ObjectId,
-        rec: &LocationRecord,
-        ts: Timestamp,
-    ) -> Result<bool> {
-        let old_key = Self::spatial_key(old_leaf, oid);
-        let Some(cell) = s.get_latest(&self.spatial, &old_key, cols::SPATIAL, cols::SPATIAL_Q)?
-        else {
-            return Ok(false);
-        };
-        if !s.check_and_mutate(
-            &self.spatial,
-            &old_key,
-            cols::SPATIAL,
-            cols::SPATIAL_Q,
-            Some(&cell.value),
-            &[Mutation::DeleteRow],
-        )? {
-            return Ok(false);
-        }
-        self.spatial_insert(s, new_leaf, oid, rec, ts)?;
-        Ok(true)
-    }
-
-    // ---------- Affiliation Table ----------
-
-    /// The L/F record of `oid` (None for never-seen objects).
-    pub fn lf(&self, s: &mut Session, oid: ObjectId) -> Result<Option<LfRecord>> {
-        match s.get_latest(
-            &self.affiliation,
-            &RowKey::from_u64(oid.0),
-            cols::LF_MEM,
-            cols::LF_Q,
-        )? {
-            None => Ok(None),
-            Some(cell) => Ok(Some(LfRecord::decode(&cell.value)?)),
-        }
-    }
-
-    /// Batch-fetches L/F records *with their head timestamps* for the
-    /// batched apply path. The head timestamp lets the batch clamp a
-    /// deferred superseding L/F write locally (the same rule as
-    /// [`lf_supersede_ts`](Self::lf_supersede_ts)) without a per-row
-    /// re-read, valid because the batch holds the routing key's shard
-    /// lock and the cross-shard writers that could move the head are
-    /// excluded by the spatial-row guard it wins first.
-    pub(crate) fn batch_lf_versions(
-        &self,
-        s: &mut Session,
-        oids: &[ObjectId],
-    ) -> Result<Vec<Option<(Timestamp, LfRecord)>>> {
-        let keys: Vec<RowKey> = oids.iter().map(|o| RowKey::from_u64(o.0)).collect();
-        let rows = s.batch_get(
-            &self.affiliation,
-            &keys,
-            &ReadOptions::latest_in(cols::LF_MEM),
-        )?;
-        rows.into_iter()
-            .map(|row| match row {
-                None => Ok(None),
-                Some(r) => match r.latest(cols::LF_MEM, cols::LF_Q) {
-                    None => Ok(None),
-                    Some(cell) => Ok(Some((cell.ts, LfRecord::decode(&cell.value)?))),
-                },
-            })
-            .collect()
-    }
-
-    /// Batch-fetches the raw spatial-row values of many `(leaf, oid)`
-    /// entries at once — the batched apply path's prefetch for guarded
-    /// cross-cell moves. The returned bytes are exactly what a subsequent
-    /// `check_and_mutate` must present as its expected value.
-    pub(crate) fn batch_spatial_values(
-        &self,
-        s: &mut Session,
-        entries: &[(u64, ObjectId)],
-    ) -> Result<Vec<Option<Vec<u8>>>> {
-        let keys: Vec<RowKey> = entries
-            .iter()
-            .map(|&(leaf, oid)| Self::spatial_key(leaf, oid))
-            .collect();
-        let rows = s.batch_get(&self.spatial, &keys, &ReadOptions::latest_in(cols::SPATIAL))?;
-        Ok(rows
-            .into_iter()
-            .map(|row| {
-                row.and_then(|r| {
-                    r.latest(cols::SPATIAL, cols::SPATIAL_Q)
-                        .map(|cell| cell.value.to_vec())
-                })
-            })
-            .collect())
-    }
-
-    /// Atomically deletes the spatial row `(leaf, oid)` *only if* it still
-    /// holds exactly `expected` — the batched apply path's half of
-    /// [`spatial_move_guarded`](Self::spatial_move_guarded), with the
-    /// current-value read amortized into a prior
-    /// [`batch_spatial_values`](Self::batch_spatial_values) prefetch.
-    /// Returns `false` when the row is gone or changed (a clustering
-    /// merge won the race); the caller must then skip the superseded
-    /// spatial rewrite.
-    pub(crate) fn spatial_check_and_delete_value(
-        &self,
-        s: &mut Session,
-        leaf_index: u64,
-        oid: ObjectId,
+        key: &RowKey,
         expected: &[u8],
     ) -> Result<bool> {
         Ok(s.check_and_mutate(
             &self.spatial,
-            &Self::spatial_key(leaf_index, oid),
+            key,
             cols::SPATIAL,
             cols::SPATIAL_Q,
             Some(expected),
@@ -460,33 +394,18 @@ impl MoistTables {
         )?)
     }
 
-    /// Applies a deferred [`WriteBatch`]: at most one multi-row RPC per
-    /// touched table, so the store's batch discount (rpc base charged
-    /// once per table, per-row cost at batch rates) is actually
-    /// exercised. Returns the number of rows written and leaves the
-    /// batch empty.
-    pub(crate) fn flush_write_batch(&self, s: &mut Session, wb: &mut WriteBatch) -> Result<usize> {
-        let mut rows = 0;
-        if !wb.location.is_empty() {
-            rows += s.mutate_rows(&self.location, &wb.location)?;
-            wb.location.clear();
-        }
-        if !wb.spatial.is_empty() {
-            rows += s.mutate_rows(&self.spatial, &wb.spatial)?;
-            wb.spatial.clear();
-        }
-        if !wb.affiliation.is_empty() {
-            rows += s.mutate_rows(&self.affiliation, &wb.affiliation)?;
-            wb.affiliation.clear();
-        }
-        Ok(rows)
+    // ---------- Affiliation Table ----------
+
+    /// The L/F record of `oid` (None for never-seen objects).
+    pub fn lf(&self, s: &mut Session, oid: ObjectId) -> Result<Option<LfRecord>> {
+        let cell = self.latest_cell(s, RecordColumn::Lf, &RowKey::from_u64(oid.0))?;
+        Ok(decode_cell(cell.as_ref(), LfRecord::decode)?.map(|(_, lf)| lf))
     }
 
     /// Writes the L/F record of `oid`. The write lands at a clamped
-    /// timestamp (`lf_supersede_ts`): an L/F
-    /// write always supersedes the current record, even when the writer's
-    /// virtual clock trails a clustering tick that stamped the head far
-    /// ahead of it.
+    /// timestamp (`supersede_ts`): an L/F write always supersedes the
+    /// current record, even when the writer's virtual clock trails a
+    /// clustering tick that stamped the head far ahead of it.
     pub fn set_lf(
         &self,
         s: &mut Session,
@@ -494,37 +413,10 @@ impl MoistTables {
         lf: &LfRecord,
         ts: Timestamp,
     ) -> Result<()> {
-        let ts = self.lf_supersede_ts(s, oid, ts)?;
-        s.mutate_row(
-            &self.affiliation,
-            &RowKey::from_u64(oid.0),
-            &[lf_put(lf, ts)],
-        )?;
-        Ok(())
-    }
-
-    /// Timestamp at which a *superseding* L/F write must land to become
-    /// the row's newest version.
-    ///
-    /// L/F records are a state machine — only the latest matters — but the
-    /// store orders cell versions by timestamp, and the tier's actors run
-    /// on skewed virtual clocks: a clustering tick can stamp a record far
-    /// ahead of the object's own report clock. A transition written at the
-    /// object's (older) clock would land *behind* the head version — or be
-    /// truncated away outright — and every read would keep resurrecting
-    /// the superseded affiliation. Clamping to just past the head keeps
-    /// the version order equal to the commit order.
-    fn lf_supersede_ts(&self, s: &mut Session, oid: ObjectId, ts: Timestamp) -> Result<Timestamp> {
-        let head = s.get_latest(
-            &self.affiliation,
-            &RowKey::from_u64(oid.0),
-            cols::LF_MEM,
-            cols::LF_Q,
-        )?;
-        Ok(match head {
-            Some(cell) if cell.ts >= ts => Timestamp(cell.ts.0 + 1),
-            _ => ts,
-        })
+        let key = RowKey::from_u64(oid.0);
+        let head = self.latest_cell(s, RecordColumn::Lf, &key)?;
+        let ts = supersede_ts(head.as_ref(), ts);
+        self.put_cell(s, RecordColumn::Lf, &key, ts, lf.encode())
     }
 
     /// Atomically replaces `oid`'s L/F record *only if* it still equals
@@ -533,8 +425,8 @@ impl MoistTables {
     /// follower that promoted concurrently (its update rewrote the record
     /// on another shard) fails the check and keeps its self-chosen
     /// affiliation. The replacement lands at a clamped timestamp
-    /// ([`lf_supersede_ts`](Self::lf_supersede_ts)) so a writer with a
-    /// lagging clock still supersedes the record it matched.
+    /// ([`supersede_ts`]) so a writer with a lagging clock still
+    /// supersedes the record it matched.
     pub(crate) fn lf_check_and_set(
         &self,
         s: &mut Session,
@@ -543,14 +435,16 @@ impl MoistTables {
         new: &LfRecord,
         ts: Timestamp,
     ) -> Result<bool> {
-        let ts = self.lf_supersede_ts(s, oid, ts)?;
+        let key = RowKey::from_u64(oid.0);
+        let head = self.latest_cell(s, RecordColumn::Lf, &key)?;
+        let put = RecordColumn::Lf.put(supersede_ts(head.as_ref(), ts), new.encode());
         Ok(s.check_and_mutate(
             &self.affiliation,
-            &RowKey::from_u64(oid.0),
+            &key,
             cols::LF_MEM,
             cols::LF_Q,
             Some(&expected.encode()),
-            &[lf_put(new, ts)],
+            &[put],
         )?)
     }
 
@@ -661,70 +555,25 @@ impl MoistTables {
     }
 }
 
-/// A deferred write buffer for the batched apply path: plain (unguarded)
-/// row writes accumulate here and land later via
+/// Record-cell writes a batch holds back, to land through
 /// [`MoistTables::flush_write_batch`] as one multi-row RPC per table.
 ///
-/// Only writes whose rows no concurrent actor can touch may be deferred —
-/// the batch holds the routing key's shard lock, every buffered row is
-/// keyed by an OID this batch owns exclusively (enforced by the caller's
-/// dirty-set), and guarded check-and-mutate commits (the cross-shard
-/// mutual-exclusion points) are never buffered. Deferral therefore
-/// reorders only writes to disjoint rows, and every mutation carries its
-/// own explicit timestamp, so the final store state is identical to the
-/// synchronous path's.
+/// Only plain (unguarded) writes wait here, each with its own explicit
+/// timestamp, and a table applies a batch's rows in the order they were
+/// pushed — so holding them back reorders writes to different rows only,
+/// and the store ends as if each had landed when it was issued. Guarded
+/// check-and-mutate commits (the cross-shard mutual-exclusion points) are
+/// never buffered.
 #[derive(Debug, Default)]
 pub(crate) struct WriteBatch {
-    location: Vec<RowMutation>,
-    spatial: Vec<RowMutation>,
-    affiliation: Vec<RowMutation>,
+    /// Indexed by [`RecordColumn`].
+    rows: [Vec<RowMutation>; 3],
 }
 
 impl WriteBatch {
-    /// An empty batch.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    /// True when nothing is buffered.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.location.is_empty() && self.spatial.is_empty() && self.affiliation.is_empty()
-    }
-
-    /// Defers [`MoistTables::put_location`].
-    pub(crate) fn put_location(&mut self, oid: ObjectId, rec: &LocationRecord, ts: Timestamp) {
-        self.location.push(RowMutation::new(
-            RowKey::from_u64(oid.0),
-            vec![location_put(rec, ts)],
-        ));
-    }
-
-    /// Defers [`MoistTables::spatial_insert`] (also the same-leaf refresh
-    /// half of `spatial_move` — a plain overwrite of the row this batch's
-    /// shard lock already serializes against the cell's clustering).
-    pub(crate) fn spatial_insert(
-        &mut self,
-        leaf_index: u64,
-        oid: ObjectId,
-        rec: &LocationRecord,
-        ts: Timestamp,
-    ) {
-        self.spatial.push(RowMutation::new(
-            MoistTables::spatial_key(leaf_index, oid),
-            vec![spatial_put(rec, ts)],
-        ));
-    }
-
-    /// Defers an L/F write landing at exactly `ts`. The caller is
-    /// responsible for supersede-clamping: pass the raw report time for a
-    /// first-sight registration (no head version exists) or a timestamp
-    /// already clamped past the prefetched head (see
-    /// [`MoistTables::batch_lf_versions`]).
-    pub(crate) fn set_lf_at(&mut self, oid: ObjectId, lf: &LfRecord, ts: Timestamp) {
-        self.affiliation.push(RowMutation::new(
-            RowKey::from_u64(oid.0),
-            vec![lf_put(lf, ts)],
-        ));
+    /// Holds back what [`MoistTables::put_cell`] would write now.
+    pub(crate) fn push(&mut self, col: RecordColumn, key: RowKey, ts: Timestamp, value: Vec<u8>) {
+        self.rows[col as usize].push(RowMutation::new(key, vec![col.put(ts, value)]));
     }
 }
 
@@ -791,11 +640,21 @@ mod tests {
             .unwrap();
         t.put_location(&mut s, ObjectId(3), &rec(3.0, 0.0, 0), Timestamp(1))
             .unwrap();
+        let keys = [1u64, 2, 3].map(RowKey::from_u64);
         let got = t
-            .batch_latest_locations(&mut s, &[ObjectId(1), ObjectId(2), ObjectId(3)])
+            .latest_cells(&mut s, RecordColumn::Location, &keys)
             .unwrap();
         assert!(got[0].is_some() && got[1].is_none() && got[2].is_some());
-        assert_eq!(got[2].unwrap().1.loc.x, 3.0);
+        let (ts, third) = decode_cell(got[2].as_ref(), LocationRecord::decode)
+            .unwrap()
+            .unwrap();
+        assert_eq!((ts, third.loc.x), (Timestamp(1), 3.0));
+        // The multi-get returns what the point read returns.
+        assert_eq!(
+            t.latest_cell(&mut s, RecordColumn::Location, &keys[2])
+                .unwrap(),
+            got[2]
+        );
     }
 
     #[test]
@@ -819,12 +678,12 @@ mod tests {
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].oid, ObjectId(7));
         assert_eq!(entries[0].leaf_index, leaf);
-        // Move to another cell.
+        // Move to another cell: delete the old row, insert the new one.
         let p2 = Point::new(900.0, 900.0);
         let leaf2 = cfg.space.leaf_cell(&p2).index;
-        t.spatial_move(
+        assert!(t.spatial_check_and_delete(&mut s, &entries[0]).unwrap());
+        t.spatial_insert(
             &mut s,
-            leaf,
             leaf2,
             ObjectId(7),
             &rec(900.0, 900.0, leaf2),
@@ -912,9 +771,8 @@ mod tests {
             Timestamp(0),
         )
         .unwrap();
-        let lfs = t
-            .batch_lf_versions(&mut s, &[ObjectId(1), ObjectId(2)])
-            .unwrap();
+        let keys = [1u64, 2].map(RowKey::from_u64);
+        let lfs = t.latest_cells(&mut s, RecordColumn::Lf, &keys).unwrap();
         assert!(lfs[0].is_some() && lfs[1].is_none());
         let fols = t
             .batch_followers(&mut s, &[ObjectId(1), ObjectId(2)])
@@ -927,46 +785,50 @@ mod tests {
     fn write_batch_flush_lands_identical_rows() {
         let (_store, t, mut s) = setup();
         let r = rec(10.0, 20.0, 3);
-        let mut wb = WriteBatch::new();
-        assert!(wb.is_empty());
-        wb.put_location(ObjectId(1), &r, Timestamp(5));
-        wb.spatial_insert(3, ObjectId(1), &r, Timestamp(5));
-        wb.set_lf_at(
-            ObjectId(1),
-            &LfRecord::Leader {
-                since_us: 5,
-                last_leaf: 3,
-            },
-            Timestamp(5),
+        let lf = LfRecord::Leader {
+            since_us: 5,
+            last_leaf: 3,
+        };
+        let oid_key = RowKey::from_u64(1);
+        let spatial_key = MoistTables::spatial_key(3, ObjectId(1));
+        let mut wb = WriteBatch::default();
+        let ts = Timestamp(5);
+        wb.push(
+            RecordColumn::Location,
+            oid_key.clone(),
+            ts,
+            r.encode().to_vec(),
         );
-        assert!(!wb.is_empty());
-        let written = t.flush_write_batch(&mut s, &mut wb).unwrap();
-        assert_eq!(written, 3);
-        assert!(wb.is_empty(), "flush must leave the batch reusable");
+        wb.push(
+            RecordColumn::Spatial,
+            spatial_key.clone(),
+            ts,
+            r.encode().to_vec(),
+        );
+        wb.push(RecordColumn::Lf, oid_key.clone(), ts, lf.encode());
+        t.flush_write_batch(&mut s, &mut wb).unwrap();
+        assert!(
+            wb.rows.iter().all(Vec::is_empty),
+            "flush must leave the batch reusable"
+        );
         // The rows read back exactly as the synchronous writers would
         // have left them.
         let (ts, got) = t.latest_location(&mut s, ObjectId(1)).unwrap().unwrap();
         assert_eq!((ts, got.loc), (Timestamp(5), r.loc));
-        assert!(t.lf(&mut s, ObjectId(1)).unwrap().unwrap().is_leader());
-        let heads = t
-            .batch_lf_versions(&mut s, &[ObjectId(1), ObjectId(9)])
-            .unwrap();
-        assert_eq!(heads[0].as_ref().unwrap().0, Timestamp(5));
-        assert!(heads[1].is_none());
+        assert_eq!(t.lf(&mut s, ObjectId(1)).unwrap(), Some(lf));
+        let head = t.latest_cell(&mut s, RecordColumn::Lf, &oid_key).unwrap();
+        assert_eq!(head.unwrap().ts, Timestamp(5));
+        let keys = [spatial_key, MoistTables::spatial_key(4, ObjectId(1))];
         let vals = t
-            .batch_spatial_values(&mut s, &[(3, ObjectId(1)), (4, ObjectId(1))])
+            .latest_cells(&mut s, RecordColumn::Spatial, &keys)
             .unwrap();
-        assert_eq!(vals[0].as_deref(), Some(r.encode().as_ref()));
+        let expected = vals[0].clone().unwrap().value;
+        assert_eq!(expected.as_ref(), r.encode().as_ref());
         assert!(vals[1].is_none());
-        // The guarded delete against the prefetched value wins exactly
-        // once.
-        let expected = vals[0].clone().unwrap();
-        assert!(t
-            .spatial_check_and_delete_value(&mut s, 3, ObjectId(1), &expected)
-            .unwrap());
-        assert!(!t
-            .spatial_check_and_delete_value(&mut s, 3, ObjectId(1), &expected)
-            .unwrap());
+        // The guarded delete against the fetched value wins exactly once.
+        let mut delete = || t.spatial_delete_if(&mut s, &keys[0], &expected).unwrap();
+        assert!(delete());
+        assert!(!delete());
     }
 
     #[test]

@@ -5,16 +5,23 @@
 //! departure. A fourth branch — first sight of an object — registers it as
 //! the leader of a fresh single-member school (the paper leaves
 //! registration implicit).
+//!
+//! The procedure is written once (`apply_one`) against a private view of
+//! the store (`Io`). [`apply_update`] runs it over the store as it is;
+//! `apply_update_batch` runs the same procedure, message by message, over a
+//! view that has fetched ahead what the messages will read and holds their
+//! plain writes back — the four rules that keep the two indistinguishable
+//! are `Io`'s.
 
 use crate::codec::{LfRecord, LocationRecord};
 use crate::config::MoistConfig;
 use crate::error::{MoistError, Result};
 use crate::ids::ObjectId;
 use crate::school::within_school;
-use crate::tables::{MoistTables, WriteBatch};
-use moist_bigtable::{Session, Timestamp};
+use crate::tables::{decode_cell, supersede_ts, MoistTables, RecordColumn, WriteBatch};
+use moist_bigtable::{Cell, RowKey, Session, Timestamp};
 use moist_spatial::{Point, Velocity};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// One location update from a mobile client.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -29,20 +36,29 @@ pub struct UpdateMessage {
     pub ts: Timestamp,
 }
 
+/// Latest report time accepted, µs: 2^62, the bound `MoistConfig` puts on
+/// the clustering interval. Timestamps are added to (an L/F write lands
+/// one past its row's head, the scheduler adds intervals to deadlines), so
+/// they must stay far inside `u64`.
+const MAX_REPORT_US: u64 = u64::MAX / 4;
+
 impl UpdateMessage {
-    /// Rejects a malformed (non-finite location or velocity) message.
-    /// Every entry point that accepts messages from outside — the two
-    /// apply paths and the cluster tier's `submit` — calls this before
-    /// touching the store or buffering anything.
+    /// Rejects a malformed message: a non-finite location or velocity, or
+    /// a report time past 2^62 µs. Every entry point that accepts messages
+    /// from outside — the two apply paths and the cluster tier's `submit` —
+    /// calls this before touching the store or buffering anything.
     pub(crate) fn validate(&self) -> Result<()> {
-        if self.loc.is_finite() && self.vel.is_finite() {
-            Ok(())
+        let problem = if !(self.loc.is_finite() && self.vel.is_finite()) {
+            "non-finite"
+        } else if self.ts.0 > MAX_REPORT_US {
+            "far-future"
         } else {
-            Err(MoistError::Inconsistent(format!(
-                "non-finite update for {}",
-                self.oid
-            )))
-        }
+            return Ok(());
+        };
+        Err(MoistError::Inconsistent(format!(
+            "{problem} update for {}",
+            self.oid
+        )))
     }
 }
 
@@ -73,142 +89,15 @@ pub fn apply_update(
     msg: &UpdateMessage,
 ) -> Result<UpdateOutcome> {
     msg.validate()?;
-    let new_leaf = cfg.space.leaf_cell(&msg.loc).index;
-    let record = LocationRecord {
-        loc: msg.loc,
-        vel: msg.vel,
-        leaf_index: new_leaf,
-    };
-
-    // Line 1: is the object a leader or a follower? The follower branch
-    // re-runs from the top when a racing clustering merge re-affiliates
-    // the object between our affiliation read and our guarded promotion —
-    // the re-read sees the new school and the departure decision is made
-    // against it.
-    loop {
-        return match tables.lf(s, msg.oid)? {
-            None => {
-                // First sight: become a leader of a new (singleton) school.
-                tables.set_lf(
-                    s,
-                    msg.oid,
-                    &LfRecord::Leader {
-                        since_us: msg.ts.0,
-                        last_leaf: new_leaf,
-                    },
-                    msg.ts,
-                )?;
-                tables.put_location(s, msg.oid, &record, msg.ts)?;
-                tables.spatial_insert(s, new_leaf, msg.oid, &record, msg.ts)?;
-                Ok(UpdateOutcome::Registered)
-            }
-            Some(LfRecord::Leader {
-                since_us,
-                last_leaf,
-            }) => {
-                // Lines 2–3: leader path.
-                tables.put_location(s, msg.oid, &record, msg.ts)?;
-                if last_leaf == new_leaf {
-                    // Same leaf — same routing key — so this update serializes
-                    // with the cell's clustering on the owner's lock; a plain
-                    // overwrite cannot race a merge.
-                    tables.spatial_move(s, last_leaf, new_leaf, msg.oid, &record, msg.ts)?;
-                } else {
-                    // A cross-cell move is applied by the *destination* cell's
-                    // owner and can race the old cell's clustering merge on
-                    // another shard. The old spatial row is the
-                    // mutual-exclusion point: delete it only while it still
-                    // holds its scanned value (the same check-and-mutate the
-                    // merge commits through), so exactly one side wins.
-                    // Losing means the merge just absorbed this object: skip
-                    // the superseded spatial rewrite — the Location Table
-                    // already carries the report, and the next update takes
-                    // the follower branch against the merged school (and
-                    // departs from it if the move really escaped).
-                    if !tables
-                        .spatial_move_guarded(s, last_leaf, new_leaf, msg.oid, &record, msg.ts)?
-                    {
-                        return Ok(UpdateOutcome::LeaderUpdated);
-                    }
-                    tables.set_lf(
-                        s,
-                        msg.oid,
-                        &LfRecord::Leader {
-                            since_us,
-                            last_leaf: new_leaf,
-                        },
-                        msg.ts,
-                    )?;
-                }
-                Ok(UpdateOutcome::LeaderUpdated)
-            }
-            Some(
-                observed @ LfRecord::Follower {
-                    leader,
-                    displacement,
-                    ..
-                },
-            ) => {
-                // Lines 5–6: estimate the follower's location from its leader.
-                let (leader_ts, leader_rec) = match tables.latest_location(s, leader)? {
-                    Some(x) => x,
-                    None => {
-                        // The leader's hot Location row is gone (aged out to
-                        // the disk family after a long quiet spell): self-heal
-                        // by promotion rather than estimating from stale data.
-                        match promote_to_leader(s, tables, msg, &record, new_leaf, &observed, None)?
-                        {
-                            Some(out) => return Ok(out),
-                            None => continue,
-                        }
-                    }
-                };
-                // Lines 7–8: within ε → shed, zero store writes.
-                if within_school(
-                    &leader_rec,
-                    leader_ts,
-                    displacement,
-                    &msg.loc,
-                    msg.ts,
-                    cfg.epsilon,
-                ) {
-                    return Ok(UpdateOutcome::Shed);
-                }
-                // Lines 10–13: departure — become a leader of a new school.
-                match promote_to_leader(s, tables, msg, &record, new_leaf, &observed, Some(leader))?
-                {
-                    Some(out) => Ok(out),
-                    None => continue,
-                }
-            }
-        };
-    }
+    let batch = None;
+    apply_one(&mut Io { s, tables, batch }, cfg, msg)
 }
 
-/// Applies Algorithm 1 to a whole batch of messages, amortizing store
-/// round-trips across the batch. Semantically equivalent to running
-/// [`apply_update`] message by message in order; the store ends in the
-/// same state and the returned outcomes align with `msgs`.
-///
-/// The amortization has two halves:
-///
-/// * **prefetch** — one batched affiliation read classifies every
-///   distinct OID, one batched Location read serves every follower's
-///   shed test, and one batched spatial read arms the cross-cell move
-///   guards. Each replaces a per-message point read (rpc base charged
-///   per row) with a scan-rate batch row.
-/// * **deferral** — plain row writes (registrations, Location appends,
-///   same-leaf spatial refreshes) accumulate in a [`WriteBatch`] and
-///   land as one multi-row RPC per table at the end.
-///
-/// Correctness rests on a *dirty set*: once the batch writes (or
-/// defers a write for) an OID, every later message touching that OID —
-/// or a follower whose leader is that OID — flushes the deferred
-/// writes and falls back to the synchronous [`apply_update`], so no
-/// decision is ever made against a prefetched value the batch itself
-/// has superseded. Guarded commits (cross-cell spatial moves, follower
-/// promotions) stay synchronous: they are the mutual-exclusion points
-/// against clustering merges on other shards and cannot be reordered.
+/// Applies Algorithm 1 to a whole batch of messages: the same procedure,
+/// message by message in order, over an [`Io`] that has fetched ahead what
+/// the messages will read and holds their plain writes back. The store ends
+/// in the state [`apply_update`] message by message leaves it in, and the
+/// returned outcomes align with `msgs`.
 ///
 /// Every message is validated up front, so a malformed message fails
 /// the whole batch *before* any store write — callers can reject the
@@ -222,214 +111,293 @@ pub(crate) fn apply_update_batch(
     for msg in msgs {
         msg.validate()?;
     }
-    if msgs.len() <= 1 {
-        // Nothing to amortize: the prefetches would cost more than the
-        // point reads they replace.
-        return msgs
-            .iter()
-            .map(|m| apply_update(s, tables, cfg, m))
-            .collect();
-    }
-
-    // Phase 1: classify every distinct OID with one batched affiliation
-    // read (head timestamps included, for local supersede-clamping of
-    // deferred L/F writes).
-    let mut uniq: Vec<ObjectId> = Vec::new();
-    let mut seen: HashSet<u64> = HashSet::new();
-    for msg in msgs {
-        if seen.insert(msg.oid.0) {
-            uniq.push(msg.oid);
-        }
-    }
-    let lf_heads = tables.batch_lf_versions(s, &uniq)?;
-    let lf_of: HashMap<u64, Option<(Timestamp, LfRecord)>> = uniq
+    // A batch of one has nothing to amortize: the three fetches would cost
+    // more than the point reads they replace.
+    let batch = (msgs.len() > 1).then(Batch::default);
+    let mut io = Io { s, tables, batch };
+    io.fetch_ahead(cfg, msgs)?;
+    let outcomes = msgs
         .iter()
-        .zip(lf_heads)
-        .map(|(oid, head)| (oid.0, head))
-        .collect();
+        .map(|msg| apply_one(&mut io, cfg, msg))
+        .collect::<Result<Vec<_>>>()?;
+    io.flush()?;
+    Ok(outcomes)
+}
 
-    // Phase 2: prefetch what the classified messages will read — the
-    // leaders' latest locations (every follower's shed test) and the
-    // old spatial rows of cross-cell-moving leaders (the guard's
-    // expected values). First occurrence per OID decides; later
-    // occurrences hit the dirty-set fallback anyway.
-    let mut leader_oids: Vec<ObjectId> = Vec::new();
-    let mut leader_seen: HashSet<u64> = HashSet::new();
-    let mut move_keys: Vec<(u64, ObjectId)> = Vec::new();
-    let mut move_seen: HashSet<u64> = HashSet::new();
-    for msg in msgs {
-        match lf_of.get(&msg.oid.0) {
-            Some(Some((_, LfRecord::Follower { leader, .. }))) if leader_seen.insert(leader.0) => {
-                leader_oids.push(*leader);
-            }
-            Some(Some((_, LfRecord::Leader { last_leaf, .. }))) => {
-                let new_leaf = cfg.space.leaf_cell(&msg.loc).index;
-                if new_leaf != *last_leaf && move_seen.insert(msg.oid.0) {
-                    move_keys.push((*last_leaf, msg.oid));
+/// The store as Algorithm 1 sees it. For a lone update it is the store:
+/// nothing is cached, every read is a point read and every write lands as
+/// it is issued. A batch puts a read-ahead cache and a write-behind buffer
+/// in between, under four rules:
+///
+/// * a read of a record cell the batch fetched ahead is served from the
+///   cache;
+/// * a miss first flushes the held-back writes, then does the point read —
+///   so no read ever sees the store behind a write this batch issued;
+/// * a plain write is held back, and the cached cell of the row it
+///   rewrites is forgotten — so no decision is ever made against a value
+///   the batch itself has superseded;
+/// * guarded commits stay synchronous: the cross-leaf move's delete (its
+///   expected value a cache hit or a read behind a flush, so nothing held
+///   back touches its row), and a promotion with every write ordered
+///   after it, behind a flush. They are the mutual-exclusion points
+///   against clustering merges on other shards and cannot be reordered.
+///
+/// Holding writes back is sound because the batch runs under the shard
+/// lock of its messages' routing key, which serializes it with that
+/// cell's clustering; the actors it does not exclude meet it only at the
+/// guards.
+struct Io<'a> {
+    s: &'a mut Session,
+    tables: &'a MoistTables,
+    /// What a batch puts in between; `None` for a lone update.
+    batch: Option<Batch>,
+}
+
+/// A batch's read-ahead cache and write-behind buffer.
+#[derive(Default)]
+struct Batch {
+    /// Record cells fetched ahead, by [`RecordColumn`] and row (`None`:
+    /// the row has no such cell).
+    ahead: [HashMap<RowKey, Option<Cell>>; 3],
+    /// Plain writes held back until the next flush.
+    behind: WriteBatch,
+}
+
+impl Io<'_> {
+    /// The three reads a batch makes up front, each one multi-get: every
+    /// distinct object's L/F record, then — classified by it — the latest
+    /// location of every follower's leader (the shed test) and the old
+    /// spatial row of every leader changing leaf (the move guard's
+    /// expected value). A lone update fetches nothing ahead.
+    fn fetch_ahead(&mut self, cfg: &MoistConfig, msgs: &[UpdateMessage]) -> Result<()> {
+        if self.batch.is_none() {
+            return Ok(());
+        }
+        let oid_key = |m: &UpdateMessage| RowKey::from_u64(m.oid.0);
+        self.fetch(RecordColumn::Lf, msgs.iter().map(oid_key).collect())?;
+        let (mut leaders, mut moves) = (Vec::new(), Vec::new());
+        for msg in msgs {
+            let lf = self.read(RecordColumn::Lf, &oid_key(msg))?;
+            match decode_cell(lf.as_ref(), LfRecord::decode)? {
+                Some((_, LfRecord::Follower { leader, .. })) => {
+                    leaders.push(RowKey::from_u64(leader.0));
                 }
+                Some((_, LfRecord::Leader { last_leaf, .. }))
+                    if last_leaf != cfg.space.leaf_cell(&msg.loc).index =>
+                {
+                    moves.push(MoistTables::spatial_key(last_leaf, msg.oid));
+                }
+                _ => {}
             }
-            _ => {}
+        }
+        self.fetch(RecordColumn::Location, leaders)?;
+        self.fetch(RecordColumn::Spatial, moves)
+    }
+
+    /// Caches the latest `col` cells of the distinct rows among `keys`.
+    fn fetch(&mut self, col: RecordColumn, mut keys: Vec<RowKey>) -> Result<()> {
+        keys.sort_unstable();
+        keys.dedup();
+        if let (Some(batch), false) = (&mut self.batch, keys.is_empty()) {
+            let cells = self.tables.latest_cells(self.s, col, &keys)?;
+            batch.ahead[col as usize].extend(keys.into_iter().zip(cells));
+        }
+        Ok(())
+    }
+
+    /// Lands every held-back write.
+    fn flush(&mut self) -> Result<()> {
+        match &mut self.batch {
+            Some(batch) => self.tables.flush_write_batch(self.s, &mut batch.behind),
+            None => Ok(()),
         }
     }
-    let leader_locs: HashMap<u64, Option<(Timestamp, LocationRecord)>> = if leader_oids.is_empty() {
-        HashMap::new()
-    } else {
-        leader_oids
-            .iter()
-            .zip(tables.batch_latest_locations(s, &leader_oids)?)
-            .map(|(oid, loc)| (oid.0, loc))
-            .collect()
-    };
-    let move_vals: HashMap<u64, Option<Vec<u8>>> = if move_keys.is_empty() {
-        HashMap::new()
-    } else {
-        move_keys
-            .iter()
-            .zip(tables.batch_spatial_values(s, &move_keys)?)
-            .map(|(&(_, oid), val)| (oid.0, val))
-            .collect()
-    };
 
-    // Phase 3: apply in message order. Deferrable writes go to `wb`;
-    // anything touching an already-written OID flushes and falls back
-    // to the synchronous path.
-    let mut wb = WriteBatch::new();
-    let mut dirty: HashSet<u64> = HashSet::new();
-    let mut out = Vec::with_capacity(msgs.len());
-    for msg in msgs {
-        let new_leaf = cfg.space.leaf_cell(&msg.loc).index;
-        let record = LocationRecord {
-            loc: msg.loc,
-            vel: msg.vel,
-            leaf_index: new_leaf,
-        };
-        // The prefetched snapshot is valid only while this batch has not
-        // written the rows it describes.
-        let fallback = dirty.contains(&msg.oid.0)
-            || match lf_of.get(&msg.oid.0) {
-                Some(Some((_, LfRecord::Follower { leader, .. }))) => {
-                    dirty.contains(&leader.0)
-                        || !matches!(leader_locs.get(&leader.0), Some(Some(_)))
-                }
-                _ => false,
-            };
-        if fallback {
-            if !wb.is_empty() {
-                tables.flush_write_batch(s, &mut wb)?;
+    /// Latest cell of `key`'s record column.
+    fn read(&mut self, col: RecordColumn, key: &RowKey) -> Result<Option<Cell>> {
+        if let Some(batch) = &self.batch {
+            if let Some(hit) = batch.ahead[col as usize].get(key) {
+                return Ok(hit.clone());
             }
-            let outcome = apply_update(s, tables, cfg, msg)?;
-            dirty.insert(msg.oid.0);
-            out.push(outcome);
-            continue;
+            self.flush()?;
         }
-        let outcome = match lf_of.get(&msg.oid.0).and_then(|h| h.as_ref()) {
+        self.tables.latest_cell(self.s, col, key)
+    }
+
+    /// Drops the cached cell of a row about to change.
+    fn forget(&mut self, col: RecordColumn, key: &RowKey) {
+        if let Some(batch) = &mut self.batch {
+            batch.ahead[col as usize].remove(key);
+        }
+    }
+
+    /// A plain write of one record cell.
+    fn write(
+        &mut self,
+        col: RecordColumn,
+        key: &RowKey,
+        ts: Timestamp,
+        value: Vec<u8>,
+    ) -> Result<()> {
+        match &mut self.batch {
+            Some(batch) => {
+                batch.ahead[col as usize].remove(key);
+                batch.behind.push(col, key.clone(), ts, value);
+                Ok(())
+            }
+            None => self.tables.put_cell(self.s, col, key, ts, value),
+        }
+    }
+
+    /// A write ordered after a guarded commit: it lands now.
+    fn write_now(
+        &mut self,
+        col: RecordColumn,
+        key: &RowKey,
+        ts: Timestamp,
+        value: Vec<u8>,
+    ) -> Result<()> {
+        self.forget(col, key);
+        self.tables.put_cell(self.s, col, key, ts, value)
+    }
+
+    /// A leader's same-leaf spatial refresh: a plain write that has always
+    /// gone out as a one-row *batch* RPC, so that is what a lone update
+    /// still sends (and is charged).
+    fn refresh(&mut self, key: &RowKey, ts: Timestamp, value: Vec<u8>) -> Result<()> {
+        if self.batch.is_some() {
+            return self.write(RecordColumn::Spatial, key, ts, value);
+        }
+        let mut one = WriteBatch::default();
+        one.push(RecordColumn::Spatial, key.clone(), ts, value);
+        self.tables.flush_write_batch(self.s, &mut one)
+    }
+
+    /// Writes `oid`'s L/F record so that it supersedes the current one
+    /// (see [`supersede_ts`]).
+    fn set_lf(&mut self, oid: &RowKey, lf: &LfRecord, ts: Timestamp) -> Result<()> {
+        let head = self.read(RecordColumn::Lf, oid)?;
+        let ts = supersede_ts(head.as_ref(), ts);
+        self.write(RecordColumn::Lf, oid, ts, lf.encode())
+    }
+}
+
+/// Algorithm 1 for one (validated) message.
+fn apply_one(io: &mut Io, cfg: &MoistConfig, msg: &UpdateMessage) -> Result<UpdateOutcome> {
+    let new_leaf = cfg.space.leaf_cell(&msg.loc).index;
+    let record = LocationRecord {
+        loc: msg.loc,
+        vel: msg.vel,
+        leaf_index: new_leaf,
+    };
+    let value = || record.encode().to_vec();
+    let oid_key = RowKey::from_u64(msg.oid.0);
+    let new_spatial_key = MoistTables::spatial_key(new_leaf, msg.oid);
+
+    // Line 1: is the object a leader or a follower? The follower branch
+    // re-runs from the top when a racing clustering merge re-affiliates
+    // the object between our affiliation read and our guarded promotion —
+    // the re-read sees the new school and the departure decision is made
+    // against it.
+    loop {
+        let lf = io.read(RecordColumn::Lf, &oid_key)?;
+        return match decode_cell(lf.as_ref(), LfRecord::decode)?.map(|(_, lf)| lf) {
             None => {
-                // First sight: no head version exists, so the deferred
-                // L/F write lands at the raw report time unclamped.
-                wb.set_lf_at(
-                    msg.oid,
-                    &LfRecord::Leader {
-                        since_us: msg.ts.0,
-                        last_leaf: new_leaf,
-                    },
-                    msg.ts,
-                );
-                wb.put_location(msg.oid, &record, msg.ts);
-                wb.spatial_insert(new_leaf, msg.oid, &record, msg.ts);
-                dirty.insert(msg.oid.0);
-                UpdateOutcome::Registered
+                // First sight: become a leader of a new (singleton) school.
+                let lf = LfRecord::Leader {
+                    since_us: msg.ts.0,
+                    last_leaf: new_leaf,
+                };
+                io.set_lf(&oid_key, &lf, msg.ts)?;
+                io.write(RecordColumn::Location, &oid_key, msg.ts, value())?;
+                io.write(RecordColumn::Spatial, &new_spatial_key, msg.ts, value())?;
+                Ok(UpdateOutcome::Registered)
             }
-            Some((
-                head_ts,
-                LfRecord::Leader {
-                    since_us,
-                    last_leaf,
-                },
-            )) => {
-                wb.put_location(msg.oid, &record, msg.ts);
-                if *last_leaf == new_leaf {
-                    // Same routing key as the cell's clustering — the
-                    // shard lock this batch holds serializes them, so
-                    // the plain refresh can be deferred.
-                    wb.spatial_insert(new_leaf, msg.oid, &record, msg.ts);
+            Some(LfRecord::Leader {
+                since_us,
+                last_leaf,
+            }) => {
+                // Lines 2–3: leader path.
+                io.write(RecordColumn::Location, &oid_key, msg.ts, value())?;
+                if last_leaf == new_leaf {
+                    // Same leaf — same routing key — so this update serializes
+                    // with the cell's clustering on the owner's lock; a plain
+                    // overwrite cannot race a merge.
+                    io.refresh(&new_spatial_key, msg.ts, value())?;
                 } else {
-                    // Cross-cell move: commit the guarded delete now
-                    // (it is the mutual-exclusion point against the old
-                    // cell's merge on another shard), with the expected
-                    // value amortized into the phase-2 prefetch. Losing
-                    // means a merge absorbed the object: skip the
-                    // superseded rewrite, exactly like the sync path.
-                    let won = match move_vals.get(&msg.oid.0).and_then(|v| v.as_deref()) {
+                    // A cross-cell move is applied by the *destination* cell's
+                    // owner and can race the old cell's clustering merge on
+                    // another shard. The old spatial row is the
+                    // mutual-exclusion point: delete it only while it still
+                    // holds the value read (the same check-and-mutate the
+                    // merge commits through, see
+                    // `MoistTables::spatial_check_and_delete`), so exactly one
+                    // side deletes it and the new row is written only after
+                    // winning. Losing — the row is gone or changed — means the
+                    // merge just absorbed this object, and rewriting the entry
+                    // would resurrect an absorbed leader: skip the superseded
+                    // spatial rewrite. The Location Table already carries the
+                    // report, and the next update takes the follower branch
+                    // against the merged school (and departs from it if the
+                    // move really escaped).
+                    let old_key = MoistTables::spatial_key(last_leaf, msg.oid);
+                    let won = match io.read(RecordColumn::Spatial, &old_key)? {
                         None => false,
-                        Some(expected) => tables
-                            .spatial_check_and_delete_value(s, *last_leaf, msg.oid, expected)?,
+                        Some(cell) => {
+                            io.forget(RecordColumn::Spatial, &old_key);
+                            io.tables.spatial_delete_if(io.s, &old_key, &cell.value)?
+                        }
                     };
-                    if won {
-                        wb.spatial_insert(new_leaf, msg.oid, &record, msg.ts);
-                        // Supersede-clamp locally against the prefetched
-                        // head: no other actor can move this row's head
-                        // while the batch holds the key's shard lock and
-                        // the spatial guard has been won.
-                        let lf_ts = if *head_ts >= msg.ts {
-                            Timestamp(head_ts.0 + 1)
-                        } else {
-                            msg.ts
-                        };
-                        wb.set_lf_at(
-                            msg.oid,
-                            &LfRecord::Leader {
-                                since_us: *since_us,
-                                last_leaf: new_leaf,
-                            },
-                            lf_ts,
-                        );
+                    if !won {
+                        return Ok(UpdateOutcome::LeaderUpdated);
                     }
+                    io.write(RecordColumn::Spatial, &new_spatial_key, msg.ts, value())?;
+                    let lf = LfRecord::Leader {
+                        since_us,
+                        last_leaf: new_leaf,
+                    };
+                    io.set_lf(&oid_key, &lf, msg.ts)?;
                 }
-                dirty.insert(msg.oid.0);
-                UpdateOutcome::LeaderUpdated
+                Ok(UpdateOutcome::LeaderUpdated)
             }
-            Some((
-                _,
-                LfRecord::Follower {
+            Some(
+                observed @ LfRecord::Follower {
                     leader,
                     displacement,
                     ..
                 },
-            )) => {
-                let (leader_ts, leader_rec) = leader_locs
-                    .get(&leader.0)
-                    .and_then(|l| l.as_ref())
-                    .expect("missing leader location routed to fallback above");
-                if within_school(
-                    leader_rec,
-                    *leader_ts,
-                    *displacement,
-                    &msg.loc,
-                    msg.ts,
-                    cfg.epsilon,
-                ) {
-                    // Shed: zero writes, so the prefetched snapshot for
-                    // this OID stays valid — no dirty mark.
-                    UpdateOutcome::Shed
-                } else {
-                    // Departure: the promotion is a guarded L/F commit
-                    // racing clustering merges — flush and take the
-                    // synchronous path end to end.
-                    if !wb.is_empty() {
-                        tables.flush_write_batch(s, &mut wb)?;
+            ) => {
+                // Lines 5–6: estimate the follower's location from its leader.
+                let leader_key = RowKey::from_u64(leader.0);
+                let leader_loc = io.read(RecordColumn::Location, &leader_key)?;
+                // A leader whose hot Location row is gone (aged out to the
+                // disk family after a long quiet spell) is no basis for an
+                // estimate: self-heal by promotion, leaving no school.
+                let old_leader = match decode_cell(leader_loc.as_ref(), LocationRecord::decode)? {
+                    // Lines 7–8: within ε → shed, zero store writes.
+                    Some((leader_ts, leader_rec))
+                        if within_school(
+                            &leader_rec,
+                            leader_ts,
+                            displacement,
+                            &msg.loc,
+                            msg.ts,
+                            cfg.epsilon,
+                        ) =>
+                    {
+                        return Ok(UpdateOutcome::Shed);
                     }
-                    let outcome = apply_update(s, tables, cfg, msg)?;
-                    dirty.insert(msg.oid.0);
-                    outcome
+                    Some(_) => Some(leader),
+                    None => None,
+                };
+                // Lines 10–13: departure — become a leader of a new school.
+                match promote_to_leader(io, msg, &record, new_leaf, &observed, old_leader)? {
+                    Some(out) => Ok(out),
+                    None => continue,
                 }
             }
         };
-        out.push(outcome);
     }
-    if !wb.is_empty() {
-        tables.flush_write_batch(s, &mut wb)?;
-    }
-    Ok(out)
 }
 
 /// Lines 10–13 of Algorithm 1: remove the follower from its old school (if
@@ -442,19 +410,22 @@ pub(crate) fn apply_update_batch(
 /// blind overwrite would leave the object both inside the survivor's
 /// school *and* holding its own spatial row — a permanent double sighting.
 /// Returns `Ok(None)` when the guard fails, so the caller re-reads the
-/// affiliation and re-decides against the new school.
+/// affiliation — from the store: the cached record is forgotten either
+/// way — and re-decides against the new school.
 fn promote_to_leader(
-    s: &mut Session,
-    tables: &MoistTables,
+    io: &mut Io,
     msg: &UpdateMessage,
     record: &LocationRecord,
     new_leaf: u64,
     observed: &LfRecord,
     old_leader: Option<ObjectId>,
 ) -> Result<Option<UpdateOutcome>> {
+    io.flush()?;
+    let oid_key = RowKey::from_u64(msg.oid.0);
+    io.forget(RecordColumn::Lf, &oid_key);
     // Line 11: label ID a leader — only if nothing re-affiliated it since.
-    let promoted = tables.lf_check_and_set(
-        s,
+    let promoted = io.tables.lf_check_and_set(
+        io.s,
         msg.oid,
         observed,
         &LfRecord::Leader {
@@ -470,17 +441,19 @@ fn promote_to_leader(
         // Line 10: delete ID's entry from the old leader's Follower Info
         // *before* inserting the spatial row, so no instant shows the
         // object both as a school member and as a row of its own.
-        tables.remove_follower(s, leader, msg.oid)?;
+        io.tables.remove_follower(io.s, leader, msg.oid)?;
     }
     // A promoted follower owns no Spatial Index entry to clean up: the
     // clustering merge that demoted it deleted its row under a
     // check-and-mutate guard on the scanned value, so the row the merge
     // removed is exactly the row the object's last leader-path write
     // created (a racing move fails the guard and aborts the merge).
+    let value = || record.encode().to_vec();
     // Line 12: Location Table.
-    tables.put_location(s, msg.oid, record, msg.ts)?;
+    io.write_now(RecordColumn::Location, &oid_key, msg.ts, value())?;
     // Line 13: Spatial Index Table.
-    tables.spatial_insert(s, new_leaf, msg.oid, record, msg.ts)?;
+    let spatial_key = MoistTables::spatial_key(new_leaf, msg.oid);
+    io.write_now(RecordColumn::Spatial, &spatial_key, msg.ts, value())?;
     Ok(Some(match old_leader {
         Some(old_leader) => UpdateOutcome::Departed { old_leader },
         None => UpdateOutcome::Registered,
@@ -492,7 +465,7 @@ mod tests {
     use super::*;
     use crate::codec::LfRecord;
     use moist_bigtable::{Bigtable, CostProfile};
-    use moist_spatial::Displacement;
+    use moist_spatial::{CellId, Displacement};
     use std::sync::Arc;
 
     fn setup(epsilon: f64) -> (Arc<Bigtable>, MoistTables, Session, MoistConfig) {
@@ -675,7 +648,7 @@ mod tests {
     /// The batched apply is a pure optimization: same outcomes, same
     /// final table state as replaying the messages synchronously. The
     /// mix below exercises every branch — registration, leader moves,
-    /// shed, departure, and dirty-set fallbacks (repeat OIDs and a
+    /// shed, departure, and cache misses (repeat OIDs and a
     /// follower whose leader updated earlier in the same batch).
     #[test]
     fn batch_apply_matches_synchronous_outcomes_and_state() {
@@ -685,11 +658,11 @@ mod tests {
         build_school(&t2, &mut s2, &cfg);
         let batch = vec![
             msg(3, 200.0, 200.0, 1.0, 1),  // first sight: register
-            msg(1, 101.0, 100.0, 1.0, 2),  // leader move (dirties 1)
-            msg(2, 111.0, 102.0, 1.0, 10), // follower of dirty leader: fallback, shed
-            msg(1, 600.0, 600.0, 1.0, 12), // dirty OID: fallback, cross-cell move
+            msg(1, 101.0, 100.0, 1.0, 2),  // leader move
+            msg(2, 111.0, 102.0, 1.0, 10), // its follower: leader location re-read, shed
+            msg(1, 600.0, 600.0, 1.0, 12), // the leader again: cross-cell move
             msg(2, 900.0, 102.0, 1.0, 14), // departure
-            msg(3, 205.0, 200.0, 1.0, 15), // dirty OID: fallback leader move
+            msg(3, 205.0, 200.0, 1.0, 15), // repeat OID: leader move
         ];
         let sync: Vec<UpdateOutcome> = batch
             .iter()
@@ -742,7 +715,7 @@ mod tests {
         let before = st.metrics_snapshot();
         let batch = vec![
             msg(2, 111.0, 102.0, 1.0, 10), // shed
-            msg(2, 112.0, 102.0, 1.0, 11), // shed again (not dirty: no writes)
+            msg(2, 112.0, 102.0, 1.0, 11), // shed again, still from the cache
         ];
         let out = apply_update_batch(&mut s, &t, &cfg, &batch).unwrap();
         assert_eq!(out, vec![UpdateOutcome::Shed, UpdateOutcome::Shed]);
@@ -754,6 +727,142 @@ mod tests {
         );
     }
 
+    /// What one call was charged: the store's `(read_ops, scan_ops,
+    /// write_ops, batch_ops, mutations)` deltas and the virtual µs of a
+    /// fresh session on the default cost profile.
+    fn charged(
+        store: &Arc<Bigtable>,
+        f: impl FnOnce(&mut Session) -> Vec<UpdateOutcome>,
+    ) -> (Vec<UpdateOutcome>, [u64; 5], f64) {
+        let mut s = store.session();
+        let before = store.metrics_snapshot();
+        let out = f(&mut s);
+        let d = store.metrics_snapshot().delta(&before);
+        let ops = [
+            d.read_ops,
+            d.scan_ops,
+            d.write_ops,
+            d.batch_ops,
+            d.mutations,
+        ];
+        (out, ops, s.elapsed_us())
+    }
+
+    /// Makes `follower` a follower of `leader` at displacement (0, 2).
+    fn enlist(t: &MoistTables, s: &mut Session, leader: u64, follower: u64) {
+        let displacement = Displacement::new(0.0, 2.0);
+        let lf = LfRecord::Follower {
+            leader: ObjectId(leader),
+            displacement,
+            since_us: 0,
+        };
+        t.set_lf(s, ObjectId(follower), &lf, Timestamp::ZERO)
+            .unwrap();
+        t.add_follower(
+            s,
+            ObjectId(leader),
+            ObjectId(follower),
+            displacement,
+            Timestamp::ZERO,
+        )
+        .unwrap();
+    }
+
+    /// The virtual-time gate for both paths. The literals are what the
+    /// build before the two procedures were merged was charged: a lone
+    /// update of each branch, and a 64-message batch with no repeated OID
+    /// and no departure (16 registrations, 16 same-leaf refreshes, 16
+    /// cross-leaf moves, 16 sheds). The byte-diffed smoke archives cover
+    /// the lone update only; nothing else pins the batch.
+    #[test]
+    fn each_branch_and_a_clean_batch_are_charged_what_they_always_were() {
+        let (st, t, mut free, cfg) = setup(5.0);
+        let lone = |m: UpdateMessage| {
+            let (out, ops, us) = charged(&st, |s| vec![apply_update(s, &t, &cfg, &m).unwrap()]);
+            (out[0], ops, us)
+        };
+        let registered = lone(msg(1, 100.0, 100.0, 1.0, 0));
+        let same_leaf = lone(msg(1, 100.0, 100.0, 1.0, 1));
+        let cross_leaf = lone(msg(1, 600.0, 600.0, 1.0, 2));
+        enlist(&t, &mut free, 1, 2);
+        let shed = lone(msg(2, 601.0, 602.0, 1.0, 3));
+        let departed = lone(msg(2, 900.0, 102.0, 1.0, 4));
+        let old_leader = ObjectId(1);
+        assert_eq!(
+            [registered, same_leaf, cross_leaf, shed, departed],
+            [
+                (
+                    UpdateOutcome::Registered,
+                    [2, 0, 3, 0, 3],
+                    105.28999999999999
+                ),
+                (
+                    UpdateOutcome::LeaderUpdated,
+                    [1, 0, 1, 1, 2],
+                    58.10799999999999
+                ),
+                (UpdateOutcome::LeaderUpdated, [4, 0, 4, 0, 4], 166.87),
+                (UpdateOutcome::Shed, [2, 0, 0, 0, 0], 39.745999999999995),
+                (
+                    UpdateOutcome::Departed { old_leader },
+                    [4, 0, 4, 0, 4],
+                    166.934
+                ),
+            ]
+        );
+
+        // 100–115 refresh in place, 200–215 change leaf, 300–315 follow
+        // 400–415 (which stay silent) and shed, 500–515 are new.
+        for i in 0..16u64 {
+            for base in [100, 200, 400] {
+                let m = msg(base + i, 10.0 * i as f64, base as f64, 1.0, 5);
+                apply_update(&mut free, &t, &cfg, &m).unwrap();
+            }
+            enlist(&t, &mut free, 400 + i, 300 + i);
+        }
+        let batch: Vec<UpdateMessage> = (0..16u64)
+            .flat_map(|i| {
+                let x = 10.0 * i as f64;
+                [
+                    msg(100 + i, x, 100.0, 1.0, 9),
+                    msg(200 + i, x + 5.0, 205.0, 1.0, 9),
+                    msg(300 + i, x + 4.0, 402.0, 1.0, 9),
+                    msg(500 + i, x, 500.0, 1.0, 9),
+                ]
+            })
+            .collect();
+        let (out, ops, us) = charged(&st, |s| apply_update_batch(s, &t, &cfg, &batch).unwrap());
+        assert_eq!((ops, us), ([19, 0, 16, 3, 144], 1299.3162837624811));
+        let sheds = out.iter().filter(|o| **o == UpdateOutcome::Shed).count();
+        let registrations = out
+            .iter()
+            .filter(|o| **o == UpdateOutcome::Registered)
+            .count();
+        assert_eq!((sheds, registrations, out.len()), (16, 16, 64));
+    }
+
+    /// A batch that repeats OIDs (and updates a leader before its
+    /// follower reports) issues no more store ops than the build before
+    /// the merge did for the same messages.
+    #[test]
+    fn a_repeat_oid_batch_issues_no_more_ops_than_it_used_to() {
+        let (st, t, mut free, cfg) = setup(5.0);
+        build_school(&t, &mut free, &cfg);
+        let batch = vec![
+            msg(3, 200.0, 200.0, 1.0, 1),  // first sight
+            msg(1, 101.0, 100.0, 1.0, 2),  // leader changes leaf
+            msg(2, 111.0, 102.0, 1.0, 10), // its follower sheds
+            msg(1, 600.0, 600.0, 1.0, 12), // the leader again
+            msg(3, 200.0, 200.0, 1.0, 13), // same leaf, second sight
+            msg(2, 900.0, 102.0, 1.0, 14), // the follower departs
+            msg(3, 205.0, 200.0, 1.0, 15), // third sight, new leaf
+        ];
+        let (_, ops, us) = charged(&st, |s| apply_update_batch(s, &t, &cfg, &batch).unwrap());
+        // Before: 19 reads + 14 single-row writes + 4 batch writes, 761.82 µs.
+        assert!(ops[..4].iter().sum::<u64>() <= 37, "{ops:?}");
+        assert!(us <= 761.83, "{us}");
+    }
+
     #[test]
     fn batch_apply_rejects_bad_messages_before_writing_anything() {
         let (st, t, mut s, cfg) = setup(5.0);
@@ -763,9 +872,15 @@ mod tests {
             vel: Velocity::ZERO,
             ts: Timestamp::ZERO,
         };
+        let far_future = UpdateMessage {
+            ts: Timestamp(u64::MAX),
+            ..msg(9, 100.0, 100.0, 1.0, 0)
+        };
         let before = st.metrics_snapshot();
-        let batch = vec![msg(1, 100.0, 100.0, 1.0, 0), bad];
-        assert!(apply_update_batch(&mut s, &t, &cfg, &batch).is_err());
+        for bad in [bad, far_future] {
+            let batch = vec![msg(1, 100.0, 100.0, 1.0, 0), bad];
+            assert!(apply_update_batch(&mut s, &t, &cfg, &batch).is_err());
+        }
         let after = st.metrics_snapshot();
         assert_eq!(
             after.write_ops + after.batch_ops,
@@ -784,6 +899,33 @@ mod tests {
             ts: Timestamp::ZERO,
         };
         assert!(apply_update(&mut s, &t, &cfg, &bad).is_err());
+        // A report time the L/F supersede clamp (head + 1) could overflow
+        // on is refused too; the last accepted one registers and moves.
+        let at = |ts: u64, x: f64| UpdateMessage {
+            ts: Timestamp(ts),
+            ..msg(1, x, 100.0, 1.0, 0)
+        };
+        let rejected = |r: Result<UpdateOutcome>| matches!(r, Err(MoistError::Inconsistent(_)));
+        assert!(rejected(apply_update(
+            &mut s,
+            &t,
+            &cfg,
+            &at(u64::MAX, 100.0)
+        )));
+        assert!(rejected(apply_update(
+            &mut s,
+            &t,
+            &cfg,
+            &at(u64::MAX / 4 + 1, 100.0)
+        )));
+        assert!(t.lf(&mut s, ObjectId(1)).unwrap().is_none());
+        for x in [100.0, 900.0, 100.0] {
+            apply_update(&mut s, &t, &cfg, &at(u64::MAX / 4, x)).unwrap();
+        }
+        let indexed = t
+            .spatial_scan_cell(&mut s, CellId::ROOT, cfg.space.leaf_level, None)
+            .unwrap();
+        assert_eq!(indexed.len(), 1, "one object, one Spatial Index row");
         // Queries reject what updates reject, with the same typed error,
         // before touching the store.
         let server = crate::server::MoistServer::new(&st, cfg).unwrap();
