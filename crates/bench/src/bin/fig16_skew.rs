@@ -183,7 +183,7 @@ fn run_one(shards: usize, scale: &Scale, rebalance: bool) -> Measured {
     let store_qps =
         ((updates as f64 * (1.0 - shed)) / busiest_secs.max(1e-9)).min(STORE_WRITE_CAPACITY_OPS);
     let client_qps = store_qps / (1.0 - shed).max(0.05);
-    let cstats = cluster.cluster_stats(end);
+    let cstats = cluster.cluster_stats();
     let skew = cstats.utilization_skew();
 
     // Whole-map scattered region vs anchor routing on this cluster: the

@@ -265,7 +265,7 @@ fn run_one(shards: usize, replicas: usize, read_mix: f64, scale: &Scale) -> Meas
         scale.warmup_secs,
     );
     cluster.reset_clocks();
-    let before = cluster.cluster_stats(Timestamp::from_secs(scale.warmup_secs));
+    let before = cluster.cluster_stats();
     let reads = drive(
         &cluster,
         &mut rng,
@@ -276,7 +276,7 @@ fn run_one(shards: usize, replicas: usize, read_mix: f64, scale: &Scale) -> Meas
         scale.warmup_secs + scale.measure_secs,
     );
     let end_secs = scale.warmup_secs + scale.measure_secs;
-    let after = cluster.cluster_stats(Timestamp::from_secs(end_secs));
+    let after = cluster.cluster_stats();
     let busiest_secs = cluster.max_elapsed_us() / 1e6;
     let read_qps = reads as f64 / busiest_secs.max(1e-9);
     let replica_read_share = (after.replica_reads - before.replica_reads) as f64 / reads as f64;
@@ -302,10 +302,7 @@ fn run_one(shards: usize, replicas: usize, read_mix: f64, scale: &Scale) -> Meas
             !hits.is_empty(),
             "post-kill NN on the hot cell returned nothing"
         );
-        let promos = cluster
-            .cluster_stats(Timestamp::from_secs(end_secs))
-            .promotions
-            - promos_before;
+        let promos = cluster.cluster_stats().promotions - promos_before;
         assert!(promos > 0, "a kill at k={replicas} must promote followers");
         // The adopted deadlines must still drive clustering on the new
         // primaries — the schedule survived the kill intact.

@@ -31,7 +31,7 @@
 //! (none fire at these queue depths; asserted below) and never inflate
 //! the client-visible rate.
 
-use moist::bigtable::{Bigtable, Timestamp};
+use moist::bigtable::Bigtable;
 use moist::core::{IngestConfig, IngestStats, MoistCluster, MoistConfig};
 use moist::workload::{RoadMap, RoadMapConfig, RoadNetSim, SimConfig};
 use moist_bench::{drive, smoke_mode, stats_delta, Figure, Series};
@@ -166,9 +166,7 @@ fn run_one(shards: usize, scale: &Scale, ingest: Option<IngestConfig>) -> Measur
     // (school sheds in `ops`, queue losses in `refused()`) must equal the
     // independently read counters, or a client-QPS derivation somewhere
     // is lying about lost updates.
-    let cs = cluster.cluster_stats(Timestamp::from_secs_f64(
-        scale.warmup_secs + scale.measure_secs,
-    ));
+    let cs = cluster.cluster_stats();
     let ingest_all = cluster.ingest_stats();
     assert_eq!(
         cs.ops.shed + cs.refused(),

@@ -222,7 +222,7 @@ fn run_arm(scale: &Scale, managed: bool, schedule: &[(u64, usize)]) -> (Arm, Moi
         // Per-shard busy baselines: joins and retirements change the
         // fleet mid-window, so the busiest-shard delta is taken per id.
         let elapsed_before: HashMap<u64, f64> = cluster
-            .cluster_stats(Timestamp::from_secs(t))
+            .cluster_stats()
             .shards
             .iter()
             .map(|s| (s.id, s.elapsed_us))
@@ -249,7 +249,7 @@ fn run_arm(scale: &Scale, managed: bool, schedule: &[(u64, usize)]) -> (Arm, Moi
             }
         }
         let after = cluster.stats();
-        let cstats = cluster.cluster_stats(Timestamp::from_secs(window_end));
+        let cstats = cluster.cluster_stats();
         let busiest_us = cstats
             .shards
             .iter()

@@ -313,16 +313,6 @@ impl MeterHub {
         self.ops.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Folds a finished per-call meter's totals in at once (coarse
-    /// variant of the per-charge mirroring [`Session`] does; exercised
-    /// by the lossless-folding property tests).
-    ///
-    /// [`Session`]: crate::session::Session
-    pub fn fold(&self, meter: &CostMeter) {
-        self.charge_us(meter.elapsed_us());
-        self.ops.fetch_add(meter.op_count(), Ordering::Relaxed);
-    }
-
     /// Virtual microseconds accumulated so far.
     pub fn elapsed_us(&self) -> f64 {
         f64::from_bits(self.elapsed_bits.load(Ordering::Relaxed))
@@ -428,22 +418,6 @@ mod tests {
         assert_eq!(meter.elapsed_us().to_bits(), shared.now_us().to_bits());
         assert_eq!(meter.elapsed_us().to_bits(), hub.elapsed_us().to_bits());
         assert_eq!(meter.op_count(), hub.op_count());
-        assert_eq!(hub.op_count(), 3);
-    }
-
-    #[test]
-    fn hub_fold_accumulates_meter_totals() {
-        let hub = MeterHub::new();
-        let mut a = CostMeter::new();
-        a.charge_us(10.0);
-        a.note_op();
-        let mut b = CostMeter::new();
-        b.charge_us(2.5);
-        b.note_op();
-        b.note_op();
-        hub.fold(&a);
-        hub.fold(&b);
-        assert_eq!(hub.elapsed_us(), 12.5);
         assert_eq!(hub.op_count(), 3);
     }
 

@@ -235,9 +235,10 @@ impl Timestamp {
         (self.0.saturating_sub(earlier.0)) as f64 / 1e6
     }
 
-    /// Timestamp advanced by `s` seconds.
+    /// Timestamp advanced by `s` seconds, saturating at the end of time
+    /// (negative and NaN advances count as zero).
     pub fn plus_secs(&self, s: f64) -> Timestamp {
-        Timestamp(self.0 + (s.max(0.0) * 1e6) as u64)
+        Timestamp(self.0.saturating_add((s.max(0.0) * 1e6) as u64))
     }
 }
 
@@ -321,6 +322,18 @@ mod tests {
         assert_eq!(t.plus_secs(2.5).secs_since(t), 2.5);
         assert_eq!(Timestamp::ZERO.secs_since(t), 0.0); // saturating
         assert!((Timestamp::from_secs_f64(1.25).as_secs_f64() - 1.25).abs() < 1e-9);
+    }
+
+    #[test]
+    fn plus_secs_saturates() {
+        let end = Timestamp(u64::MAX);
+        assert_eq!(Timestamp(u64::MAX - 10).plus_secs(1.0), end);
+        assert_eq!(Timestamp::from_secs(11).plus_secs(f64::INFINITY), end);
+        assert_eq!(Timestamp::from_secs(11).plus_secs(1e300), end);
+        assert_eq!(end.plus_secs(0.0), end);
+        let t = Timestamp::from_secs(11);
+        assert_eq!(t.plus_secs(-3.0), t);
+        assert_eq!(t.plus_secs(f64::NAN), t);
     }
 
     #[test]

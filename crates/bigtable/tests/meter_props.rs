@@ -1,5 +1,5 @@
-//! Property tests for per-call cost-meter folding: any interleaving of
-//! query/update meters folds into the shared [`MeterHub`] to the same
+//! Property tests for per-call cost-meter mirroring: any interleaving of
+//! query/update charges lands on the shared [`MeterHub`] with the same
 //! `elapsed_us` / op totals — and hubbed sessions to the same
 //! [`MetricsSnapshot`] — as the old serialized single-clock accounting.
 //!
@@ -135,41 +135,6 @@ proptest! {
             }
             prop_assert_eq!(meter.elapsed_us().to_bits(), own.now_us().to_bits());
         }
-    }
-
-    /// Coarse end-of-call folding ([`MeterHub::fold`]): any permutation
-    /// of completed meters folds to the serialized totals.
-    #[test]
-    fn whole_meter_folds_commute(
-        calls in prop::collection::vec(prop::collection::vec(dyadic(), 1..12), 1..10),
-        seed in any::<u64>(),
-    ) {
-        let mut clock = SimClock::new();
-        let mut ops = 0u64;
-        let mut meters = Vec::new();
-        for call in &calls {
-            let mut m = CostMeter::new();
-            for &c in call {
-                clock.charge_us(c);
-                m.charge_us(c);
-                m.note_op();
-                ops += 1;
-            }
-            meters.push(m);
-        }
-        // Fisher–Yates on the fold order.
-        let mut order: Vec<usize> = (0..meters.len()).collect();
-        let mut state = seed | 1;
-        for i in (1..order.len()).rev() {
-            let j = (next(&mut state) as usize) % (i + 1);
-            order.swap(i, j);
-        }
-        let hub = MeterHub::new();
-        for &i in &order {
-            hub.fold(&meters[i]);
-        }
-        prop_assert_eq!(hub.elapsed_us().to_bits(), clock.now_us().to_bits());
-        prop_assert_eq!(hub.op_count(), ops);
     }
 
     /// Hubbed sessions: two sessions sharing one hub, fed an arbitrary

@@ -51,8 +51,6 @@ const MAX_PLACEMENT_WEIGHT: f64 = 8.0;
 pub struct RebalanceReport {
     /// The membership epoch after the step (unchanged if nothing moved).
     pub epoch: u64,
-    /// Shards whose placement weight was adjusted.
-    pub reweighted: usize,
     /// Clustering cells newly split one level finer.
     pub split_cells: Vec<u64>,
     /// Previously-split cells reunited because their measured demand
@@ -73,10 +71,6 @@ pub struct ShardLoadStats {
     pub weight: f64,
     /// Virtual µs of store time this shard has consumed.
     pub elapsed_us: f64,
-    /// EWMA update arrivals per virtual second across the shard's cells.
-    pub update_rate: f64,
-    /// EWMA query arrivals per virtual second across the shard's cells.
-    pub query_rate: f64,
     /// Routing keys (cells / split children) this shard is **primary**
     /// for: its scheduler owns them, their updates serialize on it, and
     /// it alone clusters them.
@@ -88,10 +82,6 @@ pub struct ShardLoadStats {
     pub follower_keys: usize,
     /// Reads this shard served as a follower.
     pub replica_reads: u64,
-    /// Scattered region slices this shard scanned.
-    pub scatter_slices: u64,
-    /// Virtual µs spent serving those scattered slices.
-    pub scatter_slice_us: f64,
     /// Messages currently buffered in this shard's ingest queue.
     pub queue_depth: usize,
 }
@@ -327,13 +317,8 @@ impl MoistCluster {
     ///   fades below `UNSPLIT_FACTOR`× the mean **un-split** — the four
     ///   children reunite through the same handover path — so the split
     ///   table's cap recycles as the hot spot moves.
-    /// * **Density & scan prices** — the merged per-cell rates refresh
-    ///   the relative density map the region fan-out uses to price its
-    ///   balancing pass, and the per-cell scan costs *measured* by past
-    ///   fan-out partials (see
-    ///   `LoadTracker::note_cell_scan`)
-    ///   merge into a learned price map that replaces the density prior
-    ///   for every cell that has actually been scanned.
+    /// * **Density** — the merged per-cell rates refresh the relative
+    ///   density map the region fan-out uses to price its balancing pass.
     ///
     /// Returns what changed; when nothing does (level fleet, no hot
     /// cells) the membership — and its epoch — is left untouched. The
@@ -349,21 +334,12 @@ impl MoistCluster {
         // ---- measure: per-shard utilization + merged per-cell rates ----
         let mut utils: Vec<f64> = Vec::with_capacity(old.shards.len());
         let mut cell_rates: HashMap<u64, f64> = HashMap::new();
-        let mut scan_samples: HashMap<u64, (f64, u32)> = HashMap::new();
         {
             let mut baseline = self.rebalance_baseline.lock();
             for entry in &old.shards {
                 let elapsed = entry.front.elapsed_us();
                 for (cell, rates) in entry.front.load_rates(now) {
                     *cell_rates.entry(cell).or_insert(0.0) += rates.total();
-                }
-                // Different shards may have scanned the same cell (the
-                // balancing pass moves slices around); their learned
-                // costs average.
-                for (cell, us) in entry.front.cell_scan_costs() {
-                    let e = scan_samples.entry(cell).or_insert((0.0, 0));
-                    e.0 += us;
-                    e.1 += 1;
                 }
                 let prev = baseline.insert(entry.id, elapsed).unwrap_or(0.0);
                 utils.push((elapsed - prev).max(0.0));
@@ -374,7 +350,6 @@ impl MoistCluster {
         let n = old.shards.len();
         let mean_util = utils.iter().sum::<f64>() / n.max(1) as f64;
         let mut weights: Vec<f64> = old.placement.iter().map(|m| m.weight).collect();
-        let mut reweighted = 0usize;
         if mean_util > 1.0 {
             for (w, &util) in weights.iter_mut().zip(&utils) {
                 let ratio = util / mean_util;
@@ -388,7 +363,6 @@ impl MoistCluster {
                 };
                 if factor != 1.0 {
                     *w = (*w * factor).clamp(MIN_PLACEMENT_WEIGHT, MAX_PLACEMENT_WEIGHT);
-                    reweighted += 1;
                 }
             }
             // Normalize to mean 1 so weights stay comparable across
@@ -465,27 +439,6 @@ impl MoistCluster {
             }
         }
 
-        // ---- refresh the fan-out's *measured* scan-price map ----
-        if !scan_samples.is_empty() {
-            let merged: Vec<(u64, f64)> = scan_samples
-                .iter()
-                .map(|(&cell, &(sum, n))| (cell, sum / n as f64))
-                .collect();
-            let mean = merged.iter().map(|&(_, us)| us).sum::<f64>() / merged.len() as f64;
-            if mean > 0.0 {
-                // Scaled so the average *measured* cell prices at 2.0 —
-                // the scale the density prior averages to (1 + mean
-                // relative density = 2) — so measured cells and
-                // prior-priced (never-scanned) cells mix consistently in
-                // one cost function.
-                let prices: HashMap<u64, f64> = merged
-                    .into_iter()
-                    .map(|(cell, us)| (cell, 2.0 * us / mean))
-                    .collect();
-                *self.cell_scan_cost.write() = Arc::new(prices);
-            }
-        }
-
         let weights_changed = weights
             .iter()
             .zip(&old.placement)
@@ -511,7 +464,6 @@ impl MoistCluster {
         let migrated_keys = self.publish_epoch(guard, new, &[&self.split_migrations])?;
         Ok(RebalanceReport {
             epoch: old.epoch + 1,
-            reweighted,
             split_cells: split_now,
             unsplit_cells: unsplit_now,
             migrated_keys,
@@ -545,7 +497,7 @@ impl MoistCluster {
         if !guard.due(now) {
             return Ok(Vec::new());
         }
-        let stats = self.cluster_stats(now);
+        let stats = self.cluster_stats();
         let split_table_full = stats.split_cells.len() >= MAX_SPLIT_CELLS;
         let plans = guard.plan(now, &stats, self.ingest_cfg.queue_cap, split_table_full);
         let mut actions = Vec::new();
@@ -592,12 +544,12 @@ impl MoistCluster {
     }
 
     /// The tier's load/placement observability rollup: per-shard
-    /// utilization and demand rates, placement weights, owned-key counts,
-    /// scatter-slice service timings, the split table, and the migration
-    /// counters — everything [`rebalance`](MoistCluster::rebalance)
-    /// consumes, exposed so operators (and the `fig16_skew` bench) can see
-    /// what placement sees. `now` folds the EWMA windows before reading.
-    pub fn cluster_stats(&self, now: Timestamp) -> ClusterStats {
+    /// utilization, placement weights, owned-key counts and queue depths,
+    /// the split table, and the migration counters — what
+    /// [`rebalance`](MoistCluster::rebalance) and the elasticity
+    /// controller steer by, exposed so operators (and the `fig16_skew`
+    /// bench) can see what placement sees.
+    pub fn cluster_stats(&self) -> ClusterStats {
         let snap = self.snapshot();
         // Key counts by position: walk every routing key's replica set
         // once, charging rank 0 (the owner — exactly the key set its
@@ -616,23 +568,17 @@ impl MoistCluster {
             .iter()
             .zip(&snap.placement)
             .zip(primary_keys.into_iter().zip(follower_keys))
-            .map(|((entry, m), (primary_keys, follower_keys))| {
-                let (update_rate, query_rate) = entry.front.load_totals(now);
-                let (scatter_slices, scatter_slice_us) = entry.front.scatter_slice_stats();
-                ShardLoadStats {
+            .map(
+                |((entry, m), (primary_keys, follower_keys))| ShardLoadStats {
                     id: entry.id,
                     weight: m.weight,
                     elapsed_us: entry.front.elapsed_us(),
-                    update_rate,
-                    query_rate,
                     primary_keys,
                     follower_keys,
                     replica_reads: entry.replica_reads.load(Ordering::Relaxed),
-                    scatter_slices,
-                    scatter_slice_us,
                     queue_depth: self.ingest.depth(entry.id),
-                }
-            })
+                },
+            )
             .collect();
         ClusterStats {
             epoch: snap.epoch,

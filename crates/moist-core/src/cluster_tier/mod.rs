@@ -135,14 +135,14 @@
 //!   deadline phase;
 //! * **fan-out slice balancing** — scattered region plans subdivide
 //!   their costliest owner slices across idle shards
-//!   (`region::balance_slices`, priced by the measured per-cell
-//!   rates), so the client-visible latency tracks the mean slice, not
-//!   the largest ownership share.
+//!   (`region::balance_slices`, priced by the per-cell demand density
+//!   the last rebalance measured), so the client-visible latency tracks
+//!   the mean slice, not the largest ownership share.
 //!
-//! [`cluster_stats`](MoistCluster::cluster_stats) exposes the whole
-//! signal chain (per-shard utilization/rates/weights, primary/follower
-//! key counts, scatter-slice timings, split table, migration/promotion
-//! counters) for operators and benches.
+//! [`cluster_stats`](MoistCluster::cluster_stats) exposes what placement
+//! steers by (per-shard utilization and weights, primary/follower key
+//! counts, queue depths, split table, migration/promotion counters) for
+//! operators, benches and the elasticity controller.
 //!
 //! ## Replicated ownership
 //!
@@ -287,13 +287,6 @@ pub struct MoistCluster {
     /// consumed by the region fan-out to price slices — empty until the
     /// first rebalance (every cell then prices by its leaf span alone).
     cell_density: RwLock<Arc<HashMap<u64, f64>>>,
-    /// Read-mostly per-clustering-cell *measured* scan price (relative,
-    /// average measured cell ≈ 2.0 to match the density prior's scale),
-    /// learned from the per-range costs the region fan-out pays and
-    /// merged across shards at [`rebalance`](MoistCluster::rebalance).
-    /// Cells never scanned are absent and keep pricing by the
-    /// span×density prior.
-    cell_scan_cost: RwLock<Arc<HashMap<u64, f64>>>,
     /// Ingestion-pipeline knobs (batch size, queue cap, flush deadline,
     /// backpressure policy), normalized; set via
     /// [`ClusterBuilder::ingest`].
@@ -460,7 +453,6 @@ impl ClusterBuilder {
             split_migrations: AtomicU64::new(0),
             rebalance_baseline: Mutex::new(HashMap::new()),
             cell_density: RwLock::new(Arc::new(HashMap::new())),
-            cell_scan_cost: RwLock::new(Arc::new(HashMap::new())),
             ingest_cfg: self.ingest.normalized(),
             ingest: IngestQueues::default(),
             controller: self.controller.map(|c| Mutex::new(AutoController::new(c))),

@@ -16,11 +16,6 @@ use std::cell::OnceCell;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// Cap on the relative demand density used to price scattered-region
-/// slices: above this the update rate says "hot" but (thanks to
-/// schooling) not "proportionally more rows to scan".
-const MAX_SCAN_DENSITY: f64 = 3.0;
-
 impl MoistCluster {
     /// The shard that serves a point read of the routing key `key_of`
     /// picks from the current snapshot: the key's least-loaded live
@@ -93,11 +88,15 @@ impl MoistCluster {
         });
         // Balancing pass: the largest owner slices subdivide across
         // idle shards (any shard can scan any range), priced by the
-        // load layer's per-cell demand so a short-but-hot range counts
-        // as expensive. The client then waits for the *mean*-ish
-        // slice, not the largest ownership share.
+        // load layer's per-cell demand density so a short-but-hot range
+        // counts as expensive. The client then waits for the *mean*-ish
+        // slice, not the largest ownership share. The density is
+        // capped: schooling collapses a hot cell's objects into few
+        // leader rows, so update rate overstates scan cost — an uncapped
+        // density would make the balancer dedicate shards to
+        // cheap-to-scan hot cells and cram the real rows together
+        // elsewhere.
         let density = self.cell_density.read().clone();
-        let scan_price = self.cell_scan_cost.read().clone();
         let shift = 2 * (leaf_level - clustering_level) as u64;
         let cost_of = move |start: u64, end: u64| -> f64 {
             let mut cost = 0.0;
@@ -106,40 +105,18 @@ impl MoistCluster {
                 let cell = s >> shift;
                 let e = end.min((cell + 1) << shift);
                 let frac = (e - s) as f64 / (1u64 << shift) as f64;
-                let price = match scan_price.get(&cell) {
-                    // Measured beats modelled: cells the fan-out has
-                    // scanned before price at their learned per-cell
-                    // scan cost (merged across shards at rebalance),
-                    // uncapped — a measurement needs no guard against
-                    // overstating itself.
-                    Some(&p) => p,
-                    // Never-scanned cells fall back to the demand
-                    // density *prior*, capped: schooling collapses a
-                    // hot cell's objects into few leader rows, so
-                    // update rate overstates scan cost — an uncapped
-                    // density would make the balancer dedicate shards
-                    // to cheap-to-scan hot cells and cram the real
-                    // rows together elsewhere.
-                    None => {
-                        1.0 + density
-                            .get(&cell)
-                            .copied()
-                            .unwrap_or(0.0)
-                            .min(MAX_SCAN_DENSITY)
-                    }
-                };
-                cost += frac * price;
+                let d = density.get(&cell).copied().unwrap_or(0.0);
+                cost += frac * (1.0 + d.min(crate::region::MAX_SCAN_DENSITY));
                 s = e;
             }
             cost
         };
         // Scan capacity is uniform — any shard reads the shared store
-        // equally fast — so the balancer gets unit shares. Placement
-        // weights only shape *ownership* (update locality): a shard
-        // up-weighted because it was idle on updates may own half the
-        // map, and its slice is exactly what this pass subdivides.
-        let shares: Vec<(u64, f64)> = snap.placement.iter().map(|w| (w.id, 1.0)).collect();
-        let (slices, rebalanced) = balance_slices(slices, &shares, &cost_of);
+        // equally fast — so every live shard takes an equal share.
+        // Placement weights only shape *ownership* (update locality): a
+        // shard up-weighted because it was idle on updates may own half
+        // the map, and its slice is exactly what this pass subdivides.
+        let slices = balance_slices(slices, &snap.ids(), &cost_of);
         let rect = *rect;
         let tasks: Vec<_> = slices
             .into_iter()
@@ -150,8 +127,6 @@ impl MoistCluster {
             })
             .collect();
         let parts: Result<Vec<_>> = self.query_pool.scatter(tasks).into_iter().collect();
-        let (hits, mut stats) = merge_region_partials(parts?);
-        stats.slices_rebalanced = rebalanced;
-        Ok((hits, stats))
+        Ok(merge_region_partials(parts?))
     }
 }

@@ -431,13 +431,9 @@ mod tests {
                 id,
                 weight: 1.0,
                 elapsed_us,
-                update_rate: 0.0,
-                query_rate: 0.0,
                 primary_keys: 0,
                 follower_keys: 0,
                 replica_reads: 0,
-                scatter_slices: 0,
-                scatter_slice_us: 0.0,
                 queue_depth: queue,
             })
             .collect();

@@ -1,31 +1,29 @@
-//! The load-signal layer: measured per-cell and per-shard demand.
+//! The load-signal layer: measured per-cell demand.
 //!
 //! The paper's premise is that update/query load on a moving-object store
 //! is wildly skewed — business-center cells dominate (§3.4.2 motivates
 //! FLAG with exactly that skew) — yet placement decisions (which shard
 //! owns which clustering cell, how a scattered query is sliced) are blind
 //! without a measured signal. This module is that signal, consumed at
-//! three layers:
+//! two layers (the weighted rendezvous of [`crate::placement`] steers by
+//! each shard's virtual elapsed time instead):
 //!
-//! 1. **weighted rendezvous** ([`crate::placement`])
-//!    — per-shard weights derived from measured utilization shift whole
-//!    cells between shards with minimal remap;
-//! 2. **hot-cell splitting** ([`crate::placement::SplitTable`]) — the
+//! 1. **hot-cell splitting** ([`crate::placement::SplitTable`]) — the
 //!    hottest clustering cells split ownership one level finer, so a
 //!    single business-center cell stops pinning a shard;
-//! 3. **fan-out slice balancing** ([`crate::region::balance_slices`]) —
-//!    per-cell rates price a scattered region slice, so the planner can
-//!    subdivide the costliest slices across idle shards.
+//! 2. **fan-out slice balancing** ([`crate::region::balance_slices`]) —
+//!    the per-cell rates, relative to their mean, are the demand density
+//!    that prices a scattered region slice, so the planner can subdivide
+//!    the costliest slices across idle shards.
 //!
 //! A [`LoadTracker`] lives inside every [`crate::server::MoistServer`]
 //! (next to the FLAG machinery, which estimates *density* where this
 //! tracks *demand*): updates and queries feed per-clustering-cell EWMA
 //! rates in **virtual time** (the timestamps the operations carry), so the
 //! signal is deterministic for a given workload and independent of
-//! wall-clock scheduling. The cluster tier rolls the per-cell rates up
-//! into per-shard utilization through
-//! [`crate::cluster_tier::MoistCluster::cluster_stats`] and consumes them
-//! in [`crate::cluster_tier::MoistCluster::rebalance`].
+//! wall-clock scheduling. The cluster tier merges the per-cell rates
+//! across shards in [`crate::cluster_tier::MoistCluster::rebalance`], the
+//! one place they are read.
 
 use moist_bigtable::Timestamp;
 use std::collections::HashMap;
@@ -40,20 +38,13 @@ const ALPHA: f64 = 0.5;
 /// pruned — a cell that went cold stops occupying tracker memory.
 const PRUNE_RATE: f64 = 1e-6;
 
-/// EWMA smoothing for per-cell measured scan cost. Scan samples are
-/// rarer than updates (one per fan-out slice), so smoothing is gentler
-/// than the demand ALPHA: a single anomalous scan should not reprice a
-/// cell.
-const SCAN_COST_ALPHA: f64 = 0.3;
-
 /// One cell's smoothed demand, in events per virtual second.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct CellRates {
     /// EWMA update arrivals per virtual second.
     pub update_rate: f64,
     /// EWMA query arrivals per virtual second (queries anchored in the
-    /// cell — scattered partial scans are *not* counted per cell, they are
-    /// accounted by [`LoadTracker::note_scatter_slice`]).
+    /// cell; the slices of a scattered region query are not counted).
     pub query_rate: f64,
 }
 
@@ -87,15 +78,6 @@ struct CellWindow {
 pub(crate) struct LoadTracker {
     window_us: u64,
     cells: HashMap<u64, CellWindow>,
-    /// Scattered region slices scanned by this shard.
-    scatter_slices: u64,
-    /// Total virtual µs spent serving scattered partial scans.
-    scatter_us: f64,
-    /// Measured scan cost per clustering cell, in virtual µs per
-    /// *full-cell* scan (samples covering a fraction of a cell are
-    /// extrapolated before folding). Fed from the per-range costs the
-    /// region fan-out already pays for ([`Self::note_cell_scan`]).
-    scan_costs: HashMap<u64, f64>,
 }
 
 impl Default for LoadTracker {
@@ -111,9 +93,6 @@ impl LoadTracker {
         LoadTracker {
             window_us: ((window_secs.max(1e-3)) * 1e6) as u64,
             cells: HashMap::new(),
-            scatter_slices: 0,
-            scatter_us: 0.0,
-            scan_costs: HashMap::new(),
         }
     }
 
@@ -135,51 +114,12 @@ impl LoadTracker {
             pending_queries: 0,
             window_start_us: now.0,
         });
-        fold(w, now.0, window_us);
+        close_windows(w, now.0, window_us);
         if update {
             w.pending_updates += 1;
         } else {
             w.pending_queries += 1;
         }
-    }
-
-    /// Records one scattered region slice this shard scanned, costing
-    /// `cost_us` virtual µs.
-    pub(crate) fn note_scatter_slice(&mut self, cost_us: f64) {
-        self.scatter_slices += 1;
-        self.scatter_us += cost_us.max(0.0);
-    }
-
-    /// `(slices served, total virtual µs)` of scattered partial scans.
-    pub(crate) fn scatter_slice_stats(&self) -> (u64, f64) {
-        (self.scatter_slices, self.scatter_us)
-    }
-
-    /// Folds one measured scan sample for clustering cell `cell`:
-    /// `cost_us` virtual µs were spent scanning `frac` of the cell's key
-    /// span (`0 < frac ≤ 1`). The sample is extrapolated to a full-cell
-    /// cost and folded into a per-cell EWMA, replacing the span×density
-    /// *prior* with a *measured* price the next time the fan-out planner
-    /// slices a scattered query.
-    pub(crate) fn note_cell_scan(&mut self, cell: u64, frac: f64, cost_us: f64) {
-        // NaN fracs/costs are rejected along with non-positive ones.
-        if frac.is_nan() || frac <= 0.0 || cost_us.is_nan() || cost_us < 0.0 {
-            return;
-        }
-        let sample = cost_us / frac.min(1.0);
-        self.scan_costs
-            .entry(cell)
-            .and_modify(|c| *c = (1.0 - SCAN_COST_ALPHA) * *c + SCAN_COST_ALPHA * sample)
-            .or_insert(sample);
-    }
-
-    /// The learned per-cell scan costs (virtual µs per full-cell scan),
-    /// in ascending cell order. Cells never scanned are absent — callers
-    /// fall back to their prior for those.
-    pub(crate) fn cell_scan_costs(&self) -> Vec<(u64, f64)> {
-        let mut out: Vec<(u64, f64)> = self.scan_costs.iter().map(|(&c, &v)| (c, v)).collect();
-        out.sort_unstable_by_key(|&(c, _)| c);
-        out
     }
 
     /// The per-cell rates as of `now`: every cell's pending windows fold
@@ -189,21 +129,13 @@ impl LoadTracker {
     pub(crate) fn rates(&mut self, now: Timestamp) -> Vec<(u64, CellRates)> {
         let window_us = self.window_us;
         self.cells.retain(|_, w| {
-            fold(w, now.0, window_us);
+            close_windows(w, now.0, window_us);
             w.rates.total() > PRUNE_RATE || w.pending_updates + w.pending_queries > 0
         });
         let mut out: Vec<(u64, CellRates)> =
             self.cells.iter().map(|(&c, w)| (c, w.rates)).collect();
         out.sort_unstable_by_key(|&(c, _)| c);
         out
-    }
-
-    /// Total `(update rate, query rate)` across all tracked cells at
-    /// `now` — this shard's demand rollup.
-    pub(crate) fn totals(&mut self, now: Timestamp) -> (f64, f64) {
-        self.rates(now).iter().fold((0.0, 0.0), |(u, q), (_, r)| {
-            (u + r.update_rate, q + r.query_rate)
-        })
     }
 }
 
@@ -212,8 +144,8 @@ impl LoadTracker {
 /// windows decay by `(1 − α)` each. Events timestamped before the current
 /// window (late arrivals from a concurrent client) count into the current
 /// bucket — slightly smeared, never lost.
-fn fold(w: &mut CellWindow, now_us: u64, window_us: u64) {
-    if now_us < w.window_start_us + window_us {
+fn close_windows(w: &mut CellWindow, now_us: u64, window_us: u64) {
+    if now_us < w.window_start_us.saturating_add(window_us) {
         return;
     }
     let k = (now_us - w.window_start_us) / window_us;
@@ -294,8 +226,7 @@ mod tests {
             hot > 10.0 * cold,
             "hot cell must dominate: {hot} vs mean cold {cold}"
         );
-        let (u, q) = t.totals(at(40.0));
-        assert!(u > 0.0 && q == 0.0);
+        assert!(rates.iter().all(|(_, r)| r.query_rate == 0.0));
     }
 
     #[test]
@@ -311,40 +242,6 @@ mod tests {
         assert!(r.update_rate > 1.5 * r.query_rate);
         assert!(r.query_rate > 0.0);
         assert!((r.total() - r.update_rate - r.query_rate).abs() < 1e-12);
-    }
-
-    #[test]
-    fn scatter_slice_counters_accumulate() {
-        let mut t = LoadTracker::default();
-        assert_eq!(t.scatter_slice_stats(), (0, 0.0));
-        t.note_scatter_slice(120.0);
-        t.note_scatter_slice(80.0);
-        t.note_scatter_slice(-5.0); // clamped, never subtracts
-        let (n, us) = t.scatter_slice_stats();
-        assert_eq!(n, 3);
-        assert!((us - 200.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cell_scan_costs_extrapolate_and_smooth() {
-        let mut t = LoadTracker::default();
-        assert!(t.cell_scan_costs().is_empty());
-        // Half of cell 5 cost 100µs → a full-cell estimate of 200µs.
-        t.note_cell_scan(5, 0.5, 100.0);
-        assert_eq!(t.cell_scan_costs(), vec![(5, 200.0)]);
-        // A second, pricier sample moves the EWMA toward it, gently.
-        t.note_cell_scan(5, 1.0, 1000.0);
-        let cost = t.cell_scan_costs()[0].1;
-        assert!(cost > 200.0 && cost < 1000.0, "EWMA in between: {cost}");
-        // Degenerate samples are ignored.
-        t.note_cell_scan(6, 0.0, 50.0);
-        t.note_cell_scan(7, 0.5, -1.0);
-        assert_eq!(t.cell_scan_costs().len(), 1);
-        // A dense cell prices above a sparse one.
-        t.note_cell_scan(8, 1.0, 10.0);
-        let costs = t.cell_scan_costs();
-        assert!(costs[0].1 > costs[1].1);
-        assert_eq!((costs[0].0, costs[1].0), (5, 8));
     }
 
     #[test]

@@ -44,10 +44,6 @@ pub struct RegionStats {
     pub leaders_fetched: usize,
     /// Shards that contributed partial scans (1 for single-server runs).
     pub shards_scattered: usize,
-    /// Range pieces the balancing pass moved off their owner shard onto an
-    /// idler one (`balance_slices`; 0 for single-server and unbalanced
-    /// runs).
-    pub slices_rebalanced: usize,
     /// Client-visible virtual µs. Partials scanned in parallel overlap, so
     /// a merged query reports the *slowest* partial, not the sum.
     pub cost_us: f64,
@@ -65,15 +61,6 @@ pub(crate) struct RegionPartial {
     pub hits: Vec<Neighbor>,
     /// This partial's own scan counters and virtual cost.
     pub stats: RegionStats,
-    /// Measured virtual µs per scanned leaf range: `(range, cost_us)` in
-    /// scan order. This is the raw signal for per-cell scan-cost learning
-    /// — the serving shard apportions each range's measured cost onto the
-    /// clustering cells it overlaps and feeds
-    /// [`crate::load::LoadTracker::note_cell_scan`]. Only the range scans
-    /// themselves are attributed; school expansion cost stays in the
-    /// aggregate `stats.cost_us` (followers are fetched in one batch
-    /// across ranges, so splitting that cost per range would be a guess).
-    pub range_costs: Vec<(LeafRange, f64)>,
 }
 
 /// Plans a region query: the maximal contiguous leaf-index ranges covering
@@ -131,6 +118,11 @@ const MIN_PIECE_COST: f64 = 0.5;
 /// engages at all — a small query stays on its owner, inline.
 const MIN_ENGAGE_COST: f64 = 2.0;
 
+/// Cap on the relative demand density used to price scattered-region
+/// slices: above this the update rate says "hot" but (thanks to
+/// schooling) not "proportionally more rows to scan".
+pub(crate) const MAX_SCAN_DENSITY: f64 = 3.0;
+
 /// Balances owner slices across the whole fleet: any shard can scan any
 /// range (the store is shared), so a scattered region's client-visible
 /// latency — its *slowest* slice — need not be pinned to the largest
@@ -138,32 +130,30 @@ const MIN_ENGAGE_COST: f64 = 2.0;
 /// subdivided and the surplus pieces move to the shards with the most
 /// headroom (including shards that owned nothing in this query).
 ///
-/// `shares` lists every eligible shard id with its relative capacity (the
-/// same weights the weighted rendezvous uses, so a deliberately
-/// down-weighted shard is not handed surplus work). `cost_of(start, end)`
-/// prices a leaf range; it must be additive over concatenation — the
-/// cluster tier prices ranges with the load layer's per-cell rates, so a
-/// hot business-center range counts as expensive even when it is short.
+/// `shards` lists every eligible shard id; each gets an equal share of
+/// the work, because every front-end scans the shared store equally fast.
+/// `cost_of(start, end)` prices a leaf range; it must be additive over
+/// concatenation — the cluster tier prices ranges with the load layer's
+/// per-cell demand density, so a hot business-center range counts as
+/// expensive even when it is short.
 ///
 /// Returns the balanced `(shard id, ranges)` slices (ascending id, exact
-/// same leaf-index partition as the input) plus the number of pieces
-/// moved off their owner.
+/// same leaf-index partition as the input).
 pub(crate) fn balance_slices(
     slices: OwnerSlices,
-    shares: &[(u64, f64)],
+    shards: &[u64],
     cost_of: impl Fn(u64, u64) -> f64,
-) -> (OwnerSlices, usize) {
-    if shares.len() <= 1 {
-        return (slices, 0);
+) -> OwnerSlices {
+    if shards.len() <= 1 {
+        return slices;
     }
-    let total_share: f64 = shares.iter().map(|&(_, w)| w.max(0.0)).sum();
     let slice_costs: Vec<f64> = slices
         .iter()
         .map(|(_, rs)| rs.iter().map(|&(s, e)| cost_of(s, e)).sum())
         .collect();
     let total_cost: f64 = slice_costs.iter().sum();
-    if total_share <= 0.0 || total_cost <= 0.0 {
-        return (slices, 0);
+    if total_cost <= 0.0 {
+        return slices;
     }
     // Engage only when it pays: the largest slice must dominate the fair
     // per-shard share (otherwise the scatter is already level — idle
@@ -171,25 +161,23 @@ pub(crate) fn balance_slices(
     // worth of work (fragmenting a tiny scan across the fleet costs more
     // in per-range overhead than the overlap wins back).
     let max_cost = slice_costs.iter().fold(0.0f64, |a, &b| a.max(b));
-    let fair_cost = total_cost / shares.len() as f64;
+    let fair_cost = total_cost / shards.len() as f64;
     if max_cost < (1.0 + 2.0 * BALANCE_SLACK) * fair_cost || max_cost < MIN_ENGAGE_COST {
-        return (slices, 0);
+        return slices;
     }
 
-    // Per-shard targets and current loads (shards outside `shares` — a
-    // snapshot race — keep their slices and take no surplus).
-    let mut loads: std::collections::BTreeMap<u64, (f64, f64, Vec<LeafRange>)> = shares
-        .iter()
-        .map(|&(id, w)| (id, (total_cost * w.max(0.0) / total_share, 0.0, Vec::new())))
-        .collect();
+    // Per-shard loads against the one fair target (shards outside
+    // `shards` — a snapshot race — keep their slices and take no surplus).
+    let mut loads: std::collections::BTreeMap<u64, (f64, Vec<LeafRange>)> =
+        shards.iter().map(|&id| (id, (0.0, Vec::new()))).collect();
+    let cap = fair_cost * (1.0 + BALANCE_SLACK);
     let mut surplus: Vec<(f64, (u64, u64))> = Vec::new();
     let mut kept_extra: OwnerSlices = Vec::new();
     for (owner, ranges) in slices {
-        let Some((target, load, kept)) = loads.get_mut(&owner) else {
+        let Some((load, kept)) = loads.get_mut(&owner) else {
             kept_extra.push((owner, ranges));
             continue;
         };
-        let cap = *target * (1.0 + BALANCE_SLACK);
         // Largest pieces first, so the cheap tail stays put and surplus
         // comes off in few, large, contiguous chunks.
         let mut pieces: Vec<((u64, u64), f64)> =
@@ -223,22 +211,21 @@ pub(crate) fn balance_slices(
     // cannot recreate the imbalance on its new shard. Ascending sort +
     // `pop()` = costliest first.
     surplus.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-    let mut moved = 0usize;
     while let Some((cost, range)) = surplus.pop() {
         // The shard with the most headroom takes the next piece; ties
         // break towards the smaller id for determinism.
         let best_id = *loads
             .iter()
-            .max_by(|(ia, (ta, la, _)), (ib, (tb, lb, _))| {
-                (ta - la)
-                    .partial_cmp(&(tb - lb))
+            .max_by(|(ia, (la, _)), (ib, (lb, _))| {
+                (fair_cost - la)
+                    .partial_cmp(&(fair_cost - lb))
                     .unwrap_or(std::cmp::Ordering::Equal)
                     .then_with(|| ib.cmp(ia))
             })
             .map(|(id, _)| id)
-            .expect("shares is non-empty");
-        let (target, load, kept) = loads.get_mut(&best_id).expect("best shard exists");
-        let headroom = (*target - *load).max(0.0);
+            .expect("shards is non-empty");
+        let (load, kept) = loads.get_mut(&best_id).expect("best shard exists");
+        let headroom = (fair_cost - *load).max(0.0);
         if cost > headroom * (1.0 + BALANCE_SLACK)
             && cost > 2.0 * MIN_PIECE_COST
             && range.1 - range.0 > 1
@@ -252,13 +239,12 @@ pub(crate) fn balance_slices(
         }
         *load += cost;
         kept.push(range);
-        moved += 1;
     }
 
     let mut out: OwnerSlices = loads
         .into_iter()
-        .filter(|(_, (_, _, kept))| !kept.is_empty())
-        .map(|(id, (_, _, mut kept))| {
+        .filter(|(_, (_, kept))| !kept.is_empty())
+        .map(|(id, (_, mut kept))| {
             kept.sort_unstable();
             // Re-merge adjacency so a shard still scans maximal ranges.
             let mut merged: Vec<(u64, u64)> = Vec::with_capacity(kept.len());
@@ -273,7 +259,7 @@ pub(crate) fn balance_slices(
         .collect();
     out.extend(kept_extra);
     out.sort_by_key(|&(id, _)| id);
-    (out, moved)
+    out
 }
 
 /// Splits `range` at a leaf boundary so the left part costs at most
@@ -321,14 +307,11 @@ pub(crate) fn region_partial_scan(
     };
     let cost0 = s.elapsed_us();
     let mut leaders = Vec::new();
-    let mut range_costs = Vec::with_capacity(ranges.len());
     for &(start, end) in ranges {
         if end <= start {
             continue;
         }
-        let before = s.elapsed_us();
         let entries = tables.spatial_scan_range(s, start, end, None)?;
-        range_costs.push(((start, end), s.elapsed_us() - before));
         stats.ranges_scanned += 1;
         stats.leaders_fetched += entries.len();
         leaders.extend(entries);
@@ -370,11 +353,7 @@ pub(crate) fn region_partial_scan(
         }
     }
     stats.cost_us = s.elapsed_us() - cost0;
-    Ok(RegionPartial {
-        hits,
-        stats,
-        range_costs,
-    })
+    Ok(RegionPartial { hits, stats })
 }
 
 /// Folds partial results into the final region answer: hits are moved (not
@@ -564,9 +543,7 @@ mod tests {
         // Shard 1 owns 80 cost units, shard 2 owns 10, shards 3 and 4 own
         // nothing — the client-visible makespan is 80 without balancing.
         let slices = vec![(1u64, vec![(0u64, 80u64)]), (2, vec![(100, 110)])];
-        let shares = vec![(1u64, 1.0), (2, 1.0), (3, 1.0), (4, 1.0)];
-        let (balanced, moved) = balance_slices(slices, &shares, span_cost);
-        assert!(moved > 0, "the 80-cost slice must shed work");
+        let balanced = balance_slices(slices, &[1, 2, 3, 4], span_cost);
         // Exact partition is preserved.
         let flat = flatten(&balanced);
         let total: u64 = flat.iter().map(|(s, e)| e - s).sum();
@@ -592,68 +569,63 @@ mod tests {
     }
 
     #[test]
-    fn balance_leaves_level_or_tiny_scatters_alone() {
-        // Already level: nothing moves.
-        let level = vec![(1u64, vec![(0u64, 10u64)]), (2, vec![(10, 20)])];
-        let shares = vec![(1u64, 1.0), (2, 1.0)];
-        let (out, moved) = balance_slices(level.clone(), &shares, span_cost);
-        assert_eq!(moved, 0);
-        assert_eq!(out, level);
-        // A tiny single-owner query is not worth fragmenting.
-        let tiny = vec![(1u64, vec![(0u64, 1u64)])];
-        let shares = vec![(1u64, 1.0), (2, 1.0), (3, 1.0)];
-        let (out, moved) = balance_slices(tiny.clone(), &shares, |s, e| (e - s) as f64);
-        assert_eq!(moved, 0);
-        assert_eq!(out, tiny);
-        // Single-shard fleets trivially keep their slices.
-        let one = vec![(7u64, vec![(0u64, 50u64)])];
-        let (out, moved) = balance_slices(one.clone(), &[(7, 1.0)], span_cost);
-        assert_eq!(moved, 0);
-        assert_eq!(out, one);
+    fn balance_output_is_pinned() {
+        // Uniform span cost: shard 1's 80-leaf slice spreads over the
+        // three others, cut at exact leaf boundaries.
+        let uniform = vec![(1u64, vec![(0u64, 80u64)]), (2, vec![(100, 110)])];
+        let want = vec![
+            (1, vec![(0, 24)]),
+            (2, vec![(59, 66), (68, 73), (100, 110)]),
+            (3, vec![(38, 59), (67, 68)]),
+            (4, vec![(24, 38), (66, 67), (73, 80)]),
+        ];
+        assert_eq!(balance_slices(uniform, &[1, 2, 3, 4], span_cost), want);
+        // The cluster tier's price with four leaves per cell: cell 1's
+        // density 9 caps at `MAX_SCAN_DENSITY`, cell 4 is mildly warm.
+        let density: std::collections::HashMap<u64, f64> = [(1, 9.0), (4, 0.5)].into();
+        let cost = |start: u64, end: u64| -> f64 {
+            let mut cost = 0.0;
+            let mut s = start;
+            while s < end {
+                let cell = s >> 2;
+                let e = end.min((cell + 1) << 2);
+                let d = density.get(&cell).copied().unwrap_or(0.0);
+                cost += (e - s) as f64 / 4.0 * (1.0 + d.min(MAX_SCAN_DENSITY));
+                s = e;
+            }
+            cost
+        };
+        let hot = vec![(1u64, vec![(0u64, 16u64)]), (2, vec![(16, 24)])];
+        let want = vec![(1, vec![(0, 6)]), (2, vec![(13, 24)]), (3, vec![(6, 13)])];
+        assert_eq!(balance_slices(hot, &[1, 2, 3], cost), want);
     }
 
     #[test]
-    fn balance_respects_weighted_capacity_shares() {
-        // Shard 2 is down-weighted (placement decided it is overloaded):
-        // the balancer must hand it less surplus than the others.
-        let slices = vec![(1u64, vec![(0u64, 100u64)])];
-        let shares = vec![(1u64, 1.0), (2, 0.125), (3, 1.0)];
-        let (balanced, moved) = balance_slices(slices, &shares, span_cost);
-        assert!(moved > 0);
-        let load_of = |id: u64| -> f64 {
-            balanced
-                .iter()
-                .find(|(i, _)| *i == id)
-                .map(|(_, rs)| rs.iter().map(|&(s, e)| span_cost(s, e)).sum())
-                .unwrap_or(0.0)
-        };
-        assert!(
-            load_of(2) < load_of(3) / 2.0,
-            "down-weighted shard got {} vs {}",
-            load_of(2),
-            load_of(3)
-        );
-        let total: f64 = [1, 2, 3].iter().map(|&id| load_of(id)).sum();
-        assert!((total - 100.0).abs() < 1e-9, "work must be conserved");
+    fn balance_leaves_level_or_tiny_scatters_alone() {
+        // Already level: nothing moves.
+        let level = vec![(1u64, vec![(0u64, 10u64)]), (2, vec![(10, 20)])];
+        assert_eq!(balance_slices(level.clone(), &[1, 2], span_cost), level);
+        // A tiny single-owner query is not worth fragmenting.
+        let tiny = vec![(1u64, vec![(0u64, 1u64)])];
+        assert_eq!(balance_slices(tiny.clone(), &[1, 2, 3], span_cost), tiny);
+        // Single-shard fleets trivially keep their slices.
+        let one = vec![(7u64, vec![(0u64, 50u64)])];
+        assert_eq!(balance_slices(one.clone(), &[7], span_cost), one);
     }
 
     #[test]
     fn balance_assigns_surplus_costliest_first() {
-        // Surplus shape [5,1,1,1,1,1] over two idle shards of capacity 5:
-        // the LPT greedy (costliest first) reaches the optimal makespan 5;
-        // cheapest-first fills both shards with the 1s and then has to dump
-        // the indivisible 5-cost piece on top of one of them (makespan 7).
+        // Shard 1 owns a 5-cost leaf and seven 1-cost leaves (12 over
+        // three shards, cap 4.4): it keeps four 1s and sheds [5,1,1,1] to
+        // two idle shards with 4 of headroom each. The LPT greedy
+        // (costliest first) reaches the optimal makespan 5; cheapest-first
+        // spreads the 1s and then has to dump the indivisible 5-cost
+        // piece on top of one of them (makespan 6).
         let cost =
             |s: u64, e: u64| -> f64 { (s..e).map(|l| if l == 100 { 5.0 } else { 1.0 }).sum() };
-        let slices = vec![(
-            1u64,
-            vec![(100u64, 101u64), (0, 1), (1, 2), (2, 3), (3, 4), (4, 5)],
-        )];
-        // Shard 1 is capacity-zero (drained), so every piece becomes
-        // surplus for the two idle shards.
-        let shares = vec![(1u64, 0.0), (2, 1.0), (3, 1.0)];
-        let (balanced, moved) = balance_slices(slices, &shares, cost);
-        assert_eq!(moved, 6, "every piece must move off the drained shard");
+        let mut owned = vec![(100u64, 101u64)];
+        owned.extend((0..7u64).map(|l| (l, l + 1)));
+        let balanced = balance_slices(vec![(1u64, owned)], &[1, 2, 3], cost);
         let max_load: f64 = balanced
             .iter()
             .map(|(_, rs)| rs.iter().map(|&(s, e)| cost(s, e)).sum::<f64>())
@@ -667,7 +639,7 @@ mod tests {
             .flat_map(|(_, rs)| rs.iter())
             .map(|&(s, e)| cost(s, e))
             .sum();
-        assert!((total - 10.0).abs() < 1e-9, "work must be conserved");
+        assert!((total - 12.0).abs() < 1e-9, "work must be conserved");
     }
 
     #[test]
@@ -677,9 +649,7 @@ mod tests {
         let density =
             |s: u64, e: u64| -> f64 { (s..e).map(|leaf| if leaf < 10 { 9.0 } else { 1.0 }).sum() };
         let slices = vec![(1u64, vec![(0u64, 10u64)]), (2, vec![(10, 20)])];
-        let shares = vec![(1u64, 1.0), (2, 1.0), (3, 1.0)];
-        let (balanced, moved) = balance_slices(slices, &shares, density);
-        assert!(moved > 0, "the dense slice must shed");
+        let balanced = balance_slices(slices, &[1, 2, 3], density);
         let hot_kept: f64 = balanced
             .iter()
             .find(|(id, _)| *id == 1)

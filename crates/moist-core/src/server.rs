@@ -154,12 +154,10 @@ pub struct FrontEnd {
     /// Updates since the estimate was last re-seeded from the store.
     estimate_staleness: AtomicU64,
     /// Per-clustering-cell EWMA demand rates (the load-signal layer the
-    /// cluster tier's weighted placement, hot-cell splitting and fan-out
-    /// balancing all consume), plus scatter-slice service counters. Lives
-    /// next to the FLAG machinery: FLAG estimates *density*, this tracks
-    /// *demand*. Behind a small internal lock (EWMA folds need `&mut`)
-    /// so scatter slices of concurrent queries can record cost from
-    /// `&self`.
+    /// cluster tier's hot-cell splitting and fan-out pricing consume).
+    /// Lives next to the FLAG machinery: FLAG estimates *density*, this
+    /// tracks *demand*. Behind a small internal lock (EWMA folds need
+    /// `&mut`) so concurrent queries can record demand from `&self`.
     load: Mutex<LoadTracker>,
 }
 
@@ -429,26 +427,6 @@ impl FrontEnd {
         self.load.lock().rates(now)
     }
 
-    /// Total `(update rate, query rate)` across this server's tracked
-    /// cells at `now`.
-    pub(crate) fn load_totals(&self, now: Timestamp) -> (f64, f64) {
-        self.load.lock().totals(now)
-    }
-
-    /// `(count, virtual µs)` of scattered region slices this server has
-    /// scanned for the cluster tier's fan-out.
-    pub(crate) fn scatter_slice_stats(&self) -> (u64, f64) {
-        self.load.lock().scatter_slice_stats()
-    }
-
-    /// Learned per-clustering-cell scan costs (virtual µs per full-cell
-    /// scan, ascending cell order), measured from the partial scans this
-    /// server executed. The cluster tier merges these across shards at
-    /// rebalance to price fan-out slices.
-    pub(crate) fn cell_scan_costs(&self) -> Vec<(u64, f64)> {
-        self.load.lock().cell_scan_costs()
-    }
-
     /// Current object-count estimate feeding FLAG's initial level guess.
     pub(crate) fn object_estimate(&self) -> u64 {
         self.object_estimate.load(Ordering::Relaxed)
@@ -506,7 +484,12 @@ impl FrontEnd {
         at: Timestamp,
         opts: &NnOptions,
     ) -> Result<(Vec<Neighbor>, NnStats)> {
-        check_finite(&[center.x, center.y])?;
+        // An infinite horizon has no position to rank by, and a NaN range
+        // limit would compare as "no limit".
+        check_finite(&[center.x, center.y, opts.predict_secs])?;
+        if opts.max_distance.is_nan() {
+            return Err(MoistError::Inconsistent("NaN search range limit".into()));
+        }
         let out = nn_query(s, &self.tables, &self.cfg, center, at, opts)?;
         self.stats.nn_queries.fetch_add(1, Ordering::Relaxed);
         let cell = self.cfg.space.cell_at(self.cfg.clustering_level, &center);
@@ -593,31 +576,7 @@ impl FrontEnd {
     ) -> Result<crate::region::RegionPartial> {
         check_finite(&[rect.min_x, rect.min_y, rect.max_x, rect.max_y])?;
         let mut s = self.charged_session();
-        let part = crate::region::region_partial_scan(&mut s, &self.tables, ranges, rect, at)?;
-        let mut load = self.load.lock();
-        load.note_scatter_slice(part.stats.cost_us);
-        // Scan-cost learning: apportion each range's measured cost onto
-        // the clustering cells it overlaps (span-proportional within the
-        // range), so the tier's next rebalance can price fan-out slices
-        // by what scanning these cells actually cost instead of the
-        // span×density prior.
-        let shift = 2 * (self.cfg.space.leaf_level - self.cfg.clustering_level) as u64;
-        let cell_span = (1u64 << shift) as f64;
-        for &((start, end), cost_us) in &part.range_costs {
-            let total = (end - start) as f64;
-            if total <= 0.0 {
-                continue;
-            }
-            let mut lo = start;
-            while lo < end {
-                let cell = lo >> shift;
-                let hi = end.min((cell + 1) << shift);
-                let covered = (hi - lo) as f64;
-                load.note_cell_scan(cell, covered / cell_span, cost_us * covered / total);
-                lo = hi;
-            }
-        }
-        Ok(part)
+        crate::region::region_partial_scan(&mut s, &self.tables, ranges, rect, at)
     }
 
     /// Current position of one object: leaders from their latest record,

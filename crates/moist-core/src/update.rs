@@ -950,7 +950,29 @@ mod tests {
         assert!(rejected(server.region(&world, at, f64::NAN).map(drop)));
         let partial = server.region_partial(&[(0, 4)], &nan_corner, at);
         assert!(rejected(partial.map(drop)));
+        let p = Point::new(500.0, 500.0);
+        for horizon in [f64::INFINITY, f64::NAN] {
+            assert!(rejected(
+                server.nn_predictive(p, 1, at, horizon, 8).map(drop)
+            ));
+        }
+        let nan_range = crate::nn::NnOptions {
+            max_distance: f64::NAN,
+            ..crate::nn::NnOptions::new(1, 8)
+        };
+        assert!(rejected(
+            server.nn_with_options(p, at, &nan_range).map(drop)
+        ));
         assert_eq!(server.meter_hub().op_count(), 0, "rejected before any read");
         assert!(server.region(&world, at, 0.0).is_ok());
+        // A finite horizon past the end of time saturates instead of
+        // overflowing, and the one object is still found. Twice: the
+        // second query closes a load window that opened at the end of time.
+        for _ in 0..2 {
+            let (hits, _) = server
+                .nn_predictive(p, 1, Timestamp(u64::MAX - 10), 1.0, 8)
+                .unwrap();
+            assert_eq!(hits.len(), 1);
+        }
     }
 }

@@ -214,7 +214,7 @@ fn tier_queries_do_not_wait_for_a_pinned_write_guard() {
     assert_eq!(cluster.stats().updates, 256 + 64);
     assert_eq!(cluster.shard_stats()[0], pinned);
     assert_eq!(cluster.shard_elapsed_us().len(), SHARDS);
-    assert_eq!(cluster.cluster_stats(now).shards.len(), SHARDS);
+    assert_eq!(cluster.cluster_stats().shards.len(), SHARDS);
     cluster.age_data(now).unwrap();
 
     release_tx.send(()).unwrap();

@@ -282,7 +282,7 @@ proptest! {
     }
 
     #[test]
-    fn weight_change_remaps_only_toward_or_away_from_the_reweighted_shard(seed in any::<u32>()) {
+    fn weight_change_remaps_only_toward_or_away_from_the_changed_shard(seed in any::<u32>()) {
         let mut rng = TestRng::for_case("weight_change_remap", seed);
         let ids = membership(&mut rng, 8);
         let members: Vec<ShardWeight> = ids
@@ -316,7 +316,7 @@ proptest! {
             }
             let down = owner(key, &lowered);
             if down != before {
-                prop_assert_eq!(before, target, "key {} left an un-reweighted shard", key);
+                prop_assert_eq!(before, target, "key {} left an unchanged shard", key);
                 prop_assert!(down != target);
             }
         }

@@ -301,7 +301,7 @@ fn hot_shard_killed_mid_rebalance_loses_nothing_and_keeps_the_partition() {
 
     // The split/migration bookkeeping is visible from the tier, and the
     // whole map still answers.
-    let cstats = cluster.cluster_stats(Timestamp::from_secs_f64(END_SECS));
+    let cstats = cluster.cluster_stats();
     assert!(
         cstats.split_migrations > 0,
         "rebalance migrations must be counted: {cstats:?}"
@@ -610,7 +610,7 @@ fn replicated_tier_promotes_followers_through_a_shard_kill_without_downtime() {
     // The tier counted the promotions: every key the victim led now has
     // its old rank-1 follower as primary, and the promotion set is a
     // subset of the kill's migrations.
-    let cstats = cluster.cluster_stats(Timestamp::from_secs_f64(END_SECS));
+    let cstats = cluster.cluster_stats();
     assert_eq!(cstats.replicas, 2);
     assert!(
         cstats.promotions > 0,
