@@ -31,7 +31,7 @@ use moist::core::{
 };
 use moist::spatial::{Point, Rect};
 use moist::workload::{ClientPool, UniformSim};
-use moist_bench::{capacity_step, smoke_mode, Figure, Series};
+use moist_bench::{capacity_step, pick, Figure, Series};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -94,18 +94,17 @@ fn single_qps(n: u64, measured_updates: usize) -> f64 {
     updates.len() as f64 / (server.elapsed_us() / 1e6)
 }
 
-fn single(smoke: bool) {
+fn single() {
     let mut fig = Figure::new(
-        if smoke { "fig13a_smoke" } else { "fig13a" },
+        "fig13a",
         "Single-server update QPS vs #indexed objects (ε = 0)",
         "objects",
         "update QPS",
     );
-    let (populations, measured): (&[u64], usize) = if smoke {
-        (&[100_000, 200_000], 10_000)
-    } else {
-        (&[400_000, 600_000, 800_000, 1_000_000], 50_000)
-    };
+    let (populations, measured): (&[u64], usize) = pick(
+        (&[400_000, 600_000, 800_000, 1_000_000], 50_000),
+        (&[100_000, 200_000], 10_000),
+    );
     let mut series = Series::new("update QPS");
     for &n in populations {
         let qps = single_qps(n, measured);
@@ -140,8 +139,13 @@ fn multi(servers: usize, horizon_secs: u64, fig_id: &str, population: u64) {
     println!("loaded {population} objects; driving {servers} shards + {queriers} queriers...");
     let horizon = horizon_secs as usize;
     let updaters_running = AtomicUsize::new(servers);
-    // The shared virtual clock: the tier's makespan, sampled per batch.
-    let tier_sec = |cluster: &MoistCluster| (cluster.max_elapsed_us() / 1e6) as usize;
+    // The shared virtual clock: the tier's makespan (its busiest shard's
+    // elapsed time), sampled per batch.
+    let tier_sec = |cluster: &MoistCluster| {
+        let shards = cluster.cluster_stats().shards;
+        let busiest_us = shards.iter().map(|s| s.elapsed_us).fold(0.0, f64::max);
+        (busiest_us / 1e6) as usize
+    };
     let per_worker: Vec<WorkerBuckets> = ClientPool::run(servers + queriers, |i| {
         if i < servers {
             // Updater: one simulated fleet slice routed through the tier.
@@ -150,8 +154,8 @@ fn multi(servers: usize, horizon_secs: u64, fig_id: &str, population: u64) {
                 .with_velocity_walk(0.5);
             let mut buckets = vec![0.0f64; horizon];
             'outer: loop {
-                // Batch between clock samples: max_elapsed_us takes every
-                // shard lock, far too hot to pay per update.
+                // Batch between clock samples: a stats rollup visits every
+                // shard, far too hot to pay per update.
                 let batch = sim.next_updates(512);
                 let sec = tier_sec(&cluster);
                 if sec >= horizon {
@@ -257,13 +261,7 @@ fn multi(servers: usize, horizon_secs: u64, fig_id: &str, population: u64) {
 }
 
 fn main() {
-    let smoke = smoke_mode();
-    let (population, horizon) = if smoke { (100_000, 5) } else { (1_000_000, 30) };
-    let (id_b, id_c) = if smoke {
-        ("fig13b_smoke", "fig13c_smoke")
-    } else {
-        ("fig13b", "fig13c")
-    };
+    let (population, horizon) = pick((1_000_000, 30), (100_000, 5));
     // The mode is the first non-flag argument, wherever it sits relative
     // to `--smoke` (`fig13 --smoke single` must not fall back to `all`).
     let arg = std::env::args()
@@ -271,13 +269,13 @@ fn main() {
         .find(|a| !a.starts_with("--"))
         .unwrap_or_else(|| "all".into());
     match arg.as_str() {
-        "single" => single(smoke),
-        "multi5" => multi(5, horizon, id_b, population),
-        "multi10" => multi(10, horizon, id_c, population),
+        "single" => single(),
+        "multi5" => multi(5, horizon, "fig13b", population),
+        "multi10" => multi(10, horizon, "fig13c", population),
         _ => {
-            single(smoke);
-            multi(5, horizon, id_b, population);
-            multi(10, horizon, id_c, population);
+            single();
+            multi(5, horizon, "fig13b", population);
+            multi(10, horizon, "fig13c", population);
         }
     }
 }

@@ -22,50 +22,35 @@
 //! `bench_trend --check` gate.
 
 use moist::bigtable::{Bigtable, Timestamp};
-use moist::core::{MoistCluster, MoistConfig, ObjectId, UpdateMessage};
-use moist::spatial::{Point, Rect, Velocity};
-use moist_bench::{anchor_region, smoke_mode, Figure, Series};
+use moist::core::MoistCluster;
+use moist::spatial::Rect;
+use moist_bench::{anchor_region, pick, report, tier_config, Figure, Rng, Series};
 
 struct Scale {
-    shard_counts: Vec<usize>,
+    shard_counts: &'static [usize],
     objects: u64,
-    region_sides: Vec<f64>,
+    region_sides: &'static [f64],
     queries_per_side: usize,
+    /// Required fan-out speedup for the largest region at the largest
+    /// fleet.
+    min_speedup: f64,
 }
 
-impl Scale {
-    fn full() -> Self {
-        Scale {
-            shard_counts: vec![1, 2, 5, 10],
-            objects: 20_000,
-            region_sides: vec![125.0, 250.0, 500.0, 1000.0],
-            queries_per_side: 8,
-        }
-    }
+const FULL: Scale = Scale {
+    shard_counts: &[1, 2, 5, 10],
+    objects: 20_000,
+    region_sides: &[125.0, 250.0, 500.0, 1000.0],
+    queries_per_side: 8,
+    min_speedup: 2.0,
+};
 
-    fn smoke() -> Self {
-        Scale {
-            shard_counts: vec![4],
-            objects: 2_500,
-            region_sides: vec![250.0, 1000.0],
-            queries_per_side: 4,
-        }
-    }
-}
-
-/// Deterministic xorshift scatter in (0, 1000)².
-fn scattered(n: u64) -> Vec<(u64, f64, f64)> {
-    let mut state = 0x853C_49E6_748F_EA9Bu64;
-    let mut next = || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        (state >> 11) as f64 / (1u64 << 53) as f64
-    };
-    (0..n)
-        .map(|i| (i, 2.0 + next() * 996.0, 2.0 + next() * 996.0))
-        .collect()
-}
+const SMOKE: Scale = Scale {
+    shard_counts: &[4],
+    objects: 2_500,
+    region_sides: &[250.0, 1000.0],
+    queries_per_side: 4,
+    min_speedup: 1.2,
+};
 
 /// Probe rectangles of side `side`, centres marching across the map.
 fn probe_rects(side: f64, count: usize) -> Vec<Rect> {
@@ -84,34 +69,18 @@ fn probe_rects(side: f64, count: usize) -> Vec<Rect> {
         .collect()
 }
 
-struct Measured {
-    anchor_qps: f64,
-    fanout_qps: f64,
-    mean_scatter: f64,
-}
-
-fn run_one(shards: usize, side: f64, scale: &Scale) -> Measured {
+/// `(anchor QPS, fan-out QPS, mean slices per query)` over the probe set.
+fn run_one(shards: usize, side: f64, scale: &Scale) -> (f64, f64, f64) {
     let store = Bigtable::new();
-    let cfg = MoistConfig {
-        epsilon: 50.0,
-        delta_m: 2.0,
-        clustering_level: 3, // 64 cells across the shards
-        cluster_interval_secs: 10.0,
-        ..MoistConfig::default()
-    };
-    let cluster = MoistCluster::builder(&store, cfg)
+    let cluster = MoistCluster::builder(&store, tier_config(50.0))
         .shards(shards)
         .build()
         .expect("cluster");
-    for &(i, x, y) in &scattered(scale.objects) {
-        cluster
-            .update(&UpdateMessage {
-                oid: ObjectId(i),
-                loc: Point::new(x, y),
-                vel: Velocity::ZERO,
-                ts: Timestamp::ZERO,
-            })
-            .expect("update");
+    // A deterministic uniform scatter in (0, 1000)².
+    let mut rng = Rng(0x853C_49E6_748F_EA9B);
+    for i in 0..scale.objects {
+        let msg = report(i, rng.in_square(2.0, 996.0), 0.0);
+        cluster.update(&msg).expect("update");
     }
 
     let rects = probe_rects(side, scale.queries_per_side);
@@ -131,23 +100,14 @@ fn run_one(shards: usize, side: f64, scale: &Scale) -> Measured {
         scatter += f_stats.shards_scattered;
     }
     let n = rects.len() as f64;
-    Measured {
-        anchor_qps: 1e6 / (anchor_us / n).max(1e-9),
-        fanout_qps: 1e6 / (fanout_us / n).max(1e-9),
-        mean_scatter: scatter as f64 / n,
-    }
+    let qps = |total_us: f64| 1e6 / (total_us / n).max(1e-9);
+    (qps(anchor_us), qps(fanout_us), scatter as f64 / n)
 }
 
 fn main() {
-    let smoke = smoke_mode();
-    let scale = if smoke { Scale::smoke() } else { Scale::full() };
-    let id = if smoke {
-        "fig15_fanout_smoke"
-    } else {
-        "fig15_fanout"
-    };
+    let scale = pick(&FULL, &SMOKE);
     let mut fig = Figure::new(
-        id,
+        "fig15_fanout",
         "Region-query fan-out: client-visible QPS, anchor routing vs scatter-gather",
         "region side (world units)",
         "queries/s (virtual)",
@@ -157,23 +117,20 @@ fn main() {
         "shards", "side", "anchor q/s", "fanout q/s", "speedup", "slices"
     );
     let mut headline_speedup = 0.0;
-    for &shards in &scale.shard_counts {
+    for &shards in scale.shard_counts {
         let mut anchor_series = Series::new(format!("anchor {shards} shards"));
         let mut fanout_series = Series::new(format!("fanout {shards} shards"));
-        for &side in &scale.region_sides {
-            let m = run_one(shards, side, &scale);
-            let speedup = m.fanout_qps / m.anchor_qps.max(1e-9);
+        for &side in scale.region_sides {
+            let (anchor_qps, fanout_qps, slices) = run_one(shards, side, scale);
+            let speedup = fanout_qps / anchor_qps.max(1e-9);
             println!(
-                "{shards:>7} {side:>10.0} {:>14.1} {:>14.1} {:>8.2}x {:>9.1}",
-                m.anchor_qps, m.fanout_qps, speedup, m.mean_scatter
+                "{shards:>7} {side:>10.0} {anchor_qps:>14.1} {fanout_qps:>14.1} {speedup:>8.2}x {slices:>9.1}"
             );
-            anchor_series.push(side, m.anchor_qps);
-            fanout_series.push(side, m.fanout_qps);
-            let is_headline = shards == *scale.shard_counts.last().unwrap()
-                && side == *scale.region_sides.last().unwrap();
-            if is_headline {
-                headline_speedup = speedup;
-            }
+            anchor_series.push(side, anchor_qps);
+            fanout_series.push(side, fanout_qps);
+            // The last point run is the headline: largest region, largest
+            // fleet.
+            headline_speedup = speedup;
         }
         fig.add(anchor_series);
         fig.add(fanout_series);
@@ -182,8 +139,8 @@ fn main() {
     fig.save().expect("save");
     // The acceptance bar (virtual cost is deterministic, so this is a
     // stable assertion, not a wobbling wall-clock one): the largest
-    // region at the largest fleet must fan out to >= 2x.
-    let bar = if smoke { 1.2 } else { 2.0 };
+    // region at the largest fleet must fan out to >= 2x (1.2x in smoke).
+    let bar = scale.min_speedup;
     assert!(
         headline_speedup >= bar,
         "largest-region fan-out speedup {headline_speedup:.2}x is below the {bar}x bar"

@@ -29,19 +29,22 @@
 //!   as `fig15_fanout`'s bar (slice balancing should *raise* it).
 //!
 //! The full run asserts the acceptance bars at 10 shards: load-aware
-//! beats the baseline on client-visible QPS, cuts utilization skew ≥ 2×,
-//! and keeps the whole-map fan-out speedup ≥ 2×.
+//! beats the baseline on client-visible QPS, cuts utilization skew ≥ 2×
+//! (1.3× in smoke), splits at least one cell, and keeps its whole-map
+//! fan-out cost within 5% of the baseline's.
 
 use moist::bigtable::{Bigtable, Timestamp};
-use moist::core::{MoistCluster, MoistConfig, ObjectId, UpdateMessage};
-use moist::spatial::{Point, Velocity};
-use moist_bench::{anchor_region, smoke_mode, Figure, Rng, Series, STORE_WRITE_CAPACITY_OPS};
+use moist::core::{MoistCluster, UpdateMessage};
+use moist_bench::{
+    anchor_region, pick, report, run_seconds, tier_config, Figure, Rng, Series, Window,
+};
+use std::ops::Range;
 
 /// Virtual seconds between rebalance steps on the load-aware cluster.
 const REBALANCE_EVERY_SECS: u64 = 10;
 
 struct Scale {
-    shard_counts: Vec<usize>,
+    shard_counts: &'static [usize],
     objects: u64,
     warmup_secs: u64,
     measure_secs: u64,
@@ -49,72 +52,48 @@ struct Scale {
     /// Business centers taking 80% of the traffic, each inside one
     /// clustering cell at level 3 (64 cells ⇒ 3 spots ≈ 5% of the map).
     hot_spots: &'static [(f64, f64)],
+    /// Required baseline-over-load-aware utilization-skew cut at the
+    /// largest fleet.
+    min_skew_cut: f64,
 }
 
-impl Scale {
-    fn full() -> Self {
-        Scale {
-            shard_counts: vec![4, 10],
-            objects: 4_000,
-            warmup_secs: 60,
-            measure_secs: 180,
-            updates_per_sec: 400,
-            hot_spots: &[(187.0, 187.0), (687.0, 312.0), (437.0, 812.0)],
-        }
-    }
+const FULL: Scale = Scale {
+    shard_counts: &[4, 10],
+    objects: 4_000,
+    warmup_secs: 60,
+    measure_secs: 180,
+    updates_per_sec: 400,
+    hot_spots: &[(187.0, 187.0), (687.0, 312.0), (437.0, 812.0)],
+    min_skew_cut: 2.0,
+};
 
-    fn smoke() -> Self {
-        Scale {
-            shard_counts: vec![4],
-            objects: 800,
-            warmup_secs: 40,
-            measure_secs: 80,
-            updates_per_sec: 120,
-            // One business center: at 4 shards a 3-spot hot set already
-            // spreads evenly by hash, so the smoke run concentrates the
-            // skew to keep the (cheap) scenario meaningful.
-            hot_spots: &[(187.0, 187.0)],
-        }
-    }
-}
-
-fn config() -> MoistConfig {
-    MoistConfig {
-        epsilon: 50.0,
-        delta_m: 2.0,
-        clustering_level: 3,
-        cluster_interval_secs: 10.0,
-        ..MoistConfig::default()
-    }
-}
+const SMOKE: Scale = Scale {
+    shard_counts: &[4],
+    objects: 800,
+    warmup_secs: 40,
+    measure_secs: 80,
+    updates_per_sec: 120,
+    // One business center: at 4 shards a 3-spot hot set already
+    // spreads evenly by hash, so the smoke run concentrates the
+    // skew to keep the (cheap) scenario meaningful.
+    hot_spots: &[(187.0, 187.0)],
+    min_skew_cut: 1.3,
+};
 
 /// One update of the hot-spot stream: 80% of traffic jitters around the
 /// business centers (object ids partitioned per spot so schools can form
 /// and shed), 20% scatters uniformly.
 fn skewed_update(rng: &mut Rng, scale: &Scale, at_secs: f64) -> UpdateMessage {
-    let objects = scale.objects;
-    let spots = scale.hot_spots;
-    let hot = rng.next() < 0.8;
-    let (oid, x, y) = if hot {
+    let (objects, spots) = (scale.objects, scale.hot_spots);
+    if rng.next() < 0.8 {
         let spot = (rng.next() * spots.len() as f64) as usize % spots.len();
-        let (cx, cy) = spots[spot];
-        // Stay well inside the 125-unit clustering cell.
         let oid_pool = objects * 8 / 10 / spots.len() as u64;
         let oid = spot as u64 * oid_pool + (rng.next() * oid_pool as f64) as u64;
-        (
-            oid,
-            cx + rng.next() * 40.0 - 20.0,
-            cy + rng.next() * 40.0 - 20.0,
-        )
+        // Stay well inside the 125-unit clustering cell.
+        report(oid, rng.near(spots[spot], 20.0), at_secs)
     } else {
         let oid = objects * 8 / 10 + (rng.next() * (objects / 5) as f64) as u64;
-        (oid, 5.0 + rng.next() * 990.0, 5.0 + rng.next() * 990.0)
-    };
-    UpdateMessage {
-        oid: ObjectId(oid),
-        loc: Point::new(x, y),
-        vel: Velocity::ZERO,
-        ts: Timestamp::from_secs_f64(at_secs),
+        report(oid, rng.in_square(5.0, 990.0), at_secs)
     }
 }
 
@@ -126,65 +105,42 @@ struct Measured {
     split_cells: usize,
 }
 
-/// Drives the hot-spot stream against one cluster for `[from, to)`
-/// virtual seconds, ticking clustering (and, when `rebalance` is set,
-/// the load-aware rebalance step) once per second.
-fn drive(
-    cluster: &MoistCluster,
-    rng: &mut Rng,
-    scale: &Scale,
-    from: u64,
-    to: u64,
-    rebalance: bool,
-) {
-    for sec in from..to {
-        for i in 0..scale.updates_per_sec {
-            let at = sec as f64 + i as f64 / scale.updates_per_sec as f64;
-            cluster
-                .update(&skewed_update(rng, scale, at))
-                .expect("update");
-        }
-        let now = Timestamp::from_secs(sec + 1);
-        cluster.run_due_clustering(now).expect("clustering");
-        if rebalance && (sec + 1) % REBALANCE_EVERY_SECS == 0 {
-            cluster.rebalance(now).expect("rebalance drain failed");
-        }
-    }
-}
-
 fn run_one(shards: usize, scale: &Scale, rebalance: bool) -> Measured {
     let store = Bigtable::new();
-    let cfg = config();
+    let cfg = tier_config(50.0);
     let cluster = MoistCluster::builder(&store, cfg)
         .shards(shards)
         .build()
         .expect("cluster");
     let mut rng = Rng(0xC0FF_EE00_D15E_A5E5);
+    let per_sec = scale.updates_per_sec;
+    // The hot-spot stream over `secs`, with the load-aware rebalance step
+    // every `REBALANCE_EVERY_SECS` when `rebalance` is set.
+    let mut run = |secs: Range<u64>| {
+        let ops = |sec: u64| {
+            for i in 0..per_sec {
+                let at = sec as f64 + i as f64 / per_sec as f64;
+                let msg = skewed_update(&mut rng, scale, at);
+                cluster.update(&msg).expect("update");
+            }
+        };
+        run_seconds(&cluster, secs, ops, |end| {
+            if rebalance && end % REBALANCE_EVERY_SECS == 0 {
+                let now = Timestamp::from_secs(end);
+                cluster.rebalance(now).expect("rebalance drain failed");
+            }
+        });
+    };
     // Warm-up: register the population, let schools form and (load-aware
     // only) let the first rebalances converge, then measure from clean
     // clocks.
-    drive(&cluster, &mut rng, scale, 0, scale.warmup_secs, rebalance);
+    let (warmup, end_secs) = (scale.warmup_secs, scale.warmup_secs + scale.measure_secs);
+    run(0..warmup);
     cluster.reset_clocks();
-    let before = cluster.stats();
-    drive(
-        &cluster,
-        &mut rng,
-        scale,
-        scale.warmup_secs,
-        scale.warmup_secs + scale.measure_secs,
-        rebalance,
-    );
-    let after = cluster.stats();
-    let end = Timestamp::from_secs(scale.warmup_secs + scale.measure_secs);
-
-    let updates = after.updates - before.updates;
-    let shed = (after.shed - before.shed) as f64 / updates.max(1) as f64;
-    let busiest_secs = cluster.max_elapsed_us() / 1e6;
-    let store_qps =
-        ((updates as f64 * (1.0 - shed)) / busiest_secs.max(1e-9)).min(STORE_WRITE_CAPACITY_OPS);
-    let client_qps = store_qps / (1.0 - shed).max(0.05);
-    let cstats = cluster.cluster_stats();
-    let skew = cstats.utilization_skew();
+    let w = Window::open(&cluster);
+    run(warmup..end_secs);
+    let w = w.close(&cluster);
+    let end = Timestamp::from_secs(end_secs);
 
     // Whole-map scattered region vs anchor routing on this cluster: the
     // fan-out bar from fig15 must hold (and slice balancing should beat
@@ -194,34 +150,20 @@ fn run_one(shards: usize, scale: &Scale, rebalance: bool) -> Measured {
     let a: Vec<u64> = anchor_hits.iter().map(|n| n.oid.0).collect();
     let f: Vec<u64> = fan_hits.iter().map(|n| n.oid.0).collect();
     assert_eq!(a, f, "fan-out must return the anchor answer");
-    let fanout_speedup = anchor_stats.cost_us / fan_stats.cost_us.max(1e-9);
-    if std::env::var("FIG16_DEBUG").is_ok() {
-        eprintln!(
-            "[debug] rebalance={rebalance} fan={fan_stats:?} anchor={anchor_stats:?} splits={:?} weights={:?}",
-            cluster.split_cells(),
-            cluster.shard_weights()
-        );
-    }
 
     Measured {
-        client_qps,
-        skew,
-        fanout_speedup,
+        client_qps: w.client_qps(true),
+        skew: w.end.utilization_skew(),
+        fanout_speedup: anchor_stats.cost_us / fan_stats.cost_us.max(1e-9),
         fanout_cost_us: fan_stats.cost_us,
-        split_cells: cluster.split_cells().len(),
+        split_cells: w.end.split_cells.len(),
     }
 }
 
 fn main() {
-    let smoke = smoke_mode();
-    let scale = if smoke { Scale::smoke() } else { Scale::full() };
-    let id = if smoke {
-        "fig16_skew_smoke"
-    } else {
-        "fig16_skew"
-    };
+    let scale = pick(&FULL, &SMOKE);
     let mut fig = Figure::new(
-        id,
+        "fig16_skew",
         "Hot-spot skew (80% of updates in ~5% of cells): load-aware vs unweighted placement",
         "shards",
         "updates/s (virtual) / ratio (x)",
@@ -242,9 +184,9 @@ fn main() {
         "splits"
     );
     let mut headline: Option<(Measured, Measured)> = None;
-    for &shards in &scale.shard_counts {
-        let base = run_one(shards, &scale, false);
-        let aware = run_one(shards, &scale, true);
+    for &shards in scale.shard_counts {
+        let base = run_one(shards, scale, false);
+        let aware = run_one(shards, scale, true);
         let skew_cut = base.skew / aware.skew.max(1e-9);
         println!(
             "{shards:>7} {:>14.0} {:>14.0} {:>10.2} {:>10.2} {:>8.2}x {:>7.2}x {:>8}",
@@ -260,9 +202,7 @@ fn main() {
         aware_qps_series.push(shards as f64, aware.client_qps);
         skew_cut_series.push(shards as f64, skew_cut);
         fanout_series.push(shards as f64, aware.fanout_speedup);
-        if shards == *scale.shard_counts.last().unwrap() {
-            headline = Some((base, aware));
-        }
+        headline = Some((base, aware));
     }
     fig.add(base_qps_series);
     fig.add(aware_qps_series);
@@ -274,7 +214,7 @@ fn main() {
     // Acceptance bars at the largest fleet (virtual-time numbers from a
     // single-threaded driver: deterministic, safe to assert on).
     let (base, aware) = headline.expect("at least one shard count");
-    let skew_bar = if smoke { 1.3 } else { 2.0 };
+    let skew_bar = scale.min_skew_cut;
     assert!(
         aware.client_qps >= base.client_qps,
         "load-aware QPS {:.0} must beat the unweighted baseline {:.0}",

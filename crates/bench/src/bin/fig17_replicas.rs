@@ -21,9 +21,9 @@
 //! seeded stores report:
 //!
 //! * **read QPS** — hot-mix NN queries served per busiest-shard virtual
-//!   second (`reads / max_elapsed_us`): the client-visible read ceiling,
-//!   deterministic because the driver is single-threaded and all costs
-//!   are virtual;
+//!   second (timed by a [`Window`]): the client-visible read ceiling,
+//!   free of thread interleaving because the driver is single-threaded
+//!   and all costs are virtual (only clustering compute is wall-charged);
 //! * **k=2 read gain** — that QPS over the k=1 run's on the same store
 //!   seeds: the figure's headline;
 //! * **promotion latency** — at k≥2 the measured run ends with a kill of
@@ -37,60 +37,67 @@
 //! sets overlap only at the shared primary, so reads spread over ≥ 3
 //! shards), promotions cover every key the victim owned, and the
 //! post-kill probe succeeds immediately — zero read downtime.
+//!
+//! **Why k=3 reads slower than k=2 at 10 shards.** The full run reads
+//! k=3 536 vs k=2 1148 reads/s on the 50/50 mix (262 vs 299 on 90/10).
+//! The cause is the per-shard FLAG level cache, not replication. Seeding
+//! leaves each hot cell with ~480 leaders, so a shard that tunes FLAG on
+//! a hot center before the first clustering sweep of that cell (at
+//! virtual second 19) picks level 6–7. The sweep collapses the cell to
+//! 4–12 leaders, and any shard tuning after it picks level 1–2. The
+//! 300 s cache TTL outlives the 130 s run, so an early level is never
+//! re-tuned: an NN at level 7 then scans ~1 400 cells for 8 leaders
+//! (~31 ms virtual), against 1 cell and 25 leaders (~0.2 ms) at level 1.
+//! At k=2 only one of the shards serving the center at (687.5, 312.5)
+//! sees a read before the sweep; at k=3 all three do (the primary and
+//! both followers, tuned at 1–16 s). The three hot-read shards therefore
+//! burn 19.5 s of virtual time at k=2 and 41.7 s at k=3 for the same
+//! 7 485 reads.
 
 use moist::bigtable::{Bigtable, Timestamp};
-use moist::core::{MoistCluster, MoistConfig, ObjectId, UpdateMessage};
-use moist::spatial::{Point, Velocity};
-use moist_bench::{smoke_mode, Figure, Rng, Series};
+use moist::core::MoistCluster;
+use moist::spatial::Point;
+use moist_bench::{pick, report, run_seconds, tier_config, Figure, Rng, Series, Window};
+use std::ops::Range;
 use std::time::Instant;
 
 struct Scale {
-    shard_counts: Vec<usize>,
+    shard_counts: &'static [usize],
     /// Replica factors swept (1 is the single-owner baseline).
-    replica_factors: Vec<usize>,
+    replica_factors: &'static [usize],
     /// Read fraction of the measured operation mix.
-    read_mixes: Vec<f64>,
+    read_mixes: &'static [f64],
     objects: u64,
     warmup_secs: u64,
     measure_secs: u64,
     ops_per_sec: u64,
+    /// Required k=2 over k=1 read-QPS gain on the 90/10 mix at the
+    /// largest fleet.
+    min_gain: f64,
 }
 
-impl Scale {
-    fn full() -> Self {
-        Scale {
-            shard_counts: vec![4, 10],
-            replica_factors: vec![1, 2, 3],
-            read_mixes: vec![0.5, 0.9],
-            objects: 3_000,
-            warmup_secs: 30,
-            measure_secs: 100,
-            ops_per_sec: 150,
-        }
-    }
+const FULL: Scale = Scale {
+    shard_counts: &[4, 10],
+    replica_factors: &[1, 2, 3],
+    read_mixes: &[0.5, 0.9],
+    objects: 3_000,
+    warmup_secs: 30,
+    measure_secs: 100,
+    ops_per_sec: 150,
+    min_gain: 2.0,
+};
 
-    fn smoke() -> Self {
-        Scale {
-            shard_counts: vec![4],
-            replica_factors: vec![1, 2],
-            read_mixes: vec![0.9],
-            objects: 600,
-            warmup_secs: 20,
-            measure_secs: 40,
-            ops_per_sec: 60,
-        }
-    }
-}
-
-fn config() -> MoistConfig {
-    MoistConfig {
-        epsilon: 50.0,
-        delta_m: 2.0,
-        clustering_level: 3,
-        cluster_interval_secs: 10.0,
-        ..MoistConfig::default()
-    }
-}
+// 4 shards leave less room to spread reads than the full run's 10.
+const SMOKE: Scale = Scale {
+    shard_counts: &[4],
+    replica_factors: &[1, 2],
+    read_mixes: &[0.9],
+    objects: 600,
+    warmup_secs: 20,
+    measure_secs: 40,
+    ops_per_sec: 60,
+    min_gain: 1.2,
+};
 
 /// Candidate business-center locations, each at the center of a distinct
 /// level-3 clustering cell (125-unit cells on the 1000² world).
@@ -114,9 +121,9 @@ const CANDIDATE_SPOTS: &[(f64, f64)] = &[
 /// throwaway (empty) cluster. Rendezvous hashing is deterministic, so
 /// the collision reproduces run to run; with 12 candidates a colliding
 /// pair exists at every fleet size we sweep (asserted, not assumed).
-fn colliding_hot_spots(shards: usize) -> ((f64, f64), (f64, f64)) {
+fn colliding_hot_spots(shards: usize) -> [(f64, f64); 2] {
     let store = Bigtable::new();
-    let probe = MoistCluster::builder(&store, config())
+    let probe = MoistCluster::builder(&store, tier_config(50.0))
         .shards(shards)
         .build()
         .expect("probe cluster");
@@ -125,112 +132,78 @@ fn colliding_hot_spots(shards: usize) -> ((f64, f64), (f64, f64)) {
             let pa = probe.shard_for_point(&Point::new(a.0, a.1));
             let pb = probe.shard_for_point(&Point::new(b.0, b.1));
             if pa == pb {
-                return (a, b);
+                return [a, b];
             }
         }
     }
     panic!("no two candidate cells share a primary at {shards} shards");
 }
 
-/// One update of the stream: mostly uniform (the write load spreads over
-/// the fleet, as fig14's mixed workload does), with a slice refreshing
-/// the hot-cell populations so their schools stay live.
-fn next_update(rng: &mut Rng, objects: u64, spots: &[(f64, f64)], at_secs: f64) -> UpdateMessage {
-    let hot = rng.next() < 0.3;
-    let (oid, x, y) = if hot {
-        let spot = usize::from(rng.next() < 0.5);
-        let (cx, cy) = spots[spot];
-        let pool = objects * 3 / 10 / spots.len() as u64;
-        let oid = spot as u64 * pool + (rng.next() * pool as f64) as u64;
-        (
-            oid,
-            cx + rng.next() * 40.0 - 20.0,
-            cy + rng.next() * 40.0 - 20.0,
-        )
-    } else {
-        let pool = objects * 4 / 10;
-        let oid = objects * 6 / 10 + (rng.next() * pool as f64) as u64;
-        (oid, 5.0 + rng.next() * 990.0, 5.0 + rng.next() * 990.0)
-    };
-    UpdateMessage {
-        oid: ObjectId(oid),
-        loc: Point::new(x, y),
-        vel: Velocity::ZERO,
-        ts: Timestamp::from_secs_f64(at_secs),
-    }
+/// One seeded operation stream against one cluster.
+struct Stream<'a> {
+    cluster: &'a MoistCluster,
+    rng: Rng,
+    objects: u64,
+    /// The two colliding business centers.
+    spots: [(f64, f64); 2],
 }
 
-/// One query center of the stream: 90% on the two business centers, the
-/// rest uniform background reads.
-fn next_query_center(rng: &mut Rng, spots: &[(f64, f64)]) -> Point {
-    if rng.next() < 0.9 {
-        let spot = usize::from(rng.next() < 0.5);
-        let (cx, cy) = spots[spot];
-        Point::new(cx + rng.next() * 40.0 - 20.0, cy + rng.next() * 40.0 - 20.0)
-    } else {
-        Point::new(5.0 + rng.next() * 990.0, 5.0 + rng.next() * 990.0)
-    }
-}
-
-/// Registers the population: the hot pools jittered around their
-/// business centers, the rest uniform (NN queries anywhere find
-/// neighbours).
-fn seed(cluster: &MoistCluster, rng: &mut Rng, objects: u64, spots: &[(f64, f64)]) {
-    for oid in 0..objects {
-        let t = oid as f64 / objects as f64;
-        let pool = objects * 3 / 10 / spots.len() as u64;
-        let (x, y) = if oid < pool {
-            let (cx, cy) = spots[0];
-            (cx + rng.next() * 40.0 - 20.0, cy + rng.next() * 40.0 - 20.0)
-        } else if oid < 2 * pool {
-            let (cx, cy) = spots[1];
-            (cx + rng.next() * 40.0 - 20.0, cy + rng.next() * 40.0 - 20.0)
-        } else {
-            (5.0 + rng.next() * 990.0, 5.0 + rng.next() * 990.0)
-        };
-        cluster
-            .update(&UpdateMessage {
-                oid: ObjectId(oid),
-                loc: Point::new(x, y),
-                vel: Velocity::ZERO,
-                ts: Timestamp::from_secs_f64(t),
-            })
-            .expect("seed update");
-    }
-}
-
-/// Drives the read/write mix for `[from, to)` virtual seconds, ticking
-/// clustering once per second. Returns the number of NN reads issued.
-fn drive(
-    cluster: &MoistCluster,
-    rng: &mut Rng,
-    scale: &Scale,
-    spots: &[(f64, f64)],
-    read_mix: f64,
-    from: u64,
-    to: u64,
-) -> u64 {
-    let mut reads = 0u64;
-    for sec in from..to {
-        for i in 0..scale.ops_per_sec {
-            let at = sec as f64 + i as f64 / scale.ops_per_sec as f64;
-            if rng.next() < read_mix {
-                let center = next_query_center(rng, spots);
-                cluster
-                    .nn(center, 8, Timestamp::from_secs_f64(at))
-                    .expect("nn query");
-                reads += 1;
+impl Stream<'_> {
+    /// Registers the population: the hot pools jittered around their
+    /// business centers, the rest uniform (NN queries anywhere find
+    /// neighbours).
+    fn seed(&mut self) {
+        let pool = self.objects * 3 / 10 / 2;
+        for oid in 0..self.objects {
+            let loc = if oid < 2 * pool {
+                self.rng.near(self.spots[(oid / pool) as usize], 20.0)
             } else {
-                cluster
-                    .update(&next_update(rng, scale.objects, spots, at))
-                    .expect("update");
-            }
+                self.rng.in_square(5.0, 990.0)
+            };
+            let at = oid as f64 / self.objects as f64;
+            self.cluster.update(&report(oid, loc, at)).expect("seed");
         }
-        cluster
-            .run_due_clustering(Timestamp::from_secs(sec + 1))
-            .expect("clustering");
     }
-    reads
+
+    /// Drives `ops_per_sec` operations per virtual second over `secs`, a
+    /// `read_mix` share of them NN reads: 90% of reads land on the two
+    /// business centers, the rest anywhere. Writes are mostly uniform
+    /// (the write load spreads over the fleet, as fig14's mixed workload
+    /// does), with a slice refreshing the hot-cell populations so their
+    /// schools stay live. Returns the number of reads issued.
+    fn run(&mut self, secs: Range<u64>, ops_per_sec: u64, read_mix: f64) -> u64 {
+        let (cluster, mut reads) = (self.cluster, 0u64);
+        let ops = |sec: u64| {
+            for i in 0..ops_per_sec {
+                let at = sec as f64 + i as f64 / ops_per_sec as f64;
+                let (rng, objects) = (&mut self.rng, self.objects);
+                if rng.next() < read_mix {
+                    let center = if rng.next() < 0.9 {
+                        let spot = usize::from(rng.next() < 0.5);
+                        rng.near(self.spots[spot], 20.0)
+                    } else {
+                        rng.in_square(5.0, 990.0)
+                    };
+                    let at = Timestamp::from_secs_f64(at);
+                    cluster.nn(center, 8, at).expect("nn query");
+                    reads += 1;
+                    continue;
+                }
+                let (oid, loc) = if rng.next() < 0.3 {
+                    let (pool, spot) = (objects * 3 / 10 / 2, usize::from(rng.next() < 0.5));
+                    let oid = spot as u64 * pool + (rng.next() * pool as f64) as u64;
+                    (oid, rng.near(self.spots[spot], 20.0))
+                } else {
+                    let pool = objects * 4 / 10;
+                    let oid = objects * 6 / 10 + (rng.next() * pool as f64) as u64;
+                    (oid, rng.in_square(5.0, 990.0))
+                };
+                cluster.update(&report(oid, loc, at)).expect("update");
+            }
+        };
+        run_seconds(cluster, secs, ops, |_| {});
+        reads
+    }
 }
 
 struct Measured {
@@ -245,57 +218,40 @@ struct Measured {
 }
 
 fn run_one(shards: usize, replicas: usize, read_mix: f64, scale: &Scale) -> Measured {
-    let spots_pair = colliding_hot_spots(shards);
-    let spots = [spots_pair.0, spots_pair.1];
+    let spots = colliding_hot_spots(shards);
     let store = Bigtable::new();
-    let cluster = MoistCluster::builder(&store, config())
+    let cluster = MoistCluster::builder(&store, tier_config(50.0))
         .shards(shards)
         .replicas(replicas)
         .build()
         .expect("cluster");
-    let mut rng = Rng(0x000F_1617_AB1E);
-    seed(&cluster, &mut rng, scale.objects, &spots);
-    drive(
-        &cluster,
-        &mut rng,
-        scale,
-        &spots,
-        read_mix,
-        1,
-        scale.warmup_secs,
-    );
+    let mut stream = Stream {
+        cluster: &cluster,
+        rng: Rng(0x000F_1617_AB1E),
+        objects: scale.objects,
+        spots,
+    };
+    stream.seed();
+    let (warmup, end_secs) = (scale.warmup_secs, scale.warmup_secs + scale.measure_secs);
+    stream.run(1..warmup, scale.ops_per_sec, read_mix);
     cluster.reset_clocks();
-    let before = cluster.cluster_stats();
-    let reads = drive(
-        &cluster,
-        &mut rng,
-        scale,
-        &spots,
-        read_mix,
-        scale.warmup_secs,
-        scale.warmup_secs + scale.measure_secs,
-    );
-    let end_secs = scale.warmup_secs + scale.measure_secs;
-    let after = cluster.cluster_stats();
-    let busiest_secs = cluster.max_elapsed_us() / 1e6;
-    let read_qps = reads as f64 / busiest_secs.max(1e-9);
-    let replica_read_share = (after.replica_reads - before.replica_reads) as f64 / reads as f64;
+    let w = Window::open(&cluster);
+    let reads = stream.run(warmup..end_secs, scale.ops_per_sec, read_mix);
+    let w = w.close(&cluster);
+    let read_qps = w.rate(reads);
+    let replica_read_share = (w.end.replica_reads - w.start.replica_reads) as f64 / reads as f64;
 
     // Kill the hot primary and time the handover: at k≥2 its keys'
     // rank-1 followers adopt at preserved deadlines, and the very next
     // read on a hot cell must be served — zero downtime.
     let (promoted_keys, kill_to_read_us) = if replicas >= 2 {
-        let victim_pos = cluster.shard_for_point(&Point::new(spots[0].0, spots[0].1));
-        let victim_id = cluster.shard_ids()[victim_pos];
-        let promos_before = after.promotions;
+        let hot = Point::new(spots[0].0, spots[0].1);
+        let victim_id = cluster.shard_ids()[cluster.shard_for_point(&hot)];
+        let promos_before = w.end.promotions;
         let t0 = Instant::now();
         cluster.remove_shard(victim_id).expect("remove hot primary");
         let (hits, _) = cluster
-            .nn(
-                Point::new(spots[0].0, spots[0].1),
-                8,
-                Timestamp::from_secs(end_secs),
-            )
+            .nn(hot, 8, Timestamp::from_secs(end_secs))
             .expect("post-kill NN must be served");
         let us = t0.elapsed().as_secs_f64() * 1e6;
         assert!(
@@ -327,23 +283,17 @@ fn mix_label(read_mix: f64) -> String {
 }
 
 fn main() {
-    let smoke = smoke_mode();
-    let scale = if smoke { Scale::smoke() } else { Scale::full() };
-    let id = if smoke {
-        "fig17_replicas_smoke"
-    } else {
-        "fig17_replicas"
-    };
+    let scale = pick(&FULL, &SMOKE);
     let mut fig = Figure::new(
-        id,
+        "fig17_replicas",
         "Replicated ownership: hot-cell read QPS by replica factor, promotion latency on primary kill",
         "shards",
         "reads/s (virtual) / ratio (x) / us",
     );
     let mut qps_series: Vec<Series> = Vec::new();
     let mut gain_series: Vec<Series> = Vec::new();
-    for &mix in &scale.read_mixes {
-        for &k in &scale.replica_factors {
+    for &mix in scale.read_mixes {
+        for &k in scale.replica_factors {
             qps_series.push(Series::new(format!("read QPS k={k} {}", mix_label(mix))));
         }
         gain_series.push(Series::new(format!("k=2 read gain {} (x)", mix_label(mix))));
@@ -357,12 +307,12 @@ fn main() {
     // The acceptance pair: k=1 and k=2 read QPS on the 90/10 mix at the
     // largest fleet.
     let mut headline: Option<(f64, f64)> = None;
-    for &shards in &scale.shard_counts {
+    for &shards in scale.shard_counts {
         let mut col = 0usize;
         for (mi, &mix) in scale.read_mixes.iter().enumerate() {
             let mut baseline_qps = 0.0f64;
-            for &k in &scale.replica_factors {
-                let m = run_one(shards, k, mix, &scale);
+            for &k in scale.replica_factors {
+                let m = run_one(shards, k, mix, scale);
                 println!(
                     "{shards:>7} {:>6} {k:>4} {:>12.0} {:>10.3} {:>9} {:>11.0}us",
                     mix_label(mix),
@@ -382,18 +332,15 @@ fn main() {
                     if mix >= 0.89 {
                         promo_series.push(shards as f64, m.promoted_keys as f64);
                         latency_series.push(shards as f64, m.kill_to_read_us);
-                        if shards == *scale.shard_counts.last().unwrap() {
-                            headline = Some((baseline_qps, m.read_qps));
-                        }
+                        // Shards are the outer loop: the last one set is
+                        // the largest fleet's.
+                        headline = Some((baseline_qps, m.read_qps));
                     }
                 }
             }
         }
     }
-    for s in qps_series {
-        fig.add(s);
-    }
-    for s in gain_series {
+    for s in qps_series.into_iter().chain(gain_series) {
         fig.add(s);
     }
     fig.add(promo_series);
@@ -402,11 +349,10 @@ fn main() {
     fig.save().expect("save");
 
     // Acceptance bar (virtual-time numbers from a single-threaded
-    // driver: deterministic, safe to assert on). Smoke keeps a loose bar
-    // — 4 shards leave less room to spread than the full run's 10.
+    // driver, safe to assert on).
     let (base, replicated) = headline.expect("90/10 mix at the largest fleet ran");
     let gain = replicated / base.max(1e-9);
-    let bar = if smoke { 1.2 } else { 2.0 };
+    let bar = scale.min_gain;
     assert!(
         gain >= bar,
         "k=2 read QPS gain {gain:.2}x is below the {bar}x bar ({base:.0} -> {replicated:.0} reads/s)"

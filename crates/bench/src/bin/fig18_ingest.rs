@@ -27,133 +27,81 @@
 //! the per-op cap would erase exactly the effect under measurement. The
 //! baseline is derived uncapped too, so the comparison stays apples to
 //! apples. Client-visible QPS divides by the *school* shed ratio only —
-//! overload sheds and backpressure are separate [`IngestStats`] counters
+//! overload sheds and backpressure are separate [`IngestStats`](moist::core::IngestStats) counters
 //! (none fire at these queue depths; asserted below) and never inflate
 //! the client-visible rate.
 
 use moist::bigtable::Bigtable;
-use moist::core::{IngestConfig, IngestStats, MoistCluster, MoistConfig};
-use moist::workload::{RoadMap, RoadMapConfig, RoadNetSim, SimConfig};
-use moist_bench::{drive, smoke_mode, stats_delta, Figure, Series};
-use std::sync::Mutex;
+use moist::core::{IngestConfig, MoistCluster};
+use moist_bench::{drive, pick, road_clients, tier_config, Figure, Series, Window, WindowStats};
 
 struct Scale {
-    shard_counts: Vec<usize>,
+    shard_counts: &'static [usize],
     clients: usize,
     agents_per_client: u64,
     warmup_secs: f64,
     measure_secs: f64,
+    /// The pipelined tier's batch size in the scale-out sweep.
+    batch_size: usize,
     /// `(batch_size, in_flight)` points for the latency/throughput sweep,
     /// run at the largest shard count.
-    sweep: Vec<(usize, usize)>,
+    sweep: &'static [(usize, usize)],
     /// Required pipelined-over-baseline client-QPS ratio at the largest
     /// shard count.
     min_speedup: f64,
 }
 
-impl Scale {
-    fn full() -> Self {
-        Scale {
-            shard_counts: vec![1, 2, 4, 5, 10],
-            clients: 4,
-            agents_per_client: 1200,
-            warmup_secs: 60.0,
-            measure_secs: 240.0,
-            sweep: vec![(16, 2), (16, 8), (64, 2), (64, 8), (256, 2), (256, 8)],
-            min_speedup: 2.0,
-        }
-    }
+const FULL: Scale = Scale {
+    shard_counts: &[1, 2, 4, 5, 10],
+    clients: 4,
+    agents_per_client: 1200,
+    warmup_secs: 60.0,
+    measure_secs: 240.0,
+    batch_size: 64,
+    sweep: &[(16, 2), (16, 8), (64, 2), (64, 8), (256, 2), (256, 8)],
+    min_speedup: 2.0,
+};
 
-    fn smoke() -> Self {
-        Scale {
-            shard_counts: vec![1, 2, 4],
-            clients: 2,
-            agents_per_client: 300,
-            warmup_secs: 30.0,
-            measure_secs: 60.0,
-            sweep: vec![(8, 2), (8, 4), (32, 2), (32, 4)],
-            min_speedup: 1.2,
-        }
-    }
+const SMOKE: Scale = Scale {
+    shard_counts: &[1, 2, 4],
+    clients: 2,
+    agents_per_client: 300,
+    warmup_secs: 30.0,
+    measure_secs: 60.0,
+    batch_size: 32,
+    sweep: &[(8, 2), (8, 4), (32, 2), (32, 4)],
+    min_speedup: 1.2,
+};
+
+/// Mean virtual µs of shard apply time charged per update (the clocks
+/// were reset when the window opened).
+fn apply_us(w: &WindowStats) -> f64 {
+    let total_us: f64 = w.end.shards.iter().map(|s| s.elapsed_us).sum();
+    total_us / w.ops.updates.max(1) as f64
 }
 
-/// Ingest counter deltas over the measurement window (`queued` is a live
-/// gauge, not a counter; both snapshots are taken after a drain so it is
-/// zero on each side).
-fn ingest_delta(after: &IngestStats, before: &IngestStats) -> IngestStats {
-    IngestStats {
-        submitted: after.submitted - before.submitted,
-        enqueued: after.enqueued - before.enqueued,
-        backpressure: after.backpressure - before.backpressure,
-        overload_shed: after.overload_shed - before.overload_shed,
-        batches: after.batches - before.batches,
-        flushed_updates: after.flushed_updates - before.flushed_updates,
-        size_flushes: after.size_flushes - before.size_flushes,
-        deadline_flushes: after.deadline_flushes - before.deadline_flushes,
-        drain_flushes: after.drain_flushes - before.drain_flushes,
-        max_batch: after.max_batch,
-        queue_wait_us: after.queue_wait_us - before.queue_wait_us,
-        queued: after.queued,
-    }
-}
-
-struct Measured {
-    store_qps: f64,
-    client_qps: f64,
-    shed: f64,
-    /// Mean virtual µs an update sat buffered before its batch flushed
-    /// (zero for the synchronous tier).
-    queue_wait_us: f64,
-    /// Mean virtual µs of shard apply time charged per update.
-    apply_us: f64,
-    avg_batch: f64,
-    /// Typed-backpressure rejections the submitters retried through.
-    backpressure: u64,
-}
-
-fn run_one(shards: usize, scale: &Scale, ingest: Option<IngestConfig>) -> Measured {
+/// One measured run. Its QPS is deliberately uncapped — see the module
+/// doc. The shed ratio is the *school* ratio only; overload sheds live in
+/// `ingest.overload_shed` and are excluded by construction.
+fn run_one(shards: usize, scale: &Scale, ingest: Option<IngestConfig>) -> WindowStats {
     let store = Bigtable::new();
-    let cfg = MoistConfig {
-        epsilon: 50.0,
-        delta_m: 2.0,
-        clustering_level: 3,
-        cluster_interval_secs: 10.0,
-        ..MoistConfig::default()
-    };
     let pipelined = ingest.is_some();
-    let mut builder = MoistCluster::builder(&store, cfg).shards(shards);
+    let mut builder = MoistCluster::builder(&store, tier_config(50.0)).shards(shards);
     if let Some(icfg) = ingest {
         builder = builder.ingest(icfg);
     }
     let cluster = builder.build().expect("cluster");
-    let sims: Vec<Mutex<RoadNetSim>> = (0..scale.clients)
-        .map(|i| {
-            Mutex::new(RoadNetSim::new(
-                RoadMap::new(RoadMapConfig::default()),
-                SimConfig {
-                    agents: scale.agents_per_client,
-                    seed: 4000 + i as u64,
-                    ..SimConfig::default()
-                },
-            ))
-        })
-        .collect();
+    let sims = road_clients(scale.clients, scale.agents_per_client, 4000);
     // Warm-up: register everyone and let schools form, then measure from a
     // clean clock and clean (drained) queues.
     drive(&cluster, &sims, scale.warmup_secs, 5.0, pipelined);
     cluster.reset_clocks();
-    let before = cluster.stats();
-    let ingest_before = cluster.ingest_stats();
-    drive(
-        &cluster,
-        &sims,
-        scale.warmup_secs + scale.measure_secs,
-        5.0,
-        pipelined,
-    );
-    let d = stats_delta(&cluster.stats(), &before);
+    let w = Window::open(&cluster);
+    let until = scale.warmup_secs + scale.measure_secs;
+    drive(&cluster, &sims, until, 5.0, pipelined);
+    let w = w.close(&cluster);
+    let (d, di) = (w.ops, w.ingest);
     assert!(d.balanced(), "outcome counters must sum: {d:?}");
-    let di = ingest_delta(&cluster.ingest_stats(), &ingest_before);
     if pipelined {
         assert_eq!(di.queued, 0, "measurement must end drained");
         assert_eq!(
@@ -166,48 +114,24 @@ fn run_one(shards: usize, scale: &Scale, ingest: Option<IngestConfig>) -> Measur
     // (school sheds in `ops`, queue losses in `refused()`) must equal the
     // independently read counters, or a client-QPS derivation somewhere
     // is lying about lost updates.
-    let cs = cluster.cluster_stats();
     let ingest_all = cluster.ingest_stats();
     assert_eq!(
-        cs.ops.shed + cs.refused(),
+        w.end.ops.shed + w.end.refused(),
         cluster.stats().shed + ingest_all.backpressure + ingest_all.overload_shed,
         "ClusterStats must fold every load-loss signal"
     );
-
-    let busiest_secs = cluster.max_elapsed_us() / 1e6;
-    let non_shed = (d.updates - d.shed) as f64;
-    // Deliberately uncapped — see the module doc. The shed ratio is the
-    // *school* ratio only; overload sheds live in `di.overload_shed` and
-    // are excluded by construction.
-    let store_qps = non_shed / busiest_secs.max(1e-9);
-    let shed = d.shed as f64 / d.updates.max(1) as f64;
-    let client_qps = store_qps / (1.0 - shed).max(0.05);
-    Measured {
-        store_qps,
-        client_qps,
-        shed,
-        queue_wait_us: di.avg_queue_wait_us(),
-        apply_us: cluster.total_elapsed_us() / (d.updates.max(1)) as f64,
-        avg_batch: di.avg_batch(),
-        backpressure: di.backpressure,
-    }
+    w
 }
 
 fn main() {
-    let smoke = smoke_mode();
-    let scale = if smoke { Scale::smoke() } else { Scale::full() };
-    let id = if smoke {
-        "fig18_ingest_smoke"
-    } else {
-        "fig18_ingest"
-    };
+    let scale = pick(&FULL, &SMOKE);
     let pipe_cfg = IngestConfig {
-        batch_size: if smoke { 32 } else { 64 },
+        batch_size: scale.batch_size,
         ..IngestConfig::default()
     };
 
     let mut fig = Figure::new(
-        id,
+        "fig18_ingest",
         "Pipelined ingestion: client-visible QPS vs shards, and batch-size/in-flight latency trade (road network)",
         "shards (scale-out series) / batch size (sweep series)",
         "updates/s (QPS series) / virtual us (latency series)",
@@ -220,23 +144,20 @@ fn main() {
         "shards", "base st/s", "pipe st/s", "base q/s", "pipe q/s", "ratio", "wait us", "batch"
     );
     let mut last_ratio = 0.0;
-    for &n in &scale.shard_counts {
-        let base = run_one(n, &scale, None);
-        let pipe = run_one(n, &scale, Some(pipe_cfg));
-        last_ratio = pipe.client_qps / base.client_qps.max(1e-9);
+    for &n in scale.shard_counts {
+        let base = run_one(n, scale, None);
+        let pipe = run_one(n, scale, Some(pipe_cfg));
+        let (base_qps, pipe_qps) = (base.client_qps(false), pipe.client_qps(false));
+        last_ratio = pipe_qps / base_qps.max(1e-9);
         println!(
-            "{n:>6}  {:>10.0}  {:>10.0}  {:>10.0}  {:>10.0}  {:>6.2}x  {:>9.1}  {:>9.1}",
-            base.store_qps,
-            pipe.store_qps,
-            base.client_qps,
-            pipe.client_qps,
-            last_ratio,
-            pipe.queue_wait_us,
-            pipe.avg_batch
+            "{n:>6}  {:>10.0}  {:>10.0}  {base_qps:>10.0}  {pipe_qps:>10.0}  {last_ratio:>6.2}x  {:>9.1}  {:>9.1}",
+            base.store_qps(false),
+            pipe.store_qps(false),
+            pipe.ingest.avg_queue_wait_us(),
+            pipe.ingest.avg_batch()
         );
-        debug_assert!(base.shed <= 1.0 && pipe.shed <= 1.0);
-        base_series.push(n as f64, base.client_qps);
-        pipe_series.push(n as f64, pipe.client_qps);
+        base_series.push(n as f64, base_qps);
+        pipe_series.push(n as f64, pipe_qps);
     }
     fig.add(base_series);
     fig.add(pipe_series);
@@ -250,53 +171,44 @@ fn main() {
         "{:>6}  {:>9}  {:>10}  {:>9}  {:>9}  {:>6}",
         "batch", "in-flight", "pipe q/s", "wait us", "apply us", "bp"
     );
-    let mut sweep_qps: Vec<(usize, Series)> = Vec::new();
-    let mut sweep_lat: Vec<(usize, Series)> = Vec::new();
-    for &(batch, in_flight) in &scale.sweep {
+    // `(batch, in-flight, client QPS, latency us)` per sweep point.
+    let mut runs: Vec<(f64, usize, f64, f64)> = Vec::new();
+    for &(batch, in_flight) in scale.sweep {
         let m = run_one(
             max_shards,
-            &scale,
+            scale,
             Some(IngestConfig {
                 batch_size: batch,
                 queue_cap: batch * in_flight,
                 ..IngestConfig::default()
             }),
         );
-        println!(
-            "{batch:>6}  {in_flight:>9}  {:>10.0}  {:>9.1}  {:>9.1}  {:>6}",
-            m.client_qps, m.queue_wait_us, m.apply_us, m.backpressure
+        let (qps, wait, apply) = (
+            m.client_qps(false),
+            m.ingest.avg_queue_wait_us(),
+            apply_us(&m),
         );
-        let qps = match sweep_qps.iter_mut().find(|(k, _)| *k == in_flight) {
-            Some((_, s)) => s,
-            None => {
-                sweep_qps.push((
-                    in_flight,
-                    Series::new(format!("sweep client QPS (in-flight {in_flight})")),
-                ));
-                &mut sweep_qps.last_mut().expect("just pushed").1
-            }
-        };
-        qps.push(batch as f64, m.client_qps);
-        let lat = match sweep_lat.iter_mut().find(|(k, _)| *k == in_flight) {
-            Some((_, s)) => s,
-            None => {
-                // `(noisy)` opts the series out of the CI drop gate:
-                // latency is lower-is-better, so a batching *improvement*
-                // would read as a >15% "drop" and fail the job.
-                sweep_lat.push((
-                    in_flight,
-                    Series::new(format!("sweep latency us (in-flight {in_flight}) (noisy)")),
-                ));
-                &mut sweep_lat.last_mut().expect("just pushed").1
-            }
-        };
-        lat.push(batch as f64, m.queue_wait_us + m.apply_us);
+        let bp = m.ingest.backpressure;
+        println!("{batch:>6}  {in_flight:>9}  {qps:>10.0}  {wait:>9.1}  {apply:>9.1}  {bp:>6}");
+        runs.push((batch as f64, in_flight, qps, wait + apply));
     }
-    for (_, s) in sweep_qps {
-        fig.add(s);
+    let mut in_flights: Vec<usize> = scale.sweep.iter().map(|&(_, f)| f).collect();
+    in_flights.sort_unstable();
+    in_flights.dedup();
+    let points = |f: usize, y: fn(&(f64, usize, f64, f64)) -> f64| {
+        let at_f = runs.iter().filter(|r| r.1 == f);
+        at_f.map(|r| (r.0, y(r))).collect()
+    };
+    for &f in &in_flights {
+        let label = format!("sweep client QPS (in-flight {f})");
+        fig.add(Series::from_points(label, points(f, |r| r.2)));
     }
-    for (_, s) in sweep_lat {
-        fig.add(s);
+    // `(noisy)` opts the latency series out of the CI drop gate: latency
+    // is lower-is-better, so a batching *improvement* would read as a
+    // >15% "drop" and fail the job.
+    for &f in &in_flights {
+        let label = format!("sweep latency us (in-flight {f}) (noisy)");
+        fig.add(Series::from_points(label, points(f, |r| r.3)));
     }
     fig.print();
     fig.save().expect("save");

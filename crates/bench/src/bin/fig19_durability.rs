@@ -30,11 +30,9 @@
 //! "drop" and fail the job.
 
 use moist::bigtable::{Bigtable, CostProfile, Durability, StoreConfig};
-use moist::core::{MoistCluster, MoistConfig};
-use moist::workload::{RoadMap, RoadMapConfig, RoadNetSim, SimConfig};
-use moist_bench::{drive, smoke_mode, Figure, Series};
+use moist::core::MoistCluster;
+use moist_bench::{drive, pick, road_clients, tier_config, Figure, Series, Window};
 use std::path::PathBuf;
-use std::sync::Mutex;
 
 struct Scale {
     shards: usize,
@@ -42,84 +40,52 @@ struct Scale {
     agents_per_client: u64,
     warmup_secs: f64,
     measure_secs: f64,
+    /// fsync=1 must keep more than `1 / fsync1_floor_div` of the
+    /// in-memory QPS.
+    fsync1_floor_div: f64,
 }
 
-impl Scale {
-    fn full() -> Self {
-        Scale {
-            shards: 4,
-            clients: 2,
-            agents_per_client: 800,
-            warmup_secs: 30.0,
-            measure_secs: 120.0,
-        }
+const FULL: Scale = Scale {
+    shards: 4,
+    clients: 2,
+    agents_per_client: 800,
+    warmup_secs: 30.0,
+    measure_secs: 120.0,
+    fsync1_floor_div: 3.0,
+};
+
+const SMOKE: Scale = Scale {
+    shards: 2,
+    clients: 2,
+    agents_per_client: 200,
+    warmup_secs: 10.0,
+    measure_secs: 30.0,
+    fsync1_floor_div: 4.0,
+};
+
+/// The durability settings under test: `None` is the in-memory
+/// baseline, `Some(n)` is `Durability::Wal { fsync_every: n }`.
+const SETTINGS: &[Option<u64>] = &[None, Some(1), Some(8), Some(64), Some(0)];
+
+fn label(setting: Option<u64>) -> String {
+    match setting {
+        None => "none".into(),
+        Some(0) => "wal nofsync".into(),
+        Some(n) => format!("wal fsync={n}"),
     }
-
-    fn smoke() -> Self {
-        Scale {
-            shards: 2,
-            clients: 2,
-            agents_per_client: 200,
-            warmup_secs: 10.0,
-            measure_secs: 30.0,
-        }
-    }
 }
 
-fn tier_config() -> MoistConfig {
-    MoistConfig {
-        epsilon: 50.0,
-        delta_m: 2.0,
-        clustering_level: 3,
-        cluster_interval_secs: 10.0,
-        ..MoistConfig::default()
-    }
+fn wal_dir(fsync_every: u64) -> PathBuf {
+    let pid = std::process::id();
+    std::env::temp_dir().join(format!("moist_fig19_{pid}_fsync_{fsync_every}"))
 }
 
-/// One durability setting under test: `None` is the in-memory baseline,
-/// `Some(n)` is `Durability::Wal { fsync_every: n }`.
-struct Setting {
-    label: &'static str,
-    fsync_every: Option<u64>,
-}
-
-const SETTINGS: &[Setting] = &[
-    Setting {
-        label: "none",
-        fsync_every: None,
-    },
-    Setting {
-        label: "wal fsync=1",
-        fsync_every: Some(1),
-    },
-    Setting {
-        label: "wal fsync=8",
-        fsync_every: Some(8),
-    },
-    Setting {
-        label: "wal fsync=64",
-        fsync_every: Some(64),
-    },
-    Setting {
-        label: "wal nofsync",
-        fsync_every: Some(0),
-    },
-];
-
-fn wal_dir(label: &str) -> PathBuf {
-    let slug: String = label
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect();
-    std::env::temp_dir().join(format!("moist_fig19_{}_{slug}", std::process::id()))
-}
-
-fn store_config(setting: &Setting, dir: &std::path::Path) -> StoreConfig {
-    let durability = match setting.fsync_every {
+fn store_config(setting: Option<u64>) -> StoreConfig {
+    let durability = match setting {
         None => Durability::None,
-        Some(every) => Durability::Wal {
-            dir: dir.to_path_buf(),
-            fsync_every: every,
+        Some(fsync_every) => Durability::Wal {
+            dir: wal_dir(fsync_every),
+            fsync_every,
         },
     };
     StoreConfig {
@@ -138,46 +104,29 @@ struct Measured {
     replayed_records: u64,
 }
 
-fn run_one(setting: &Setting, scale: &Scale) -> Measured {
-    let dir = wal_dir(setting.label);
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = Bigtable::with_config(store_config(setting, &dir));
-    let cluster = MoistCluster::builder(&store, tier_config())
+fn run_one(setting: Option<u64>, scale: &Scale) -> Measured {
+    if let Some(every) = setting {
+        let _ = std::fs::remove_dir_all(wal_dir(every));
+    }
+    let store = Bigtable::with_config(store_config(setting));
+    let cluster = MoistCluster::builder(&store, tier_config(50.0))
         .shards(scale.shards)
         .build()
         .expect("cluster");
-    let sims: Vec<Mutex<RoadNetSim>> = (0..scale.clients)
-        .map(|i| {
-            Mutex::new(RoadNetSim::new(
-                RoadMap::new(RoadMapConfig::default()),
-                SimConfig {
-                    agents: scale.agents_per_client,
-                    seed: 9000 + i as u64,
-                    ..SimConfig::default()
-                },
-            ))
-        })
-        .collect();
+    let sims = road_clients(scale.clients, scale.agents_per_client, 9000);
     drive(&cluster, &sims, scale.warmup_secs, 5.0, false);
     cluster.reset_clocks();
-    let before = cluster.stats();
+    let w = Window::open(&cluster);
     let m_before = store.metrics_snapshot();
-    drive(
-        &cluster,
-        &sims,
-        scale.warmup_secs + scale.measure_secs,
-        5.0,
-        false,
-    );
-    let updates = cluster.stats().updates - before.updates;
-    let shed = cluster.stats().shed - before.shed;
-    assert!(updates > 0, "workload produced no updates");
+    let until = scale.warmup_secs + scale.measure_secs;
+    drive(&cluster, &sims, until, 5.0, false);
+    let w = w.close(&cluster);
+    assert!(w.ops.updates > 0, "workload produced no updates");
     let m = store.metrics_snapshot().delta(&m_before);
-    let busiest_secs = cluster.max_elapsed_us() / 1e6;
-    let store_qps = (updates - shed) as f64 / busiest_secs.max(1e-9);
+    let store_qps = w.store_qps(false);
     let write_amp = m.wal_bytes as f64 / m.bytes_written.max(1) as f64;
 
-    if setting.fsync_every.is_none() {
+    let Some(every) = setting else {
         assert_eq!(m.wal_appends, 0, "Durability::None must never touch a WAL");
         return Measured {
             store_qps,
@@ -185,53 +134,44 @@ fn run_one(setting: &Setting, scale: &Scale) -> Measured {
             recovery_ms: 0.0,
             replayed_records: 0,
         };
-    }
+    };
     assert!(m.wal_appends > 0 && m.wal_bytes > 0);
 
     // Crash: drop the tier and the store mid-flight, then come back.
     drop(cluster);
     drop(store);
-    let profile = CostProfile::default();
-    let (_store, recovered, report) = MoistCluster::builder(&Bigtable::new(), tier_config())
-        .shards(scale.shards)
-        .recover(store_config(setting, &dir))
-        .expect("recover");
+    let recover = || {
+        let builder = MoistCluster::builder(&Bigtable::new(), tier_config(50.0));
+        builder.shards(scale.shards).recover(store_config(setting))
+    };
+    let (_store, recovered, report) = recover().expect("recover");
     assert!(report.tables >= 3, "MOIST tables must recover: {report:?}");
     assert!(report.replayed_records > 0, "crash must leave a log tail");
-    let recovery_ms = profile.replay_us(report.replayed_records, report.replayed_bytes) / 1e3;
+    let replay_us =
+        CostProfile::default().replay_us(report.replayed_records, report.replayed_bytes);
 
     // Checkpoint the recovered tier; a second recovery must be pure
     // snapshot load — zero records replayed.
     recovered.checkpoint().expect("checkpoint");
     drop(recovered);
-    let (_store2, _again, report2) = MoistCluster::builder(&Bigtable::new(), tier_config())
-        .shards(scale.shards)
-        .recover(store_config(setting, &dir))
-        .expect("re-recover");
+    let (_store2, _again, report2) = recover().expect("re-recover");
     assert_eq!(
         report2.replayed_records, 0,
         "checkpoint must truncate the logs: {report2:?}"
     );
-    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(wal_dir(every));
     Measured {
         store_qps,
         write_amp,
-        recovery_ms,
+        recovery_ms: replay_us / 1e3,
         replayed_records: report.replayed_records,
     }
 }
 
 fn main() {
-    let smoke = smoke_mode();
-    let scale = if smoke { Scale::smoke() } else { Scale::full() };
-    let id = if smoke {
-        "fig19_durability_smoke"
-    } else {
-        "fig19_durability"
-    };
-
+    let scale = pick(&FULL, &SMOKE);
     let mut fig = Figure::new(
-        id,
+        "fig19_durability",
         "Durability tax and recovery: update QPS by fsync cadence, WAL write amplification, and modelled crash-replay cost (road network)",
         "setting index (0 = none, then wal fsync=1/8/64/none)",
         "updates/s (QPS series) / ratio (amplification) / virtual ms (recovery)",
@@ -245,14 +185,18 @@ fn main() {
         "setting", "store q/s", "wal amp", "replayed", "recover ms"
     );
     let mut measured = Vec::new();
-    for (idx, setting) in SETTINGS.iter().enumerate() {
-        let m = run_one(setting, &scale);
+    for (idx, &setting) in SETTINGS.iter().enumerate() {
+        let m = run_one(setting, scale);
         println!(
             "{:>12}  {:>10.0}  {:>8.2}  {:>12}  {:>10.2}",
-            setting.label, m.store_qps, m.write_amp, m.replayed_records, m.recovery_ms
+            label(setting),
+            m.store_qps,
+            m.write_amp,
+            m.replayed_records,
+            m.recovery_ms
         );
         qps_series.push(idx as f64, m.store_qps);
-        if setting.fsync_every.is_some() {
+        if setting.is_some() {
             amp_series.push(idx as f64, m.write_amp);
             rec_series.push(idx as f64, m.recovery_ms);
         }
@@ -280,7 +224,7 @@ fn main() {
         fsync64 > fsync1,
         "group commit must beat per-write fsync: {fsync64:.0} vs {fsync1:.0}"
     );
-    let floor = if smoke { none / 4.0 } else { none / 3.0 };
+    let floor = none / scale.fsync1_floor_div;
     assert!(
         fsync1 > floor,
         "fsync=1 tax implausibly large: {fsync1:.0} vs none {none:.0}"

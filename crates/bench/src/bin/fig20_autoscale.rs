@@ -47,12 +47,10 @@
 //! [`ClusterStats::refused`]: moist::core::ClusterStats::refused
 
 use moist::bigtable::{Bigtable, Timestamp};
-use moist::core::{
-    ControllerAction, ControllerConfig, MoistCluster, MoistConfig, ObjectId, UpdateMessage,
-};
-use moist::spatial::{Point, Velocity};
-use moist_bench::{smoke_mode, Figure, Rng, Series, STORE_WRITE_CAPACITY_OPS};
-use std::collections::HashMap;
+use moist::core::{ControllerAction, ControllerConfig, ControllerEvent, MoistCluster};
+use moist::spatial::Point;
+use moist_bench::{pick, report, run_seconds, tier_config, Figure, Rng, Series, Window};
+use std::ops::Range;
 
 struct Scale {
     /// Virtual seconds of pre-surge steady state.
@@ -63,10 +61,10 @@ struct Scale {
     post_secs: u64,
     /// Measurement window.
     window_secs: u64,
-    steady_updates_per_sec: u64,
-    surge_updates_per_sec: u64,
-    steady_nn_per_sec: u64,
-    surge_nn_per_sec: u64,
+    /// `(updates, NN probes)` per virtual second outside the surge.
+    steady_demand: (u64, u64),
+    /// `(updates, NN probes)` per virtual second during the surge.
+    surge_demand: (u64, u64),
     /// Shard count both arms start (and should end) with.
     start_shards: usize,
     /// The operator's surge fleet — also the controller's rough target.
@@ -74,68 +72,58 @@ struct Scale {
     controller: ControllerConfig,
 }
 
+const FULL: Scale = Scale {
+    steady_secs: 100,
+    surge_secs: 120,
+    post_secs: 140,
+    window_secs: 10,
+    steady_demand: (300, 60),
+    surge_demand: (2_400, 480),
+    start_shards: 2,
+    surge_shards: 6,
+    controller: ControllerConfig {
+        min_shards: 2,
+        max_shards: 10,
+        window_secs: 5.0,
+        cooldown_secs: 15.0,
+        target_shard_busy_us: 55_000.0,
+    },
+};
+
+const SMOKE: Scale = Scale {
+    steady_secs: 50,
+    surge_secs: 60,
+    post_secs: 100,
+    window_secs: 10,
+    steady_demand: (150, 30),
+    surge_demand: (1_200, 240),
+    start_shards: 2,
+    surge_shards: 6,
+    controller: ControllerConfig {
+        min_shards: 2,
+        max_shards: 8,
+        window_secs: 5.0,
+        cooldown_secs: 15.0,
+        target_shard_busy_us: 28_000.0,
+    },
+};
+
 impl Scale {
-    fn full() -> Self {
-        Scale {
-            steady_secs: 100,
-            surge_secs: 120,
-            post_secs: 140,
-            window_secs: 10,
-            steady_updates_per_sec: 300,
-            surge_updates_per_sec: 2_400,
-            steady_nn_per_sec: 60,
-            surge_nn_per_sec: 480,
-            start_shards: 2,
-            surge_shards: 6,
-            controller: ControllerConfig {
-                min_shards: 2,
-                max_shards: 10,
-                window_secs: 5.0,
-                cooldown_secs: 15.0,
-                target_shard_busy_us: 55_000.0,
-            },
-        }
-    }
-
-    fn smoke() -> Self {
-        Scale {
-            steady_secs: 50,
-            surge_secs: 60,
-            post_secs: 100,
-            window_secs: 10,
-            steady_updates_per_sec: 150,
-            surge_updates_per_sec: 1_200,
-            steady_nn_per_sec: 30,
-            surge_nn_per_sec: 240,
-            start_shards: 2,
-            surge_shards: 6,
-            controller: ControllerConfig {
-                min_shards: 2,
-                max_shards: 8,
-                window_secs: 5.0,
-                cooldown_secs: 15.0,
-                target_shard_busy_us: 28_000.0,
-            },
-        }
-    }
-
     fn end_secs(&self) -> u64 {
         self.steady_secs + self.surge_secs + self.post_secs
     }
 
-    fn surge_start(&self) -> u64 {
-        self.steady_secs
+    /// The virtual seconds the crowd is in.
+    fn surge(&self) -> Range<u64> {
+        self.steady_secs..self.steady_secs + self.surge_secs
     }
 
-    fn surge_end(&self) -> u64 {
-        self.steady_secs + self.surge_secs
-    }
-
+    /// `(updates, NN probes)` issued in virtual second `sec`.
     fn demand_at(&self, sec: u64) -> (u64, u64) {
-        if sec >= self.surge_start() && sec < self.surge_end() {
-            (self.surge_updates_per_sec, self.surge_nn_per_sec)
+        if self.surge().contains(&sec) {
+            self.surge_demand
         } else {
-            (self.steady_updates_per_sec, self.steady_nn_per_sec)
+            self.steady_demand
         }
     }
 }
@@ -145,16 +133,6 @@ impl Scale {
 /// shedding is an object re-reporting within `epsilon` of itself.
 const GRID_SIDE: u64 = 32;
 const OBJECTS: u64 = GRID_SIDE * GRID_SIDE;
-
-fn config() -> MoistConfig {
-    MoistConfig {
-        epsilon: 10.0,
-        delta_m: 2.0,
-        clustering_level: 3,
-        cluster_interval_secs: 10.0,
-        ..MoistConfig::default()
-    }
-}
 
 fn home(oid: u64) -> (f64, f64) {
     (
@@ -169,16 +147,9 @@ fn home(oid: u64) -> (f64, f64) {
 fn drive_second(cluster: &MoistCluster, rng: &mut Rng, sec: u64, updates: u64, queries: u64) {
     for i in 0..updates {
         let oid = (rng.next() * OBJECTS as f64) as u64 % OBJECTS;
-        let (hx, hy) = home(oid);
         let at = sec as f64 + i as f64 / updates as f64;
-        cluster
-            .update(&UpdateMessage {
-                oid: ObjectId(oid),
-                loc: Point::new(hx + rng.next() * 6.0 - 3.0, hy + rng.next() * 6.0 - 3.0),
-                vel: Velocity::ZERO,
-                ts: Timestamp::from_secs_f64(at),
-            })
-            .expect("update");
+        let msg = report(oid, rng.near(home(oid), 3.0), at);
+        cluster.update(&msg).expect("update");
     }
     for q in 0..queries {
         let oid = (rng.next() * OBJECTS as f64) as u64 % OBJECTS;
@@ -191,93 +162,76 @@ fn drive_second(cluster: &MoistCluster, rng: &mut Rng, sec: u64, updates: u64, q
 }
 
 struct Arm {
-    /// `(window end secs, client QPS)` per window.
-    qps: Vec<(f64, f64)>,
-    /// `(window end secs, live shards)` per window.
-    shards: Vec<(f64, f64)>,
+    /// Windowed client QPS, by window end.
+    qps: Series,
+    /// Live shards, by window end.
+    shards: Series,
     final_shards: usize,
     shed: u64,
+    /// The controller's decision log (empty for the operator arm).
+    events: Vec<ControllerEvent>,
 }
 
-/// Runs one arm over the full timeline. `managed` attaches the
+/// Runs one arm, `name`, over the full timeline. `managed` attaches the
 /// controller; otherwise `schedule` is the operator: `(at sec, target
 /// fleet)` applied on the tick boundary.
-fn run_arm(scale: &Scale, managed: bool, schedule: &[(u64, usize)]) -> (Arm, MoistCluster) {
+fn run_arm(scale: &Scale, name: &str, managed: bool, schedule: &[(u64, usize)]) -> Arm {
     let store = Bigtable::new();
-    let mut builder = MoistCluster::builder(&store, config()).shards(scale.start_shards);
+    let mut builder = MoistCluster::builder(&store, tier_config(10.0)).shards(scale.start_shards);
     if managed {
         builder = builder.controller(scale.controller);
     }
     let cluster = builder.build().expect("cluster");
     let mut rng = Rng(0xF162_0AE5_CA1E);
-    let mut qps = Vec::new();
-    let mut shards = Vec::new();
-    let mut shed_total = 0u64;
-    let mut schedule = schedule.iter().copied().peekable();
-
+    let mut arm = Arm {
+        qps: Series::new(format!("{name} client QPS")),
+        shards: Series::new(format!("{name} live shards (noisy)")),
+        final_shards: 0,
+        shed: 0,
+        events: Vec::new(),
+    };
+    let mut schedule = schedule.iter().peekable();
     let mut t = 0u64;
     while t < scale.end_secs() {
         let window_end = (t + scale.window_secs).min(scale.end_secs());
-        let before = cluster.stats();
-        // Per-shard busy baselines: joins and retirements change the
-        // fleet mid-window, so the busiest-shard delta is taken per id.
-        let elapsed_before: HashMap<u64, f64> = cluster
-            .cluster_stats()
-            .shards
-            .iter()
-            .map(|s| (s.id, s.elapsed_us))
-            .collect();
-        for sec in t..window_end {
-            if let Some(&(at, target)) = schedule.peek() {
-                if sec >= at {
-                    while cluster.num_shards() < target {
-                        cluster.add_shard().expect("operator join");
-                    }
-                    while cluster.num_shards() > target {
-                        let id = *cluster.shard_ids().last().expect("nonempty fleet");
-                        cluster.remove_shard(id).expect("operator retire");
-                    }
-                    schedule.next();
+        // Joins and retirements change the fleet mid-window; the window
+        // times the busiest shard by its own elapsed delta.
+        let w = Window::open(&cluster);
+        let ops = |sec: u64| {
+            if let Some(&(_, target)) = schedule.next_if(|&&(at, _)| sec >= at) {
+                while cluster.num_shards() < target {
+                    cluster.add_shard().expect("operator join");
+                }
+                while cluster.num_shards() > target {
+                    let id = *cluster.shard_ids().last().expect("nonempty fleet");
+                    cluster.remove_shard(id).expect("operator retire");
                 }
             }
             let (ups, nns) = scale.demand_at(sec);
             drive_second(&cluster, &mut rng, sec, ups, nns);
-            let now = Timestamp::from_secs(sec + 1);
-            cluster.run_due_clustering(now).expect("clustering");
+        };
+        run_seconds(&cluster, t..window_end, ops, |end| {
             if managed {
+                let now = Timestamp::from_secs(end);
                 cluster.controller_tick(now).expect("controller tick");
             }
-        }
-        let after = cluster.stats();
-        let cstats = cluster.cluster_stats();
-        let busiest_us = cstats
-            .shards
-            .iter()
-            .map(|s| s.elapsed_us - elapsed_before.get(&s.id).copied().unwrap_or(0.0))
-            .fold(0.0f64, f64::max);
-        let updates = after.updates - before.updates;
-        let shed = after.shed - before.shed;
-        shed_total += shed;
-        let non_shed = (updates - shed) as f64;
-        let store_qps = (non_shed / (busiest_us / 1e6).max(1e-9)).min(STORE_WRITE_CAPACITY_OPS);
-        let shed_ratio = shed as f64 / updates.max(1) as f64;
-        let client_qps = store_qps / (1.0 - shed_ratio).max(0.05);
-        qps.push((window_end as f64, client_qps));
-        shards.push((window_end as f64, cluster.num_shards() as f64));
+        });
+        let w = w.close(&cluster);
+        arm.shed += w.ops.shed;
+        arm.qps.push(window_end as f64, w.client_qps(true));
+        arm.shards
+            .push(window_end as f64, w.end.shards.len() as f64);
         t = window_end;
     }
-    let arm = Arm {
-        qps,
-        shards,
-        final_shards: cluster.num_shards(),
-        shed: shed_total,
-    };
-    (arm, cluster)
+    arm.final_shards = cluster.num_shards();
+    arm.events = cluster.controller_events();
+    arm
 }
 
 /// Mean of a windowed series over `(from, to]` window-end times.
-fn mean_over(series: &[(f64, f64)], from: f64, to: f64) -> f64 {
+fn mean_over(series: &Series, from: f64, to: f64) -> f64 {
     let vals: Vec<f64> = series
+        .points
         .iter()
         .filter(|&&(t, _)| t > from && t <= to)
         .map(|&(_, v)| v)
@@ -286,66 +240,41 @@ fn mean_over(series: &[(f64, f64)], from: f64, to: f64) -> f64 {
 }
 
 fn main() {
-    let smoke = smoke_mode();
-    let scale = if smoke { Scale::smoke() } else { Scale::full() };
-    let id = if smoke {
-        "fig20_autoscale_smoke"
-    } else {
-        "fig20_autoscale"
-    };
-
+    let scale = pick(&FULL, &SMOKE);
     // The operator's perfect fixed schedule: grow the instant the surge
     // starts, retire the instant it ends.
     let schedule = [
-        (scale.surge_start(), scale.surge_shards),
-        (scale.surge_end(), scale.start_shards),
+        (scale.surge().start, scale.surge_shards),
+        (scale.surge().end, scale.start_shards),
     ];
-    let (baseline, base_cluster) = run_arm(&scale, false, &schedule);
-    let (managed, cluster) = run_arm(&scale, true, &[]);
-
-    println!(
-        "{:>8} {:>12} {:>7} {:>12} {:>7}",
-        "sim sec", "base q/s", "shards", "ctrl q/s", "shards"
-    );
-    for i in 0..baseline.qps.len() {
-        println!(
-            "{:>8.0} {:>12.0} {:>7.0} {:>12.0} {:>7.0}",
-            baseline.qps[i].0,
-            baseline.qps[i].1,
-            baseline.shards[i].1,
-            managed.qps[i].1,
-            managed.shards[i].1
-        );
-    }
+    let baseline = run_arm(scale, "baseline", false, &schedule);
+    let managed = run_arm(scale, "controller", true, &[]);
 
     // Headline scalars over the late-surge windows (the baseline's own
     // join transient excluded).
-    let late_from = (scale.surge_start() + scale.surge_secs / 2) as f64;
-    let late_to = scale.surge_end() as f64;
+    let late_from = (scale.surge().start + scale.surge_secs / 2) as f64;
+    let late_to = scale.surge().end as f64;
     let baseline_ref = mean_over(&baseline.qps, late_from, late_to);
     let recovered = mean_over(&managed.qps, late_from, late_to);
     let overloaded = managed
         .qps
+        .points
         .iter()
-        .find(|&&(t, _)| t > scale.surge_start() as f64)
+        .find(|&&(t, _)| t > scale.surge().start as f64)
         .map(|&(_, v)| v)
         .expect("a surge window exists");
     let time_to_recover = managed
         .qps
+        .points
         .iter()
-        .find(|&&(t, v)| t > scale.surge_start() as f64 && v >= 0.8 * baseline_ref)
-        .map(|&(t, _)| t - scale.surge_start() as f64)
+        .find(|&&(t, v)| t > scale.surge().start as f64 && v >= 0.8 * baseline_ref)
+        .map(|&(t, _)| t - scale.surge().start as f64)
         .unwrap_or(scale.surge_secs as f64);
 
-    let events = cluster.controller_events();
-    let adds = events
-        .iter()
-        .filter(|e| matches!(e.action, ControllerAction::AddShard { .. }))
-        .count();
-    let removes = events
-        .iter()
-        .filter(|e| matches!(e.action, ControllerAction::RemoveShard { .. }))
-        .count();
+    let events = &managed.events;
+    let count = |is: fn(&ControllerAction) -> bool| events.iter().filter(|e| is(&e.action)).count();
+    let adds = count(|a| matches!(a, ControllerAction::AddShard { .. }));
+    let removes = count(|a| matches!(a, ControllerAction::RemoveShard { .. }));
     println!(
         "\nbaseline late-surge {baseline_ref:.0} q/s | controller recovered {recovered:.0} q/s \
          ({:.0}%) in {time_to_recover:.0}s | fleet {} -> peak {} -> {} | {adds} adds, {removes} removes",
@@ -353,6 +282,7 @@ fn main() {
         scale.start_shards,
         managed
             .shards
+            .points
             .iter()
             .map(|&(_, n)| n as usize)
             .max()
@@ -361,37 +291,18 @@ fn main() {
     );
 
     let mut fig = Figure::new(
-        id,
+        "fig20_autoscale",
         "Self-tuning elasticity: controller vs hand-scheduled fleet through a flash crowd",
         "simulated seconds",
         "updates/s / shards",
     );
-    let mut s = Series::new("baseline client QPS");
-    for &(t, v) in &baseline.qps {
-        s.push(t, v);
-    }
-    fig.add(s);
-    let mut s = Series::new("controller client QPS");
-    for &(t, v) in &managed.qps {
-        s.push(t, v);
-    }
-    fig.add(s);
-    let mut s = Series::new("baseline live shards (noisy)");
-    for &(t, v) in &baseline.shards {
-        s.push(t, v);
-    }
-    fig.add(s);
-    let mut s = Series::new("controller live shards (noisy)");
-    for &(t, v) in &managed.shards {
-        s.push(t, v);
-    }
-    fig.add(s);
-    let mut s = Series::new("recovered QPS");
-    s.push(0.0, recovered);
-    fig.add(s);
-    let mut s = Series::new("time-to-recover secs (noisy)");
-    s.push(0.0, time_to_recover);
-    fig.add(s);
+    fig.add(baseline.qps.clone());
+    fig.add(managed.qps.clone());
+    fig.add(baseline.shards.clone());
+    fig.add(managed.shards.clone());
+    fig.add(Series::from_points("recovered QPS", vec![(0.0, recovered)]));
+    let ttr = vec![(0.0, time_to_recover)];
+    fig.add(Series::from_points("time-to-recover secs (noisy)", ttr));
     fig.print();
     fig.save().expect("save");
 
@@ -414,7 +325,7 @@ fn main() {
     );
     // Scale-back: the crowd left, the fleet follows.
     assert!(
-        (managed.final_shards as i64 - scale.start_shards as i64).abs() <= 1,
+        managed.final_shards.abs_diff(scale.start_shards) <= 1,
         "controller ended at {} shards, started at {}",
         managed.final_shards,
         scale.start_shards
@@ -434,7 +345,6 @@ fn main() {
             "scale decisions {gap}s apart violate the cool-down"
         );
     }
-    drop(base_cluster);
     println!(
         "controller recovered {:.0}% of the hand-scheduled baseline in {time_to_recover:.0}s and scaled back down",
         100.0 * recovered / baseline_ref.max(1e-9)

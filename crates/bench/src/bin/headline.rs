@@ -18,7 +18,7 @@ use moist::bigtable::{Bigtable, Timestamp};
 use moist::core::{MoistConfig, MoistServer, ObjectId, UpdateMessage};
 use moist::spatial::{Rect, Space};
 use moist::workload::{RoadMap, RoadMapConfig, RoadNetSim, SimConfig, UniformSim};
-use moist_bench::{disk_btree_profile, smoke_mode, Figure, Series, STORE_WRITE_CAPACITY_OPS};
+use moist_bench::{disk_btree_profile, pick, Figure, Series, STORE_WRITE_CAPACITY_OPS};
 
 fn moist_update_qps(n: u64, measured_updates: usize) -> f64 {
     let cfg = MoistConfig::without_schooling();
@@ -128,12 +128,10 @@ fn shed_ratio(agents: u64, horizon_secs: f64) -> f64 {
 fn main() {
     // Smoke mode (CI): a small population and few updates — the numbers
     // drift from the paper's but every code path still runs end to end.
-    let smoke = smoke_mode();
-    let (population, measured, shed_agents, shed_secs) = if smoke {
-        (60_000, 5_000, 300, 120.0)
-    } else {
-        (1_000_000, 30_000, 1000, 240.0)
-    };
+    let (population, measured, shed_agents, shed_secs) = pick(
+        (1_000_000, 30_000, 1000, 240.0),
+        (60_000, 5_000, 300, 120.0),
+    );
     println!("measuring single-server update QPS at {population} objects...");
     let moist_qps = moist_update_qps(population, measured);
     let bx_qps = bx_update_qps(population, measured);
@@ -144,7 +142,7 @@ fn main() {
     let effective_qps = ten_server_store_qps / (1.0 - shed).max(0.05);
 
     let mut fig = Figure::new(
-        if smoke { "headline_smoke" } else { "headline" },
+        "headline",
         format!("Headline update-QPS comparison ({population} objects)"),
         "row",
         "updates/s",

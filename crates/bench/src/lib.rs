@@ -3,19 +3,25 @@
 //! Every binary in `src/bin/` regenerates one table or figure of the MOIST
 //! paper. This library provides the common pieces: result tables, JSON
 //! output, cost-profile presets for the comparators, the multi-server
-//! capacity model, and the drive/measure helpers the cluster-tier figures
-//! share.
+//! capacity model, and the one measured-window driver the cluster-tier
+//! figures (`fig14_scaleout` … `fig20_autoscale`) are thin scenarios over:
+//! [`tier_config`] and [`road_clients`] build the tier and its clients,
+//! [`drive`] (client threads) or [`run_seconds`] (one driver thread) move
+//! virtual time, and a [`Window`] turns two [`MoistCluster::cluster_stats`]
+//! snapshots into the window's counters and QPS.
 
 #![warn(missing_docs)]
 
 use moist::bigtable::{CostProfile, Timestamp};
 use moist::core::{
-    MoistCluster, MoistError, Neighbor, ObjectId, RegionStats, ServerStats, UpdateMessage,
+    ClusterStats, IngestStats, MoistCluster, MoistConfig, MoistError, Neighbor, ObjectId,
+    RegionStats, ServerStats, UpdateMessage,
 };
-use moist::spatial::Rect;
-use moist::workload::{ClientPool, RoadNetSim};
+use moist::spatial::{Point, Rect, Velocity};
+use moist::workload::{ClientPool, RoadMap, RoadMapConfig, RoadNetSim, SimConfig};
 use serde::Serialize;
 use std::io::Write as _;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -31,9 +37,14 @@ pub struct Series {
 impl Series {
     /// Creates an empty series.
     pub fn new(label: impl Into<String>) -> Self {
+        Series::from_points(label, Vec::new())
+    }
+
+    /// Creates a series over already-measured points.
+    pub fn from_points(label: impl Into<String>, points: Vec<(f64, f64)>) -> Self {
         Series {
             label: label.into(),
-            points: Vec::new(),
+            points,
         }
     }
 
@@ -59,15 +70,21 @@ pub struct Figure {
 }
 
 impl Figure {
-    /// Creates an empty figure.
+    /// Creates an empty figure. In smoke mode (`--smoke`) the id gets a
+    /// `_smoke` suffix, so quick runs never clobber full-scale results in
+    /// `bench_results/`.
     pub fn new(
         id: impl Into<String>,
         title: impl Into<String>,
         x_label: impl Into<String>,
         y_label: impl Into<String>,
     ) -> Self {
+        let mut id = id.into();
+        if smoke_mode() {
+            id.push_str("_smoke");
+        }
         Figure {
-            id: id.into(),
+            id,
             title: title.into(),
             x_label: x_label.into(),
             y_label: y_label.into(),
@@ -121,16 +138,20 @@ impl Figure {
 }
 
 /// Whether the current invocation asked for smoke mode (`--smoke` on the
-/// command line or `MOIST_SMOKE=1`): tiny populations and few ticks, for
-/// CI runs that only check the bins still work and archive their JSON.
-///
-/// Bins in smoke mode save under a `<id>_smoke` figure id so quick runs
-/// never clobber full-scale results in `bench_results/`.
-pub fn smoke_mode() -> bool {
+/// command line): tiny populations and few ticks, for CI runs that only
+/// check the bins still work and archive their JSON.
+fn smoke_mode() -> bool {
     std::env::args().any(|a| a == "--smoke")
-        || std::env::var("MOIST_SMOKE")
-            .map(|v| v == "1")
-            .unwrap_or(false)
+}
+
+/// `full`, or `smoke` when the bin runs with `--smoke`: how a bin picks
+/// its scale (and the acceptance bars stored beside it).
+pub fn pick<T>(full: T, smoke: T) -> T {
+    if smoke_mode() {
+        smoke
+    } else {
+        full
+    }
 }
 
 fn truncate(s: &str, n: usize) -> &str {
@@ -224,19 +245,59 @@ impl Rng {
         self.0 ^= self.0 << 17;
         (self.0 >> 11) as f64 / (1u64 << 53) as f64
     }
+
+    /// A point uniform in the square `[lo, lo + side)²` (x drawn first).
+    pub fn in_square(&mut self, lo: f64, side: f64) -> Point {
+        Point::new(lo + self.next() * side, lo + self.next() * side)
+    }
+
+    /// A point uniform within `r` of `center` on each axis (x drawn
+    /// first).
+    pub fn near(&mut self, (cx, cy): (f64, f64), r: f64) -> Point {
+        Point::new(
+            cx + self.next() * (2.0 * r) - r,
+            cy + self.next() * (2.0 * r) - r,
+        )
+    }
 }
 
-/// Counter deltas between two aggregate snapshots.
-pub fn stats_delta(after: &ServerStats, before: &ServerStats) -> ServerStats {
-    ServerStats {
-        updates: after.updates - before.updates,
-        shed: after.shed - before.shed,
-        leader_updates: after.leader_updates - before.leader_updates,
-        registered: after.registered - before.registered,
-        departures: after.departures - before.departures,
-        nn_queries: after.nn_queries - before.nn_queries,
-        cluster_runs: after.cluster_runs - before.cluster_runs,
+/// A stationary report: object `oid` at `loc`, `at_secs` into the run.
+pub fn report(oid: u64, loc: Point, at_secs: f64) -> UpdateMessage {
+    UpdateMessage {
+        oid: ObjectId(oid),
+        loc,
+        vel: Velocity::ZERO,
+        ts: Timestamp::from_secs_f64(at_secs),
     }
+}
+
+/// The tier every cluster figure runs: error bound `epsilon`, Δm = 2,
+/// clustering level 3 (64 cells across the shards), T_c = 10 s.
+pub fn tier_config(epsilon: f64) -> MoistConfig {
+    MoistConfig {
+        epsilon,
+        delta_m: 2.0,
+        clustering_level: 3,
+        cluster_interval_secs: 10.0,
+        ..MoistConfig::default()
+    }
+}
+
+/// `clients` §4.1 road-network simulators of `agents` each, client `i`
+/// seeded `seed0 + i` — the input [`drive`] spreads over client threads.
+pub fn road_clients(clients: usize, agents: u64, seed0: u64) -> Vec<Mutex<RoadNetSim>> {
+    (0..clients)
+        .map(|i| {
+            Mutex::new(RoadNetSim::new(
+                RoadMap::new(RoadMapConfig::default()),
+                SimConfig {
+                    agents,
+                    seed: seed0 + i as u64,
+                    ..SimConfig::default()
+                },
+            ))
+        })
+        .collect()
 }
 
 /// Drives every simulator from its current time to `until`, in
@@ -265,6 +326,7 @@ pub fn drive(
         let mut t = sim.now_secs();
         while t < until {
             t = (t + tick).min(until);
+            let now = Timestamp::from_secs_f64(t);
             for u in sim.advance_until(t) {
                 let msg = UpdateMessage {
                     oid: ObjectId(oid_base + u.oid),
@@ -272,39 +334,163 @@ pub fn drive(
                     vel: u.vel,
                     ts: Timestamp::from_secs_f64(u.at_secs),
                 };
-                if pipelined {
-                    loop {
-                        match cluster.submit(&msg) {
-                            Ok(_) => break,
-                            Err(MoistError::Backpressure { .. }) => {
-                                cluster
-                                    .flush_due(Timestamp::from_secs_f64(t))
-                                    .expect("flush");
-                                std::thread::yield_now();
-                            }
-                            Err(e) => panic!("submit: {e}"),
-                        }
-                    }
-                } else {
+                if !pipelined {
                     cluster.update(&msg).expect("update");
+                    continue;
+                }
+                loop {
+                    match cluster.submit(&msg) {
+                        Ok(_) => break,
+                        Err(MoistError::Backpressure { .. }) => {
+                            cluster.flush_due(now).expect("flush");
+                            std::thread::yield_now();
+                        }
+                        Err(e) => panic!("submit: {e}"),
+                    }
                 }
             }
             if pipelined {
-                cluster
-                    .flush_due(Timestamp::from_secs_f64(t))
-                    .expect("flush");
+                cluster.flush_due(now).expect("flush");
             }
-            let mut shard = i;
-            while shard < shards {
+            for shard in (i..shards).step_by(sims.len()) {
                 cluster
-                    .run_due_clustering_shard(shard, Timestamp::from_secs_f64(t))
+                    .run_due_clustering_shard(shard, now)
                     .expect("clustering");
-                shard += sims.len();
             }
         }
     });
     if pipelined {
         cluster.drain_ingest().expect("drain");
+    }
+}
+
+/// Drives the virtual seconds `secs` on the calling thread, one at a
+/// time: `ops(sec)` issues that second's operations, then every shard
+/// runs its due clustering at `sec + 1`, then `tick(sec + 1)` runs the
+/// scenario's per-second hook (a rebalance or controller step, or
+/// nothing). One thread, so no number it produces depends on thread
+/// interleaving; the clustering sweep's compute phase is still charged in
+/// wall-clock time, which moves the results in the fifth digit.
+pub fn run_seconds(
+    cluster: &MoistCluster,
+    secs: Range<u64>,
+    mut ops: impl FnMut(u64),
+    mut tick: impl FnMut(u64),
+) {
+    for sec in secs {
+        ops(sec);
+        cluster
+            .run_due_clustering(Timestamp::from_secs(sec + 1))
+            .expect("clustering");
+        tick(sec + 1);
+    }
+}
+
+/// An open measurement window: the [`MoistCluster::cluster_stats`]
+/// snapshot taken at [`open`](Window::open), closed into
+/// [`WindowStats`] by a second snapshot.
+pub struct Window(ClusterStats);
+
+impl Window {
+    /// Opens a window now.
+    pub fn open(cluster: &MoistCluster) -> Self {
+        Window(cluster.cluster_stats())
+    }
+
+    /// Closes the window, deriving its counters from the two snapshots.
+    ///
+    /// The busiest shard's time is each live shard's own elapsed delta,
+    /// keyed by shard id (a shard that joined mid-window counts from 0),
+    /// so a window whose busiest shard changes — or whose fleet grows —
+    /// is not under-counted.
+    pub fn close(self, cluster: &MoistCluster) -> WindowStats {
+        let (start, end) = (self.0, cluster.cluster_stats());
+        let busiest_us = end
+            .shards
+            .iter()
+            .map(|s| {
+                let before = start.shards.iter().find(|b| b.id == s.id);
+                s.elapsed_us - before.map_or(0.0, |b| b.elapsed_us)
+            })
+            .fold(0.0, f64::max);
+        WindowStats {
+            ops: ops_delta(&end.ops, &start.ops),
+            ingest: ingest_delta(&end.ingest, &start.ingest),
+            busiest_secs: busiest_us / 1e6,
+            start,
+            end,
+        }
+    }
+}
+
+/// What a closed [`Window`] measured.
+#[derive(Debug, Clone)]
+pub struct WindowStats {
+    /// Operation counter deltas (live and retired shards).
+    pub ops: ServerStats,
+    /// Ingestion counter deltas; the `queued` gauge and `max_batch` are
+    /// the values at close.
+    pub ingest: IngestStats,
+    /// Virtual seconds the busiest shard spent in the window — the tier's
+    /// makespan, since shards consume store time in parallel.
+    pub busiest_secs: f64,
+    /// The snapshot at open.
+    pub start: ClusterStats,
+    /// The snapshot at close.
+    pub end: ClusterStats,
+}
+
+impl WindowStats {
+    /// `count` operations per busiest-shard virtual second.
+    pub fn rate(&self, count: u64) -> f64 {
+        count as f64 / self.busiest_secs.max(1e-9)
+    }
+
+    /// Non-shed updates per busiest-shard second; `capped` clips it at
+    /// the shared store's [`STORE_WRITE_CAPACITY_OPS`].
+    pub fn store_qps(&self, capped: bool) -> f64 {
+        let qps = self.rate(self.ops.updates - self.ops.shed);
+        if capped {
+            qps.min(STORE_WRITE_CAPACITY_OPS)
+        } else {
+            qps
+        }
+    }
+
+    /// The rate clients experience once schools shed their redundant
+    /// updates: `store QPS / (1 − shed ratio)`, the divisor floored at
+    /// 0.05 so an all-shed window stays finite.
+    pub fn client_qps(&self, capped: bool) -> f64 {
+        self.store_qps(capped) / (1.0 - self.ops.shed_ratio()).max(0.05)
+    }
+}
+
+fn ops_delta(after: &ServerStats, before: &ServerStats) -> ServerStats {
+    ServerStats {
+        updates: after.updates - before.updates,
+        shed: after.shed - before.shed,
+        leader_updates: after.leader_updates - before.leader_updates,
+        registered: after.registered - before.registered,
+        departures: after.departures - before.departures,
+        nn_queries: after.nn_queries - before.nn_queries,
+        cluster_runs: after.cluster_runs - before.cluster_runs,
+    }
+}
+
+fn ingest_delta(after: &IngestStats, before: &IngestStats) -> IngestStats {
+    IngestStats {
+        submitted: after.submitted - before.submitted,
+        enqueued: after.enqueued - before.enqueued,
+        backpressure: after.backpressure - before.backpressure,
+        overload_shed: after.overload_shed - before.overload_shed,
+        batches: after.batches - before.batches,
+        flushed_updates: after.flushed_updates - before.flushed_updates,
+        size_flushes: after.size_flushes - before.size_flushes,
+        deadline_flushes: after.deadline_flushes - before.deadline_flushes,
+        drain_flushes: after.drain_flushes - before.drain_flushes,
+        max_batch: after.max_batch,
+        queue_wait_us: after.queue_wait_us - before.queue_wait_us,
+        queued: after.queued,
     }
 }
 
@@ -328,6 +514,8 @@ pub fn anchor_region(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use moist::bigtable::Bigtable;
+    use moist::core::IngestConfig;
 
     #[test]
     fn figure_printing_and_saving_roundtrip() {
@@ -370,5 +558,131 @@ mod tests {
         assert_eq!(ok1, ok2);
         let (ok3, _) = capacity_step(85_000.0, 4, 1);
         assert_ne!(ok1, ok3);
+    }
+
+    /// The centre of level-3 cell `i % 64`.
+    fn grid_point(i: u64) -> Point {
+        Point::new(
+            62.5 + (i % 8) as f64 * 125.0,
+            62.5 + (i / 8 % 8) as f64 * 125.0,
+        )
+    }
+
+    #[test]
+    fn window_times_the_busiest_shard_by_id_across_a_join() {
+        let store = Bigtable::new();
+        let cluster = MoistCluster::builder(&store, tier_config(0.0))
+            .shards(2)
+            .build()
+            .unwrap();
+        for i in 0..400 {
+            cluster.update(&report(i, grid_point(i), 1.0)).unwrap();
+        }
+        let w = Window::open(&cluster);
+        let joiner = cluster.add_shard().unwrap();
+        let pos = cluster.shard_ids().iter().position(|&id| id == joiner);
+        // Fresh objects, only in the cells the joiner won.
+        let mut oid = 1_000;
+        for i in 0..64 {
+            if Some(cluster.shard_for_point(&grid_point(i))) == pos {
+                cluster.update(&report(oid, grid_point(i), 2.0)).unwrap();
+                oid += 1;
+            }
+        }
+        assert!(oid > 1_000, "the joiner won no cell");
+        let w = w.close(&cluster);
+        let elapsed = |s: &ClusterStats, id: u64| {
+            s.shards
+                .iter()
+                .find(|s| s.id == id)
+                .map_or(0.0, |s| s.elapsed_us)
+        };
+        let expected = w
+            .end
+            .shards
+            .iter()
+            .map(|s| s.elapsed_us - elapsed(&w.start, s.id))
+            .fold(0.0, f64::max);
+        assert_eq!(w.busiest_secs, expected / 1e6);
+        assert!(elapsed(&w.end, joiner) > 0.0);
+        assert!(w.busiest_secs * 1e6 >= elapsed(&w.end, joiner));
+        // The old `max(after) − max(before)` form misses the joiner's
+        // work entirely: the incumbents' totals dwarf it.
+        let max = |s: &ClusterStats| s.shards.iter().map(|s| s.elapsed_us).fold(0.0, f64::max);
+        assert!(max(&w.end) - max(&w.start) < elapsed(&w.end, joiner));
+        assert_eq!(w.ops.updates, oid - 1_000);
+        assert!(w.ops.balanced());
+    }
+
+    /// A closed window over an idle cluster with synthetic counters.
+    fn synthetic(updates: u64, shed: u64, busiest_secs: f64) -> WindowStats {
+        let store = Bigtable::new();
+        let cluster = MoistCluster::builder(&store, tier_config(50.0))
+            .build()
+            .unwrap();
+        WindowStats {
+            ops: ServerStats {
+                updates,
+                shed,
+                ..ServerStats::default()
+            },
+            busiest_secs,
+            ..Window::open(&cluster).close(&cluster)
+        }
+    }
+
+    #[test]
+    fn window_caps_store_qps_at_the_store_capacity() {
+        let w = synthetic(100_000, 0, 1.0);
+        assert_eq!(w.store_qps(false), 100_000.0);
+        assert_eq!(w.store_qps(true), STORE_WRITE_CAPACITY_OPS);
+        assert_eq!(w.client_qps(true), STORE_WRITE_CAPACITY_OPS);
+        let under = synthetic(1_000, 0, 1.0);
+        assert_eq!(under.store_qps(true), under.store_qps(false));
+    }
+
+    #[test]
+    fn window_floors_the_shed_divisor_at_five_percent() {
+        let half = synthetic(1_000, 500, 1.0);
+        assert_eq!(half.store_qps(false), 500.0);
+        assert_eq!(half.client_qps(false), 1_000.0);
+        // 99% shed would multiply by 100; the floor holds it at 20.
+        let most = synthetic(1_000, 990, 1.0);
+        assert_eq!(most.client_qps(false), 10.0 / 0.05);
+        let all = synthetic(1_000, 1_000, 1.0);
+        assert_eq!(all.client_qps(false), 0.0);
+        assert_eq!(synthetic(0, 0, 0.0).client_qps(true), 0.0);
+    }
+
+    #[test]
+    fn window_ingest_delta_counts_only_the_window() {
+        let store = Bigtable::new();
+        let cluster = MoistCluster::builder(&store, tier_config(0.0))
+            .shards(2)
+            .ingest(IngestConfig {
+                batch_size: 8,
+                ..IngestConfig::default()
+            })
+            .build()
+            .unwrap();
+        for i in 0..30 {
+            cluster.submit(&report(i, grid_point(i), 1.0)).unwrap();
+        }
+        cluster.drain_ingest().unwrap();
+        let w = Window::open(&cluster);
+        for i in 0..50 {
+            cluster
+                .submit(&report(100 + i, grid_point(i), 2.0))
+                .unwrap();
+        }
+        cluster.drain_ingest().unwrap();
+        let w = w.close(&cluster);
+        assert_eq!(w.start.ingest.submitted, 30);
+        assert_eq!(w.ingest.submitted, 50);
+        assert_eq!(w.ingest.flushed_updates, 50);
+        assert_eq!(w.ingest.queued, 0);
+        assert!(w.ingest.batches > 0 && w.ingest.drain_flushes > 0);
+        assert_eq!(w.ops.updates, 50);
+        assert_eq!(w.ops.registered, 50);
     }
 }

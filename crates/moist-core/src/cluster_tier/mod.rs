@@ -318,7 +318,7 @@ pub struct MoistCluster {
 ///     .controller(ControllerConfig::default())
 ///     .build()?;
 /// assert_eq!(cluster.num_shards(), 10);
-/// assert_eq!(cluster.replicas(), 2);
+/// assert_eq!(cluster.cluster_stats().replicas, 2);
 /// # Ok(())
 /// # }
 /// ```
@@ -486,11 +486,6 @@ impl MoistCluster {
         self.ingest.stats()
     }
 
-    /// The configured replication factor.
-    pub fn replicas(&self) -> usize {
-        self.snapshot().replicas
-    }
-
     /// Number of live front-end shards.
     pub fn num_shards(&self) -> usize {
         self.snapshot().shards.len()
@@ -499,11 +494,6 @@ impl MoistCluster {
     /// The live shards' stable ids, in position order.
     pub fn shard_ids(&self) -> Vec<u64> {
         self.snapshot().ids()
-    }
-
-    /// The current membership epoch (bumped by every join/leave).
-    pub fn epoch(&self) -> u64 {
-        self.snapshot().epoch
     }
 
     /// The tier's configuration.
@@ -529,17 +519,6 @@ impl MoistCluster {
     /// The attached controller's (normalized) configuration, if any.
     pub fn controller_config(&self) -> Option<ControllerConfig> {
         self.controller.as_ref().map(|c| c.lock().config())
-    }
-
-    /// The clustering cells currently split one level finer.
-    pub fn split_cells(&self) -> Vec<u64> {
-        self.snapshot().splits.cells().collect()
-    }
-
-    /// The live shards' placement weights, in position order.
-    pub fn shard_weights(&self) -> Vec<f64> {
-        let snap = self.snapshot();
-        snap.placement.iter().map(|m| m.weight).collect()
     }
 
     /// The position (in current membership order) of the shard owning the
@@ -616,23 +595,12 @@ impl MoistCluster {
         snap.shards.iter().map(|e| e.front.stats()).collect()
     }
 
-    /// Per-shard virtual elapsed microseconds for the live shards, in
-    /// position order.
-    pub fn shard_elapsed_us(&self) -> Vec<f64> {
-        let snap = self.snapshot();
-        snap.shards.iter().map(|e| e.front.elapsed_us()).collect()
-    }
-
-    /// Virtual elapsed microseconds of the busiest live shard — the tier's
-    /// makespan, since shards consume store time in parallel.
-    pub fn max_elapsed_us(&self) -> f64 {
-        self.shard_elapsed_us().into_iter().fold(0.0, f64::max)
-    }
-
     /// Sum of the live shards' virtual elapsed microseconds (total store
-    /// work).
+    /// work). Per-shard times, and the busiest shard's, are in
+    /// [`cluster_stats`](MoistCluster::cluster_stats).
     pub fn total_elapsed_us(&self) -> f64 {
-        self.shard_elapsed_us().into_iter().sum()
+        let snap = self.snapshot();
+        snap.shards.iter().map(|e| e.front.elapsed_us()).sum()
     }
 
     /// Resets every live shard's session clock (benches do this after

@@ -175,7 +175,7 @@ fn add_shard_migrates_only_the_joiners_wins_and_keeps_phase() {
         ..MoistConfig::default()
     };
     let cluster = tier(&store, cfg, 3);
-    assert_eq!(cluster.epoch(), 0);
+    assert_eq!(cluster.cluster_stats().epoch, 0);
     let cells = cells_at_level(cfg.clustering_level);
     // Record each cell's owner *id* and deadline before the join.
     let owners_before = sole_owners(&cluster);
@@ -193,7 +193,7 @@ fn add_shard_migrates_only_the_joiners_wins_and_keeps_phase() {
 
     let joiner = cluster.add_shard().unwrap();
     assert_eq!(cluster.num_shards(), 4);
-    assert_eq!(cluster.epoch(), 1);
+    assert_eq!(cluster.cluster_stats().epoch, 1);
     assert!(cluster.shard_ids().contains(&joiner));
 
     let owners_after = sole_owners(&cluster);
@@ -245,7 +245,7 @@ fn remove_shard_reassigns_only_the_departed_cells() {
     let victim_updates = cluster.shard_stats()[1].updates;
     cluster.remove_shard(victim).unwrap();
     assert_eq!(cluster.num_shards(), 3);
-    assert_eq!(cluster.epoch(), 1);
+    assert_eq!(cluster.cluster_stats().epoch, 1);
     assert!(!cluster.shard_ids().contains(&victim));
 
     let owners_after = sole_owners(&cluster);
@@ -412,7 +412,8 @@ fn tier_nn_agrees_with_the_single_shard_frontier_search() {
 /// same per-shard key counts.
 fn assert_routing_partition(cluster: &MoistCluster) {
     let cfg = *cluster.config();
-    let split: std::collections::HashSet<u64> = cluster.split_cells().into_iter().collect();
+    let split: std::collections::HashSet<u64> =
+        cluster.cluster_stats().split_cells.into_iter().collect();
     let mut keys = Vec::new();
     for cell in 0..cells_at_level(cfg.clustering_level) {
         if split.contains(&cell) {
@@ -480,19 +481,15 @@ fn rebalance_splits_hot_cells_and_downweights_hot_shards() {
         "the hot cell {hot_cell} must split: {report:?}"
     );
     assert!(report.migrated_keys > 0);
-    assert!(cluster.split_cells().contains(&hot_cell));
+    let stats = cluster.cluster_stats();
+    assert!(stats.split_cells.contains(&hot_cell));
     // The hot shard measured busiest: its weight must have dropped
     // below the fleet mean (weights are normalized to mean 1).
-    let weights = cluster.shard_weights();
-    assert!(
-        weights[hot_shard_before] < 1.0,
-        "hot shard kept weight {weights:?}"
-    );
+    let weight = stats.shards[hot_shard_before].weight;
+    assert!(weight < 1.0, "hot shard kept weight {weight}");
     // Ownership is still an exact partition of the routing keys, and
     // the stats layer exposes what moved.
     assert_routing_partition(&cluster);
-    let stats = cluster.cluster_stats();
-    assert_eq!(stats.split_cells, cluster.split_cells());
     assert_eq!(stats.split_migrations, report.migrated_keys);
     // The tier still answers exactly: every object is found where a
     // fresh single-server oracle finds it.
@@ -542,12 +539,13 @@ fn rebalance_is_a_noop_on_a_level_fleet() {
         report.split_cells.is_empty(),
         "uniform load must not split: {report:?}"
     );
-    assert!(cluster.split_cells().is_empty());
+    let stats = cluster.cluster_stats();
+    assert!(stats.split_cells.is_empty());
     assert_routing_partition(&cluster);
     // Epoch may bump only if utilization genuinely wobbled past the
     // dead-band; either way no key may be double-owned and weights
     // stay within the clamp.
-    for w in cluster.shard_weights() {
+    for w in stats.shards.iter().map(|s| s.weight) {
         assert!((0.1..=8.0).contains(&w), "weight {w} out of bounds");
     }
 }
@@ -721,7 +719,7 @@ fn replicated_reads_serve_from_followers_and_stay_correct() {
         .replicas(2)
         .build()
         .unwrap();
-    assert_eq!(cluster.replicas(), 2);
+    assert_eq!(cluster.cluster_stats().replicas, 2);
     for i in 0..64u64 {
         let x = 15.0 + 970.0 * (i % 8) as f64 / 8.0;
         let y = 15.0 + 970.0 * (i / 8) as f64 / 8.0;
@@ -1143,7 +1141,7 @@ fn rebalance_unsplits_cells_whose_demand_faded() {
         report.split_cells.contains(&b_cell),
         "the new hot cell {b_cell} must split: {report:?}"
     );
-    let split = cluster.split_cells();
+    let split = cluster.cluster_stats().split_cells;
     assert!(!split.contains(&a_cell), "split table still holds {a_cell}");
     assert!(split.contains(&b_cell));
     // The handover through the (split → plain) transition kept the

@@ -543,7 +543,7 @@ proptest! {
             ));
             msgs.push(m);
         }
-        let epoch_before = cluster.epoch();
+        let epoch_before = cluster.cluster_stats().epoch;
         prop_assert_eq!(cluster.stats().updates, 0, "nothing may apply before the flush");
         prop_assert_eq!(cluster.ingest_stats().queued, n as u64);
 
@@ -556,7 +556,7 @@ proptest! {
             let victim = ids[rng.below(ids.len() as u64) as usize];
             cluster.remove_shard(victim).unwrap();
         }
-        prop_assert_eq!(cluster.epoch(), epoch_before + 1);
+        prop_assert_eq!(cluster.cluster_stats().epoch, epoch_before + 1);
 
         // Exactly once: every buffered update applied, none left, none doubled.
         let is = cluster.ingest_stats();

@@ -860,5 +860,9 @@ fn killing_and_rejoining_shards_repeatedly_keeps_the_partition_tight() {
         assert_eq!(owned as u64, cells, "round {round} broke the partition");
         common::sole_owner_positions(&cluster);
     }
-    assert_eq!(cluster.epoch(), 6, "4 removals + 2 joins bump 6 epochs");
+    assert_eq!(
+        cluster.cluster_stats().epoch,
+        6,
+        "4 removals + 2 joins bump 6 epochs"
+    );
 }

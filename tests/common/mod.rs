@@ -31,7 +31,8 @@ pub fn sole_owner_positions(cluster: &MoistCluster) -> Vec<usize> {
 #[allow(dead_code)] // not every integration test exercises splits
 pub fn assert_routing_key_partition(cluster: &MoistCluster) {
     let cfg = *cluster.config();
-    let split: std::collections::HashSet<u64> = cluster.split_cells().into_iter().collect();
+    let split: std::collections::HashSet<u64> =
+        cluster.cluster_stats().split_cells.into_iter().collect();
     let mut keys = Vec::new();
     for cell in 0..cells_at_level(cfg.clustering_level) {
         if split.contains(&cell) {

@@ -164,7 +164,11 @@ fn builder_recover_preserves_replica_ingest_and_controller_config() {
     };
     let assert_knobs = |cluster: &MoistCluster, path: &str| {
         assert_eq!(cluster.num_shards(), SHARDS, "{path}");
-        assert_eq!(cluster.replicas(), 2, "{path}: replication factor");
+        assert_eq!(
+            cluster.cluster_stats().replicas,
+            2,
+            "{path}: replication factor"
+        );
         assert_eq!(cluster.ingest_config().batch_size, 16, "{path}: ingest");
         assert_eq!(
             cluster.ingest_config().policy,
