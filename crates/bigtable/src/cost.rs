@@ -1,4 +1,4 @@
-//! The calibrated cost model and the virtual clock.
+//! The calibrated cost model and the shared virtual-time hub.
 //!
 //! Absolute QPS in the paper reflects Google's 2012 production BigTable;
 //! here every operation is charged *virtual microseconds* from a
@@ -161,125 +161,19 @@ impl CostProfile {
     }
 }
 
-/// A per-client virtual clock accumulating modelled time.
-///
-/// Deliberately not shared: each simulated server/client owns one, so
-/// virtual timelines stay deterministic regardless of OS scheduling.
-#[derive(Debug, Default, Clone)]
-pub struct SimClock {
-    us: f64,
-}
-
-impl SimClock {
-    /// A clock at zero.
-    pub fn new() -> Self {
-        SimClock::default()
-    }
-
-    /// A clock pre-advanced to `us` — used to seed a per-call meter from
-    /// a [`MeterHub`] snapshot so absolute mid-call reads reproduce the
-    /// single-shared-clock timeline bit-for-bit.
-    pub(crate) fn starting_at(us: f64) -> Self {
-        SimClock { us }
-    }
-
-    /// Current virtual time in microseconds.
-    #[inline]
-    pub fn now_us(&self) -> f64 {
-        self.us
-    }
-
-    /// Advances by `us` microseconds (negative charges are ignored).
-    #[inline]
-    pub fn charge_us(&mut self, us: f64) {
-        if us > 0.0 {
-            self.us += us;
-        }
-    }
-
-    /// Resets to zero and returns the elapsed microseconds.
-    pub(crate) fn reset(&mut self) -> f64 {
-        std::mem::take(&mut self.us)
-    }
-}
-
-/// A private, per-call accumulator of virtual time and op counts.
-///
-/// Each query/update call owns one meter (inside its [`Session`]); the
-/// charges are folded into the shared per-server [`MeterHub`] as they
-/// happen, so concurrent calls never contend on a `&mut` clock and
-/// single-threaded totals replay the exact `f64` addition sequence of a
-/// single shared clock.
-///
-/// [`Session`]: crate::session::Session
-#[derive(Debug, Default, Clone)]
-pub struct CostMeter {
-    clock: SimClock,
-    ops: u64,
-}
-
-impl CostMeter {
-    /// A meter at zero.
-    pub fn new() -> Self {
-        CostMeter::default()
-    }
-
-    /// A meter seeded at `us` microseconds / `ops` operations — the
-    /// hub's totals at call start — so absolute reads mid-call match the
-    /// old single-clock values exactly.
-    pub(crate) fn starting_at(us: f64, ops: u64) -> Self {
-        CostMeter {
-            clock: SimClock::starting_at(us),
-            ops,
-        }
-    }
-
-    /// Advances by `us` microseconds (negative charges are ignored,
-    /// matching [`SimClock::charge_us`]).
-    #[inline]
-    pub fn charge_us(&mut self, us: f64) {
-        self.clock.charge_us(us);
-    }
-
-    /// Counts one store operation.
-    #[inline]
-    pub fn note_op(&mut self) {
-        self.ops += 1;
-    }
-
-    /// Virtual microseconds accumulated (including any seed).
-    #[inline]
-    pub fn elapsed_us(&self) -> f64 {
-        self.clock.now_us()
-    }
-
-    /// Operations counted (including any seed).
-    #[inline]
-    pub(crate) fn op_count(&self) -> u64 {
-        self.ops
-    }
-
-    /// Resets to zero, returning elapsed microseconds.
-    pub(crate) fn reset(&mut self) -> f64 {
-        self.ops = 0;
-        self.clock.reset()
-    }
-}
-
-/// A shared, lock-free accumulator of virtual time and op counts.
+/// A shared, lock-free accumulator of virtual time.
 ///
 /// One hub per simulated server. Elapsed time is stored as the `f64`
 /// bit pattern inside an `AtomicU64` and advanced with a compare-and-swap
 /// loop, so read paths taking `&self` can charge cost without a `&mut`
-/// clock. The `us > 0.0` guard replicates [`SimClock::charge_us`]
-/// exactly: on a single thread the hub applies the same additions in the
-/// same order as one shared clock would, keeping virtual-time totals
-/// bit-identical. Under true concurrency the op counter stays exact and
-/// the elapsed total is order-dependent only in the final `f64` ulps.
+/// clock. Non-positive charges are ignored, as a
+/// [`Session`](crate::Session) ignores them: on a single thread the hub
+/// applies the same additions in the same order as one session's own
+/// clock, keeping virtual-time totals bit-identical. Under true
+/// concurrency the total is order-dependent only in the final `f64` ulps.
 #[derive(Debug, Default)]
 pub struct MeterHub {
     elapsed_bits: AtomicU64,
-    ops: AtomicU64,
 }
 
 impl MeterHub {
@@ -288,7 +182,7 @@ impl MeterHub {
         MeterHub::default()
     }
 
-    /// Advances by `us` microseconds (negative charges are ignored).
+    /// Advances by `us` microseconds (non-positive charges are ignored).
     pub fn charge_us(&self, us: f64) {
         if us > 0.0 {
             let mut cur = self.elapsed_bits.load(Ordering::Relaxed);
@@ -307,25 +201,13 @@ impl MeterHub {
         }
     }
 
-    /// Counts one store operation.
-    #[inline]
-    pub fn note_op(&self) {
-        self.ops.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Virtual microseconds accumulated so far.
     pub fn elapsed_us(&self) -> f64 {
         f64::from_bits(self.elapsed_bits.load(Ordering::Relaxed))
     }
 
-    /// Operations counted so far.
-    pub fn op_count(&self) -> u64 {
-        self.ops.load(Ordering::Relaxed)
-    }
-
-    /// Resets both counters to zero, returning elapsed microseconds.
+    /// Resets to zero, returning elapsed microseconds.
     pub fn reset(&self) -> f64 {
-        self.ops.store(0, Ordering::Relaxed);
         f64::from_bits(self.elapsed_bits.swap(0f64.to_bits(), Ordering::Relaxed))
     }
 }
@@ -386,39 +268,20 @@ mod tests {
     #[test]
     fn hub_replays_the_same_addition_sequence_as_one_clock() {
         // Single-threaded bit-identicality: charging the hub in the same
-        // order as a SimClock yields the exact same f64 bits.
+        // order as a plain sum of the positive charges yields the exact
+        // same f64 bits.
         let charges = [15.0, 0.8, 4.0, -3.0, 0.0, 900.0, 0.002, 2.5];
-        let mut clock = SimClock::new();
+        let mut clock = 0.0f64;
         let hub = MeterHub::new();
         for &c in &charges {
-            clock.charge_us(c);
+            if c > 0.0 {
+                clock += c;
+            }
             hub.charge_us(c);
         }
-        assert_eq!(clock.now_us().to_bits(), hub.elapsed_us().to_bits());
-        assert_eq!(hub.reset().to_bits(), clock.reset().to_bits());
+        assert_eq!(clock.to_bits(), hub.elapsed_us().to_bits());
+        assert_eq!(hub.reset().to_bits(), clock.to_bits());
         assert_eq!(hub.elapsed_us(), 0.0);
-    }
-
-    #[test]
-    fn seeded_meter_matches_absolute_timeline() {
-        // An ephemeral meter seeded at the hub's snapshot sees the same
-        // absolute values a single shared clock would have shown.
-        let mut shared = SimClock::new();
-        let hub = MeterHub::new();
-        shared.charge_us(123.25);
-        hub.charge_us(123.25);
-        let mut meter = CostMeter::starting_at(hub.elapsed_us(), hub.op_count());
-        for &c in &[4.0, 6.0, 0.5] {
-            shared.charge_us(c);
-            meter.charge_us(c);
-            hub.charge_us(c);
-            meter.note_op();
-            hub.note_op();
-        }
-        assert_eq!(meter.elapsed_us().to_bits(), shared.now_us().to_bits());
-        assert_eq!(meter.elapsed_us().to_bits(), hub.elapsed_us().to_bits());
-        assert_eq!(meter.op_count(), hub.op_count());
-        assert_eq!(hub.op_count(), 3);
     }
 
     #[test]
@@ -431,7 +294,6 @@ mod tests {
                 std::thread::spawn(move || {
                     for _ in 0..1000 {
                         hub.charge_us(0.25); // dyadic: f64 addition is exact
-                        hub.note_op();
                     }
                 })
             })
@@ -440,17 +302,5 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(hub.elapsed_us(), 8.0 * 1000.0 * 0.25);
-        assert_eq!(hub.op_count(), 8000);
-    }
-
-    #[test]
-    fn clock_accumulates_and_resets() {
-        let mut c = SimClock::new();
-        c.charge_us(10.0);
-        c.charge_us(-5.0); // ignored
-        c.charge_us(2.5);
-        assert!((c.now_us() - 12.5).abs() < 1e-12);
-        assert!((c.reset() - 12.5).abs() < 1e-12);
-        assert_eq!(c.now_us(), 0.0);
     }
 }

@@ -51,7 +51,7 @@ mod tablet;
 pub mod types;
 pub mod wal;
 
-pub use cost::{CostMeter, CostProfile, MeterHub, SimClock};
+pub use cost::{CostProfile, MeterHub};
 pub use error::{BigtableError, Result};
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use schema::{ColumnFamily, TableSchema};

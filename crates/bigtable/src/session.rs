@@ -1,11 +1,11 @@
 //! Cost-charged sessions.
 //!
-//! A [`Session`] wraps store operations and charges their modelled cost to a
-//! private `SimClock`. Each simulated front-end server or client owns one
-//! session; virtual elapsed time divided into operation counts yields the
-//! modelled QPS the benchmarks report.
+//! A [`Session`] wraps store operations and charges their modelled cost to
+//! its own virtual clock. Each simulated front-end server or client owns
+//! one session; virtual elapsed time divided into operation counts yields
+//! the modelled QPS the benchmarks report.
 
-use crate::cost::{CostMeter, CostProfile, MeterHub};
+use crate::cost::{CostProfile, MeterHub};
 use crate::error::Result;
 use crate::table::{Mutation, OwnedRow, ReadOptions, RowMutation, ScanRange, Table};
 use crate::types::{Cell, Locality, RowKey};
@@ -13,18 +13,21 @@ use std::sync::Arc;
 
 /// A cost-charged view of a store.
 ///
-/// A plain session charges a private [`CostMeter`]. A hub-attached
-/// session (see [`Bigtable::session_with_hub`](crate::Bigtable::session_with_hub)) additionally mirrors
-/// every charge into a shared [`MeterHub`] *and* seeds its private meter
-/// from the hub's current totals, so:
+/// A plain session keeps its elapsed time to itself. A hub-attached
+/// session (see [`Bigtable::session_with_hub`](crate::Bigtable::session_with_hub))
+/// starts its clock at the shared [`MeterHub`]'s current total and mirrors
+/// every charge into the hub, so:
 ///
 /// * absolute `elapsed_us()` reads mid-call match what one shared clock
 ///   would have shown (single-threaded runs stay bit-identical), and
-/// * concurrent calls each own a meter — no `&mut` clock contention —
-///   while the hub accumulates the server-wide totals.
+/// * concurrent calls each own a clock — no `&mut` clock contention —
+///   while the hub accumulates the server-wide total.
+///
+/// Operation counts are not kept here: every store operation is counted
+/// exactly once, in its table's [`Metrics`](crate::Metrics).
 pub struct Session {
     profile: CostProfile,
-    meter: CostMeter,
+    elapsed_us: f64,
     hub: Option<Arc<MeterHub>>,
 }
 
@@ -32,7 +35,7 @@ impl Session {
     pub(crate) fn new(profile: CostProfile) -> Self {
         Session {
             profile,
-            meter: CostMeter::new(),
+            elapsed_us: 0.0,
             hub: None,
         }
     }
@@ -40,51 +43,39 @@ impl Session {
     pub(crate) fn with_hub(profile: CostProfile, hub: Arc<MeterHub>) -> Self {
         Session {
             profile,
-            meter: CostMeter::starting_at(hub.elapsed_us(), hub.op_count()),
+            elapsed_us: hub.elapsed_us(),
             hub: Some(hub),
         }
     }
 
-    /// Virtual microseconds consumed so far (per-call meter view).
+    /// Virtual microseconds consumed so far (including a hub's seed).
     pub fn elapsed_us(&self) -> f64 {
-        self.meter.elapsed_us()
+        self.elapsed_us
     }
 
-    /// Operations issued so far.
-    pub fn op_count(&self) -> u64 {
-        self.meter.op_count()
-    }
-
-    /// Resets the clock and op counter, returning elapsed microseconds.
+    /// Resets the clock, returning elapsed microseconds.
     ///
     /// On a hub-attached session this resets the shared hub too and
     /// returns the hub's (authoritative, server-wide) elapsed total.
     pub fn reset(&mut self) -> f64 {
-        if let Some(hub) = &self.hub {
-            let elapsed = hub.reset();
-            self.meter.reset();
-            elapsed
-        } else {
-            self.meter.reset()
+        let own = std::mem::take(&mut self.elapsed_us);
+        match &self.hub {
+            Some(hub) => hub.reset(),
+            None => own,
         }
     }
 
-    /// Charges `us` to the private meter and mirrors it into the hub.
-    /// All cost accounting funnels through here so the hub sees the
-    /// exact per-op addition sequence (not a coarse end-of-call fold).
+    /// Charges `us` to the session's clock and mirrors it into the hub
+    /// (non-positive charges are ignored). All cost accounting funnels
+    /// through here so the hub sees the exact per-op addition sequence
+    /// (not a coarse end-of-call fold).
     #[inline]
     fn charge(&mut self, us: f64) {
-        self.meter.charge_us(us);
-        if let Some(hub) = &self.hub {
-            hub.charge_us(us);
-        }
-    }
-
-    #[inline]
-    fn note_op(&mut self) {
-        self.meter.note_op();
-        if let Some(hub) = &self.hub {
-            hub.note_op();
+        if us > 0.0 {
+            self.elapsed_us += us;
+            if let Some(hub) = &self.hub {
+                hub.charge_us(us);
+            }
         }
     }
 
@@ -139,7 +130,6 @@ impl Session {
             .profile
             .point_read_us(table.approx_row_count(), bytes, disk);
         self.charge(us);
-        self.note_op();
         Ok(cell)
     }
 
@@ -157,7 +147,6 @@ impl Session {
             .profile
             .point_read_us(table.approx_row_count(), bytes, disk);
         self.charge(us);
-        self.note_op();
         Ok(row)
     }
 
@@ -180,7 +169,6 @@ impl Session {
             .profile
             .scan_us(table.approx_row_count(), keys.len() as u64, bytes, disk);
         self.charge(us);
-        self.note_op();
         Ok(rows)
     }
 
@@ -198,7 +186,6 @@ impl Session {
             .write_us(table.approx_row_count(), mutations.len() as u64, bytes);
         self.charge(us);
         self.charge_wal(table, bytes);
-        self.note_op();
         Ok(())
     }
 
@@ -213,7 +200,6 @@ impl Session {
         let us = self.profile.batch_write_us(batch.len() as u64, muts, bytes);
         self.charge(us);
         self.charge_wal(table, bytes);
-        self.note_op();
         Ok(n)
     }
 
@@ -238,7 +224,6 @@ impl Session {
             self.charge_wal(table, bytes);
         }
         self.charge(us);
-        self.note_op();
         Ok(applied)
     }
 
@@ -257,7 +242,6 @@ impl Session {
             .profile
             .scan_us(table.approx_row_count(), rows.len() as u64, bytes, disk);
         self.charge(us);
-        self.note_op();
         Ok(rows)
     }
 }
@@ -302,10 +286,11 @@ mod tests {
         let cell = s.get_latest(&t, &RowKey::from_u64(1), "mem", "q").unwrap();
         assert!(cell.is_some());
         assert!(s.elapsed_us() > after_write);
-        assert_eq!(s.op_count(), 2);
+        let ops = store.metrics_snapshot();
+        assert_eq!((ops.write_ops, ops.read_ops), (1, 1));
         let elapsed = s.reset();
         assert!(elapsed > 0.0);
-        assert_eq!(s.op_count(), 0);
+        assert_eq!(s.elapsed_us(), 0.0);
     }
 
     #[test]
@@ -370,7 +355,33 @@ mod tests {
         )
         .unwrap();
         assert_eq!(s.elapsed_us(), 0.0);
-        assert_eq!(s.op_count(), 1);
+        assert_eq!(store.metrics_snapshot().write_ops, 1);
+    }
+
+    #[test]
+    fn hub_session_starts_at_the_hub_total_and_mirrors_each_charge() {
+        // A session seeded at the hub's snapshot sees the same absolute
+        // values one shared clock would have shown.
+        let (store, t) = setup();
+        let hub = Arc::new(MeterHub::new());
+        hub.charge_us(123.25);
+        let mut s = store.session_with_hub(Arc::clone(&hub));
+        assert_eq!(s.elapsed_us(), 123.25);
+        for i in 0..3u64 {
+            s.mutate_row(
+                &t,
+                &RowKey::from_u64(i),
+                &[Mutation::put("mem", "q", Timestamp(0), &b"v"[..])],
+            )
+            .unwrap();
+            assert_eq!(s.elapsed_us().to_bits(), hub.elapsed_us().to_bits());
+        }
+        assert!(s.elapsed_us() > 123.25);
+        // Resetting a hub-attached session empties the hub and returns
+        // its total.
+        let total = hub.elapsed_us();
+        assert_eq!(s.reset().to_bits(), total.to_bits());
+        assert_eq!((s.elapsed_us(), hub.elapsed_us()), (0.0, 0.0));
     }
 
     #[test]

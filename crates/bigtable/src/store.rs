@@ -298,18 +298,15 @@ impl Bigtable {
         Session::new(profile)
     }
 
-    /// Opens a session attached to a shared `MeterHub`: every charge
-    /// is mirrored into the hub, and the session's private meter starts
-    /// at the hub's current totals so absolute mid-call reads replay the
-    /// single-shared-clock timeline exactly. This is what lets a server
-    /// run query paths from `&self` — each call opens an ephemeral
-    /// hubbed session instead of mutating one shared clock.
-    pub fn session_with_hub(
-        self: &Arc<Self>,
-        profile: CostProfile,
-        hub: Arc<crate::cost::MeterHub>,
-    ) -> Session {
-        Session::with_hub(profile, hub)
+    /// Opens a session on the store's default profile attached to a
+    /// shared `MeterHub`: every charge is mirrored into the hub, and the
+    /// session's clock starts at the hub's current total so absolute
+    /// mid-call reads replay the single-shared-clock timeline exactly.
+    /// This is what lets a server run query paths from `&self` — each
+    /// call opens an ephemeral hubbed session instead of mutating one
+    /// shared clock.
+    pub fn session_with_hub(self: &Arc<Self>, hub: Arc<crate::cost::MeterHub>) -> Session {
+        Session::with_hub(self.config.cost_profile, hub)
     }
 }
 

@@ -215,9 +215,9 @@ impl Timestamp {
     /// Simulation epoch.
     pub const ZERO: Timestamp = Timestamp(0);
 
-    /// From whole seconds.
+    /// From whole seconds, saturating at the end of time.
     pub fn from_secs(s: u64) -> Self {
-        Timestamp(s * 1_000_000)
+        Timestamp(s.saturating_mul(1_000_000))
     }
 
     /// From floating-point seconds (sub-microsecond truncated).
@@ -334,6 +334,15 @@ mod tests {
         let t = Timestamp::from_secs(11);
         assert_eq!(t.plus_secs(-3.0), t);
         assert_eq!(t.plus_secs(f64::NAN), t);
+    }
+
+    #[test]
+    fn from_secs_saturates() {
+        let last = u64::MAX / 1_000_000;
+        assert_eq!(Timestamp::from_secs(last), Timestamp(last * 1_000_000));
+        assert_eq!(Timestamp::from_secs(last + 1), Timestamp(u64::MAX));
+        assert_eq!(Timestamp::from_secs(u64::MAX / 1000), Timestamp(u64::MAX));
+        assert_eq!(Timestamp::from_secs(u64::MAX), Timestamp(u64::MAX));
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Property tests for per-call cost-meter mirroring: any interleaving of
+//! Property tests for per-call cost mirroring: any interleaving of
 //! query/update charges lands on the shared [`MeterHub`] with the same
-//! `elapsed_us` / op totals — and hubbed sessions to the same
-//! [`MetricsSnapshot`] — as the old serialized single-clock accounting.
+//! `elapsed_us` total — and hubbed sessions on the same
+//! [`MetricsSnapshot`] — as one serialized clock.
 //!
 //! The per-charge tests use *dyadic* charges (multiples of 2⁻¹⁰ with
 //! bounded magnitude) so every partial `f64` sum is exact and the
@@ -10,9 +10,7 @@
 //! applies the same ops in the same global order, which the hub's
 //! per-op mirroring reproduces exactly.
 
-use moist_bigtable::{
-    Bigtable, CostMeter, MeterHub, Mutation, ReadOptions, RowKey, ScanRange, SimClock, Timestamp,
-};
+use moist_bigtable::{Bigtable, MeterHub, Mutation, ReadOptions, RowKey, ScanRange, Timestamp};
 use proptest::prelude::*;
 
 /// Dyadic charge in [0, 64): k·2⁻¹⁰, exact under f64 addition.
@@ -96,20 +94,13 @@ proptest! {
         calls in prop::collection::vec(prop::collection::vec(dyadic(), 1..12), 1..12),
         seed in any::<u64>(),
     ) {
-        // Serialized oracle: one shared clock, call order.
-        let mut clock = SimClock::new();
-        let mut ops = 0u64;
-        for call in &calls {
-            for &c in call {
-                clock.charge_us(c);
-                ops += 1;
-            }
-        }
+        // Serialized oracle: one plain f64 sum, in call order.
+        let clock: f64 = calls.iter().flatten().fold(0.0, |sum, &c| sum + c);
 
-        // Interleaved run: each call owns a CostMeter; every charge is
-        // mirrored into the hub at an arbitrary point in the schedule.
+        // Interleaved run: each call keeps its own f64 sum; every charge
+        // is mirrored into the hub at an arbitrary point in the schedule.
         let hub = MeterHub::new();
-        let mut meters: Vec<CostMeter> = calls.iter().map(|_| CostMeter::new()).collect();
+        let mut own = vec![0.0f64; calls.len()];
         let mut cursors = vec![0usize; calls.len()];
         let mut remaining: usize = calls.iter().map(|c| c.len()).sum();
         let mut state = seed | 1;
@@ -119,21 +110,16 @@ proptest! {
                 pick = (pick + 1) % calls.len();
             }
             let c = calls[pick][cursors[pick]];
-            meters[pick].charge_us(c);
+            own[pick] += c;
             hub.charge_us(c);
-            hub.note_op();
             cursors[pick] += 1;
             remaining -= 1;
         }
-        prop_assert_eq!(hub.elapsed_us().to_bits(), clock.now_us().to_bits());
-        prop_assert_eq!(hub.op_count(), ops);
-        // And each per-call meter holds exactly its own call's charges.
-        for (meter, call) in meters.iter().zip(&calls) {
-            let mut own = SimClock::new();
-            for &c in call {
-                own.charge_us(c);
-            }
-            prop_assert_eq!(meter.elapsed_us().to_bits(), own.now_us().to_bits());
+        prop_assert_eq!(hub.elapsed_us().to_bits(), clock.to_bits());
+        // And each per-call sum holds exactly its own call's charges.
+        for (own, call) in own.iter().zip(&calls) {
+            let alone: f64 = call.iter().fold(0.0, |sum, &c| sum + c);
+            prop_assert_eq!(own.to_bits(), alone.to_bits());
         }
     }
 
@@ -149,8 +135,8 @@ proptest! {
         // Interleaved: two hub-attached sessions over one store.
         let (store_a, table_a) = store_with_table();
         let hub_a = Arc::new(MeterHub::new());
-        let mut s1 = store_a.session_with_hub(store_a.config().cost_profile, Arc::clone(&hub_a));
-        let mut s2 = store_a.session_with_hub(store_a.config().cost_profile, Arc::clone(&hub_a));
+        let mut s1 = store_a.session_with_hub(Arc::clone(&hub_a));
+        let mut s2 = store_a.session_with_hub(Arc::clone(&hub_a));
         for (first, op) in &schedule {
             let s = if *first { &mut s1 } else { &mut s2 };
             apply(s, &table_a, op);
@@ -159,13 +145,12 @@ proptest! {
         // Serialized oracle: one session, same global order.
         let (store_b, table_b) = store_with_table();
         let hub_b = Arc::new(MeterHub::new());
-        let mut solo = store_b.session_with_hub(store_b.config().cost_profile, Arc::clone(&hub_b));
+        let mut solo = store_b.session_with_hub(Arc::clone(&hub_b));
         for (_, op) in &schedule {
             apply(&mut solo, &table_b, op);
         }
 
         prop_assert_eq!(store_a.metrics_snapshot(), store_b.metrics_snapshot());
         prop_assert_eq!(hub_a.elapsed_us().to_bits(), hub_b.elapsed_us().to_bits());
-        prop_assert_eq!(hub_a.op_count(), hub_b.op_count());
     }
 }

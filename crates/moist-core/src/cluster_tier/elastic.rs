@@ -194,7 +194,7 @@ impl MoistCluster {
     /// [`remove_shard`](MoistCluster::remove_shard) and
     /// [`rebalance`](MoistCluster::rebalance) through
     /// [`publish_epoch`](MoistCluster::publish_epoch), which holds the
-    /// membership write lock and the seqlock's odd phase around it.
+    /// membership write lock around it.
     /// Returns the number of keys that changed owner.
     pub(super) fn migrate_ownership(&self, old: &Membership, new: &Membership) -> u64 {
         // The handover pair: `release` takes `key`'s pending deadline off
@@ -299,8 +299,8 @@ impl MoistCluster {
     /// utilization measured since the previous rebalance and splits the
     /// hottest clustering cells one level finer, then migrates exactly the
     /// routing keys whose owner changed through the same epoch/handover
-    /// path joins and leaves use (deadline phases preserved, seqlock
-    /// protecting the update path).
+    /// path joins and leaves use (deadline phases preserved, in-flight
+    /// updates waited out by the membership write lock).
     ///
     /// * **Weights** — a shard whose virtual elapsed time since the last
     ///   rebalance sits above the fleet mean is over-utilized: its weight

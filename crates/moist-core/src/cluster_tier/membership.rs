@@ -23,7 +23,7 @@ pub(super) struct ShardEntry {
     pub(super) id: u64,
     pub(super) server: Mutex<MoistServer>,
     /// `server`'s [`FrontEnd`]: queries, counters, load and clock reads
-    /// run here, holding no shard lock (module docs, lock rule 6).
+    /// run here, holding no shard lock (module docs, lock rule 5).
     pub(super) front: Arc<FrontEnd>,
     /// Reads this shard served as a *follower* (it was in the routing
     /// key's replica set but not its primary).
@@ -215,29 +215,26 @@ impl MoistCluster {
     /// [`rebalance`](MoistCluster::rebalance) share. `guard` is the
     /// membership write lock the caller built `new` under.
     ///
-    /// The seqlock goes odd (updates started against the old snapshot will
-    /// re-validate and re-route rather than land on a key whose owner is
-    /// mid-migration), ownership migrates, the snapshot swaps, the seqlock
-    /// goes even, the write lock drops, and the ingest queues drain against
-    /// the published snapshot — batches buffered under the old epoch (a
-    /// departed shard's included) re-route to the new owners instead of
-    /// being stranded. Returns the number of routing keys that changed
-    /// owner, also added to each of `counters`. The membership change
-    /// itself cannot fail; a drain error (a poisoned update, a store
-    /// failure) is propagated with the new epoch already live.
+    /// Holding the write lock means no update is in flight (writers hold
+    /// the read guard from routing to apply), so ownership migrates, the
+    /// snapshot swaps, the write lock drops, and the ingest queues drain
+    /// against the published snapshot — batches buffered under the old
+    /// epoch (a departed shard's included) re-route to the new owners
+    /// instead of being stranded. Returns the number of routing keys that
+    /// changed owner, also added to each of `counters`. The membership
+    /// change itself cannot fail; a drain error (a poisoned update, a
+    /// store failure) is propagated with the new epoch already live.
     pub(super) fn publish_epoch(
         &self,
         mut guard: RwLockWriteGuard<'_, Arc<Membership>>,
         new: Membership,
         counters: &[&AtomicU64],
     ) -> Result<u64> {
-        self.version.fetch_add(1, Ordering::AcqRel);
         let migrated = self.migrate_ownership(&guard, &new);
         for counter in counters {
             counter.fetch_add(migrated, Ordering::Relaxed);
         }
         *guard = Arc::new(new);
-        self.version.fetch_add(1, Ordering::AcqRel);
         drop(guard);
         self.drain_ingest()?;
         Ok(migrated)

@@ -35,18 +35,24 @@
 //!    ([`add_shard`], [`remove_shard`], [`rebalance`]) holds the
 //!    membership write lock, and it takes shard locks under it for the
 //!    scheduler handover.
-//! 2. **The membership read guard is dropped before any shard lock is
-//!    taken.** Operations clone the `Arc` snapshot out of the lock
-//!    (`snapshot()`) and route against the clone, so rule 1 can never
-//!    deadlock against them.
+//! 2. **Writers hold the membership read guard across their owner's
+//!    lock; queries and `submit` clone the snapshot and hold nothing.**
+//!    An update or a batch ([`update`](MoistCluster::update), the ingest
+//!    flushes) routes, locks its owner and applies under one read guard,
+//!    so an epoch bump's write lock waits out every in-flight writer and
+//!    no write lands on a migrated cell's old owner. Every other caller
+//!    clones the `Arc` snapshot out of the lock (`snapshot()`) and drops
+//!    the guard before any shard lock or scan. An NN scan must never hold
+//!    the guard: the lock prefers a waiting writer, so a scan under it
+//!    would park every update behind a waiting bump for the ~1.5 ms the
+//!    scan takes. Nothing takes the membership lock under a shard lock,
+//!    and no thread takes a second read guard while it holds one (a bump
+//!    queued in between deadlocks both).
 //! 3. **Never two shard locks at once.** The handover releases a key on
 //!    its old owner *before* adopting it on the new one.
 //! 4. **Below a shard lock: WAL lock → tablet lock** (the store's own
 //!    order, see `moist_bigtable`).
-//! 5. **The seqlock is not a lock.** `version` is odd while an epoch bump
-//!    migrates ownership; writers (never readers) validate it *after*
-//!    taking the owner's shard lock and re-route if it moved.
-//! 6. **There is no read guard.** The shard lock is a writer mutex: it
+//! 5. **There is no shard read guard.** The shard lock is a writer mutex: it
 //!    serializes a shard's *writers* (updates, clustering, handover) so
 //!    that a cell's read-modify-writes never interleave. The shared half
 //!    of the server ([`FrontEnd`]: queries, counters, load signal, clock,
@@ -66,11 +72,10 @@
 //! membership (one brief read-lock), routes against it, and keeps the
 //! target shard alive through the `Arc` even if the membership changes
 //! mid-flight. [`add_shard`] and [`remove_shard`] bump the epoch and swap
-//! the snapshot. Updates additionally validate their routing against the
-//! membership seqlock after taking the owner's lock and re-route if an
-//! epoch bump raced them (see [`update`](MoistCluster::update)), so a
-//! write never lands on a migrated cell's old owner — no torn routing,
-//! no lost updates; read-only queries route on the snapshot alone.
+//! the snapshot. Updates instead hold the membership read guard from
+//! routing to apply (lock rule 2), so a bump waits for them and a write
+//! never lands on a migrated cell's old owner — no torn routing, no lost
+//! updates; read-only queries route on the snapshot alone.
 //!
 //! Because ownership is a **rendezvous** (highest-random-weight) hash over
 //! the stable shard *ids* — not a modular hash over the shard *count* —
@@ -174,11 +179,10 @@
 //! oldest message ages past the flush deadline
 //! ([`flush_due`](MoistCluster::flush_due)), and surfaces a full queue as
 //! typed backpressure instead of queueing unboundedly. Batched flushes go
-//! through `update_batch`, which re-routes
-//! every message under the same membership seqlock the synchronous path
-//! uses — grouped by the *current* owner, re-validated after each owner
-//! lock — and every epoch bump (join, leave, rebalance) drains the queues
-//! right after publishing its snapshot
+//! through `update_batch`, which routes every message under the same
+//! membership read guard the synchronous path holds — grouped by the
+//! *current* owner — and every epoch bump (join, leave, rebalance)
+//! drains the queues right after publishing its snapshot
 //! ([`drain_ingest`](MoistCluster::drain_ingest)), so in-flight batches
 //! re-route rather than land on a migrated cell's old owner and a killed
 //! shard's buffered messages are applied, not lost.
@@ -243,6 +247,7 @@ pub struct MoistCluster {
     cfg: MoistConfig,
     store: Arc<Bigtable>,
     /// Read-mostly membership snapshot; swapped whole on epoch bumps.
+    /// Writers hold its read guard from routing to apply (lock rule 2).
     membership: RwLock<Arc<Membership>>,
     /// Shared worker pool running scattered query slices in parallel.
     query_pool: QueryPool,
@@ -260,13 +265,6 @@ pub struct MoistCluster {
     archiver: Option<Arc<PppArchiver>>,
     /// Next stable shard id to assign.
     next_shard_id: AtomicU64,
-    /// Seqlock guarding the update path against stale routing: odd while
-    /// a membership change is migrating cells, bumped to even once the new
-    /// snapshot is published. [`update`](MoistCluster::update) re-reads it
-    /// after taking the shard lock and re-routes if it moved, so a write
-    /// never lands on a cell's *old* owner concurrently with the new
-    /// owner clustering that cell.
-    version: AtomicU64,
     /// Cells migrated between shards by join/leave epoch bumps.
     epoch_migrations: AtomicU64,
     /// Routing keys whose next-ranked follower stepped up to primary on a
@@ -446,7 +444,6 @@ impl ClusterBuilder {
             retired: Mutex::new(RetiredShards::default()),
             object_estimate,
             archiver: self.archiver,
-            version: AtomicU64::new(0),
             epoch_migrations: AtomicU64::new(0),
             promotions: AtomicU64::new(0),
             replica_reads: AtomicU64::new(0),

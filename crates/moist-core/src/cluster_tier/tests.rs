@@ -1266,3 +1266,43 @@ fn controller_grows_on_surge_and_shrinks_back_when_idle() {
             .is_some());
     }
 }
+
+/// A clustering tick at the end of time is refused with a typed error
+/// before any cell runs (the scheduler re-arms a due cell by adding whole
+/// intervals to the tick), and a sane tick after it still fires. The
+/// tier's other tick-driven entry points return a result at `u64::MAX`
+/// instead of panicking.
+#[test]
+fn ticks_at_the_end_of_time_are_typed_errors_not_panics() {
+    let end = Timestamp::from_secs_f64(f64::INFINITY);
+    assert_eq!(end, Timestamp(u64::MAX));
+    let cfg = MoistConfig::default();
+    let sane = Timestamp::from_secs_f64(2.0 * cfg.cluster_interval_secs);
+    let inconsistent = |r: Result<ClusterReport>| matches!(r, Err(MoistError::Inconsistent(_)));
+
+    let store = Bigtable::new();
+    let mut server = MoistServer::new(&store, cfg).unwrap();
+    server.update(&msg(1, 100.0, 100.0, 1.0, 0.0)).unwrap();
+    assert!(inconsistent(server.run_due_clustering(end)));
+    assert_eq!(server.stats().cluster_runs, 0);
+    server.run_due_clustering(sane).unwrap();
+    assert!(server.stats().cluster_runs > 0, "the next sane tick fires");
+
+    let store = Bigtable::new();
+    let cluster = MoistCluster::builder(&store, cfg)
+        .shards(2)
+        .controller(ControllerConfig::default())
+        .build()
+        .unwrap();
+    cluster.update(&msg(1, 100.0, 100.0, 1.0, 0.0)).unwrap();
+    cluster.submit(&msg(2, 900.0, 900.0, 1.0, 0.0)).unwrap();
+    assert!(inconsistent(cluster.run_due_clustering(end)));
+    assert!(inconsistent(cluster.run_due_clustering_shard(0, end)));
+    assert_eq!(cluster.stats().cluster_runs, 0);
+    assert_eq!(cluster.flush_due(end).unwrap(), 1);
+    cluster.rebalance(end).unwrap();
+    cluster.controller_tick(end).unwrap();
+    assert!(cluster.stats().balanced());
+    cluster.run_due_clustering(sane).unwrap();
+    assert!(cluster.stats().cluster_runs > 0, "the next sane tick fires");
+}

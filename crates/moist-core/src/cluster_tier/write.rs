@@ -1,122 +1,69 @@
-//! The write path: seqlock-validated synchronous updates, owner-grouped
-//! batches, the pipelined submit/flush/drain tier, and checkpoints
-//! (lock-ordering rules: see the [module docs](super)).
+//! The write path: synchronous updates and owner-grouped batches routed
+//! under the membership read guard, the pipelined submit/flush/drain
+//! tier, and checkpoints (lock-ordering rules: see the
+//! [module docs](super)).
 
-use super::membership::{Membership, ShardEntry};
+use super::membership::ShardEntry;
 use super::MoistCluster;
 use crate::error::{MoistError, Result};
 use crate::ingest::{BackpressurePolicy, EnqueueResult, FlushKind, SubmitOutcome};
-use crate::server::MoistServer;
 use crate::update::{UpdateMessage, UpdateOutcome};
 use moist_bigtable::Timestamp;
-use parking_lot::MutexGuard;
 use std::collections::HashMap;
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 impl MoistCluster {
-    /// A quiescent (even) seqlock version and the snapshot to route
-    /// under it; spins while a membership change is migrating cells.
-    fn stable_snapshot(&self) -> (u64, Arc<Membership>) {
-        loop {
-            let version = self.version.load(Ordering::Acquire);
-            if version % 2 == 1 {
-                std::thread::yield_now();
-                continue;
-            }
-            return (version, self.snapshot());
-        }
-    }
-
-    /// Locks `entry` — routed as an owner under seqlock `version`
-    /// — and validates the routing: `None` when a membership change ran
-    /// (or is running) since, so the entry may no longer own the key and
-    /// the caller must re-route on a fresh snapshot. This keeps the
-    /// exclusivity invariant — a cell's updates and its clustering
-    /// serialize on the *current* owner's lock — across epoch bumps:
-    /// without it, an update routed on a pre-bump snapshot could mutate a
-    /// migrated cell's school state on the old owner while the new owner
-    /// is already clustering that cell.
-    fn lock_owner<'a>(
-        &self,
-        entry: &'a ShardEntry,
-        version: u64,
-    ) -> Option<MutexGuard<'a, MoistServer>> {
-        let server = entry.server.lock();
-        (self.version.load(Ordering::Acquire) == version).then_some(server)
-    }
-
     /// Applies one update on the shard owning the update's clustering
-    /// cell, under the seqlock discipline: version read, routing, owner
-    /// lock, version re-check, retry on a raced epoch bump. Read-only
-    /// queries skip the validation deliberately (a stale-routed read still
-    /// scans a consistent store).
+    /// cell. The membership read guard is held across routing, the
+    /// owner's lock and the apply, so an epoch bump — which takes the
+    /// write lock — waits out the update, and the update never lands on a
+    /// migrated cell's old owner while the new owner clusters that cell.
+    /// Read-only queries hold no guard (a stale-routed read still scans a
+    /// consistent store).
     pub fn update(&self, msg: &UpdateMessage) -> Result<UpdateOutcome> {
-        loop {
-            // Routing key and owner come from the same snapshot, so the
-            // split table consulted is the one this epoch's owners were
-            // seeded from.
-            let (version, snap) = self.stable_snapshot();
-            let entry = Arc::clone(snap.owner_of(snap.route_point(&msg.loc, &self.cfg)));
-            drop(snap);
-            // Bound first so the guard drops before `entry`.
-            let locked = self.lock_owner(&entry, version);
-            if let Some(mut server) = locked {
-                return server.update(msg);
-            }
-        }
+        // Routing key and owner come from the same snapshot, so the
+        // split table consulted is the one this epoch's owners were
+        // seeded from.
+        let snap = self.membership.read();
+        let entry = snap.owner_of(snap.route_point(&msg.loc, &self.cfg));
+        let mut server = entry.server.lock();
+        server.update(msg)
     }
 
     /// Applies a batch of updates, each on the shard owning its
     /// clustering cell, amortizing lock acquisitions and store
     /// round-trips across each shard's group
-    /// ([`MoistServer::update_batch`]).
+    /// ([`MoistServer::update_batch`](crate::MoistServer::update_batch)).
     ///
-    /// Routing holds the same seqlock discipline as
-    /// [`update`](MoistCluster::update), per owner group: messages are
-    /// grouped by the current snapshot's owners, and groups raced by an
-    /// epoch bump return to the pending set and re-route on the new
-    /// snapshot — so no message in the batch ever lands on a migrated
-    /// cell's old owner. Outcomes come back in message order. On a store
-    /// error the already-applied groups stay applied (store errors are
-    /// fatal in this tier, never transient).
+    /// Messages are grouped by owner under one membership read guard,
+    /// held until every group has applied — as
+    /// [`update`](MoistCluster::update) holds it — so no message in the
+    /// batch lands on a migrated cell's old owner. Outcomes come back in
+    /// message order. On a store error the already-applied groups stay
+    /// applied (store errors are fatal in this tier, never transient).
     pub(crate) fn update_batch(&self, msgs: &[UpdateMessage]) -> Result<Vec<UpdateOutcome>> {
-        let mut out: Vec<Option<UpdateOutcome>> = vec![None; msgs.len()];
-        let mut pending: Vec<usize> = (0..msgs.len()).collect();
-        while !pending.is_empty() {
-            let (version, snap) = self.stable_snapshot();
-            // Group by owner in first-seen order: deterministic apply
-            // order per submission order, so the virtual-time cost model
-            // stays reproducible.
-            let mut groups: Vec<(Arc<ShardEntry>, Vec<usize>)> = Vec::new();
-            let mut slot_of: HashMap<u64, usize> = HashMap::new();
-            for &i in &pending {
-                let entry = snap.owner_of(snap.route_point(&msgs[i].loc, &self.cfg));
-                let slot = *slot_of.entry(entry.id).or_insert_with(|| {
-                    groups.push((Arc::clone(entry), Vec::new()));
-                    groups.len() - 1
-                });
-                groups[slot].1.push(i);
-            }
-            drop(snap);
-            pending.clear();
-            for (entry, idxs) in groups {
-                let Some(mut server) = self.lock_owner(&entry, version) else {
-                    pending.extend(idxs);
-                    continue;
-                };
-                let batch: Vec<UpdateMessage> = idxs.iter().map(|&i| msgs[i]).collect();
-                let outcomes = server.update_batch(&batch)?;
-                drop(server);
-                for (&i, o) in idxs.iter().zip(outcomes) {
-                    out[i] = Some(o);
-                }
+        let snap = self.membership.read();
+        // Group by owner in first-seen order: deterministic apply order
+        // per submission order, so the virtual-time cost model stays
+        // reproducible.
+        let mut groups: Vec<(&ShardEntry, Vec<UpdateMessage>, Vec<usize>)> = Vec::new();
+        let mut slot_of: HashMap<u64, usize> = HashMap::new();
+        for (i, msg) in msgs.iter().enumerate() {
+            let entry = snap.owner_of(snap.route_point(&msg.loc, &self.cfg));
+            let slot = *slot_of.entry(entry.id).or_insert_with(|| {
+                groups.push((entry, Vec::new(), Vec::new()));
+                groups.len() - 1
+            });
+            groups[slot].1.push(*msg);
+            groups[slot].2.push(i);
+        }
+        let mut out = vec![UpdateOutcome::Shed; msgs.len()];
+        for (entry, batch, idxs) in groups {
+            let outcomes = entry.server.lock().update_batch(&batch)?;
+            for (i, o) in idxs.into_iter().zip(outcomes) {
+                out[i] = o;
             }
         }
-        Ok(out
-            .into_iter()
-            .map(|o| o.expect("every message applied by exactly one group"))
-            .collect())
+        Ok(out)
     }
 
     /// Submits one update to the ingestion pipeline instead of applying
@@ -125,8 +72,8 @@ impl MoistCluster {
     /// The message is routed by the current membership snapshot to its
     /// owner shard's bounded queue. An enqueue that fills the batch
     /// flushes it inline through
-    /// `update_batch` (which re-routes
-    /// under the seqlock, so queue-key staleness is harmless). A full
+    /// `update_batch` (which re-routes every message under the
+    /// membership read guard, so queue-key staleness is harmless). A full
     /// queue surfaces per the configured [`BackpressurePolicy`]: a typed
     /// [`MoistError::Backpressure`] (nothing accepted — the client owns
     /// the retry) or an overload shed ([`SubmitOutcome::ShedOverload`],

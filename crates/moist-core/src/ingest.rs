@@ -215,7 +215,6 @@ struct ShardQueue {
 pub(crate) struct IngestQueues {
     queues: RwLock<HashMap<u64, Arc<ShardQueue>>>,
     submitted: AtomicU64,
-    enqueued: AtomicU64,
     backpressure: AtomicU64,
     overload_shed: AtomicU64,
     batches: AtomicU64,
@@ -349,8 +348,6 @@ impl IngestQueues {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.flushed_updates
             .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        self.enqueued
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
         match kind {
             FlushKind::Size => self.size_flushes.fetch_add(1, Ordering::Relaxed),
             FlushKind::Deadline => self.deadline_flushes.fetch_add(1, Ordering::Relaxed),
@@ -381,13 +378,15 @@ impl IngestQueues {
             .values()
             .map(|q| q.outstanding.load(Ordering::Relaxed) as u64)
             .sum();
+        let flushed_updates = self.flushed_updates.load(Ordering::Relaxed);
         IngestStats {
             submitted: self.submitted.load(Ordering::Relaxed),
-            enqueued: self.enqueued.load(Ordering::Relaxed) + queued,
+            // Every accepted message is flushed or still outstanding.
+            enqueued: flushed_updates + queued,
             backpressure: self.backpressure.load(Ordering::Relaxed),
             overload_shed: self.overload_shed.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
-            flushed_updates: self.flushed_updates.load(Ordering::Relaxed),
+            flushed_updates,
             size_flushes: self.size_flushes.load(Ordering::Relaxed),
             deadline_flushes: self.deadline_flushes.load(Ordering::Relaxed),
             drain_flushes: self.drain_flushes.load(Ordering::Relaxed),

@@ -19,10 +19,10 @@
 //!   table and the region fan-out's range slicer;
 //! * [`cluster_tier`] — the sharded multi-server tier: N servers over one
 //!   store, routing and clustering partitioned by [`placement`] over an
-//!   epoch-stamped membership (`membership`), a seqlock-validated write
-//!   path with pipelined ingestion (`write`), replica-anchored and
-//!   scatter-gathered reads (`read`), and live shard join/leave/rebalance
-//!   (`elastic`) (§4.3.3);
+//!   epoch-stamped membership (`membership`), a write path routed under
+//!   the membership read guard with pipelined ingestion (`write`),
+//!   replica-anchored and scatter-gathered reads (`read`), and live shard
+//!   join/leave/rebalance (`elastic`) (§4.3.3);
 //! * [`ingest`] — the batched, pipelined ingestion tier: bounded per-shard
 //!   submission queues with size/deadline flush and typed backpressure,
 //!   feeding the batched apply path (§4.1's batch-write discount);

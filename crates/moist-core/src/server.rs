@@ -25,7 +25,7 @@
 //! writers and keeps the same `Arc<FrontEnd>` beside it: a scan of the
 //! shared store never makes the shard's writer wait.
 //!
-//! Ephemeral sessions are *seeded* from the hub's running totals, so on a
+//! Ephemeral sessions are *seeded* from the hub's running total, so on a
 //! single thread every charge lands in the same order and at the same
 //! absolute clock value as the old one-shared-session design — virtual
 //! time stays bit-identical.
@@ -39,7 +39,9 @@ use crate::load::{CellRates, LoadTracker};
 use crate::nn::{nn_query, Neighbor, NnOptions, NnStats};
 use crate::school::estimated_location;
 use crate::tables::MoistTables;
-use crate::update::{apply_update, apply_update_batch, UpdateMessage, UpdateOutcome};
+use crate::update::{
+    apply_update, apply_update_batch, UpdateMessage, UpdateOutcome, MAX_REPORT_US,
+};
 use moist_archive::{HistoryRecord, PppArchiver, QueryCost};
 use moist_bigtable::{Bigtable, BigtableError, MeterHub, Session, Timestamp};
 use moist_spatial::{Point, Rect};
@@ -137,8 +139,8 @@ pub struct FrontEnd {
     cfg: MoistConfig,
     tables: MoistTables,
     store: Arc<Bigtable>,
-    /// Shared accumulator of virtual time and op counts; every per-call
-    /// session this front-end opens mirrors its charges here.
+    /// Shared accumulator of virtual time; every per-call session this
+    /// front-end opens mirrors its charges here.
     hub: Arc<MeterHub>,
     /// FLAG tuner: read guard for cache hits and Algorithm 3 probes,
     /// write guard only to install a re-tuned level.
@@ -349,7 +351,18 @@ impl MoistServer {
     }
 
     /// Runs clustering for every cell due at `now` (lazy clustering).
+    ///
+    /// A tick past 2^62 µs, the latest report time an update may carry, is
+    /// refused before any cell runs: the scheduler re-arms each due cell
+    /// by adding whole intervals to its deadline, which must stay inside
+    /// `u64`.
     pub fn run_due_clustering(&mut self, now: Timestamp) -> Result<ClusterReport> {
+        if now.0 > MAX_REPORT_US {
+            return Err(MoistError::Inconsistent(format!(
+                "clustering tick at {} µs is past the end of time",
+                now.0
+            )));
+        }
         let mut s = self.charged_session();
         let mut total = ClusterReport::default();
         for cell in self.scheduler.due_cells(now) {
@@ -375,12 +388,11 @@ impl MoistServer {
 
 impl FrontEnd {
     /// Opens an ephemeral cost session for one call: charges mirror into
-    /// the shared hub and the session's meter is seeded from the hub's
-    /// running totals, so single-threaded charge sequences (and every
+    /// the shared hub and the session's clock is seeded from the hub's
+    /// running total, so single-threaded charge sequences (and every
     /// mid-call `elapsed_us` diff) are bit-identical to one shared clock.
     fn charged_session(&self) -> Session {
-        let profile = self.store.config().cost_profile;
-        self.store.session_with_hub(profile, Arc::clone(&self.hub))
+        self.store.session_with_hub(Arc::clone(&self.hub))
     }
 
     /// The server's configuration.
@@ -393,8 +405,7 @@ impl FrontEnd {
         &self.tables
     }
 
-    /// Zeroes the virtual clock and op counter (benches do this after
-    /// warm-up).
+    /// Zeroes the virtual clock (benches do this after warm-up).
     pub fn reset_clock(&self) {
         self.hub.reset();
     }
@@ -403,12 +414,6 @@ impl FrontEnd {
     /// sessions (the shared hub total).
     pub fn elapsed_us(&self) -> f64 {
         self.hub.elapsed_us()
-    }
-
-    /// The shared meter hub (cost accounting for every session this
-    /// server opens).
-    pub fn meter_hub(&self) -> &Arc<MeterHub> {
-        &self.hub
     }
 
     /// Operation counters.

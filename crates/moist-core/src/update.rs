@@ -40,7 +40,7 @@ pub struct UpdateMessage {
 /// the clustering interval. Timestamps are added to (an L/F write lands
 /// one past its row's head, the scheduler adds intervals to deadlines), so
 /// they must stay far inside `u64`.
-const MAX_REPORT_US: u64 = u64::MAX / 4;
+pub(crate) const MAX_REPORT_US: u64 = u64::MAX / 4;
 
 impl UpdateMessage {
     /// Rejects a malformed message: a non-finite location or velocity, or
@@ -929,6 +929,7 @@ mod tests {
         // Queries reject what updates reject, with the same typed error,
         // before touching the store.
         let server = crate::server::MoistServer::new(&st, cfg).unwrap();
+        let before = st.metrics_snapshot();
         let rejected = |r: Result<()>| matches!(r, Err(MoistError::Inconsistent(_)));
         let at = Timestamp::ZERO;
         for c in [
@@ -963,7 +964,7 @@ mod tests {
         assert!(rejected(
             server.nn_with_options(p, at, &nan_range).map(drop)
         ));
-        assert_eq!(server.meter_hub().op_count(), 0, "rejected before any read");
+        assert_eq!(st.metrics_snapshot(), before, "rejected before any read");
         assert!(server.region(&world, at, 0.0).is_ok());
         // A finite horizon past the end of time saturates instead of
         // overflowing, and the one object is still found. Twice: the

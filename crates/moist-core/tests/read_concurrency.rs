@@ -14,14 +14,15 @@
 //! * a writer with a backlog drains it beside a closed-loop NN reader on
 //!   its hot shard without waiting out the reader's scans;
 //! * racing readers and writers account exactly: final `ServerStats`
-//!   counters and hub op counts equal the single-threaded oracle, and
-//!   virtual elapsed time matches up to interleaving noise;
+//!   counters and the store's operation counters equal the
+//!   single-threaded oracle, and virtual elapsed time matches up to
+//!   interleaving noise;
 //! * single-threaded, the per-call hub-seeded sessions are
 //!   bit-identical to the old one-shared-clock design (pinned against a
 //!   plain `Session` replay of the same ops) — the invariant that keeps
 //!   fig13/fig16 outputs unchanged across the refactor.
 
-use moist_bigtable::{Bigtable, Timestamp};
+use moist_bigtable::{Bigtable, MetricsSnapshot, Timestamp};
 use moist_core::{
     apply_update, nn_query, FlagTuner, MoistCluster, MoistConfig, MoistServer, MoistTables,
     NnOptions, ObjectId, ServerStats, UpdateMessage, UpdateOutcome,
@@ -293,7 +294,7 @@ fn a_writer_with_a_backlog_drains_it_beside_a_closed_loop_nn_reader() {
 /// 4 racing writer threads (disjoint bands of the map, so update
 /// outcomes are interleaving-independent), then 4 racing reader
 /// threads; the same ops replayed single-threaded on a fresh tier are
-/// the oracle. Counter totals and hub op counts must match *exactly*;
+/// the oracle. Counter totals and store op counts must match *exactly*;
 /// virtual elapsed time to interleaving noise (a racing writer observes
 /// slightly different store row counts inside the index-navigation
 /// charge term, and f64 addition reorders under the hub's CAS loop).
@@ -317,7 +318,7 @@ fn racing_totals_equal_the_single_threaded_oracle() {
         spot(r as u64, (i * 3) as u64)
     }
 
-    let run = |concurrent: bool| -> (ServerStats, u64, f64) {
+    let run = |concurrent: bool| -> (ServerStats, MetricsSnapshot, f64) {
         let store = Bigtable::new();
         let cluster = Arc::new(
             MoistCluster::builder(&store, tier_config())
@@ -325,6 +326,7 @@ fn racing_totals_equal_the_single_threaded_oracle() {
                 .build()
                 .unwrap(),
         );
+        let before = store.metrics_snapshot();
         let read = |c: &MoistCluster, x: f64, y: f64| {
             let shard = c.shard_for_point(&Point::new(x, y));
             // Fixed NN level: FLAG's cache races are exercised elsewhere;
@@ -381,13 +383,7 @@ fn racing_totals_equal_the_single_threaded_oracle() {
                 }
             }
         }
-        let ops: u64 = (0..SHARDS)
-            .map(|i| {
-                cluster
-                    .with_shard_read(i, |s| s.meter_hub().op_count())
-                    .unwrap()
-            })
-            .sum();
+        let ops = store.metrics_snapshot().delta(&before);
         let elapsed = cluster.total_elapsed_us();
         (cluster.stats(), ops, elapsed)
     };
@@ -399,7 +395,11 @@ fn racing_totals_equal_the_single_threaded_oracle() {
     assert!(racy_stats.balanced(), "{racy_stats:?}");
     assert_eq!(racy_stats.updates, WRITERS * UPDATES_PER_WRITER);
     assert_eq!(racy_stats.nn_queries, (READERS * QUERIES_PER_READER) as u64);
-    assert_eq!(racy_ops, oracle_ops, "hub op counts must be exact");
+    assert_eq!(racy_ops, oracle_ops, "store op counts must be exact");
+    assert!(
+        racy_ops.read_ops > 0 && racy_ops.scan_ops > 0,
+        "{racy_ops:?}"
+    );
     let rel = (racy_us - oracle_us).abs() / oracle_us.max(1.0);
     assert!(
         rel < 0.01,
@@ -430,13 +430,16 @@ fn single_threaded_metering_is_bit_identical_to_one_shared_clock() {
     // Server path: every call opens its own hub-seeded session.
     let store_a = Bigtable::new();
     let mut server = MoistServer::new(&store_a, cfg).unwrap();
+    let ops_a = store_a.metrics_snapshot();
     drive(&mut server);
+    let ops_a = store_a.metrics_snapshot().delta(&ops_a);
 
     // Plain replay: one session, one clock, the same op sequence the
     // server paths issue (update apply; FLAG probe loop then NN scan
     // threaded through a single session, as `MoistServer::nn` does).
     let store_b = Bigtable::new();
     let tables = MoistTables::create(&store_b, &cfg).unwrap();
+    let ops_b = store_b.metrics_snapshot();
     let mut session = store_b.session();
     let mut tuner = FlagTuner::new(&cfg);
     let mut estimate = 0u64; // mirrors the server's object-count estimate
@@ -473,8 +476,8 @@ fn single_threaded_metering_is_bit_identical_to_one_shared_clock() {
         session.elapsed_us()
     );
     assert_eq!(
-        server.meter_hub().op_count(),
-        session.op_count(),
+        ops_a,
+        store_b.metrics_snapshot().delta(&ops_b),
         "op counts must match exactly"
     );
 
@@ -482,13 +485,100 @@ fn single_threaded_metering_is_bit_identical_to_one_shared_clock() {
     // bits again.
     let store_c = Bigtable::new();
     let mut server2 = MoistServer::new(&store_c, cfg).unwrap();
+    let ops_c = store_c.metrics_snapshot();
     drive(&mut server2);
     assert_eq!(
         server.elapsed_us().to_bits(),
         server2.elapsed_us().to_bits()
     );
-    assert_eq!(
-        server.meter_hub().op_count(),
-        server2.meter_hub().op_count()
+    assert_eq!(ops_a, store_c.metrics_snapshot().delta(&ops_c));
+}
+
+/// The lock order under a pinned shard: while `with_shard` holds a
+/// shard's writer mutex for ~300 ms, an `update` routed to that shard
+/// waits for it holding the membership read guard, an `add_shard` waits
+/// for that guard, and an `nn` waits at most for the bump. All three
+/// finish once the pin lifts — a deadlock fails the bounded wait instead
+/// of hanging the suite — and the update is counted exactly once. The
+/// pin is forced by a channel; the short pauses between the three starts
+/// only make that arrival order likely, and the checks hold in any order.
+#[test]
+fn a_pinned_shard_delays_an_update_a_join_and_a_query_but_blocks_none() {
+    const PIN: Duration = Duration::from_millis(300);
+    const BOUND: Duration = Duration::from_secs(20);
+    let store = Bigtable::new();
+    let cluster = Arc::new(
+        MoistCluster::builder(&store, tier_config())
+            .shards(SHARDS)
+            .build()
+            .unwrap(),
     );
+    seed_objects(&cluster, 64);
+    let probe = probe_points(&cluster)[0];
+    let before = cluster.stats();
+
+    // Each thread reports on its own channel and is joined only after
+    // every report arrived, so a deadlocked one fails its `recv_timeout`
+    // below instead of hanging the join.
+    let (held_tx, held_rx) = mpsc::channel();
+    let c = Arc::clone(&cluster);
+    let pin = std::thread::spawn(move || {
+        c.with_shard(0, |_| {
+            held_tx.send(Instant::now()).unwrap();
+            std::thread::sleep(PIN);
+        })
+        .unwrap();
+    });
+    let pinned_at = held_rx
+        .recv_timeout(BOUND)
+        .expect("the pin never took the lock");
+
+    let (update_tx, update_rx) = mpsc::channel();
+    let c = Arc::clone(&cluster);
+    let update = std::thread::spawn(move || {
+        let m = msg(500_000, probe.x, probe.y, 3.0);
+        let applied = c.update(&m).map(drop);
+        update_tx.send((applied, Instant::now())).unwrap();
+    });
+    std::thread::sleep(Duration::from_millis(50));
+    let (join_tx, join_rx) = mpsc::channel();
+    let c = Arc::clone(&cluster);
+    let join = std::thread::spawn(move || join_tx.send(c.add_shard().map(drop)).unwrap());
+    std::thread::sleep(Duration::from_millis(50));
+    let (nn_tx, nn_rx) = mpsc::channel();
+    let c = Arc::clone(&cluster);
+    let query = std::thread::spawn(move || {
+        let answer = c.nn(probe, 3, Timestamp::from_secs(3));
+        nn_tx.send(answer.map(|(nn, _)| nn.len())).unwrap();
+    });
+
+    let (applied, updated_at) = update_rx
+        .recv_timeout(BOUND)
+        .expect("the update never finished");
+    applied.unwrap();
+    assert!(
+        updated_at.duration_since(pinned_at) >= PIN,
+        "the update must wait for the pinned shard"
+    );
+    join_rx
+        .recv_timeout(BOUND)
+        .expect("the join never finished")
+        .unwrap();
+    let found = nn_rx
+        .recv_timeout(BOUND)
+        .expect("the query never finished")
+        .unwrap();
+    assert_eq!(found, 3);
+    for t in [pin, update, join, query] {
+        t.join().unwrap();
+    }
+
+    assert_eq!(cluster.num_shards(), SHARDS + 1);
+    let stats = cluster.stats();
+    assert_eq!(stats.updates - before.updates, 1, "counted exactly once");
+    assert!(stats.balanced(), "{stats:?}");
+    assert!(cluster
+        .position(ObjectId(500_000), Timestamp::from_secs(3))
+        .unwrap()
+        .is_some());
 }
