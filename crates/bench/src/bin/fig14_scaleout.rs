@@ -19,8 +19,8 @@
 //!   clients experience once schools shed the redundant updates.
 //!
 //! `--elastic` exercises the live-membership path instead: one cluster
-//! grows 2 → 5 → 10 shards *mid-run* (rendezvous ownership, scheduler
-//! re-seeding at the migrated cells' deadline phase) and the windowed QPS
+//! grows 2 → 5 → 10 shards *mid-run* (rendezvous ownership; migrated
+//! cells keep their clustering deadlines) and the windowed QPS
 //! timeline around each join — the dip-and-recovery curve — is saved to
 //! `bench_results/fig14_elastic.json`. Each window times its busiest
 //! shard by that shard's own elapsed delta, so a joiner counts from 0.
@@ -158,13 +158,7 @@ fn run_elastic(scale: &ElasticScale) {
         "outcome counters must sum: {:?}",
         agg.ops
     );
-    let owned: usize = (0..cluster.num_shards())
-        .map(|i| {
-            cluster
-                .with_shard(i, |s| s.scheduler().owned_count())
-                .expect("live shard")
-        })
-        .sum();
+    let owned: usize = agg.shards.iter().map(|s| s.primary_keys).sum();
     let cells = moist::spatial::cells_at_level(cfg.clustering_level);
     assert_eq!(owned as u64, cells, "grown fleet must partition the level");
 

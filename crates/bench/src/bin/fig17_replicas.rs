@@ -10,7 +10,8 @@
 //! replication is free of write amplification: the rendezvous top-`k`
 //! shards of a cell can all serve its reads (updates and clustering stay
 //! on the rank-0 primary), and when the primary dies the rank-1 follower
-//! — already warm on the cell's reads — adopts its deadlines instantly.
+//! — already warm on the cell's reads — takes over its clustering at the
+//! same deadlines instantly.
 //!
 //! This bin drives the worst case the single-owner tier admits: two
 //! business centers whose clustering cells **rendezvous-hash to the same
@@ -241,8 +242,8 @@ fn run_one(shards: usize, replicas: usize, read_mix: f64, scale: &Scale) -> Meas
     let read_qps = w.rate(reads);
     let replica_read_share = (w.end.replica_reads - w.start.replica_reads) as f64 / reads as f64;
 
-    // Kill the hot primary and time the handover: at k≥2 its keys'
-    // rank-1 followers adopt at preserved deadlines, and the very next
+    // Kill the hot primary and time the promotion: at k≥2 its keys'
+    // rank-1 followers take over at the same deadlines, and the very next
     // read on a hot cell must be served — zero downtime.
     let (promoted_keys, kill_to_read_us) = if replicas >= 2 {
         let hot = Point::new(spots[0].0, spots[0].1);
@@ -260,7 +261,7 @@ fn run_one(shards: usize, replicas: usize, read_mix: f64, scale: &Scale) -> Meas
         );
         let promos = cluster.cluster_stats().promotions - promos_before;
         assert!(promos > 0, "a kill at k={replicas} must promote followers");
-        // The adopted deadlines must still drive clustering on the new
+        // The kept deadlines must still drive clustering on the new
         // primaries — the schedule survived the kill intact.
         cluster
             .run_due_clustering(Timestamp::from_secs(end_secs + 10))

@@ -22,16 +22,17 @@
 
 use crate::codec::LfRecord;
 use crate::config::MoistConfig;
-use crate::error::Result;
+use crate::error::{MoistError, Result};
 use crate::hexgrid::{HexBin, HexGrid};
 use crate::ids::ObjectId;
-use crate::placement::{routing_key_cell, winner, ShardWeight, SplitTable, SPLIT_CHILD_TAG};
+use crate::placement::{routing_key_cell, SplitTable};
 use crate::tables::{MoistTables, SpatialEntry};
+use crate::update::MAX_REPORT_US;
 use moist_bigtable::{RowMutation, Session, Timestamp};
 use moist_spatial::{cells_at_level, CellId};
 use serde::Serialize;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap};
 
 /// Outcome and phase timing of clustering one cell.
 #[derive(Debug, Clone, Copy, Default, Serialize)]
@@ -302,160 +303,60 @@ pub fn cluster_sweep(
 /// on the configured interval `T_c`.
 ///
 /// Deadlines live in a min-heap keyed by due time, so `due_cells` is
-/// `O(due · log owned)` rather than a full sweep of every cell, and a cell
+/// `O(due · log keys)` rather than a full sweep of every cell, and a cell
 /// re-arms from its *missed deadline* (advanced by whole intervals past
 /// `now`), so late callers do not drift the schedule's phase.
 ///
-/// In a [`crate::cluster_tier::MoistCluster`] each shard holds the
-/// scheduler for the routing keys it wins under [`crate::placement`]'s
-/// rendezvous; the shards' owned sets form an exact partition of the
-/// clustering level, so every cell is clustered by exactly one shard. On a
-/// membership change the tier
-/// moves only the cells whose rendezvous winner changed, handing each
-/// cell's pending deadline from `release` on the old owner to `adopt`
-/// on the new one — the schedule's phase survives the migration, so a
-/// joining shard neither re-clusters everything at once nor skips a round.
-///
+/// A standalone [`MoistServer`](crate::MoistServer) holds one for the
+/// whole map. A [`MoistCluster`](crate::MoistCluster) holds one for the
+/// whole tier, keyed by routing key: a shard's tick pops only the due keys
+/// it is the rendezvous primary of and leaves the others' in place, so
+/// every key is clustered by exactly one shard. A key's deadline belongs
+/// to its cell, not to the cell's owner: joins, leaves and weight changes
+/// move no deadline, and only a split or unsplit re-keys the table
+/// ([`resplit`](ClusterScheduler::resplit)).
 #[derive(Debug)]
-pub struct ClusterScheduler {
+pub(crate) struct ClusterScheduler {
     interval_us: u64,
     level: u8,
-    /// The owned cell indices (mirrors the heap's contents).
-    owned: HashSet<u64>,
-    /// Min-heap of `(due_us, cell index)` for the owned cells.
+    /// Min-heap of `(due_us, routing key)`.
     heap: BinaryHeap<Reverse<(u64, u64)>>,
 }
 
 impl ClusterScheduler {
-    /// Creates a scheduler owning every cell of `cfg`'s clustering level.
+    /// Creates a scheduler over every cell of `cfg`'s clustering level.
+    ///
+    /// First deadlines are staggered by cell index so cells do not all
+    /// fire at once (the paper clusters cells sequentially for the same
+    /// reason).
     pub(crate) fn new(cfg: &MoistConfig) -> Self {
-        let n = cells_at_level(cfg.clustering_level);
-        Self::for_cells(cfg, 0..n)
-    }
-
-    /// Creates a scheduler owning no cells (a freshly joined shard before
-    /// the tier migrates its rendezvous wins over via [`adopt`]).
-    ///
-    /// [`adopt`]: ClusterScheduler::adopt
-    pub(crate) fn empty(cfg: &MoistConfig) -> Self {
-        Self::for_cells(cfg, std::iter::empty())
-    }
-
-    /// Creates the scheduler for member `member` of the placement
-    /// `members`: it owns the routing keys (unsplit cells, plus children
-    /// of split cells) whose rendezvous winner ([`crate::placement::owners`]
-    /// rank 0) is `member`.
-    pub fn for_placement(
-        cfg: &MoistConfig,
-        member: u64,
-        members: &[ShardWeight],
-        splits: &SplitTable,
-    ) -> Self {
-        Self::for_cells(
-            cfg,
-            splits
-                .routing_keys(cfg.clustering_level)
-                .into_iter()
-                .filter(|&key| members[winner(key, members)].id == member),
-        )
-    }
-
-    /// Creates a scheduler owning exactly `cells` — routing keys at
-    /// `cfg`'s clustering level (plain cell indices, or
-    /// [`SPLIT_CHILD_TAG`]-tagged children of split cells).
-    ///
-    /// First deadlines are staggered by *global* cell index so cells do
-    /// not all fire at once (the paper clusters cells sequentially for the
-    /// same reason); the stagger is identical no matter how the level is
-    /// split across shards, so handing a cell between owners never shifts
-    /// its phase. A split cell's children share their parent's stagger
-    /// slot (they inherit its deadline phase on a live split too).
-    fn for_cells(cfg: &MoistConfig, cells: impl IntoIterator<Item = u64>) -> Self {
         let n = cells_at_level(cfg.clustering_level);
         let interval_us = (cfg.cluster_interval_secs * 1e6) as u64;
         // 128-bit multiply before the divide: at fine levels `n` exceeds
         // `interval_us` and the naive `interval_us / n * i` truncates every
         // stagger to 0, re-creating the thundering herd.
-        let stagger = |key: u64| {
-            let i = if key & SPLIT_CHILD_TAG != 0 {
-                (key & !SPLIT_CHILD_TAG) >> 2
-            } else {
-                key
-            };
-            (interval_us as u128 * i as u128 / n.max(1) as u128) as u64
-        };
-        let mut owned = HashSet::new();
-        let heap = cells
-            .into_iter()
-            .filter(|&i| owned.insert(i))
-            .map(|i| Reverse((interval_us + stagger(i), i)))
-            .collect();
+        let stagger = |i: u64| (interval_us as u128 * i as u128 / n as u128) as u64;
         ClusterScheduler {
             interval_us: interval_us.max(1),
             level: cfg.clustering_level,
-            owned,
-            heap,
+            heap: (0..n)
+                .map(|i| Reverse((interval_us + stagger(i), i)))
+                .collect(),
         }
     }
 
-    /// Whether this scheduler owns clustering cell `index`.
-    pub fn owns(&self, index: u64) -> bool {
-        self.owned.contains(&index)
-    }
-
-    /// Number of clustering cells this scheduler owns.
-    pub fn owned_count(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// The pending deadline (virtual µs) of owned cell `index`, or `None`
-    /// if this scheduler does not own it.
-    pub fn deadline_of(&self, index: u64) -> Option<u64> {
+    /// The pending deadline (virtual µs) of routing key `key`, or `None`
+    /// if `key` is not scheduled.
+    pub(crate) fn deadline_of(&self, key: u64) -> Option<u64> {
         self.heap
             .iter()
-            .find(|Reverse((_, i))| *i == index)
+            .find(|Reverse((_, k))| *k == key)
             .map(|Reverse((due, _))| *due)
     }
 
-    /// Stops owning cell `index`, returning its pending deadline so the
-    /// new owner can [`adopt`](ClusterScheduler::adopt) the cell at the
-    /// same phase. Returns `None` (and changes nothing) if the cell was
-    /// not owned. `O(owned)` — membership changes are rare.
-    pub(crate) fn release(&mut self, index: u64) -> Option<u64> {
-        if !self.owned.remove(&index) {
-            return None;
-        }
-        let mut released = None;
-        let entries: Vec<_> = std::mem::take(&mut self.heap).into_vec();
-        self.heap = entries
-            .into_iter()
-            .filter(|Reverse((due, i))| {
-                if *i == index {
-                    released = Some(*due);
-                    false
-                } else {
-                    true
-                }
-            })
-            .collect();
-        released
-    }
-
-    /// Starts owning cell `index` with the pending deadline `due_us`
-    /// (virtual µs) — the counterpart of [`release`] on the cell's new
-    /// owner. Adopting preserves the cell's phase: its next clustering
-    /// fires exactly when it would have on the old owner, instead of
-    /// immediately (a thundering re-cluster) or an interval late (a missed
-    /// round). A no-op if the cell is already owned.
-    ///
-    /// [`release`]: ClusterScheduler::release
-    pub(crate) fn adopt(&mut self, index: u64, due_us: u64) {
-        if self.owned.insert(index) {
-            self.heap.push(Reverse((due_us, index)));
-        }
-    }
-
-    /// Cells due for clustering at `now`, re-armed from their deadline.
+    /// The cells due for clustering at `now` among the routing keys
+    /// `mine` accepts, re-armed from their deadline. Due keys `mine`
+    /// rejects stay scheduled untouched, for the shard they belong to.
     ///
     /// Each returned cell's next deadline is its missed one advanced by
     /// whole intervals until it is strictly in the future: the phase of the
@@ -463,26 +364,71 @@ impl ClusterScheduler {
     /// cell fires at most once per call. Routing keys decode to concrete
     /// cells here ([`routing_key_cell`]): a split cell's children come back
     /// as cells one level finer, each clustered as its own smaller cell.
-    pub(crate) fn due_cells(&mut self, now: Timestamp) -> Vec<CellId> {
+    ///
+    /// A tick past 2^62 µs, the latest report time an update may carry, is
+    /// refused before any key pops: re-arming adds whole intervals to a
+    /// deadline, which must stay inside `u64`.
+    pub(crate) fn due_cells(
+        &mut self,
+        now: Timestamp,
+        mine: impl Fn(u64) -> bool,
+    ) -> Result<Vec<CellId>> {
+        if now.0 > MAX_REPORT_US {
+            return Err(MoistError::Inconsistent(format!(
+                "clustering tick at {} µs is past the end of time",
+                now.0
+            )));
+        }
         let now_us = now.0;
         let mut due = Vec::new();
-        while let Some(&Reverse((due_us, index))) = self.heap.peek() {
+        let mut back = Vec::new();
+        while let Some(Reverse((due_us, key))) = self.heap.peek().copied() {
             if due_us > now_us {
                 break;
             }
             self.heap.pop();
-            due.push(routing_key_cell(index, self.level));
+            if !mine(key) {
+                back.push(Reverse((due_us, key)));
+                continue;
+            }
+            due.push(routing_key_cell(key, self.level));
             let missed = (now_us - due_us) / self.interval_us + 1;
-            self.heap
-                .push(Reverse((due_us + missed * self.interval_us, index)));
+            back.push(Reverse((due_us + missed * self.interval_us, key)));
         }
-        due
+        self.heap.extend(back);
+        Ok(due)
+    }
+
+    /// Re-keys the schedule from split table `old` to `new`: a freshly
+    /// split cell hands its pending deadline to its four children, so none
+    /// re-clusters early or skips a round, and a reunited cell takes its
+    /// earliest child's deadline.
+    pub(crate) fn resplit(&mut self, old: &SplitTable, new: &SplitTable) {
+        let split: Vec<u64> = new.cells().filter(|&c| !old.is_split(c)).collect();
+        let unsplit: Vec<u64> = old.cells().filter(|&c| !new.is_split(c)).collect();
+        if split.is_empty() && unsplit.is_empty() {
+            return;
+        }
+        let mut due: HashMap<u64, u64> = self.heap.drain().map(|Reverse((d, k))| (k, d)).collect();
+        for cell in split {
+            if let Some(d) = due.remove(&cell) {
+                due.extend(SplitTable::child_keys(cell).map(|child| (child, d)));
+            }
+        }
+        for cell in unsplit {
+            let children = SplitTable::child_keys(cell);
+            if let Some(d) = children.iter().filter_map(|c| due.remove(c)).min() {
+                due.insert(cell, d);
+            }
+        }
+        self.heap = due.into_iter().map(|(k, d)| Reverse((d, k))).collect();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::placement::{winner, ShardWeight};
     use crate::update::{apply_update, UpdateMessage};
     use moist_bigtable::Bigtable;
     use moist_spatial::{Point, Velocity};
@@ -679,17 +625,14 @@ mod tests {
             ..MoistConfig::default()
         };
         let mut sched = ClusterScheduler::new(&cfg);
-        assert!(sched.due_cells(Timestamp::from_secs(5)).is_empty());
+        let mut due = |t| sched.due_cells(Timestamp::from_secs(t), |_| true).unwrap();
+        assert!(due(5).is_empty());
         // Deadlines are staggered at 10, 12.5, 15, 17.5 s: after 18 s every
         // cell has fired exactly once.
-        let mut fired = 0;
-        for t in [10, 12, 15, 18] {
-            fired += sched.due_cells(Timestamp::from_secs(t)).len();
-        }
+        let fired: usize = [10, 12, 15, 18].map(|t| due(t).len()).iter().sum();
         assert_eq!(fired, 4);
         // They re-arm one interval past their deadline.
-        let more = sched.due_cells(Timestamp::from_secs(40)).len();
-        assert_eq!(more, 4);
+        assert_eq!(due(40).len(), 4);
     }
 
     #[test]
@@ -700,119 +643,105 @@ mod tests {
             ..MoistConfig::default()
         };
         let mut sched = ClusterScheduler::new(&cfg);
+        let mut due = |t| sched.due_cells(Timestamp::from_secs(t), |_| true).unwrap();
         // A caller 3 s late: the cell fires, and the schedule keeps its
         // phase (next deadline 20 s, not 23 s).
-        assert_eq!(sched.due_cells(Timestamp::from_secs(13)).len(), 1);
-        assert!(sched.due_cells(Timestamp::from_secs(19)).is_empty());
-        assert_eq!(sched.due_cells(Timestamp::from_secs(20)).len(), 1);
+        assert_eq!(due(13).len(), 1);
+        assert!(due(19).is_empty());
+        assert_eq!(due(20).len(), 1);
         // A caller several intervals late gets the cell once, not a
         // backlog of catch-up firings; phase is still preserved.
-        assert_eq!(sched.due_cells(Timestamp::from_secs(57)).len(), 1);
-        assert!(sched.due_cells(Timestamp::from_secs(59)).is_empty());
-        assert_eq!(sched.due_cells(Timestamp::from_secs(60)).len(), 1);
+        assert_eq!(due(57).len(), 1);
+        assert!(due(59).is_empty());
+        assert_eq!(due(60).len(), 1);
     }
 
     #[test]
-    fn schedulers_decode_split_children_to_finer_cells() {
-        let cfg = MoistConfig {
-            clustering_level: 2, // 16 cells
-            cluster_interval_secs: 10.0,
-            ..MoistConfig::default()
-        };
-        let mut splits = SplitTable::new();
-        splits.split(5);
-        let members = [ShardWeight::unit(0)];
-        let mut sched = ClusterScheduler::for_placement(&cfg, 0, &members, &splits);
-        assert_eq!(sched.owned_count(), 15 + 4);
-        let due = sched.due_cells(Timestamp::from_secs(100));
-        assert_eq!(due.len(), 15 + 4);
-        let fine: Vec<&CellId> = due.iter().filter(|c| c.level == 3).collect();
-        assert_eq!(fine.len(), 4, "the split cell fires as four children");
-        for c in fine {
-            assert_eq!(c.index >> 2, 5);
-        }
-        assert!(
-            due.iter().filter(|c| c.level == 2).all(|c| c.index != 5),
-            "the split parent itself never fires"
-        );
-    }
-
-    #[test]
-    fn rendezvous_schedulers_cover_each_cell_exactly_once() {
-        let cfg = MoistConfig {
-            clustering_level: 4, // 256 cells
-            ..MoistConfig::default()
-        };
-        for ids in [vec![0u64], vec![0, 1], vec![5, 9, 13], vec![2, 3, 5, 7, 11]] {
-            let members: Vec<ShardWeight> = ids.iter().map(|&id| ShardWeight::unit(id)).collect();
-            let scheds: Vec<ClusterScheduler> = ids
-                .iter()
-                .map(|&m| ClusterScheduler::for_placement(&cfg, m, &members, &SplitTable::new()))
-                .collect();
-            let total: usize = scheds.iter().map(|s| s.owned_count()).sum();
-            assert_eq!(total, 256, "{ids:?} must partition the level");
-            for index in 0..256u64 {
-                let owners = scheds.iter().filter(|s| s.owns(index)).count();
-                assert_eq!(owners, 1, "cell {index} with members {ids:?}");
-                assert!(scheds[winner(index, &members)].owns(index));
-            }
-        }
-    }
-
-    #[test]
-    fn rendezvous_schedulers_fire_only_the_cells_they_own() {
+    fn member_ticks_fire_only_their_keys_and_leave_the_rest_untouched() {
         let cfg = MoistConfig {
             clustering_level: 3, // 64 cells
             cluster_interval_secs: 10.0,
             ..MoistConfig::default()
         };
         let members = [0u64, 1, 2, 3].map(ShardWeight::unit);
-        let mut scheds: Vec<ClusterScheduler> = members
-            .iter()
-            .map(|m| ClusterScheduler::for_placement(&cfg, m.id, &members, &SplitTable::new()))
-            .collect();
+        let mut sched = ClusterScheduler::new(&cfg);
+        let first: Vec<Option<u64>> = (0..64).map(|k| sched.deadline_of(k)).collect();
         // Past every staggered first deadline (they all lie in [T, 2T)).
         let now = Timestamp::from_secs(25);
         let mut seen = std::collections::HashSet::new();
-        for (pos, sched) in scheds.iter_mut().enumerate() {
-            for cell in sched.due_cells(now) {
+        for pos in 0..members.len() {
+            for cell in sched
+                .due_cells(now, |k| winner(k, &members) == pos)
+                .unwrap()
+            {
                 assert_eq!(winner(cell.index, &members), pos);
                 assert!(seen.insert(cell.index), "cell {} fired twice", cell.index);
+            }
+            // The other members' keys keep their first deadline until
+            // their own tick pops them.
+            for key in 0..64 {
+                if winner(key, &members) > pos {
+                    assert_eq!(sched.deadline_of(key), first[key as usize]);
+                }
             }
         }
         assert_eq!(seen.len(), 64, "every cell fires exactly once");
     }
 
     #[test]
-    fn release_and_adopt_hand_a_cell_over_at_its_phase() {
+    fn resplit_hands_a_cells_deadline_down_and_back_up() {
         let cfg = MoistConfig {
             clustering_level: 2, // 16 cells
             cluster_interval_secs: 10.0,
             ..MoistConfig::default()
         };
-        let mut old = ClusterScheduler::new(&cfg);
-        let mut joiner = ClusterScheduler::empty(&cfg);
-        assert_eq!(joiner.owned_count(), 0);
-        let due = old.deadline_of(5).unwrap();
-        assert_eq!(old.release(5), Some(due));
-        assert!(!old.owns(5));
-        assert_eq!(old.owned_count(), 15);
-        assert_eq!(old.release(5), None, "double release is a no-op");
-        joiner.adopt(5, due);
-        assert!(joiner.owns(5));
-        assert_eq!(joiner.deadline_of(5), Some(due), "phase survives handoff");
-        // Adopting an already-owned cell does not duplicate it.
-        joiner.adopt(5, due + 1);
-        assert_eq!(joiner.owned_count(), 1);
-        // The released cell never fires on the old owner again.
-        let fired: Vec<u64> = old
-            .due_cells(Timestamp::from_secs(1_000))
-            .iter()
-            .map(|c| c.index)
-            .collect();
-        assert!(!fired.contains(&5));
-        // …but fires on the joiner, at the handed-over deadline.
-        assert!(joiner.due_cells(Timestamp(due - 1)).is_empty());
-        assert_eq!(joiner.due_cells(Timestamp(due)).len(), 1);
+        let mut sched = ClusterScheduler::new(&cfg);
+        let due = sched.deadline_of(5).unwrap();
+        let mut splits = SplitTable::new();
+        splits.split(5);
+        sched.resplit(&SplitTable::new(), &splits);
+        assert_eq!(sched.deadline_of(5), None, "the split parent is re-keyed");
+        let children = SplitTable::child_keys(5);
+        for child in children {
+            assert_eq!(
+                sched.deadline_of(child),
+                Some(due),
+                "children inherit the phase"
+            );
+        }
+        // The split cell fires as its four children, one level finer.
+        let fired = sched
+            .due_cells(Timestamp::from_secs(100), |_| true)
+            .unwrap();
+        assert_eq!(fired.len(), 15 + 4);
+        let fine: Vec<&CellId> = fired.iter().filter(|c| c.level == 3).collect();
+        assert_eq!(fine.len(), 4);
+        assert!(fine.iter().all(|c| c.index >> 2 == 5));
+        // One child fires once more, so the others now hold the earliest
+        // child deadline: the reunited cell takes it and the children
+        // leave the table.
+        let earliest = sched.deadline_of(children[0]).unwrap();
+        let fired = sched.due_cells(Timestamp(earliest), |k| k == children[0]);
+        assert_eq!(fired.unwrap().len(), 1);
+        assert!(sched.deadline_of(children[0]).unwrap() > earliest);
+        assert_eq!(sched.deadline_of(children[1]), Some(earliest));
+        sched.resplit(&splits, &SplitTable::new());
+        assert_eq!(sched.deadline_of(5), Some(earliest));
+        assert!(children.iter().all(|&c| sched.deadline_of(c).is_none()));
+        assert_eq!(sched.heap.len(), 16);
+        // No split-table change, no re-keying.
+        sched.resplit(&SplitTable::new(), &SplitTable::new());
+        assert_eq!(sched.heap.len(), 16);
+    }
+
+    #[test]
+    fn ticks_past_the_end_of_time_pop_nothing() {
+        let mut sched = ClusterScheduler::new(&MoistConfig::default());
+        let end = Timestamp(MAX_REPORT_US + 1);
+        assert!(sched.due_cells(end, |_| true).is_err());
+        assert_eq!(
+            sched.deadline_of(0),
+            ClusterScheduler::new(&MoistConfig::default()).deadline_of(0)
+        );
     }
 }

@@ -4,7 +4,6 @@
 
 use super::membership::{Membership, ShardEntry};
 use super::MoistCluster;
-use crate::cluster::ClusterScheduler;
 use crate::controller::{ControllerAction, Plan};
 use crate::error::{MoistError, Result};
 use crate::ingest::IngestStats;
@@ -56,8 +55,8 @@ pub struct RebalanceReport {
     /// Previously-split cells reunited because their measured demand
     /// faded (freeing split-table capacity for the next hot spot).
     pub unsplit_cells: Vec<u64>,
-    /// Routing keys that changed owner (each handed over at its deadline
-    /// phase through the scheduler release/adopt path).
+    /// Routing keys that changed owner (each keeps its clustering
+    /// deadline: the schedule belongs to the cell, not to its owner).
     pub migrated_keys: u64,
 }
 
@@ -72,8 +71,8 @@ pub struct ShardLoadStats {
     /// Virtual µs of store time this shard has consumed.
     pub elapsed_us: f64,
     /// Routing keys (cells / split children) this shard is **primary**
-    /// for: its scheduler owns them, their updates serialize on it, and
-    /// it alone clusters them.
+    /// for: their updates serialize on it, and its ticks alone pop their
+    /// clustering deadlines.
     pub primary_keys: usize,
     /// Routing keys this shard **follows** (it is in their replica set at
     /// rank 1+): it mirrors their state through the shared store and
@@ -150,22 +149,16 @@ impl ClusterStats {
 impl MoistCluster {
     /// Adds a fresh shard to the tier and returns its stable id.
     ///
-    /// The joiner starts with an empty schedule; only the clustering cells
-    /// whose rendezvous winner changed (≈ cells/(N+1) of them — exactly
-    /// the joiner's wins) migrate, each adopted at the deadline phase it
-    /// had on its old owner. In-flight operations keep routing against
-    /// the pre-join snapshot and land correctly in the shared store.
+    /// Only the clustering cells whose rendezvous winner changed
+    /// (≈ cells/(N+1) of them — exactly the joiner's wins) migrate, each
+    /// keeping its clustering deadline. In-flight operations keep routing
+    /// against the pre-join snapshot and land correctly in the shared
+    /// store.
     pub fn add_shard(&self) -> Result<u64> {
         let guard = self.membership.write();
         let id = self.next_shard_id.fetch_add(1, Ordering::Relaxed);
-        let joiner = ShardEntry::open(
-            id,
-            &self.store,
-            self.cfg,
-            ClusterScheduler::empty(&self.cfg),
-            &self.object_estimate,
-            self.archiver.as_ref(),
-        )?;
+        let archiver = self.archiver.as_ref();
+        let joiner = ShardEntry::open(id, &self.store, self.cfg, &self.object_estimate, archiver)?;
         let mut shards = guard.shards.clone();
         let mut placement = guard.placement.clone();
         let pos = shards.partition_point(|e| e.id < id);
@@ -185,77 +178,38 @@ impl MoistCluster {
         Ok(id)
     }
 
-    /// Moves every routing key whose owner differs between `old` and
-    /// `new` from its old owner's scheduler to its new owner's,
-    /// preserving each key's deadline phase; cells split (or unsplit)
-    /// between the snapshots hand their phase down to (or up from) their
-    /// children. The single migration path shared by
+    /// Counts the routing keys whose primary differs between `old` and
+    /// `new`: a freshly split cell counts each child its parent's old
+    /// owner does not keep, and a reunited cell counts once. No deadline
+    /// moves — the tier's one schedule belongs to the cells — so this
+    /// takes no lock; [`publish_epoch`](MoistCluster::publish_epoch)
+    /// calls it under the membership write lock for
     /// [`add_shard`](MoistCluster::add_shard),
     /// [`remove_shard`](MoistCluster::remove_shard) and
-    /// [`rebalance`](MoistCluster::rebalance) through
-    /// [`publish_epoch`](MoistCluster::publish_epoch), which holds the
-    /// membership write lock around it.
-    /// Returns the number of keys that changed owner.
-    pub(super) fn migrate_ownership(&self, old: &Membership, new: &Membership) -> u64 {
-        // The handover pair: `release` takes `key`'s pending deadline off
-        // its `old` owner, `adopt` arms it on its `new` owner (and names
-        // that owner).
-        let release = |key: u64| old.owner_of(key).server.lock().scheduler_mut().release(key);
-        let adopt = |key: u64, due: u64| {
-            let owner = new.owner_of(key);
-            owner.server.lock().scheduler_mut().adopt(key, due);
-            owner.id
-        };
-        // Moves one key if its owner changed; returns whether it did.
-        let move_key = |key: u64| -> bool {
-            let moves = old.owner_of(key).id != new.owner_of(key).id;
-            if moves {
-                adopt(key, release(key).expect("old owner held the migrating key"));
-            }
-            moves
-        };
-        let mut migrated = 0u64;
-        for cell in 0..cells_at_level(self.cfg.clustering_level) {
-            match (old.splits.is_split(cell), new.splits.is_split(cell)) {
-                (false, false) => migrated += u64::from(move_key(cell)),
-                (true, true) => {
-                    for child in SplitTable::child_keys(cell) {
-                        migrated += u64::from(move_key(child));
-                    }
-                }
-                (false, true) => {
-                    // A fresh split: the parent's pending deadline carries
-                    // over to every child, so none of the four re-clusters
-                    // early or skips a round.
-                    let due = release(cell).expect("old owner held the splitting cell");
-                    let old_id = old.owner_of(cell).id;
-                    for child in SplitTable::child_keys(cell) {
-                        migrated += u64::from(adopt(child, due) != old_id);
-                    }
-                }
-                (true, false) => {
-                    // Un-split: the earliest child deadline becomes the
-                    // reunited cell's phase.
-                    let due = SplitTable::child_keys(cell)
-                        .into_iter()
-                        .filter_map(release)
-                        .min()
-                        .unwrap_or((self.cfg.cluster_interval_secs * 1e6) as u64);
-                    adopt(cell, due);
-                    migrated += 1;
-                }
-            }
-        }
-        migrated
+    /// [`rebalance`](MoistCluster::rebalance).
+    pub(super) fn moved_keys(&self, old: &Membership, new: &Membership) -> u64 {
+        let moved =
+            |before: u64, after: u64| u64::from(old.owner_of(before).id != new.owner_of(after).id);
+        let children = |cell| SplitTable::child_keys(cell).into_iter();
+        (0..cells_at_level(self.cfg.clustering_level))
+            .map(
+                |cell| match (old.splits.is_split(cell), new.splits.is_split(cell)) {
+                    (false, false) => moved(cell, cell),
+                    (true, true) => children(cell).map(|c| moved(c, c)).sum(),
+                    (false, true) => children(cell).map(|c| moved(cell, c)).sum(),
+                    (true, false) => 1,
+                },
+            )
+            .sum()
     }
 
     /// Removes the shard with stable id `id` from the tier.
     ///
     /// Only the departed shard's cells are reassigned — every other
     /// cell's owner is untouched (the rendezvous property) — and each
-    /// reassigned cell is adopted by its new owner at its current deadline
-    /// phase. The removed shard's counters remain in [`stats`] so no
-    /// update it absorbed (live or in flight) goes unaccounted.
+    /// reassigned cell keeps its clustering deadline. The removed shard's
+    /// counters remain in [`stats`] so no update it absorbed (live or in
+    /// flight) goes unaccounted.
     ///
     /// Fails with [`MoistError::NoSuchShard`] if `id` is not a live shard
     /// or it is the last one (an empty tier could serve nothing).
@@ -281,12 +235,11 @@ impl MoistCluster {
         self.retired.lock().retire(shards.remove(pos));
         placement.remove(pos);
         let new = guard.next(shards, placement);
-        // The migration hands exactly the departed shard's keys (the only
-        // ones whose winner changes) to their new owners. Rendezvous ranks
-        // are prefix-stable under a leave: under replication every
-        // migrated key's new primary is exactly its old rank-1 follower,
-        // already warm on the key's reads — each handover is an instant
-        // follower promotion.
+        // Exactly the departed shard's keys (the only ones whose winner
+        // changes) move to new owners. Rendezvous ranks are prefix-stable
+        // under a leave: under replication every migrated key's new
+        // primary is exactly its old rank-1 follower, already warm on the
+        // key's reads — each move is an instant follower promotion.
         let mut counters = vec![&self.epoch_migrations];
         if guard.replicas > 1 {
             counters.push(&self.promotions);
@@ -298,9 +251,9 @@ impl MoistCluster {
     /// One load-aware placement step: derives per-shard weights from the
     /// utilization measured since the previous rebalance and splits the
     /// hottest clustering cells one level finer, then migrates exactly the
-    /// routing keys whose owner changed through the same epoch/handover
-    /// path joins and leaves use (deadline phases preserved, in-flight
-    /// updates waited out by the membership write lock).
+    /// routing keys whose owner changed through the same epoch bump joins
+    /// and leaves use (deadlines kept, in-flight updates and clustering
+    /// ticks waited out by the membership write lock).
     ///
     /// * **Weights** — a shard whose virtual elapsed time since the last
     ///   rebalance sits above the fleet mean is over-utilized: its weight
@@ -315,8 +268,8 @@ impl MoistCluster {
     ///   `MAX_SPLIT_CELLS`), so a single business-center cell stops
     ///   pinning whichever shard owns it. Split cells whose demand later
     ///   fades below `UNSPLIT_FACTOR`× the mean **un-split** — the four
-    ///   children reunite through the same handover path — so the split
-    ///   table's cap recycles as the hot spot moves.
+    ///   children reunite at the earliest child's clustering deadline —
+    ///   so the split table's cap recycles as the hot spot moves.
     /// * **Density** — the merged per-cell rates refresh the relative
     ///   density map the region fan-out uses to price its balancing pass.
     ///
@@ -450,13 +403,14 @@ impl MoistCluster {
             });
         }
 
-        // ---- publish: one epoch bump through the shared handover path ----
+        // ---- publish: one epoch bump, the schedule re-keyed under it ----
         let placement = old
             .placement
             .iter()
             .zip(weights)
             .map(|(m, weight)| ShardWeight { id: m.id, weight })
             .collect();
+        self.schedule.lock().resplit(&old.splits, &splits);
         let new = Membership {
             splits: Arc::new(splits),
             ..old.next(old.shards.clone(), placement)
@@ -552,8 +506,8 @@ impl MoistCluster {
     pub fn cluster_stats(&self) -> ClusterStats {
         let snap = self.snapshot();
         // Key counts by position: walk every routing key's replica set
-        // once, charging rank 0 (the owner — exactly the key set its
-        // scheduler holds at rest) as primary and ranks 1+ as follower.
+        // once, charging rank 0 (the owner, whose ticks cluster the key)
+        // as primary and ranks 1+ as follower.
         let mut primary_keys = vec![0usize; snap.shards.len()];
         let mut follower_keys = vec![0usize; snap.shards.len()];
         for key in snap.splits.routing_keys(self.cfg.clustering_level) {

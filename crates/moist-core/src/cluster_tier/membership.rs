@@ -3,7 +3,6 @@
 //! new snapshot (lock-ordering rules: see the [module docs](super)).
 
 use super::MoistCluster;
-use crate::cluster::ClusterScheduler;
 use crate::config::MoistConfig;
 use crate::error::{MoistError, Result};
 use crate::placement::{self, ShardWeight, SplitTable};
@@ -16,8 +15,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// One live shard: its stable id, the server behind the writer mutex —
-/// updates, clustering sweeps and scheduler handoff serialize on it — and
-/// the server's shared half beside it, where everything else runs.
+/// updates and clustering sweeps serialize on it — and the server's
+/// shared half beside it, where everything else runs.
 pub(super) struct ShardEntry {
     /// Stable shard id — never reused, survives other shards' churn.
     pub(super) id: u64,
@@ -31,20 +30,18 @@ pub(super) struct ShardEntry {
 }
 
 impl ShardEntry {
-    /// Opens shard `id`'s server over `store` with its slice of the
-    /// clustering schedule, the tier's shared object-count estimate (seeded
-    /// from the store's row count, so a tier over a populated store starts
-    /// with the right FLAG `n`) and the tier's archiver, if any.
+    /// Opens shard `id`'s server over `store` with the tier's shared
+    /// object-count estimate (seeded from the store's row count, so a tier
+    /// over a populated store starts with the right FLAG `n`) and the
+    /// tier's archiver, if any.
     pub(super) fn open(
         id: u64,
         store: &Arc<Bigtable>,
         cfg: MoistConfig,
-        scheduler: ClusterScheduler,
         estimate: &Arc<AtomicU64>,
         archiver: Option<&Arc<PppArchiver>>,
     ) -> Result<Arc<Self>> {
-        let mut server =
-            MoistServer::with_estimate(store, cfg, Arc::clone(estimate))?.with_scheduler(scheduler);
+        let mut server = MoistServer::with_estimate(store, cfg, Arc::clone(estimate))?;
         if let Some(archiver) = archiver {
             server = server.with_archiver(Arc::clone(archiver));
         }
@@ -215,22 +212,23 @@ impl MoistCluster {
     /// [`rebalance`](MoistCluster::rebalance) share. `guard` is the
     /// membership write lock the caller built `new` under.
     ///
-    /// Holding the write lock means no update is in flight (writers hold
-    /// the read guard from routing to apply), so ownership migrates, the
-    /// snapshot swaps, the write lock drops, and the ingest queues drain
-    /// against the published snapshot — batches buffered under the old
-    /// epoch (a departed shard's included) re-route to the new owners
-    /// instead of being stranded. Returns the number of routing keys that
-    /// changed owner, also added to each of `counters`. The membership
-    /// change itself cannot fail; a drain error (a poisoned update, a
-    /// store failure) is propagated with the new epoch already live.
+    /// Holding the write lock means no update or clustering tick is in
+    /// flight (both hold the read guard from routing to the end of their
+    /// work), so the snapshot swaps, the write lock drops, and the ingest
+    /// queues drain against the published snapshot — batches buffered
+    /// under the old epoch (a departed shard's included) re-route to the
+    /// new owners instead of being stranded. Returns the number of routing
+    /// keys that changed owner, also added to each of `counters`. The
+    /// membership change itself cannot fail; a drain error (a poisoned
+    /// update, a store failure) is propagated with the new epoch already
+    /// live.
     pub(super) fn publish_epoch(
         &self,
         mut guard: RwLockWriteGuard<'_, Arc<Membership>>,
         new: Membership,
         counters: &[&AtomicU64],
     ) -> Result<u64> {
-        let migrated = self.migrate_ownership(&guard, &new);
+        let migrated = self.moved_keys(&guard, &new);
         for counter in counters {
             counter.fetch_add(migrated, Ordering::Relaxed);
         }

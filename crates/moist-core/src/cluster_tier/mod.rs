@@ -9,9 +9,10 @@
 //!
 //! Routing by clustering cell buys two invariants:
 //!
-//! * **Clustering exclusivity** — each shard's [`ClusterScheduler`] owns
-//!   exactly the cells it wins under the same hash, so every clustering
-//!   cell is lazily clustered by *exactly one* shard (naively running
+//! * **Clustering exclusivity** — the tier keeps one clustering schedule
+//!   (a deadline per routing key), and a shard's tick pops only the due
+//!   keys it wins under the same hash, so every clustering cell is lazily
+//!   clustered by *exactly one* shard (naively running
 //!   `run_due_clustering` on N servers clusters the whole map N times
 //!   over).
 //! * **School-merge locality** — school merges only ever happen between
@@ -31,16 +32,22 @@
 //! Every lock in the tier obeys these rules; the code below does not
 //! restate them.
 //!
-//! 1. **Membership write lock → shard locks.** Only an epoch bump
+//! 1. **An epoch bump takes no shard lock.** Only an epoch bump
 //!    ([`add_shard`], [`remove_shard`], [`rebalance`]) holds the
-//!    membership write lock, and it takes shard locks under it for the
-//!    scheduler handover.
-//! 2. **Writers hold the membership read guard across their owner's
-//!    lock; queries and `submit` clone the snapshot and hold nothing.**
-//!    An update or a batch ([`update`](MoistCluster::update), the ingest
-//!    flushes) routes, locks its owner and applies under one read guard,
-//!    so an epoch bump's write lock waits out every in-flight writer and
-//!    no write lands on a migrated cell's old owner. Every other caller
+//!    membership write lock, and ownership moves with the snapshot alone.
+//!    The other locks a bump takes under it — the clustering schedule's
+//!    mutex (a rebalance re-keys split cells) and the tier's bookkeeping
+//!    — never wait on a shard lock or the membership lock. The schedule
+//!    mutex is a leaf: nothing is taken under it.
+//! 2. **Writers and clustering ticks hold the membership read guard
+//!    across their owner's lock; queries and `submit` clone the snapshot
+//!    and hold nothing.** An update or a batch
+//!    ([`update`](MoistCluster::update), the ingest flushes) routes, locks
+//!    its owner and applies under one read guard; a tick
+//!    ([`run_due_clustering_shard`](MoistCluster::run_due_clustering_shard))
+//!    pops its due keys and clusters them under one. An epoch bump's write
+//!    lock therefore waits out every in-flight writer and sweep, and no
+//!    write or sweep lands on a migrated cell's old owner. Every other caller
 //!    clones the `Arc` snapshot out of the lock (`snapshot()`) and drops
 //!    the guard before any shard lock or scan. An NN scan must never hold
 //!    the guard: the lock prefers a waiting writer, so a scan under it
@@ -48,12 +55,11 @@
 //!    scan takes. Nothing takes the membership lock under a shard lock,
 //!    and no thread takes a second read guard while it holds one (a bump
 //!    queued in between deadlocks both).
-//! 3. **Never two shard locks at once.** The handover releases a key on
-//!    its old owner *before* adopting it on the new one.
+//! 3. **Never two shard locks at once.**
 //! 4. **Below a shard lock: WAL lock → tablet lock** (the store's own
 //!    order, see `moist_bigtable`).
 //! 5. **There is no shard read guard.** The shard lock is a writer mutex: it
-//!    serializes a shard's *writers* (updates, clustering, handover) so
+//!    serializes a shard's *writers* (updates, clustering) so
 //!    that a cell's read-modify-writes never interleave. The shared half
 //!    of the server ([`FrontEnd`]: queries, counters, load signal, clock,
 //!    aging) lives outside it by type — the entry holds the same
@@ -72,21 +78,22 @@
 //! membership (one brief read-lock), routes against it, and keeps the
 //! target shard alive through the `Arc` even if the membership changes
 //! mid-flight. [`add_shard`] and [`remove_shard`] bump the epoch and swap
-//! the snapshot. Updates instead hold the membership read guard from
-//! routing to apply (lock rule 2), so a bump waits for them and a write
-//! never lands on a migrated cell's old owner — no torn routing, no lost
-//! updates; read-only queries route on the snapshot alone.
+//! the snapshot. Updates and clustering ticks instead hold the membership
+//! read guard from routing to the end of their work (lock rule 2), so a
+//! bump waits for them and neither lands on a migrated cell's old owner —
+//! no torn routing, no lost updates; read-only queries route on the
+//! snapshot alone.
 //!
 //! Because ownership is a **rendezvous** (highest-random-weight) hash over
 //! the stable shard *ids* — not a modular hash over the shard *count* —
 //! a membership change remaps the minimum: a join steals only the ~1/(N+1)
 //! of cells the newcomer now wins, a leave reassigns only the departed
 //! shard's cells, and every other cell's owner (and therefore its school
-//! state's home shard) is untouched. Each migrating cell's clustering
-//! deadline is handed over at its current phase
-//! (`ClusterScheduler::release` → `ClusterScheduler::adopt`), so a
-//! join causes neither a thundering re-cluster of the stolen cells nor a
-//! missed round.
+//! state's home shard) is untouched. A cell's clustering deadline belongs
+//! to the cell, in the tier's one schedule, not to its owner: a migrating
+//! cell keeps its phase and its new owner's next tick pops it, so a join
+//! causes neither a thundering re-cluster of the stolen cells nor a missed
+//! round.
 //!
 //! The shards share one cluster-wide object-count estimate (FLAG's `n`),
 //! seeded from the store, so a shard that joins an already-populated store
@@ -128,7 +135,7 @@
 //! demand rates (`load::LoadTracker`, fed by the update/query
 //! timestamps, so the signal is deterministic in virtual time), and
 //! [`rebalance`] folds the measurements into the membership snapshot
-//! through the same epoch/handover machinery joins and leaves use:
+//! through the same epoch bump joins and leaves use:
 //!
 //! * **weighted rendezvous** — per-shard weights derived from measured
 //!   utilization; a weight change remaps only keys toward/away from the
@@ -136,8 +143,8 @@
 //! * **hot-cell splitting** — cells hot enough to pin a shard on their
 //!   own split ownership one level finer
 //!   ([`crate::placement::SplitTable`], consulted before rendezvous), each
-//!   child routed, scheduled and clustered independently at its parent's
-//!   deadline phase;
+//!   child routed, scheduled and clustered independently from its
+//!   parent's deadline (an unsplit takes the earliest child's);
 //! * **fan-out slice balancing** — scattered region plans subdivide
 //!   their costliest owner slices across idle shards
 //!   (`region::balance_slices`, priced by the per-cell demand density
@@ -165,8 +172,8 @@
 //! member's rendezvous score is independent of the other members, the
 //! top-k list is **prefix-stable**: when a primary leaves, each of its
 //! keys' rank-1 follower — already warm on that key's reads — is exactly
-//! the new winner, and adopts the key's clustering deadline through the
-//! ordinary ownership handover. Failover is therefore *promotion*, not
+//! the new winner, and its next tick pops the key's clustering deadline
+//! where the primary left it. Failover is therefore *promotion*, not
 //! recovery. `k = 1` (the default) is the single-owner tier.
 //!
 //! ## Pipelined ingestion
@@ -212,7 +219,7 @@
 //! // Any front-end answers queries over the whole map.
 //! let (nn, _) = cluster.nn(Point::new(400.0, 500.0), 1, Timestamp::from_secs(11))?;
 //! assert_eq!(nn[0].oid, ObjectId(1));
-//! // And shrink again: the departed shard's cells are re-adopted.
+//! // And shrink again: the departed shard's cells find new owners.
 //! cluster.remove_shard(id)?;
 //! # Ok::<(), moist_core::MoistError>(())
 //! ```
@@ -229,7 +236,7 @@ use crate::config::MoistConfig;
 use crate::controller::{AutoController, ControllerConfig, ControllerEvent};
 use crate::error::Result;
 use crate::ingest::{IngestConfig, IngestQueues, IngestStats};
-use crate::placement::{ShardWeight, SplitTable};
+use crate::placement::ShardWeight;
 use crate::query_pool::QueryPool;
 use crate::server::{FrontEnd, MoistServer, ServerStats};
 use membership::{Membership, RetiredShards, ShardEntry};
@@ -259,6 +266,10 @@ pub struct MoistCluster {
     ///
     /// [`stats`]: MoistCluster::stats
     retired: Mutex<RetiredShards>,
+    /// The one clustering schedule: a deadline per routing key of the
+    /// current split table, popped by whichever shard is the key's primary
+    /// when it ticks. A leaf lock (lock rule 1).
+    schedule: Mutex<ClusterScheduler>,
     /// Cluster-wide object-count estimate shared by every shard's FLAG.
     object_estimate: Arc<AtomicU64>,
     /// Archiver handed to every current and future shard.
@@ -273,7 +284,7 @@ pub struct MoistCluster {
     /// Reads served by a follower instead of the primary, tier-wide
     /// (monotonic — includes reads served by shards that later retired).
     replica_reads: AtomicU64,
-    /// Cell migrations caused by hot-cell splits (children adopted by a
+    /// Cell migrations caused by hot-cell splits (children owned by a
     /// shard other than the parent's old owner) and by rebalance weight
     /// shifts.
     split_migrations: AtomicU64,
@@ -348,7 +359,7 @@ impl ClusterBuilder {
     /// the store is shared, followers hold no private state — it widens
     /// each key's *read* path and pre-arms a leave: when the primary
     /// dies, the rank-1 follower is already serving the key's reads and
-    /// adopts its clustering deadlines through the normal migration path.
+    /// its ticks take over the key's clustering at the same deadlines.
     pub fn replicas(mut self, k: usize) -> Self {
         self.replicas = k;
         self
@@ -395,9 +406,9 @@ impl ClusterBuilder {
     /// [`Bigtable::recover`] replays every table's snapshot + WAL tail
     /// to its last consistent cut, then the fleet is built over the
     /// recovered store exactly as [`build`](ClusterBuilder::build) does
-    /// over a populated one: tables are opened (not recreated), each
-    /// shard's scheduler is re-seeded with its rendezvous slice, and the
-    /// shared object estimate restarts from the recovered affiliation
+    /// over a populated one: tables are opened (not recreated), the
+    /// clustering schedule restarts at its first staggered deadlines, and
+    /// the shared object estimate restarts from the recovered affiliation
     /// rows. Returns the recovered store (callers usually want sessions
     /// on it), the tier, and the recovery report. `store_cfg.durability`
     /// must be [`Durability::Wal`](moist_bigtable::Durability::Wal).
@@ -412,22 +423,18 @@ impl ClusterBuilder {
 
     /// The construction body [`build`](ClusterBuilder::build) and
     /// [`recover`](ClusterBuilder::recover) share: `shards` servers with
-    /// ids `0..shards` at unit weights, epoch 0, no splits, each holding
-    /// the slice of the clustering schedule it wins.
+    /// ids `0..shards` at unit weights, epoch 0, no splits, and the whole
+    /// level's clustering schedule.
     fn build_over(self, store: Arc<Bigtable>) -> Result<MoistCluster> {
         let cfg = self.cfg;
         let object_estimate = Arc::new(AtomicU64::new(0));
         let placement: Vec<ShardWeight> = (0..self.shards.max(1) as u64)
             .map(ShardWeight::unit)
             .collect();
-        let splits = Arc::new(SplitTable::default());
+        // Opening a shard validates `cfg`, so the schedule is built after.
         let shards = placement
             .iter()
-            .map(|m| {
-                let scheduler = ClusterScheduler::for_placement(&cfg, m.id, &placement, &splits);
-                let archiver = self.archiver.as_ref();
-                ShardEntry::open(m.id, &store, cfg, scheduler, &object_estimate, archiver)
-            })
+            .map(|m| ShardEntry::open(m.id, &store, cfg, &object_estimate, self.archiver.as_ref()))
             .collect::<Result<Vec<_>>>()?;
         Ok(MoistCluster {
             cfg,
@@ -436,9 +443,10 @@ impl ClusterBuilder {
                 epoch: 0,
                 shards,
                 placement,
-                splits,
+                splits: Arc::default(),
                 replicas: self.replicas.max(1),
             })),
+            schedule: Mutex::new(ClusterScheduler::new(&cfg)),
             store,
             query_pool: QueryPool::sized_for_host(),
             retired: Mutex::new(RetiredShards::default()),
@@ -527,7 +535,7 @@ impl MoistCluster {
     }
 
     /// Runs `f` against one shard's server by position, under the shard's
-    /// writer mutex (scheduler inspection, direct writes in tests). Fails
+    /// writer mutex (direct writes, pinning a shard in tests). Fails
     /// with [`MoistError::NoSuchShard`](crate::MoistError::NoSuchShard) when `shard` is past the current
     /// membership instead of panicking, so callers racing a shard removal
     /// degrade gracefully.
@@ -546,25 +554,46 @@ impl MoistCluster {
         Ok(f(&self.entry_at(shard)?.front))
     }
 
-    /// Runs lazy clustering on one shard by position: only the cells that
-    /// shard owns and that are due fire, so across shards each cell is
+    /// Runs lazy clustering on one shard by position: only the due routing
+    /// keys that shard is primary for fire, so across shards each key is
     /// clustered by exactly one server. Workers call this for "their"
     /// shard on a tick; a worker racing a shard removal gets
     /// [`MoistError::NoSuchShard`](crate::MoistError::NoSuchShard), not a panic.
     pub fn run_due_clustering_shard(&self, shard: usize, now: Timestamp) -> Result<ClusterReport> {
-        let entry = self.entry_at(shard)?;
-        let mut server = entry.server.lock();
-        server.run_due_clustering(now)
+        let snap = self.membership.read();
+        snap.entry(shard)?;
+        self.cluster_due(&snap, shard, now)
     }
 
     /// Runs lazy clustering on every shard in turn (single-driver mode).
     pub fn run_due_clustering(&self, now: Timestamp) -> Result<ClusterReport> {
-        let snap = self.snapshot();
+        let snap = self.membership.read();
         let mut total = ClusterReport::default();
-        for entry in &snap.shards {
-            total.merge_from(&entry.server.lock().run_due_clustering(now)?);
+        for pos in 0..snap.shards.len() {
+            total.merge_from(&self.cluster_due(&snap, pos, now)?);
         }
         Ok(total)
+    }
+
+    /// One shard's tick under the caller's membership read guard (lock
+    /// rule 2): pops the due keys whose primary is position `pos` off the
+    /// schedule, then clusters them under that shard's writer lock.
+    fn cluster_due(&self, snap: &Membership, pos: usize, now: Timestamp) -> Result<ClusterReport> {
+        let mine = |key| snap.owner_position(key) == pos;
+        let cells = self.schedule.lock().due_cells(now, mine)?;
+        if cells.is_empty() {
+            return Ok(ClusterReport::default());
+        }
+        snap.shards[pos].server.lock().cluster_cells(&cells, now)
+    }
+
+    /// The pending clustering deadline (virtual µs) of routing key `key`
+    /// — a clustering cell, or a split cell's child
+    /// ([`SplitTable::child_keys`](crate::SplitTable::child_keys)) — or
+    /// `None` when `key` is not a routing key under the current split
+    /// table.
+    pub fn clustering_deadline(&self, key: u64) -> Option<u64> {
+        self.schedule.lock().deadline_of(key)
     }
 
     /// Ages out cold records. The aging columns are table-global, so this

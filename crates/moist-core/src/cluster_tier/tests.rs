@@ -4,7 +4,7 @@ use crate::error::MoistError;
 use crate::ids::ObjectId;
 use crate::ingest::{BackpressurePolicy, EnqueueResult, SubmitOutcome};
 use crate::nn::Neighbor;
-use crate::placement::{owners, routing_key_cell};
+use crate::placement::{owners, routing_key_cell, SplitTable};
 use crate::region::RegionStats;
 use crate::update::{UpdateMessage, UpdateOutcome};
 use moist_spatial::{cells_at_level, CellId, Rect, Velocity};
@@ -33,22 +33,13 @@ fn shard_for_cell(cluster: &MoistCluster, cell: CellId) -> usize {
     cluster.shard_for_point(&space.to_world(&cell.center(space.curve)))
 }
 
-/// Owner positions of every clustering cell: asserts exactly one live
-/// shard owns each cell and returns the owners.
+/// Owner positions of every clustering cell, after asserting the
+/// schedule partition ([`assert_routing_partition`]).
 fn sole_owners(cluster: &MoistCluster) -> Vec<usize> {
-    let cells = cells_at_level(cluster.config().clustering_level);
-    (0..cells)
-        .map(|index| {
-            let owners: Vec<usize> = (0..cluster.num_shards())
-                .filter(|&i| {
-                    cluster
-                        .with_shard(i, |s| s.scheduler().owns(index))
-                        .unwrap()
-                })
-                .collect();
-            assert_eq!(owners.len(), 1, "cell {index} owners: {owners:?}");
-            owners[0]
-        })
+    assert_routing_partition(cluster);
+    let snap = cluster.snapshot();
+    (0..cells_at_level(cluster.config().clustering_level))
+        .map(|index| snap.owner_position(index))
         .collect()
 }
 
@@ -93,24 +84,25 @@ fn same_cell_updates_always_hit_the_same_shard() {
     let cfg = MoistConfig::default();
     let cluster = tier(&store, cfg, 5);
     // Points in one clustering cell route identically; the routing
-    // agrees with scheduler ownership, so the shard applying a cell's
-    // updates is also the only one clustering it.
+    // agrees with the ticks, so the shard applying a cell's updates is
+    // also the only one clustering it.
     let p = Point::new(123.0, 456.0);
     let shard = cluster.shard_for_point(&p);
     let cell = cfg.space.cell_at(cfg.clustering_level, &p);
     assert_eq!(shard_for_cell(&cluster, cell), shard);
     let leaf = cfg.space.leaf_cell(&p);
     assert_eq!(shard_for_cell(&cluster, leaf), shard);
-    assert!(cluster
-        .with_shard(shard, |s| s.scheduler().owns(cell.index))
-        .unwrap());
-    for other in 0..cluster.num_shards() {
-        if other != shard {
-            assert!(!cluster
-                .with_shard(other, |s| s.scheduler().owns(cell.index))
-                .unwrap());
-        }
+    let due = cluster.clustering_deadline(cell.index).unwrap();
+    for other in (0..cluster.num_shards()).filter(|&i| i != shard) {
+        cluster
+            .run_due_clustering_shard(other, Timestamp(due))
+            .unwrap();
+        assert_eq!(cluster.clustering_deadline(cell.index), Some(due));
     }
+    cluster
+        .run_due_clustering_shard(shard, Timestamp(due))
+        .unwrap();
+    assert!(cluster.clustering_deadline(cell.index).unwrap() > due);
 }
 
 #[test]
@@ -122,14 +114,7 @@ fn clustering_partition_covers_level_exactly_once() {
         ..MoistConfig::default()
     };
     let cluster = tier(&store, cfg, 4);
-    let owned: usize = (0..cluster.num_shards())
-        .map(|i| {
-            cluster
-                .with_shard(i, |s| s.scheduler().owned_count())
-                .unwrap()
-        })
-        .sum();
-    assert_eq!(owned as u64, cells_at_level(cfg.clustering_level));
+    assert_routing_partition(&cluster);
     // One sweep past every staggered deadline: each cell fires once,
     // on its owner, so total runs equal the cell count exactly.
     let now = Timestamp::from_secs(25);
@@ -183,11 +168,7 @@ fn add_shard_migrates_only_the_joiners_wins_and_keeps_phase() {
         .map(|index| {
             let pos = owners_before[index as usize];
             let id = cluster.shard_ids()[pos];
-            let due = cluster
-                .with_shard(pos, |s| s.scheduler().deadline_of(index))
-                .unwrap()
-                .unwrap();
-            (id, due)
+            (id, cluster.clustering_deadline(index).unwrap())
         })
         .collect();
 
@@ -201,10 +182,7 @@ fn add_shard_migrates_only_the_joiners_wins_and_keeps_phase() {
     for index in 0..cells {
         let pos = owners_after[index as usize];
         let id_after = cluster.shard_ids()[pos];
-        let due_after = cluster
-            .with_shard(pos, |s| s.scheduler().deadline_of(index))
-            .unwrap()
-            .unwrap();
+        let due_after = cluster.clustering_deadline(index).unwrap();
         let (id_before, due_before) = before[index as usize];
         assert_eq!(due_after, due_before, "cell {index} must keep its phase");
         if id_after != id_before {
@@ -406,40 +384,39 @@ fn tier_nn_agrees_with_the_single_shard_frontier_search() {
     }
 }
 
-/// Asserts the live shards' schedulers own every routing key (unsplit
-/// cells + children of split cells) exactly once, that each key's owner
-/// agrees with the tier's routing, and that the stats rollup reports the
-/// same per-shard key counts.
+/// Asserts the tier's schedule holds a deadline for exactly the routing
+/// keys of the current split table (unsplit cells + children of split
+/// cells; no split parent, no reunited cell's child), that each key's
+/// owner agrees with the tier's routing, and that the stats rollup's
+/// per-shard primary counts cover the keys.
 fn assert_routing_partition(cluster: &MoistCluster) {
     let cfg = *cluster.config();
-    let split: std::collections::HashSet<u64> =
-        cluster.cluster_stats().split_cells.into_iter().collect();
-    let mut keys = Vec::new();
+    let stats = cluster.cluster_stats();
+    let snap = cluster.snapshot();
+    let mut primaries = vec![0usize; snap.shards.len()];
     for cell in 0..cells_at_level(cfg.clustering_level) {
-        if split.contains(&cell) {
-            keys.extend(SplitTable::child_keys(cell));
+        let children = SplitTable::child_keys(cell);
+        let (keys, stale) = if stats.split_cells.contains(&cell) {
+            (children.to_vec(), vec![cell])
         } else {
-            keys.push(cell);
+            (vec![cell], children.to_vec())
+        };
+        for key in stale {
+            assert_eq!(cluster.clustering_deadline(key), None, "stale key {key:#x}");
+        }
+        for key in keys {
+            assert!(
+                cluster.clustering_deadline(key).is_some(),
+                "key {key:#x} unscheduled"
+            );
+            let owner = snap.owner_position(key);
+            let cell = routing_key_cell(key, cfg.clustering_level);
+            assert_eq!(shard_for_cell(cluster, cell), owner, "key {key:#x}");
+            primaries[owner] += 1;
         }
     }
-    for key in keys {
-        let owners: Vec<usize> = (0..cluster.num_shards())
-            .filter(|&i| cluster.with_shard(i, |s| s.scheduler().owns(key)).unwrap())
-            .collect();
-        assert_eq!(owners.len(), 1, "key {key:#x} owners: {owners:?}");
-        let cell = routing_key_cell(key, cfg.clustering_level);
-        assert_eq!(
-            shard_for_cell(cluster, cell),
-            owners[0],
-            "routing and scheduling disagree on key {key:#x}"
-        );
-    }
-    // The stats rollup counts primaries from placement, not from the
-    // schedulers: at rest the two agree shard by shard.
-    for (i, shard) in cluster.cluster_stats().shards.iter().enumerate() {
-        let owned = cluster.with_shard(i, |s| s.scheduler().owned_count());
-        assert_eq!(shard.primary_keys, owned.unwrap(), "shard {i}");
-    }
+    let counted: Vec<usize> = stats.shards.iter().map(|s| s.primary_keys).collect();
+    assert_eq!(counted, primaries);
 }
 
 #[test]
@@ -815,7 +792,7 @@ fn remove_shard_promotes_the_next_ranked_replica_for_every_key() {
     );
     let cstats = cluster.cluster_stats();
     assert_eq!(cstats.promotions, expected_promotions);
-    // The scheduler partition (primaries only) is still exact.
+    // The schedule partition is still exact.
     sole_owners(&cluster);
 }
 
@@ -1144,9 +1121,9 @@ fn rebalance_unsplits_cells_whose_demand_faded() {
     let split = cluster.cluster_stats().split_cells;
     assert!(!split.contains(&a_cell), "split table still holds {a_cell}");
     assert!(split.contains(&b_cell));
-    // The handover through the (split → plain) transition kept the
-    // routing-key partition exact, and updates keep landing — both to
-    // the reunited cell and the freshly split one.
+    // The (split → plain) transition kept the routing-key partition
+    // exact, and updates keep landing — both to the reunited cell and
+    // the freshly split one.
     assert_routing_partition(&cluster);
     let before = cluster.stats().updates;
     cluster
@@ -1305,4 +1282,53 @@ fn ticks_at_the_end_of_time_are_typed_errors_not_panics() {
     assert!(cluster.stats().balanced());
     cluster.run_due_clustering(sane).unwrap();
     assert!(cluster.stats().cluster_runs > 0, "the next sane tick fires");
+}
+
+/// A replication factor past the fleet clamps to the fleet size, however
+/// large: tiers built with `usize::MAX / 4` and `usize::MAX` replicas
+/// answer every read exactly as a `replicas(3)` tier over the same three
+/// shards does.
+#[test]
+fn replication_factors_past_the_fleet_clamp_to_it() {
+    let p = Point::new(100.0, 100.0);
+    let at = Timestamp::from_secs(1);
+    let answers = |k: usize| {
+        let store = Bigtable::new();
+        let cluster = MoistCluster::builder(&store, MoistConfig::default())
+            .shards(3)
+            .replicas(k)
+            .build()
+            .unwrap();
+        cluster.update(&msg(1, p.x, p.y, 1.0, 1.0)).unwrap();
+        let (nn, _) = cluster.nn(p, 1, at).unwrap();
+        let position = cluster.position(ObjectId(1), at).unwrap();
+        let rect = Rect::new(0.0, 0.0, 500.0, 500.0);
+        let (region, _) = cluster.region(&rect, at, 0.0).unwrap();
+        let keys: Vec<(usize, usize)> = (cluster.cluster_stats().shards.iter())
+            .map(|s| (s.primary_keys, s.follower_keys))
+            .collect();
+        (nn, position, region, keys)
+    };
+    let want = answers(3);
+    assert_eq!(want.0.len(), 1);
+    assert!(want.1.is_some());
+    for k in [usize::MAX / 4, usize::MAX] {
+        assert_eq!(answers(k), want, "replicas({k})");
+    }
+}
+
+/// A clustering level inside the leaf level but past the schedule's
+/// limit is a typed config error, from the server and the tier alike,
+/// before any per-cell state is built.
+#[test]
+fn clustering_levels_past_the_schedule_limit_are_config_errors() {
+    let cfg = MoistConfig {
+        clustering_level: 14,
+        ..MoistConfig::default()
+    };
+    let store = Bigtable::new();
+    let server = MoistServer::new(&store, cfg);
+    assert!(matches!(server, Err(MoistError::Config(_))));
+    let cluster = MoistCluster::builder(&store, cfg).shards(2).build();
+    assert!(matches!(cluster, Err(MoistError::Config(_))));
 }

@@ -4,6 +4,10 @@ use crate::error::{MoistError, Result};
 use moist_spatial::Space;
 use serde::Serialize;
 
+/// The finest clustering level a config may ask for. The clustering
+/// schedule keeps one deadline per cell, `4^level` of them: 4^10 ≈ 1 M.
+pub(crate) const MAX_CLUSTERING_LEVEL: u8 = 10;
+
 /// All tunables of the indexer, with the paper's defaults.
 #[derive(Debug, Clone, Copy, Serialize)]
 pub struct MoistConfig {
@@ -18,7 +22,8 @@ pub struct MoistConfig {
     /// bins guarantee any two velocities in a bin differ by less than Δm
     /// (§3.3.2).
     pub delta_m: f64,
-    /// Level of the clustering cells (coarser than the leaf level; §3.3.2).
+    /// Level of the clustering cells (coarser than the leaf level and at
+    /// most 10, the schedule's limit; §3.3.2).
     pub clustering_level: u8,
     /// Interval between re-clusterings of a cell, seconds (`T_c`, §4.2.1).
     pub cluster_interval_secs: f64,
@@ -69,6 +74,12 @@ impl MoistConfig {
             return Err(MoistError::Config(format!(
                 "clustering level {} must be coarser than leaf level {}",
                 self.clustering_level, self.space.leaf_level
+            )));
+        }
+        if self.clustering_level > MAX_CLUSTERING_LEVEL {
+            return Err(MoistError::Config(format!(
+                "clustering level {} is finer than the schedule's limit {MAX_CLUSTERING_LEVEL}",
+                self.clustering_level
             )));
         }
         if self.sigma == 0 {
@@ -140,6 +151,12 @@ mod tests {
             },
             MoistConfig {
                 clustering_level: base.space.leaf_level + 1,
+                ..base
+            },
+            // Inside the leaf level, but 4^14 deadlines would not fit in
+            // memory.
+            MoistConfig {
+                clustering_level: 14,
                 ..base
             },
             MoistConfig { sigma: 0, ..base },

@@ -71,7 +71,7 @@ pub mod server;
 pub mod tables;
 pub mod update;
 
-pub use cluster::{cluster_cell, cluster_sweep, ClusterReport, ClusterScheduler};
+pub use cluster::{cluster_cell, cluster_sweep, ClusterReport};
 pub use cluster_tier::{
     ClusterBuilder, ClusterStats, MoistCluster, RebalanceReport, ShardLoadStats,
 };

@@ -5,10 +5,11 @@
 //! shards by **weighted rendezvous** (highest-random-weight) hashing over
 //! the stable shard ids: `score(m) = w_m / (−ln u_m)` where `u_m ∈ (0,1)`
 //! is member `m`'s hashed draw for the key. This module is the single
-//! definition of that decision; routing ([`crate::cluster_tier`]),
-//! clustering ownership ([`crate::cluster::ClusterScheduler`]) and the
-//! region fan-out's slicing ([`slice_ranges`]) all go through it, so they
-//! can never disagree on a tie-break or a weight change.
+//! definition of that decision; routing ([`crate::cluster_tier`]), which
+//! shard's tick pops a key off the tier's clustering schedule
+//! ([`crate::MoistCluster::run_due_clustering_shard`]) and the region
+//! fan-out's slicing ([`slice_ranges`]) all go through it, so they can
+//! never disagree on a tie-break or a weight change.
 //!
 //! Properties (property-tested in `moist-core/tests/rendezvous_props.rs`):
 //!
@@ -103,6 +104,7 @@ pub(crate) fn winner(key: u64, members: &[ShardWeight]) -> usize {
 /// Positions in `members` of the rendezvous top-`k` of `key`, best first
 /// (`[0]` is exactly [`winner`]); `k` clamps to the membership size.
 pub(crate) fn ranked(key: u64, members: &[ShardWeight], k: usize) -> Vec<usize> {
+    let k = k.min(members.len());
     // Small insertion-sorted list (k is 2–3 in practice).
     let mut top: Vec<(Rank, usize)> = Vec::with_capacity(k + 1);
     for (pos, m) in members.iter().enumerate() {
@@ -222,9 +224,8 @@ impl SplitTable {
     /// the cell was not split. The table is capped (the cluster tier
     /// splits at most a handful of business-center cells), so un-splitting
     /// demand-faded cells is what keeps the cap *re-usable* when the hot
-    /// spot moves — the ownership handover itself (children released, the
-    /// reunited cell adopted at the earliest child deadline) is the
-    /// migration path's `(split, unsplit)` transition.
+    /// spot moves. The reunited cell's clustering deadline is its earliest
+    /// child's.
     pub(crate) fn unsplit(&mut self, cell: u64) -> bool {
         self.cells.remove(&cell)
     }

@@ -20,10 +20,11 @@
 //! actually re-tunes the level). [`MoistServer`] holds an
 //! `Arc<FrontEnd>`, derefs to it, and adds the writer's half — the
 //! clustering schedule and the archiver feed behind `&mut self` (`update`,
-//! `update_batch`, `run_due_clustering`, scheduler handoff). A cluster
-//! tier puts the `MoistServer` behind a mutex that serializes those
-//! writers and keeps the same `Arc<FrontEnd>` beside it: a scan of the
-//! shared store never makes the shard's writer wait.
+//! `update_batch`, `run_due_clustering`). A cluster tier puts the
+//! `MoistServer` behind a mutex that serializes those writers and keeps
+//! the same `Arc<FrontEnd>` beside it: a scan of the shared store never
+//! makes the shard's writer wait. The tier keeps one clustering schedule
+//! for all its shards, so a tier shard holds none of its own.
 //!
 //! Ephemeral sessions are *seeded* from the hub's running total, so on a
 //! single thread every charge lands in the same order and at the same
@@ -39,12 +40,10 @@ use crate::load::{CellRates, LoadTracker};
 use crate::nn::{nn_query, Neighbor, NnOptions, NnStats};
 use crate::school::estimated_location;
 use crate::tables::MoistTables;
-use crate::update::{
-    apply_update, apply_update_batch, UpdateMessage, UpdateOutcome, MAX_REPORT_US,
-};
+use crate::update::{apply_update, apply_update_batch, UpdateMessage, UpdateOutcome};
 use moist_archive::{HistoryRecord, PppArchiver, QueryCost};
 use moist_bigtable::{Bigtable, BigtableError, MeterHub, Session, Timestamp};
-use moist_spatial::{Point, Rect};
+use moist_spatial::{CellId, Point, Rect};
 use parking_lot::{Mutex, RwLock};
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -167,7 +166,9 @@ pub struct FrontEnd {
 /// own state (the clustering schedule and the archiver feed).
 pub struct MoistServer {
     front: Arc<FrontEnd>,
-    scheduler: ClusterScheduler,
+    /// The whole map's schedule on a standalone server; `None` on a tier
+    /// shard, whose cells the tier's one schedule hands it.
+    scheduler: Option<ClusterScheduler>,
     archiver: Option<Arc<PppArchiver>>,
 }
 
@@ -214,12 +215,15 @@ impl MoistServer {
     /// Opens (or on first use creates) the MOIST tables in `store` and
     /// builds a server around them.
     pub fn new(store: &Arc<Bigtable>, cfg: MoistConfig) -> Result<Self> {
-        Self::with_estimate(store, cfg, Arc::default())
+        let mut server = Self::with_estimate(store, cfg, Arc::default())?;
+        server.scheduler = Some(ClusterScheduler::new(&cfg));
+        Ok(server)
     }
 
-    /// [`new`](MoistServer::new) sharing a tier-wide object-count
-    /// estimate: the handed-in counter absorbs the store's current row
-    /// count, so all shards feed FLAG the same `n`.
+    /// A tier shard: [`new`](MoistServer::new) without a clustering
+    /// schedule, sharing a tier-wide object-count estimate (the handed-in
+    /// counter absorbs the store's current row count, so all shards feed
+    /// FLAG the same `n`).
     pub(crate) fn with_estimate(
         store: &Arc<Bigtable>,
         cfg: MoistConfig,
@@ -231,7 +235,7 @@ impl MoistServer {
         // the right FLAG seed even when this server joins late.
         estimate.fetch_max(tables.affiliation.approx_row_count(), Ordering::Relaxed);
         Ok(MoistServer {
-            scheduler: ClusterScheduler::new(&cfg),
+            scheduler: None,
             archiver: None,
             front: Arc::new(FrontEnd {
                 flag: RwLock::new(FlagTuner::new(&cfg)),
@@ -258,29 +262,6 @@ impl MoistServer {
     pub fn with_archiver(mut self, archiver: Arc<PppArchiver>) -> Self {
         self.archiver = Some(archiver);
         self
-    }
-
-    /// Replaces the clustering scheduler (a cluster tier hands each shard
-    /// its [`ClusterScheduler::for_placement`] rendezvous slice of the
-    /// clustering level, or [`ClusterScheduler::empty`] for a joiner whose
-    /// cells arrive by adoption).
-    pub(crate) fn with_scheduler(mut self, scheduler: ClusterScheduler) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// The clustering scheduler (ownership inspection for cluster tiers).
-    pub fn scheduler(&self) -> &ClusterScheduler {
-        &self.scheduler
-    }
-
-    /// Mutable access to the clustering scheduler — the cluster tier's
-    /// handoff hook: on a membership change it
-    /// [`release`](ClusterScheduler::release)s migrating cells here on the
-    /// old owner and [`adopt`](ClusterScheduler::adopt)s them on the new
-    /// one, preserving each cell's deadline phase.
-    pub(crate) fn scheduler_mut(&mut self) -> &mut ClusterScheduler {
-        &mut self.scheduler
     }
 
     /// Applies one update (Algorithm 1), maintaining counters and feeding
@@ -351,23 +332,32 @@ impl MoistServer {
     }
 
     /// Runs clustering for every cell due at `now` (lazy clustering).
+    /// A tier shard has no schedule of its own and clusters nothing here;
+    /// the tier's ticks hand it its cells.
     ///
     /// A tick past 2^62 µs, the latest report time an update may carry, is
     /// refused before any cell runs: the scheduler re-arms each due cell
     /// by adding whole intervals to its deadline, which must stay inside
     /// `u64`.
     pub fn run_due_clustering(&mut self, now: Timestamp) -> Result<ClusterReport> {
-        if now.0 > MAX_REPORT_US {
-            return Err(MoistError::Inconsistent(format!(
-                "clustering tick at {} µs is past the end of time",
-                now.0
-            )));
-        }
+        let cells = match &mut self.scheduler {
+            Some(scheduler) => scheduler.due_cells(now, |_| true)?,
+            None => Vec::new(),
+        };
+        self.cluster_cells(&cells, now)
+    }
+
+    /// Clusters `cells` at `now`, counting one `cluster_runs` each: the
+    /// part of a tick that runs under the writer lock.
+    pub(crate) fn cluster_cells(
+        &mut self,
+        cells: &[CellId],
+        now: Timestamp,
+    ) -> Result<ClusterReport> {
         let mut s = self.charged_session();
         let mut total = ClusterReport::default();
-        for cell in self.scheduler.due_cells(now) {
-            let r = cluster_cell(&mut s, &self.tables, &self.cfg, cell, now)?;
-            total.merge_from(&r);
+        for &cell in cells {
+            total.merge_from(&cluster_cell(&mut s, &self.tables, &self.cfg, cell, now)?);
             self.stats.cluster_runs.fetch_add(1, Ordering::Relaxed);
         }
         Ok(total)

@@ -8,9 +8,11 @@
 //!    cells and nothing else;
 //! 3. **order independence** — ownership is a function of the membership
 //!    *set*, not the order the ids are listed in;
-//! 4. **agreement** — [`ClusterScheduler::for_placement`] slices form an
-//!    exact partition that agrees with the rank-0 owner ([`owners`]), so
-//!    routing and clustering can never disagree about a cell's home shard.
+//! 4. **agreement** — a tier's clustering ticks, after any churn, fire
+//!    every cell exactly once and each on the rank-0 owner ([`owners`]) of
+//!    its routing key, so routing and clustering can never disagree about
+//!    a cell's home shard (the split-aware version, with real hot-cell
+//!    splits, is `schedule_props.rs`).
 //!
 //! The load-aware placement layer extends the contract (same suite):
 //!
@@ -19,11 +21,10 @@
 //! 6. **weight-change minimality** — raising one member's weight only
 //!    moves keys *to* it, lowering it only moves keys *away* from it;
 //! 7. **split-table agreement** — with weights and hot-cell splits in
-//!    play, [`ClusterScheduler::for_placement`] slices still partition
-//!    the routing keys exactly and agree with the weighted owner of every
-//!    leaf's routing key, and [`slice_ranges`] with the primary as reader
-//!    is an exact partition of any range set whose pieces all sit on the
-//!    rank-0 owner of their routing key.
+//!    play, every leaf routes to one of the split table's routing keys,
+//!    and [`slice_ranges`] with the primary as reader is an exact
+//!    partition of any range set whose pieces all sit on the rank-0 owner
+//!    of their routing key.
 //!
 //! The replicated-ownership layer extends it again (same suite):
 //!
@@ -44,8 +45,8 @@
 
 use moist_bigtable::{Bigtable, Timestamp};
 use moist_core::{
-    owners, slice_ranges, ClusterScheduler, IngestConfig, MoistCluster, MoistConfig, ObjectId,
-    ShardWeight, SplitTable, SubmitOutcome, UpdateMessage,
+    owners, slice_ranges, IngestConfig, MoistCluster, MoistConfig, ObjectId, ShardWeight,
+    SplitTable, SubmitOutcome, UpdateMessage,
 };
 use moist_spatial::{Point, Velocity};
 use proptest::prelude::*;
@@ -333,7 +334,7 @@ proptest! {
     }
 
     #[test]
-    fn split_table_routing_agrees_with_scheduler_partitioning(seed in any::<u32>()) {
+    fn split_table_routing_agrees_with_slicing(seed in any::<u32>()) {
         let mut rng = TestRng::for_case("split_table_agreement", seed);
         let ids = membership(&mut rng, 6);
         let members: Vec<ShardWeight> = ids
@@ -352,37 +353,14 @@ proptest! {
             splits.split(rng.below(64));
         }
 
-        // The for_placement slices partition the routing keys exactly.
-        let scheds: Vec<ClusterScheduler> = ids
-            .iter()
-            .map(|&m| ClusterScheduler::for_placement(&cfg, m, &members, &splits))
-            .collect();
+        // Sampled leaves route to one of the table's routing keys.
         let keys = splits.routing_keys(cfg.clustering_level);
-        let total: usize = scheds.iter().map(|s| s.owned_count()).sum();
-        prop_assert_eq!(total, keys.len(), "schedulers must partition the routing keys");
-        for &key in &keys {
-            let winner = owner(key, &members);
-            for (pos, sched) in scheds.iter().enumerate() {
-                prop_assert_eq!(
-                    sched.owns(key),
-                    ids[pos] == winner,
-                    "routing key {:#x} ownership disagrees with routing", key
-                );
-            }
-        }
-
-        // Sampled leaves route to a key owned by exactly the shard that
-        // schedules it — update routing and clustering can never disagree,
-        // split cells included.
         let leaf_level = cfg.space.leaf_level;
         let leaf_span = 1u64 << (2 * leaf_level as u64);
         for _ in 0..128 {
             let leaf = rng.below(leaf_span);
             let key = splits.route_leaf(leaf, cfg.clustering_level, leaf_level);
-            prop_assert!(keys.contains(&key));
-            let winner = owner(key, &members);
-            let pos = ids.iter().position(|&m| m == winner).unwrap();
-            prop_assert!(scheds[pos].owns(key), "leaf {} schedules elsewhere", leaf);
+            prop_assert!(keys.contains(&key), "leaf {} routes off the table", leaf);
         }
 
         // The slicer stays an exact partition with weights and splits in
@@ -414,30 +392,38 @@ proptest! {
     }
 
     #[test]
-    fn scheduler_slices_partition_the_level_and_agree_with_routing(seed in any::<u32>()) {
-        let mut rng = TestRng::for_case("scheduler_agreement", seed);
-        let ids = membership(&mut rng, 8);
+    fn tier_ticks_fire_each_cell_once_on_its_routing_owner(seed in any::<u32>()) {
+        let mut rng = TestRng::for_case("tick_agreement", seed);
         let cfg = MoistConfig {
             clustering_level: 4, // 256 cells
             ..MoistConfig::default()
         };
-        let members = units(&ids);
-        let scheds: Vec<ClusterScheduler> = ids
-            .iter()
-            .map(|&m| ClusterScheduler::for_placement(&cfg, m, &members, &SplitTable::new()))
-            .collect();
-        let total: usize = scheds.iter().map(|s| s.owned_count()).sum();
-        prop_assert_eq!(total, 256, "members {:?} must partition the level", ids);
-        for cell in 0..256u64 {
-            let winner = owner(cell, &members);
-            for (pos, sched) in scheds.iter().enumerate() {
-                prop_assert_eq!(
-                    sched.owns(cell),
-                    ids[pos] == winner,
-                    "cell {} ownership disagrees with routing", cell
-                );
+        let store = Bigtable::new();
+        let cluster = MoistCluster::builder(&store, cfg)
+            .shards(1 + rng.below(6) as usize)
+            .build()
+            .unwrap();
+        // Churn, so the ids have gaps and the joiners hold migrated cells.
+        for _ in 0..rng.below(4) {
+            if rng.below(2) == 0 || cluster.num_shards() == 1 {
+                cluster.add_shard().unwrap();
+            } else {
+                let ids = cluster.shard_ids();
+                cluster.remove_shard(ids[rng.below(ids.len() as u64) as usize]).unwrap();
             }
         }
+        let ids = cluster.shard_ids();
+        let members = units(&ids);
+        // Past every staggered first deadline (they all lie in [T, 2T)).
+        let now = Timestamp::from_secs_f64(2.0 * cfg.cluster_interval_secs);
+        for pos in 0..ids.len() {
+            cluster.run_due_clustering_shard(pos, now).unwrap();
+        }
+        for (pos, stats) in cluster.shard_stats().iter().enumerate() {
+            let owned = (0..256u64).filter(|&cell| owner(cell, &members) == ids[pos]).count();
+            prop_assert_eq!(stats.cluster_runs, owned as u64, "shard {} fired others' cells", ids[pos]);
+        }
+        prop_assert_eq!(cluster.stats().cluster_runs, 256, "members {:?}", ids);
     }
 
     #[test]

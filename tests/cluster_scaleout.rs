@@ -139,8 +139,8 @@ fn each_clustering_cell_is_clustered_by_exactly_one_shard() {
         .unwrap();
     let cells = cells_at_level(cfg.clustering_level);
 
-    // Static partition: every cell owned by exactly one shard's scheduler,
-    // and that shard is the one updates for the cell route to.
+    // Static partition: every cell has exactly one pending deadline, and
+    // one owner, the shard updates for the cell route to.
     common::sole_owner_positions(&cluster);
 
     // Dynamic exclusivity: after concurrent driving, sweep one interval
@@ -160,18 +160,19 @@ fn each_clustering_cell_is_clustered_by_exactly_one_shard() {
 }
 
 /// `(owner position, owner id, pending deadline)` of every clustering
-/// cell, asserting exactly one live shard owns each cell.
+/// cell, asserting the schedule partition.
 fn cell_ownership(cluster: &MoistCluster) -> Vec<(usize, u64, u64)> {
     let ids = cluster.shard_ids();
     common::sole_owner_positions(cluster)
         .into_iter()
         .enumerate()
         .map(|(index, pos)| {
-            let due = cluster
-                .with_shard(pos, |s| s.scheduler().deadline_of(index as u64))
-                .unwrap()
-                .expect("owner holds a pending deadline");
-            (pos, ids[pos], due)
+            let due = cluster.clustering_deadline(index as u64);
+            (
+                pos,
+                ids[pos],
+                due.expect("every cell has a pending deadline"),
+            )
         })
         .collect()
 }
