@@ -9,7 +9,7 @@
 //! one per second, default population 100.
 
 use moist::bigtable::Timestamp;
-use moist::core::{MoistConfig, MoistServer, ObjectId, UpdateMessage};
+use moist::core::{MoistCluster, MoistConfig, MoistTables, ObjectId, UpdateMessage};
 use moist::workload::{RoadMap, RoadMapConfig, RoadNetSim, SimConfig};
 use moist_bench::{Figure, Series};
 
@@ -30,7 +30,8 @@ fn run(
         ..MoistConfig::default()
     };
     let store = moist::bigtable::Bigtable::new();
-    let mut server = MoistServer::new(&store, cfg).expect("server");
+    let cluster = MoistCluster::builder(&store, cfg).build().expect("cluster");
+    let tables = MoistTables::open(&store).expect("tables");
     let mut sim = RoadNetSim::new(
         RoadMap::new(RoadMapConfig::default()),
         SimConfig {
@@ -47,7 +48,7 @@ fn run(
     while t < horizon {
         t += sample_every;
         for u in sim.advance_until(t) {
-            server
+            cluster
                 .update(&UpdateMessage {
                     oid: ObjectId(u.oid),
                     loc: u.loc,
@@ -56,14 +57,14 @@ fn run(
                 })
                 .expect("update");
         }
-        server
+        cluster
             .run_due_clustering(Timestamp::from_secs_f64(t))
             .expect("clustering");
         if t >= warmup {
-            samples.push((t, server.tables().spatial.row_count()));
+            samples.push((t, tables.spatial.row_count()));
         }
     }
-    (samples, server.stats().shed_ratio())
+    (samples, cluster.stats().shed_ratio())
 }
 
 fn avg_os(samples: &[(f64, usize)]) -> f64 {

@@ -85,7 +85,8 @@ fn measure_nn_cost_us(leaders: usize, cfg: &MoistConfig) -> f64 {
             cfg,
             q,
             Timestamp::from_secs(1),
-            &NnOptions::new(10, level),
+            level,
+            &NnOptions::new(10),
         )
         .expect("nn");
     }

@@ -26,8 +26,7 @@
 
 use moist::bigtable::{Bigtable, CostProfile, Timestamp};
 use moist::core::{
-    LfRecord, LocationRecord, MoistCluster, MoistConfig, MoistServer, MoistTables, ObjectId,
-    UpdateMessage,
+    LfRecord, LocationRecord, MoistCluster, MoistConfig, MoistTables, ObjectId, UpdateMessage,
 };
 use moist::spatial::{Point, Rect};
 use moist::workload::{ClientPool, UniformSim};
@@ -76,13 +75,13 @@ fn bulk_load(n: u64, cfg: &MoistConfig) -> Arc<Bigtable> {
 fn single_qps(n: u64, measured_updates: usize) -> f64 {
     let cfg = MoistConfig::without_schooling();
     let store = bulk_load(n, &cfg);
-    let mut server = MoistServer::new(&store, cfg).expect("server");
+    let cluster = MoistCluster::builder(&store, cfg).build().expect("cluster");
     let world = Rect::new(0.0, 0.0, 1000.0, 1000.0);
     let mut sim = UniformSim::new(world, n, 2.0, 5.0, 7).with_velocity_walk(0.5);
     let updates = sim.next_updates(measured_updates);
-    server.reset_clock();
+    cluster.reset_clocks();
     for u in &updates {
-        server
+        cluster
             .update(&UpdateMessage {
                 oid: ObjectId(u.oid),
                 loc: u.loc,
@@ -91,7 +90,7 @@ fn single_qps(n: u64, measured_updates: usize) -> f64 {
             })
             .expect("update");
     }
-    updates.len() as f64 / (server.elapsed_us() / 1e6)
+    updates.len() as f64 / (cluster.total_elapsed_us() / 1e6)
 }
 
 fn single() {

@@ -15,7 +15,7 @@
 
 use moist::baselines::{BxConfig, BxTree};
 use moist::bigtable::{Bigtable, Timestamp};
-use moist::core::{MoistConfig, MoistServer, ObjectId, UpdateMessage};
+use moist::core::{MoistCluster, MoistConfig, ObjectId, UpdateMessage};
 use moist::spatial::{Rect, Space};
 use moist::workload::{RoadMap, RoadMapConfig, RoadNetSim, SimConfig, UniformSim};
 use moist_bench::{disk_btree_profile, pick, Figure, Series, STORE_WRITE_CAPACITY_OPS};
@@ -23,12 +23,12 @@ use moist_bench::{disk_btree_profile, pick, Figure, Series, STORE_WRITE_CAPACITY
 fn moist_update_qps(n: u64, measured_updates: usize) -> f64 {
     let cfg = MoistConfig::without_schooling();
     let store = Bigtable::new();
-    let mut server = MoistServer::new(&store, cfg).expect("server");
+    let cluster = MoistCluster::builder(&store, cfg).build().expect("cluster");
     let world = Rect::new(0.0, 0.0, 1000.0, 1000.0);
     let mut sim = UniformSim::new(world, n, 2.0, 5.0, 5).with_velocity_walk(0.5);
     // Register everyone (charged, then reset).
     for (oid, loc, vel) in sim.positions() {
-        server
+        cluster
             .update(&UpdateMessage {
                 oid: ObjectId(oid),
                 loc,
@@ -37,10 +37,10 @@ fn moist_update_qps(n: u64, measured_updates: usize) -> f64 {
             })
             .expect("register");
     }
-    server.reset_clock();
+    cluster.reset_clocks();
     let updates = sim.next_updates(measured_updates);
     for u in &updates {
-        server
+        cluster
             .update(&UpdateMessage {
                 oid: ObjectId(u.oid),
                 loc: u.loc,
@@ -49,7 +49,7 @@ fn moist_update_qps(n: u64, measured_updates: usize) -> f64 {
             })
             .expect("update");
     }
-    updates.len() as f64 / (server.elapsed_us() / 1e6)
+    updates.len() as f64 / (cluster.total_elapsed_us() / 1e6)
 }
 
 fn bx_update_qps(n: u64, measured_updates: usize) -> f64 {
@@ -96,7 +96,7 @@ fn shed_ratio(agents: u64, horizon_secs: f64) -> f64 {
         ..MoistConfig::default()
     };
     let store = Bigtable::new();
-    let mut server = MoistServer::new(&store, cfg).expect("server");
+    let cluster = MoistCluster::builder(&store, cfg).build().expect("cluster");
     let mut sim = RoadNetSim::new(
         RoadMap::new(RoadMapConfig::default()),
         SimConfig {
@@ -109,7 +109,7 @@ fn shed_ratio(agents: u64, horizon_secs: f64) -> f64 {
     while t < horizon_secs {
         t += 10.0;
         for u in sim.advance_until(t) {
-            server
+            cluster
                 .update(&UpdateMessage {
                     oid: ObjectId(u.oid),
                     loc: u.loc,
@@ -118,11 +118,11 @@ fn shed_ratio(agents: u64, horizon_secs: f64) -> f64 {
                 })
                 .expect("update");
         }
-        server
+        cluster
             .run_due_clustering(Timestamp::from_secs_f64(t))
             .expect("cluster");
     }
-    server.stats().shed_ratio()
+    cluster.stats().shed_ratio()
 }
 
 fn main() {

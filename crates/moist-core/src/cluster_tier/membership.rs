@@ -41,10 +41,7 @@ impl ShardEntry {
         estimate: &Arc<AtomicU64>,
         archiver: Option<&Arc<PppArchiver>>,
     ) -> Result<Arc<Self>> {
-        let mut server = MoistServer::with_estimate(store, cfg, Arc::clone(estimate))?;
-        if let Some(archiver) = archiver {
-            server = server.with_archiver(Arc::clone(archiver));
-        }
+        let server = MoistServer::shard(store, cfg, Arc::clone(estimate), archiver.cloned())?;
         Ok(Arc::new(ShardEntry {
             id,
             front: Arc::clone(server.front()),

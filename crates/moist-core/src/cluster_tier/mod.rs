@@ -2,8 +2,9 @@
 //!
 //! The paper's headline numbers are *fleet* numbers: 5 and 10 front-end
 //! servers share one BigTable and split the update stream between them.
-//! [`MoistCluster`] is that deployment shape: it owns N [`MoistServer`]
-//! shards over one shared [`Bigtable`] and routes every operation to a
+//! [`MoistCluster`] is that deployment shape, and the library's one front
+//! door: it owns N [`MoistServer`](crate::MoistServer) shards (one by
+//! default) over one shared [`Bigtable`] and routes every operation to a
 //! shard by **rendezvous hash** ([`crate::placement`]) over the cell of
 //! the operation's location at the configured clustering level.
 //!
@@ -63,7 +64,7 @@
 //!    that a cell's read-modify-writes never interleave. The shared half
 //!    of the server ([`FrontEnd`]: queries, counters, load signal, clock,
 //!    aging) lives outside it by type — the entry holds the same
-//!    `Arc<FrontEnd>` the locked [`MoistServer`] derefs to — so nothing
+//!    `Arc<FrontEnd>` the locked `MoistServer` derefs to — so nothing
 //!    but a writer can wait for a writer. A query only reads the shared
 //!    store, where the other shards' writers are at work on the cells it
 //!    scans whichever shard serves it. Under the lock, a ~2 ms NN scan
@@ -182,8 +183,8 @@
 //! message, one owner lock, one store round-trip per write. The pipelined
 //! tier ([`crate::ingest`]) buffers submissions in a bounded queue per
 //! shard ([`submit`](MoistCluster::submit)), flushes each queue as one
-//! [`MoistServer::update_batch`] when it reaches the batch size or its
-//! oldest message ages past the flush deadline
+//! [`MoistServer::update_batch`](crate::MoistServer::update_batch) when it
+//! reaches the batch size or its oldest message ages past the flush deadline
 //! ([`flush_due`](MoistCluster::flush_due)), and surfaces a full queue as
 //! typed backpressure instead of queueing unboundedly. Batched flushes go
 //! through `update_batch`, which routes every message under the same
@@ -238,7 +239,7 @@ use crate::error::Result;
 use crate::ingest::{IngestConfig, IngestQueues, IngestStats};
 use crate::placement::ShardWeight;
 use crate::query_pool::QueryPool;
-use crate::server::{FrontEnd, MoistServer, ServerStats};
+use crate::server::{FrontEnd, ServerStats};
 use membership::{Membership, RetiredShards, ShardEntry};
 use moist_archive::PppArchiver;
 use moist_bigtable::{Bigtable, RecoveryReport, StoreConfig, Timestamp};
@@ -534,22 +535,9 @@ impl MoistCluster {
         snap.owner_position(snap.route_point(p, &self.cfg))
     }
 
-    /// Runs `f` against one shard's server by position, under the shard's
-    /// writer mutex (direct writes, pinning a shard in tests). Fails
-    /// with [`MoistError::NoSuchShard`](crate::MoistError::NoSuchShard) when `shard` is past the current
-    /// membership instead of panicking, so callers racing a shard removal
-    /// degrade gracefully.
-    pub fn with_shard<R>(&self, shard: usize, f: impl FnOnce(&mut MoistServer) -> R) -> Result<R> {
-        let entry = self.entry_at(shard)?;
-        let mut server = entry.server.lock();
-        Ok(f(&mut server))
-    }
-
-    /// Runs `f` against the shared half of one shard's server by position:
-    /// every query, counter and load accessor, holding no lock — any number
-    /// of callers overlap on the same shard, beside its writers. Use
-    /// [`with_shard`](MoistCluster::with_shard) when `f` needs the
-    /// exclusive writer view.
+    /// Runs `f` against the shared half of one shard's server by position,
+    /// holding no lock — any number of callers overlap on the same shard,
+    /// beside its writers.
     pub fn with_shard_read<R>(&self, shard: usize, f: impl FnOnce(&FrontEnd) -> R) -> Result<R> {
         Ok(f(&self.entry_at(shard)?.front))
     }

@@ -1,15 +1,17 @@
-//! The read path: replica-anchored point reads (`nn`, `position`) and the
-//! scatter-gather region fan-out. Every query here runs on its shard's
-//! `FrontEnd` and takes no shard lock (see the [module docs](super)).
+//! The read path: replica-anchored point reads (`nn`, `position`), the
+//! archiver's object history, and the scatter-gather region fan-out.
+//! Every query here runs on its shard's `FrontEnd` and takes no shard lock
+//! (see the [module docs](super)).
 
 use super::membership::{Membership, ShardEntry};
 use super::MoistCluster;
 use crate::error::Result;
 use crate::ids::ObjectId;
-use crate::nn::{Neighbor, NnStats};
+use crate::nn::{Neighbor, NnOptions, NnStats};
 use crate::placement::slice_ranges;
 use crate::region::{balance_slices, merge_region_partials, plan_region_ranges, RegionStats};
 use crate::server::check_finite;
+use moist_archive::{HistoryRecord, QueryCost};
 use moist_bigtable::Timestamp;
 use moist_spatial::{Point, Rect};
 use std::cell::OnceCell;
@@ -31,20 +33,47 @@ impl MoistCluster {
         Arc::clone(entry)
     }
 
-    /// FLAG-tuned k-nearest-neighbour query: the FLAG probe and
-    /// Algorithm 2 run whole, on one session, on the least-loaded replica
-    /// of the query point's routing key. Any shard answers exactly from
-    /// the shared store, and the search is a bounded frontier walk that
-    /// stops when the k-th distance closes — there is nothing to scatter.
+    /// FLAG-tuned k-nearest-neighbour query:
+    /// [`nn_with_options`](MoistCluster::nn_with_options) with
+    /// [`NnOptions::new`]`(k)`.
     pub fn nn(&self, center: Point, k: usize, at: Timestamp) -> Result<(Vec<Neighbor>, NnStats)> {
+        self.nn_with_options(center, at, &NnOptions::new(k))
+    }
+
+    /// k-nearest-neighbour query shaped by `opts`: FLAG's level or a
+    /// fixed one, a search-range limit, a predictive horizon, leaders
+    /// only. The level choice and Algorithm 2 run whole, on one session,
+    /// on the least-loaded replica of the query point's routing key. Any
+    /// shard answers exactly from the shared store, and the search is a
+    /// bounded frontier walk that stops when the k-th distance closes —
+    /// there is nothing to scatter.
+    pub fn nn_with_options(
+        &self,
+        center: Point,
+        at: Timestamp,
+        opts: &NnOptions,
+    ) -> Result<(Vec<Neighbor>, NnStats)> {
         let entry = self.read_anchor(|snap| snap.route_point(&center, &self.cfg));
-        entry.front.nn(center, k, at)
+        entry.front.nn_with_options(center, at, opts)
     }
 
     /// Current position of one object, routed by object id (any replica
     /// of the id's routing key serves it from the shared store).
     pub fn position(&self, oid: ObjectId, at: Timestamp) -> Result<Option<Point>> {
         self.read_anchor(|_| oid.0).front.position(oid, at)
+    }
+
+    /// One object's history from the tier's archiver (in-memory window and
+    /// disks), or `None` when the tier was built without one
+    /// ([`ClusterBuilder::archiver`](super::ClusterBuilder::archiver)).
+    pub fn history(
+        &self,
+        oid: ObjectId,
+        from: Timestamp,
+        to: Timestamp,
+    ) -> Option<(Vec<HistoryRecord>, QueryCost)> {
+        let archiver = self.archiver.as_ref()?;
+        Some(archiver.query_object(oid.0, from.0, to.0))
     }
 
     /// Region query, scatter-gathered across the owning shards.

@@ -3,11 +3,24 @@ use crate::controller::ControllerAction;
 use crate::error::MoistError;
 use crate::ids::ObjectId;
 use crate::ingest::{BackpressurePolicy, EnqueueResult, SubmitOutcome};
-use crate::nn::Neighbor;
+use crate::nn::{Neighbor, NnOptions};
 use crate::placement::{owners, routing_key_cell, SplitTable};
 use crate::region::RegionStats;
+use crate::server::MoistServer;
 use crate::update::{UpdateMessage, UpdateOutcome};
 use moist_spatial::{cells_at_level, CellId, Rect, Velocity};
+
+impl MoistCluster {
+    /// Runs `f` against one shard's server by position, under the shard's
+    /// writer mutex: how a test pins a shard. Fails with
+    /// [`MoistError::NoSuchShard`] when `shard` is past the current
+    /// membership instead of panicking.
+    fn with_shard<R>(&self, shard: usize, f: impl FnOnce(&mut MoistServer) -> R) -> Result<R> {
+        let entry = self.entry_at(shard)?;
+        let mut server = entry.server.lock();
+        Ok(f(&mut server))
+    }
+}
 
 /// A default-knob tier of `shards` servers over `store`.
 fn tier(store: &Arc<Bigtable>, cfg: MoistConfig, shards: usize) -> MoistCluster {
@@ -356,7 +369,7 @@ fn tier_nn_agrees_with_the_single_shard_frontier_search() {
         let owners: std::collections::HashSet<usize> =
             probes.iter().map(|p| cluster.shard_for_point(p)).collect();
         assert!(owners.len() >= 3, "probes must span owners: {owners:?}");
-        let oracle = MoistServer::new(&store, cfg).unwrap();
+        let oracle = tier(&store, cfg, 1);
         let replica_reads = || cluster.replica_reads.load(Ordering::Relaxed);
         let mut follower_serves = 0u64;
         for p in &probes {
@@ -367,8 +380,7 @@ fn tier_nn_agrees_with_the_single_shard_frontier_search() {
                 let snap = cluster.snapshot();
                 let (_, follower) = snap.read_replica(snap.route_point(p, &cfg));
                 let (got, stats) = cluster.nn(*p, k, Timestamp::ZERO).unwrap();
-                let level = oracle.flag_level(p, Timestamp::ZERO).unwrap();
-                let (want, _) = oracle.nn_at_level(*p, k, Timestamp::ZERO, level).unwrap();
+                let (want, _) = oracle.nn(*p, k, Timestamp::ZERO).unwrap();
                 let got_ids: Vec<u64> = got.iter().map(|n| n.oid.0).collect();
                 let want_ids: Vec<u64> = want.iter().map(|n| n.oid.0).collect();
                 assert_eq!(got_ids, want_ids, "probe {p:?} k={k} replicas={replicas}");
@@ -469,14 +481,11 @@ fn rebalance_splits_hot_cells_and_downweights_hot_shards() {
     assert_routing_partition(&cluster);
     assert_eq!(stats.split_migrations, report.migrated_keys);
     // The tier still answers exactly: every object is found where a
-    // fresh single-server oracle finds it.
-    let oracle = MoistServer::new(&store, cfg).unwrap();
+    // fresh one-shard tier finds it.
+    let oracle = tier(&store, cfg, 1);
     for probe in [hot, Point::new(100.0, 500.0), Point::new(900.0, 80.0)] {
         let (got, _) = cluster.nn(probe, 5, Timestamp::from_secs(40)).unwrap();
-        let level = oracle.flag_level(&probe, Timestamp::from_secs(40)).unwrap();
-        let (want, _) = oracle
-            .nn_at_level(probe, 5, Timestamp::from_secs(40), level)
-            .unwrap();
+        let (want, _) = oracle.nn(probe, 5, Timestamp::from_secs(40)).unwrap();
         let got_ids: Vec<u64> = got.iter().map(|n| n.oid.0).collect();
         let want_ids: Vec<u64> = want.iter().map(|n| n.oid.0).collect();
         assert_eq!(got_ids, want_ids, "probe {probe:?}");
@@ -1050,7 +1059,7 @@ fn cluster_update_batch_groups_by_owner_and_keeps_order() {
     // Routed like the synchronous path: only owners saw their cells.
     for (i, m) in msgs.iter().enumerate() {
         let pos = cluster.shard_for_point(&m.loc);
-        let upd = cluster.with_shard(pos, |s| s.stats().updates).unwrap();
+        let upd = cluster.shard_stats()[pos].updates;
         assert!(upd > 0, "message {i} must have landed on shard {pos}");
     }
 }
@@ -1258,12 +1267,12 @@ fn ticks_at_the_end_of_time_are_typed_errors_not_panics() {
     let inconsistent = |r: Result<ClusterReport>| matches!(r, Err(MoistError::Inconsistent(_)));
 
     let store = Bigtable::new();
-    let mut server = MoistServer::new(&store, cfg).unwrap();
-    server.update(&msg(1, 100.0, 100.0, 1.0, 0.0)).unwrap();
-    assert!(inconsistent(server.run_due_clustering(end)));
-    assert_eq!(server.stats().cluster_runs, 0);
-    server.run_due_clustering(sane).unwrap();
-    assert!(server.stats().cluster_runs > 0, "the next sane tick fires");
+    let single = tier(&store, cfg, 1);
+    single.update(&msg(1, 100.0, 100.0, 1.0, 0.0)).unwrap();
+    assert!(inconsistent(single.run_due_clustering(end)));
+    assert_eq!(single.stats().cluster_runs, 0);
+    single.run_due_clustering(sane).unwrap();
+    assert!(single.stats().cluster_runs > 0, "the next sane tick fires");
 
     let store = Bigtable::new();
     let cluster = MoistCluster::builder(&store, cfg)
@@ -1318,8 +1327,8 @@ fn replication_factors_past_the_fleet_clamp_to_it() {
 }
 
 /// A clustering level inside the leaf level but past the schedule's
-/// limit is a typed config error, from the server and the tier alike,
-/// before any per-cell state is built.
+/// limit is a typed config error, from one shard or several, before any
+/// per-cell state is built.
 #[test]
 fn clustering_levels_past_the_schedule_limit_are_config_errors() {
     let cfg = MoistConfig {
@@ -1327,8 +1336,391 @@ fn clustering_levels_past_the_schedule_limit_are_config_errors() {
         ..MoistConfig::default()
     };
     let store = Bigtable::new();
-    let server = MoistServer::new(&store, cfg);
-    assert!(matches!(server, Err(MoistError::Config(_))));
-    let cluster = MoistCluster::builder(&store, cfg).shards(2).build();
-    assert!(matches!(cluster, Err(MoistError::Config(_))));
+    for shards in [1, 2] {
+        let cluster = MoistCluster::builder(&store, cfg).shards(shards).build();
+        assert!(matches!(cluster, Err(MoistError::Config(_))));
+    }
+}
+
+/// A caller-fixed NN level finer than the cap is refused at once with a
+/// typed error, before any store read: on a sparse map Algorithm 2 would
+/// walk four times the cells per level finer. FLAG's levels and a fixed
+/// level inside the cap still answer.
+#[test]
+fn fixed_nn_levels_past_the_cap_are_refused_at_once() {
+    let store = Bigtable::new();
+    let cluster = tier(&store, MoistConfig::default(), 3);
+    for &(i, x, y) in &scattered(50) {
+        cluster.update(&msg(i, x, y, 0.0, 1.0)).unwrap();
+    }
+    let (p, at) = (Point::new(500.0, 500.0), Timestamp::from_secs(1));
+    let fixed = |level| NnOptions {
+        nn_level: Some(level),
+        ..NnOptions::new(3)
+    };
+    let before = store.metrics_snapshot();
+    for level in [11u8, 20, 255] {
+        let refused = cluster.nn_with_options(p, at, &fixed(level));
+        assert!(
+            matches!(refused, Err(MoistError::Inconsistent(_))),
+            "level {level}: {refused:?}"
+        );
+    }
+    assert_eq!(store.metrics_snapshot(), before, "refused before any read");
+    let (hits, _) = cluster.nn_with_options(p, at, &fixed(8)).unwrap();
+    assert_eq!(hits.len(), 3);
+    let (flag, _) = cluster.nn(p, 3, at).unwrap();
+    assert_eq!(flag, hits);
+}
+
+const PINNED_SHARDS: usize = 4;
+
+/// Small clustering cells (level 3), so a few hundred objects spread
+/// over [`PINNED_SHARDS`] shards; the pinned-shard tests and the
+/// metering pin run on it.
+fn small_cells_config() -> MoistConfig {
+    MoistConfig {
+        epsilon: 50.0,
+        clustering_level: 3,
+        cluster_interval_secs: 10.0,
+        ..MoistConfig::default()
+    }
+}
+
+/// Registers `n` objects at the [`scattered`] points, reporting at 1 s.
+fn seed_objects(cluster: &MoistCluster, n: u64) {
+    for (i, x, y) in scattered(n) {
+        cluster.update(&msg(i, x, y, 1.0, 1.0)).unwrap();
+    }
+}
+
+/// One representative point routed to each of [`PINNED_SHARDS`] shards
+/// (deterministic sweep).
+fn probe_points(cluster: &MoistCluster) -> Vec<Point> {
+    let mut probe: Vec<Option<Point>> = vec![None; PINNED_SHARDS];
+    'sweep: for gx in 0..64 {
+        for gy in 0..64 {
+            let p = Point::new(gx as f64 * 15.5 + 8.0, gy as f64 * 15.5 + 8.0);
+            let shard = cluster.shard_for_point(&p);
+            probe[shard].get_or_insert(p);
+            if probe.iter().all(Option::is_some) {
+                break 'sweep;
+            }
+        }
+    }
+    probe
+        .into_iter()
+        .map(|p| p.expect("every shard owns some cell on the sweep grid"))
+        .collect()
+}
+
+/// A writer pins shard 0's lock mid-`update_batch` (inside `with_shard`)
+/// until every reader below has answered: a read of another shard, eight
+/// tier queries aimed at the pinned shard, and — on the pinned shard
+/// itself — `with_shard_read`, the tier's stats rollups and `age_data`.
+/// None of them takes a shard lock; anything that waited for the pinned
+/// one would leave the writer waiting for its release signal until the
+/// 5 s timeout fails the test.
+#[test]
+fn tier_queries_do_not_wait_for_a_pinned_write_guard() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+    let store = Bigtable::new();
+    let cluster = Arc::new(tier(&store, small_cells_config(), PINNED_SHARDS));
+    seed_objects(&cluster, 256);
+    let probes = probe_points(&cluster);
+    let shard0_probe = probes[0];
+
+    let (held_tx, held_rx) = mpsc::channel::<()>();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+
+    let c_writer = Arc::clone(&cluster);
+    let writer = std::thread::spawn(move || {
+        let batch: Vec<UpdateMessage> = (1000..1064)
+            .map(|oid| msg(oid, 10.0 + (oid - 1000) as f64 * 2.0, 10.0, 1.0, 2.0))
+            .collect();
+        c_writer
+            .with_shard(0, |server| {
+                server.update_batch(&batch).unwrap();
+                held_tx.send(()).unwrap();
+                release_rx
+                    .recv_timeout(Duration::from_secs(5))
+                    .expect("readers must answer while shard 0's write guard is pinned");
+            })
+            .unwrap();
+    });
+
+    held_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+
+    // Another shard is free.
+    let fixed = NnOptions {
+        nn_level: Some(5),
+        ..NnOptions::new(3)
+    };
+    let (nn_other, _) = cluster
+        .with_shard_read(1, |s| {
+            s.nn_with_options(probes[1], Timestamp::from_secs(3), &fixed)
+                .unwrap()
+        })
+        .unwrap();
+    assert!(!nn_other.is_empty());
+
+    let readers: Vec<_> = (0..8)
+        .map(|i| {
+            let c = Arc::clone(&cluster);
+            std::thread::spawn(move || {
+                let at = Timestamp::from_secs(3);
+                if i % 2 == 0 {
+                    let (nn, _) = c.nn(shard0_probe, 3, at).unwrap();
+                    assert!(!nn.is_empty());
+                } else {
+                    let rect = Rect::new(
+                        shard0_probe.x - 40.0,
+                        shard0_probe.y - 40.0,
+                        shard0_probe.x + 40.0,
+                        shard0_probe.y + 40.0,
+                    );
+                    c.region(&rect, at, 200.0).unwrap();
+                }
+            })
+        })
+        .collect();
+    for r in readers {
+        r.join().unwrap();
+    }
+
+    // The pinned shard's own counters, the rollups over every shard and
+    // the table-wide aging sweep answer too.
+    let now = Timestamp::from_secs(3);
+    let pinned = cluster.with_shard_read(0, |s| s.stats()).unwrap();
+    assert!(pinned.updates >= 64, "the pinned batch is counted");
+    assert_eq!(cluster.stats().updates, 256 + 64);
+    assert_eq!(cluster.shard_stats()[0], pinned);
+    assert!(cluster.total_elapsed_us() > 0.0);
+    assert_eq!(cluster.cluster_stats().shards.len(), PINNED_SHARDS);
+    cluster.age_data(now).unwrap();
+
+    release_tx.send(()).unwrap();
+    writer
+        .join()
+        .expect("a reader waited for the writer's lock");
+}
+
+/// The lock order under a pinned shard: while `with_shard` holds a
+/// shard's writer mutex for ~300 ms, an `update` routed to that shard
+/// waits for it holding the membership read guard, an `add_shard` waits
+/// for that guard, and an `nn` waits at most for the bump. All three
+/// finish once the pin lifts — a deadlock fails the bounded wait instead
+/// of hanging the suite — and the update is counted exactly once. The
+/// pin is forced by a channel; the short pauses between the three starts
+/// only make that arrival order likely, and the checks hold in any order.
+#[test]
+fn a_pinned_shard_delays_an_update_a_join_and_a_query_but_blocks_none() {
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
+    const PIN: Duration = Duration::from_millis(300);
+    const BOUND: Duration = Duration::from_secs(20);
+    let store = Bigtable::new();
+    let cluster = Arc::new(tier(&store, small_cells_config(), PINNED_SHARDS));
+    seed_objects(&cluster, 64);
+    let probe = probe_points(&cluster)[0];
+    let before = cluster.stats();
+
+    // Each thread reports on its own channel and is joined only after
+    // every report arrived, so a deadlocked one fails its `recv_timeout`
+    // below instead of hanging the join.
+    let (held_tx, held_rx) = mpsc::channel();
+    let c = Arc::clone(&cluster);
+    let pin = std::thread::spawn(move || {
+        c.with_shard(0, |_| {
+            held_tx.send(Instant::now()).unwrap();
+            std::thread::sleep(PIN);
+        })
+        .unwrap();
+    });
+    let pinned_at = held_rx
+        .recv_timeout(BOUND)
+        .expect("the pin never took the lock");
+
+    let (update_tx, update_rx) = mpsc::channel();
+    let c = Arc::clone(&cluster);
+    let update = std::thread::spawn(move || {
+        let m = msg(500_000, probe.x, probe.y, 1.0, 3.0);
+        let applied = c.update(&m).map(drop);
+        update_tx.send((applied, Instant::now())).unwrap();
+    });
+    std::thread::sleep(Duration::from_millis(50));
+    let (join_tx, join_rx) = mpsc::channel();
+    let c = Arc::clone(&cluster);
+    let join = std::thread::spawn(move || join_tx.send(c.add_shard().map(drop)).unwrap());
+    std::thread::sleep(Duration::from_millis(50));
+    let (nn_tx, nn_rx) = mpsc::channel();
+    let c = Arc::clone(&cluster);
+    let query = std::thread::spawn(move || {
+        let answer = c.nn(probe, 3, Timestamp::from_secs(3));
+        nn_tx.send(answer.map(|(nn, _)| nn.len())).unwrap();
+    });
+
+    let (applied, updated_at) = update_rx
+        .recv_timeout(BOUND)
+        .expect("the update never finished");
+    applied.unwrap();
+    assert!(
+        updated_at.duration_since(pinned_at) >= PIN,
+        "the update must wait for the pinned shard"
+    );
+    join_rx
+        .recv_timeout(BOUND)
+        .expect("the join never finished")
+        .unwrap();
+    let found = nn_rx
+        .recv_timeout(BOUND)
+        .expect("the query never finished")
+        .unwrap();
+    assert_eq!(found, 3);
+    for t in [pin, update, join, query] {
+        t.join().unwrap();
+    }
+
+    assert_eq!(cluster.num_shards(), PINNED_SHARDS + 1);
+    let stats = cluster.stats();
+    assert_eq!(stats.updates - before.updates, 1, "counted exactly once");
+    assert!(stats.balanced(), "{stats:?}");
+    assert!(cluster
+        .position(ObjectId(500_000), Timestamp::from_secs(3))
+        .unwrap()
+        .is_some());
+}
+
+/// Determinism pin for the per-call metering, and proof that a one-shard
+/// tier is the bare server. A single-threaded run of registrations, FLAG
+/// NN queries and region queries through a bare `MoistServer` (an
+/// ephemeral hub-seeded session per call) lands on the *bit-identical*
+/// virtual time and op count of a plain `Session` replaying the same store
+/// ops on one shared clock, with the same answers; a second bare server
+/// lands on the same bits again; and a one-shard tier — routing,
+/// membership guard, pooled region scan and all — charges the same bits,
+/// issues the same ops and gives the same answers. No clustering tick
+/// runs: clustering's compute phase is charged in wall-clock µs.
+#[test]
+fn single_threaded_metering_is_bit_identical_to_one_shared_clock() {
+    use crate::flag::{tests::best_level, FlagTuner};
+    use crate::nn::nn_query;
+    use crate::region::region_query;
+    use crate::tables::MoistTables;
+    use crate::update::apply_update;
+
+    enum Call {
+        Update(UpdateMessage),
+        Nn(Point),
+        Region(Rect),
+    }
+    let cfg = small_cells_config();
+    let (k, at, margin) = (4, Timestamp::from_secs(2), 50.0);
+    let updates = (0..200u64).map(|oid| {
+        let x = 30.0 + (oid * 13 % 940) as f64;
+        let y = 30.0 + (oid * 29 % 940) as f64;
+        Call::Update(msg(oid, x, y, 1.0, 1.0))
+    });
+    let nns = (0..40u64).map(|q| {
+        Call::Nn(Point::new(
+            25.0 + (q * 97 % 950) as f64,
+            25.0 + (q * 41 % 950) as f64,
+        ))
+    });
+    let regions = (0..6u64).map(|q| {
+        let (x, y) = (100.0 + q as f64 * 150.0, 900.0 - q as f64 * 140.0);
+        Call::Region(Rect::new(x - 80.0, y - 80.0, x + 80.0, y + 80.0))
+    });
+    let calls: Vec<Call> = updates.chain(nns).chain(regions).collect();
+
+    let bare = || {
+        let store = Bigtable::new();
+        let mut server = MoistServer::new(&store, cfg).unwrap();
+        let ops = store.metrics_snapshot();
+        let answers: Vec<Vec<Neighbor>> = (calls.iter())
+            .map(|call| match call {
+                Call::Update(m) => server.update(m).map(|_| Vec::new()).unwrap(),
+                Call::Nn(p) => server.nn(*p, k, at).unwrap().0,
+                Call::Region(r) => server.region(r, at, margin).unwrap().0,
+            })
+            .collect();
+        let ops = store.metrics_snapshot().delta(&ops);
+        (server.elapsed_us().to_bits(), ops, answers)
+    };
+    let one_shard = || {
+        let store = Bigtable::new();
+        let cluster = tier(&store, cfg, 1);
+        let ops = store.metrics_snapshot();
+        let answers: Vec<Vec<Neighbor>> = (calls.iter())
+            .map(|call| match call {
+                Call::Update(m) => cluster.update(m).map(|_| Vec::new()).unwrap(),
+                Call::Nn(p) => cluster.nn(*p, k, at).unwrap().0,
+                Call::Region(r) => cluster.region(r, at, margin).unwrap().0,
+            })
+            .collect();
+        let ops = store.metrics_snapshot().delta(&ops);
+        (cluster.total_elapsed_us().to_bits(), ops, answers)
+    };
+    // Plain replay: one session, one clock, the same op sequence the
+    // server issues (update apply; FLAG probe loop then NN scan threaded
+    // through one session, as `FrontEnd::nn_with_options` does; region
+    // plan and scan).
+    let replay = || {
+        let store = Bigtable::new();
+        let tables = MoistTables::create(&store, &cfg).unwrap();
+        let ops = store.metrics_snapshot();
+        let mut s = store.session();
+        let mut tuner = FlagTuner::new(&cfg);
+        let mut estimate = 0u64; // mirrors the server's object-count estimate
+        let answers: Vec<Vec<Neighbor>> = (calls.iter())
+            .map(|call| match call {
+                Call::Update(m) => {
+                    if apply_update(&mut s, &tables, &cfg, m).unwrap() == UpdateOutcome::Registered
+                    {
+                        estimate += 1;
+                    }
+                    Vec::new()
+                }
+                Call::Nn(p) => {
+                    let n = estimate.max(1);
+                    let level = best_level(&mut tuner, &mut s, &tables, &cfg, p, n, at).unwrap();
+                    let opts = NnOptions::new(k);
+                    nn_query(&mut s, &tables, &cfg, *p, at, level, &opts)
+                        .unwrap()
+                        .0
+                }
+                Call::Region(r) => {
+                    region_query(&mut s, &tables, &cfg, r, at, margin)
+                        .unwrap()
+                        .0
+                }
+            })
+            .collect();
+        let ops = store.metrics_snapshot().delta(&ops);
+        (s.elapsed_us().to_bits(), ops, answers)
+    };
+
+    let want = replay();
+    let (nn_answers, region_answers) = want.2[200..].split_at(40);
+    assert!(nn_answers.iter().all(|a| a.len() == k));
+    assert!(region_answers.iter().any(|a| !a.is_empty()));
+    let served = bare();
+    assert_eq!(
+        served.0,
+        want.0,
+        "hub-metered server drifted from the one-clock replay: {} vs {}",
+        f64::from_bits(served.0),
+        f64::from_bits(want.0)
+    );
+    assert_eq!(served.1, want.1, "op counts must match exactly");
+    assert_eq!(served.2, want.2, "answers must match");
+    // And the run reproduces: a second identical pass lands on the same
+    // bits again.
+    assert!(bare() == served, "a second bare server drifted");
+    // A one-shard tier is the bare server.
+    assert!(
+        one_shard() == served,
+        "a one-shard tier drifted from the bare server"
+    );
 }

@@ -58,7 +58,7 @@ pub(crate) enum FlagLookup {
 /// probe loop work through `&self`; only `FlagTuner::complete_miss`
 /// (cache mutation) needs `&mut`.
 #[derive(Debug)]
-pub struct FlagTuner {
+pub(crate) struct FlagTuner {
     sigma: usize,
     ttl_secs: f64,
     /// Entries keyed by range start (leaf index).
@@ -71,7 +71,7 @@ pub struct FlagTuner {
 
 impl FlagTuner {
     /// Creates a tuner using `cfg`'s σ and cache TTL.
-    pub fn new(cfg: &MoistConfig) -> Self {
+    pub(crate) fn new(cfg: &MoistConfig) -> Self {
         FlagTuner {
             sigma: cfg.sigma.max(1),
             ttl_secs: cfg.flag_cache_ttl_secs.max(0.0),
@@ -146,29 +146,6 @@ impl FlagTuner {
         }
     }
 
-    /// Algorithm 4: cached best level for `loc`, recomputing on miss or
-    /// staleness. `total_objects` is the global object count `n` feeding
-    /// Algorithm 3's initial guess.
-    pub fn best_level(
-        &mut self,
-        s: &mut Session,
-        tables: &MoistTables,
-        cfg: &MoistConfig,
-        loc: &Point,
-        total_objects: u64,
-        now: Timestamp,
-    ) -> Result<u8> {
-        let index = cfg.space.leaf_cell(loc).index;
-        let stale_key = match self.lookup(index, now) {
-            FlagLookup::Hit(level) => return Ok(level),
-            FlagLookup::Stale(k) => Some(k),
-            FlagLookup::Miss => None,
-        };
-        let level = self.calculate_best_level(s, tables, cfg, loc, total_objects)?;
-        self.complete_miss(stale_key, cfg, loc, level, now);
-        Ok(level)
-    }
-
     /// Algorithm 3: bisection on the level so the cell containing `loc`
     /// holds about σ objects.
     pub(crate) fn calculate_best_level(
@@ -214,13 +191,37 @@ impl FlagTuner {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::ids::ObjectId;
     use crate::update::{apply_update, UpdateMessage};
     use moist_bigtable::{Bigtable, CostProfile, Session};
     use moist_spatial::Velocity;
     use std::sync::Arc;
+
+    /// Algorithm 4 on one `&mut` tuner: the cached best level for `loc`,
+    /// recomputing on a miss or a stale entry. The reference the split-lock
+    /// path in `FrontEnd` is checked against. `total_objects` is the global
+    /// object count `n` feeding Algorithm 3's initial guess.
+    pub(crate) fn best_level(
+        tuner: &mut FlagTuner,
+        s: &mut Session,
+        tables: &MoistTables,
+        cfg: &MoistConfig,
+        loc: &Point,
+        total_objects: u64,
+        now: Timestamp,
+    ) -> Result<u8> {
+        let index = cfg.space.leaf_cell(loc).index;
+        let stale_key = match tuner.lookup(index, now) {
+            FlagLookup::Hit(level) => return Ok(level),
+            FlagLookup::Stale(k) => Some(k),
+            FlagLookup::Miss => None,
+        };
+        let level = tuner.calculate_best_level(s, tables, cfg, loc, total_objects)?;
+        tuner.complete_miss(stale_key, cfg, loc, level, now);
+        Ok(level)
+    }
 
     fn setup(sigma: usize) -> (Arc<Bigtable>, MoistTables, Session, MoistConfig) {
         let store = Bigtable::new();
@@ -313,27 +314,33 @@ mod tests {
         scatter(&mut s, &t, &cfg, 500, 0.0, 0.0, 1000.0, 1000.0);
         let mut tuner = FlagTuner::new(&cfg); // ttl = 300 s
         let loc = Point::new(400.0, 400.0);
-        let l1 = tuner
-            .best_level(&mut s, &t, &cfg, &loc, 500, Timestamp::from_secs(0))
-            .unwrap();
+        let l1 = best_level(
+            &mut tuner,
+            &mut s,
+            &t,
+            &cfg,
+            &loc,
+            500,
+            Timestamp::from_secs(0),
+        )
+        .unwrap();
         assert_eq!(tuner.stats().cache_misses, 1);
         // Nearby query inside the cached cell: hit.
-        let l2 = tuner
-            .best_level(
-                &mut s,
-                &t,
-                &cfg,
-                &Point::new(401.0, 401.0),
-                500,
-                Timestamp::from_secs(10),
-            )
-            .unwrap();
+        let l2 = best_level(
+            &mut tuner,
+            &mut s,
+            &t,
+            &cfg,
+            &Point::new(401.0, 401.0),
+            500,
+            Timestamp::from_secs(10),
+        )
+        .unwrap();
         assert_eq!(l1, l2);
         assert_eq!(tuner.stats().cache_hits, 1);
         // After the TTL the entry is recomputed.
-        let _ = tuner
-            .best_level(&mut s, &t, &cfg, &loc, 500, Timestamp::from_secs(10_000))
-            .unwrap();
+        let later = Timestamp::from_secs(10_000);
+        let _ = best_level(&mut tuner, &mut s, &t, &cfg, &loc, 500, later).unwrap();
         assert_eq!(tuner.stats().cache_misses, 2);
     }
 

@@ -13,11 +13,12 @@
 //! * [`cluster`] + [`hexgrid`] — lazy O(n) velocity clustering (§3.3.2);
 //! * [`nn`] — Algorithm 2 nearest-neighbour search (§3.4.1);
 //! * [`flag`] — Algorithms 3–4, the Fast Level Adaptive Grid (§3.4.2);
-//! * [`server`] — a front-end server tying everything together (§4.3);
+//! * [`server`] — one front-end server, a shard of the tier (§4.3);
 //! * [`placement`] — who owns a routing key and who may read it:
 //!   weighted rendezvous hashing, ranked replica sets, the hot-cell split
 //!   table and the region fan-out's range slicer;
-//! * [`cluster_tier`] — the sharded multi-server tier: N servers over one
+//! * [`cluster_tier`] — the library's front door, [`MoistCluster`]: N
+//!   servers (one by default) over one
 //!   store, routing and clustering partitioned by [`placement`] over an
 //!   epoch-stamped membership (`membership`), a write path routed under
 //!   the membership read guard with pipelined ingestion (`write`),
@@ -32,18 +33,18 @@
 //!
 //! ```
 //! use moist_bigtable::{Bigtable, Timestamp};
-//! use moist_core::{MoistConfig, MoistServer, ObjectId, UpdateMessage};
+//! use moist_core::{MoistCluster, MoistConfig, ObjectId, UpdateMessage};
 //! use moist_spatial::{Point, Velocity};
 //!
 //! let store = Bigtable::new();
-//! let mut server = MoistServer::new(&store, MoistConfig::default())?;
-//! server.update(&UpdateMessage {
+//! let cluster = MoistCluster::builder(&store, MoistConfig::default()).build()?;
+//! cluster.update(&UpdateMessage {
 //!     oid: ObjectId(7),
 //!     loc: Point::new(250.0, 750.0),
 //!     vel: Velocity::new(1.5, 0.0),
 //!     ts: Timestamp::from_secs(1),
 //! })?;
-//! let (neighbors, _stats) = server.nn(Point::new(250.0, 750.0), 1, Timestamp::from_secs(1))?;
+//! let (neighbors, _stats) = cluster.nn(Point::new(250.0, 750.0), 1, Timestamp::from_secs(1))?;
 //! assert_eq!(neighbors[0].oid, ObjectId(7));
 //! # Ok::<(), moist_core::MoistError>(())
 //! ```
@@ -79,7 +80,7 @@ pub use codec::{LfRecord, LocationRecord};
 pub use config::{table_names, MoistConfig};
 pub use controller::{ControllerAction, ControllerConfig, ControllerEvent};
 pub use error::{MoistError, Result};
-pub use flag::{FlagStats, FlagTuner};
+pub use flag::FlagStats;
 pub use hexgrid::{HexBin, HexGrid};
 pub use ids::ObjectId;
 pub use ingest::{BackpressurePolicy, IngestConfig, IngestStats, SubmitOutcome};

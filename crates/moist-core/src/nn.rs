@@ -32,14 +32,24 @@ pub struct Neighbor {
     pub leader: ObjectId,
 }
 
+/// Finest NN level a caller may fix. Algorithm 2 walks every cell out to
+/// the k-th neighbour, and each level finer quadruples the cells over the
+/// same distance: on a sparse map a fixed level 14 scans ~300k cells and
+/// level 20 runs for minutes. Level 10 bounds the walk at 4^10 cells, the
+/// limit the clustering schedule keeps too. FLAG's own levels are not
+/// capped: FLAG picks a level whose cell holds about σ objects.
+pub(crate) const MAX_FIXED_NN_LEVEL: u8 = 10;
+
 /// Query shaping.
 #[derive(Debug, Clone, Copy)]
 pub struct NnOptions {
     /// Maximum neighbours returned (`k`).
     pub k: usize,
-    /// NN cell level `l_n` (tune with FLAG or fix per the paper's
-    /// "Search Level 19/20" baselines).
-    pub nn_level: u8,
+    /// NN cell level `l_n`: `None` (the default) has FLAG tune it per
+    /// query; `Some(level)` fixes it, as the paper's "Search Level 19/20"
+    /// baselines do. A fixed level finer than 10 is refused with
+    /// [`MoistError::Inconsistent`](crate::MoistError::Inconsistent).
+    pub nn_level: Option<u8>,
     /// Expand schools: include followers at their estimated locations
     /// (§3.4 steps iii–iv). When false only leaders are returned.
     pub include_followers: bool,
@@ -54,22 +64,15 @@ pub struct NnOptions {
 }
 
 impl NnOptions {
-    /// `k` nearest with followers, no prediction, at `nn_level`.
-    pub fn new(k: usize, nn_level: u8) -> Self {
+    /// `k` nearest with followers, at FLAG's level, with no prediction
+    /// and no range limit.
+    pub fn new(k: usize) -> Self {
         NnOptions {
             k,
-            nn_level,
+            nn_level: None,
             include_followers: true,
             predict_secs: 0.0,
             max_distance: f64::INFINITY,
-        }
-    }
-
-    /// Same, with a search-range limit in world units.
-    pub fn within(k: usize, nn_level: u8, max_distance: f64) -> Self {
-        NnOptions {
-            max_distance: max_distance.max(0.0),
-            ..NnOptions::new(k, nn_level)
         }
     }
 }
@@ -120,7 +123,9 @@ fn eval_position(entry: &SpatialEntry, eval_at: Timestamp) -> Point {
     entry.record.loc.advance(entry.record.vel, dt)
 }
 
-/// Runs Algorithm 2 and (optionally) the school expansion of §3.4.
+/// Runs Algorithm 2 at NN level `nn_level` and (optionally) the school
+/// expansion of §3.4. `opts.nn_level` is not read: the front end resolves
+/// it (FLAG, or the caller's capped fixed level) and passes it here.
 ///
 /// Returns up to `k` neighbours sorted by ascending distance, plus the
 /// query statistics.
@@ -130,6 +135,7 @@ pub fn nn_query(
     cfg: &MoistConfig,
     center: Point,
     at: Timestamp,
+    nn_level: u8,
     opts: &NnOptions,
 ) -> Result<(Vec<Neighbor>, NnStats)> {
     let mut stats = NnStats {
@@ -141,7 +147,7 @@ pub fn nn_query(
     }
     let cost0 = s.elapsed_us();
     let eval_at = at.plus_secs(opts.predict_secs.max(0.0));
-    let nn_level = opts.nn_level.min(cfg.space.leaf_level);
+    let nn_level = nn_level.min(cfg.space.leaf_level);
 
     // Q_cell: min-heap on distance (BinaryHeap is a max-heap → Reverse).
     let mut q_cell: BinaryHeap<std::cmp::Reverse<(Dist, CellId)>> = BinaryHeap::new();
@@ -276,14 +282,14 @@ mod tests {
         for i in 1..=10u64 {
             put(&mut s, &t, &cfg, i, 500.0 + 10.0 * i as f64, 500.0);
         }
-        let opts = NnOptions::new(3, 8);
         let (nn, stats) = nn_query(
             &mut s,
             &t,
             &cfg,
             Point::new(500.0, 500.0),
             Timestamp::from_secs(1),
-            &opts,
+            8,
+            &NnOptions::new(3),
         )
         .unwrap();
         assert_eq!(nn.len(), 3);
@@ -313,9 +319,9 @@ mod tests {
         }
         let center = Point::new(333.0, 667.0);
         for level in [4u8, 6, 8, 10] {
-            let opts = NnOptions::new(10, level);
-            let (nn, _) =
-                nn_query(&mut s, &t, &cfg, center, Timestamp::from_secs(1), &opts).unwrap();
+            let opts = NnOptions::new(10);
+            let at = Timestamp::from_secs(1);
+            let (nn, _) = nn_query(&mut s, &t, &cfg, center, at, level, &opts).unwrap();
             let mut brute: Vec<(u64, f64)> = pts
                 .iter()
                 .map(|&(i, x, y)| (i, center.distance(&Point::new(x, y))))
@@ -347,13 +353,14 @@ mod tests {
         .unwrap();
         t.add_follower(&mut s, ObjectId(1), ObjectId(3), d, Timestamp::from_secs(1))
             .unwrap();
-        let opts = NnOptions::new(2, 8);
+        let opts = NnOptions::new(2);
         let (nn, _) = nn_query(
             &mut s,
             &t,
             &cfg,
             Point::new(500.0, 500.0),
             Timestamp::from_secs(1),
+            8,
             &opts,
         )
         .unwrap();
@@ -371,6 +378,7 @@ mod tests {
             &cfg,
             Point::new(500.0, 500.0),
             Timestamp::from_secs(1),
+            8,
             &opts,
         )
         .unwrap();
@@ -406,13 +414,14 @@ mod tests {
             },
         )
         .unwrap();
-        let now_opts = NnOptions::new(1, 6);
+        let now_opts = NnOptions::new(1);
         let (nn, _) = nn_query(
             &mut s,
             &t,
             &cfg,
             Point::new(500.0, 500.0),
             Timestamp::from_secs(0),
+            6,
             &now_opts,
         )
         .unwrap();
@@ -428,6 +437,7 @@ mod tests {
             &cfg,
             Point::new(500.0, 500.0),
             Timestamp::from_secs(0),
+            6,
             &future_opts,
         )
         .unwrap();
@@ -443,7 +453,8 @@ mod tests {
             &cfg,
             Point::new(1.0, 1.0),
             Timestamp::ZERO,
-            &NnOptions::new(5, 6),
+            6,
+            &NnOptions::new(5),
         )
         .unwrap();
         assert!(nn.is_empty());
@@ -456,7 +467,8 @@ mod tests {
             &cfg,
             Point::new(1.0, 1.0),
             Timestamp::ZERO,
-            &NnOptions::new(0, 6),
+            6,
+            &NnOptions::new(0),
         )
         .unwrap();
         assert!(nn.is_empty());
@@ -472,7 +484,8 @@ mod tests {
             &cfg,
             Point::new(0.0, 0.0),
             Timestamp::from_secs(1),
-            &NnOptions::new(1, 6),
+            6,
+            &NnOptions::new(1),
         )
         .unwrap();
         assert_eq!(nn.len(), 1);

@@ -1,30 +1,33 @@
-//! The MOIST front-end server.
+//! The MOIST front-end server: one shard of the tier.
 //!
 //! A [`MoistServer`] is one of the paper's front-end machines: it applies
-//! updates (Algorithm 1), answers NN queries (Algorithm 2 + FLAG), runs
-//! lazy clustering on its schedule, and streams leaders' location records
-//! into the PPP archiver. Several servers share one `Arc<Bigtable>`
+//! updates (Algorithm 1), answers NN queries (Algorithm 2 + FLAG), and
+//! streams leaders' location records into the PPP archiver. Clients reach
+//! it through [`MoistCluster`](crate::MoistCluster) — one shard by
+//! default — which holds one per shard over one shared `Arc<Bigtable>`,
 //! exactly like the paper's 5- and 10-server deployments share one
-//! BigTable (§4.3.3).
+//! BigTable (§4.3.3). The tier keeps one clustering schedule for all its
+//! shards, so a shard holds none of its own.
+//!
+//! Outside the tier, [`MoistServer::new`] builds a bare server with its
+//! own whole-map schedule: the wall-clock harness's probe of the layer
+//! under the tier. Its `pub` surface is the seven calls that probe makes.
 //!
 //! ## Intra-shard concurrency
 //!
 //! A server is cut in two by type. [`FrontEnd`] is the shared half:
-//! every query path (`nn*`, `region*`, `*_partial`, `position`,
-//! `flag_level`), counter and load accessor, and `age_data`, all through
-//! `&self` — each call opens an ephemeral [`Session`] attached to the
-//! shared [`MeterHub`], so cost accounting needs no `&mut` clock, and the
-//! query-side bookkeeping lives behind shared-friendly state (atomic
+//! every query path, counter and load accessor, and `age_data`, all
+//! through `&self` — each call opens an ephemeral [`Session`] attached to
+//! the shared [`MeterHub`], so cost accounting needs no `&mut` clock, and
+//! the query-side bookkeeping lives behind shared-friendly state (atomic
 //! [`ServerStats`] counters, a `Mutex<LoadTracker>`, an
 //! `RwLock<FlagTuner>` whose write guard is taken only when a query
 //! actually re-tunes the level). [`MoistServer`] holds an
-//! `Arc<FrontEnd>`, derefs to it, and adds the writer's half — the
-//! clustering schedule and the archiver feed behind `&mut self` (`update`,
-//! `update_batch`, `run_due_clustering`). A cluster tier puts the
-//! `MoistServer` behind a mutex that serializes those writers and keeps
-//! the same `Arc<FrontEnd>` beside it: a scan of the shared store never
-//! makes the shard's writer wait. The tier keeps one clustering schedule
-//! for all its shards, so a tier shard holds none of its own.
+//! `Arc<FrontEnd>`, derefs to it, and adds the writer's half — the archiver
+//! feed behind `&mut self` (`update`, `update_batch`, clustering). A
+//! cluster tier puts the `MoistServer` behind a mutex that serializes
+//! those writers and keeps the same `Arc<FrontEnd>` beside it: a scan of
+//! the shared store never makes the shard's writer wait.
 //!
 //! Ephemeral sessions are *seeded* from the hub's running total, so on a
 //! single thread every charge lands in the same order and at the same
@@ -37,11 +40,11 @@ use crate::error::{MoistError, Result};
 use crate::flag::{FlagLookup, FlagStats, FlagTuner};
 use crate::ids::ObjectId;
 use crate::load::{CellRates, LoadTracker};
-use crate::nn::{nn_query, Neighbor, NnOptions, NnStats};
+use crate::nn::{nn_query, Neighbor, NnOptions, NnStats, MAX_FIXED_NN_LEVEL};
 use crate::school::estimated_location;
 use crate::tables::MoistTables;
 use crate::update::{apply_update, apply_update_batch, UpdateMessage, UpdateOutcome};
-use moist_archive::{HistoryRecord, PppArchiver, QueryCost};
+use moist_archive::{HistoryRecord, PppArchiver};
 use moist_bigtable::{Bigtable, BigtableError, MeterHub, Session, Timestamp};
 use moist_spatial::{CellId, Point, Rect};
 use parking_lot::{Mutex, RwLock};
@@ -163,11 +166,11 @@ pub struct FrontEnd {
 }
 
 /// One MOIST front-end server: the shared [`FrontEnd`] plus the writer's
-/// own state (the clustering schedule and the archiver feed).
+/// own state (the archiver feed, and a bare server's clustering schedule).
 pub struct MoistServer {
     front: Arc<FrontEnd>,
-    /// The whole map's schedule on a standalone server; `None` on a tier
-    /// shard, whose cells the tier's one schedule hands it.
+    /// The whole map's schedule on a bare server; `None` on a tier shard,
+    /// whose cells the tier's one schedule hands it.
     scheduler: Option<ClusterScheduler>,
     archiver: Option<Arc<PppArchiver>>,
 }
@@ -212,10 +215,12 @@ pub(crate) fn check_finite(coords: &[f64]) -> Result<()> {
 }
 
 impl MoistServer {
-    /// Opens (or on first use creates) the MOIST tables in `store` and
-    /// builds a server around them.
+    /// A bare server: opens (or on first use creates) the MOIST tables in
+    /// `store` and builds a server around them, with its own clustering
+    /// schedule over the whole map. Clients build a
+    /// [`MoistCluster`](crate::MoistCluster) instead.
     pub fn new(store: &Arc<Bigtable>, cfg: MoistConfig) -> Result<Self> {
-        let mut server = Self::with_estimate(store, cfg, Arc::default())?;
+        let mut server = Self::shard(store, cfg, Arc::default(), None)?;
         server.scheduler = Some(ClusterScheduler::new(&cfg));
         Ok(server)
     }
@@ -223,11 +228,13 @@ impl MoistServer {
     /// A tier shard: [`new`](MoistServer::new) without a clustering
     /// schedule, sharing a tier-wide object-count estimate (the handed-in
     /// counter absorbs the store's current row count, so all shards feed
-    /// FLAG the same `n`).
-    pub(crate) fn with_estimate(
+    /// FLAG the same `n`) and streaming every non-shed location write into
+    /// `archiver`, if any.
+    pub(crate) fn shard(
         store: &Arc<Bigtable>,
         cfg: MoistConfig,
         estimate: Arc<AtomicU64>,
+        archiver: Option<Arc<PppArchiver>>,
     ) -> Result<Self> {
         cfg.validate()?;
         let tables = open_or_create_tables(store, &cfg)?;
@@ -236,7 +243,7 @@ impl MoistServer {
         estimate.fetch_max(tables.affiliation.approx_row_count(), Ordering::Relaxed);
         Ok(MoistServer {
             scheduler: None,
-            archiver: None,
+            archiver,
             front: Arc::new(FrontEnd {
                 flag: RwLock::new(FlagTuner::new(&cfg)),
                 store: Arc::clone(store),
@@ -255,13 +262,6 @@ impl MoistServer {
     /// beside its writer lock.
     pub(crate) fn front(&self) -> &Arc<FrontEnd> {
         &self.front
-    }
-
-    /// Attaches the PPP archiver: every non-shed location write is also
-    /// streamed into the aged-data pipeline.
-    pub fn with_archiver(mut self, archiver: Arc<PppArchiver>) -> Self {
-        self.archiver = Some(archiver);
-        self
     }
 
     /// Applies one update (Algorithm 1), maintaining counters and feeding
@@ -362,18 +362,6 @@ impl MoistServer {
         }
         Ok(total)
     }
-
-    /// Object history from the archiver (in-memory window + disks).
-    pub fn history(
-        &self,
-        oid: ObjectId,
-        from: Timestamp,
-        to: Timestamp,
-    ) -> Option<(Vec<HistoryRecord>, QueryCost)> {
-        self.archiver
-            .as_ref()
-            .map(|a| a.query_object(oid.0, from.0, to.0))
-    }
 }
 
 impl FrontEnd {
@@ -385,29 +373,19 @@ impl FrontEnd {
         self.store.session_with_hub(Arc::clone(&self.hub))
     }
 
-    /// The server's configuration.
-    pub fn config(&self) -> &MoistConfig {
-        &self.cfg
-    }
-
-    /// The shared tables (e.g. for direct inspection in tests).
-    pub fn tables(&self) -> &MoistTables {
-        &self.tables
-    }
-
     /// Zeroes the virtual clock (benches do this after warm-up).
-    pub fn reset_clock(&self) {
+    pub(crate) fn reset_clock(&self) {
         self.hub.reset();
     }
 
     /// Virtual microseconds this server has consumed across all its
     /// sessions (the shared hub total).
-    pub fn elapsed_us(&self) -> f64 {
+    pub(crate) fn elapsed_us(&self) -> f64 {
         self.hub.elapsed_us()
     }
 
     /// Operation counters.
-    pub fn stats(&self) -> ServerStats {
+    pub(crate) fn stats(&self) -> ServerStats {
         self.stats.snapshot()
     }
 
@@ -439,65 +417,43 @@ impl FrontEnd {
         self.object_estimate.fetch_max(n, Ordering::Relaxed).max(n)
     }
 
-    /// k-nearest-neighbour query with FLAG-tuned level.
+    /// k-nearest-neighbour query at FLAG's level.
     pub fn nn(&self, center: Point, k: usize, at: Timestamp) -> Result<(Vec<Neighbor>, NnStats)> {
-        // One session threads FLAG's probes and the NN scan, so the
-        // charge sequence matches the old shared-session design exactly.
-        let mut s = self.charged_session();
-        let n = self.object_estimate().max(1);
-        let level = self.flag_level_in(&mut s, &center, n, at)?;
-        self.nn_with_options_in(&mut s, center, at, &NnOptions::new(k, level))
+        self.nn_with_options(center, at, &NnOptions::new(k))
     }
 
-    /// k-NN at a fixed NN level (the paper's "Search Level 19/20" mode).
-    pub fn nn_at_level(
-        &self,
-        center: Point,
-        k: usize,
-        at: Timestamp,
-        nn_level: u8,
-    ) -> Result<(Vec<Neighbor>, NnStats)> {
-        self.nn_with_options(center, at, &NnOptions::new(k, nn_level))
-    }
-
-    /// NN query with explicit options (range limits, prediction, follower
-    /// expansion — see [`NnOptions`]).
-    pub fn nn_with_options(
+    /// NN query with explicit options (FLAG or a fixed level, range
+    /// limit, prediction, follower expansion — see [`NnOptions`]). One
+    /// session threads FLAG's probes and the NN scan, so the charge
+    /// sequence matches one shared clock exactly.
+    pub(crate) fn nn_with_options(
         &self,
         center: Point,
         at: Timestamp,
         opts: &NnOptions,
     ) -> Result<(Vec<Neighbor>, NnStats)> {
-        let mut s = self.charged_session();
-        self.nn_with_options_in(&mut s, center, at, opts)
-    }
-
-    fn nn_with_options_in(
-        &self,
-        s: &mut Session,
-        center: Point,
-        at: Timestamp,
-        opts: &NnOptions,
-    ) -> Result<(Vec<Neighbor>, NnStats)> {
-        // An infinite horizon has no position to rank by, and a NaN range
-        // limit would compare as "no limit".
+        // An infinite horizon has no position to rank by, a NaN range
+        // limit would compare as "no limit", and each fixed level past
+        // the cap quadruples the cells the walk visits.
         check_finite(&[center.x, center.y, opts.predict_secs])?;
         if opts.max_distance.is_nan() {
             return Err(MoistError::Inconsistent("NaN search range limit".into()));
         }
-        let out = nn_query(s, &self.tables, &self.cfg, center, at, opts)?;
+        if let Some(level) = opts.nn_level.filter(|&l| l > MAX_FIXED_NN_LEVEL) {
+            return Err(MoistError::Inconsistent(format!(
+                "fixed NN level {level} is finer than the limit {MAX_FIXED_NN_LEVEL}"
+            )));
+        }
+        let mut s = self.charged_session();
+        let level = match opts.nn_level {
+            Some(level) => level,
+            None => self.flag_level_in(&mut s, &center, at)?,
+        };
+        let out = nn_query(&mut s, &self.tables, &self.cfg, center, at, level, opts)?;
         self.stats.nn_queries.fetch_add(1, Ordering::Relaxed);
         let cell = self.cfg.space.cell_at(self.cfg.clustering_level, &center);
         self.load.lock().observe_query(cell.index, at);
         Ok(out)
-    }
-
-    /// FLAG-tuned NN level for `loc` at `at` (exposed for the Figure 12
-    /// benches that compare FLAG against fixed levels).
-    pub fn flag_level(&self, loc: &Point, at: Timestamp) -> Result<u8> {
-        let mut s = self.charged_session();
-        let n = self.object_estimate().max(1);
-        self.flag_level_in(&mut s, loc, n, at)
     }
 
     /// Algorithm 4 under the split tuner lock: cache hits (the common
@@ -505,14 +461,14 @@ impl FrontEnd {
     /// the write guard is taken only to install a re-tuned level. Two
     /// racing misses may both recompute — both arrive at the same
     /// answer, and the cache insert is idempotent.
-    fn flag_level_in(&self, s: &mut Session, loc: &Point, n: u64, at: Timestamp) -> Result<u8> {
-        check_finite(&[loc.x, loc.y])?;
+    fn flag_level_in(&self, s: &mut Session, loc: &Point, at: Timestamp) -> Result<u8> {
         let index = self.cfg.space.leaf_cell(loc).index;
         let stale_key = match self.flag.read().lookup(index, at) {
             FlagLookup::Hit(level) => return Ok(level),
             FlagLookup::Stale(k) => Some(k),
             FlagLookup::Miss => None,
         };
+        let n = self.object_estimate().max(1);
         let level = self
             .flag
             .read()
@@ -521,23 +477,6 @@ impl FrontEnd {
             .write()
             .complete_miss(stale_key, &self.cfg, loc, level, at);
         Ok(level)
-    }
-
-    /// Predictive k-NN: neighbours ranked by their positions `horizon_secs`
-    /// into the future.
-    pub fn nn_predictive(
-        &self,
-        center: Point,
-        k: usize,
-        at: Timestamp,
-        horizon_secs: f64,
-        nn_level: u8,
-    ) -> Result<(Vec<Neighbor>, NnStats)> {
-        let opts = NnOptions {
-            predict_secs: horizon_secs,
-            ..NnOptions::new(k, nn_level)
-        };
-        self.nn_with_options(center, at, &opts)
     }
 
     /// All objects inside a world-coordinate rectangle at `at` ("browse all
@@ -576,7 +515,7 @@ impl FrontEnd {
 
     /// Current position of one object: leaders from their latest record,
     /// followers via the school estimate (§3.3.1).
-    pub fn position(&self, oid: ObjectId, at: Timestamp) -> Result<Option<Point>> {
+    pub(crate) fn position(&self, oid: ObjectId, at: Timestamp) -> Result<Option<Point>> {
         use crate::codec::LfRecord;
         let mut s = self.charged_session();
         match self.tables.lf(&mut s, oid)? {
@@ -597,7 +536,7 @@ impl FrontEnd {
     }
 
     /// Ages out old location and affiliation records to disk columns.
-    pub fn age_data(&self, now: Timestamp) -> Result<usize> {
+    pub(crate) fn age_data(&self, now: Timestamp) -> Result<usize> {
         let cutoff = Timestamp(
             now.0
                 .saturating_sub((self.cfg.aging_secs.max(0.0) * 1e6) as u64),
@@ -612,7 +551,9 @@ impl FrontEnd {
 mod tests {
     use super::*;
     use moist_archive::PppConfig;
+    use moist_bigtable::{CostProfile, OwnedRow, ReadOptions, ScanRange};
     use moist_spatial::Velocity;
+    use proptest::prelude::*;
 
     fn msg(oid: u64, x: f64, y: f64, vx: f64, secs: f64) -> UpdateMessage {
         UpdateMessage {
@@ -675,8 +616,8 @@ mod tests {
         assert_eq!(b.refresh_object_estimate(), 51);
         // A shared counter keeps shards in sync without refreshes.
         let shared = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let mut c = MoistServer::with_estimate(&store, cfg, Arc::clone(&shared)).unwrap();
-        let d = MoistServer::with_estimate(&store, cfg, Arc::clone(&shared)).unwrap();
+        let mut c = MoistServer::shard(&store, cfg, Arc::clone(&shared), None).unwrap();
+        let d = MoistServer::shard(&store, cfg, Arc::clone(&shared), None).unwrap();
         c.update(&msg(100, 50.0, 50.0, 1.0, 0.0)).unwrap();
         assert_eq!(d.object_estimate(), 52);
     }
@@ -726,7 +667,7 @@ mod tests {
         // Manually affiliate a follower and check its estimate.
         use crate::codec::LfRecord;
         use moist_spatial::Displacement;
-        let t = server.tables().clone();
+        let t = server.tables.clone();
         let d = Displacement::new(0.0, 7.0);
         t.set_lf(
             &mut store.session(),
@@ -755,16 +696,17 @@ mod tests {
         let store = Bigtable::new();
         let cfg = MoistConfig::default();
         let archiver = Arc::new(PppArchiver::new(cfg.space, PppConfig::default()));
-        let mut server = MoistServer::new(&store, cfg)
-            .unwrap()
-            .with_archiver(Arc::clone(&archiver));
+        let cluster = crate::MoistCluster::builder(&store, cfg)
+            .archiver(Arc::clone(&archiver))
+            .build()
+            .unwrap();
         for t in 0..10u64 {
-            server
+            cluster
                 .update(&msg(1, 100.0 + t as f64, 100.0, 1.0, t as f64))
                 .unwrap();
         }
         archiver.flush_all();
-        let (hist, _) = server
+        let (hist, _) = cluster
             .history(ObjectId(1), Timestamp::ZERO, Timestamp::from_secs(100))
             .unwrap();
         assert_eq!(hist.len(), 10);
@@ -875,5 +817,111 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(p.x, 120.0);
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Update {
+            oid: u64,
+            x: f64,
+            y: f64,
+            vx: f64,
+            vy: f64,
+            dt: f64,
+        },
+        Cluster,
+    }
+
+    fn op_strategy(objects: u64) -> impl Strategy<Value = Op> {
+        prop_oneof![
+            9 => (
+                0..objects,
+                0.0f64..1000.0,
+                0.0f64..1000.0,
+                -2.0f64..2.0,
+                -2.0f64..2.0,
+                0.1f64..5.0,
+            )
+                .prop_map(|(oid, x, y, vx, vy, dt)| Op::Update { oid, x, y, vx, vy, dt }),
+            1 => Just(Op::Cluster),
+        ]
+    }
+
+    /// Every version of every cell of the three tables, in key order.
+    fn full_scans(tables: &MoistTables) -> Vec<Vec<OwnedRow>> {
+        [&tables.location, &tables.spatial, &tables.affiliation]
+            .iter()
+            .map(|t| {
+                t.scan(&ScanRange::all(), &ReadOptions::default(), None)
+                    .unwrap()
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The oracle for the batch path: one stream applied message by message
+        /// through `MoistServer::update` and, cut into batches of 1–64, through
+        /// `MoistServer::update_batch` must report the same outcomes, count the
+        /// same `ServerStats` and leave byte-equal tables. Ten objects over a
+        /// few hundred messages repeat OIDs inside most batches; four
+        /// clustering cells and one velocity bin make every sweep merge, and
+        /// ε = 250 then has about a quarter of the followers' reports shed and
+        /// the rest depart, beside leaders updating in the same batch.
+        #[test]
+        fn batched_stream_leaves_the_store_the_one_by_one_stream_leaves(
+            ops in prop::collection::vec(op_strategy(10), 1..300),
+            cuts in prop::collection::vec(1usize..65, 1..40),
+        ) {
+            let cfg = MoistConfig {
+                epsilon: 250.0,
+                delta_m: 8.0,
+                clustering_level: 1,
+                ..MoistConfig::default()
+            };
+            let (store_a, store_b) = (Bigtable::new(), Bigtable::new());
+            let mut one_by_one = MoistServer::new(&store_a, cfg).unwrap();
+            let mut batched = MoistServer::new(&store_b, cfg).unwrap();
+            let mut free_a = store_a.session_with(CostProfile::free());
+            let mut free_b = store_b.session_with(CostProfile::free());
+            let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
+            let mut pending: Vec<UpdateMessage> = Vec::new();
+            let mut cuts = cuts.iter().cycle();
+            let mut cut = *cuts.next().unwrap();
+            let mut now = 0.0;
+            for op in &ops {
+                match op {
+                    Op::Update { oid, x, y, vx, vy, dt } => {
+                        now += dt;
+                        let msg = UpdateMessage {
+                            oid: ObjectId(*oid),
+                            loc: Point::new(*x, *y),
+                            vel: Velocity::new(*vx, *vy),
+                            ts: Timestamp::from_secs_f64(now),
+                        };
+                        out_a.push(one_by_one.update(&msg).unwrap());
+                        pending.push(msg);
+                        if pending.len() == cut {
+                            out_b.extend(batched.update_batch(&pending).unwrap());
+                            pending.clear();
+                            cut = *cuts.next().unwrap();
+                        }
+                    }
+                    Op::Cluster => {
+                        out_b.extend(batched.update_batch(&pending).unwrap());
+                        pending.clear();
+                        now += 1.0;
+                        let at = Timestamp::from_secs_f64(now);
+                        crate::cluster::cluster_sweep(&mut free_a, &one_by_one.tables, &cfg, at).unwrap();
+                        crate::cluster::cluster_sweep(&mut free_b, &batched.tables, &cfg, at).unwrap();
+                    }
+                }
+            }
+            out_b.extend(batched.update_batch(&pending).unwrap());
+            prop_assert_eq!(&out_a, &out_b);
+            prop_assert_eq!(one_by_one.stats(), batched.stats());
+            prop_assert_eq!(full_scans(&one_by_one.tables), full_scans(&batched.tables));
+        }
     }
 }

@@ -928,17 +928,21 @@ mod tests {
         assert_eq!(indexed.len(), 1, "one object, one Spatial Index row");
         // Queries reject what updates reject, with the same typed error,
         // before touching the store.
-        let server = crate::server::MoistServer::new(&st, cfg).unwrap();
+        let cluster = crate::MoistCluster::builder(&st, cfg).build().unwrap();
         let before = st.metrics_snapshot();
         let rejected = |r: Result<()>| matches!(r, Err(MoistError::Inconsistent(_)));
         let at = Timestamp::ZERO;
+        let fixed = |k, level| crate::nn::NnOptions {
+            nn_level: Some(level),
+            ..crate::nn::NnOptions::new(k)
+        };
         for c in [
             Point::new(f64::NAN, 500.0),
             Point::new(500.0, f64::INFINITY),
         ] {
-            assert!(rejected(server.nn(c, 3, at).map(drop)));
-            assert!(rejected(server.nn_at_level(c, 3, at, 4).map(drop)));
-            assert!(rejected(server.flag_level(&c, at).map(drop)));
+            assert!(rejected(cluster.nn(c, 3, at).map(drop)));
+            let fixed_level = cluster.nn_with_options(c, at, &fixed(3, 4));
+            assert!(rejected(fixed_level.map(drop)));
         }
         let world = cfg.space.world;
         let nan_corner = moist_spatial::Rect {
@@ -946,33 +950,37 @@ mod tests {
             ..world
         };
         let unbounded = moist_spatial::Rect::new(0.0, 0.0, f64::INFINITY, 10.0);
-        assert!(rejected(server.region(&nan_corner, at, 0.0).map(drop)));
-        assert!(rejected(server.region(&unbounded, at, 0.0).map(drop)));
-        assert!(rejected(server.region(&world, at, f64::NAN).map(drop)));
-        let partial = server.region_partial(&[(0, 4)], &nan_corner, at);
+        assert!(rejected(cluster.region(&nan_corner, at, 0.0).map(drop)));
+        assert!(rejected(cluster.region(&unbounded, at, 0.0).map(drop)));
+        assert!(rejected(cluster.region(&world, at, f64::NAN).map(drop)));
+        let partial = cluster
+            .with_shard_read(0, |s| s.region_partial(&[(0, 4)], &nan_corner, at))
+            .unwrap();
         assert!(rejected(partial.map(drop)));
         let p = Point::new(500.0, 500.0);
+        let predictive = |horizon| crate::nn::NnOptions {
+            predict_secs: horizon,
+            ..fixed(1, 8)
+        };
         for horizon in [f64::INFINITY, f64::NAN] {
-            assert!(rejected(
-                server.nn_predictive(p, 1, at, horizon, 8).map(drop)
-            ));
+            let answer = cluster.nn_with_options(p, at, &predictive(horizon));
+            assert!(rejected(answer.map(drop)));
         }
         let nan_range = crate::nn::NnOptions {
             max_distance: f64::NAN,
-            ..crate::nn::NnOptions::new(1, 8)
+            ..fixed(1, 8)
         };
         assert!(rejected(
-            server.nn_with_options(p, at, &nan_range).map(drop)
+            cluster.nn_with_options(p, at, &nan_range).map(drop)
         ));
         assert_eq!(st.metrics_snapshot(), before, "rejected before any read");
-        assert!(server.region(&world, at, 0.0).is_ok());
+        assert!(cluster.region(&world, at, 0.0).is_ok());
         // A finite horizon past the end of time saturates instead of
         // overflowing, and the one object is still found. Twice: the
         // second query closes a load window that opened at the end of time.
         for _ in 0..2 {
-            let (hits, _) = server
-                .nn_predictive(p, 1, Timestamp(u64::MAX - 10), 1.0, 8)
-                .unwrap();
+            let end = Timestamp(u64::MAX - 10);
+            let (hits, _) = cluster.nn_with_options(p, end, &predictive(1.0)).unwrap();
             assert_eq!(hits.len(), 1);
         }
     }

@@ -79,7 +79,8 @@ fn corrupted_spatial_record_fails_queries_cleanly() {
         &cfg,
         Point::new(100.0, 100.0),
         Timestamp::from_secs(2),
-        &NnOptions::new(1, 4),
+        4,
+        &NnOptions::new(1),
     )
     .unwrap_err();
     assert!(matches!(err, MoistError::Codec(_)));
@@ -160,7 +161,8 @@ fn far_out_of_bounds_locations_are_clamped_not_lost() {
         &cfg,
         Point::new(0.0, 1000.0),
         Timestamp::from_secs(1),
-        &NnOptions::new(1, 4),
+        4,
+        &NnOptions::new(1),
     )
     .unwrap();
     assert_eq!(nn.len(), 1);

@@ -16,10 +16,10 @@
 //! 4. **NN exactness over leaders** — leaders-only NN results equal brute
 //!    force over the oracle's leader positions.
 
-use moist_bigtable::{Bigtable, CostProfile, OwnedRow, ReadOptions, ScanRange, Session, Timestamp};
+use moist_bigtable::{Bigtable, CostProfile, Session, Timestamp};
 use moist_core::{
-    apply_update, cluster_sweep, nn_query, LfRecord, MoistConfig, MoistServer, MoistTables,
-    NnOptions, ObjectId, UpdateMessage, UpdateOutcome,
+    apply_update, cluster_sweep, nn_query, LfRecord, MoistConfig, MoistTables, NnOptions, ObjectId,
+    UpdateMessage, UpdateOutcome,
 };
 use moist_spatial::{Point, Velocity};
 use proptest::prelude::*;
@@ -227,7 +227,7 @@ impl Harness {
         let k = 5.min(brute.len());
         let opts = NnOptions {
             include_followers: false,
-            ..NnOptions::new(5, level)
+            ..NnOptions::new(5)
         };
         let (nn, _) = nn_query(
             &mut self.session,
@@ -235,6 +235,7 @@ impl Harness {
             &self.cfg,
             center,
             at,
+            level,
             &opts,
         )
         .unwrap();
@@ -252,82 +253,8 @@ impl Harness {
     }
 }
 
-/// Every version of every cell of the three tables, in key order.
-fn full_scans(tables: &MoistTables) -> Vec<Vec<OwnedRow>> {
-    [&tables.location, &tables.spatial, &tables.affiliation]
-        .iter()
-        .map(|t| {
-            t.scan(&ScanRange::all(), &ReadOptions::default(), None)
-                .unwrap()
-        })
-        .collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The oracle for the batch path: one stream applied message by message
-    /// through `MoistServer::update` and, cut into batches of 1–64, through
-    /// `MoistServer::update_batch` must report the same outcomes, count the
-    /// same `ServerStats` and leave byte-equal tables. Ten objects over a
-    /// few hundred messages repeat OIDs inside most batches; four
-    /// clustering cells and one velocity bin make every sweep merge, and
-    /// ε = 250 then has about a quarter of the followers' reports shed and
-    /// the rest depart, beside leaders updating in the same batch.
-    #[test]
-    fn batched_stream_leaves_the_store_the_one_by_one_stream_leaves(
-        ops in prop::collection::vec(op_strategy(10), 1..300),
-        cuts in prop::collection::vec(1usize..65, 1..40),
-    ) {
-        let cfg = MoistConfig {
-            epsilon: 250.0,
-            delta_m: 8.0,
-            clustering_level: 1,
-            ..MoistConfig::default()
-        };
-        let (store_a, store_b) = (Bigtable::new(), Bigtable::new());
-        let mut one_by_one = MoistServer::new(&store_a, cfg).unwrap();
-        let mut batched = MoistServer::new(&store_b, cfg).unwrap();
-        let mut free_a = store_a.session_with(CostProfile::free());
-        let mut free_b = store_b.session_with(CostProfile::free());
-        let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
-        let mut pending: Vec<UpdateMessage> = Vec::new();
-        let mut cuts = cuts.iter().cycle();
-        let mut cut = *cuts.next().unwrap();
-        let mut now = 0.0;
-        for op in &ops {
-            match op {
-                Op::Update { oid, x, y, vx, vy, dt } => {
-                    now += dt;
-                    let msg = UpdateMessage {
-                        oid: ObjectId(*oid),
-                        loc: Point::new(*x, *y),
-                        vel: Velocity::new(*vx, *vy),
-                        ts: Timestamp::from_secs_f64(now),
-                    };
-                    out_a.push(one_by_one.update(&msg).unwrap());
-                    pending.push(msg);
-                    if pending.len() == cut {
-                        out_b.extend(batched.update_batch(&pending).unwrap());
-                        pending.clear();
-                        cut = *cuts.next().unwrap();
-                    }
-                }
-                Op::Cluster => {
-                    out_b.extend(batched.update_batch(&pending).unwrap());
-                    pending.clear();
-                    now += 1.0;
-                    let at = Timestamp::from_secs_f64(now);
-                    cluster_sweep(&mut free_a, one_by_one.tables(), &cfg, at).unwrap();
-                    cluster_sweep(&mut free_b, batched.tables(), &cfg, at).unwrap();
-                }
-            }
-        }
-        out_b.extend(batched.update_batch(&pending).unwrap());
-        prop_assert_eq!(&out_a, &out_b);
-        prop_assert_eq!(one_by_one.stats(), batched.stats());
-        prop_assert_eq!(full_scans(one_by_one.tables()), full_scans(batched.tables()));
-    }
 
     #[test]
     fn structural_invariants_hold_under_any_interleaving(
@@ -350,7 +277,8 @@ proptest! {
             &h.cfg,
             Point::new(qx, qy),
             at,
-            &NnOptions::new(5, level),
+            level,
+            &NnOptions::new(5),
         )
         .unwrap();
         prop_assert!(nn.windows(2).all(|w| w[0].distance <= w[1].distance));

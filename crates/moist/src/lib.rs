@@ -20,14 +20,16 @@
 //!
 //! ```
 //! use moist::bigtable::{Bigtable, Timestamp};
-//! use moist::core::{MoistConfig, MoistServer, ObjectId, UpdateMessage};
+//! use moist::core::{MoistCluster, MoistConfig, ObjectId, UpdateMessage};
 //! use moist::spatial::{Point, Velocity};
 //!
+//! // One store (the "BigTable") and the front-end tier over it: one
+//! // server by default, `.shards(n)` for the paper's fleets.
 //! let store = Bigtable::new();
-//! let mut server = MoistServer::new(&store, MoistConfig::default())?;
+//! let cluster = MoistCluster::builder(&store, MoistConfig::default()).build()?;
 //!
 //! // A taxi reports its position.
-//! server.update(&UpdateMessage {
+//! cluster.update(&UpdateMessage {
 //!     oid: ObjectId(1),
 //!     loc: Point::new(420.0, 500.0),
 //!     vel: Velocity::new(1.8, 0.0),
@@ -35,7 +37,7 @@
 //! })?;
 //!
 //! // A customer asks for the nearest taxi.
-//! let (neighbors, _) = server.nn(Point::new(400.0, 500.0), 1, Timestamp::from_secs(11))?;
+//! let (neighbors, _) = cluster.nn(Point::new(400.0, 500.0), 1, Timestamp::from_secs(11))?;
 //! assert_eq!(neighbors[0].oid, ObjectId(1));
 //! # Ok::<(), moist::core::MoistError>(())
 //! ```

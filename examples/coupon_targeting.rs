@@ -9,13 +9,13 @@
 //! Run with: `cargo run --release --example coupon_targeting`
 
 use moist::bigtable::{Bigtable, Timestamp};
-use moist::core::{MoistConfig, MoistServer, ObjectId, UpdateMessage};
+use moist::core::{MoistCluster, MoistConfig, NnOptions, ObjectId, UpdateMessage};
 use moist::spatial::Point;
 use moist::workload::{RoadMap, RoadMapConfig, RoadNetSim, SimConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let store = Bigtable::new();
-    let mut server = MoistServer::new(&store, MoistConfig::default())?;
+    let cluster = MoistCluster::builder(&store, MoistConfig::default()).build()?;
 
     // Lunch crowd: 400 pedestrians wandering the downtown grid.
     let mut sim = RoadNetSim::new(
@@ -31,17 +31,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Warm up: 5 minutes of location updates + clustering.
     for minute in 1..=5u64 {
         for u in sim.advance_until(minute as f64 * 60.0) {
-            server.update(&UpdateMessage {
+            cluster.update(&UpdateMessage {
                 oid: ObjectId(u.oid),
                 loc: u.loc,
                 vel: u.vel,
                 ts: Timestamp::from_secs_f64(u.at_secs),
             })?;
         }
-        server.run_due_clustering(Timestamp::from_secs(minute * 60))?;
+        cluster.run_due_clustering(Timestamp::from_secs(minute * 60))?;
     }
     let now = Timestamp::from_secs(300);
-    let stats = server.stats();
+    let stats = cluster.stats();
     println!(
         "Indexed {} users over 5 min ({} updates, {:.0}% shed).\n",
         400,
@@ -54,11 +54,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let radius = 150.0; // the coupon's reach in map units
 
     // Current-position targeting.
-    let (current, _) = server.nn(restaurant, 50, now)?;
+    let (current, _) = cluster.nn(restaurant, 50, now)?;
     let reachable_now: Vec<_> = current.iter().filter(|n| n.distance <= radius).collect();
 
     // Predictive targeting: who will be nearby in 60 s?
-    let (future, _) = server.nn_predictive(restaurant, 50, now, 60.0, 6)?;
+    let predictive = NnOptions {
+        predict_secs: 60.0,
+        nn_level: Some(6),
+        ..NnOptions::new(50)
+    };
+    let (future, _) = cluster.nn_with_options(restaurant, now, &predictive)?;
     let reachable_soon: Vec<_> = future.iter().filter(|n| n.distance <= radius).collect();
 
     println!(
@@ -92,7 +97,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!(
         "\nModelled store time for the whole lunch rush: {:.1} ms.",
-        server.elapsed_us() / 1000.0
+        cluster.total_elapsed_us() / 1000.0
     );
     Ok(())
 }

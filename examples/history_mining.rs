@@ -12,7 +12,7 @@
 
 use moist::archive::{DiskProfile, PlannerInput, PppArchiver, PppConfig, RECORD_BYTES};
 use moist::bigtable::{Bigtable, Timestamp};
-use moist::core::{MoistConfig, MoistServer, ObjectId, UpdateMessage};
+use moist::core::{MoistCluster, MoistConfig, ObjectId, UpdateMessage};
 use moist::spatial::{CellId, CurveKind, Point, Rect};
 use moist::workload::{RoadMap, RoadMapConfig, RoadNetSim, SimConfig};
 use std::collections::HashMap;
@@ -31,7 +31,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             disk: DiskProfile::default(),
         },
     ));
-    let mut server = MoistServer::new(&store, cfg)?.with_archiver(Arc::clone(&archiver));
+    let cluster = MoistCluster::builder(&store, cfg)
+        .archiver(Arc::clone(&archiver))
+        .build()?;
 
     // 20 minutes of city traffic.
     let mut sim = RoadNetSim::new(
@@ -44,14 +46,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for minute in 1..=20u64 {
         for u in sim.advance_until(minute as f64 * 60.0) {
-            server.update(&UpdateMessage {
+            cluster.update(&UpdateMessage {
                 oid: ObjectId(u.oid),
                 loc: u.loc,
                 vel: u.vel,
                 ts: Timestamp::from_secs_f64(u.at_secs),
             })?;
         }
-        server.run_due_clustering(Timestamp::from_secs(minute * 60))?;
+        cluster.run_due_clustering(Timestamp::from_secs(minute * 60))?;
     }
     archiver.flush_all();
     let ppp = archiver.stats();
@@ -71,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // (a) One rider's travel path.
     let rider = ObjectId(3);
-    let (path, cost) = server
+    let (path, cost) = cluster
         .history(rider, Timestamp::ZERO, Timestamp::from_secs(1200))
         .expect("archiver attached");
     println!(
@@ -108,7 +110,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // (c) Points-of-interest heatmap: visit counts per level-4 cell.
-    let space = server.config().space;
+    let space = cluster.config().space;
     let (all, _) = archiver.query_region(&space.world, 0, u64::MAX, 0.0);
     let mut heat: HashMap<CellId, usize> = HashMap::new();
     for r in &all {

@@ -4,13 +4,14 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use moist::bigtable::{Bigtable, Timestamp};
-use moist::core::{MoistConfig, MoistServer, ObjectId, UpdateMessage};
+use moist::core::{MoistCluster, MoistConfig, ObjectId, UpdateMessage};
 use moist::spatial::{Point, Velocity};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // One store (the "BigTable"), one front-end server.
+    // One store (the "BigTable") and the front-end tier over it: one
+    // server by default.
     let store = Bigtable::new();
-    let mut server = MoistServer::new(&store, MoistConfig::default())?;
+    let cluster = MoistCluster::builder(&store, MoistConfig::default()).build()?;
 
     // Three commuters walk east together (inside one clustering cell —
     // schools form per cell, so straddling a cell boundary would keep
@@ -22,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (3, 102.0, 509.0, 1.0, 0.0),
         (4, 500.0, 100.0, 0.0, 2.0),
     ] {
-        let outcome = server.update(&UpdateMessage {
+        let outcome = cluster.update(&UpdateMessage {
             oid: ObjectId(oid),
             loc: Point::new(x, y),
             vel: Velocity::new(vx, vy),
@@ -32,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Periodic clustering groups the co-moving commuters into one school.
-    let report = server.run_due_clustering(Timestamp::from_secs(30))?;
+    let report = cluster.run_due_clustering(Timestamp::from_secs(30))?;
     println!(
         "\n== clustering == merged {} leaders into schools ({} -> {} leaders)",
         report.merged, report.pre_leaders, report.post_leaders
@@ -42,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n== follower updates (schooled) ==");
     for t in 31..=35u64 {
         let x = 102.0 + t as f64; // object 3 keeps pace with the school: 1 u/s east since t=0
-        let outcome = server.update(&UpdateMessage {
+        let outcome = cluster.update(&UpdateMessage {
             oid: ObjectId(3),
             loc: Point::new(x, 509.0),
             vel: Velocity::new(1.0, 0.0),
@@ -50,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })?;
         println!("  t={t}s object 3: {outcome:?}");
     }
-    let stats = server.stats();
+    let stats = cluster.stats();
     println!(
         "  {} of {} updates shed ({:.0}%)",
         stats.shed,
@@ -60,7 +61,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Nearest-neighbour query: who is around (105, 510)?
     println!("\n== 3-NN around (105, 510) at t=35s ==");
-    let (neighbors, nn_stats) = server.nn(Point::new(105.0, 510.0), 3, Timestamp::from_secs(35))?;
+    let (neighbors, nn_stats) =
+        cluster.nn(Point::new(105.0, 510.0), 3, Timestamp::from_secs(35))?;
     for n in &neighbors {
         println!(
             "  object {} at ({:.1}, {:.1}) — {:.1} units away (school of {})",
@@ -73,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Point lookup of a follower: served from the school estimate.
-    let pos = server
+    let pos = cluster
         .position(ObjectId(3), Timestamp::from_secs(35))?
         .expect("object 3 is indexed");
     println!(
@@ -83,9 +85,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!(
         "\nThe server consumed {:.2} ms of modelled store time for {} updates + {} NN queries.",
-        server.elapsed_us() / 1000.0,
+        cluster.total_elapsed_us() / 1000.0,
         stats.updates,
-        server.stats().nn_queries
+        cluster.stats().nn_queries
     );
     Ok(())
 }

@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release --example transit_alert`
 
 use moist::bigtable::{Bigtable, Timestamp};
-use moist::core::{MoistConfig, MoistServer, ObjectId, UpdateMessage};
+use moist::core::{MoistCluster, MoistConfig, ObjectId, UpdateMessage};
 use moist::spatial::{Point, Rect};
 use moist::workload::{RoadMap, RoadMapConfig, RoadNetSim, SimConfig};
 
@@ -22,7 +22,7 @@ struct Alarm {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let store = Bigtable::new();
-    let mut server = MoistServer::new(&store, MoistConfig::default())?;
+    let cluster = MoistCluster::builder(&store, MoistConfig::default()).build()?;
 
     // A fleet of 60 buses (cars in the simulator's speed class) on the
     // paper's road-network map, reporting every ~30 s like the Taipei
@@ -55,30 +55,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         clock += 30.0;
         // Ingest this window's GPS fixes.
         for u in sim.advance_until(clock) {
-            server.update(&UpdateMessage {
+            cluster.update(&UpdateMessage {
                 oid: ObjectId(u.oid),
                 loc: u.loc,
                 vel: u.vel,
                 ts: Timestamp::from_secs_f64(u.at_secs),
             })?;
         }
-        server.run_due_clustering(Timestamp::from_secs_f64(clock))?;
+        cluster.run_due_clustering(Timestamp::from_secs_f64(clock))?;
         let now = Timestamp::from_secs_f64(clock);
 
         // (1) Where is my bus?
-        let bus_pos = server.position(alarm.bus, now)?;
+        let bus_pos = cluster.position(alarm.bus, now)?;
 
         // (2) Browse the 3 buses nearest the stop, and everything in the
         // surrounding quarter (a region query; margin covers bus speed ×
         // update interval).
-        let (nearby, _) = server.nn(stop, 3, now)?;
+        let (nearby, _) = cluster.nn(stop, 3, now)?;
         let quarter = Rect::new(
             stop.x - 150.0,
             stop.y - 150.0,
             stop.x + 150.0,
             stop.y + 150.0,
         );
-        let (in_quarter, _) = server.region(&quarter, now, 60.0)?;
+        let (in_quarter, _) = cluster.region(&quarter, now, 60.0)?;
 
         // (3) Alarm check.
         if let Some(p) = bus_pos {
@@ -109,14 +109,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    let stats = server.stats();
+    let stats = cluster.stats();
     println!(
         "\nServed {} updates ({:.0}% shed by schooling), {} NN queries, \
          {:.1} ms modelled store time.",
         stats.updates,
         100.0 * stats.shed_ratio(),
         stats.nn_queries,
-        server.elapsed_us() / 1000.0
+        cluster.total_elapsed_us() / 1000.0
     );
     if !alarm.fired {
         println!(

@@ -15,8 +15,8 @@
 
 use moist::bigtable::{Bigtable, Timestamp};
 use moist::core::{
-    owners, plan_region_ranges, slice_ranges, MoistCluster, MoistConfig, MoistServer, ObjectId,
-    ShardWeight, SplitTable, UpdateMessage,
+    owners, plan_region_ranges, slice_ranges, MoistCluster, MoistConfig, ObjectId, ShardWeight,
+    SplitTable, UpdateMessage,
 };
 use moist::spatial::{Point, Velocity};
 use moist::workload::ClientPool;
@@ -108,16 +108,13 @@ fn region_fanout_matches_the_oracle_while_shards_join_and_leave() {
         slices.len()
     );
 
-    // The single-shard oracle: one plain server over the same store.
-    let oracle = MoistServer::new(&store, cfg).unwrap();
+    // The single-shard oracle: a one-shard tier over the same store.
+    let oracle = MoistCluster::builder(&store, cfg).build().unwrap();
     let (expected, _) = oracle.region(&world, Timestamp::ZERO, MARGIN).unwrap();
     let expected_ids = sorted_ids(&expected);
     assert_eq!(expected_ids.len(), 400, "the oracle sees every object");
     let nn_probe = Point::new(499.9, 500.1); // hugs a cell boundary
-    let nn_level = oracle.flag_level(&nn_probe, Timestamp::ZERO).unwrap();
-    let (nn_expected, _) = oracle
-        .nn_at_level(nn_probe, 12, Timestamp::ZERO, nn_level)
-        .unwrap();
+    let (nn_expected, _) = oracle.nn(nn_probe, 12, Timestamp::ZERO).unwrap();
     let nn_expected_ids: Vec<u64> = nn_expected.iter().map(|n| n.oid.0).collect();
 
     // Race: worker 0 churns the membership (three joins, one leave) while

@@ -2,7 +2,7 @@
 //! servers → clustering → NN/history) plus paper-level sanity properties.
 
 use moist::bigtable::{Bigtable, Timestamp};
-use moist::core::{MoistConfig, MoistServer, ObjectId, UpdateMessage};
+use moist::core::{MoistCluster, MoistConfig, ObjectId, UpdateMessage};
 use moist::spatial::Point;
 use moist::workload::{ClientPool, QpsTimeline, RoadMap, RoadMapConfig, RoadNetSim, SimConfig};
 use std::sync::Arc;
@@ -12,15 +12,15 @@ fn parallel_servers_ingest_concurrently_without_corruption() {
     let store = Bigtable::new();
     let cfg = MoistConfig::default();
     // Pre-create tables so worker threads only open them.
-    let _ = MoistServer::new(&store, cfg).unwrap();
+    let _ = MoistCluster::builder(&store, cfg).build().unwrap();
 
     let updates_per_server = 500usize;
     let servers = 4usize;
     let elapsed: Vec<(f64, u64)> = ClientPool::run(servers, |i| {
-        let mut server = MoistServer::new(&store, cfg).unwrap();
+        let cluster = MoistCluster::builder(&store, cfg).build().unwrap();
         for j in 0..updates_per_server {
             let oid = (i * updates_per_server + j) as u64;
-            server
+            cluster
                 .update(&UpdateMessage {
                     oid: ObjectId(oid),
                     loc: Point::new((oid % 1000) as f64, ((oid * 7) % 1000) as f64),
@@ -29,7 +29,7 @@ fn parallel_servers_ingest_concurrently_without_corruption() {
                 })
                 .unwrap();
         }
-        (server.elapsed_us(), server.stats().updates)
+        (cluster.total_elapsed_us(), cluster.stats().updates)
     });
     assert_eq!(elapsed.len(), servers);
     for (us, n) in &elapsed {
@@ -37,7 +37,7 @@ fn parallel_servers_ingest_concurrently_without_corruption() {
         assert!(*us > 0.0);
     }
     // Every object is queryable from a fresh server afterwards.
-    let reader = MoistServer::new(&store, cfg).unwrap();
+    let reader = MoistCluster::builder(&store, cfg).build().unwrap();
     let (nn, _) = reader
         .nn(Point::new(500.0, 500.0), 2000, Timestamp::from_secs(1))
         .unwrap();
@@ -68,16 +68,16 @@ fn schooling_reduces_store_writes_on_the_same_trace() {
             epsilon,
             ..MoistConfig::default()
         };
-        let mut server = MoistServer::new(&store, cfg).unwrap();
+        let cluster = MoistCluster::builder(&store, cfg).build().unwrap();
         let mut next_cluster = 10.0;
         for u in &trace {
             if u.at_secs >= next_cluster {
-                server
+                cluster
                     .run_due_clustering(Timestamp::from_secs_f64(u.at_secs))
                     .unwrap();
                 next_cluster += 10.0;
             }
-            server
+            cluster
                 .update(&UpdateMessage {
                     oid: ObjectId(u.oid),
                     loc: u.loc,
@@ -89,7 +89,7 @@ fn schooling_reduces_store_writes_on_the_same_trace() {
         let writes = store.metrics_snapshot();
         (
             writes.write_ops + writes.batch_ops,
-            server.stats().shed_ratio(),
+            cluster.stats().shed_ratio(),
         )
     };
 
@@ -122,16 +122,16 @@ fn larger_epsilon_sheds_more() {
             epsilon,
             ..MoistConfig::default()
         };
-        let mut server = MoistServer::new(&store, cfg).unwrap();
+        let cluster = MoistCluster::builder(&store, cfg).build().unwrap();
         let mut next_cluster = 10.0;
         for u in &trace {
             if u.at_secs >= next_cluster {
-                server
+                cluster
                     .run_due_clustering(Timestamp::from_secs_f64(u.at_secs))
                     .unwrap();
                 next_cluster += 10.0;
             }
-            server
+            cluster
                 .update(&UpdateMessage {
                     oid: ObjectId(u.oid),
                     loc: u.loc,
@@ -140,7 +140,7 @@ fn larger_epsilon_sheds_more() {
                 })
                 .unwrap();
         }
-        server.stats().shed_ratio()
+        cluster.stats().shed_ratio()
     };
     let s2 = shed_at(2.0);
     let s10 = shed_at(10.0);
@@ -156,10 +156,12 @@ fn larger_epsilon_sheds_more() {
 fn qps_timeline_from_virtual_completions() {
     // Virtual-time completions from a server translate into a timeline.
     let store = Bigtable::new();
-    let mut server = MoistServer::new(&store, MoistConfig::without_schooling()).unwrap();
+    let cluster = MoistCluster::builder(&store, MoistConfig::without_schooling())
+        .build()
+        .unwrap();
     let mut events = Vec::new();
     for i in 0..12000u64 {
-        server
+        cluster
             .update(&UpdateMessage {
                 oid: ObjectId(i % 200),
                 loc: Point::new((i % 1000) as f64, 500.0),
@@ -167,7 +169,7 @@ fn qps_timeline_from_virtual_completions() {
                 ts: Timestamp::from_secs(1),
             })
             .unwrap();
-        events.push((server.elapsed_us() / 1e6, true));
+        events.push((cluster.total_elapsed_us() / 1e6, true));
     }
     let tl = QpsTimeline::from_events(events);
     assert!(!tl.samples.is_empty());
@@ -186,11 +188,11 @@ fn qps_timeline_from_virtual_completions() {
 fn store_sharing_is_visible_across_threads_mid_run() {
     let store = Bigtable::new();
     let cfg = MoistConfig::default();
-    let _ = MoistServer::new(&store, cfg).unwrap();
+    let _ = MoistCluster::builder(&store, cfg).build().unwrap();
     let store2 = Arc::clone(&store);
     // Writer thread fills; reader thread polls until it sees everything.
     let writer = std::thread::spawn(move || {
-        let mut s = MoistServer::new(&store2, cfg).unwrap();
+        let s = MoistCluster::builder(&store2, cfg).build().unwrap();
         for i in 0..300u64 {
             s.update(&UpdateMessage {
                 oid: ObjectId(i),
@@ -202,7 +204,7 @@ fn store_sharing_is_visible_across_threads_mid_run() {
         }
     });
     writer.join().unwrap();
-    let reader = MoistServer::new(&store, cfg).unwrap();
+    let reader = MoistCluster::builder(&store, cfg).build().unwrap();
     let (nn, _) = reader
         .nn(Point::new(500.0, 500.0), 400, Timestamp::from_secs(1))
         .unwrap();

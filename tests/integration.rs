@@ -4,14 +4,14 @@
 use moist::archive::{PppArchiver, PppConfig};
 use moist::baselines::{BxConfig, BxTree};
 use moist::bigtable::{Bigtable, Timestamp};
-use moist::core::{MoistConfig, MoistServer, ObjectId, UpdateMessage, UpdateOutcome};
+use moist::core::{MoistCluster, MoistConfig, ObjectId, UpdateMessage, UpdateOutcome};
 use moist::spatial::{Point, Rect};
 use moist::workload::{RoadMap, RoadMapConfig, RoadNetSim, SimConfig, UniformSim};
 use std::sync::Arc;
 
-fn drive(server: &mut MoistServer, sim: &mut RoadNetSim, until: f64) {
+fn drive(cluster: &MoistCluster, sim: &mut RoadNetSim, until: f64) {
     for u in sim.advance_until(until) {
-        server
+        cluster
             .update(&UpdateMessage {
                 oid: ObjectId(u.oid),
                 loc: u.loc,
@@ -29,7 +29,7 @@ fn road_network_traffic_gets_shed_after_clustering() {
         epsilon: 8.0,
         ..MoistConfig::default()
     };
-    let mut server = MoistServer::new(&store, cfg).unwrap();
+    let cluster = MoistCluster::builder(&store, cfg).build().unwrap();
     let mut sim = RoadNetSim::new(
         RoadMap::new(RoadMapConfig::default()),
         SimConfig {
@@ -39,16 +39,18 @@ fn road_network_traffic_gets_shed_after_clustering() {
         },
     );
     // Warm-up minute, then clustering, then measure shedding.
-    drive(&mut server, &mut sim, 60.0);
-    server.run_due_clustering(Timestamp::from_secs(60)).unwrap();
-    let before = server.stats();
+    drive(&cluster, &mut sim, 60.0);
+    cluster
+        .run_due_clustering(Timestamp::from_secs(60))
+        .unwrap();
+    let before = cluster.stats();
     for step in 1..=12u64 {
-        drive(&mut server, &mut sim, 60.0 + step as f64 * 10.0);
-        server
+        drive(&cluster, &mut sim, 60.0 + step as f64 * 10.0);
+        cluster
             .run_due_clustering(Timestamp::from_secs(60 + step * 10))
             .unwrap();
     }
-    let after = server.stats();
+    let after = cluster.stats();
     let new_updates = after.updates - before.updates;
     let new_shed = after.shed - before.shed;
     let ratio = new_shed as f64 / new_updates as f64;
@@ -69,7 +71,7 @@ fn nn_results_stay_close_to_ground_truth_under_schooling() {
         epsilon: 5.0,
         ..MoistConfig::default()
     };
-    let mut server = MoistServer::new(&store, cfg).unwrap();
+    let cluster = MoistCluster::builder(&store, cfg).build().unwrap();
     let mut sim = RoadNetSim::new(
         RoadMap::new(RoadMapConfig::default()),
         SimConfig {
@@ -81,15 +83,15 @@ fn nn_results_stay_close_to_ground_truth_under_schooling() {
         },
     );
     for step in 1..=18u64 {
-        drive(&mut server, &mut sim, step as f64 * 10.0);
-        server
+        drive(&cluster, &mut sim, step as f64 * 10.0);
+        cluster
             .run_due_clustering(Timestamp::from_secs(step * 10))
             .unwrap();
     }
     sim.sync_all();
     let now = Timestamp::from_secs_f64(sim.now_secs());
     let center = Point::new(500.0, 500.0);
-    let (nn, _) = server.nn(center, 10, now).unwrap();
+    let (nn, _) = cluster.nn(center, 10, now).unwrap();
     assert!(!nn.is_empty());
     // Every reported neighbour's position is within ε + staleness slack of
     // the simulator's ground truth for that object.
@@ -112,7 +114,7 @@ fn moist_and_bxtree_agree_on_knn_without_schooling() {
     let store = Bigtable::new();
     // ε=0: every object is its own leader; both indexes see exact data.
     let cfg = MoistConfig::without_schooling();
-    let mut server = MoistServer::new(&store, cfg).unwrap();
+    let cluster = MoistCluster::builder(&store, cfg).build().unwrap();
     let mut bx = BxTree::new(
         &store,
         cfg.space,
@@ -127,7 +129,7 @@ fn moist_and_bxtree_agree_on_knn_without_schooling() {
     let mut uni = UniformSim::new(Rect::new(0.0, 0.0, 1000.0, 1000.0), 250, 0.0, 5.0, 5);
     let ts = Timestamp::from_secs(1);
     for (oid, loc, vel) in uni.positions() {
-        server
+        cluster
             .update(&UpdateMessage {
                 oid: ObjectId(oid),
                 loc,
@@ -139,7 +141,7 @@ fn moist_and_bxtree_agree_on_knn_without_schooling() {
     }
     for _ in 0..10 {
         let q = uni.random_point();
-        let (moist_nn, _) = server.nn(q, 5, ts).unwrap();
+        let (moist_nn, _) = cluster.nn(q, 5, ts).unwrap();
         let bx_nn = bx.knn(&mut bx_session, q, 5, ts).unwrap();
         let a: Vec<u64> = moist_nn.iter().map(|n| n.oid.0).collect();
         let b: Vec<u64> = bx_nn.iter().map(|e| e.oid).collect();
@@ -151,14 +153,14 @@ fn moist_and_bxtree_agree_on_knn_without_schooling() {
 fn multi_server_interleaving_is_consistent() {
     let store = Bigtable::new();
     let cfg = MoistConfig::default();
-    let mut servers: Vec<MoistServer> = (0..4)
-        .map(|_| MoistServer::new(&store, cfg).unwrap())
+    let clusters: Vec<MoistCluster> = (0..4)
+        .map(|_| MoistCluster::builder(&store, cfg).build().unwrap())
         .collect();
     // 100 objects, updates round-robined across servers (like clients
     // hitting different front-ends).
     for round in 0..5u64 {
         for oid in 0..100u64 {
-            let s = &mut servers[(oid % 4) as usize];
+            let s = &clusters[(oid % 4) as usize];
             s.update(&UpdateMessage {
                 oid: ObjectId(oid),
                 loc: Point::new(10.0 + oid as f64 + round as f64, 500.0),
@@ -170,14 +172,14 @@ fn multi_server_interleaving_is_consistent() {
     }
     // Any server answers for all objects.
     for oid in [0u64, 33, 99] {
-        let p = servers[0]
+        let p = clusters[0]
             .position(ObjectId(oid), Timestamp::from_secs(40))
             .unwrap()
             .expect("indexed");
         assert!((p.x - (10.0 + oid as f64 + 4.0)).abs() < 1e-6);
     }
     // The spatial index holds each object exactly once.
-    let (nn, _) = servers[3]
+    let (nn, _) = clusters[3]
         .nn(Point::new(60.0, 500.0), 100, Timestamp::from_secs(40))
         .unwrap();
     let mut ids: Vec<u64> = nn.iter().map(|n| n.oid.0).collect();
@@ -192,12 +194,13 @@ fn archiver_history_matches_accepted_updates() {
     let store = Bigtable::new();
     let cfg = MoistConfig::without_schooling(); // every update archived
     let archiver = Arc::new(PppArchiver::new(cfg.space, PppConfig::default()));
-    let mut server = MoistServer::new(&store, cfg)
-        .unwrap()
-        .with_archiver(Arc::clone(&archiver));
+    let cluster = MoistCluster::builder(&store, cfg)
+        .archiver(Arc::clone(&archiver))
+        .build()
+        .unwrap();
     let mut expected = 0u64;
     for t in 0..50u64 {
-        let out = server
+        let out = cluster
             .update(&UpdateMessage {
                 oid: ObjectId(7),
                 loc: Point::new(10.0 + t as f64 * 3.0, 200.0),
@@ -209,7 +212,7 @@ fn archiver_history_matches_accepted_updates() {
         expected += 1;
     }
     archiver.flush_all();
-    let (hist, cost) = server
+    let (hist, cost) = cluster
         .history(ObjectId(7), Timestamp::ZERO, Timestamp::from_secs(100))
         .unwrap();
     assert_eq!(hist.len() as u64, expected);
@@ -228,9 +231,9 @@ fn aging_preserves_query_results() {
         aging_secs: 30.0,
         ..MoistConfig::default()
     };
-    let mut server = MoistServer::new(&store, cfg).unwrap();
+    let cluster = MoistCluster::builder(&store, cfg).build().unwrap();
     for t in 0..20u64 {
-        server
+        cluster
             .update(&UpdateMessage {
                 oid: ObjectId(1),
                 loc: Point::new(100.0 + t as f64, 100.0),
@@ -239,15 +242,15 @@ fn aging_preserves_query_results() {
             })
             .unwrap();
     }
-    let moved = server.age_data(Timestamp::from_secs(200)).unwrap();
+    let moved = cluster.age_data(Timestamp::from_secs(200)).unwrap();
     assert!(moved > 0);
     // Current position and NN still come from the hot path.
-    let p = server
+    let p = cluster
         .position(ObjectId(1), Timestamp::from_secs(190))
         .unwrap()
         .unwrap();
     assert_eq!(p.x, 119.0);
-    let (nn, _) = server
+    let (nn, _) = cluster
         .nn(Point::new(119.0, 100.0), 1, Timestamp::from_secs(190))
         .unwrap();
     assert_eq!(nn[0].oid, ObjectId(1));

@@ -4,7 +4,7 @@
 //! printing.
 
 use moist::bigtable::{Bigtable, Timestamp};
-use moist::core::{MoistConfig, MoistServer, ObjectId, UpdateMessage};
+use moist::core::{MoistCluster, MoistConfig, ObjectId, UpdateMessage};
 use moist::spatial::{Point, Velocity};
 
 /// The facade crate-root doc example: one taxi reports, a customer
@@ -12,9 +12,11 @@ use moist::spatial::{Point, Velocity};
 #[test]
 fn nearest_taxi_round_trip() {
     let store = Bigtable::new();
-    let mut server = MoistServer::new(&store, MoistConfig::default()).expect("server starts");
+    let cluster = MoistCluster::builder(&store, MoistConfig::default())
+        .build()
+        .expect("tier starts");
 
-    server
+    cluster
         .update(&UpdateMessage {
             oid: ObjectId(1),
             loc: Point::new(420.0, 500.0),
@@ -23,7 +25,7 @@ fn nearest_taxi_round_trip() {
         })
         .expect("update succeeds");
 
-    let (neighbors, _) = server
+    let (neighbors, _) = cluster
         .nn(Point::new(400.0, 500.0), 1, Timestamp::from_secs(11))
         .expect("nn query succeeds");
     assert_eq!(neighbors[0].oid, ObjectId(1));
@@ -35,7 +37,9 @@ fn nearest_taxi_round_trip() {
 #[test]
 fn quickstart_example_flow() {
     let store = Bigtable::new();
-    let mut server = MoistServer::new(&store, MoistConfig::default()).expect("server starts");
+    let cluster = MoistCluster::builder(&store, MoistConfig::default())
+        .build()
+        .expect("tier starts");
 
     // Three commuters walk east together inside one clustering cell;
     // one cyclist heads north.
@@ -45,7 +49,7 @@ fn quickstart_example_flow() {
         (3, 102.0, 509.0, 1.0, 0.0),
         (4, 500.0, 100.0, 0.0, 2.0),
     ] {
-        server
+        cluster
             .update(&UpdateMessage {
                 oid: ObjectId(oid),
                 loc: Point::new(x, y),
@@ -56,7 +60,7 @@ fn quickstart_example_flow() {
     }
 
     // Periodic clustering groups the co-moving commuters into one school.
-    let report = server
+    let report = cluster
         .run_due_clustering(Timestamp::from_secs(30))
         .expect("clustering runs");
     assert!(
@@ -68,7 +72,7 @@ fn quickstart_example_flow() {
     // Followers that keep moving with their school are shed.
     for t in 31..=35u64 {
         let x = 102.0 + t as f64; // object 3 keeps pace with the school: 1 u/s east since t=0
-        server
+        cluster
             .update(&UpdateMessage {
                 oid: ObjectId(3),
                 loc: Point::new(x, 509.0),
@@ -77,14 +81,14 @@ fn quickstart_example_flow() {
             })
             .expect("follower update succeeds");
     }
-    let stats = server.stats();
+    let stats = cluster.stats();
     assert!(
         stats.shed > 0,
         "in-school follower updates should be shed: {stats:?}"
     );
 
     // Nearest-neighbour query: the three commuters are east of (105, 510).
-    let (neighbors, _) = server
+    let (neighbors, _) = cluster
         .nn(Point::new(105.0, 510.0), 3, Timestamp::from_secs(35))
         .expect("nn query succeeds");
     assert_eq!(neighbors.len(), 3);
@@ -99,7 +103,7 @@ fn quickstart_example_flow() {
     assert!(!found.contains(&4));
 
     // Point lookup of a shed follower is served from the school estimate.
-    let pos = server
+    let pos = cluster
         .position(ObjectId(3), Timestamp::from_secs(35))
         .expect("position query succeeds")
         .expect("object 3 is indexed");
@@ -111,5 +115,5 @@ fn quickstart_example_flow() {
     assert!((pos.y - 509.0).abs() < MoistConfig::default().epsilon + 1e-9);
 
     // Virtual store time was charged for the work.
-    assert!(server.elapsed_us() > 0.0);
+    assert!(cluster.total_elapsed_us() > 0.0);
 }
