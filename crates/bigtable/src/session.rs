@@ -40,9 +40,9 @@ impl Session {
         }
     }
 
-    pub(crate) fn with_hub(profile: CostProfile, hub: Arc<MeterHub>) -> Self {
+    pub(crate) fn with_hub(hub: Arc<MeterHub>) -> Self {
         Session {
-            profile,
+            profile: CostProfile::default(),
             elapsed_us: hub.elapsed_us(),
             hub: Some(hub),
         }

@@ -16,8 +16,6 @@ use std::sync::Arc;
 pub struct StoreConfig {
     /// Tablets split above this many rows (BigTable's automatic sharding).
     pub max_rows_per_tablet: usize,
-    /// Cost profile handed to new sessions.
-    pub cost_profile: CostProfile,
     /// Whether tables write a WAL (and can be recovered after a crash).
     /// Defaults to [`Durability::None`]: purely in-memory, bit-identical
     /// to the pre-durability store.
@@ -28,7 +26,6 @@ impl Default for StoreConfig {
     fn default() -> Self {
         StoreConfig {
             max_rows_per_tablet: 65_536,
-            cost_profile: CostProfile::default(),
             durability: Durability::None,
         }
     }
@@ -287,9 +284,9 @@ impl Bigtable {
         total
     }
 
-    /// Opens a cost-charged session using the store's default profile.
+    /// Opens a session charged at [`CostProfile::default`].
     pub fn session(self: &Arc<Self>) -> Session {
-        Session::new(self.config.cost_profile)
+        Session::new(CostProfile::default())
     }
 
     /// Opens a session with an explicit profile (e.g. [`CostProfile::free`]
@@ -298,15 +295,15 @@ impl Bigtable {
         Session::new(profile)
     }
 
-    /// Opens a session on the store's default profile attached to a
-    /// shared `MeterHub`: every charge is mirrored into the hub, and the
+    /// Opens a session at [`CostProfile::default`] attached to a shared
+    /// `MeterHub`: every charge is mirrored into the hub, and the
     /// session's clock starts at the hub's current total so absolute
     /// mid-call reads replay the single-shared-clock timeline exactly.
     /// This is what lets a server run query paths from `&self` — each
     /// call opens an ephemeral hubbed session instead of mutating one
     /// shared clock.
     pub fn session_with_hub(self: &Arc<Self>, hub: Arc<crate::cost::MeterHub>) -> Session {
-        Session::with_hub(self.config.cost_profile, hub)
+        Session::with_hub(hub)
     }
 }
 

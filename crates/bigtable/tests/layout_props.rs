@@ -331,7 +331,6 @@ proptest! {
         let config = StoreConfig {
             max_rows_per_tablet: 16,
             durability: Durability::Wal { dir: dir.clone(), fsync_every: 0 },
-            ..StoreConfig::default()
         };
         let mut model = Model::new();
         {

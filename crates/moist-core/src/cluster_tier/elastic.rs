@@ -107,7 +107,7 @@ pub struct ClusterStats {
     /// Reads served by a follower instead of the primary, tier-wide.
     pub replica_reads: u64,
     /// Ingestion-pipeline counters: queue depths, flush sizes and
-    /// latencies, and the backpressure / overload-shed split.
+    /// latencies, and backpressure refusals.
     pub ingest: IngestStats,
     /// Aggregate operation counters (live + retired shards).
     pub ops: ServerStats,
@@ -134,15 +134,15 @@ impl ClusterStats {
         }
     }
 
-    /// True refusals only: pipeline overload sheds plus backpressure
-    /// rejections. School sheds are *excluded* — a shed update was served
-    /// (absorbed by the school model, the client-visible QPS multiplier),
-    /// so it is workload behaving, not capacity failing. This is the
-    /// overload signal the `AutoController`
-    /// scales on; counting school sheds there would read MOIST's headline
-    /// feature as an emergency.
+    /// True refusals only: submissions a full ingest queue turned away
+    /// with typed backpressure. School sheds are *excluded* — a shed
+    /// update was served (absorbed by the school model, the client-visible
+    /// QPS multiplier), so it is workload behaving, not capacity failing.
+    /// This is the overload signal the `AutoController` scales on;
+    /// counting school sheds there would read MOIST's headline feature as
+    /// an emergency.
     pub fn refused(&self) -> u64 {
-        self.ingest.overload_shed + self.ingest.backpressure
+        self.ingest.backpressure
     }
 }
 

@@ -184,8 +184,8 @@
 //! tier ([`crate::ingest`]) buffers submissions in a bounded queue per
 //! shard ([`submit`](MoistCluster::submit)), flushes each queue as one
 //! [`MoistServer::update_batch`](crate::MoistServer::update_batch) when it
-//! reaches the batch size or its oldest message ages past the flush deadline
-//! ([`flush_due`](MoistCluster::flush_due)), and surfaces a full queue as
+//! reaches the batch size or its oldest message ages past the 1 s flush
+//! deadline ([`flush_due`](MoistCluster::flush_due)), and surfaces a full queue as
 //! typed backpressure instead of queueing unboundedly. Batched flushes go
 //! through `update_batch`, which routes every message under the same
 //! membership read guard the synchronous path holds — grouped by the
@@ -297,8 +297,7 @@ pub struct MoistCluster {
     /// consumed by the region fan-out to price slices — empty until the
     /// first rebalance (every cell then prices by its leaf span alone).
     cell_density: RwLock<Arc<HashMap<u64, f64>>>,
-    /// Ingestion-pipeline knobs (batch size, queue cap, flush deadline,
-    /// backpressure policy), normalized; set via
+    /// Ingestion-pipeline knobs (batch size, queue cap), normalized; set via
     /// [`ClusterBuilder::ingest`].
     ingest_cfg: IngestConfig,
     /// The per-shard bounded submission queues plus their counters.
@@ -368,9 +367,8 @@ impl ClusterBuilder {
 
     /// Ingestion-pipeline knobs for [`submit`](MoistCluster::submit) /
     /// [`flush_due`](MoistCluster::flush_due) (default
-    /// [`IngestConfig::default`]): batch size, queue cap, flush deadline
-    /// and the full-queue policy. Degenerate sizes are clamped to workable
-    /// minima. The synchronous [`update`](MoistCluster::update) path is
+    /// [`IngestConfig::default`]): batch size and queue cap. Degenerate
+    /// sizes are clamped to workable minima. The synchronous [`update`](MoistCluster::update) path is
     /// unaffected.
     pub fn ingest(mut self, cfg: IngestConfig) -> Self {
         self.ingest = cfg;

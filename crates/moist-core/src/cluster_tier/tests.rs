@@ -2,7 +2,7 @@ use super::*;
 use crate::controller::ControllerAction;
 use crate::error::MoistError;
 use crate::ids::ObjectId;
-use crate::ingest::{BackpressurePolicy, EnqueueResult, SubmitOutcome};
+use crate::ingest::{EnqueueResult, SubmitOutcome, FLUSH_DEADLINE_SECS};
 use crate::nn::{Neighbor, NnOptions};
 use crate::placement::{owners, routing_key_cell, SplitTable};
 use crate::region::RegionStats;
@@ -858,7 +858,7 @@ fn pipelined_submissions_match_the_synchronous_tier_and_cost_less() {
     assert_eq!(is.queued, 0, "drain left nothing behind");
     assert!(is.size_flushes >= 1, "16-deep queues must size-flush");
     assert!(is.max_batch >= 2);
-    assert_eq!(is.backpressure + is.overload_shed, 0);
+    assert_eq!(is.backpressure, 0);
     let cstats = pipe.cluster_stats();
     assert_eq!(cstats.ingest, is);
     assert_eq!(cstats.refused(), 0);
@@ -872,7 +872,6 @@ fn deadline_flush_applies_a_stranded_trickle() {
         .shards(2)
         .ingest(IngestConfig {
             batch_size: 1000,
-            flush_deadline_secs: 5.0,
             ..IngestConfig::default()
         })
         .build()
@@ -882,32 +881,31 @@ fn deadline_flush_applies_a_stranded_trickle() {
         assert!(matches!(out, SubmitOutcome::Enqueued { .. }));
     }
     // Before the oldest message ages past the deadline: nothing due.
-    assert_eq!(cluster.flush_due(Timestamp::from_secs(3)).unwrap(), 0);
+    let early = Timestamp::from_secs_f64(0.6 * FLUSH_DEADLINE_SECS);
+    assert_eq!(cluster.flush_due(early).unwrap(), 0);
     assert_eq!(cluster.stats().updates, 0);
-    // Past it: the whole trickle applies as one batch.
-    assert_eq!(cluster.flush_due(Timestamp::from_secs(5)).unwrap(), 3);
+    // At it: the whole trickle applies as one batch.
+    let deadline = Timestamp::from_secs_f64(FLUSH_DEADLINE_SECS);
+    assert_eq!(cluster.flush_due(deadline).unwrap(), 3);
     assert_eq!(cluster.stats().updates, 3);
     let is = cluster.ingest_stats();
     assert_eq!(is.deadline_flushes, 1);
     assert_eq!(is.queued, 0);
-    // Queue wait was accounted in virtual time: 5s + 5s + 5s.
-    assert_eq!(is.queue_wait_us, 15_000_000);
+    // Queue wait was accounted in virtual time: one deadline per message.
+    assert_eq!(is.queue_wait_us, 3 * deadline.0);
 }
 
-/// Runs the backpressure dance under `policy`: one thread pins the
-/// target shard's lock, another submits a full batch that blocks
-/// applying against it, and the main thread keeps submitting until
-/// the outstanding cap trips. Returns what the tripping submission
-/// got.
-fn provoke_full_queue(policy: BackpressurePolicy) -> (MoistCluster, Result<SubmitOutcome>) {
+/// Runs the backpressure dance: one thread pins the target shard's lock,
+/// another submits a full batch that blocks applying against it, and the
+/// main thread keeps submitting until the outstanding cap trips. Returns
+/// what the tripping submission got.
+fn provoke_full_queue() -> (MoistCluster, Result<SubmitOutcome>) {
     let store = Bigtable::new();
     let cluster = MoistCluster::builder(&store, MoistConfig::default())
         .shards(2)
         .ingest(IngestConfig {
             batch_size: 4,
             queue_cap: 5,
-            policy,
-            ..IngestConfig::default()
         })
         .build()
         .unwrap();
@@ -956,7 +954,7 @@ fn provoke_full_queue(policy: BackpressurePolicy) -> (MoistCluster, Result<Submi
 
 #[test]
 fn full_queue_rejects_with_typed_backpressure() {
-    let (cluster, tripped) = provoke_full_queue(BackpressurePolicy::Reject);
+    let (cluster, tripped) = provoke_full_queue();
     match tripped {
         Err(MoistError::Backpressure { shard, depth }) => {
             assert_eq!(depth, 5);
@@ -966,28 +964,12 @@ fn full_queue_rejects_with_typed_backpressure() {
     }
     let is = cluster.ingest_stats();
     assert_eq!(is.backpressure, 1);
-    assert_eq!(is.overload_shed, 0);
     // The rejected message was never accepted; everything accepted
     // (4 batched + 1 straggler) applied.
     assert_eq!(cluster.stats().updates, 5);
     assert_eq!(is.queued, 0);
     let cstats = cluster.cluster_stats();
     assert_eq!(cstats.ops.shed + cstats.refused(), 1);
-}
-
-#[test]
-fn full_queue_sheds_under_the_shed_policy() {
-    let (cluster, tripped) = provoke_full_queue(BackpressurePolicy::Shed);
-    match tripped {
-        Ok(SubmitOutcome::ShedOverload { shard }) => {
-            assert!(cluster.shard_ids().contains(&shard));
-        }
-        other => panic!("expected an overload shed, got {other:?}"),
-    }
-    let is = cluster.ingest_stats();
-    assert_eq!(is.overload_shed, 1);
-    assert_eq!(is.backpressure, 0);
-    assert_eq!(cluster.stats().updates, 5);
 }
 
 #[test]
@@ -1671,7 +1653,7 @@ fn single_threaded_metering_is_bit_identical_to_one_shared_clock() {
         let tables = MoistTables::create(&store, &cfg).unwrap();
         let ops = store.metrics_snapshot();
         let mut s = store.session();
-        let mut tuner = FlagTuner::new(&cfg);
+        let mut tuner = FlagTuner::new();
         let mut estimate = 0u64; // mirrors the server's object-count estimate
         let answers: Vec<Vec<Neighbor>> = (calls.iter())
             .map(|call| match call {
@@ -1722,5 +1704,52 @@ fn single_threaded_metering_is_bit_identical_to_one_shared_clock() {
     assert!(
         one_shard() == served,
         "a one-shard tier drifted from the bare server"
+    );
+}
+
+#[test]
+fn a_leaf_level_past_the_curve_fails_to_build_and_level_30_finds_every_update() {
+    let at_leaf = |leaf_level| MoistConfig {
+        space: moist_spatial::Space {
+            leaf_level,
+            ..moist_spatial::Space::paper_map()
+        },
+        ..MoistConfig::default()
+    };
+    // Level 31 used to build, acknowledge every update, and then lose all
+    // of them to region, NN and clustering.
+    let refused = MoistCluster::builder(&Bigtable::new(), at_leaf(31))
+        .shards(2)
+        .build();
+    assert!(matches!(refused, Err(MoistError::Config(_))));
+
+    let store = Bigtable::new();
+    let cluster = tier(&store, at_leaf(30), 2);
+    for i in 0..50u64 {
+        let (x, y) = (10.0 + 19.0 * i as f64, 990.0 - 17.0 * i as f64);
+        cluster.update(&msg(i, x, y, 0.0, 1.0)).unwrap();
+    }
+    let at = Timestamp::from_secs(1);
+    let everywhere = Rect::new(0.0, 0.0, 1000.0, 1000.0);
+    assert_eq!(cluster.region(&everywhere, at, 0.0).unwrap().0.len(), 50);
+    assert_eq!(
+        cluster
+            .nn(Point::new(500.0, 500.0), 50, at)
+            .unwrap()
+            .0
+            .len(),
+        50
+    );
+    cluster
+        .run_due_clustering(Timestamp::from_secs(30))
+        .unwrap();
+    let at = Timestamp::from_secs(30);
+    assert_eq!(
+        cluster
+            .nn(Point::new(500.0, 500.0), 50, at)
+            .unwrap()
+            .0
+            .len(),
+        50
     );
 }

@@ -6,7 +6,7 @@
 use super::membership::ShardEntry;
 use super::MoistCluster;
 use crate::error::{MoistError, Result};
-use crate::ingest::{BackpressurePolicy, EnqueueResult, FlushKind, SubmitOutcome};
+use crate::ingest::{EnqueueResult, FlushKind, SubmitOutcome};
 use crate::update::{UpdateMessage, UpdateOutcome};
 use moist_bigtable::Timestamp;
 use std::collections::HashMap;
@@ -74,10 +74,9 @@ impl MoistCluster {
     /// flushes it inline through
     /// `update_batch` (which re-routes every message under the
     /// membership read guard, so queue-key staleness is harmless). A full
-    /// queue surfaces per the configured [`BackpressurePolicy`]: a typed
-    /// [`MoistError::Backpressure`] (nothing accepted — the client owns
-    /// the retry) or an overload shed ([`SubmitOutcome::ShedOverload`],
-    /// counted separately from school sheds). Malformed (non-finite)
+    /// queue refuses the message with a typed
+    /// [`MoistError::Backpressure`]: nothing is accepted, and the client
+    /// owns the retry. Malformed (non-finite)
     /// messages are rejected here, before buffering, so a later flush
     /// can never fail on a message that was already acknowledged.
     ///
@@ -96,10 +95,7 @@ impl MoistCluster {
                 let batch = self.apply_flush(FlushKind::Size, shard, &batch, None)?;
                 Ok(SubmitOutcome::Flushed { shard, batch })
             }
-            EnqueueResult::Full { depth } => match self.ingest_cfg.policy {
-                BackpressurePolicy::Reject => Err(MoistError::Backpressure { shard, depth }),
-                BackpressurePolicy::Shed => Ok(SubmitOutcome::ShedOverload { shard }),
-            },
+            EnqueueResult::Full { depth } => Err(MoistError::Backpressure { shard, depth }),
         }
     }
 
@@ -130,7 +126,7 @@ impl MoistCluster {
     /// the number of updates applied.
     pub fn flush_due(&self, now: Timestamp) -> Result<usize> {
         let mut flushed = 0usize;
-        for (shard, batch) in self.ingest.take_due(&self.ingest_cfg, now) {
+        for (shard, batch) in self.ingest.take_due(now) {
             flushed += self.apply_flush(FlushKind::Deadline, shard, &batch, Some(now))?;
         }
         Ok(flushed)

@@ -39,14 +39,13 @@ impl LocationRecord {
 
     /// Decodes bytes written by [`LocationRecord::encode`].
     pub fn decode(buf: &[u8]) -> Result<LocationRecord> {
-        if buf.len() < LOCATION_RECORD_BYTES {
+        let [x, y, vx, vy, leaf, ..] = words(buf) else {
             return Err(MoistError::Codec("location record too short"));
-        }
-        let f = |r: std::ops::Range<usize>| f64::from_le_bytes(buf[r].try_into().unwrap());
+        };
         Ok(LocationRecord {
-            loc: Point::new(f(0..8), f(8..16)),
-            vel: Velocity::new(f(16..24), f(24..32)),
-            leaf_index: u64::from_le_bytes(buf[32..40].try_into().unwrap()),
+            loc: Point::new(f64::from_le_bytes(*x), f64::from_le_bytes(*y)),
+            vel: Velocity::new(f64::from_le_bytes(*vx), f64::from_le_bytes(*vy)),
+            leaf_index: u64::from_le_bytes(*leaf),
         })
     }
 }
@@ -116,19 +115,16 @@ impl LfRecord {
 
     /// Decodes bytes written by [`LfRecord::encode`].
     pub fn decode(buf: &[u8]) -> Result<LfRecord> {
-        match buf.first() {
-            Some(0) if buf.len() >= 17 => Ok(LfRecord::Leader {
-                since_us: u64::from_le_bytes(buf[1..9].try_into().unwrap()),
-                last_leaf: u64::from_le_bytes(buf[9..17].try_into().unwrap()),
+        match buf.split_first().map(|(&tag, rest)| (tag, words(rest))) {
+            Some((0, [since, leaf, ..])) => Ok(LfRecord::Leader {
+                since_us: u64::from_le_bytes(*since),
+                last_leaf: u64::from_le_bytes(*leaf),
             }),
-            Some(1) if buf.len() >= LF_RECORD_BYTES => {
-                let f = |r: std::ops::Range<usize>| f64::from_le_bytes(buf[r].try_into().unwrap());
-                Ok(LfRecord::Follower {
-                    leader: ObjectId(u64::from_le_bytes(buf[1..9].try_into().unwrap())),
-                    displacement: Displacement::new(f(9..17), f(17..25)),
-                    since_us: u64::from_le_bytes(buf[25..33].try_into().unwrap()),
-                })
-            }
+            Some((1, [leader, dx, dy, since, ..])) => Ok(LfRecord::Follower {
+                leader: ObjectId(u64::from_le_bytes(*leader)),
+                displacement: Displacement::new(f64::from_le_bytes(*dx), f64::from_le_bytes(*dy)),
+                since_us: u64::from_le_bytes(*since),
+            }),
             _ => Err(MoistError::Codec("malformed L/F record")),
         }
     }
@@ -145,13 +141,19 @@ pub fn encode_displacement(d: Displacement) -> [u8; 16] {
 
 /// Decodes a displacement value.
 pub(crate) fn decode_displacement(buf: &[u8]) -> Result<Displacement> {
-    if buf.len() < 16 {
+    let [dx, dy, ..] = words(buf) else {
         return Err(MoistError::Codec("displacement too short"));
-    }
+    };
     Ok(Displacement::new(
-        f64::from_le_bytes(buf[0..8].try_into().unwrap()),
-        f64::from_le_bytes(buf[8..16].try_into().unwrap()),
+        f64::from_le_bytes(*dx),
+        f64::from_le_bytes(*dy),
     ))
+}
+
+/// The whole 8-byte little-endian words at the front of `buf`; decoders
+/// match on how many there are, so a short value is an error, not a panic.
+fn words(buf: &[u8]) -> &[[u8; 8]] {
+    buf.as_chunks().0
 }
 
 /// Qualifier string for a follower column (`fixed-width hex` so columns sort
@@ -170,6 +172,7 @@ pub(crate) fn parse_follower_qualifier(q: &str) -> Result<ObjectId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn location_record_roundtrip() {
@@ -216,5 +219,50 @@ mod tests {
         assert!(a < b);
         assert_eq!(parse_follower_qualifier(&a).unwrap(), ObjectId(9));
         assert!(parse_follower_qualifier("zz").is_err());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Disk bytes are untrusted: any value decodes to `Ok` or a typed
+        /// error, and whatever decodes re-encodes to the bytes it read.
+        #[test]
+        fn any_bytes_decode_to_a_value_or_an_error(
+            tag in prop_oneof![Just(0u8), Just(1u8), any::<u8>()],
+            tail in prop::collection::vec(any::<u8>(), 48),
+            len in 0usize..49,
+        ) {
+            // The first byte is an L/F tag two times in three.
+            let bytes: Vec<u8> = std::iter::once(tag).chain(tail).take(len).collect();
+            if let Ok(r) = LocationRecord::decode(&bytes) {
+                prop_assert_eq!(&r.encode()[..], &bytes[..LOCATION_RECORD_BYTES]);
+            }
+            if let Ok(l) = LfRecord::decode(&bytes) {
+                let enc = l.encode();
+                prop_assert_eq!(&enc[..], &bytes[..enc.len()]);
+            }
+            if let Ok(d) = decode_displacement(&bytes) {
+                prop_assert_eq!(&encode_displacement(d)[..], &bytes[..16]);
+            }
+        }
+
+        #[test]
+        fn decode_inverts_encode(
+            (x, y, vx, vy) in (any::<f64>(), any::<f64>(), any::<f64>(), any::<f64>()),
+            (a, b) in (any::<u64>(), any::<u64>()),
+        ) {
+            let r = LocationRecord {
+                loc: Point::new(x, y),
+                vel: Velocity::new(vx, vy),
+                leaf_index: a,
+            };
+            prop_assert_eq!(LocationRecord::decode(&r.encode()).unwrap(), r);
+            let l = LfRecord::Leader { since_us: a, last_leaf: b };
+            prop_assert_eq!(LfRecord::decode(&l.encode()).unwrap(), l);
+            let d = Displacement::new(vx, vy);
+            let f = LfRecord::Follower { leader: ObjectId(a), displacement: d, since_us: b };
+            prop_assert_eq!(LfRecord::decode(&f.encode()).unwrap(), f);
+            prop_assert_eq!(decode_displacement(&encode_displacement(d)).unwrap(), d);
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! MOIST configuration.
 
 use crate::error::{MoistError, Result};
-use moist_spatial::Space;
+use moist_spatial::{Space, MAX_LEVEL};
 use serde::Serialize;
 
 /// The finest clustering level a config may ask for. The clustering
@@ -27,16 +27,6 @@ pub struct MoistConfig {
     pub clustering_level: u8,
     /// Interval between re-clusterings of a cell, seconds (`T_c`, §4.2.1).
     pub cluster_interval_secs: f64,
-    /// Target objects per NN cell (σ, §3.4.2) for the FLAG level tuner.
-    pub sigma: usize,
-    /// Age after which a FLAG cache entry is recomputed, seconds (§3.4.2:
-    /// important "especially for business centers").
-    pub flag_cache_ttl_secs: f64,
-    /// Seconds after which location/affiliation records count as aged and
-    /// move to disk columns.
-    pub aging_secs: f64,
-    /// In-memory history records kept per object (`m`, §3.5).
-    pub memory_records_per_object: usize,
 }
 
 impl Default for MoistConfig {
@@ -47,10 +37,6 @@ impl Default for MoistConfig {
             delta_m: 2.0,
             clustering_level: 2,
             cluster_interval_secs: 10.0,
-            sigma: 32,
-            flag_cache_ttl_secs: 300.0,
-            aging_secs: 600.0,
-            memory_records_per_object: 8,
         }
     }
 }
@@ -70,6 +56,15 @@ impl MoistConfig {
                 self.delta_m
             )));
         }
+        // `Space`'s fields are public, so a leaf level past the curve's
+        // depth can reach here; cells that fine have no descendant range,
+        // and every update filed under one could never be scanned back.
+        if self.space.leaf_level > MAX_LEVEL {
+            return Err(MoistError::Config(format!(
+                "leaf level {} is finer than the curve's limit {MAX_LEVEL}",
+                self.space.leaf_level
+            )));
+        }
         if self.clustering_level > self.space.leaf_level {
             return Err(MoistError::Config(format!(
                 "clustering level {} must be coarser than leaf level {}",
@@ -82,9 +77,6 @@ impl MoistConfig {
                 self.clustering_level
             )));
         }
-        if self.sigma == 0 {
-            return Err(MoistError::Config("sigma must be positive".into()));
-        }
         // The scheduler adds the interval (in µs) to `u64` deadlines, so it
         // must also stay far inside that range.
         let interval = self.cluster_interval_secs;
@@ -92,16 +84,6 @@ impl MoistConfig {
             return Err(MoistError::Config(format!(
                 "cluster interval must be finite, > 0 and below 2^62 µs, got {interval} s"
             )));
-        }
-        for (name, secs) in [
-            ("FLAG cache TTL", self.flag_cache_ttl_secs),
-            ("aging horizon", self.aging_secs),
-        ] {
-            if !secs.is_finite() || secs < 0.0 {
-                return Err(MoistError::Config(format!(
-                    "{name} must be finite and >= 0, got {secs} s"
-                )));
-            }
         }
         Ok(())
     }
@@ -159,7 +141,15 @@ mod tests {
                 clustering_level: 14,
                 ..base
             },
-            MoistConfig { sigma: 0, ..base },
+            // Past the curve's 30 levels: updates would be acknowledged and
+            // then lost to every scan.
+            MoistConfig {
+                space: Space {
+                    leaf_level: 31,
+                    ..base.space
+                },
+                ..base
+            },
             MoistConfig {
                 cluster_interval_secs: 0.0,
                 ..base
@@ -175,22 +165,6 @@ mod tests {
             // Finite, but `interval + stagger` would overflow the µs deadline.
             MoistConfig {
                 cluster_interval_secs: 1e15,
-                ..base
-            },
-            MoistConfig {
-                flag_cache_ttl_secs: f64::NAN,
-                ..base
-            },
-            MoistConfig {
-                flag_cache_ttl_secs: -1.0,
-                ..base
-            },
-            MoistConfig {
-                aging_secs: f64::NAN,
-                ..base
-            },
-            MoistConfig {
-                aging_secs: f64::INFINITY,
                 ..base
             },
         ];

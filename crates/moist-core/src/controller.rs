@@ -33,7 +33,7 @@
 //!   virtual second; the busiest shard is compared against
 //!   `target_shard_busy_us` (the knee of one shard's capacity);
 //! * **refusals** — [`ClusterStats::refused`] growth (ingest
-//!   backpressure + overload sheds) means clients are already being
+//!   backpressure) means clients are already being
 //!   turned away, the strongest possible "too small" signal. School
 //!   sheds are deliberately *not* in this signal: a school-shed update
 //!   was served (absorbed by the school model), so steady shedding is
@@ -205,8 +205,7 @@ pub(crate) struct AutoController {
     window_start_secs: Option<f64>,
     /// Per-shard cumulative busy µs at the window start.
     busy_baseline: HashMap<u64, f64>,
-    /// Cumulative refusal count (backpressure + overload sheds) at the
-    /// window start.
+    /// Cumulative refusal count (ingest backpressure) at the window start.
     refused_baseline: u64,
     /// Virtual time of the last add/remove (cool-down anchor).
     last_scale_secs: Option<f64>,

@@ -20,8 +20,7 @@ pub enum MoistError {
     /// removing the last live shard). Failover code paths match on this
     /// instead of aborting on an index panic.
     NoSuchShard(String),
-    /// A submission hit a full ingestion queue under
-    /// [`BackpressurePolicy::Reject`](crate::BackpressurePolicy::Reject).
+    /// A submission hit a full ingestion queue.
     /// The update was **not** accepted: the client owns the retry. `shard`
     /// is the stable shard id the update routed to and `depth` the queue
     /// depth observed at rejection time.

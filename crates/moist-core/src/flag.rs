@@ -18,6 +18,14 @@ use moist_spatial::Point;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// Target objects per NN cell, σ (§3.4.2): Algorithm 3 tunes the level so
+/// the cell containing the query point holds about this many.
+pub(crate) const SIGMA: usize = 32;
+
+/// Age in seconds after which a cached FLAG level is recomputed (§3.4.2:
+/// important "especially for business centers").
+pub(crate) const FLAG_CACHE_TTL_SECS: u64 = 300;
+
 /// Cache + tuner statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlagStats {
@@ -59,8 +67,8 @@ pub(crate) enum FlagLookup {
 /// (cache mutation) needs `&mut`.
 #[derive(Debug)]
 pub(crate) struct FlagTuner {
+    /// [`SIGMA`]; a field only so a test can tune at another σ.
     sigma: usize,
-    ttl_secs: f64,
     /// Entries keyed by range start (leaf index).
     cache: BTreeMap<u64, CacheEntry>,
     max_entries: usize,
@@ -70,11 +78,10 @@ pub(crate) struct FlagTuner {
 }
 
 impl FlagTuner {
-    /// Creates a tuner using `cfg`'s σ and cache TTL.
-    pub(crate) fn new(cfg: &MoistConfig) -> Self {
+    /// Creates a tuner at σ = [`SIGMA`] with an empty cache.
+    pub(crate) fn new() -> Self {
         FlagTuner {
-            sigma: cfg.sigma.max(1),
-            ttl_secs: cfg.flag_cache_ttl_secs.max(0.0),
+            sigma: SIGMA,
             cache: BTreeMap::new(),
             max_entries: 4096,
             cache_hits: AtomicU64::new(0),
@@ -101,7 +108,7 @@ impl FlagTuner {
         // shadow each other — missing just costs a recompute).
         for (&left, entry) in self.cache.range(..=index).rev().take(4) {
             if index < entry.right {
-                if now.secs_since(entry.created) <= self.ttl_secs {
+                if now.secs_since(entry.created) <= FLAG_CACHE_TTL_SECS as f64 {
                     self.cache_hits.fetch_add(1, Ordering::Relaxed);
                     return FlagLookup::Hit(entry.level);
                 }
@@ -223,12 +230,9 @@ pub(crate) mod tests {
         Ok(level)
     }
 
-    fn setup(sigma: usize) -> (Arc<Bigtable>, MoistTables, Session, MoistConfig) {
+    fn setup() -> (Arc<Bigtable>, MoistTables, Session, MoistConfig) {
         let store = Bigtable::new();
-        let cfg = MoistConfig {
-            sigma,
-            ..MoistConfig::default()
-        };
+        let cfg = MoistConfig::default();
         let tables = MoistTables::create(&store, &cfg).unwrap();
         let session = store.session_with(CostProfile::free());
         (store, tables, session, cfg)
@@ -271,9 +275,9 @@ pub(crate) mod tests {
 
     #[test]
     fn converged_level_holds_about_sigma_objects() {
-        let (_st, t, mut s, cfg) = setup(32);
+        let (_st, t, mut s, cfg) = setup();
         scatter(&mut s, &t, &cfg, 2000, 0.0, 0.0, 1000.0, 1000.0);
-        let tuner = FlagTuner::new(&cfg);
+        let tuner = FlagTuner::new();
         let loc = Point::new(500.0, 500.0);
         let level = tuner
             .calculate_best_level(&mut s, &t, &cfg, &loc, 2000)
@@ -291,11 +295,14 @@ pub(crate) mod tests {
 
     #[test]
     fn denser_regions_get_finer_levels() {
-        let (_st, t, mut s, cfg) = setup(16);
+        let (_st, t, mut s, cfg) = setup();
         // Dense cluster bottom-left, sparse everywhere else.
         scatter(&mut s, &t, &cfg, 3000, 0.0, 0.0, 120.0, 120.0);
         scatter(&mut s, &t, &cfg, 50, 500.0, 500.0, 500.0, 500.0);
-        let tuner = FlagTuner::new(&cfg);
+        let tuner = FlagTuner {
+            sigma: 16,
+            ..FlagTuner::new()
+        };
         let dense = tuner
             .calculate_best_level(&mut s, &t, &cfg, &Point::new(60.0, 60.0), 3050)
             .unwrap();
@@ -310,9 +317,9 @@ pub(crate) mod tests {
 
     #[test]
     fn cache_hits_within_ttl_and_expires_after() {
-        let (_st, t, mut s, cfg) = setup(16);
+        let (_st, t, mut s, cfg) = setup();
         scatter(&mut s, &t, &cfg, 500, 0.0, 0.0, 1000.0, 1000.0);
-        let mut tuner = FlagTuner::new(&cfg); // ttl = 300 s
+        let mut tuner = FlagTuner::new();
         let loc = Point::new(400.0, 400.0);
         let l1 = best_level(
             &mut tuner,
@@ -339,15 +346,15 @@ pub(crate) mod tests {
         assert_eq!(l1, l2);
         assert_eq!(tuner.stats().cache_hits, 1);
         // After the TTL the entry is recomputed.
-        let later = Timestamp::from_secs(10_000);
+        let later = Timestamp::from_secs(FLAG_CACHE_TTL_SECS + 1);
         let _ = best_level(&mut tuner, &mut s, &t, &cfg, &loc, 500, later).unwrap();
         assert_eq!(tuner.stats().cache_misses, 2);
     }
 
     #[test]
     fn empty_map_converges_to_a_coarse_level() {
-        let (_st, t, mut s, cfg) = setup(32);
-        let tuner = FlagTuner::new(&cfg);
+        let (_st, t, mut s, cfg) = setup();
+        let tuner = FlagTuner::new();
         let level = tuner
             .calculate_best_level(&mut s, &t, &cfg, &Point::new(500.0, 500.0), 0)
             .unwrap();

@@ -7,8 +7,8 @@
 //! buffer in a bounded queue per shard (routed by the same membership
 //! snapshot the synchronous path uses), and a queue flushes as one
 //! batched apply when it reaches [`IngestConfig::batch_size`] *or* when
-//! its oldest message exceeds [`IngestConfig::flush_deadline_secs`] —
-//! whichever comes first.
+//! its oldest message is older than the flush deadline (1 s of virtual
+//! time) — whichever comes first.
 //!
 //! The bound is on **outstanding** messages — buffered plus taken into a
 //! batch that has not finished applying — so `queue_cap / batch_size` is
@@ -16,9 +16,9 @@
 //! outrun a shard's apply rate, batches pile up waiting on its lock and
 //! the cap trips. A full queue is **explicit backpressure**: the
 //! submission is refused with a typed
-//! [`MoistError::Backpressure`](crate::MoistError::Backpressure) (policy
-//! [`BackpressurePolicy::Reject`]) or dropped like a school shed (policy
-//! [`BackpressurePolicy::Shed`]); it is never silently queued unbounded.
+//! [`MoistError::Backpressure`](crate::MoistError::Backpressure) and the
+//! client owns the retry; it is never dropped or silently queued
+//! unbounded.
 //!
 //! Everything here runs on *virtual* time — deadlines compare message
 //! report timestamps, flushes are driven by the callers' ticks
@@ -35,26 +35,23 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
+/// Virtual seconds a queue's **oldest** buffered message may wait before
+/// the next [`flush_due`](crate::MoistCluster::flush_due) tick flushes the
+/// queue, so a trickle of updates is never stranded waiting for a full
+/// batch.
+pub(crate) const FLUSH_DEADLINE_SECS: f64 = 1.0;
+
 /// Knobs of the per-shard ingestion pipeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IngestConfig {
     /// Flush a shard's queue as soon as it holds this many messages.
     pub batch_size: usize,
     /// Hard bound on a shard's **outstanding** messages (buffered plus in
-    /// batches still applying). Submissions that would exceed it hit the
-    /// [`BackpressurePolicy`]; `queue_cap / batch_size` is the effective
-    /// in-flight batch limit per shard.
+    /// batches still applying). Submissions that would exceed it are
+    /// refused with [`MoistError::Backpressure`](crate::MoistError::Backpressure);
+    /// `queue_cap / batch_size` is the effective in-flight batch limit per
+    /// shard.
     pub queue_cap: usize,
-    /// Flush a queue whose **oldest** buffered message is older than this
-    /// many (virtual) seconds at the next
-    /// [`flush_due`](crate::MoistCluster::flush_due) tick, so a trickle
-    /// of updates is never stranded waiting for a full batch. `0.0` (or
-    /// any non-positive value) means "no batching delay": every
-    /// non-empty queue flushes on every tick, regardless of how its
-    /// message timestamps compare to the tick's `now`.
-    pub flush_deadline_secs: f64,
-    /// What a full queue does to the submission.
-    pub policy: BackpressurePolicy,
 }
 
 impl Default for IngestConfig {
@@ -62,8 +59,6 @@ impl Default for IngestConfig {
         IngestConfig {
             batch_size: 64,
             queue_cap: 1024,
-            flush_deadline_secs: 1.0,
-            policy: BackpressurePolicy::Reject,
         }
     }
 }
@@ -75,23 +70,6 @@ impl IngestConfig {
         self.queue_cap = self.queue_cap.max(self.batch_size);
         self
     }
-}
-
-/// Per-client choice of what a full ingest queue does with a submission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BackpressurePolicy {
-    /// Refuse the submission with
-    /// [`MoistError::Backpressure`](crate::MoistError::Backpressure):
-    /// nothing is accepted, the client owns the retry. The default —
-    /// lossless, so acknowledged-update accounting stays exact.
-    #[default]
-    Reject,
-    /// Drop the submission like an overload shed: the call succeeds with
-    /// [`SubmitOutcome::ShedOverload`] and the update never reaches the
-    /// store. Counted separately from school sheds (see
-    /// [`IngestStats::overload_shed`]) so client-visible QPS derivations
-    /// stay honest.
-    Shed,
 }
 
 /// What [`submit`](crate::MoistCluster::submit) did with a message.
@@ -112,11 +90,6 @@ pub enum SubmitOutcome {
         /// Number of messages in the flushed batch.
         batch: usize,
     },
-    /// Dropped by [`BackpressurePolicy::Shed`] on a full queue.
-    ShedOverload {
-        /// Stable id of the shard whose queue was full.
-        shard: u64,
-    },
 }
 
 /// Point-in-time ingestion pipeline counters, embedded in
@@ -129,9 +102,8 @@ pub struct IngestStats {
     pub enqueued: u64,
     /// Submissions refused with a typed `Backpressure` error.
     pub backpressure: u64,
-    /// Submissions dropped by the `Shed` overload policy — **distinct**
-    /// from school sheds ([`ServerStats`](crate::ServerStats)`::shed`),
-    /// which are applied updates the school model absorbed.
+    /// Always 0: a full queue refuses, it never drops. Kept only because
+    /// the wall-clock harness in `benchmark/` still reads it.
     pub overload_shed: u64,
     /// Batches flushed (size + deadline + drain).
     pub batches: u64,
@@ -183,7 +155,7 @@ pub(crate) enum FlushKind {
 }
 
 /// What one enqueue attempt did (the cluster translates this into a
-/// [`SubmitOutcome`] / typed error per the configured policy).
+/// [`SubmitOutcome`] or a typed backpressure error).
 #[derive(Debug)]
 pub(crate) enum EnqueueResult {
     /// Buffered below the batch threshold; `depth` is the outstanding
@@ -216,7 +188,6 @@ pub(crate) struct IngestQueues {
     queues: RwLock<HashMap<u64, Arc<ShardQueue>>>,
     submitted: AtomicU64,
     backpressure: AtomicU64,
-    overload_shed: AtomicU64,
     batches: AtomicU64,
     flushed_updates: AtomicU64,
     size_flushes: AtomicU64,
@@ -251,14 +222,7 @@ impl IngestQueues {
         let depth = queue.outstanding.load(Ordering::Relaxed);
         if depth >= cfg.queue_cap {
             drop(buf);
-            match cfg.policy {
-                BackpressurePolicy::Reject => {
-                    self.backpressure.fetch_add(1, Ordering::Relaxed);
-                }
-                BackpressurePolicy::Shed => {
-                    self.overload_shed.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+            self.backpressure.fetch_add(1, Ordering::Relaxed);
             return EnqueueResult::Full { depth };
         }
         queue.outstanding.fetch_add(1, Ordering::Relaxed);
@@ -270,15 +234,11 @@ impl IngestQueues {
         }
     }
 
-    /// Takes every queue whose oldest buffered message is older than the
-    /// flush deadline at `now`. Returns `(shard, batch)` pairs; the
-    /// caller applies each and calls [`note_flush`](Self::note_flush).
-    pub(crate) fn take_due(
-        &self,
-        cfg: &IngestConfig,
-        now: Timestamp,
-    ) -> Vec<(u64, Vec<UpdateMessage>)> {
-        let deadline_us = (cfg.flush_deadline_secs.max(0.0) * 1e6) as u64;
+    /// Takes every queue whose oldest buffered message is at least
+    /// [`FLUSH_DEADLINE_SECS`] old at `now`. Returns `(shard, batch)` pairs;
+    /// the caller applies each and calls [`note_flush`](Self::note_flush).
+    pub(crate) fn take_due(&self, now: Timestamp) -> Vec<(u64, Vec<UpdateMessage>)> {
+        let deadline_us = (FLUSH_DEADLINE_SECS * 1e6) as u64;
         let queues: Vec<(u64, Arc<ShardQueue>)> = self
             .queues
             .read()
@@ -288,17 +248,11 @@ impl IngestQueues {
         let mut out = Vec::new();
         for (shard, queue) in queues {
             let mut buf = queue.buf.lock();
-            // A zero deadline means "no batching delay": any non-empty
-            // queue is due, even one whose messages are timestamped ahead
-            // of `now` (the age test below would strand those forever).
-            let due = if deadline_us == 0 {
-                !buf.is_empty()
-            } else {
-                buf.iter()
-                    .map(|m| m.ts.0)
-                    .min()
-                    .is_some_and(|oldest| oldest.saturating_add(deadline_us) <= now.0)
-            };
+            let due = buf
+                .iter()
+                .map(|m| m.ts.0)
+                .min()
+                .is_some_and(|oldest| oldest.saturating_add(deadline_us) <= now.0);
             if due {
                 out.push((shard, std::mem::take(&mut *buf)));
             }
@@ -384,7 +338,7 @@ impl IngestQueues {
             // Every accepted message is flushed or still outstanding.
             enqueued: flushed_updates + queued,
             backpressure: self.backpressure.load(Ordering::Relaxed),
-            overload_shed: self.overload_shed.load(Ordering::Relaxed),
+            overload_shed: 0,
             batches: self.batches.load(Ordering::Relaxed),
             flushed_updates,
             size_flushes: self.size_flushes.load(Ordering::Relaxed),
@@ -418,7 +372,6 @@ mod tests {
         let cfg = IngestConfig {
             batch_size: 3,
             queue_cap: 4,
-            ..IngestConfig::default()
         }
         .normalized();
         assert!(matches!(
@@ -456,7 +409,6 @@ mod tests {
         let s = q.stats();
         assert_eq!(s.submitted, 6);
         assert_eq!(s.backpressure, 1);
-        assert_eq!(s.overload_shed, 0);
         assert_eq!(s.enqueued, 5, "3 flushed + 2 still buffered");
         assert_eq!(s.size_flushes, 1);
         assert_eq!(s.flushed_updates, 3);
@@ -467,46 +419,20 @@ mod tests {
     }
 
     #[test]
-    fn shed_policy_counts_separately_from_backpressure() {
-        let q = IngestQueues::default();
-        let cfg = IngestConfig {
-            batch_size: 2,
-            queue_cap: 2,
-            policy: BackpressurePolicy::Shed,
-            ..IngestConfig::default()
-        }
-        .normalized();
-        assert!(matches!(
-            q.enqueue(&cfg, 3, &msg(1, 0)),
-            EnqueueResult::Queued { .. }
-        ));
-        let batch = match q.enqueue(&cfg, 3, &msg(2, 0)) {
-            EnqueueResult::Batch(b) => b,
-            _ => panic!("second enqueue fills the batch"),
-        };
-        // Batch still applying → cap (2) is exhausted → overload shed.
-        assert!(matches!(
-            q.enqueue(&cfg, 3, &msg(3, 0)),
-            EnqueueResult::Full { depth: 2 }
-        ));
-        q.note_flush(FlushKind::Size, 3, &batch, batch[1].ts);
-        let s = q.stats();
-        assert_eq!((s.overload_shed, s.backpressure), (1, 0));
-    }
-
-    #[test]
     fn deadline_takes_only_aged_queues_and_drain_takes_all() {
         let q = IngestQueues::default();
         let cfg = IngestConfig {
             batch_size: 100,
-            flush_deadline_secs: 5.0,
             ..IngestConfig::default()
         }
         .normalized();
         q.enqueue(&cfg, 0, &msg(1, 0)); // oldest at t=0
         q.enqueue(&cfg, 0, &msg(2, 9));
         q.enqueue(&cfg, 1, &msg(3, 9)); // young queue
-        let due = q.take_due(&cfg, Timestamp::from_secs(6));
+                                        // Inside the deadline even the oldest message waits.
+        let early = Timestamp::from_secs_f64(FLUSH_DEADLINE_SECS / 2.0);
+        assert!(q.take_due(early).is_empty(), "nothing has aged yet");
+        let due = q.take_due(Timestamp::from_secs(6));
         assert_eq!(due.len(), 1, "only the aged queue flushes");
         let (shard, batch) = &due[0];
         assert_eq!((*shard, batch.len()), (0, 2));
@@ -515,6 +441,8 @@ mod tests {
         assert_eq!(q.stats().queue_wait_us, 6_000_000);
         assert_eq!(q.stats().deadline_flushes, 1);
         assert_eq!(q.depth(0), 0);
+        // The emptied queue is not taken again, the young one still waits.
+        assert!(q.take_due(Timestamp::from_secs(6)).is_empty());
         let rest = q.take_all();
         assert_eq!(rest.len(), 1);
         assert_eq!((rest[0].0, rest[0].1.len()), (1, 1));
@@ -526,42 +454,10 @@ mod tests {
     }
 
     #[test]
-    fn zero_deadline_flushes_every_nonempty_queue_each_tick() {
-        let q = IngestQueues::default();
-        let cfg = IngestConfig {
-            batch_size: 100,
-            flush_deadline_secs: 0.0,
-            ..IngestConfig::default()
-        }
-        .normalized();
-        // One message timestamped *ahead* of the tick's `now`: the age
-        // test alone would never flush it, but a zero deadline means "no
-        // batching delay" — it flushes anyway.
-        q.enqueue(&cfg, 0, &msg(1, 9));
-        q.enqueue(&cfg, 1, &msg(2, 0));
-        let due = q.take_due(&cfg, Timestamp::from_secs(1));
-        assert_eq!(due.len(), 2, "every non-empty queue is due");
-        for (shard, batch) in &due {
-            q.note_flush(FlushKind::Deadline, *shard, batch, Timestamp::from_secs(1));
-        }
-        assert_eq!(q.stats().queued, 0);
-        // Empty queues stay untaken.
-        assert!(q.take_due(&cfg, Timestamp::from_secs(2)).is_empty());
-        // The default (positive) deadline still honours message age.
-        let aged = IngestConfig::default().normalized();
-        q.enqueue(&aged, 2, &msg(3, 9));
-        assert!(
-            q.take_due(&aged, Timestamp::from_secs(1)).is_empty(),
-            "young queue must wait out a positive deadline"
-        );
-    }
-
-    #[test]
     fn normalized_clamps_degenerate_sizes() {
         let cfg = IngestConfig {
             batch_size: 0,
             queue_cap: 0,
-            ..IngestConfig::default()
         }
         .normalized();
         assert_eq!(cfg.batch_size, 1);

@@ -83,7 +83,7 @@ pub use error::{MoistError, Result};
 pub use flag::FlagStats;
 pub use hexgrid::{HexBin, HexGrid};
 pub use ids::ObjectId;
-pub use ingest::{BackpressurePolicy, IngestConfig, IngestStats, SubmitOutcome};
+pub use ingest::{IngestConfig, IngestStats, SubmitOutcome};
 pub use nn::{nn_query, Neighbor, NnOptions, NnStats};
 pub use placement::{owners, slice_ranges, ShardWeight, SplitTable};
 pub use query_pool::QueryPool;

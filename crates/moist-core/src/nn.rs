@@ -50,9 +50,6 @@ pub struct NnOptions {
     /// baselines do. A fixed level finer than 10 is refused with
     /// [`MoistError::Inconsistent`](crate::MoistError::Inconsistent).
     pub nn_level: Option<u8>,
-    /// Expand schools: include followers at their estimated locations
-    /// (§3.4 steps iii–iv). When false only leaders are returned.
-    pub include_followers: bool,
     /// Predictive search horizon in seconds: candidates are evaluated at
     /// `at + predict_secs` under linear motion (§3.4.1's "predictive
     /// version"). Zero for current positions.
@@ -64,13 +61,12 @@ pub struct NnOptions {
 }
 
 impl NnOptions {
-    /// `k` nearest with followers, at FLAG's level, with no prediction
-    /// and no range limit.
+    /// `k` nearest, at FLAG's level, with no prediction and no range
+    /// limit.
     pub fn new(k: usize) -> Self {
         NnOptions {
             k,
             nn_level: None,
-            include_followers: true,
             predict_secs: 0.0,
             max_distance: f64::INFINITY,
         }
@@ -123,9 +119,10 @@ fn eval_position(entry: &SpatialEntry, eval_at: Timestamp) -> Point {
     entry.record.loc.advance(entry.record.vel, dt)
 }
 
-/// Runs Algorithm 2 at NN level `nn_level` and (optionally) the school
-/// expansion of §3.4. `opts.nn_level` is not read: the front end resolves
-/// it (FLAG, or the caller's capped fixed level) and passes it here.
+/// Runs Algorithm 2 at NN level `nn_level` and the school expansion of
+/// §3.4: followers are returned at their estimated locations.
+/// `opts.nn_level` is not read: the front end resolves it (FLAG, or the
+/// caller's capped fixed level) and passes it here.
 ///
 /// Returns up to `k` neighbours sorted by ascending distance, plus the
 /// query statistics.
@@ -222,7 +219,7 @@ fn expand_school_candidates(
         leader: entry.oid,
     };
     let mut candidates: Vec<Neighbor> = found.iter().map(leader).collect();
-    if opts.include_followers && !found.is_empty() {
+    if !found.is_empty() {
         let leader_ids: Vec<ObjectId> = found.iter().map(|(e, _, _)| e.oid).collect();
         let infos = tables.batch_followers(s, &leader_ids)?;
         for (i, followers) in infos.into_iter().enumerate() {
@@ -353,37 +350,22 @@ mod tests {
         .unwrap();
         t.add_follower(&mut s, ObjectId(1), ObjectId(3), d, Timestamp::from_secs(1))
             .unwrap();
-        let opts = NnOptions::new(2);
-        let (nn, _) = nn_query(
-            &mut s,
-            &t,
-            &cfg,
-            Point::new(500.0, 500.0),
-            Timestamp::from_secs(1),
-            8,
-            &opts,
-        )
-        .unwrap();
+        let center = Point::new(500.0, 500.0);
+        let at = Timestamp::from_secs(1);
+        let (nn, _) = nn_query(&mut s, &t, &cfg, center, at, 8, &NnOptions::new(2)).unwrap();
         let ids: Vec<u64> = nn.iter().map(|n| n.oid.0).collect();
         assert_eq!(ids, vec![3, 1], "follower at 5 beats leader at 10");
         assert_eq!(nn[0].leader, ObjectId(1));
-        // Leaders-only mode skips the school expansion.
-        let opts = NnOptions {
-            include_followers: false,
-            ..opts
-        };
-        let (nn, _) = nn_query(
-            &mut s,
-            &t,
-            &cfg,
-            Point::new(500.0, 500.0),
-            Timestamp::from_secs(1),
-            8,
-            &opts,
-        )
-        .unwrap();
-        let ids: Vec<u64> = nn.iter().map(|n| n.oid.0).collect();
-        assert_eq!(ids, vec![1, 2]);
+        // Room for everyone: brute force with the follower at its
+        // estimated location (leader 1's 510 + the −5 displacement).
+        let (nn, _) = nn_query(&mut s, &t, &cfg, center, at, 8, &NnOptions::new(3)).unwrap();
+        let brute = [(3, 505.0), (1, 510.0), (2, 600.0)];
+        assert_eq!(nn.len(), brute.len());
+        for (n, (oid, x)) in nn.iter().zip(brute) {
+            assert_eq!(n.oid, ObjectId(oid));
+            assert_eq!(n.loc, Point::new(x, 500.0));
+            assert!((n.distance - center.distance(&n.loc)).abs() < 1e-9);
+        }
     }
 
     #[test]

@@ -56,6 +56,10 @@ use std::sync::Arc;
 /// store's row count (which sees other servers' registrations too).
 const ESTIMATE_REFRESH_OPS: u64 = 1024;
 
+/// Age in seconds after which location and affiliation records count as
+/// aged and [`FrontEnd::age_data`] moves them to the disk columns (§3.5).
+pub(crate) const AGING_SECS: u64 = 600;
+
 /// Per-server operation counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct ServerStats {
@@ -245,7 +249,7 @@ impl MoistServer {
             scheduler: None,
             archiver,
             front: Arc::new(FrontEnd {
-                flag: RwLock::new(FlagTuner::new(&cfg)),
+                flag: RwLock::new(FlagTuner::new()),
                 store: Arc::clone(store),
                 hub: Arc::new(MeterHub::new()),
                 stats: StatsCells::default(),
@@ -423,9 +427,9 @@ impl FrontEnd {
     }
 
     /// NN query with explicit options (FLAG or a fixed level, range
-    /// limit, prediction, follower expansion — see [`NnOptions`]). One
-    /// session threads FLAG's probes and the NN scan, so the charge
-    /// sequence matches one shared clock exactly.
+    /// limit, prediction — see [`NnOptions`]). One session threads FLAG's
+    /// probes and the NN scan, so the charge sequence matches one shared
+    /// clock exactly.
     pub(crate) fn nn_with_options(
         &self,
         center: Point,
@@ -537,10 +541,7 @@ impl FrontEnd {
 
     /// Ages out old location and affiliation records to disk columns.
     pub(crate) fn age_data(&self, now: Timestamp) -> Result<usize> {
-        let cutoff = Timestamp(
-            now.0
-                .saturating_sub((self.cfg.aging_secs.max(0.0) * 1e6) as u64),
-        );
+        let cutoff = Timestamp(now.0.saturating_sub(AGING_SECS * 1_000_000));
         let a = self.tables.age_locations(cutoff)?;
         let b = self.tables.age_affiliations(cutoff)?;
         Ok(a + b)
@@ -801,15 +802,14 @@ mod tests {
     #[test]
     fn age_data_moves_cold_records() {
         let store = Bigtable::new();
-        let cfg = MoistConfig {
-            aging_secs: 10.0,
-            ..MoistConfig::default()
-        };
-        let mut server = MoistServer::new(&store, cfg).unwrap();
+        let mut server = MoistServer::new(&store, MoistConfig::default()).unwrap();
         server.update(&msg(1, 100.0, 100.0, 1.0, 0.0)).unwrap();
         server.update(&msg(1, 110.0, 100.0, 1.0, 5.0)).unwrap();
         server.update(&msg(1, 120.0, 100.0, 1.0, 100.0)).unwrap();
-        let moved = server.age_data(Timestamp::from_secs(100)).unwrap();
+        // Cut-off at 90 s: the reports at 0 s and 5 s are cold.
+        let moved = server
+            .age_data(Timestamp::from_secs(90 + AGING_SECS))
+            .unwrap();
         assert!(moved >= 2, "old records age to disk, got {moved}");
         // The hot path still works.
         let p = server

@@ -31,6 +31,10 @@ use moist_bigtable::{
 use moist_spatial::{CellId, Displacement};
 use std::sync::Arc;
 
+/// Location records the Location Table keeps in memory per object, `m`
+/// (§3.5).
+const MEMORY_RECORDS_PER_OBJECT: usize = 8;
+
 /// Column family / qualifier names.
 mod cols {
     /// Location Table: in-memory location-signal family.
@@ -149,7 +153,7 @@ impl MoistTables {
         let location = store.create_table(TableSchema::new(
             table_names::LOCATION,
             vec![
-                ColumnFamily::in_memory(cols::LOC_MEM, cfg.memory_records_per_object.max(1)),
+                ColumnFamily::in_memory(cols::LOC_MEM, MEMORY_RECORDS_PER_OBJECT),
                 ColumnFamily::on_disk(cols::LOC_DISK, usize::MAX),
             ],
         )?)?;

@@ -13,8 +13,9 @@
 //! 3. **ε-bound** — a follower's served position never deviates from its
 //!    last *reported* position by more than ε plus the leader's movement
 //!    since (the school contract).
-//! 4. **NN exactness over leaders** — leaders-only NN results equal brute
-//!    force over the oracle's leader positions.
+//! 4. **NN exactness over leaders** — the leaders in an NN answer equal
+//!    brute force over the leader positions, and its followers sit at
+//!    their estimated positions.
 
 use moist_bigtable::{Bigtable, CostProfile, Session, Timestamp};
 use moist_core::{
@@ -198,13 +199,17 @@ impl Harness {
         Ok(())
     }
 
-    /// Invariant 4: leaders-only NN at an arbitrary level is exact.
+    /// Invariant 4: NN at an arbitrary level is exact over leaders, and
+    /// every follower it returns sits at its estimated location.
     ///
-    /// Exactness requires stored positions to be current (Algorithm 2
-    /// prunes by *stored* cell distance; the paper's leaders re-file on
-    /// every update so staleness is bounded by the update interval). The
-    /// static-object property test below drives this with zero velocities;
-    /// the moving-object test checks ordering/shape only.
+    /// The answer is the k nearest of the scanned leaders and their
+    /// schools, so its leaders are exactly the nearest leaders up to its
+    /// last distance, and each follower is where its leader's displacement
+    /// puts it. Exactness requires stored positions to be current
+    /// (Algorithm 2 prunes by *stored* cell distance; the paper's leaders
+    /// re-file on every update so staleness is bounded by the update
+    /// interval). The static-object property test below drives this with
+    /// zero velocities; the moving-object test checks ordering/shape only.
     fn check_nn(&mut self, center: Point, level: u8) -> Result<(), TestCaseError> {
         let entries = self
             .tables
@@ -216,19 +221,19 @@ impl Harness {
             )
             .unwrap();
         let at = Timestamp::from_secs_f64(self.now);
-        let mut brute: Vec<(u64, f64)> = entries
-            .iter()
-            .map(|e| {
-                let pos = e.record.loc.advance(e.record.vel, at.secs_since(e.ts));
-                (e.oid.0, center.distance(&pos))
-            })
-            .collect();
-        brute.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        let k = 5.min(brute.len());
-        let opts = NnOptions {
-            include_followers: false,
-            ..NnOptions::new(5)
-        };
+        // Brute force over every object where it is served: a leader at
+        // its filed record, a follower at its leader's plus displacement.
+        let mut leaders: Vec<(u64, f64)> = Vec::new();
+        let mut served: HashMap<u64, Point> = HashMap::new();
+        for e in &entries {
+            let pos = e.record.loc.advance(e.record.vel, at.secs_since(e.ts));
+            leaders.push((e.oid.0, center.distance(&pos)));
+            served.insert(e.oid.0, pos);
+            for (f, disp) in self.tables.followers(&mut self.session, e.oid).unwrap() {
+                served.insert(f.0, pos.translate(disp));
+            }
+        }
+        leaders.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         let (nn, _) = nn_query(
             &mut self.session,
             &self.tables,
@@ -236,15 +241,21 @@ impl Harness {
             center,
             at,
             level,
-            &opts,
+            &NnOptions::new(5),
         )
         .unwrap();
-        prop_assert_eq!(nn.len(), k);
+        prop_assert_eq!(nn.len(), 5.min(served.len()));
+        for n in &nn {
+            let pos = served.get(&n.oid.0).copied();
+            prop_assert_eq!(Some(n.loc), pos, "{} not at its served position", n.oid);
+            prop_assert!((n.distance - center.distance(&n.loc)).abs() < 1e-9);
+        }
         // Compare distances (id ties can legitimately reorder).
-        for (got, want) in nn.iter().zip(brute.iter()) {
+        let got = nn.iter().filter(|n| n.leader == n.oid);
+        for (got, want) in got.zip(leaders.iter()) {
             prop_assert!(
                 (got.distance - want.1).abs() < 1e-6,
-                "NN distance mismatch: {} vs {}",
+                "NN leader distance mismatch: {} vs {}",
                 got.distance,
                 want.1
             );

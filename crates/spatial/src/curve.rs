@@ -18,7 +18,7 @@ use serde::Serialize;
 /// Maximum curve level (refinement depth).
 ///
 /// At level 30 an index occupies 60 bits of a `u64`.
-pub(crate) const MAX_LEVEL: u8 = 30;
+pub const MAX_LEVEL: u8 = 30;
 
 /// Which space-filling curve orders the cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize)]

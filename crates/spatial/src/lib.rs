@@ -32,6 +32,6 @@ pub mod point;
 pub mod space;
 
 pub use cell::{cells_at_level, cover_rect, CellId};
-pub use curve::CurveKind;
+pub use curve::{CurveKind, MAX_LEVEL};
 pub use point::{Displacement, Point, Rect, Velocity};
 pub use space::Space;

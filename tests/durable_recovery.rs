@@ -136,15 +136,13 @@ fn acknowledged_cluster_updates_survive_a_crash() {
 #[test]
 fn builder_recover_preserves_replica_ingest_and_controller_config() {
     use moist::archive::{PppArchiver, PppConfig};
-    use moist::core::{BackpressurePolicy, ControllerConfig, IngestConfig};
+    use moist::core::{ControllerConfig, IngestConfig};
     use std::sync::Arc;
 
     let dir = test_dir("knobs");
     let icfg = IngestConfig {
         batch_size: 16,
         queue_cap: 256,
-        flush_deadline_secs: 0.5,
-        policy: BackpressurePolicy::Shed,
     };
     let ccfg = ControllerConfig {
         min_shards: 2,
@@ -170,11 +168,7 @@ fn builder_recover_preserves_replica_ingest_and_controller_config() {
             "{path}: replication factor"
         );
         assert_eq!(cluster.ingest_config().batch_size, 16, "{path}: ingest");
-        assert_eq!(
-            cluster.ingest_config().policy,
-            BackpressurePolicy::Shed,
-            "{path}: ingest"
-        );
+        assert_eq!(cluster.ingest_config().queue_cap, 256, "{path}: ingest");
         assert_eq!(
             cluster.controller_config(),
             Some(ccfg.normalized()),

@@ -227,11 +227,9 @@ fn archiver_history_matches_accepted_updates() {
 #[test]
 fn aging_preserves_query_results() {
     let store = Bigtable::new();
-    let cfg = MoistConfig {
-        aging_secs: 30.0,
-        ..MoistConfig::default()
-    };
-    let cluster = MoistCluster::builder(&store, cfg).build().unwrap();
+    let cluster = MoistCluster::builder(&store, MoistConfig::default())
+        .build()
+        .unwrap();
     for t in 0..20u64 {
         cluster
             .update(&UpdateMessage {
@@ -242,7 +240,8 @@ fn aging_preserves_query_results() {
             })
             .unwrap();
     }
-    let moved = cluster.age_data(Timestamp::from_secs(200)).unwrap();
+    // Records age after 600 s: this cut-off is at 170 s.
+    let moved = cluster.age_data(Timestamp::from_secs(770)).unwrap();
     assert!(moved > 0);
     // Current position and NN still come from the hot path.
     let p = cluster
