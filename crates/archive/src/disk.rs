@@ -117,6 +117,11 @@ impl SimDisk {
         objects.sort_unstable();
         objects.dedup();
         records.sort_by_key(|r| (r.oid, r.ts_us));
+        // A page lives as long as the archive, and both vectors arrive
+        // with slack: the buffer side's doubling growth, and one object
+        // slot per record. Keep exactly what the page holds.
+        objects.shrink_to_fit();
+        records.shrink_to_fit();
         let page = DiskPage {
             min_ts_us: records.iter().map(|r| r.ts_us).min().unwrap_or(0),
             max_ts_us: records.iter().map(|r| r.ts_us).max().unwrap_or(0),
@@ -189,6 +194,21 @@ mod tests {
         let s = disk.stats();
         assert_eq!(s.pages_written, 1);
         assert_eq!(s.bytes_written, 4800);
+    }
+
+    /// A page keeps no slack: a record vector with room for twice its
+    /// records (a buffer side after doubling) and repeated objects are
+    /// stored at exactly their size.
+    #[test]
+    fn pages_are_stored_at_their_exact_size() {
+        let disk = SimDisk::new(DiskProfile::default());
+        let mut records = Vec::with_capacity(200);
+        records.extend((0..100).map(|i| rec(i % 10, i)));
+        disk.write_page(records);
+        let inner = disk.inner.lock();
+        let page = &inner.pages[0];
+        assert_eq!(page.records.capacity(), 100);
+        assert_eq!(page.objects.capacity(), 10);
     }
 
     #[test]

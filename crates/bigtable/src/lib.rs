@@ -60,3 +60,6 @@ pub use store::{Bigtable, StoreConfig};
 pub use table::{Mutation, OwnedRow, ReadOptions, RowEntry, RowMutation, ScanRange, Table};
 pub use types::{Cell, Locality, RowKey, Timestamp};
 pub use wal::{Durability, RecoveryReport};
+
+/// The store's value type: values of up to 46 bytes live in place.
+pub use bytes::Bytes;

@@ -6,8 +6,10 @@
 //! carrying family indices — cannot fail to apply); **append** the record
 //! to the WAL on a durable table, keeping the WAL lock to the end of the
 //! call; **apply** under the tablet's write lock with one descent of its
-//! tree per row. Lock order: WAL, then the tablet list, then one tablet's
+//! tree per row. Lock order: WAL, then the tablet list (the calling
+//! thread's stripe of it; a split takes every stripe), then one tablet's
 //! rows — `tablet.rs` has the row layout and the tablet side of it.
+//! Operation counters ([`Metrics`]) are per thread and take no lock.
 
 use crate::error::{BigtableError, Result};
 use crate::metrics::Metrics;
@@ -17,19 +19,23 @@ use crate::types::{Cell, Locality, RowKey, Timestamp};
 use crate::wal::{self, WalRecord, WalWriter};
 use bytes::Bytes;
 use parking_lot::{Mutex, MutexGuard};
+use std::borrow::Cow;
 use std::collections::btree_map::Entry;
 use std::sync::Arc;
 
 /// A single change to one row. Mutations within a [`RowMutation`] apply
 /// atomically (BigTable guarantees single-row atomicity).
+///
+/// Names are `Cow<'static, str>`, so a mutation naming its family and
+/// qualifier by constants allocates nothing for them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Mutation {
     /// Writes one timestamped cell.
     Put {
         /// Column family name.
-        family: String,
+        family: Cow<'static, str>,
         /// Column qualifier.
-        qualifier: String,
+        qualifier: Cow<'static, str>,
         /// Cell timestamp.
         ts: Timestamp,
         /// Cell value.
@@ -38,14 +44,14 @@ pub enum Mutation {
     /// Deletes all versions of one column.
     DeleteColumn {
         /// Column family name.
-        family: String,
+        family: Cow<'static, str>,
         /// Column qualifier.
-        qualifier: String,
+        qualifier: Cow<'static, str>,
     },
     /// Deletes all columns of one family in the row.
     DeleteFamily {
         /// Column family name.
-        family: String,
+        family: Cow<'static, str>,
     },
     /// Deletes the entire row.
     DeleteRow,
@@ -54,8 +60,8 @@ pub enum Mutation {
 impl Mutation {
     /// Convenience constructor for a put.
     pub fn put(
-        family: impl Into<String>,
-        qualifier: impl Into<String>,
+        family: impl Into<Cow<'static, str>>,
+        qualifier: impl Into<Cow<'static, str>>,
         ts: Timestamp,
         value: impl Into<Bytes>,
     ) -> Self {
@@ -68,7 +74,10 @@ impl Mutation {
     }
 
     /// Convenience constructor for a column delete.
-    pub fn delete_column(family: impl Into<String>, qualifier: impl Into<String>) -> Self {
+    pub fn delete_column(
+        family: impl Into<Cow<'static, str>>,
+        qualifier: impl Into<Cow<'static, str>>,
+    ) -> Self {
         Mutation::DeleteColumn {
             family: family.into(),
             qualifier: qualifier.into(),
@@ -258,17 +267,18 @@ impl Table {
         self.wal_fsync_every
     }
 
-    /// Appends one framed record and returns the held lock so the caller's
-    /// in-memory apply stays inside the WAL critical section.
+    /// Appends one record (`encode` appends its payload to a buffer) and
+    /// returns the held lock so the caller's in-memory apply stays inside
+    /// the WAL critical section.
     fn wal_append_with(
         &self,
-        payload: impl FnOnce() -> Vec<u8>,
+        encode: impl FnOnce(&mut Vec<u8>),
     ) -> Result<Option<MutexGuard<'_, WalWriter>>> {
         match &self.wal {
             None => Ok(None),
             Some(wal) => {
                 let mut w = wal.lock();
-                let info = w.append(&payload())?;
+                let info = w.append(encode)?;
                 self.metrics.record_wal_append(info.bytes, info.fsynced);
                 Ok(Some(w))
             }
@@ -369,7 +379,8 @@ impl Table {
     /// Applies mutations to one row atomically.
     pub fn mutate_row(&self, key: &RowKey, mutations: &[Mutation]) -> Result<()> {
         let ops = self.resolve(mutations)?;
-        let _wal = self.wal_append_with(|| wal::encode_rows(&[(key, mutations)]))?;
+        let _wal =
+            self.wal_append_with(|buf| wal::encode_rows(buf, std::iter::once((key, mutations))))?;
         let delta = self.tablets.write(key, |rows| {
             apply_to_row(rows.entry(key.clone()), ops.as_slice())
         });
@@ -387,12 +398,9 @@ impl Table {
     /// clustering leans on.
     pub fn mutate_rows(&self, batch: &[RowMutation]) -> Result<usize> {
         let resolved = self.resolve_batch(batch)?;
-        let _wal = self.wal_append_with(|| {
-            let rows: Vec<(&RowKey, &[Mutation])> = batch
-                .iter()
-                .map(|rm| (&rm.key, rm.mutations.as_slice()))
-                .collect();
-            wal::encode_rows(&rows)
+        let _wal = self.wal_append_with(|buf| {
+            let rows = batch.iter().map(|rm| (&rm.key, rm.mutations.as_slice()));
+            wal::encode_rows(buf, rows)
         })?;
         let (total_muts, total_bytes) = self.apply_batch(&resolved);
         self.metrics.record_batch_write(total_muts, total_bytes);
@@ -464,7 +472,8 @@ impl Table {
                 return Ok(None);
             }
             if let Some(w) = wal_guard.as_deref_mut() {
-                let info = w.append(&wal::encode_rows(&[(key, mutations)]))?;
+                let info =
+                    w.append(|buf| wal::encode_rows(buf, std::iter::once((key, mutations))))?;
                 self.metrics.record_wal_append(info.bytes, info.fsynced);
             }
             Ok(Some(apply_to_row(entry, ops.as_slice())))
@@ -546,8 +555,9 @@ impl Table {
             )));
         }
         let disk_max = disk_f.max_versions;
-        let _wal =
-            self.wal_append_with(|| wal::encode_age_transfer(mem_family, disk_family, cutoff))?;
+        let _wal = self.wal_append_with(|buf| {
+            wal::encode_age_transfer(buf, mem_family, disk_family, cutoff)
+        })?;
         let moved = self.age_transfer_apply(mem_idx, disk_idx, disk_max, cutoff);
         self.metrics.record_write(0, moved as u64, 0);
         Ok(moved)
@@ -590,7 +600,8 @@ impl Table {
     /// hold the WAL lock, which excludes all durable writers, so the scan
     /// over tablet read locks sees a consistent cut.
     pub(crate) fn snapshot_payload(&self) -> Vec<u8> {
-        let mut buf = wal::encode_schema(&self.schema);
+        let mut buf = Vec::new();
+        wal::encode_schema(&mut buf, &self.schema);
         let count_pos = buf.len();
         wal::put_u64(&mut buf, 0); // patched below
         let mut n = 0u64;
@@ -838,7 +849,7 @@ mod tests {
         let schema = table().schema().clone();
         let log = WalWriter::create(wal::wal_path(&dir, "t"), 0, 1).unwrap();
         let t = Table::new(schema, 64, Some(log));
-        let put = |family: &str| vec![Mutation::put(family, "q", Timestamp(1), &b"v"[..])];
+        let put = |family: &'static str| vec![Mutation::put(family, "q", Timestamp(1), &b"v"[..])];
         let batch = [
             RowMutation::new(RowKey::from_u64(1), put("mem")),
             RowMutation::new(
@@ -872,7 +883,7 @@ mod tests {
     #[test]
     fn replayed_record_naming_an_unknown_family_is_a_typed_error() {
         let t = table();
-        let rows = |family: &str| {
+        let rows = |family: &'static str| {
             WalRecord::Rows(vec![
                 RowMutation::new(
                     RowKey::from_u64(1),

@@ -185,7 +185,12 @@ fn apply(table: &Table, model: &mut Model, op: &Op) {
         Op::DeleteFamily(key, f) => {
             let family = name(*f).to_string();
             table
-                .mutate_row(key, &[Mutation::DeleteFamily { family }])
+                .mutate_row(
+                    key,
+                    &[Mutation::DeleteFamily {
+                        family: family.into(),
+                    }],
+                )
                 .unwrap();
             if let Some(row) = model.get_mut(key.as_slice()) {
                 row.retain(|(family, _), _| family != f);

@@ -10,7 +10,7 @@ use crate::server::{FrontEnd, MoistServer, ServerStats};
 use moist_archive::PppArchiver;
 use moist_bigtable::Bigtable;
 use moist_spatial::Point;
-use parking_lot::{Mutex, RwLockWriteGuard};
+use parking_lot::{Mutex, ReadMostlyWriteGuard};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -221,7 +221,7 @@ impl MoistCluster {
     /// live.
     pub(super) fn publish_epoch(
         &self,
-        mut guard: RwLockWriteGuard<'_, Arc<Membership>>,
+        mut guard: ReadMostlyWriteGuard<'_, Arc<Membership>>,
         new: Membership,
         counters: &[&AtomicU64],
     ) -> Result<u64> {

@@ -31,7 +31,14 @@
 //! ## Locks, in order
 //!
 //! Every lock in the tier obeys these rules; the code below does not
-//! restate them.
+//! restate them. The membership lock is a `parking_lot::ReadMostly`: a
+//! copy of the snapshot `Arc` per reader stripe, so that the read guard
+//! every update takes is a lock on the calling thread's own stripe and two
+//! writers on different shards share no cache line in it. Its write lock
+//! takes every stripe, in order, and publishes the new snapshot to all of
+//! them before it lets a reader in; read and write guards otherwise
+//! behave as one writer-preferring `RwLock`'s, and the rules below are
+//! theirs.
 //!
 //! 1. **An epoch bump takes no shard lock.** Only an epoch bump
 //!    ([`add_shard`], [`remove_shard`], [`rebalance`]) holds the
@@ -76,7 +83,8 @@
 //!
 //! The fleet can grow and shrink live. Membership is an epoch-stamped,
 //! read-mostly snapshot: each operation grabs an `Arc` of the current
-//! membership (one brief read-lock), routes against it, and keeps the
+//! membership (one brief read-lock of its thread's stripe), routes
+//! against it, and keeps the
 //! target shard alive through the `Arc` even if the membership changes
 //! mid-flight. [`add_shard`] and [`remove_shard`] bump the epoch and swap
 //! the snapshot. Updates and clustering ticks instead hold the membership
@@ -244,7 +252,7 @@ use membership::{Membership, RetiredShards, ShardEntry};
 use moist_archive::PppArchiver;
 use moist_bigtable::{Bigtable, RecoveryReport, StoreConfig, Timestamp};
 use moist_spatial::Point;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, ReadMostly, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -254,9 +262,10 @@ use std::sync::Arc;
 pub struct MoistCluster {
     cfg: MoistConfig,
     store: Arc<Bigtable>,
-    /// Read-mostly membership snapshot; swapped whole on epoch bumps.
-    /// Writers hold its read guard from routing to apply (lock rule 2).
-    membership: RwLock<Arc<Membership>>,
+    /// Read-mostly membership snapshot, one copy per reader stripe;
+    /// swapped whole on epoch bumps. Writers hold its read guard from
+    /// routing to apply (lock rule 2).
+    membership: ReadMostly<Arc<Membership>>,
     /// Shared worker pool running scattered query slices in parallel.
     query_pool: QueryPool,
     /// Counters of shards that left the tier (their updates — absorbed
@@ -438,7 +447,7 @@ impl ClusterBuilder {
         Ok(MoistCluster {
             cfg,
             next_shard_id: AtomicU64::new(shards.len() as u64),
-            membership: RwLock::new(Arc::new(Membership {
+            membership: ReadMostly::new(Arc::new(Membership {
                 epoch: 0,
                 shards,
                 placement,

@@ -5,6 +5,7 @@
 
 use crate::error::{MoistError, Result};
 use crate::ids::ObjectId;
+use moist_bigtable::Bytes;
 use moist_spatial::{Displacement, Point, Velocity};
 
 /// A stored location record: position + velocity + the leaf spatial index
@@ -84,33 +85,33 @@ impl LfRecord {
         matches!(self, LfRecord::Leader { .. })
     }
 
-    /// Encodes to tagged bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        match self {
+    /// Encodes to tagged bytes (17 for a leader, 33 for a follower), held
+    /// in place by the returned value.
+    pub fn encode(&self) -> Bytes {
+        let mut b = [0u8; LF_RECORD_BYTES];
+        let len = match self {
             LfRecord::Leader {
                 since_us,
                 last_leaf,
             } => {
-                let mut b = Vec::with_capacity(17);
-                b.push(0u8);
-                b.extend_from_slice(&since_us.to_le_bytes());
-                b.extend_from_slice(&last_leaf.to_le_bytes());
-                b
+                b[1..9].copy_from_slice(&since_us.to_le_bytes());
+                b[9..17].copy_from_slice(&last_leaf.to_le_bytes());
+                17
             }
             LfRecord::Follower {
                 leader,
                 displacement,
                 since_us,
             } => {
-                let mut b = Vec::with_capacity(LF_RECORD_BYTES);
-                b.push(1u8);
-                b.extend_from_slice(&leader.0.to_le_bytes());
-                b.extend_from_slice(&displacement.dx.to_le_bytes());
-                b.extend_from_slice(&displacement.dy.to_le_bytes());
-                b.extend_from_slice(&since_us.to_le_bytes());
-                b
+                b[0] = 1;
+                b[1..9].copy_from_slice(&leader.0.to_le_bytes());
+                b[9..17].copy_from_slice(&displacement.dx.to_le_bytes());
+                b[17..25].copy_from_slice(&displacement.dy.to_le_bytes());
+                b[25..33].copy_from_slice(&since_us.to_le_bytes());
+                LF_RECORD_BYTES
             }
-        }
+        };
+        Bytes::copy_from_slice(&b[..len])
     }
 
     /// Decodes bytes written by [`LfRecord::encode`].

@@ -25,8 +25,8 @@ use crate::config::{table_names, MoistConfig};
 use crate::error::{MoistError, Result};
 use crate::ids::ObjectId;
 use moist_bigtable::{
-    Bigtable, Cell, ColumnFamily, Mutation, OwnedRow, ReadOptions, RowKey, RowMutation, ScanRange,
-    Session, Table, TableSchema, Timestamp,
+    Bigtable, Bytes, Cell, ColumnFamily, Mutation, OwnedRow, ReadOptions, RowKey, RowMutation,
+    ScanRange, Session, Table, TableSchema, Timestamp,
 };
 use moist_spatial::{CellId, Displacement};
 use std::sync::Arc;
@@ -80,7 +80,7 @@ impl RecordColumn {
     }
 
     /// The cell write: `value` as this column's version at exactly `ts`.
-    fn put(self, ts: Timestamp, value: Vec<u8>) -> Mutation {
+    fn put(self, ts: Timestamp, value: Bytes) -> Mutation {
         let (family, qualifier) = self.names();
         Mutation::put(family, qualifier, ts, value)
     }
@@ -118,7 +118,7 @@ fn follower_put(follower: ObjectId, disp: Displacement, ts: Timestamp) -> Mutati
         cols::FOLLOWERS,
         follower_qualifier(follower),
         ts,
-        encode_displacement(disp).to_vec(),
+        Bytes::from(encode_displacement(disp)),
     )
 }
 
@@ -229,7 +229,7 @@ impl MoistTables {
         col: RecordColumn,
         key: &RowKey,
         ts: Timestamp,
-        value: Vec<u8>,
+        value: Bytes,
     ) -> Result<()> {
         Ok(s.mutate_row(self.table(col), key, &[col.put(ts, value)])?)
     }
@@ -263,7 +263,13 @@ impl MoistTables {
         ts: Timestamp,
     ) -> Result<()> {
         let key = RowKey::from_u64(oid.0);
-        self.put_cell(s, RecordColumn::Location, &key, ts, rec.encode().to_vec())
+        self.put_cell(
+            s,
+            RecordColumn::Location,
+            &key,
+            ts,
+            Bytes::from(rec.encode()),
+        )
     }
 
     /// Latest location record of `oid` with its timestamp.
@@ -301,7 +307,13 @@ impl MoistTables {
         ts: Timestamp,
     ) -> Result<()> {
         let key = Self::spatial_key(leaf_index, oid);
-        self.put_cell(s, RecordColumn::Spatial, &key, ts, rec.encode().to_vec())
+        self.put_cell(
+            s,
+            RecordColumn::Spatial,
+            &key,
+            ts,
+            Bytes::from(rec.encode()),
+        )
     }
 
     /// All leaders inside `cell` (any level): one contiguous range scan over
@@ -576,7 +588,7 @@ pub(crate) struct WriteBatch {
 
 impl WriteBatch {
     /// Holds back what [`MoistTables::put_cell`] would write now.
-    pub(crate) fn push(&mut self, col: RecordColumn, key: RowKey, ts: Timestamp, value: Vec<u8>) {
+    pub(crate) fn push(&mut self, col: RecordColumn, key: RowKey, ts: Timestamp, value: Bytes) {
         self.rows[col as usize].push(RowMutation::new(key, vec![col.put(ts, value)]));
     }
 }
@@ -801,13 +813,13 @@ mod tests {
             RecordColumn::Location,
             oid_key.clone(),
             ts,
-            r.encode().to_vec(),
+            Bytes::from(r.encode()),
         );
         wb.push(
             RecordColumn::Spatial,
             spatial_key.clone(),
             ts,
-            r.encode().to_vec(),
+            Bytes::from(r.encode()),
         );
         wb.push(RecordColumn::Lf, oid_key.clone(), ts, lf.encode());
         t.flush_write_batch(&mut s, &mut wb).unwrap();

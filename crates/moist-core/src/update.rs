@@ -19,7 +19,7 @@ use crate::error::{MoistError, Result};
 use crate::ids::ObjectId;
 use crate::school::within_school;
 use crate::tables::{decode_cell, supersede_ts, MoistTables, RecordColumn, WriteBatch};
-use moist_bigtable::{Cell, RowKey, Session, Timestamp};
+use moist_bigtable::{Bytes, Cell, RowKey, Session, Timestamp};
 use moist_spatial::{Point, Velocity};
 use std::collections::HashMap;
 
@@ -237,7 +237,7 @@ impl Io<'_> {
         col: RecordColumn,
         key: &RowKey,
         ts: Timestamp,
-        value: Vec<u8>,
+        value: Bytes,
     ) -> Result<()> {
         match &mut self.batch {
             Some(batch) => {
@@ -255,7 +255,7 @@ impl Io<'_> {
         col: RecordColumn,
         key: &RowKey,
         ts: Timestamp,
-        value: Vec<u8>,
+        value: Bytes,
     ) -> Result<()> {
         self.forget(col, key);
         self.tables.put_cell(self.s, col, key, ts, value)
@@ -264,7 +264,7 @@ impl Io<'_> {
     /// A leader's same-leaf spatial refresh: a plain write that has always
     /// gone out as a one-row *batch* RPC, so that is what a lone update
     /// still sends (and is charged).
-    fn refresh(&mut self, key: &RowKey, ts: Timestamp, value: Vec<u8>) -> Result<()> {
+    fn refresh(&mut self, key: &RowKey, ts: Timestamp, value: Bytes) -> Result<()> {
         if self.batch.is_some() {
             return self.write(RecordColumn::Spatial, key, ts, value);
         }
@@ -290,7 +290,7 @@ fn apply_one(io: &mut Io, cfg: &MoistConfig, msg: &UpdateMessage) -> Result<Upda
         vel: msg.vel,
         leaf_index: new_leaf,
     };
-    let value = || record.encode().to_vec();
+    let value = || Bytes::from(record.encode());
     let oid_key = RowKey::from_u64(msg.oid.0);
     let new_spatial_key = MoistTables::spatial_key(new_leaf, msg.oid);
 
@@ -448,7 +448,7 @@ fn promote_to_leader(
     // check-and-mutate guard on the scanned value, so the row the merge
     // removed is exactly the row the object's last leader-path write
     // created (a racing move fails the guard and aborts the merge).
-    let value = || record.encode().to_vec();
+    let value = || Bytes::from(record.encode());
     // Line 12: Location Table.
     io.write_now(RecordColumn::Location, &oid_key, msg.ts, value())?;
     // Line 13: Spatial Index Table.
