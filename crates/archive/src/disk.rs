@@ -48,9 +48,8 @@ pub(crate) struct DiskPage {
     pub min_ts_us: u64,
     /// Largest record timestamp in the page.
     pub max_ts_us: u64,
-    /// Object ids present (sorted, deduplicated).
-    pub objects: Vec<u64>,
-    /// The records, in flush order.
+    /// The records, sorted by object then time — which is also the
+    /// page's object index ([`contains_object`](DiskPage::contains_object)).
     pub records: Vec<HistoryRecord>,
 }
 
@@ -62,7 +61,7 @@ impl DiskPage {
 
     /// Whether the page holds any record of `oid`.
     pub(crate) fn contains_object(&self, oid: u64) -> bool {
-        self.objects.binary_search(&oid).is_ok()
+        self.records.binary_search_by_key(&oid, |r| r.oid).is_ok()
     }
 }
 
@@ -113,19 +112,14 @@ impl SimDisk {
         let mut inner = self.inner.lock();
         let bytes = (records.len() * RECORD_BYTES) as u64;
         let t = self.profile.access_time(bytes);
-        let mut objects: Vec<u64> = records.iter().map(|r| r.oid).collect();
-        objects.sort_unstable();
-        objects.dedup();
         records.sort_by_key(|r| (r.oid, r.ts_us));
-        // A page lives as long as the archive, and both vectors arrive
-        // with slack: the buffer side's doubling growth, and one object
-        // slot per record. Keep exactly what the page holds.
-        objects.shrink_to_fit();
+        // A page lives as long as the archive, and the records arrive with
+        // the slack of the buffer side's doubling growth. Keep exactly
+        // what the page holds.
         records.shrink_to_fit();
         let page = DiskPage {
             min_ts_us: records.iter().map(|r| r.ts_us).min().unwrap_or(0),
             max_ts_us: records.iter().map(|r| r.ts_us).max().unwrap_or(0),
-            objects,
             records,
         };
         inner.stats.pages_written += 1;
@@ -197,8 +191,8 @@ mod tests {
     }
 
     /// A page keeps no slack: a record vector with room for twice its
-    /// records (a buffer side after doubling) and repeated objects are
-    /// stored at exactly their size.
+    /// records (a buffer side after doubling) is stored at exactly its
+    /// size.
     #[test]
     fn pages_are_stored_at_their_exact_size() {
         let disk = SimDisk::new(DiskProfile::default());
@@ -208,7 +202,24 @@ mod tests {
         let inner = disk.inner.lock();
         let page = &inner.pages[0];
         assert_eq!(page.records.capacity(), 100);
-        assert_eq!(page.objects.capacity(), 10);
+    }
+
+    proptest::proptest! {
+        /// The sorted records answer `contains_object` exactly as a linear
+        /// scan of the page does, for objects present and absent.
+        #[test]
+        fn contains_object_agrees_with_a_linear_scan(
+            recs in proptest::collection::vec((0u64..40, 0u64..1000), 1..64),
+        ) {
+            let disk = SimDisk::new(DiskProfile::default());
+            disk.write_page(recs.iter().map(|&(oid, ts)| rec(oid, ts)).collect());
+            let inner = disk.inner.lock();
+            let page = &inner.pages[0];
+            for oid in 0..48 {
+                let scanned = page.records.iter().any(|r| r.oid == oid);
+                proptest::prop_assert_eq!(page.contains_object(oid), scanned, "oid {}", oid);
+            }
+        }
     }
 
     #[test]

@@ -45,8 +45,9 @@
 //! Both are the vendored `parking_lot` locks, whose blocked acquisitions
 //! spin before they park: 1000 `try_*` rounds of 50–130 ns each, a bound
 //! set by the longest hold worth waiting out — a p99 `MoistCluster::update`
-//! under the shard mutex, 17–22 µs with two writers; a row operation holds
-//! a tablet for under 1 µs (`SPIN_ROUNDS` in the shim has the measurements).
+//! under its routing key's writer lock, 11–12 µs with two writers; a row
+//! operation holds a tablet for under 1 µs (`SPIN_ROUNDS` in the shim has
+//! the measurements).
 //! The closures these methods take run under those locks: they must not
 //! call back into the table.
 

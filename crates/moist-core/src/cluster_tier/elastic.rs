@@ -290,8 +290,8 @@ impl MoistCluster {
         {
             let mut baseline = self.rebalance_baseline.lock();
             for entry in &old.shards {
-                let elapsed = entry.front.elapsed_us();
-                for (cell, rates) in entry.front.load_rates(now) {
+                let elapsed = entry.server.elapsed_us();
+                for (cell, rates) in entry.server.load_rates(now) {
                     *cell_rates.entry(cell).or_insert(0.0) += rates.total();
                 }
                 let prev = baseline.insert(entry.id, elapsed).unwrap_or(0.0);
@@ -526,7 +526,7 @@ impl MoistCluster {
                 |((entry, m), (primary_keys, follower_keys))| ShardLoadStats {
                     id: entry.id,
                     weight: m.weight,
-                    elapsed_us: entry.front.elapsed_us(),
+                    elapsed_us: entry.server.elapsed_us(),
                     primary_keys,
                     follower_keys,
                     replica_reads: entry.replica_reads.load(Ordering::Relaxed),

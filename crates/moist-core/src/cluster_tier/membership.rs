@@ -6,24 +6,23 @@ use super::MoistCluster;
 use crate::config::MoistConfig;
 use crate::error::{MoistError, Result};
 use crate::placement::{self, ShardWeight, SplitTable};
-use crate::server::{FrontEnd, MoistServer, ServerStats};
+use crate::server::{MoistServer, ServerStats};
 use moist_archive::PppArchiver;
 use moist_bigtable::Bigtable;
 use moist_spatial::Point;
-use parking_lot::{Mutex, ReadMostlyWriteGuard};
+use parking_lot::ReadMostlyWriteGuard;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// One live shard: its stable id, the server behind the writer mutex —
-/// updates and clustering sweeps serialize on it — and the server's
-/// shared half beside it, where everything else runs.
+/// One live shard: its stable id and its server. The entry holds no
+/// lock: updates and clustering sweeps serialize on the tier's writer
+/// lock of their routing key, and queries, counters, load and clock reads
+/// run on the server's [`FrontEnd`](crate::server::FrontEnd) beside them
+/// (module docs, lock rules 2 and 3).
 pub(super) struct ShardEntry {
     /// Stable shard id — never reused, survives other shards' churn.
     pub(super) id: u64,
-    pub(super) server: Mutex<MoistServer>,
-    /// `server`'s [`FrontEnd`]: queries, counters, load and clock reads
-    /// run here, holding no shard lock (module docs, lock rule 5).
-    pub(super) front: Arc<FrontEnd>,
+    pub(super) server: MoistServer,
     /// Reads this shard served as a *follower* (it was in the routing
     /// key's replica set but not its primary).
     pub(super) replica_reads: AtomicU64,
@@ -44,8 +43,7 @@ impl ShardEntry {
         let server = MoistServer::shard(store, cfg, Arc::clone(estimate), archiver.cloned())?;
         Ok(Arc::new(ShardEntry {
             id,
-            front: Arc::clone(server.front()),
-            server: Mutex::new(server),
+            server,
             replica_reads: AtomicU64::new(0),
         }))
     }
@@ -122,7 +120,7 @@ impl Membership {
     /// time — the same deterministic signal
     /// [`rebalance`](MoistCluster::rebalance) weighs.
     pub(super) fn read_replica(&self, key: u64) -> (&Arc<ShardEntry>, bool) {
-        let (pos, follower) = self.reader_of(key, |pos| self.shards[pos].front.elapsed_us());
+        let (pos, follower) = self.reader_of(key, |pos| self.shards[pos].server.elapsed_us());
         (&self.shards[pos], follower)
     }
 
@@ -172,7 +170,7 @@ impl RetiredShards {
     fn compact(&mut self) {
         self.entries.retain(|entry| {
             if Arc::strong_count(entry) == 1 {
-                self.folded.merge_from(&entry.front.stats());
+                self.folded.merge_from(&entry.server.stats());
                 false
             } else {
                 true
@@ -185,7 +183,7 @@ impl RetiredShards {
         self.compact();
         let mut total = self.folded;
         for entry in &self.entries {
-            total.merge_from(&entry.front.stats());
+            total.merge_from(&entry.server.stats());
         }
         total
     }

@@ -18,8 +18,9 @@
 //!   over).
 //! * **School-merge locality** — school merges only ever happen between
 //!   leaders of one clustering cell, and all updates for a cell serialize
-//!   through its owner shard, so a school is never torn by two shards
-//!   rewriting it concurrently.
+//!   with the cell's clustering on the cell's writer lock, on its owner
+//!   shard, so a school is never torn by two writers rewriting it
+//!   concurrently.
 //!
 //! The tier reads in five files: this one ([`MoistCluster`], its
 //! [`ClusterBuilder`] and accessors), `membership` (shard entries, the
@@ -40,43 +41,54 @@
 //! behave as one writer-preferring `RwLock`'s, and the rules below are
 //! theirs.
 //!
-//! 1. **An epoch bump takes no shard lock.** Only an epoch bump
+//! 1. **An epoch bump takes no writer lock.** Only an epoch bump
 //!    ([`add_shard`], [`remove_shard`], [`rebalance`]) holds the
 //!    membership write lock, and ownership moves with the snapshot alone.
 //!    The other locks a bump takes under it — the clustering schedule's
 //!    mutex (a rebalance re-keys split cells) and the tier's bookkeeping
-//!    — never wait on a shard lock or the membership lock. The schedule
+//!    — never wait on a writer lock or the membership lock. The schedule
 //!    mutex is a leaf: nothing is taken under it.
 //! 2. **Writers and clustering ticks hold the membership read guard
-//!    across their owner's lock; queries and `submit` clone the snapshot
+//!    across their writer locks; queries and `submit` clone the snapshot
 //!    and hold nothing.** An update or a batch
 //!    ([`update`](MoistCluster::update), the ingest flushes) routes, locks
-//!    its owner and applies under one read guard; a tick
+//!    its keys and applies under one read guard; a tick
 //!    ([`run_due_clustering_shard`](MoistCluster::run_due_clustering_shard))
 //!    pops its due keys and clusters them under one. An epoch bump's write
 //!    lock therefore waits out every in-flight writer and sweep, and no
 //!    write or sweep lands on a migrated cell's old owner. Every other caller
 //!    clones the `Arc` snapshot out of the lock (`snapshot()`) and drops
-//!    the guard before any shard lock or scan. An NN scan must never hold
+//!    the guard before any writer lock or scan. An NN scan must never hold
 //!    the guard: the lock prefers a waiting writer, so a scan under it
 //!    would park every update behind a waiting bump for the ~1.5 ms the
-//!    scan takes. Nothing takes the membership lock under a shard lock,
-//!    and no thread takes a second read guard while it holds one (a bump
-//!    queued in between deadlocks both).
-//! 3. **Never two shard locks at once.**
-//! 4. **Below a shard lock: WAL lock → tablet lock** (the store's own
-//!    order, see `moist_bigtable`).
-//! 5. **There is no shard read guard.** The shard lock is a writer mutex: it
-//!    serializes a shard's *writers* (updates, clustering) so
-//!    that a cell's read-modify-writes never interleave. The shared half
-//!    of the server ([`FrontEnd`]: queries, counters, load signal, clock,
-//!    aging) lives outside it by type — the entry holds the same
-//!    `Arc<FrontEnd>` the locked `MoistServer` derefs to — so nothing
-//!    but a writer can wait for a writer. A query only reads the shared
-//!    store, where the other shards' writers are at work on the cells it
-//!    scans whichever shard serves it. Under the lock, a ~2 ms NN scan
-//!    costs a paced writer that has fallen behind a whole scan at every
-//!    conflicting update, and it never catches up (`rush_hour`: two
+//!    scan takes. Nothing takes the membership lock or the schedule mutex
+//!    under a writer lock, and no thread takes a second read guard while
+//!    it holds one (a bump queued in between deadlocks both).
+//! 3. **Writers lock the routing key, one key at a time.** The writer
+//!    locks are the tier's only writer-side locks: a fixed array of
+//!    mutexes, one per stripe of routing keys (a clustering cell, or a
+//!    split cell's child), with no lock per shard. An update holds its
+//!    key's lock across the apply, and a tick takes each due key's lock
+//!    around that key's clustering, one key after the other, so a cell's
+//!    read-modify-writes never interleave with its sweep and two writers
+//!    on different cells of one shard run side by side. A thread holds
+//!    one writer lock at a time; the one exception is a batch, which
+//!    takes the distinct locks of one owner group in ascending stripe
+//!    order and releases them before the next group's, so two batches
+//!    never wait on each other in a cycle. Races between cells — a move
+//!    out of a cell against that cell's merge, usually on another shard —
+//!    are settled in the store by check-and-mutate guards, not by locks.
+//! 4. **Below a writer lock: WAL lock → tablet lock** (the store's own
+//!    order, see `moist_bigtable`). The full order is therefore
+//!    membership read guard → writer lock(s) → WAL → tablet.
+//! 5. **Queries take no writer lock.** The shared half of the server
+//!    ([`FrontEnd`]: queries, counters, load signal, clock, aging) needs
+//!    only `&self`, and the shard entry holds its server directly, so
+//!    nothing but a writer can wait for a writer. A query only reads the
+//!    shared store, where the other writers are at work on the cells it
+//!    scans whichever shard serves it. Under a writer lock, a ~2 ms NN
+//!    scan costs a paced writer that has fallen behind a whole scan at
+//!    every conflicting update, and it never catches up (`rush_hour`: two
 //!    thirds of the updates miss their deadline).
 //!
 //! ## Elastic membership
@@ -108,17 +120,18 @@
 //! seeded from the store, so a shard that joins an already-populated store
 //! guesses sensible NN levels from its first query.
 //!
-//! Shards are individually locked: concurrent writers contend per shard,
-//! not on the whole tier, and operations on different shards proceed in
-//! parallel on real OS threads (drive it with
-//! `moist_workload::ClientPool`).
+//! Writers are locked per routing key (lock rule 3): concurrent writers
+//! contend only on the same cell, not on its shard or the whole tier, and
+//! operations on different cells proceed in parallel on real OS threads
+//! (drive it with `moist_workload::ClientPool`).
 //!
 //! ## Query fan-out (scatter-gather)
 //!
 //! Updates route to one shard by design — a cell's writes must serialize
-//! on its owner. Queries have no such constraint: any shard reads a
-//! consistent view of the shared store. [`region`](MoistCluster::region)
-//! therefore plans its merged leaf ranges once, slices them by reader
+//! on its owner, under the cell's writer lock. Queries have no such
+//! constraint: any shard reads a consistent view of the shared store.
+//! [`region`](MoistCluster::region) therefore plans its merged leaf
+//! ranges once, slices them by reader
 //! ([`crate::placement::slice_ranges`] — an exact partition of the plan),
 //! scans every slice on a pooled worker ([`crate::query_pool::QueryPool`])
 //! against its shard, and merges the partials: hits move (never clone)
@@ -188,7 +201,7 @@
 //! ## Pipelined ingestion
 //!
 //! [`update`](MoistCluster::update) is the synchronous baseline: one
-//! message, one owner lock, one store round-trip per write. The pipelined
+//! message, one writer lock, one store round-trip per write. The pipelined
 //! tier ([`crate::ingest`]) buffers submissions in a bounded queue per
 //! shard ([`submit`](MoistCluster::submit)), flushes each queue as one
 //! [`MoistServer::update_batch`](crate::MoistServer::update_batch) when it
@@ -197,7 +210,8 @@
 //! typed backpressure instead of queueing unboundedly. Batched flushes go
 //! through `update_batch`, which routes every message under the same
 //! membership read guard the synchronous path holds — grouped by the
-//! *current* owner — and every epoch bump (join, leave, rebalance)
+//! *current* owner, each group under its keys' writer locks (lock rule
+//! 3) — and every epoch bump (join, leave, rebalance)
 //! drains the queues right after publishing its snapshot
 //! ([`drain_ingest`](MoistCluster::drain_ingest)), so in-flight batches
 //! re-route rather than land on a migrated cell's old owner and a killed
@@ -245,17 +259,31 @@ use crate::config::MoistConfig;
 use crate::controller::{AutoController, ControllerConfig, ControllerEvent};
 use crate::error::Result;
 use crate::ingest::{IngestConfig, IngestQueues, IngestStats};
-use crate::placement::ShardWeight;
+use crate::placement::{cell_routing_key, ShardWeight};
 use crate::query_pool::QueryPool;
 use crate::server::{FrontEnd, ServerStats};
 use membership::{Membership, RetiredShards, ShardEntry};
 use moist_archive::PppArchiver;
 use moist_bigtable::{Bigtable, RecoveryReport, StoreConfig, Timestamp};
 use moist_spatial::Point;
-use parking_lot::{Mutex, ReadMostly, RwLock};
+use parking_lot::{CachePadded, Mutex, MutexGuard, ReadMostly, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Writer-lock stripes: routing key `key` locks stripe `key %
+/// WRITER_STRIPES` (lock rule 3). Every cell of a clustering level up to
+/// 4 (256 cells; the benchmark clusters at level 3, 64 cells) has a
+/// stripe of its own. A split child's tag is the key's top bit, which the
+/// modulus drops, so the child shares its stripe only with the plain cell
+/// whose index equals its own (at level 3, only children of cells 0–15
+/// can). A shared stripe costs a wait, never correctness.
+const WRITER_STRIPES: usize = 256;
+
+/// The writer-lock stripe of routing key `key`.
+fn writer_stripe(key: u64) -> usize {
+    (key % WRITER_STRIPES as u64) as usize
+}
 
 /// A sharded tier of MOIST front-end servers over one shared store, with
 /// live shard join/leave (see the module docs for the membership design).
@@ -266,6 +294,10 @@ pub struct MoistCluster {
     /// swapped whole on epoch bumps. Writers hold its read guard from
     /// routing to apply (lock rule 2).
     membership: ReadMostly<Arc<Membership>>,
+    /// The writer locks, one per stripe of routing keys
+    /// ([`WRITER_STRIPES`]): an update, a batch's owner group and a key's
+    /// clustering sweep hold the stripes of their keys (lock rule 3).
+    writers: Box<[CachePadded<Mutex<()>>]>,
     /// Shared worker pool running scattered query slices in parallel.
     query_pool: QueryPool,
     /// Counters of shards that left the tier (their updates — absorbed
@@ -455,6 +487,9 @@ impl ClusterBuilder {
                 replicas: self.replicas.max(1),
             })),
             schedule: Mutex::new(ClusterScheduler::new(&cfg)),
+            writers: (0..WRITER_STRIPES)
+                .map(|_| CachePadded(Mutex::new(())))
+                .collect(),
             store,
             query_pool: QueryPool::sized_for_host(),
             retired: Mutex::new(RetiredShards::default()),
@@ -546,7 +581,7 @@ impl MoistCluster {
     /// holding no lock — any number of callers overlap on the same shard,
     /// beside its writers.
     pub fn with_shard_read<R>(&self, shard: usize, f: impl FnOnce(&FrontEnd) -> R) -> Result<R> {
-        Ok(f(&self.entry_at(shard)?.front))
+        Ok(f(&self.entry_at(shard)?.server))
     }
 
     /// Runs lazy clustering on one shard by position: only the due routing
@@ -572,14 +607,23 @@ impl MoistCluster {
 
     /// One shard's tick under the caller's membership read guard (lock
     /// rule 2): pops the due keys whose primary is position `pos` off the
-    /// schedule, then clusters them under that shard's writer lock.
+    /// schedule, then clusters them one at a time, each under its key's
+    /// writer lock.
     fn cluster_due(&self, snap: &Membership, pos: usize, now: Timestamp) -> Result<ClusterReport> {
         let mine = |key| snap.owner_position(key) == pos;
         let cells = self.schedule.lock().due_cells(now, mine)?;
-        if cells.is_empty() {
-            return Ok(ClusterReport::default());
+        let server = &snap.shards[pos].server;
+        let mut total = ClusterReport::default();
+        for cell in cells {
+            let _writer = self.writer(cell_routing_key(cell, self.cfg.clustering_level));
+            total.merge_from(&server.cluster_cells(&[cell], now)?);
         }
-        snap.shards[pos].server.lock().cluster_cells(&cells, now)
+        Ok(total)
+    }
+
+    /// Takes the writer lock of routing key `key` (lock rule 3).
+    fn writer(&self, key: u64) -> MutexGuard<'_, ()> {
+        self.writers[writer_stripe(key)].lock()
     }
 
     /// The pending clustering deadline (virtual µs) of routing key `key`
@@ -594,7 +638,7 @@ impl MoistCluster {
     /// Ages out cold records. The aging columns are table-global, so this
     /// runs once (through the first live shard), not once per shard.
     pub fn age_data(&self, now: Timestamp) -> Result<usize> {
-        self.entry_at(0)?.front.age_data(now)
+        self.entry_at(0)?.server.age_data(now)
     }
 
     /// Aggregate operation counters across all shards, including shards
@@ -604,7 +648,7 @@ impl MoistCluster {
         let snap = self.snapshot();
         let mut total = self.retired.lock().stats();
         for entry in &snap.shards {
-            total.merge_from(&entry.front.stats());
+            total.merge_from(&entry.server.stats());
         }
         total
     }
@@ -613,7 +657,7 @@ impl MoistCluster {
     /// order.
     pub fn shard_stats(&self) -> Vec<ServerStats> {
         let snap = self.snapshot();
-        snap.shards.iter().map(|e| e.front.stats()).collect()
+        snap.shards.iter().map(|e| e.server.stats()).collect()
     }
 
     /// Sum of the live shards' virtual elapsed microseconds (total store
@@ -621,7 +665,7 @@ impl MoistCluster {
     /// [`cluster_stats`](MoistCluster::cluster_stats).
     pub fn total_elapsed_us(&self) -> f64 {
         let snap = self.snapshot();
-        snap.shards.iter().map(|e| e.front.elapsed_us()).sum()
+        snap.shards.iter().map(|e| e.server.elapsed_us()).sum()
     }
 
     /// Resets every live shard's session clock (benches do this after
@@ -630,7 +674,7 @@ impl MoistCluster {
     pub fn reset_clocks(&self) {
         let snap = self.snapshot();
         for entry in &snap.shards {
-            entry.front.reset_clock();
+            entry.server.reset_clock();
         }
         self.rebalance_baseline.lock().clear();
     }

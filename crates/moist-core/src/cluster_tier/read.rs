@@ -1,7 +1,7 @@
 //! The read path: replica-anchored point reads (`nn`, `position`), the
 //! archiver's object history, and the scatter-gather region fan-out.
-//! Every query here runs on its shard's `FrontEnd` and takes no shard lock
-//! (see the [module docs](super)).
+//! Every query here runs on its shard's `FrontEnd` and takes no writer
+//! lock (see the [module docs](super)).
 
 use super::membership::{Membership, ShardEntry};
 use super::MoistCluster;
@@ -54,13 +54,13 @@ impl MoistCluster {
         opts: &NnOptions,
     ) -> Result<(Vec<Neighbor>, NnStats)> {
         let entry = self.read_anchor(|snap| snap.route_point(&center, &self.cfg));
-        entry.front.nn_with_options(center, at, opts)
+        entry.server.nn_with_options(center, at, opts)
     }
 
     /// Current position of one object, routed by object id (any replica
     /// of the id's routing key serves it from the shared store).
     pub fn position(&self, oid: ObjectId, at: Timestamp) -> Result<Option<Point>> {
-        self.read_anchor(|_| oid.0).front.position(oid, at)
+        self.read_anchor(|_| oid.0).server.position(oid, at)
     }
 
     /// One object's history from the tier's archiver (in-memory window and
@@ -108,7 +108,7 @@ impl MoistCluster {
         let loads: OnceCell<Vec<f64>> = OnceCell::new();
         let load_of = |pos: usize| {
             loads.get_or_init(|| {
-                let elapsed = |e: &Arc<ShardEntry>| e.front.elapsed_us();
+                let elapsed = |e: &Arc<ShardEntry>| e.server.elapsed_us();
                 snap.shards.iter().map(elapsed).collect()
             })[pos]
         };
@@ -151,8 +151,8 @@ impl MoistCluster {
             .into_iter()
             .map(|(id, ranges)| {
                 let entry = snap.shards.iter().find(|e| e.id == id);
-                let front = Arc::clone(&entry.expect("sliced to a live shard").front);
-                move || front.region_partial(&ranges, &rect, at)
+                let entry = Arc::clone(entry.expect("sliced to a live shard"));
+                move || entry.server.region_partial(&ranges, &rect, at)
             })
             .collect();
         let parts: Result<Vec<_>> = self.query_pool.scatter(tasks).into_iter().collect();

@@ -11,14 +11,17 @@ use crate::update::{UpdateMessage, UpdateOutcome};
 use moist_spatial::{cells_at_level, CellId, Rect, Velocity};
 
 impl MoistCluster {
-    /// Runs `f` against one shard's server by position, under the shard's
-    /// writer mutex: how a test pins a shard. Fails with
-    /// [`MoistError::NoSuchShard`] when `shard` is past the current
-    /// membership instead of panicking.
-    fn with_shard<R>(&self, shard: usize, f: impl FnOnce(&mut MoistServer) -> R) -> Result<R> {
-        let entry = self.entry_at(shard)?;
-        let mut server = entry.server.lock();
-        Ok(f(&mut server))
+    /// Runs `f` against the server owning routing key `key`, under the
+    /// key's writer lock and no membership guard: how a test pins a key.
+    fn with_key<R>(&self, key: u64, f: impl FnOnce(&MoistServer) -> R) -> R {
+        let entry = Arc::clone(self.snapshot().owner_of(key));
+        let _writer = self.writer(key);
+        f(&entry.server)
+    }
+
+    /// The routing key of point `p` under the current membership.
+    fn key_of(&self, p: &Point) -> u64 {
+        self.snapshot().route_point(p, &self.cfg)
     }
 }
 
@@ -646,7 +649,7 @@ fn shard_errors_are_typed_not_panics() {
     let store = Bigtable::new();
     let cluster = tier(&store, MoistConfig::default(), 2);
     // Position past the membership.
-    let err = cluster.with_shard(7, |_| ()).unwrap_err();
+    let err = cluster.with_shard_read(7, |_| ()).unwrap_err();
     assert!(matches!(err, MoistError::NoSuchShard(_)), "got {err:?}");
     let err = cluster
         .run_due_clustering_shard(7, Timestamp::ZERO)
@@ -895,8 +898,8 @@ fn deadline_flush_applies_a_stranded_trickle() {
     assert_eq!(is.queue_wait_us, 3 * deadline.0);
 }
 
-/// Runs the backpressure dance: one thread pins the target shard's lock,
-/// another submits a full batch that blocks applying against it, and the
+/// Runs the backpressure dance: one thread pins the target key's writer
+/// lock, another submits a full batch that blocks applying against it, and the
 /// main thread keeps submitting until the outstanding cap trips. Returns
 /// what the tripping submission got.
 fn provoke_full_queue() -> (MoistCluster, Result<SubmitOutcome>) {
@@ -910,20 +913,18 @@ fn provoke_full_queue() -> (MoistCluster, Result<SubmitOutcome>) {
         .build()
         .unwrap();
     let p = Point::new(100.0, 100.0);
-    let shard_pos = cluster.shard_for_point(&p);
+    let key = cluster.key_of(&p);
     let pinned = std::sync::atomic::AtomicBool::new(false);
     let release = std::sync::atomic::AtomicBool::new(false);
     let tripped = std::thread::scope(|scope| {
-        // Pin the owner's lock so the size-flush below cannot finish.
+        // Pin the key's writer lock so the size-flush below cannot finish.
         let pin = scope.spawn(|| {
-            cluster
-                .with_shard(shard_pos, |_| {
-                    pinned.store(true, Ordering::Release);
-                    while !release.load(Ordering::Acquire) {
-                        std::thread::yield_now();
-                    }
-                })
-                .unwrap();
+            cluster.with_key(key, |_| {
+                pinned.store(true, Ordering::Release);
+                while !release.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+            });
         });
         // 4th submission fills the batch and blocks applying it
         // (submitting only after the pin visibly holds the lock).
@@ -1396,13 +1397,13 @@ fn probe_points(cluster: &MoistCluster) -> Vec<Point> {
         .collect()
 }
 
-/// A writer pins shard 0's lock mid-`update_batch` (inside `with_shard`)
-/// until every reader below has answered: a read of another shard, eight
-/// tier queries aimed at the pinned shard, and — on the pinned shard
-/// itself — `with_shard_read`, the tier's stats rollups and `age_data`.
-/// None of them takes a shard lock; anything that waited for the pinned
-/// one would leave the writer waiting for its release signal until the
-/// 5 s timeout fails the test.
+/// A writer pins the writer lock of shard 0's probe key mid-`update_batch`
+/// (inside `with_key`) until every reader below has answered: a read of
+/// another shard, eight tier queries aimed at the pinned key, and — on
+/// the pinned key's shard itself — `with_shard_read`, the tier's stats
+/// rollups and `age_data`. None of them takes a writer lock; anything
+/// that waited for the pinned one would leave the writer waiting for its
+/// release signal until the 5 s timeout fails the test.
 #[test]
 fn tier_queries_do_not_wait_for_a_pinned_write_guard() {
     use std::sync::mpsc;
@@ -1417,19 +1418,18 @@ fn tier_queries_do_not_wait_for_a_pinned_write_guard() {
     let (release_tx, release_rx) = mpsc::channel::<()>();
 
     let c_writer = Arc::clone(&cluster);
+    let key = cluster.key_of(&shard0_probe);
     let writer = std::thread::spawn(move || {
         let batch: Vec<UpdateMessage> = (1000..1064)
             .map(|oid| msg(oid, 10.0 + (oid - 1000) as f64 * 2.0, 10.0, 1.0, 2.0))
             .collect();
-        c_writer
-            .with_shard(0, |server| {
-                server.update_batch(&batch).unwrap();
-                held_tx.send(()).unwrap();
-                release_rx
-                    .recv_timeout(Duration::from_secs(5))
-                    .expect("readers must answer while shard 0's write guard is pinned");
-            })
-            .unwrap();
+        c_writer.with_key(key, |server| {
+            server.apply_batch(&batch).unwrap();
+            held_tx.send(()).unwrap();
+            release_rx
+                .recv_timeout(Duration::from_secs(5))
+                .expect("readers must answer while a writer lock of shard 0 is pinned");
+        });
     });
 
     held_rx.recv_timeout(Duration::from_secs(5)).unwrap();
@@ -1488,8 +1488,8 @@ fn tier_queries_do_not_wait_for_a_pinned_write_guard() {
         .expect("a reader waited for the writer's lock");
 }
 
-/// The lock order under a pinned shard: while `with_shard` holds a
-/// shard's writer mutex for ~300 ms, an `update` routed to that shard
+/// The lock order under a pinned key: while `with_key` holds a routing
+/// key's writer lock for ~300 ms, an `update` routed to that key
 /// waits for it holding the membership read guard, an `add_shard` waits
 /// for that guard, and an `nn` waits at most for the bump. All three
 /// finish once the pin lifts — a deadlock fails the bounded wait instead
@@ -1497,7 +1497,7 @@ fn tier_queries_do_not_wait_for_a_pinned_write_guard() {
 /// pin is forced by a channel; the short pauses between the three starts
 /// only make that arrival order likely, and the checks hold in any order.
 #[test]
-fn a_pinned_shard_delays_an_update_a_join_and_a_query_but_blocks_none() {
+fn a_pinned_key_delays_an_update_a_join_and_a_query_but_blocks_none() {
     use std::sync::mpsc;
     use std::time::{Duration, Instant};
     const PIN: Duration = Duration::from_millis(300);
@@ -1513,12 +1513,12 @@ fn a_pinned_shard_delays_an_update_a_join_and_a_query_but_blocks_none() {
     // below instead of hanging the join.
     let (held_tx, held_rx) = mpsc::channel();
     let c = Arc::clone(&cluster);
+    let key = cluster.key_of(&probe);
     let pin = std::thread::spawn(move || {
-        c.with_shard(0, |_| {
+        c.with_key(key, |_| {
             held_tx.send(Instant::now()).unwrap();
             std::thread::sleep(PIN);
-        })
-        .unwrap();
+        });
     });
     let pinned_at = held_rx
         .recv_timeout(BOUND)
@@ -1549,7 +1549,7 @@ fn a_pinned_shard_delays_an_update_a_join_and_a_query_but_blocks_none() {
     applied.unwrap();
     assert!(
         updated_at.duration_since(pinned_at) >= PIN,
-        "the update must wait for the pinned shard"
+        "the update must wait for the pinned key"
     );
     join_rx
         .recv_timeout(BOUND)
@@ -1572,6 +1572,276 @@ fn a_pinned_shard_delays_an_update_a_join_and_a_query_but_blocks_none() {
         .position(ObjectId(500_000), Timestamp::from_secs(3))
         .unwrap()
         .is_some());
+}
+
+/// Two routing keys owned by one shard and locked on different stripes:
+/// the first two such points of a deterministic sweep.
+fn two_keys_of_one_shard(cluster: &MoistCluster) -> (Point, Point) {
+    let mut first: Vec<Option<(Point, u64)>> = vec![None; cluster.num_shards()];
+    for gx in 0..64 {
+        for gy in 0..64 {
+            let p = Point::new(gx as f64 * 15.5 + 8.0, gy as f64 * 15.5 + 8.0);
+            let (key, shard) = (cluster.key_of(&p), cluster.shard_for_point(&p));
+            match first[shard] {
+                None => first[shard] = Some((p, key)),
+                Some((a, a_key)) if writer_stripe(a_key) != writer_stripe(key) => return (a, p),
+                Some(_) => {}
+            }
+        }
+    }
+    panic!("no shard owns two keys on different stripes");
+}
+
+/// While one routing key's writer lock is pinned, an update routed to
+/// another key of the **same** shard completes: writers meet on the
+/// key, not the shard. Under one writer lock per shard the update would
+/// wait out the pin, and the bounded wait below would fail.
+#[test]
+fn a_pinned_key_leaves_another_key_of_its_shard_free() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+    const BOUND: Duration = Duration::from_secs(20);
+    let store = Bigtable::new();
+    let cluster = Arc::new(tier(&store, small_cells_config(), PINNED_SHARDS));
+    seed_objects(&cluster, 64);
+    let (a, b) = two_keys_of_one_shard(&cluster);
+    assert_eq!(cluster.shard_for_point(&a), cluster.shard_for_point(&b));
+    let before = cluster.stats();
+
+    let (held_tx, held_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let c = Arc::clone(&cluster);
+    let key_a = cluster.key_of(&a);
+    let pin = std::thread::spawn(move || {
+        c.with_key(key_a, |_| {
+            held_tx.send(()).unwrap();
+            // Released by the main thread, or by the bound if the update
+            // never came back, so a failure cannot hang the suite.
+            let _ = release_rx.recv_timeout(BOUND);
+        });
+    });
+    held_rx
+        .recv_timeout(BOUND)
+        .expect("the pin never took the lock");
+
+    let (update_tx, update_rx) = mpsc::channel();
+    let c = Arc::clone(&cluster);
+    let update = std::thread::spawn(move || {
+        let applied = c.update(&msg(600_000, b.x, b.y, 1.0, 3.0)).map(drop);
+        update_tx.send(applied).unwrap();
+    });
+    let applied = update_rx
+        .recv_timeout(BOUND)
+        .expect("an update to another key waited for the pinned key");
+    applied.unwrap();
+    release_tx.send(()).unwrap();
+    for t in [pin, update] {
+        t.join().unwrap();
+    }
+    let stats = cluster.stats();
+    assert_eq!(stats.updates - before.updates, 1);
+    assert!(stats.balanced(), "{stats:?}");
+}
+
+/// A clustering tick whose only due key is pinned waits for the pin —
+/// it pops the key, then blocks on the key's writer lock without having
+/// clustered anything — and once the pin lifts clusters that key exactly
+/// once.
+#[test]
+fn a_tick_waits_for_its_pinned_key_then_clusters_it_once() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+    const BOUND: Duration = Duration::from_secs(20);
+    let store = Bigtable::new();
+    let cluster = Arc::new(tier(&store, small_cells_config(), PINNED_SHARDS));
+    seed_objects(&cluster, 64);
+    // The schedule staggers first deadlines by key, so key 0 is due
+    // alone at its deadline.
+    let due = cluster.clustering_deadline(0).unwrap();
+    assert!(cluster.clustering_deadline(1).unwrap() > due);
+    let owner = cluster.snapshot().owner_position(0);
+    let runs_before = cluster.stats().cluster_runs;
+
+    let (held_tx, held_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let c = Arc::clone(&cluster);
+    let pin = std::thread::spawn(move || {
+        c.with_key(0, |_| {
+            held_tx.send(()).unwrap();
+            let _ = release_rx.recv_timeout(BOUND);
+        });
+    });
+    held_rx
+        .recv_timeout(BOUND)
+        .expect("the pin never took the lock");
+
+    let (tick_tx, tick_rx) = mpsc::channel();
+    let c = Arc::clone(&cluster);
+    let tick = std::thread::spawn(move || {
+        let report = c.run_due_clustering_shard(owner, Timestamp(due)).map(drop);
+        tick_tx.send(report).unwrap();
+    });
+    // The tick pops key 0 at once, then waits on the pinned lock.
+    while cluster.clustering_deadline(0) == Some(due) {
+        std::thread::yield_now();
+    }
+    assert!(
+        tick_rx.recv_timeout(Duration::from_millis(200)).is_err(),
+        "the tick must wait for the pinned key"
+    );
+    assert_eq!(cluster.stats().cluster_runs, runs_before);
+    release_tx.send(()).unwrap();
+    tick_rx
+        .recv_timeout(BOUND)
+        .expect("the tick never finished")
+        .unwrap();
+    for t in [pin, tick] {
+        t.join().unwrap();
+    }
+    assert_eq!(cluster.stats().cluster_runs - runs_before, 1);
+}
+
+/// Writers whose batches lock overlapping key sets in different orders,
+/// beside clustering ticks and a join and a leave, all finish: a batch
+/// takes its stripes in ascending order whatever its message order, a
+/// tick one stripe at a time, and an epoch bump none. Four writer threads
+/// alternate direct batches and submissions (whose size flushes are
+/// batches too) over twelve keys, each thread in its own key order; a
+/// ticker sweeps every shard; a third thread joins a shard and removes
+/// it. Each thread reports on a channel, so a deadlock fails its bounded
+/// wait instead of hanging the suite. Afterwards the counters balance,
+/// every acknowledged update is counted, and every object is found.
+#[test]
+fn overlapping_batches_ticks_and_churn_finish_and_lose_nothing() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+    const BOUND: Duration = Duration::from_secs(60);
+    const WRITERS: u64 = 4;
+    const OBJECTS: u64 = 48;
+    const ROUNDS: u64 = 40;
+    let store = Bigtable::new();
+    let cluster = Arc::new(
+        MoistCluster::builder(&store, small_cells_config())
+            .shards(PINNED_SHARDS)
+            .ingest(IngestConfig {
+                batch_size: 16,
+                ..IngestConfig::default()
+            })
+            .build()
+            .unwrap(),
+    );
+    // Twelve points on twelve distinct stripes, spread over the map.
+    let mut keys: Vec<(Point, usize)> = Vec::new();
+    'grid: for gx in 0..8 {
+        for gy in 0..8 {
+            let p = Point::new(gx as f64 * 125.0 + 60.0, gy as f64 * 125.0 + 60.0);
+            let stripe = writer_stripe(cluster.key_of(&p));
+            if keys.iter().all(|&(_, s)| s != stripe) {
+                keys.push((p, stripe));
+                if keys.len() == 12 {
+                    break 'grid;
+                }
+            }
+        }
+    }
+    assert_eq!(keys.len(), 12);
+    let points: Arc<Vec<Point>> = Arc::new(keys.iter().map(|&(p, _)| p).collect());
+
+    let (done_tx, done_rx) = mpsc::channel::<(&str, u64)>();
+    let mut threads = Vec::new();
+    for w in 0..WRITERS {
+        let (c, points, done) = (Arc::clone(&cluster), Arc::clone(&points), done_tx.clone());
+        threads.push(std::thread::spawn(move || {
+            // Writer w walks the keys rotated by 3w, odd writers backwards.
+            let n = points.len();
+            let order: Vec<usize> = (0..n)
+                .map(|i| {
+                    if w % 2 == 0 {
+                        (i + 3 * w as usize) % n
+                    } else {
+                        (n - 1 - i + 3 * w as usize) % n
+                    }
+                })
+                .collect();
+            let mut acked = 0u64;
+            for round in 0..ROUNDS {
+                let secs = 1.0 + round as f64 * 0.5;
+                let batch: Vec<UpdateMessage> = (0..OBJECTS)
+                    .map(|j| {
+                        let p = points[order[j as usize % n]];
+                        let dx = (j / n as u64) as f64 + 0.1 * round as f64;
+                        msg(w * 1_000 + j, p.x + dx, p.y, 0.2, secs)
+                    })
+                    .collect();
+                if round % 2 == 0 {
+                    acked += c.update_batch(&batch).unwrap().len() as u64;
+                } else {
+                    for m in &batch {
+                        c.submit(m).unwrap();
+                        acked += 1;
+                    }
+                    c.drain_ingest().unwrap();
+                }
+            }
+            done.send(("writer", acked)).unwrap();
+        }));
+    }
+    let (c, done) = (Arc::clone(&cluster), done_tx.clone());
+    threads.push(std::thread::spawn(move || {
+        let mut ticks = 0;
+        for step in 0..60u64 {
+            let now = Timestamp::from_secs_f64(10.0 + step as f64 * 0.25);
+            for pos in 0..PINNED_SHARDS + 1 {
+                // A position past a just-removed shard is a typed miss.
+                match c.run_due_clustering_shard(pos, now) {
+                    Ok(_) => ticks += 1,
+                    Err(MoistError::NoSuchShard(_)) => {}
+                    Err(e) => panic!("tick failed: {e:?}"),
+                }
+            }
+        }
+        done.send(("ticker", ticks)).unwrap();
+    }));
+    let (c, done) = (Arc::clone(&cluster), done_tx);
+    threads.push(std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(5));
+        let id = c.add_shard().unwrap();
+        std::thread::sleep(Duration::from_millis(5));
+        c.remove_shard(id).unwrap();
+        done.send(("churn", 1)).unwrap();
+    }));
+
+    let mut acked = 0;
+    for _ in 0..threads.len() {
+        let (who, n) = done_rx
+            .recv_timeout(BOUND)
+            .expect("a writer, the ticker or the churn deadlocked");
+        if who == "writer" {
+            acked += n;
+        }
+    }
+    for t in threads {
+        t.join().unwrap();
+    }
+    cluster.drain_ingest().unwrap();
+    assert_eq!(acked, WRITERS * OBJECTS * ROUNDS);
+    let stats = cluster.stats();
+    assert_eq!(stats.updates, acked, "every acknowledged update is counted");
+    assert!(stats.balanced(), "{stats:?}");
+    assert_eq!(cluster.num_shards(), PINNED_SHARDS);
+    let at = Timestamp::from_secs_f64(1.0 + ROUNDS as f64 * 0.5);
+    for w in 0..WRITERS {
+        for j in 0..OBJECTS {
+            assert!(
+                cluster
+                    .position(ObjectId(w * 1_000 + j), at)
+                    .unwrap()
+                    .is_some(),
+                "object {} lost",
+                w * 1_000 + j
+            );
+        }
+    }
 }
 
 /// Determinism pin for the per-call metering, and proof that a one-shard

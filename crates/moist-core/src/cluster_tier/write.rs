@@ -4,29 +4,38 @@
 //! [module docs](super)).
 
 use super::membership::ShardEntry;
-use super::MoistCluster;
+use super::{writer_stripe, MoistCluster};
 use crate::error::{MoistError, Result};
 use crate::ingest::{EnqueueResult, FlushKind, SubmitOutcome};
 use crate::update::{UpdateMessage, UpdateOutcome};
 use moist_bigtable::Timestamp;
 use std::collections::HashMap;
 
+/// One owner's share of a batch: its messages, their slots in the batch,
+/// and the writer-lock stripes of their routing keys.
+struct OwnerGroup<'a> {
+    entry: &'a ShardEntry,
+    msgs: Vec<UpdateMessage>,
+    slots: Vec<usize>,
+    stripes: Vec<usize>,
+}
+
 impl MoistCluster {
     /// Applies one update on the shard owning the update's clustering
-    /// cell. The membership read guard is held across routing, the
-    /// owner's lock and the apply, so an epoch bump — which takes the
-    /// write lock — waits out the update, and the update never lands on a
-    /// migrated cell's old owner while the new owner clusters that cell.
-    /// Read-only queries hold no guard (a stale-routed read still scans a
-    /// consistent store).
+    /// cell, under the writer lock of its routing key. The membership read
+    /// guard is held across routing, the writer lock and the apply, so an
+    /// epoch bump — which takes the write lock — waits out the update,
+    /// and the update never lands on a migrated cell's old owner while the
+    /// new owner clusters that cell. Read-only queries hold no guard (a
+    /// stale-routed read still scans a consistent store).
     pub fn update(&self, msg: &UpdateMessage) -> Result<UpdateOutcome> {
         // Routing key and owner come from the same snapshot, so the
         // split table consulted is the one this epoch's owners were
         // seeded from.
         let snap = self.membership.read();
-        let entry = snap.owner_of(snap.route_point(&msg.loc, &self.cfg));
-        let mut server = entry.server.lock();
-        server.update(msg)
+        let key = snap.route_point(&msg.loc, &self.cfg);
+        let _writer = self.writer(key);
+        snap.owner_of(key).server.apply(msg)
     }
 
     /// Applies a batch of updates, each on the shard owning its
@@ -37,29 +46,47 @@ impl MoistCluster {
     /// Messages are grouped by owner under one membership read guard,
     /// held until every group has applied — as
     /// [`update`](MoistCluster::update) holds it — so no message in the
-    /// batch lands on a migrated cell's old owner. Outcomes come back in
-    /// message order. On a store error the already-applied groups stay
-    /// applied (store errors are fatal in this tier, never transient).
+    /// batch lands on a migrated cell's old owner. Each group applies
+    /// under the writer locks of its messages' routing keys, taken in
+    /// ascending stripe order and released before the next group's (lock
+    /// rule 3). Outcomes come back in message order. On a store error the
+    /// already-applied groups stay applied (store errors are fatal in
+    /// this tier, never transient).
     pub(crate) fn update_batch(&self, msgs: &[UpdateMessage]) -> Result<Vec<UpdateOutcome>> {
         let snap = self.membership.read();
         // Group by owner in first-seen order: deterministic apply order
         // per submission order, so the virtual-time cost model stays
         // reproducible.
-        let mut groups: Vec<(&ShardEntry, Vec<UpdateMessage>, Vec<usize>)> = Vec::new();
+        let mut groups: Vec<OwnerGroup> = Vec::new();
         let mut slot_of: HashMap<u64, usize> = HashMap::new();
         for (i, msg) in msgs.iter().enumerate() {
-            let entry = snap.owner_of(snap.route_point(&msg.loc, &self.cfg));
+            let key = snap.route_point(&msg.loc, &self.cfg);
+            let entry = snap.owner_of(key);
             let slot = *slot_of.entry(entry.id).or_insert_with(|| {
-                groups.push((entry, Vec::new(), Vec::new()));
+                groups.push(OwnerGroup {
+                    entry,
+                    msgs: Vec::new(),
+                    slots: Vec::new(),
+                    stripes: Vec::new(),
+                });
                 groups.len() - 1
             });
-            groups[slot].1.push(*msg);
-            groups[slot].2.push(i);
+            let group = &mut groups[slot];
+            group.msgs.push(*msg);
+            group.slots.push(i);
+            group.stripes.push(writer_stripe(key));
         }
         let mut out = vec![UpdateOutcome::Shed; msgs.len()];
-        for (entry, batch, idxs) in groups {
-            let outcomes = entry.server.lock().update_batch(&batch)?;
-            for (i, o) in idxs.into_iter().zip(outcomes) {
+        for mut group in groups {
+            group.stripes.sort_unstable();
+            group.stripes.dedup();
+            let _writers: Vec<_> = group
+                .stripes
+                .iter()
+                .map(|&stripe| self.writers[stripe].lock())
+                .collect();
+            let outcomes = group.entry.server.apply_batch(&group.msgs)?;
+            for (i, o) in group.slots.into_iter().zip(outcomes) {
                 out[i] = o;
             }
         }

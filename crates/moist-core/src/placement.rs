@@ -185,6 +185,16 @@ pub(crate) fn routing_key_cell(key: u64, clustering_level: u8) -> CellId {
     }
 }
 
+/// The routing key naming `cell`, a cell at `clustering_level` or one
+/// level finer: the inverse of [`routing_key_cell`].
+pub(crate) fn cell_routing_key(cell: CellId, clustering_level: u8) -> u64 {
+    if cell.level > clustering_level {
+        SPLIT_CHILD_TAG | cell.index
+    } else {
+        cell.index
+    }
+}
+
 /// The set of clustering cells whose ownership is split one level finer.
 ///
 /// Placement normally hashes whole clustering cells to shards; a
@@ -529,6 +539,7 @@ mod tests {
         let mut covered = std::collections::HashSet::new();
         for key in keys {
             let cell = routing_key_cell(key, cl);
+            assert_eq!(cell_routing_key(cell, cl), key);
             let (s, e) = cell.descendant_range(ll).unwrap();
             for leaf in s..e {
                 assert!(covered.insert(leaf), "leaf {leaf} covered twice");

@@ -10,7 +10,7 @@
 //! range reads (§3.2.1).
 //!
 //! Multiple queries may scatter concurrently; their tasks interleave over
-//! the same workers and a region slice takes no shard lock, so the pool
+//! the same workers and a region slice takes no writer lock, so the pool
 //! introduces no lock-ordering cycles. A panicking task is caught on
 //! the worker (keeping the pool alive) and re-raised on the caller.
 //!

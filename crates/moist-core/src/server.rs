@@ -22,12 +22,14 @@
 //! the query-side bookkeeping lives behind shared-friendly state (atomic
 //! [`ServerStats`] counters, a `Mutex<LoadTracker>`, an
 //! `RwLock<FlagTuner>` whose write guard is taken only when a query
-//! actually re-tunes the level). [`MoistServer`] holds an
-//! `Arc<FrontEnd>`, derefs to it, and adds the writer's half — the archiver
-//! feed behind `&mut self` (`update`, `update_batch`, clustering). A
-//! cluster tier puts the `MoistServer` behind a mutex that serializes
-//! those writers and keeps the same `Arc<FrontEnd>` beside it: a scan of
-//! the shared store never makes the shard's writer wait.
+//! actually re-tunes the level). [`MoistServer`] holds a [`FrontEnd`],
+//! derefs to it, and adds the writer's half: the archiver feed, updates,
+//! batches and clustering. Its writes hold no lock of their own. A bare
+//! server's public `update`/`update_batch` take `&mut self`; a cluster
+//! tier serializes the writers of each routing key (a clustering cell, or
+//! a split cell's child) on that key's writer lock, so two writers on
+//! different cells of one shard run side by side, and a scan of the
+//! shared store never makes a writer wait.
 //!
 //! Ephemeral sessions are *seeded* from the hub's running total, so on a
 //! single thread every charge lands in the same order and at the same
@@ -138,9 +140,8 @@ impl StatsCells {
 /// The shared half of a front-end: everything reachable through `&self`
 /// — configuration, tables, meters, FLAG cache, counters and the load
 /// signal — so every query, counter and load accessor runs on it without
-/// the writer's lock. A [`MoistServer`] derefs to its `FrontEnd`; the
-/// cluster tier keeps the same `Arc<FrontEnd>` beside the shard's writer
-/// mutex.
+/// a writer lock. A [`MoistServer`] derefs to its `FrontEnd`, so the
+/// cluster tier's queries run on the shard's server beside its writers.
 pub struct FrontEnd {
     cfg: MoistConfig,
     tables: MoistTables,
@@ -172,7 +173,7 @@ pub struct FrontEnd {
 /// One MOIST front-end server: the shared [`FrontEnd`] plus the writer's
 /// own state (the archiver feed, and a bare server's clustering schedule).
 pub struct MoistServer {
-    front: Arc<FrontEnd>,
+    front: FrontEnd,
     /// The whole map's schedule on a bare server; `None` on a tier shard,
     /// whose cells the tier's one schedule hands it.
     scheduler: Option<ClusterScheduler>,
@@ -248,7 +249,7 @@ impl MoistServer {
         Ok(MoistServer {
             scheduler: None,
             archiver,
-            front: Arc::new(FrontEnd {
+            front: FrontEnd {
                 flag: RwLock::new(FlagTuner::new()),
                 store: Arc::clone(store),
                 hub: Arc::new(MeterHub::new()),
@@ -258,19 +259,20 @@ impl MoistServer {
                 load: Mutex::default(),
                 tables,
                 cfg,
-            }),
+            },
         })
-    }
-
-    /// The shared half, for a holder that serves this server's queries
-    /// beside its writer lock.
-    pub(crate) fn front(&self) -> &Arc<FrontEnd> {
-        &self.front
     }
 
     /// Applies one update (Algorithm 1), maintaining counters and feeding
     /// the archiver on the non-shed branches.
     pub fn update(&mut self, msg: &UpdateMessage) -> Result<UpdateOutcome> {
+        self.apply(msg)
+    }
+
+    /// [`update`](MoistServer::update) through `&self`: the caller
+    /// serializes it with the other writers of the message's routing key
+    /// (the cluster tier's writer lock).
+    pub(crate) fn apply(&self, msg: &UpdateMessage) -> Result<UpdateOutcome> {
         let mut s = self.charged_session();
         let outcome = apply_update(&mut s, &self.tables, &self.cfg, msg)?;
         self.account_update(msg, outcome);
@@ -278,8 +280,8 @@ impl MoistServer {
     }
 
     /// Applies a whole batch of updates through the amortized path
-    /// (`apply_update_batch`): one lock acquisition, batched prefetch
-    /// reads, and multi-row deferred writes instead of per-message store
+    /// (`apply_update_batch`): batched prefetch reads and multi-row
+    /// deferred writes instead of per-message store
     /// round-trips. Per-message accounting (stats, load signal, archiver,
     /// object estimate) is identical to calling
     /// [`update`](MoistServer::update) once per message, so
@@ -290,6 +292,12 @@ impl MoistServer {
     /// the only failures are store errors, which the synchronous path
     /// treats as fatal too.
     pub fn update_batch(&mut self, msgs: &[UpdateMessage]) -> Result<Vec<UpdateOutcome>> {
+        self.apply_batch(msgs)
+    }
+
+    /// [`update_batch`](MoistServer::update_batch) through `&self`: the
+    /// caller holds the writer locks of every routing key in `msgs`.
+    pub(crate) fn apply_batch(&self, msgs: &[UpdateMessage]) -> Result<Vec<UpdateOutcome>> {
         let mut s = self.charged_session();
         let outcomes = apply_update_batch(&mut s, &self.tables, &self.cfg, msgs)?;
         for (msg, &outcome) in msgs.iter().zip(&outcomes) {
@@ -352,12 +360,8 @@ impl MoistServer {
     }
 
     /// Clusters `cells` at `now`, counting one `cluster_runs` each: the
-    /// part of a tick that runs under the writer lock.
-    pub(crate) fn cluster_cells(
-        &mut self,
-        cells: &[CellId],
-        now: Timestamp,
-    ) -> Result<ClusterReport> {
+    /// part of a tick that runs under a routing key's writer lock.
+    pub(crate) fn cluster_cells(&self, cells: &[CellId], now: Timestamp) -> Result<ClusterReport> {
         let mut s = self.charged_session();
         let mut total = ClusterReport::default();
         for &cell in cells {

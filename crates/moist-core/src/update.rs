@@ -142,10 +142,10 @@ pub(crate) fn apply_update_batch(
 ///   after it, behind a flush. They are the mutual-exclusion points
 ///   against clustering merges on other shards and cannot be reordered.
 ///
-/// Holding writes back is sound because the batch runs under the shard
-/// lock of its messages' routing key, which serializes it with that
-/// cell's clustering; the actors it does not exclude meet it only at the
-/// guards.
+/// Holding writes back is sound because the batch runs under the writer
+/// locks of its messages' routing keys, which serialize it with those
+/// cells' updates and clustering; the actors it does not exclude meet it
+/// only at the guards.
 struct Io<'a> {
     s: &'a mut Session,
     tables: &'a MoistTables,
@@ -321,8 +321,8 @@ fn apply_one(io: &mut Io, cfg: &MoistConfig, msg: &UpdateMessage) -> Result<Upda
                 io.write(RecordColumn::Location, &oid_key, msg.ts, value())?;
                 if last_leaf == new_leaf {
                     // Same leaf — same routing key — so this update serializes
-                    // with the cell's clustering on the owner's lock; a plain
-                    // overwrite cannot race a merge.
+                    // with the cell's clustering on the key's writer lock; a
+                    // plain overwrite cannot race a merge.
                     io.refresh(&new_spatial_key, msg.ts, value())?;
                 } else {
                     // A cross-cell move is applied by the *destination* cell's

@@ -1,23 +1,25 @@
 //! Shard concurrency, under fire.
 //!
-//! Shards sit behind `Mutex<MoistServer>`, taken by writers only; the
-//! server's shared half (`FrontEnd`: queries, counters, load, clock,
-//! aging) sits beside the mutex, so `with_shard_read`, the tier's own
-//! queries and its stats rollups take no shard lock. These tests pin the
-//! contracts:
+//! Writers lock their routing key (a clustering cell, or a split cell's
+//! child), not their shard, so two writers on different cells of one
+//! shard run side by side; the server's shared half (`FrontEnd`:
+//! queries, counters, load, clock, aging) needs no lock, so
+//! `with_shard_read`, the tier's own queries and its stats rollups take
+//! no writer lock. These tests pin the contracts:
 //!
 //! * `with_shard_read` calls on one shard genuinely overlap (an exclusive
 //!   lock would deadlock the handshake);
 //! * a writer with a backlog drains it beside a closed-loop NN reader on
 //!   its hot shard without waiting out the reader's scans;
-//! * racing readers and writers account exactly: final `ServerStats`
-//!   counters and the store's operation counters equal the
-//!   single-threaded oracle, and virtual elapsed time matches up to
-//!   interleaving noise.
+//! * racing readers and writers — four writers over four shards, so
+//!   writers meet inside a shard on different cells — account exactly:
+//!   final `ServerStats` counters and the store's operation counters
+//!   equal the single-threaded oracle, and virtual elapsed time matches
+//!   up to interleaving noise.
 //!
-//! The tests that pin a shard's writer lock (`with_shard`, a test-only hook)
-//! and the single-threaded metering pin live with the tier's unit tests
-//! in `cluster_tier/tests.rs`.
+//! The tests that pin a routing key's writer lock (`with_key`, a
+//! test-only hook) and the single-threaded metering pin live with the
+//! tier's unit tests in `cluster_tier/tests.rs`.
 
 use moist_bigtable::{Bigtable, MetricsSnapshot, Timestamp};
 use moist_core::{MoistCluster, MoistConfig, NnOptions, ObjectId, ServerStats, UpdateMessage};
@@ -132,7 +134,7 @@ fn read_guards_on_one_shard_overlap() {
 /// `cluster.nn` reader on one hot cell without waiting out the reader's
 /// scans. The backlog goes round the four shards, so between two updates
 /// of the hot shard the reader has time to start its next scan: were
-/// that scan to hold the shard's lock, every fourth update would wait a
+/// that scan to hold a lock of the shard, every fourth update would wait a
 /// whole scan (~UPDATES / 4 scans in all), which is how `rush_hour`'s
 /// writer, once behind, stayed behind (measured with the lock held:
 /// 200–440 scans; beside it: ~20). Counted in scans, not seconds, so a
