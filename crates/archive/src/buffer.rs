@@ -74,6 +74,11 @@ impl PingPongBuffer {
         }
     }
 
+    /// The records the active side holds, not yet flushed.
+    pub(crate) fn records(&self) -> &[HistoryRecord] {
+        &self.active
+    }
+
     /// Drains whatever is buffered (end-of-run flush), regardless of fill.
     pub(crate) fn drain(&mut self) -> Vec<HistoryRecord> {
         self.fill_start_us = None;

@@ -5,12 +5,14 @@
 //!
 //! * [`record`] — fixed-width archived location records;
 //! * [`disk`] — simulated disks charging the paper's Eq. 1 access time
-//!   (`T_rot + T_seek + bytes / R_disk`) and tracking utilisation;
+//!   (`T_rot + T_seek + bytes / R_disk`) and tracking utilisation, whose
+//!   flushed pages live in one page file per disk;
 //! * `buffer` — ping-pong double buffers with `min T_m ≥ max T_d`
 //!   monitoring;
 //! * [`ppp`] — the archiver: per-disk buffers, the locality-preserving
 //!   placement hash `hash_d(i, loc_{i,0})`, object-based and location-based
-//!   history queries, and the in-memory recent window (`m` records/object);
+//!   history queries, and the in-memory recent window (one ring of `m`
+//!   records per object);
 //! * [`planner`] — the §3.6.2 optimiser choosing `n_d` by maximising
 //!   `min(U_d, R_d)` under the ping-pong constraint.
 //!
@@ -23,10 +25,11 @@
 //!     let rec = HistoryRecord::new(7, ts, Point::new(500.0, 500.0), Velocity::ZERO);
 //!     archiver.ingest(rec, ts * 1_000_000);
 //! }
-//! archiver.flush_all();
-//! let (history, cost) = archiver.query_object(7, 0, u64::MAX);
+//! archiver.flush_all()?;
+//! let (history, cost) = archiver.query_object(7, 0, u64::MAX)?;
 //! assert_eq!(history.len(), 32);
 //! assert_eq!(cost.disks_touched, 1); // object locality: one disk read
+//! # Ok::<(), moist_archive::ArchiveError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -38,7 +41,7 @@ pub mod planner;
 pub mod ppp;
 pub mod record;
 
-pub use disk::{DiskProfile, DiskStats};
-pub use planner::{Plan, PlanPoint, PlannerInput};
+pub use disk::{ArchiveError, DiskProfile, DiskStats};
+pub use planner::{Plan, PlanError, PlanPoint, PlannerInput, MAX_PLANNED_DISKS};
 pub use ppp::{PppArchiver, PppConfig, PppStats, QueryCost};
 pub use record::{HistoryRecord, RECORD_BYTES};

@@ -14,6 +14,39 @@
 
 use crate::disk::DiskProfile;
 use serde::Serialize;
+use std::fmt;
+
+/// Largest `max_disks` the planner sweeps: every candidate is one
+/// [`PlanPoint`] in [`Plan::sweep`], so the cap bounds the sweep at
+/// about 3 MB. A rack of this many disks is far past any §3.6.2 optimum.
+pub const MAX_PLANNED_DISKS: u32 = 1 << 16;
+
+/// Why a planner input was refused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlanError {
+    /// `max_disks` exceeds [`MAX_PLANNED_DISKS`].
+    TooManyDisks {
+        /// The requested `max_disks`.
+        requested: u32,
+        /// [`MAX_PLANNED_DISKS`].
+        cap: u32,
+    },
+}
+
+impl fmt::Display for PlanError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PlanError::TooManyDisks { requested, cap } => {
+                write!(
+                    f,
+                    "max_disks {requested} exceeds the planner's cap of {cap}"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for PlanError {}
 
 /// Inputs to the planner.
 #[derive(Debug, Clone, Copy, Serialize)]
@@ -89,10 +122,19 @@ impl PlannerInput {
         (self.buffer_bytes * self.objects.max(1) as f64 / (self.disk.rate * t0 * self.k)).sqrt()
     }
 
-    /// Runs the optimisation over `1..=max_disks`.
-    pub fn plan(&self) -> Plan {
-        let max = self.max_disks.max(1);
-        let sweep: Vec<PlanPoint> = (1..=max).map(|nd| self.evaluate(nd)).collect();
+    /// Runs the optimisation over `1..=max_disks`; refuses a `max_disks`
+    /// past [`MAX_PLANNED_DISKS`].
+    pub fn plan(&self) -> Result<Plan, PlanError> {
+        if self.max_disks > MAX_PLANNED_DISKS {
+            return Err(PlanError::TooManyDisks {
+                requested: self.max_disks,
+                cap: MAX_PLANNED_DISKS,
+            });
+        }
+        let first = self.evaluate(1);
+        let sweep: Vec<PlanPoint> = std::iter::once(first)
+            .chain((2..=self.max_disks).map(|nd| self.evaluate(nd)))
+            .collect();
         // Among feasible points pick max min(Ud, Rd); fall back to the point
         // with the smallest constraint violation if none is feasible.
         let best = sweep
@@ -105,17 +147,16 @@ impl PlannerInput {
             })
             .copied()
             .unwrap_or_else(|| {
-                sweep
-                    .iter()
-                    .min_by(|a, b| {
+                // Seeded with the first candidate: there always is one.
+                sweep.iter().skip(1).fold(first, |least, &p| {
+                    std::cmp::min_by(least, p, |a, b| {
                         let va = a.td - a.tm;
                         let vb = b.td - b.tm;
                         va.partial_cmp(&vb).unwrap_or(std::cmp::Ordering::Equal)
                     })
-                    .copied()
-                    .expect("sweep is non-empty")
+                })
             });
-        Plan { best, sweep }
+        Ok(Plan { best, sweep })
     }
 }
 
@@ -147,7 +188,7 @@ mod tests {
     #[test]
     fn best_point_balances_ud_and_rd() {
         let inp = input();
-        let plan = inp.plan();
+        let plan = inp.plan().unwrap();
         assert!(plan.best.feasible);
         // The best nd is within one step of the analytic optimum clamped to
         // the admissible range (boundaries win when the optimum is outside).
@@ -173,7 +214,7 @@ mod tests {
         let mut inp = input();
         // Filling so fast no configuration can flush in time.
         inp.fill_rate_bytes_per_sec = 1e15;
-        let plan = inp.plan();
+        let plan = inp.plan().unwrap();
         assert!(!plan.best.feasible);
         // Least-violating = largest nd (smallest td).
         assert_eq!(plan.best.nd, inp.max_disks);
@@ -183,9 +224,30 @@ mod tests {
     fn zero_fill_rate_is_always_feasible() {
         let mut inp = input();
         inp.fill_rate_bytes_per_sec = 0.0;
-        let plan = inp.plan();
+        let plan = inp.plan().unwrap();
         assert!(plan.best.feasible);
         assert!(plan.best.tm.is_infinite());
+    }
+
+    #[test]
+    fn a_sweep_past_the_cap_is_refused_and_one_at_it_is_planned() {
+        let mut inp = input();
+        inp.max_disks = u32::MAX;
+        let err = inp.plan().unwrap_err();
+        assert_eq!(
+            err,
+            PlanError::TooManyDisks {
+                requested: u32::MAX,
+                cap: MAX_PLANNED_DISKS
+            }
+        );
+        assert!(err.to_string().contains("4294967295"), "{err}");
+        inp.max_disks = MAX_PLANNED_DISKS;
+        let plan = inp.plan().unwrap();
+        assert_eq!(plan.sweep.len(), MAX_PLANNED_DISKS as usize);
+        inp.max_disks = 0;
+        let plan = inp.plan().unwrap();
+        assert_eq!((plan.sweep.len(), plan.best.nd), (1, 1));
     }
 
     #[test]

@@ -16,14 +16,31 @@
 //! indexes onto disks (cell index · n_d / cell count), which preserves
 //! proximity rather than scattering it the way a scrambling hash would;
 //! load balance then follows from the curve's uniform coverage.
+//!
+//! Memory holds each object's last `m` records in one ring, whose newest
+//! `unflushed` records are the filling column; the per-disk ping-pong
+//! buffers; and each disk's page index. The flushed pages themselves live
+//! in the disks' page files ([`crate::disk`]). A history query reads all
+//! three places, so it answers with every record ingested so far, before
+//! and after [`PppArchiver::flush_all`].
+//!
+//! Locks are taken in one order: an object stripe, then a disk's buffer,
+//! then that disk's page index. A flush takes the disk before it releases
+//! the buffer that handed it the page, so a query, holding the buffer
+//! while it selects the disk's pages, never misses a page in flight.
 
 use crate::buffer::{AppendOutcome, PingPongBuffer};
-use crate::disk::{DiskProfile, DiskStats, SimDisk};
+use crate::disk::{ArchiveError, DiskProfile, DiskStats, SimDisk};
 use crate::record::HistoryRecord;
 use moist_spatial::{cells_at_level, cover_rect, Point, Rect, Space};
-use parking_lot::Mutex;
+use parking_lot::{CachePadded, Mutex, MutexGuard};
 use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Object-map stripes: object `oid` lives in stripe `oid % OBJECT_STRIPES`,
+/// so writers archiving different objects rarely meet on one lock.
+const OBJECT_STRIPES: usize = 16;
 
 /// Configuration of the archiver.
 #[derive(Debug, Clone, Copy, Serialize)]
@@ -58,7 +75,7 @@ impl Default for PppConfig {
 pub struct QueryCost {
     /// Disks that had to be touched.
     pub disks_touched: u32,
-    /// Pages transferred.
+    /// Pages this query transferred.
     pub pages_read: u64,
     /// Wall time of the slowest disk (disks read in parallel), seconds.
     pub parallel_secs: f64,
@@ -79,13 +96,35 @@ pub struct PppStats {
     pub max_flush_secs: f64,
 }
 
+/// The live counters behind [`PppStats`].
+#[derive(Debug, Default)]
+struct Counters {
+    records_ingested: AtomicU64,
+    columns_aged: AtomicU64,
+    flushes: AtomicU64,
+    /// `max T_d` as `f64` bits: non-negative floats order as their bits
+    /// do, so `fetch_max` on the bits is `max` on the values.
+    max_flush_bits: AtomicU64,
+}
+
 struct ObjectState {
     disk: usize,
-    /// The object's filling in-memory column.
-    pending: Vec<HistoryRecord>,
-    /// Most recent `m` records for memory-served queries.
-    recent: VecDeque<HistoryRecord>,
+    /// The object's last `m` records, newest last: the in-memory window
+    /// recent-record queries read, and the filling column.
+    ring: VecDeque<HistoryRecord>,
+    /// How many of the ring's newest records no aged buffer holds yet.
+    unflushed: usize,
 }
+
+impl ObjectState {
+    /// The filling column: records not yet copied to an aged buffer.
+    fn unaged(&self) -> impl Iterator<Item = HistoryRecord> + '_ {
+        self.ring.range(self.ring.len() - self.unflushed..).copied()
+    }
+}
+
+/// One stripe of the object map.
+type Objects = HashMap<u64, ObjectState>;
 
 /// The archiver: `n_d` simulated disks fed by per-disk ping-pong buffers.
 pub struct PppArchiver {
@@ -93,8 +132,8 @@ pub struct PppArchiver {
     space: Space,
     disks: Vec<SimDisk>,
     buffers: Vec<Mutex<PingPongBuffer>>,
-    objects: Mutex<HashMap<u64, ObjectState>>,
-    stats: Mutex<PppStats>,
+    objects: Box<[CachePadded<Mutex<Objects>>]>,
+    counters: Counters,
 }
 
 impl PppArchiver {
@@ -105,13 +144,19 @@ impl PppArchiver {
         PppArchiver {
             config,
             space,
-            disks: (0..nd).map(|_| SimDisk::new(config.disk)).collect(),
+            disks: (0..nd).map(|i| SimDisk::new(i, config.disk)).collect(),
             buffers: (0..nd)
                 .map(|_| Mutex::new(PingPongBuffer::new(per_disk)))
                 .collect(),
-            objects: Mutex::new(HashMap::new()),
-            stats: Mutex::new(PppStats::default()),
+            objects: (0..OBJECT_STRIPES)
+                .map(|_| CachePadded(Mutex::new(HashMap::new())))
+                .collect(),
+            counters: Counters::default(),
         }
+    }
+
+    fn stripe(&self, oid: u64) -> &Mutex<Objects> {
+        &self.objects[(oid % OBJECT_STRIPES as u64) as usize]
     }
 
     /// The locality-preserving placement hash `hash_d(i, loc_{i,0})`:
@@ -125,130 +170,150 @@ impl PppArchiver {
     /// Ingests one location record at virtual time `now_us`.
     ///
     /// Returns the flush time charged to a disk when this ingest completed a
-    /// buffer (0.0 otherwise).
+    /// buffer (0.0 otherwise). A page the disk's file does not take is
+    /// charged all the same, and latched for [`flush_all`](Self::flush_all)
+    /// and the history queries to report.
     pub fn ingest(&self, rec: HistoryRecord, now_us: u64) -> f64 {
         let m = self.config.column_records.max(1);
-        let (disk_idx, column) = {
-            let mut objects = self.objects.lock();
-            let state = objects.entry(rec.oid).or_insert_with(|| ObjectState {
-                disk: self.disk_for_initial_location(&rec.loc),
-                pending: Vec::with_capacity(m),
-                recent: VecDeque::with_capacity(m),
-            });
-            state.pending.push(rec);
-            if state.recent.len() == m {
-                state.recent.pop_front();
-            }
-            state.recent.push_back(rec);
-            if state.pending.len() >= m {
-                (state.disk, std::mem::take(&mut state.pending))
-            } else {
-                {
-                    let mut stats = self.stats.lock();
-                    stats.records_ingested += 1;
-                }
-                return 0.0;
-            }
-        };
-        {
-            let mut stats = self.stats.lock();
-            stats.records_ingested += 1;
-            stats.columns_aged += 1;
+        self.counters
+            .records_ingested
+            .fetch_add(1, Ordering::Relaxed);
+        let mut objects = self.stripe(rec.oid).lock();
+        // The ring grows as records arrive: `m` is a bound, not a size to
+        // allocate up front.
+        let state = objects.entry(rec.oid).or_insert_with(|| ObjectState {
+            disk: self.disk_for_initial_location(&rec.loc),
+            ring: VecDeque::new(),
+            unflushed: 0,
+        });
+        if state.ring.len() == m {
+            state.ring.pop_front();
         }
-        let outcome = self.buffers[disk_idx].lock().append_column(column, now_us);
+        state.ring.push_back(rec);
+        state.unflushed += 1;
+        if state.unflushed < m {
+            return 0.0;
+        }
+        // The column is full, and it is the whole ring.
+        state.unflushed = 0;
+        self.counters.columns_aged.fetch_add(1, Ordering::Relaxed);
+        let disk = state.disk;
+        let mut buffer = self.buffers[disk].lock();
+        let outcome = buffer.append_column(state.ring.iter().copied(), now_us);
+        drop(objects);
         match outcome {
             AppendOutcome::Buffered => 0.0,
-            AppendOutcome::SwapAndFlush { records, .. } => {
-                let t = self.disks[disk_idx].write_page(records);
-                let mut stats = self.stats.lock();
-                stats.flushes += 1;
-                stats.max_flush_secs = stats.max_flush_secs.max(t);
-                t
-            }
+            AppendOutcome::SwapAndFlush { records } => self.write_page(disk, buffer, records),
         }
     }
 
-    /// Force-flushes every buffer and pending column (end of run / shutdown).
-    pub fn flush_all(&self) {
-        // Move pending columns into buffers first.
-        let drained: Vec<(usize, Vec<HistoryRecord>)> = {
-            let mut objects = self.objects.lock();
-            objects
-                .values_mut()
-                .filter(|s| !s.pending.is_empty())
-                .map(|s| (s.disk, std::mem::take(&mut s.pending)))
-                .collect()
-        };
-        for (disk_idx, column) in drained {
-            if let AppendOutcome::SwapAndFlush { records, .. } =
-                self.buffers[disk_idx].lock().append_column(column, 0)
-            {
-                let t = self.disks[disk_idx].write_page(records);
-                let mut stats = self.stats.lock();
-                stats.flushes += 1;
-                stats.max_flush_secs = stats.max_flush_secs.max(t);
+    /// Writes the page `buffer` handed over to its disk; returns `T_d`.
+    fn write_page(
+        &self,
+        disk: usize,
+        buffer: MutexGuard<'_, PingPongBuffer>,
+        records: Vec<HistoryRecord>,
+    ) -> f64 {
+        // The disk before the buffer lets go: a query that holds the
+        // buffer while it selects pages finds the page in one or the other.
+        let writer = self.disks[disk].lock();
+        drop(buffer);
+        let t = writer.write_page(records);
+        self.counters.flushes.fetch_add(1, Ordering::Relaxed);
+        if t > 0.0 {
+            self.counters
+                .max_flush_bits
+                .fetch_max(t.to_bits(), Ordering::Relaxed);
+        }
+        t
+    }
+
+    /// Force-flushes every buffer and partial column (end of run /
+    /// shutdown). Fails with the first disk's latched write error, if a
+    /// page could not be written, now or earlier.
+    pub fn flush_all(&self) -> Result<(), ArchiveError> {
+        // Partial columns first: each object's records not yet aged.
+        for stripe in self.objects.iter() {
+            let mut objects = stripe.lock();
+            for state in objects.values_mut().filter(|s| s.unflushed > 0) {
+                let mut buffer = self.buffers[state.disk].lock();
+                let outcome = buffer.append_column(state.unaged(), 0);
+                state.unflushed = 0;
+                if let AppendOutcome::SwapAndFlush { records } = outcome {
+                    self.write_page(state.disk, buffer, records);
+                }
             }
         }
-        for (disk_idx, buffer) in self.buffers.iter().enumerate() {
-            let records = buffer.lock().drain();
+        for (disk, buffer) in self.buffers.iter().enumerate() {
+            let mut buffer = buffer.lock();
+            let records = buffer.drain();
             if !records.is_empty() {
-                let t = self.disks[disk_idx].write_page(records);
-                let mut stats = self.stats.lock();
-                stats.flushes += 1;
-                stats.max_flush_secs = stats.max_flush_secs.max(t);
+                self.write_page(disk, buffer, records);
             }
+        }
+        match self.disks.iter().find_map(SimDisk::error) {
+            Some(e) => Err(e),
+            None => Ok(()),
         }
     }
 
     /// The most recent in-memory records of one object (newest last).
     pub fn recent_records(&self, oid: u64) -> Vec<HistoryRecord> {
-        self.objects
+        self.stripe(oid)
             .lock()
             .get(&oid)
-            .map(|s| s.recent.iter().copied().collect())
+            .map(|s| s.ring.iter().copied().collect())
             .unwrap_or_default()
     }
 
-    /// Object-based history query: all archived records of `oid` within
-    /// `[from_us, to_us]`, merged with the in-memory recent window.
+    /// Object-based history query: every record of `oid` within
+    /// `[from_us, to_us]`, from its disk's pages, its disk's buffer and its
+    /// not yet aged column, in time order.
     ///
     /// Thanks to object locality only **one** disk is read, and only its
-    /// pages whose object index contains `oid`.
+    /// pages whose object index contains `oid`. Fails with that disk's
+    /// latched write error, or if a page cannot be read back.
     pub fn query_object(
         &self,
         oid: u64,
         from_us: u64,
         to_us: u64,
-    ) -> (Vec<HistoryRecord>, QueryCost) {
-        let disk_idx = match self.objects.lock().get(&oid) {
-            Some(s) => s.disk,
-            None => return (Vec::new(), QueryCost::default()),
+    ) -> Result<(Vec<HistoryRecord>, QueryCost), ArchiveError> {
+        let in_window = |r: &HistoryRecord| (from_us..=to_us).contains(&r.ts_us);
+        let mut records = Vec::new();
+        let reads = {
+            let objects = self.stripe(oid).lock();
+            let Some(state) = objects.get(&oid) else {
+                return Ok((records, QueryCost::default()));
+            };
+            records.extend(state.unaged().filter(in_window));
+            // The object's lock keeps its column from aging, and the
+            // buffer's keeps a page from leaving it, until the disk's pages
+            // are chosen: each record is found in exactly one place.
+            let buffer = self.buffers[state.disk].lock();
+            records.extend(
+                buffer
+                    .records()
+                    .iter()
+                    .filter(|r| r.oid == oid && in_window(r)),
+            );
+            self.disks[state.disk].select(|p| {
+                p.contains_object(oid) && p.max_ts_us >= from_us && p.min_ts_us <= to_us
+            })?
         };
-        let (mut records, secs) = self.disks[disk_idx].read_matching(
-            |p| p.contains_object(oid) && p.max_ts_us >= from_us && p.min_ts_us <= to_us,
-            |r| r.oid == oid && (from_us..=to_us).contains(&r.ts_us),
-        );
-        let pages = self.disks[disk_idx].stats().pages_read;
-        // Merge the in-memory window (records not yet aged to disk).
-        for r in self.recent_records(oid) {
-            if (from_us..=to_us).contains(&r.ts_us) && !records.iter().any(|x| x.ts_us == r.ts_us) {
-                records.push(r);
-            }
-        }
+        let cost = QueryCost {
+            disks_touched: 1,
+            pages_read: reads.pages(),
+            parallel_secs: reads.secs,
+            total_device_secs: reads.secs,
+        };
+        reads.read_into(|r| r.oid == oid && in_window(r), &mut records)?;
         records.sort_by_key(|r| r.ts_us);
-        (
-            records,
-            QueryCost {
-                disks_touched: 1,
-                pages_read: pages,
-                parallel_secs: secs,
-                total_device_secs: secs,
-            },
-        )
+        Ok((records, cost))
     }
 
-    /// Location-based history query: archived records inside `rect` within
-    /// `[from_us, to_us]`.
+    /// Location-based history query: records inside `rect` within
+    /// `[from_us, to_us]`, sorted by object then time.
     ///
     /// Placement locality means only the disks whose coarse-cell ranges
     /// intersect the rect are touched — the read-resolution benefit `R_d`.
@@ -257,14 +322,15 @@ impl PppArchiver {
     /// their initial position", §3.6.1), `drift_margin` widens the disk
     /// selection to cover objects that started up to that many world units
     /// outside the rect. Pass the map diameter for exact results on
-    /// arbitrary movers.
+    /// arbitrary movers. Fails with a touched disk's latched write error,
+    /// or if a page cannot be read back.
     pub fn query_region(
         &self,
         rect: &Rect,
         from_us: u64,
         to_us: u64,
         drift_margin: f64,
-    ) -> (Vec<HistoryRecord>, QueryCost) {
+    ) -> Result<(Vec<HistoryRecord>, QueryCost), ArchiveError> {
         let m = drift_margin.max(0.0);
         let widened = Rect::new(
             rect.min_x - m,
@@ -281,24 +347,36 @@ impl PppArchiver {
             .collect();
         disk_idxs.sort_unstable();
         disk_idxs.dedup();
+        let in_query =
+            |r: &HistoryRecord| (from_us..=to_us).contains(&r.ts_us) && rect.contains(&r.loc);
         let mut records = Vec::new();
+        for stripe in self.objects.iter() {
+            for state in stripe.lock().values() {
+                if disk_idxs.binary_search(&state.disk).is_ok() {
+                    records.extend(state.unaged().filter(in_query));
+                }
+            }
+        }
         let mut cost = QueryCost {
             disks_touched: disk_idxs.len() as u32,
             ..QueryCost::default()
         };
         for &d in &disk_idxs {
-            let before = self.disks[d].stats().pages_read;
-            let (mut recs, secs) = self.disks[d].read_matching(
-                |p| p.max_ts_us >= from_us && p.min_ts_us <= to_us,
-                |r| (from_us..=to_us).contains(&r.ts_us) && rect.contains(&r.loc),
-            );
-            cost.pages_read += self.disks[d].stats().pages_read - before;
-            cost.parallel_secs = cost.parallel_secs.max(secs);
-            cost.total_device_secs += secs;
-            records.append(&mut recs);
+            let reads = {
+                let buffer = self.buffers[d].lock();
+                records.extend(buffer.records().iter().filter(|r| in_query(r)));
+                self.disks[d].select(|p| p.max_ts_us >= from_us && p.min_ts_us <= to_us)?
+            };
+            cost.pages_read += reads.pages();
+            cost.parallel_secs = cost.parallel_secs.max(reads.secs);
+            cost.total_device_secs += reads.secs;
+            reads.read_into(in_query, &mut records)?;
         }
         records.sort_by_key(|r| (r.oid, r.ts_us));
-        (records, cost)
+        // A column that aged between the scan of its object and the scan
+        // of its buffer was found in both.
+        records.dedup();
+        Ok((records, cost))
     }
 
     /// Checks the ping-pong safety condition `min T_m ≥ max T_d` from the
@@ -312,13 +390,19 @@ impl PppArchiver {
             .fold(None, |acc: Option<f64>, t| {
                 Some(acc.map_or(t, |a| a.min(t)))
             })?;
-        let max_td = self.stats.lock().max_flush_secs;
+        let max_td = self.stats().max_flush_secs;
         Some((min_tm, max_td, min_tm >= max_td))
     }
 
     /// Archiver counters.
     pub fn stats(&self) -> PppStats {
-        *self.stats.lock()
+        let c = &self.counters;
+        PppStats {
+            records_ingested: c.records_ingested.load(Ordering::Relaxed),
+            columns_aged: c.columns_aged.load(Ordering::Relaxed),
+            flushes: c.flushes.load(Ordering::Relaxed),
+            max_flush_secs: f64::from_bits(c.max_flush_bits.load(Ordering::Relaxed)),
+        }
     }
 
     /// Per-disk device statistics.
@@ -382,12 +466,12 @@ mod tests {
         for ts in 0..4u64 {
             a.ingest(rec(2, ts, 900.0, 900.0), ts * 1_000_000);
         }
-        let (records, cost) = a.query_object(1, 0, 100);
+        let (records, cost) = a.query_object(1, 0, 100).unwrap();
         assert_eq!(records.len(), 8, "archived + recent merged, deduplicated");
         assert!(records.windows(2).all(|w| w[0].ts_us < w[1].ts_us));
         assert_eq!(cost.disks_touched, 1);
         // Unknown object: free.
-        let (none, c0) = a.query_object(999, 0, 100);
+        let (none, c0) = a.query_object(999, 0, 100).unwrap();
         assert!(none.is_empty());
         assert_eq!(c0, QueryCost::default());
     }
@@ -402,8 +486,10 @@ mod tests {
                 a.ingest(rec(oid, ts, x, y), ts * 1_000);
             }
         }
-        a.flush_all();
-        let (records, cost) = a.query_region(&Rect::new(0.0, 0.0, 200.0, 200.0), 0, 10, 0.0);
+        a.flush_all().unwrap();
+        let (records, cost) = a
+            .query_region(&Rect::new(0.0, 0.0, 200.0, 200.0), 0, 10, 0.0)
+            .unwrap();
         assert!(!records.is_empty());
         assert!(
             cost.disks_touched < a.num_disks() as u32,
@@ -422,13 +508,98 @@ mod tests {
             a.disk_stats().iter().map(|s| s.pages_written).sum::<u64>(),
             0
         );
-        a.flush_all();
-        let (records, _) = a.query_object(5, 0, 10);
+        a.flush_all().unwrap();
+        let (records, _) = a.query_object(5, 0, 10).unwrap();
         assert_eq!(records.len(), 1);
         assert_eq!(
             a.disk_stats().iter().map(|s| s.pages_written).sum::<u64>(),
             1
         );
+    }
+
+    /// Eight pages of one object on its disk, none of them flushed by
+    /// `flush_all`: 64 records in full columns fill eight buffer sides.
+    fn eight_pages_of_object_3() -> PppArchiver {
+        let a = PppArchiver::new(space(), config());
+        for ts in 0..64u64 {
+            a.ingest(rec(3, ts, 100.0, 100.0), ts);
+        }
+        assert_eq!(a.stats().flushes, 8);
+        a
+    }
+
+    /// `pages_read` is what the query read, not the disk's running total:
+    /// the same query reports the same count every time.
+    #[test]
+    fn the_same_query_reports_the_same_page_count() {
+        let a = eight_pages_of_object_3();
+        let costs: Vec<QueryCost> = (0..3)
+            .map(|_| a.query_object(3, 0, 50).unwrap().1)
+            .collect();
+        assert_eq!(costs[0].pages_read, 7, "pages 0..=6 hold ts 0..=55");
+        assert!(costs.iter().all(|c| *c == costs[0]), "{costs:?}");
+        let rect = Rect::new(0.0, 0.0, 200.0, 200.0);
+        let regions: Vec<QueryCost> = (0..3)
+            .map(|_| a.query_region(&rect, 0, 50, 0.0).unwrap().1)
+            .collect();
+        assert_eq!(regions[0].pages_read, 7);
+        assert!(regions.iter().all(|c| *c == regions[0]), "{regions:?}");
+        let disk = a.disk_for_initial_location(&Point::new(100.0, 100.0));
+        assert_eq!(a.disk_stats()[disk].pages_read, 6 * 7);
+    }
+
+    /// Two threads querying at once each see their single-threaded cost.
+    #[test]
+    fn concurrent_queries_each_see_their_own_cost() {
+        let a = eight_pages_of_object_3();
+        let rect = Rect::new(0.0, 0.0, 200.0, 200.0);
+        let object_alone = a.query_object(3, 0, 50).unwrap();
+        let region_alone = a.query_region(&rect, 0, 20, 0.0).unwrap();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            let objects = s.spawn(|| {
+                start.wait();
+                (0..200)
+                    .map(|_| a.query_object(3, 0, 50).unwrap())
+                    .collect::<Vec<_>>()
+            });
+            let regions = s.spawn(|| {
+                start.wait();
+                (0..200)
+                    .map(|_| a.query_region(&rect, 0, 20, 0.0).unwrap())
+                    .collect::<Vec<_>>()
+            });
+            for got in objects.join().unwrap() {
+                assert_eq!(got, object_alone);
+            }
+            for got in regions.join().unwrap() {
+                assert_eq!(got, region_alone);
+            }
+        });
+    }
+
+    /// An `m` of `usize::MAX` keeps every record in memory and ages none;
+    /// nothing is allocated for it up front.
+    #[test]
+    fn an_unbounded_column_ingests_without_preallocating() {
+        let a = PppArchiver::new(
+            space(),
+            PppConfig {
+                column_records: usize::MAX,
+                ..config()
+            },
+        );
+        for ts in 0..100u64 {
+            assert_eq!(a.ingest(rec(1, ts, 10.0, 10.0), ts), 0.0);
+        }
+        assert_eq!(a.stats().columns_aged, 0);
+        assert_eq!(a.recent_records(1).len(), 100);
+        let (all, _) = a.query_object(1, 0, u64::MAX).unwrap();
+        assert_eq!(all.len(), 100);
+        a.flush_all().unwrap();
+        assert_eq!(a.stats().flushes, 1);
+        let (all, cost) = a.query_object(1, 0, u64::MAX).unwrap();
+        assert_eq!((all.len(), cost.pages_read), (100, 1));
     }
 
     #[test]

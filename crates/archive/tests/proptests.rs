@@ -58,10 +58,10 @@ proptest! {
             );
             oracle.entry(ing.oid).or_default().push(ts);
         }
-        archiver.flush_all();
+        archiver.flush_all().unwrap();
         for (oid, mut expected) in oracle {
             expected.sort_unstable();
-            let (got, cost) = archiver.query_object(oid, 0, u64::MAX);
+            let (got, cost) = archiver.query_object(oid, 0, u64::MAX).unwrap();
             let got_ts: Vec<u64> = got.iter().map(|r| r.ts_us).collect();
             prop_assert_eq!(&got_ts, &expected, "object {} history mismatch", oid);
             prop_assert!(cost.disks_touched <= 1);
@@ -82,9 +82,9 @@ proptest! {
                 t,
             );
         }
-        archiver.flush_all();
+        archiver.flush_all().unwrap();
         let hi = lo + span;
-        let (got, _) = archiver.query_object(1, lo, hi);
+        let (got, _) = archiver.query_object(1, lo, hi).unwrap();
         let expected: Vec<u64> = (0..count as u64).filter(|t| (lo..=hi).contains(t)).collect();
         let got_ts: Vec<u64> = got.iter().map(|r| r.ts_us).collect();
         prop_assert_eq!(got_ts, expected);
@@ -110,10 +110,10 @@ proptest! {
             archiver.ingest(rec, ts);
             all.push(rec);
         }
-        archiver.flush_all();
+        archiver.flush_all().unwrap();
         let rect = Rect::new(rx, ry, rx + side, ry + side);
         // Teleporting objects need the full-drift margin for exactness.
-        let (got, _) = archiver.query_region(&rect, 0, u64::MAX, 1500.0);
+        let (got, _) = archiver.query_region(&rect, 0, u64::MAX, 1500.0).unwrap();
         let mut expected: Vec<(u64, u64)> = all
             .iter()
             .filter(|r| rect.contains(&r.loc))
@@ -155,7 +155,7 @@ proptest! {
                 now + i as u64,
             );
         }
-        archiver.flush_all();
+        archiver.flush_all().unwrap();
         let on_disk: u64 = archiver
             .disk_stats()
             .iter()

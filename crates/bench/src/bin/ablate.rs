@@ -137,7 +137,7 @@ fn ablate_ppp() {
         disk: DiskProfile::default(),
         max_disks: 64,
     };
-    let plan = input.plan();
+    let plan = input.plan().expect("64 disks is within the planner's cap");
     let mut fig = Figure::new(
         "ablate_ppp",
         "PPP planner: U_d / R_d / min vs number of disks (1M objects)",

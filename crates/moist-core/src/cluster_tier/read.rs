@@ -5,7 +5,7 @@
 
 use super::membership::{Membership, ShardEntry};
 use super::MoistCluster;
-use crate::error::Result;
+use crate::error::{MoistError, Result};
 use crate::ids::ObjectId;
 use crate::nn::{Neighbor, NnOptions, NnStats};
 use crate::placement::slice_ranges;
@@ -63,17 +63,21 @@ impl MoistCluster {
         self.read_anchor(|_| oid.0).server.position(oid, at)
     }
 
-    /// One object's history from the tier's archiver (in-memory window and
-    /// disks), or `None` when the tier was built without one
-    /// ([`ClusterBuilder::archiver`](super::ClusterBuilder::archiver)).
+    /// One object's history from the tier's archiver (memory and disks).
+    /// Fails with [`MoistError::Config`] when the tier was built without
+    /// one ([`ClusterBuilder::archiver`](super::ClusterBuilder::archiver)),
+    /// and with [`MoistError::Archive`] when the archive lost a page of
+    /// the object's disk or cannot read one back.
     pub fn history(
         &self,
         oid: ObjectId,
         from: Timestamp,
         to: Timestamp,
-    ) -> Option<(Vec<HistoryRecord>, QueryCost)> {
-        let archiver = self.archiver.as_ref()?;
-        Some(archiver.query_object(oid.0, from.0, to.0))
+    ) -> Result<(Vec<HistoryRecord>, QueryCost)> {
+        let archiver = self.archiver.as_ref().ok_or_else(|| {
+            MoistError::Config("history needs a tier built with an archiver".into())
+        })?;
+        Ok(archiver.query_object(oid.0, from.0, to.0)?)
     }
 
     /// Region query, scatter-gathered across the owning shards.

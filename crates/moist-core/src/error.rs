@@ -1,5 +1,6 @@
 //! MOIST error type.
 
+use moist_archive::ArchiveError;
 use moist_bigtable::BigtableError;
 use std::fmt;
 
@@ -8,6 +9,8 @@ use std::fmt;
 pub enum MoistError {
     /// Underlying store error.
     Store(BigtableError),
+    /// The history archive lost a page or could not read one back.
+    Archive(ArchiveError),
     /// A stored value failed to decode (corruption or version skew).
     Codec(&'static str),
     /// An update or query referenced an object with inconsistent state
@@ -36,6 +39,7 @@ impl fmt::Display for MoistError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             MoistError::Store(e) => write!(f, "store error: {e}"),
+            MoistError::Archive(e) => write!(f, "archive error: {e}"),
             MoistError::Codec(msg) => write!(f, "codec error: {msg}"),
             MoistError::Inconsistent(msg) => write!(f, "inconsistent state: {msg}"),
             MoistError::Config(msg) => write!(f, "bad configuration: {msg}"),
@@ -54,6 +58,7 @@ impl std::error::Error for MoistError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             MoistError::Store(e) => Some(e),
+            MoistError::Archive(e) => Some(e),
             _ => None,
         }
     }
@@ -62,6 +67,12 @@ impl std::error::Error for MoistError {
 impl From<BigtableError> for MoistError {
     fn from(e: BigtableError) -> Self {
         MoistError::Store(e)
+    }
+}
+
+impl From<ArchiveError> for MoistError {
+    fn from(e: ArchiveError) -> Self {
+        MoistError::Archive(e)
     }
 }
 

@@ -710,7 +710,7 @@ mod tests {
                 .update(&msg(1, 100.0 + t as f64, 100.0, 1.0, t as f64))
                 .unwrap();
         }
-        archiver.flush_all();
+        archiver.flush_all().unwrap();
         let (hist, _) = cluster
             .history(ObjectId(1), Timestamp::ZERO, Timestamp::from_secs(100))
             .unwrap();

@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         cluster.run_due_clustering(Timestamp::from_secs(minute * 60))?;
     }
-    archiver.flush_all();
+    archiver.flush_all()?;
     let ppp = archiver.stats();
     println!(
         "Archived {} records in {} columns across {} flushes on {} disks.",
@@ -73,9 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // (a) One rider's travel path.
     let rider = ObjectId(3);
-    let (path, cost) = cluster
-        .history(rider, Timestamp::ZERO, Timestamp::from_secs(1200))
-        .expect("archiver attached");
+    let (path, cost) = cluster.history(rider, Timestamp::ZERO, Timestamp::from_secs(1200))?;
     println!(
         "\nTravel path of rider {rider}: {} fixes ({} disk touched, {} pages, {:.1} ms device time)",
         path.len(),
@@ -98,7 +96,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // (b) Who crossed downtown between minutes 5 and 15?
     let downtown = Rect::new(400.0, 400.0, 600.0, 600.0);
     let (visits, cost) =
-        archiver.query_region(&downtown, 5 * 60 * 1_000_000, 15 * 60 * 1_000_000, 150.0);
+        archiver.query_region(&downtown, 5 * 60 * 1_000_000, 15 * 60 * 1_000_000, 150.0)?;
     let distinct: std::collections::HashSet<u64> = visits.iter().map(|r| r.oid).collect();
     println!(
         "\nDowntown 400..600²: {} fixes from {} distinct objects \
@@ -111,7 +109,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // (c) Points-of-interest heatmap: visit counts per level-4 cell.
     let space = cluster.config().space;
-    let (all, _) = archiver.query_region(&space.world, 0, u64::MAX, 0.0);
+    let (all, _) = archiver.query_region(&space.world, 0, u64::MAX, 0.0)?;
     let mut heat: HashMap<CellId, usize> = HashMap::new();
     for r in &all {
         *heat.entry(space.cell_at(4, &r.loc)).or_default() += 1;
@@ -137,7 +135,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         disk: DiskProfile::default(),
         max_disks: 16,
     }
-    .plan();
+    .plan()?;
     println!(
         "\nPlanner: n_d = {} (U_d = {:.4}, R_d = {:.4}, T_d = {:.4}s, feasible = {})",
         plan.best.nd, plan.best.ud, plan.best.rd, plan.best.td, plan.best.feasible

@@ -211,7 +211,7 @@ fn archiver_history_matches_accepted_updates() {
         assert_ne!(out, UpdateOutcome::Shed);
         expected += 1;
     }
-    archiver.flush_all();
+    archiver.flush_all().unwrap();
     let (hist, cost) = cluster
         .history(ObjectId(7), Timestamp::ZERO, Timestamp::from_secs(100))
         .unwrap();
