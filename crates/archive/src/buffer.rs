@@ -48,25 +48,27 @@ impl PingPongBuffer {
         }
     }
 
-    /// Appends one object's aged column at virtual time `now_us`.
+    /// Appends one object's aged column at virtual time `now_us`, or
+    /// `None` for a forced flush's append: that is not a fill, so a side it
+    /// starts or completes records no fill time.
     ///
     /// When the active side reaches capacity the sides swap and the full
     /// side's contents are handed back for flushing.
     pub(crate) fn append_column(
         &mut self,
         column: impl IntoIterator<Item = HistoryRecord>,
-        now_us: u64,
+        now_us: Option<u64>,
     ) -> AppendOutcome {
         if self.active.is_empty() {
-            self.fill_start_us = Some(now_us);
+            self.fill_start_us = now_us;
         }
         self.active.extend(column);
         if self.active.len() >= self.capacity_records {
             let records = std::mem::take(&mut self.active);
             // Fill duration `T_m`: virtual time from first append to the swap.
-            if let Some(start) = self.fill_start_us.take() {
+            if let (Some(start), Some(now)) = (self.fill_start_us.take(), now_us) {
                 self.fill_history_secs
-                    .push(now_us.saturating_sub(start) as f64 / 1e6);
+                    .push(now.saturating_sub(start) as f64 / 1e6);
             }
             AppendOutcome::SwapAndFlush { records }
         } else {
@@ -109,17 +111,17 @@ mod tests {
         let mut b = PingPongBuffer::new(4 * RECORD_BYTES);
         assert_eq!(b.capacity_records, 4);
         assert!(matches!(
-            b.append_column(vec![rec(1, 0), rec(1, 1)], 1_000_000),
+            b.append_column(vec![rec(1, 0), rec(1, 1)], Some(1_000_000)),
             AppendOutcome::Buffered
         ));
-        match b.append_column(vec![rec(2, 0), rec(2, 1)], 3_000_000) {
+        match b.append_column(vec![rec(2, 0), rec(2, 1)], Some(3_000_000)) {
             AppendOutcome::SwapAndFlush { records } => assert_eq!(records.len(), 4),
             AppendOutcome::Buffered => panic!("expected swap"),
         }
         // The new active side is empty and keeps absorbing.
         assert!(b.active.is_empty());
         assert!(matches!(
-            b.append_column(vec![rec(3, 0)], 4_000_000),
+            b.append_column(vec![rec(3, 0)], Some(4_000_000)),
             AppendOutcome::Buffered
         ));
         assert_eq!(b.min_fill_secs(), Some(2.0));
@@ -128,7 +130,7 @@ mod tests {
     #[test]
     fn oversized_column_still_swaps_once() {
         let mut b = PingPongBuffer::new(2 * RECORD_BYTES);
-        match b.append_column((0..5).map(|i| rec(1, i)), 10) {
+        match b.append_column((0..5).map(|i| rec(1, i)), Some(10)) {
             AppendOutcome::SwapAndFlush { records, .. } => assert_eq!(records.len(), 5),
             AppendOutcome::Buffered => panic!("expected swap"),
         }
@@ -137,7 +139,7 @@ mod tests {
     #[test]
     fn drain_returns_partial_content() {
         let mut b = PingPongBuffer::new(16 * RECORD_BYTES);
-        b.append_column(vec![rec(1, 0)], 0);
+        b.append_column(vec![rec(1, 0)], Some(0));
         let drained = b.drain();
         assert_eq!(drained.len(), 1);
         assert!(b.active.is_empty());
@@ -147,8 +149,8 @@ mod tests {
     #[test]
     fn min_fill_tracks_the_fastest_fill() {
         let mut b = PingPongBuffer::new(RECORD_BYTES);
-        b.append_column(vec![rec(1, 0)], 0);
-        b.append_column(vec![rec(1, 1)], 5_000_000);
+        b.append_column(vec![rec(1, 0)], Some(0));
+        b.append_column(vec![rec(1, 1)], Some(5_000_000));
         assert_eq!(b.min_fill_secs(), Some(0.0));
     }
 }

@@ -199,7 +199,7 @@ impl PppArchiver {
         self.counters.columns_aged.fetch_add(1, Ordering::Relaxed);
         let disk = state.disk;
         let mut buffer = self.buffers[disk].lock();
-        let outcome = buffer.append_column(state.ring.iter().copied(), now_us);
+        let outcome = buffer.append_column(state.ring.iter().copied(), Some(now_us));
         drop(objects);
         match outcome {
             AppendOutcome::Buffered => 0.0,
@@ -237,7 +237,7 @@ impl PppArchiver {
             let mut objects = stripe.lock();
             for state in objects.values_mut().filter(|s| s.unflushed > 0) {
                 let mut buffer = self.buffers[state.disk].lock();
-                let outcome = buffer.append_column(state.unaged(), 0);
+                let outcome = buffer.append_column(state.unaged(), None);
                 state.unflushed = 0;
                 if let AppendOutcome::SwapAndFlush { records } = outcome {
                     self.write_page(state.disk, buffer, records);
@@ -625,6 +625,27 @@ mod tests {
         assert!(min_tm > 0.0);
         assert!(max_td > 0.0);
         assert!(ok, "slow fill must satisfy min Tm >= max Td");
+    }
+
+    #[test]
+    fn a_forced_flush_leaves_the_fill_times_alone() {
+        let a = PppArchiver::new(space(), config());
+        // One real fill of 8 records (two columns), one record a second.
+        for ts in 0..8u64 {
+            a.ingest(rec(1, ts, 100.0, 100.0), ts * 1_000_000);
+        }
+        // Partial columns of 3 + 3 + 2 records on the same disk: flushing
+        // them fills and swaps one more side, of the same size.
+        for (oid, n) in [(2u64, 3u64), (3, 3), (4, 2)] {
+            for ts in 0..n {
+                a.ingest(rec(oid, ts, 100.0, 100.0), (10 + ts) * 1_000_000);
+            }
+        }
+        let before = a.pingpong_safety().expect("one fill completed");
+        assert_eq!(before.0, 4.0);
+        a.flush_all().unwrap();
+        assert_eq!(a.stats().flushes, 2, "the forced flush swapped a side");
+        assert_eq!(a.pingpong_safety(), Some(before));
     }
 
     #[test]

@@ -1,42 +1,26 @@
-//! Bench trajectory report *and* regression gate: diffs the QPS figures a
-//! fresh smoke run just wrote against the previous run's archived JSON,
-//! prints a delta table in the job log, and (in `--check` mode) fails the
-//! job when any metric regressed beyond the threshold.
+//! Bench archive gate: diffs the figures a fresh run of the bins just
+//! wrote against the committed archive, prints every point that moved,
+//! and (in `--check` mode) fails the job when any did.
 //!
-//! CI snapshots the committed `bench_results/*.json` before running the
-//! smoke bins, then invokes
+//! CI snapshots the committed `bench_results/*.json` before it reruns the
+//! bins, then invokes
 //!
 //! ```text
-//! bench_trend [--check] [--max-drop-pct <pct>] [--median-dir <dir>]...
-//!             <previous_dir> <current_dir>
+//! bench_trend [--check] [<committed_dir> [<current_dir>]]
 //! ```
 //!
-//! Figures present in both directories are compared series by series,
-//! point by point. Without `--check` the report is informational. With
-//! `--check` the process exits non-zero if any overlapping point dropped
-//! more than `--max-drop-pct` percent (default 15) — the smoke figures
-//! are virtual-time QPS, deterministic enough to gate on — or if a
-//! figure or a gated series of the previous run is missing from the
-//! current one: a renamed or dropped series must not slip through as a
-//! "new" one. The cases that must *not* fail the gate and do not: a
-//! first run (no previous archive), a brand-new figure, a brand-new
-//! series, new points (e.g. a new shard count) — there is nothing to
-//! regress against — and a missing `(noisy)` series, which is printed.
-//!
-//! **De-noising.** The multi-threaded figures (fig14's `ClientPool`
-//! timelines, fig15's and fig16's pooled scatters) wobble with thread
-//! interleaving —
-//! ±9% observed on a loaded runner, uncomfortably close to a 15% gate.
-//! CI therefore re-runs those bins into scratch directories
-//! (`MOIST_BENCH_RESULTS_DIR`) and passes each as `--median-dir`: for
-//! every point that also appears in a median directory, the *median* of
-//! all runs is compared instead of the single main-run sample, so one
-//! unlucky interleaving cannot fail the job. Figures absent from the
-//! median dirs (the deterministic single-threaded ones) gate on their
-//! single run, unchanged. Series whose label contains `(noisy)` are
-//! wall-clock-dependent by construction (e.g. fig13's opportunistic
-//! query timeline, ±45% run to run) — they are diffed and printed but
-//! never counted as regressions, however far they move.
+//! Every bin runs on one thread against the cost model's virtual clock,
+//! so each figure is a function of its seed, and the gate is exact. With
+//! `--check` the process exits non-zero if any point of a committed series
+//! differs from the regenerated one (a moved value, or a point gained or
+//! lost), or if a committed figure or series is missing from the current
+//! run: a renamed or dropped series must not slip through as a "new" one.
+//! A PR that changes a figure on purpose commits the regenerated archive.
+//! Figures and series the archive does not have yet pass, since there is
+//! nothing to compare them with. Series whose label contains `(noisy)` are
+//! wall-clock measurements by construction (e.g. fig13's opportunistic
+//! query timeline): they are diffed and printed but never gated, and may
+//! also go missing.
 
 use moist_bench::results_dir;
 use serde_json::Value;
@@ -95,31 +79,17 @@ fn parse_figure(value: &Value) -> Option<(String, FigureData)> {
 }
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: bench_trend [--check] [--max-drop-pct <pct>] [--median-dir <dir>]... \
-         [<previous_dir> [<current_dir>]]"
-    );
+    eprintln!("usage: bench_trend [--check] [<previous_dir> [<current_dir>]]");
     std::process::exit(2);
-}
-
-/// The median of a non-empty sample set.
-fn median(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let n = samples.len();
-    if n % 2 == 1 {
-        samples[n / 2]
-    } else {
-        (samples[n / 2 - 1] + samples[n / 2]) / 2.0
-    }
 }
 
 /// What one comparison of two runs found.
 #[derive(Debug, Default, PartialEq)]
 struct Verdict {
-    /// Gated points present in both runs.
+    /// Gated points of the committed run.
     compared: usize,
-    /// Gated points that dropped more than the threshold.
-    regressions: usize,
+    /// Gated points that moved, appeared or disappeared.
+    changed: usize,
     /// Previous figures with a gated series, and previous gated series,
     /// the current run lacks: a renamed or dropped series would
     /// otherwise "pass" as a brand-new one.
@@ -128,21 +98,19 @@ struct Verdict {
 
 impl Verdict {
     fn fails(&self) -> bool {
-        self.regressions > 0 || self.missing > 0
+        self.changed > 0 || self.missing > 0
     }
 }
 
-/// `(noisy)` series are wall-clock-dependent by construction: diffed for
-/// the log, never gated.
+/// `(noisy)` series are wall-clock measurements by construction: diffed
+/// for the log, never gated.
 fn gated(label: &str) -> bool {
     !label.contains("(noisy)")
 }
 
-/// Diffs `cur` against `prev` point by point, printing the delta table.
-/// Each point of `cur` that also appears in a `medians` run is gated on
-/// the median of all its samples; a drop beyond `drop_pct` percent is a
-/// regression.
-fn compare(prev: &Figures, cur: &Figures, medians: &[Figures], drop_pct: f64) -> Verdict {
+/// Diffs `cur` against `prev` point by point, printing every point that
+/// changed.
+fn compare(prev: &Figures, cur: &Figures) -> Verdict {
     let mut verdict = Verdict::default();
     for (id, prev_fig) in prev {
         let Some(cur_fig) = cur.get(id) else {
@@ -151,99 +119,60 @@ fn compare(prev: &Figures, cur: &Figures, medians: &[Figures], drop_pct: f64) ->
             println!("{id:<22} (figure missing from the current run)");
             continue;
         };
-        for label in prev_fig
-            .keys()
-            .filter(|label| !cur_fig.contains_key(*label))
-        {
-            let note = if gated(label) {
-                verdict.missing += 1;
-                "series missing from the current run"
-            } else {
-                "series missing (not gated)"
-            };
-            println!(
-                "{:<22} {:<22} ({note})",
-                truncate(id, 22),
-                truncate(label, 22)
-            );
-        }
-    }
-    for (id, cur_fig) in cur {
-        let Some(prev_fig) = prev.get(id) else {
-            println!("{id:<22} (new figure — no previous run to diff)");
-            continue;
-        };
-        for (label, cur_points) in cur_fig {
-            let Some(prev_points) = prev_fig.get(label) else {
-                println!("{id:<22} {label:<22} (new series)");
+        for (label, prev_points) in prev_fig {
+            let gated = gated(label);
+            let Some(cur_points) = cur_fig.get(label) else {
+                let note = if gated {
+                    verdict.missing += 1;
+                    "series missing from the current run"
+                } else {
+                    "series missing (not gated)"
+                };
+                println!(
+                    "{:<22} {:<22} ({note})",
+                    truncate(id, 22),
+                    truncate(label, 22)
+                );
                 continue;
             };
-            let gated = gated(label);
-            for &(x, raw_y) in cur_points {
-                // Match points by x: series may gain or lose shard counts
-                // or time windows between runs.
-                let Some(&(_, py)) = prev_points.iter().find(|(px, _)| (px - x).abs() < 1e-9)
-                else {
-                    continue;
-                };
-                // Median-of-N for the interleaving-sensitive figures: any
-                // extra run of this figure/series/point contributes a
-                // sample, and the median is what gates.
-                let mut samples = vec![raw_y];
-                for m in medians {
-                    if let Some(&(_, my)) = m
-                        .get(id)
-                        .and_then(|fig| fig.get(label))
-                        .and_then(|pts| pts.iter().find(|(px, _)| (px - x).abs() < 1e-9))
-                    {
-                        samples.push(my);
-                    }
-                }
-                let runs = samples.len();
-                let y = median(samples);
-                // A ~0 baseline has no meaningful percentage (e.g. an
-                // empty measurement window in a previous run): print the
-                // raw values honestly instead of a misleading +0.0%.
-                if py.abs() <= f64::EPSILON {
-                    println!(
-                        "{:<22} {:<22} {:>9.1} {:>12.1} {:>12.1} {:>9}",
-                        truncate(id, 22),
-                        truncate(label, 22),
-                        x,
-                        py,
-                        y,
-                        "n/a"
-                    );
+            if gated {
+                verdict.compared += prev_points.len();
+            }
+            for i in 0..prev_points.len().max(cur_points.len()) {
+                let (p, c) = (prev_points.get(i), cur_points.get(i));
+                if p == c {
                     continue;
                 }
-                let pct = (y - py) / py * 100.0;
                 if gated {
-                    verdict.compared += 1;
-                    if pct < -drop_pct {
-                        verdict.regressions += 1;
-                    }
+                    verdict.changed += 1;
                 }
+                let show = |pt: Option<&(f64, f64)>| {
+                    pt.map_or("-".to_string(), |pt| format!("{:.6}", pt.1))
+                };
+                let x = p.or(c).map_or(0.0, |pt| pt.0);
                 println!(
-                    "{:<22} {:<22} {:>9.1} {:>12.1} {:>12.1} {:>+8.1}%{}{}",
+                    "{:<22} {:<22} {:>9.1} {:>14} {:>14}{}",
                     truncate(id, 22),
                     truncate(label, 22),
                     x,
-                    py,
-                    y,
-                    pct,
-                    if runs > 1 {
-                        format!("  (median of {runs})")
+                    show(p),
+                    show(c),
+                    if gated {
+                        "  <-- changed"
                     } else {
-                        String::new()
-                    },
-                    if !gated {
                         "  (not gated)"
-                    } else if pct < -drop_pct {
-                        "  <-- regression?"
-                    } else {
-                        ""
                     }
                 );
+            }
+        }
+    }
+    for (id, cur_fig) in cur {
+        match prev.get(id) {
+            None => println!("{id:<22} (new figure — not in the archive)"),
+            Some(prev_fig) => {
+                for label in cur_fig.keys().filter(|l| !prev_fig.contains_key(*l)) {
+                    println!("{id:<22} {label:<22} (new series)");
+                }
             }
         }
     }
@@ -252,26 +181,10 @@ fn compare(prev: &Figures, cur: &Figures, medians: &[Figures], drop_pct: f64) ->
 
 fn main() {
     let mut check = false;
-    let mut max_drop_pct: Option<f64> = None;
     let mut dirs: Vec<PathBuf> = Vec::new();
-    let mut median_dirs: Vec<PathBuf> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--check" => check = true,
-            "--max-drop-pct" => {
-                let Some(v) = args.next().and_then(|v| v.parse::<f64>().ok()) else {
-                    usage();
-                };
-                if v <= 0.0 || !v.is_finite() {
-                    usage();
-                }
-                max_drop_pct = Some(v);
-            }
-            "--median-dir" => {
-                let Some(d) = args.next() else { usage() };
-                median_dirs.push(PathBuf::from(d));
-            }
             // A typoed flag must not silently become a (nonexistent)
             // directory — that would disable the gate with exit 0.
             s if s.starts_with('-') => usage(),
@@ -284,13 +197,8 @@ fn main() {
         [] => (results_dir().join("prev"), results_dir()),
         _ => usage(),
     };
-    // An explicit --max-drop-pct sets the marker threshold in both modes
-    // (the flag is never silently ignored); the gate defaults to 15%, the
-    // informational report to its historic 10% marker.
-    let drop_pct = max_drop_pct.unwrap_or(if check { 15.0 } else { 10.0 });
     let prev = load_dir(&prev_dir);
     let cur = load_dir(&cur_dir);
-    let medians: Vec<Figures> = median_dirs.iter().map(|d| load_dir(d)).collect();
     if prev.is_empty() {
         println!(
             "[bench_trend] no previous results under {} — current run becomes the baseline",
@@ -305,30 +213,23 @@ fn main() {
         prev_dir.display()
     );
     println!(
-        "{:<22} {:<22} {:>9} {:>12} {:>12} {:>9}",
-        "figure", "series", "x", "previous", "current", "delta"
+        "{:<22} {:<22} {:>9} {:>14} {:>14}",
+        "figure", "series", "x", "previous", "current"
     );
-    let verdict = compare(&prev, &cur, &medians, drop_pct);
+    let verdict = compare(&prev, &cur);
     let Verdict {
         compared,
-        regressions,
+        changed,
         missing,
     } = verdict;
-    if compared == 0 {
-        println!("[bench_trend] no overlapping points between the two runs");
-    } else if check {
-        println!("[bench_trend] compared {compared} points against a {drop_pct}% drop gate");
-    } else {
-        println!(
-            "[bench_trend] compared {compared} points; {regressions} dropped more than \
-             {drop_pct}% and {missing} gated figure(s)/series went missing \
-             (informational — smoke QPS wobbles on shared runners)"
-        );
-    }
+    println!(
+        "[bench_trend] compared {compared} gated points: {changed} changed, \
+         {missing} gated figure(s)/series missing"
+    );
     if check && verdict.fails() {
         eprintln!(
-            "[bench_trend] FAIL: {regressions} metric(s) regressed more than {drop_pct}% and \
-             {missing} gated figure(s)/series are missing vs the previous archive"
+            "[bench_trend] FAIL: the regenerated figures differ from the committed archive; \
+             commit the new archive if the change is intended"
         );
         std::process::exit(1);
     }
@@ -364,7 +265,7 @@ mod tests {
     const QPS: &[(f64, f64)] = &[(1.0, 100.0), (2.0, 200.0)];
 
     fn verdict(prev: &Figures, cur: &Figures) -> Verdict {
-        compare(prev, cur, &[], 15.0)
+        compare(prev, cur)
     }
 
     #[test]
@@ -373,7 +274,7 @@ mod tests {
         let cur = run(&[("fig", &[("client QPS", QPS)])]);
         let v = verdict(&prev, &cur);
         assert_eq!(v.missing, 1);
-        assert_eq!(v.regressions, 0);
+        assert_eq!(v.changed, 0);
         assert!(v.fails());
         // A renamed series is a dropped one plus a new one.
         let renamed = run(&[("fig", &[("client QPS", QPS), ("store q/s", QPS)])]);
@@ -401,7 +302,7 @@ mod tests {
             v,
             Verdict {
                 compared: 2,
-                regressions: 0,
+                changed: 0,
                 missing: 0
             }
         );
@@ -419,33 +320,32 @@ mod tests {
             v,
             Verdict {
                 compared: 2,
-                regressions: 0,
+                changed: 0,
                 missing: 0
             }
         );
     }
 
     #[test]
-    fn a_drop_past_the_threshold_fails_and_one_within_it_passes() {
+    fn any_change_to_a_gated_point_fails() {
         let prev = run(&[("fig", &[("client QPS", QPS)])]);
-        let dropped = run(&[("fig", &[("client QPS", &[(1.0, 84.0), (2.0, 200.0)])])]);
-        let v = verdict(&prev, &dropped);
-        assert_eq!(v.regressions, 1);
-        assert!(v.fails());
-        let wobbled = run(&[("fig", &[("client QPS", &[(1.0, 86.0), (2.0, 240.0)])])]);
-        assert!(!verdict(&prev, &wobbled).fails());
-        // A noisy series may drop any distance.
+        assert!(!verdict(&prev, &prev).fails());
+        // 200 plus one ulp.
+        let moved = run(&[(
+            "fig",
+            &[("client QPS", &[(1.0, 100.0), (2.0, 200.00000000000003)])],
+        )]);
+        assert_eq!(verdict(&prev, &moved).changed, 1);
+        let lost = run(&[("fig", &[("client QPS", &[(1.0, 100.0)])])]);
+        assert_eq!(verdict(&prev, &lost).changed, 1);
+        let gained = run(&[(
+            "fig",
+            &[("client QPS", &[(1.0, 100.0), (2.0, 200.0), (3.0, 1.0)])],
+        )]);
+        assert_eq!(verdict(&prev, &gained).changed, 1);
+        // A noisy series may move any distance.
         let prev = run(&[("fig", &[("latency (noisy)", QPS)])]);
-        let noisy = run(&[("fig", &[("latency (noisy)", &[(1.0, 1.0), (2.0, 1.0)])])]);
+        let noisy = run(&[("fig", &[("latency (noisy)", &[(1.0, 1.0)])])]);
         assert!(!verdict(&prev, &noisy).fails());
-    }
-
-    #[test]
-    fn the_median_of_the_extra_runs_gates() {
-        let prev = run(&[("fig", &[("client QPS", QPS)])]);
-        let unlucky = run(&[("fig", &[("client QPS", &[(1.0, 50.0), (2.0, 200.0)])])]);
-        let fine = run(&[("fig", &[("client QPS", QPS)])]);
-        let v = compare(&prev, &unlucky, &[fine.clone(), fine], 15.0);
-        assert!(!v.fails(), "{v:?}");
     }
 }

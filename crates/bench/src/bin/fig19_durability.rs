@@ -24,10 +24,12 @@
 //!
 //! The `Durability::None` QPS series doubles as the regression sentinel
 //! for the acceptance bar "fig13–18 unchanged with durability off": it
-//! runs the same update path those figures exercise and sits in the CI
-//! drop gate. Amplification and recovery series are `(noisy)`-exempt —
-//! both are lower-is-better, so an improvement would read as a >15%
-//! "drop" and fail the job.
+//! runs the same update path those figures exercise. Its clients are
+//! stepped in turn on one thread ([`drive`]). As OS threads, two smoke
+//! runs differed by up to 13%; stepped in turn, the durable QPS points
+//! read 3–5.5% below a threaded run's. Every series is
+//! virtual time driven on one thread, so CI's archive gate holds each one
+//! to its committed value exactly.
 
 use moist::bigtable::{Bigtable, CostProfile, Durability, StoreConfig};
 use moist::core::MoistCluster;
@@ -113,13 +115,13 @@ fn run_one(setting: Option<u64>, scale: &Scale) -> Measured {
         .shards(scale.shards)
         .build()
         .expect("cluster");
-    let sims = road_clients(scale.clients, scale.agents_per_client, 9000);
-    drive(&cluster, &sims, scale.warmup_secs, 5.0, false);
+    let mut sims = road_clients(scale.clients, scale.agents_per_client, 9000);
+    drive(&cluster, &mut sims, scale.warmup_secs, 5.0, false);
     cluster.reset_clocks();
     let w = Window::open(&cluster);
     let m_before = store.metrics_snapshot();
     let until = scale.warmup_secs + scale.measure_secs;
-    drive(&cluster, &sims, until, 5.0, false);
+    drive(&cluster, &mut sims, until, 5.0, false);
     let w = w.close(&cluster);
     assert!(w.ops.updates > 0, "workload produced no updates");
     let m = store.metrics_snapshot().delta(&m_before);
@@ -177,8 +179,8 @@ fn main() {
         "updates/s (QPS series) / ratio (amplification) / virtual ms (recovery)",
     );
     let mut qps_series = Series::new("update QPS by durability");
-    let mut amp_series = Series::new("WAL write amplification (noisy)");
-    let mut rec_series = Series::new("crash recovery virtual ms (noisy)");
+    let mut amp_series = Series::new("WAL write amplification");
+    let mut rec_series = Series::new("crash recovery virtual ms");
 
     println!(
         "{:>12}  {:>10}  {:>8}  {:>12}  {:>10}",

@@ -185,7 +185,7 @@ fn run_arm(scale: &Scale, name: &str, managed: bool, schedule: &[(u64, usize)]) 
     let mut rng = Rng(0xF162_0AE5_CA1E);
     let mut arm = Arm {
         qps: Series::new(format!("{name} client QPS")),
-        shards: Series::new(format!("{name} live shards (noisy)")),
+        shards: Series::new(format!("{name} live shards")),
         final_shards: 0,
         shed: 0,
         events: Vec::new(),
@@ -302,7 +302,7 @@ fn main() {
     fig.add(managed.shards.clone());
     fig.add(Series::from_points("recovered QPS", vec![(0.0, recovered)]));
     let ttr = vec![(0.0, time_to_recover)];
-    fig.add(Series::from_points("time-to-recover secs (noisy)", ttr));
+    fig.add(Series::from_points("time-to-recover secs", ttr));
     fig.print();
     fig.save().expect("save");
 

@@ -6,24 +6,24 @@
 //! capacity model, and the one measured-window driver the cluster-tier
 //! figures (`fig14_scaleout` … `fig20_autoscale`) are thin scenarios over:
 //! [`tier_config`] and [`road_clients`] build the tier and its clients,
-//! [`drive`] (client threads) or [`run_seconds`] (one driver thread) move
-//! virtual time, and a [`Window`] turns two [`MoistCluster::cluster_stats`]
-//! snapshots into the window's counters and QPS.
+//! [`drive`] (logical clients) or [`run_seconds`] (per-second hooks) move
+//! virtual time on the calling thread, and a [`Window`] turns two
+//! [`MoistCluster::cluster_stats`] snapshots into the window's counters
+//! and QPS.
 
 #![warn(missing_docs)]
 
 use moist::bigtable::{CostProfile, Timestamp};
 use moist::core::{
-    ClusterStats, IngestStats, MoistCluster, MoistConfig, MoistError, Neighbor, ObjectId,
-    RegionStats, ServerStats, UpdateMessage,
+    ClusterStats, IngestStats, MoistCluster, MoistConfig, Neighbor, ObjectId, RegionStats,
+    ServerStats, UpdateMessage,
 };
 use moist::spatial::{Point, Rect, Velocity};
-use moist::workload::{ClientPool, RoadMap, RoadMapConfig, RoadNetSim, SimConfig};
+use moist::workload::{RoadMap, RoadMapConfig, RoadNetSim, SimConfig};
 use serde::Serialize;
 use std::io::Write as _;
 use std::ops::Range;
 use std::path::PathBuf;
-use std::sync::Mutex;
 
 /// One plotted series: label plus `(x, y)` points.
 #[derive(Debug, Clone, Serialize)]
@@ -162,16 +162,7 @@ fn truncate(s: &str, n: usize) -> &str {
 }
 
 /// `bench_results/` at the workspace root (falls back to CWD).
-///
-/// `MOIST_BENCH_RESULTS_DIR` overrides the location entirely — CI uses it
-/// to write the extra median-of-3 smoke runs of the interleaving-sensitive
-/// figures into scratch directories instead of clobbering the main run.
 pub fn results_dir() -> PathBuf {
-    if let Ok(dir) = std::env::var("MOIST_BENCH_RESULTS_DIR") {
-        if !dir.is_empty() {
-            return PathBuf::from(dir);
-        }
-    }
     // CARGO_MANIFEST_DIR = crates/bench → workspace root is two levels up.
     match std::env::var("CARGO_MANIFEST_DIR") {
         Ok(dir) => PathBuf::from(dir)
@@ -284,49 +275,54 @@ pub fn tier_config(epsilon: f64) -> MoistConfig {
 }
 
 /// `clients` §4.1 road-network simulators of `agents` each, client `i`
-/// seeded `seed0 + i` — the input [`drive`] spreads over client threads.
-pub fn road_clients(clients: usize, agents: u64, seed0: u64) -> Vec<Mutex<RoadNetSim>> {
+/// seeded `seed0 + i` — the logical clients [`drive`] steps.
+pub fn road_clients(clients: usize, agents: u64, seed0: u64) -> Vec<RoadNetSim> {
     (0..clients)
         .map(|i| {
-            Mutex::new(RoadNetSim::new(
+            RoadNetSim::new(
                 RoadMap::new(RoadMapConfig::default()),
                 SimConfig {
                     agents,
                     seed: seed0 + i as u64,
                     ..SimConfig::default()
                 },
-            ))
+            )
         })
         .collect()
 }
 
 /// Drives every simulator from its current time to `until`, in
-/// `tick`-second steps, routing updates through the cluster; on each tick
-/// worker `i` also runs the lazy clustering pass for the shards congruent
-/// to `i` modulo the worker count, so every shard gets clustering ticks
-/// even when there are fewer client threads than shards.
+/// `tick`-second steps, routing updates through the cluster.
+///
+/// The logical clients share the calling thread: each tick advances them
+/// one after another, in client order, so every number a run produces is
+/// a function of its seeds (no OS scheduler decides an interleaving). On
+/// its step client `i` submits its updates, then runs the lazy clustering
+/// pass for the shards congruent to `i` modulo the client count, so every
+/// shard gets clustering ticks even when there are fewer clients than
+/// shards.
 ///
 /// `pipelined` selects the submission path: `false` routes through the
 /// synchronous [`MoistCluster::update`], `true` through
-/// [`MoistCluster::submit`] with a deadline-flush tick per worker and a
-/// final drain. Backpressure (only reachable under a tight in-flight
-/// limit) is handled the way a real client would: flush what is due and
-/// retry.
+/// [`MoistCluster::submit`] with a deadline-flush tick per client and a
+/// final drain. One submitter applies each full batch before it submits
+/// again, so its queues never reach the backpressure cap.
 pub fn drive(
     cluster: &MoistCluster,
-    sims: &[Mutex<RoadNetSim>],
+    sims: &mut [RoadNetSim],
     until: f64,
     tick: f64,
     pipelined: bool,
 ) {
-    let shards = cluster.num_shards();
-    ClientPool::run(sims.len(), |i| {
-        let mut sim = sims[i].lock().expect("sim lock");
-        let oid_base = i as u64 * 10_000_000;
-        let mut t = sim.now_secs();
-        while t < until {
-            t = (t + tick).min(until);
+    let (shards, clients) = (cluster.num_shards(), sims.len());
+    while sims.iter().any(|sim| sim.now_secs() < until) {
+        for (i, sim) in sims.iter_mut().enumerate() {
+            if sim.now_secs() >= until {
+                continue;
+            }
+            let t = (sim.now_secs() + tick).min(until);
             let now = Timestamp::from_secs_f64(t);
+            let oid_base = i as u64 * 10_000_000;
             for u in sim.advance_until(t) {
                 let msg = UpdateMessage {
                     oid: ObjectId(oid_base + u.oid),
@@ -334,31 +330,22 @@ pub fn drive(
                     vel: u.vel,
                     ts: Timestamp::from_secs_f64(u.at_secs),
                 };
-                if !pipelined {
+                if pipelined {
+                    cluster.submit(&msg).expect("submit");
+                } else {
                     cluster.update(&msg).expect("update");
-                    continue;
-                }
-                loop {
-                    match cluster.submit(&msg) {
-                        Ok(_) => break,
-                        Err(MoistError::Backpressure { .. }) => {
-                            cluster.flush_due(now).expect("flush");
-                            std::thread::yield_now();
-                        }
-                        Err(e) => panic!("submit: {e}"),
-                    }
                 }
             }
             if pipelined {
                 cluster.flush_due(now).expect("flush");
             }
-            for shard in (i..shards).step_by(sims.len()) {
+            for shard in (i..shards).step_by(clients) {
                 cluster
                     .run_due_clustering_shard(shard, now)
                     .expect("clustering");
             }
         }
-    });
+    }
     if pipelined {
         cluster.drain_ingest().expect("drain");
     }
@@ -368,9 +355,8 @@ pub fn drive(
 /// time: `ops(sec)` issues that second's operations, then every shard
 /// runs its due clustering at `sec + 1`, then `tick(sec + 1)` runs the
 /// scenario's per-second hook (a rebalance or controller step, or
-/// nothing). One thread, so no number it produces depends on thread
-/// interleaving; the clustering sweep's compute phase is still charged in
-/// wall-clock time, which moves the results in the fifth digit.
+/// nothing). One thread and a fully modelled clock, so every number it
+/// produces is a function of the scenario's seeds.
 pub fn run_seconds(
     cluster: &MoistCluster,
     secs: Range<u64>,

@@ -117,8 +117,7 @@ impl CostProfile {
     ///
     /// Batched mutations are group-committed log appends — an order of
     /// magnitude cheaper per mutation than point writes, and cheaper per
-    /// row than batch *reads* (writes return no data). This asymmetry is
-    /// why clustering latency is read-dominated (Figure 10).
+    /// row than batch *reads* (writes return no data).
     pub fn batch_write_us(&self, rows: u64, mutations: u64, bytes: u64) -> f64 {
         self.rpc_base_us
             + rows as f64 * self.batch_row_us
@@ -161,19 +160,37 @@ impl CostProfile {
     }
 }
 
+/// Picoseconds in one microsecond: the unit every charge is rounded to.
+const PS_PER_US: f64 = 1e6;
+
+/// `us` rounded to whole picoseconds; non-positive (and NaN) charges are 0.
+#[inline]
+pub(crate) fn to_ps(us: f64) -> u64 {
+    if us > 0.0 {
+        (us * PS_PER_US).round() as u64
+    } else {
+        0
+    }
+}
+
+/// Whole picoseconds as microseconds.
+#[inline]
+pub(crate) fn to_us(ps: u64) -> f64 {
+    ps as f64 / PS_PER_US
+}
+
 /// A shared, lock-free accumulator of virtual time.
 ///
-/// One hub per simulated server. Elapsed time is stored as the `f64`
-/// bit pattern inside an `AtomicU64` and advanced with a compare-and-swap
-/// loop, so read paths taking `&self` can charge cost without a `&mut`
-/// clock. Non-positive charges are ignored, as a
-/// [`Session`](crate::Session) ignores them: on a single thread the hub
-/// applies the same additions in the same order as one session's own
-/// clock, keeping virtual-time totals bit-identical. Under true
-/// concurrency the total is order-dependent only in the final `f64` ulps.
+/// One hub per simulated server. Elapsed time is a count of whole
+/// picoseconds in one `AtomicU64`, advanced by `fetch_add`, so read paths
+/// taking `&self` can charge cost without a `&mut` clock. Integer
+/// addition commutes: the same multiset of charges gives the same total
+/// in any order and from any number of threads, so a virtual-time figure
+/// never depends on how its callers interleaved. Non-positive charges are
+/// ignored, as a [`Session`](crate::Session) ignores them.
 #[derive(Debug, Default)]
 pub struct MeterHub {
-    elapsed_bits: AtomicU64,
+    elapsed_ps: AtomicU64,
 }
 
 impl MeterHub {
@@ -182,33 +199,29 @@ impl MeterHub {
         MeterHub::default()
     }
 
-    /// Advances by `us` microseconds (non-positive charges are ignored).
+    /// Advances by `us` microseconds, rounded to whole picoseconds
+    /// (non-positive charges are ignored).
     pub fn charge_us(&self, us: f64) {
-        if us > 0.0 {
-            let mut cur = self.elapsed_bits.load(Ordering::Relaxed);
-            loop {
-                let next = (f64::from_bits(cur) + us).to_bits();
-                match self.elapsed_bits.compare_exchange_weak(
-                    cur,
-                    next,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => break,
-                    Err(actual) => cur = actual,
-                }
-            }
-        }
+        self.charge_ps(to_ps(us));
+    }
+
+    #[inline]
+    pub(crate) fn charge_ps(&self, ps: u64) {
+        self.elapsed_ps.fetch_add(ps, Ordering::Relaxed);
+    }
+
+    pub(crate) fn elapsed_ps(&self) -> u64 {
+        self.elapsed_ps.load(Ordering::Relaxed)
     }
 
     /// Virtual microseconds accumulated so far.
     pub fn elapsed_us(&self) -> f64 {
-        f64::from_bits(self.elapsed_bits.load(Ordering::Relaxed))
+        to_us(self.elapsed_ps())
     }
 
     /// Resets to zero, returning elapsed microseconds.
     pub fn reset(&self) -> f64 {
-        f64::from_bits(self.elapsed_bits.swap(0f64.to_bits(), Ordering::Relaxed))
+        to_us(self.elapsed_ps.swap(0, Ordering::Relaxed))
     }
 }
 
@@ -266,21 +279,16 @@ mod tests {
     }
 
     #[test]
-    fn hub_replays_the_same_addition_sequence_as_one_clock() {
-        // Single-threaded bit-identicality: charging the hub in the same
-        // order as a plain sum of the positive charges yields the exact
-        // same f64 bits.
-        let charges = [15.0, 0.8, 4.0, -3.0, 0.0, 900.0, 0.002, 2.5];
-        let mut clock = 0.0f64;
+    fn hub_rounds_each_charge_to_whole_picoseconds() {
+        let charges = [15.0, 0.8, 4.0, -3.0, 0.0, f64::NAN, 900.0, 0.002, 2.5, 4e-7];
         let hub = MeterHub::new();
         for &c in &charges {
-            if c > 0.0 {
-                clock += c;
-            }
             hub.charge_us(c);
         }
-        assert_eq!(clock.to_bits(), hub.elapsed_us().to_bits());
-        assert_eq!(hub.reset().to_bits(), clock.to_bits());
+        // 4e-7 µs is 0.4 ps and rounds away; the rest are exact in ps.
+        let ps = 15_000_000 + 800_000 + 4_000_000 + 900_000_000 + 2_000 + 2_500_000;
+        assert_eq!(hub.elapsed_ps(), ps);
+        assert_eq!(hub.reset(), ps as f64 / 1e6);
         assert_eq!(hub.elapsed_us(), 0.0);
     }
 
@@ -293,7 +301,7 @@ mod tests {
                 let hub = Arc::clone(&hub);
                 std::thread::spawn(move || {
                     for _ in 0..1000 {
-                        hub.charge_us(0.25); // dyadic: f64 addition is exact
+                        hub.charge_us(0.1);
                     }
                 })
             })
@@ -301,6 +309,6 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(hub.elapsed_us(), 8.0 * 1000.0 * 0.25);
+        assert_eq!(hub.elapsed_ps(), 8 * 1000 * 100_000);
     }
 }

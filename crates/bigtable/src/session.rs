@@ -5,7 +5,7 @@
 //! one session; virtual elapsed time divided into operation counts yields
 //! the modelled QPS the benchmarks report.
 
-use crate::cost::{CostProfile, MeterHub};
+use crate::cost::{to_ps, to_us, CostProfile, MeterHub};
 use crate::error::Result;
 use crate::table::{Mutation, OwnedRow, ReadOptions, RowMutation, ScanRange, Table};
 use crate::types::{Cell, Locality, RowKey};
@@ -19,15 +19,19 @@ use std::sync::Arc;
 /// every charge into the hub, so:
 ///
 /// * absolute `elapsed_us()` reads mid-call match what one shared clock
-///   would have shown (single-threaded runs stay bit-identical), and
+///   would have shown, and
 /// * concurrent calls each own a clock — no `&mut` clock contention —
 ///   while the hub accumulates the server-wide total.
+///
+/// Each charge is rounded to whole picoseconds once, and the clock and
+/// the hub both add that integer, so elapsed time is exact and does not
+/// depend on the order of the charges.
 ///
 /// Operation counts are not kept here: every store operation is counted
 /// exactly once, in its table's [`Metrics`](crate::Metrics).
 pub struct Session {
     profile: CostProfile,
-    elapsed_us: f64,
+    elapsed_ps: u64,
     hub: Option<Arc<MeterHub>>,
 }
 
@@ -35,7 +39,7 @@ impl Session {
     pub(crate) fn new(profile: CostProfile) -> Self {
         Session {
             profile,
-            elapsed_us: 0.0,
+            elapsed_ps: 0,
             hub: None,
         }
     }
@@ -43,14 +47,14 @@ impl Session {
     pub(crate) fn with_hub(hub: Arc<MeterHub>) -> Self {
         Session {
             profile: CostProfile::default(),
-            elapsed_us: hub.elapsed_us(),
+            elapsed_ps: hub.elapsed_ps(),
             hub: Some(hub),
         }
     }
 
     /// Virtual microseconds consumed so far (including a hub's seed).
     pub fn elapsed_us(&self) -> f64 {
-        self.elapsed_us
+        to_us(self.elapsed_ps)
     }
 
     /// Resets the clock, returning elapsed microseconds.
@@ -58,24 +62,23 @@ impl Session {
     /// On a hub-attached session this resets the shared hub too and
     /// returns the hub's (authoritative, server-wide) elapsed total.
     pub fn reset(&mut self) -> f64 {
-        let own = std::mem::take(&mut self.elapsed_us);
+        let own = std::mem::take(&mut self.elapsed_ps);
         match &self.hub {
             Some(hub) => hub.reset(),
-            None => own,
+            None => to_us(own),
         }
     }
 
-    /// Charges `us` to the session's clock and mirrors it into the hub
-    /// (non-positive charges are ignored). All cost accounting funnels
-    /// through here so the hub sees the exact per-op addition sequence
-    /// (not a coarse end-of-call fold).
+    /// Charges `us`, rounded to whole picoseconds, to the session's clock
+    /// and mirrors it into the hub (non-positive charges are ignored). All
+    /// cost accounting funnels through here, so the clock and the hub add
+    /// the same integers.
     #[inline]
     fn charge(&mut self, us: f64) {
-        if us > 0.0 {
-            self.elapsed_us += us;
-            if let Some(hub) = &self.hub {
-                hub.charge_us(us);
-            }
+        let ps = to_ps(us);
+        self.elapsed_ps += ps;
+        if let Some(hub) = &self.hub {
+            hub.charge_ps(ps);
         }
     }
 

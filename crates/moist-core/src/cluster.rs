@@ -18,7 +18,9 @@
 //!    out from under a racing cross-cell move.
 //!
 //! The per-phase virtual latencies are reported so Figure 10's
-//! read/compute/write breakdown can be regenerated.
+//! read/compute/write breakdown can be regenerated. The compute phase is
+//! priced like the store's operations, per leader binned and per bin
+//! planned, so a clustering round costs the same on every run.
 
 use crate::codec::LfRecord;
 use crate::config::MoistConfig;
@@ -33,6 +35,15 @@ use moist_spatial::{cells_at_level, CellId};
 use serde::Serialize;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+
+/// Virtual µs the compute phase charges per leader scanned: mapping its
+/// velocity to a hexagon bin. Calibrated to the median wall time of the
+/// binning on a 2-core x86-64 host (Figure 10a's slope).
+const COMPUTE_US_PER_LEADER: f64 = 0.1;
+
+/// Virtual µs the compute phase charges per hexagon bin: planning that
+/// bin's merge (Figure 10b's slope, calibrated the same way).
+const COMPUTE_US_PER_BIN: f64 = 0.042;
 
 /// Outcome and phase timing of clustering one cell.
 #[derive(Debug, Clone, Copy, Default, Serialize)]
@@ -50,7 +61,8 @@ pub struct ClusterReport {
     pub followers_moved: usize,
     /// Virtual µs spent reading (Spatial Index + Affiliation batch reads).
     pub read_us: f64,
-    /// Virtual µs spent on the in-server computation.
+    /// Virtual µs charged for the in-server computation: binning and merge
+    /// planning, priced per leader and per bin.
     pub compute_us: f64,
     /// Virtual µs spent writing the merge batches.
     pub write_us: f64,
@@ -102,13 +114,15 @@ pub fn cluster_cell(
     let follower_infos = tables.batch_followers(s, &leader_ids)?;
     report.read_us = s.elapsed_us() - t0;
 
-    // ---- compute phase (wall-measured, charged to the virtual clock) ----
-    let wall0 = std::time::Instant::now();
+    // ---- compute phase (priced by the model) ----
     let grid = HexGrid::new(cfg.delta_m);
     let mut bins: HashMap<HexBin, Vec<usize>> = HashMap::new();
     for (i, entry) in leaders.iter().enumerate() {
         bins.entry(grid.bin(&entry.record.vel)).or_default().push(i);
     }
+    report.compute_us =
+        leaders.len() as f64 * COMPUTE_US_PER_LEADER + bins.len() as f64 * COMPUTE_US_PER_BIN;
+    s.charge_extra_us(report.compute_us);
     // Within each bin, the leader with the most followers survives — it is
     // the cheapest merge (fewest L/F rewrites).
     struct Merge {
@@ -128,9 +142,6 @@ pub fn cluster_cell(
             }
         })
         .collect();
-    let compute_wall_us = wall0.elapsed().as_secs_f64() * 1e6;
-    s.charge_extra_us(compute_wall_us);
-    report.compute_us = compute_wall_us;
 
     // ---- write phase ----
     //

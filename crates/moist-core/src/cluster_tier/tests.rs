@@ -1853,7 +1853,7 @@ fn overlapping_batches_ticks_and_churn_finish_and_lose_nothing() {
 /// lands on the same bits again; and a one-shard tier — routing,
 /// membership guard, pooled region scan and all — charges the same bits,
 /// issues the same ops and gives the same answers. No clustering tick
-/// runs: clustering's compute phase is charged in wall-clock µs.
+/// runs: the plain replay does not model one.
 #[test]
 fn single_threaded_metering_is_bit_identical_to_one_shared_clock() {
     use crate::flag::{tests::best_level, FlagTuner};

@@ -31,7 +31,7 @@
 use crate::update::UpdateMessage;
 use moist_bigtable::Timestamp;
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -182,10 +182,11 @@ struct ShardQueue {
 /// The per-shard bounded queues plus their counters. Queues are keyed by
 /// *stable shard id*; the key is advisory (flushes re-route every message
 /// by the then-current membership), so keys going stale across epochs is
-/// harmless.
+/// harmless. Flushes visit the queues in shard-id order, so a run applies
+/// its batches in the same order every time.
 #[derive(Default)]
 pub(crate) struct IngestQueues {
-    queues: RwLock<HashMap<u64, Arc<ShardQueue>>>,
+    queues: RwLock<BTreeMap<u64, Arc<ShardQueue>>>,
     submitted: AtomicU64,
     backpressure: AtomicU64,
     batches: AtomicU64,

@@ -769,11 +769,12 @@ mod tests {
     }
 
     /// The virtual-time gate for both paths. The literals are what the
-    /// build before the two procedures were merged was charged: a lone
-    /// update of each branch, and a 64-message batch with no repeated OID
-    /// and no departure (16 registrations, 16 same-leaf refreshes, 16
-    /// cross-leaf moves, 16 sheds). The byte-diffed smoke archives cover
-    /// the lone update only; nothing else pins the batch.
+    /// build before the two procedures were merged was charged, with each
+    /// charge rounded to whole picoseconds: a lone update of each branch,
+    /// and a 64-message batch with no repeated OID and no departure (16
+    /// registrations, 16 same-leaf refreshes, 16 cross-leaf moves, 16
+    /// sheds). The archived smoke figures cover the lone update only;
+    /// nothing else pins the batch.
     #[test]
     fn each_branch_and_a_clean_batch_are_charged_what_they_always_were() {
         let (st, t, mut free, cfg) = setup(5.0);
@@ -791,18 +792,10 @@ mod tests {
         assert_eq!(
             [registered, same_leaf, cross_leaf, shed, departed],
             [
-                (
-                    UpdateOutcome::Registered,
-                    [2, 0, 3, 0, 3],
-                    105.28999999999999
-                ),
-                (
-                    UpdateOutcome::LeaderUpdated,
-                    [1, 0, 1, 1, 2],
-                    58.10799999999999
-                ),
+                (UpdateOutcome::Registered, [2, 0, 3, 0, 3], 105.29),
+                (UpdateOutcome::LeaderUpdated, [1, 0, 1, 1, 2], 58.108),
                 (UpdateOutcome::LeaderUpdated, [4, 0, 4, 0, 4], 166.87),
-                (UpdateOutcome::Shed, [2, 0, 0, 0, 0], 39.745999999999995),
+                (UpdateOutcome::Shed, [2, 0, 0, 0, 0], 39.746),
                 (
                     UpdateOutcome::Departed { old_leader },
                     [4, 0, 4, 0, 4],
@@ -832,7 +825,7 @@ mod tests {
             })
             .collect();
         let (out, ops, us) = charged(&st, |s| apply_update_batch(s, &t, &cfg, &batch).unwrap());
-        assert_eq!((ops, us), ([19, 0, 16, 3, 144], 1299.3162837624811));
+        assert_eq!((ops, us), ([19, 0, 16, 3, 144], 1299.316285));
         let sheds = out.iter().filter(|o| **o == UpdateOutcome::Shed).count();
         let registrations = out
             .iter()
